@@ -133,7 +133,13 @@ impl KDagBuilder {
         self.edges.len()
     }
 
-    /// Validates and freezes the graph.
+    /// Validates and freezes the graph in O(V + E).
+    ///
+    /// Errors take precedence in this order: [`GraphError::NoTypes`], then
+    /// per-task [`GraphError::TypeOutOfRange`] / [`GraphError::ZeroWork`]
+    /// (lowest id first), then [`GraphError::DuplicateEdge`] (the
+    /// lexicographically smallest repeated pair), then
+    /// [`GraphError::Cycle`].
     pub fn build(self) -> Result<KDag, GraphError> {
         if self.k == 0 {
             return Err(GraphError::NoTypes);
@@ -153,21 +159,15 @@ impl KDagBuilder {
             }
         }
 
-        // Duplicate-edge detection via sort: O(E log E), no hashing.
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(GraphError::DuplicateEdge(w[0].0, w[0].1));
-            }
-        }
-
-        // CSR construction (counting sort over edge endpoints).
+        // CSR construction (counting sort over edge endpoints). The same
+        // pass notes whether every edge points from a lower to a higher id.
         let mut child_offsets = vec![0u32; n + 1];
         let mut parent_offsets = vec![0u32; n + 1];
+        let mut forward = true;
         for &(u, v) in &self.edges {
             child_offsets[u.index() + 1] += 1;
             parent_offsets[v.index() + 1] += 1;
+            forward &= u < v;
         }
         for i in 0..n {
             child_offsets[i + 1] += child_offsets[i];
@@ -186,6 +186,10 @@ impl KDagBuilder {
             parent_fill[v.index()] += 1;
         }
 
+        if let Some((u, v)) = smallest_duplicate(&child_offsets, &child_targets) {
+            return Err(GraphError::DuplicateEdge(u, v));
+        }
+
         let dag = KDag {
             k: self.k,
             rtypes: self.rtypes,
@@ -196,25 +200,51 @@ impl KDagBuilder {
             parent_targets,
         };
 
-        // Cycle check: Kahn's algorithm must consume every task.
-        match crate::topo::topological_order(&dag) {
-            Some(order) if order.len() == n => Ok(dag),
-            _ => {
-                // Find a task on a cycle for the error payload: any task
-                // not appearing in a maximal Kahn pass.
-                let order = crate::topo::partial_topological_order(&dag);
-                let mut in_order = vec![false; n];
-                for t in &order {
-                    in_order[t.index()] = true;
-                }
-                let culprit = (0..n)
-                    .map(TaskId::from_index)
-                    .find(|t| !in_order[t.index()])
-                    .expect("cycle reported but all tasks ordered");
-                Err(GraphError::Cycle(culprit))
+        // Ids increase along every edge, so id order is a topological
+        // order: the graph is acyclic without a Kahn pass. (All the
+        // workload generators add tasks phase by phase and take this path.)
+        if forward {
+            return Ok(dag);
+        }
+        // Cycle check: Kahn's algorithm must consume every task; any task
+        // it leaves out is on (or downstream of) a cycle.
+        let order = crate::topo::partial_topological_order(&dag);
+        if order.len() == n {
+            return Ok(dag);
+        }
+        let mut in_order = vec![false; n];
+        for t in &order {
+            in_order[t.index()] = true;
+        }
+        let culprit = (0..n)
+            .map(TaskId::from_index)
+            .find(|t| !in_order[t.index()])
+            .expect("cycle reported but all tasks ordered");
+        Err(GraphError::Cycle(culprit))
+    }
+}
+
+/// The lexicographically smallest edge `(u, v)` that appears more than
+/// once in the child CSR, in O(V + E): `seen[v]` stamps the last source
+/// whose list held `v`, so a repeat within `u`'s list finds its own stamp.
+/// Sources are scanned in increasing order, so the first source with a
+/// repeat is the smallest `u`; its smallest repeated target is `v`.
+fn smallest_duplicate(offsets: &[u32], targets: &[TaskId]) -> Option<(TaskId, TaskId)> {
+    let n = offsets.len() - 1;
+    let mut seen = vec![u32::MAX; n];
+    for u in 0..n {
+        let mut smallest: Option<TaskId> = None;
+        for &v in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+            if seen[v.index()] == u as u32 {
+                smallest = Some(smallest.map_or(v, |s| s.min(v)));
             }
+            seen[v.index()] = u as u32;
+        }
+        if let Some(v) = smallest {
+            return Some((TaskId::from_index(u), v));
         }
     }
+    None
 }
 
 #[cfg(test)]
@@ -257,6 +287,76 @@ mod tests {
         b.add_edge(v, w).unwrap();
         b.add_edge(w, u).unwrap();
         assert!(matches!(b.build().unwrap_err(), GraphError::Cycle(_)));
+    }
+
+    fn builder_with_edges(n: usize, edges: &[(usize, usize)]) -> KDagBuilder {
+        let mut b = KDagBuilder::new(1);
+        for _ in 0..n {
+            b.add_task(0, 1);
+        }
+        for &(u, v) in edges {
+            b.add_edge(TaskId::from_index(u), TaskId::from_index(v))
+                .unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn reports_the_smallest_of_several_duplicates() {
+        let b = builder_with_edges(
+            5,
+            &[
+                (2, 3),
+                (4, 1),
+                (2, 3),
+                (0, 4),
+                (4, 1),
+                (1, 2),
+                (0, 4),
+                (0, 3),
+                (0, 3),
+                (1, 2),
+            ],
+        );
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::DuplicateEdge(TaskId::from_index(0), TaskId::from_index(3))
+        );
+    }
+
+    #[test]
+    fn duplicate_takes_precedence_over_cycle() {
+        // 1 -> 2 -> 1 is a cycle; 2 -> 1 is also repeated.
+        let b = builder_with_edges(3, &[(0, 1), (1, 2), (2, 1), (2, 1)]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::DuplicateEdge(TaskId::from_index(2), TaskId::from_index(1))
+        );
+    }
+
+    #[test]
+    fn builds_acyclic_graph_with_backward_id_edges() {
+        // 3 -> 0 -> 2 and 3 -> 1: acyclic, but not id-ordered, so the
+        // forward-edge shortcut does not apply and Kahn's pass decides.
+        let g = builder_with_edges(4, &[(3, 0), (0, 2), (3, 1)])
+            .build()
+            .unwrap();
+        assert_eq!(g.num_edges(), 3);
+        let order = crate::topo::topological_order(&g).unwrap();
+        let ids: Vec<usize> = order.iter().map(|t| t.index()).collect();
+        assert_eq!(ids, vec![3, 0, 1, 2]);
+    }
+
+    #[test]
+    fn cycle_with_one_backward_edge_names_the_first_blocked_task() {
+        // 0 -> 2 -> 3 -> 4 -> 2 closes a cycle with the single backward
+        // edge 4 -> 2; 1 -> 5 is independent and 4 -> 6 hangs off the
+        // cycle. Kahn consumes 0, 1, 5 and blocks at 2.
+        let b = builder_with_edges(7, &[(0, 2), (2, 3), (3, 4), (4, 2), (1, 5), (4, 6)]);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::Cycle(TaskId::from_index(2))
+        );
     }
 
     #[test]

@@ -17,22 +17,22 @@ pub fn topological_order(dag: &KDag) -> Option<Vec<TaskId>> {
 /// Kahn's algorithm run to exhaustion; on cyclic graphs returns only the
 /// tasks not involved in (or downstream of) a cycle. Used for cycle
 /// diagnostics in the builder.
+///
+/// The output doubles as the FIFO frontier: tasks are appended when their
+/// last parent is consumed and consumed from `head`, so the order is the
+/// one a separate queue would pop.
 pub(crate) fn partial_topological_order(dag: &KDag) -> Vec<TaskId> {
     let n = dag.num_tasks();
-    let mut indeg: Vec<u32> = (0..n)
-        .map(|i| dag.num_parents(TaskId::from_index(i)) as u32)
-        .collect();
-    let mut queue: std::collections::VecDeque<TaskId> = (0..n)
-        .map(TaskId::from_index)
-        .filter(|&v| indeg[v.index()] == 0)
-        .collect();
+    let mut indeg: Vec<u32> = dag.parent_offsets.windows(2).map(|w| w[1] - w[0]).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
+    order.extend((0..n).filter(|&i| indeg[i] == 0).map(TaskId::from_index));
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
         for &c in dag.children(v) {
             indeg[c.index()] -= 1;
             if indeg[c.index()] == 0 {
-                queue.push_back(c);
+                order.push(c);
             }
         }
     }

@@ -79,6 +79,54 @@ fn pinned_ir_instance_fingerprint() {
     assert_eq!(cfg.procs_per_type(), &[11, 11, 11, 11]);
 }
 
+/// FNV-1a over a job's stored layout: per task its type, work, and the
+/// children and parents slices *in CSR order*. Unlike `KDag::eq`, this
+/// sees adjacency order, which scheduler tie-breaks depend on.
+fn csr_order_hash(job: &fhs::kdag::KDag) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    feed(job.num_tasks() as u64);
+    for v in job.tasks() {
+        feed(job.rtype(v) as u64);
+        feed(job.work(v));
+        for adj in [job.children(v), job.parents(v)] {
+            feed(adj.len() as u64);
+            for &u in adj {
+                feed(u.index() as u64);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn pinned_ir_csr_order() {
+    // Order-sensitive companions to `pinned_ir_instance_fingerprint`: the
+    // generator's edge insertion order fixes the stored child/parent order
+    // that scheduler tie-breaks walk, so a generator or builder rewrite
+    // must keep these hashes, not just the edge set.
+    let (medium, _) =
+        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4).sample(99);
+    assert_eq!(
+        csr_order_hash(&medium),
+        7652520721448104579,
+        "Medium IR seed 99"
+    );
+    let (large, _) = WorkloadSpec::new(Family::Ir, Typing::Random, SystemSize::Large, 4).sample(7);
+    assert_eq!(large.num_tasks(), 1658);
+    assert_eq!(large.num_edges(), 43597);
+    assert_eq!(
+        csr_order_hash(&large),
+        8674698486266251356,
+        "Large IR seed 7"
+    );
+}
+
 #[test]
 fn pinned_instance_seed_sequence() {
     use fhs::experiments::runner::instance_seed;
