@@ -91,7 +91,8 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function("per_quantum", |b| {
         b.iter(|| {
             let mut p = fhs_sim::policy::FifoPolicy;
-            engine::run_per_step(&job, &cfg, &mut p, &RunOptions::default()).makespan
+            let opts = RunOptions::default().with_quantum(1);
+            engine::run(&job, &cfg, &mut p, Mode::Preemptive, &opts).makespan
         })
     });
     g.finish();

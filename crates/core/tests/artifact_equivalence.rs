@@ -21,7 +21,9 @@ use std::sync::Arc;
 
 use fhs_core::mqb::{cmp_balance, InfoModel};
 use fhs_core::{make_policy, Algorithm, Mqb, ALL_ALGORITHMS};
-use fhs_sim::{engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions};
+use fhs_sim::{
+    engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions, Workspace,
+};
 use kdag::descendants::DescendantValues;
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
@@ -58,7 +60,7 @@ fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
 }
 
 /// Runs `algo` cold (`engine::run`) and artifact-backed
-/// (`engine::run_with_artifacts` over a shared bundle) and asserts the
+/// (`engine::run_in_with_artifacts` over a shared bundle) and asserts the
 /// strongest observable — the full trace — is identical.
 fn assert_artifact_run_matches_cold(
     dag: &KDag,
@@ -69,8 +71,15 @@ fn assert_artifact_run_matches_cold(
     opts: &RunOptions,
 ) {
     let cold = engine::run(dag, cfg, make_policy(algo).as_mut(), mode, opts);
-    let warm =
-        engine::run_with_artifacts(dag, cfg, make_policy(algo).as_mut(), mode, opts, artifacts);
+    let warm = engine::run_in_with_artifacts(
+        &mut Workspace::new(),
+        dag,
+        cfg,
+        make_policy(algo).as_mut(),
+        mode,
+        opts,
+        artifacts,
+    );
     assert_eq!(
         warm.makespan,
         cold.makespan,

@@ -5,13 +5,13 @@
 //! the full trace, segment by segment.
 //!
 //! A second family pins the epoch-skipping preemptive engine to the
-//! literal per-quantum scheduler (`run_per_step`): exactly for policies
+//! literal per-quantum scheduler (`with_quantum(1)`): exactly for policies
 //! whose choices ignore candidates' *remaining* work (DType, MaxDP,
 //! ShiftBT — and FIFO, covered in `fhs-sim`'s own suite), skipping
 //! decision epochs between completions cannot change the schedule.
-//! LSpan and MQB *do* read remaining work, so they are compared under
-//! `with_quantum(1)`, where both engines are forced to the same cadence.
-//! KGreedy is excluded from the cadence family only: its RNG draws once
+//! LSpan and MQB *do* read remaining work, so they are only compared to
+//! the reference engines at `with_quantum(1)` (above). KGreedy is
+//! excluded from the cadence family only: its RNG draws once
 //! per consulted epoch, so changing the epoch *count* legitimately
 //! changes the stream (it still matches `reference::run` exactly).
 
@@ -125,27 +125,11 @@ proptest! {
     ) {
         for algo in [Algorithm::DType, Algorithm::MaxDP, Algorithm::ShiftBT] {
             let opts = RunOptions::seeded(seed);
+            let stepped = opts.clone().with_quantum(1);
             let fast = engine::run(&dag, &cfg, make_policy(algo).as_mut(), Mode::Preemptive, &opts);
-            let slow = engine::run_per_step(&dag, &cfg, make_policy(algo).as_mut(), &opts);
+            let slow = engine::run(&dag, &cfg, make_policy(algo).as_mut(), Mode::Preemptive, &stepped);
             prop_assert_eq!(fast.makespan, slow.makespan, "{}", algo.label());
             prop_assert_eq!(&fast.busy_time, &slow.busy_time);
-        }
-    }
-
-    /// LSpan and MQB consult remaining work, so they are pinned to the
-    /// per-step scheduler by forcing the same cadence explicitly.
-    #[test]
-    fn quantum_one_equals_per_step_for_remaining_dependent_policies(
-        dag in arb_kdag(3, 12, 4),
-        cfg in arb_config(3),
-        seed in 0u64..1000,
-    ) {
-        for algo in [Algorithm::LSpan, Algorithm::Mqb] {
-            let opts = RunOptions::seeded(seed).with_quantum(1);
-            let stepped = engine::run(&dag, &cfg, make_policy(algo).as_mut(), Mode::Preemptive, &opts);
-            let literal = engine::run_per_step(&dag, &cfg, make_policy(algo).as_mut(), &RunOptions::seeded(seed));
-            prop_assert_eq!(stepped.makespan, literal.makespan, "{}", algo.label());
-            prop_assert_eq!(&stepped.busy_time, &literal.busy_time);
         }
     }
 }

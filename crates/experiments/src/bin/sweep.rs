@@ -13,11 +13,9 @@ use fhs_core::{Algorithm, ALL_ALGORITHMS};
 use fhs_experiments::figures::{panel_csv_table, Panel};
 use fhs_experiments::obsout;
 use fhs_experiments::runner::{
-    fold_rows, new_sweep_columns, run_cell, run_cell_instrumented, run_sweep_observed,
-    run_sweep_rows, Cell, SweepCell, SweepCellResult,
+    fold_rows, new_sweep_columns, run_sweep_observed, run_sweep_rows, SweepCell,
 };
 use fhs_experiments::shard::{merge_shards, shard_fragment, ShardMeta};
-use fhs_experiments::stats::Summary;
 use fhs_experiments::telemetry::{sweep_exposition, sweep_snapshot_jsonl, MetricsServer};
 use fhs_obs::{chrome_trace_json, events_jsonl, write_atomic, ObsConfig, TraceCell};
 use fhs_sim::Mode;
@@ -39,7 +37,6 @@ struct SweepArgs {
     trace_out: Option<PathBuf>,
     trace_cap: usize,
     metrics_out: Option<PathBuf>,
-    no_artifact_cache: bool,
     workers: Option<usize>,
     stable: bool,
     shard: Option<(u64, u64)>,
@@ -56,7 +53,7 @@ const USAGE: &str = "usage: sweep [--family ep|tree|ir] [--typing layered|random
 [--utilization] [--trace-out PATH] [--trace-cap N] [--metrics-out PATH] \
 [--stable] [--shard I/N] [--shard-out PATH] [--snapshot-every N] \
 [--snapshot-out BASE] [--serve-metrics ADDR] [--serve-linger SECS] \
-[--no-artifact-cache] [--workers N]\n\
+[--workers N]\n\
        sweep merge-shards [--out PATH] FRAGMENT...\n\
 algorithm names: KGreedy LSpan DType MaxDP ShiftBT MQB MQB+All+Exp … (default: all six)\n\
 --instrument appends per-algorithm engine counters (epochs, transitions, \
@@ -87,9 +84,6 @@ plain TCP (e.g. 127.0.0.1:9184; port 0 picks a free port)\n\
 sweep finishes so a scraper can read the final state\n\
 merge-shards folds shard fragments back into metrics-JSONL, byte-identical \
 to the unsharded '--stable --metrics-out' run over the full range\n\
---no-artifact-cache re-samples and re-analyzes every instance per algorithm \
-(the legacy cell-major path); results are bit-identical either way, but the \
-observability flags above need the instance-major sweep\n\
 --workers caps the persistent worker pool (default: all cores); results \
 are bit-identical for any worker count";
 
@@ -110,7 +104,6 @@ fn parse() -> Result<SweepArgs, String> {
         trace_out: None,
         trace_cap: 0,
         metrics_out: None,
-        no_artifact_cache: false,
         workers: None,
         stable: false,
         shard: None,
@@ -214,7 +207,6 @@ fn parse() -> Result<SweepArgs, String> {
                     .parse()
                     .map_err(|e| format!("--serve-linger: {e}"))?
             }
-            "--no-artifact-cache" => out.no_artifact_cache = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -227,20 +219,6 @@ fn parse() -> Result<SweepArgs, String> {
     }
     if out.algos.is_empty() {
         out.algos = ALL_ALGORITHMS.to_vec();
-    }
-    if out.no_artifact_cache
-        && (out.utilization || out.trace_out.is_some() || out.metrics_out.is_some())
-    {
-        return Err(
-            "--no-artifact-cache (the legacy cell-major path) cannot record \
---utilization/--trace-out/--metrics-out; drop one or the other"
-                .into(),
-        );
-    }
-    if out.no_artifact_cache
-        && (out.shard.is_some() || out.snapshot_out.is_some() || out.serve_metrics.is_some())
-    {
-        return Err("--no-artifact-cache cannot shard or snapshot (instance-major only)".into());
     }
     if out.shard_out.is_some() && out.shard.is_none() {
         return Err("--shard-out needs --shard I/N".into());
@@ -331,167 +309,129 @@ fn main() {
         Mode::NonPreemptive => "np",
         Mode::Preemptive => "pre",
     };
-    // Per-algorithm aggregated engine counters; only filled (and printed)
-    // under --instrument so the default table output is unchanged.
-    let mut counters = Vec::new();
-    // The sweep columns of the instance-major path (None on the legacy
-    // path), feeding the observability sections and export sinks below.
-    let mut columns: Option<Vec<SweepCellResult>> = None;
-    // Keeps the /metrics endpoint alive (for --serve-linger) after the
-    // sweep completes.
-    let mut serve_handle: Option<MetricsServer> = None;
-    let rows: Vec<(String, Summary)> = if args.no_artifact_cache {
-        // Legacy cell-major escape hatch: every algorithm re-samples and
-        // re-analyzes its own copy of each instance.
-        args.algos
-            .iter()
-            .map(|&algo| {
-                let cell = Cell::new(spec, algo, args.mode);
-                let summary = if args.instrument {
-                    let (per_instance, total) =
-                        run_cell_instrumented(&cell, args.instances, args.seed, args.workers);
-                    counters.push((algo.label(), total));
-                    let ratios: Vec<f64> = per_instance.iter().map(|&(r, _)| r).collect();
-                    Summary::from_samples(&ratios)
-                } else {
-                    run_cell(&cell, args.instances, args.seed, args.workers)
-                };
-                (algo.label().to_string(), summary)
-            })
-            .collect()
-    } else {
-        // Instance-major default: each instance is sampled and analyzed
-        // once, shared by every algorithm. Bit-identical to the path above.
-        let cells: Vec<SweepCell> = args
-            .algos
-            .iter()
-            .map(|&algo| SweepCell::new(algo, args.mode))
-            .collect();
-        let labels: Vec<String> = args.algos.iter().map(|a| a.label().to_string()).collect();
-        // This process's contiguous slice of the instance range.
-        let (lo, hi) = match args.shard {
-            Some((i, n)) => {
-                let t = args.instances as u64;
-                (i * t / n, (i + 1) * t / n)
+    // Each instance is sampled and analyzed once, shared by every
+    // algorithm.
+    let cells: Vec<SweepCell> = args
+        .algos
+        .iter()
+        .map(|&algo| SweepCell::new(algo, args.mode))
+        .collect();
+    let labels: Vec<String> = args.algos.iter().map(|a| a.label().to_string()).collect();
+    // This process's contiguous slice of the instance range.
+    let (lo, hi) = match args.shard {
+        Some((i, n)) => {
+            let t = args.instances as u64;
+            (i * t / n, (i + 1) * t / n)
+        }
+        None => (0, args.instances as u64),
+    };
+    // Kept alive (for --serve-linger) until the end of `main`.
+    let server = args
+        .serve_metrics
+        .as_deref()
+        .map(|addr| match MetricsServer::start(addr) {
+            Ok(s) => {
+                eprintln!("serving GET /metrics on http://{}/metrics", s.addr());
+                s
             }
-            None => (0, args.instances as u64),
-        };
-        let server = args
-            .serve_metrics
-            .as_deref()
-            .map(|addr| match MetricsServer::start(addr) {
-                Ok(s) => {
-                    eprintln!("serving GET /metrics on http://{}/metrics", s.addr());
-                    s
-                }
-                Err(e) => {
-                    eprintln!("failed to bind {addr}: {e}");
-                    std::process::exit(1);
-                }
-            });
-        // The chunked loop only runs when something watches mid-sweep
-        // (snapshots, a live endpoint) or the range is a shard; otherwise
-        // the one-shot path keeps its fine-grained dispatch heuristics.
-        let live = args.shard.is_some()
-            || args.snapshot_out.is_some()
-            || args.snapshot_every.is_some()
-            || server.is_some();
-        let mut results = if live {
-            let total = (hi - lo) as usize;
-            let chunk = args.snapshot_every.unwrap_or(((hi - lo) / 10).max(1));
-            let mut cols = new_sweep_columns(cells.len());
-            let mut shard_rows = Vec::new();
-            let mut at = lo;
-            while at < hi {
-                let end = (at + chunk).min(hi);
-                let batch =
-                    run_sweep_rows(&spec, &cells, at..end, args.seed, args.workers, observe);
-                if args.shard_out.is_some() {
-                    shard_rows.extend(batch.iter().cloned());
-                }
-                fold_rows(&mut cols, batch);
-                at = end;
-                let done = (at - lo) as usize;
-                let page = sweep_exposition(&spec.label(), mode_label, &labels, &cols, done, total);
-                if let Some(server) = &server {
-                    server.publish(page.clone());
-                }
-                if let Some(base) = &args.snapshot_out {
-                    let jsonl = sweep_snapshot_jsonl(
-                        &spec.label(),
-                        mode_label,
-                        args.seed,
-                        &labels,
-                        &cols,
-                        done,
-                        total,
-                    );
-                    for (path, body) in [
-                        (base.with_extension("prom"), &page),
-                        (base.with_extension("jsonl"), &jsonl),
-                    ] {
-                        if let Err(e) = write_atomic(&path, body) {
-                            eprintln!("snapshot write failed for {}: {e}", path.display());
-                        }
-                    }
-                }
+            Err(e) => {
+                eprintln!("failed to bind {addr}: {e}");
+                std::process::exit(1);
             }
-            if let Some(path) = &args.shard_out {
-                let fragment = shard_fragment(
-                    &ShardMeta {
-                        workload: &spec.label(),
-                        mode: mode_label,
-                        instances: args.instances,
-                        seed: args.seed,
-                        lo,
-                        hi,
-                        cells: &labels,
-                    },
-                    shard_rows,
+        });
+    // The chunked loop only runs when something watches mid-sweep
+    // (snapshots, a live endpoint) or the range is a shard; otherwise
+    // the one-shot path keeps its fine-grained dispatch heuristics.
+    let live = args.shard.is_some()
+        || args.snapshot_out.is_some()
+        || args.snapshot_every.is_some()
+        || server.is_some();
+    let mut columns = if live {
+        let total = (hi - lo) as usize;
+        let chunk = args.snapshot_every.unwrap_or(((hi - lo) / 10).max(1));
+        let mut cols = new_sweep_columns(cells.len());
+        let mut shard_rows = Vec::new();
+        let mut at = lo;
+        while at < hi {
+            let end = (at + chunk).min(hi);
+            let batch = run_sweep_rows(&spec, &cells, at..end, args.seed, args.workers, observe);
+            if args.shard_out.is_some() {
+                shard_rows.extend(batch.iter().cloned());
+            }
+            fold_rows(&mut cols, batch);
+            at = end;
+            let done = (at - lo) as usize;
+            let page = sweep_exposition(&spec.label(), mode_label, &labels, &cols, done, total);
+            if let Some(server) = &server {
+                server.publish(page.clone());
+            }
+            if let Some(base) = &args.snapshot_out {
+                let jsonl = sweep_snapshot_jsonl(
+                    &spec.label(),
+                    mode_label,
+                    args.seed,
+                    &labels,
+                    &cols,
+                    done,
+                    total,
                 );
-                match std::fs::write(path, fragment) {
-                    Ok(()) => eprintln!(
-                        "wrote shard fragment: {} (instances {lo}..{hi} of {})",
-                        path.display(),
-                        args.instances
-                    ),
-                    Err(e) => {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        std::process::exit(1);
+                for (path, body) in [
+                    (base.with_extension("prom"), &page),
+                    (base.with_extension("jsonl"), &jsonl),
+                ] {
+                    if let Err(e) = write_atomic(&path, body) {
+                        eprintln!("snapshot write failed for {}: {e}", path.display());
                     }
                 }
-            }
-            cols
-        } else {
-            run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                observe,
-            )
-        };
-        if args.stable || args.shard_out.is_some() {
-            for col in results.iter_mut() {
-                obsout::stabilize(col);
             }
         }
-        serve_handle = server;
-        let rows = args
-            .algos
-            .iter()
-            .zip(&results)
-            .map(|(&algo, col)| {
-                if args.instrument {
-                    counters.push((algo.label(), col.stats));
+        if let Some(path) = &args.shard_out {
+            let fragment = shard_fragment(
+                &ShardMeta {
+                    workload: &spec.label(),
+                    mode: mode_label,
+                    instances: args.instances,
+                    seed: args.seed,
+                    lo,
+                    hi,
+                    cells: &labels,
+                },
+                shard_rows,
+            );
+            match std::fs::write(path, fragment) {
+                Ok(()) => eprintln!(
+                    "wrote shard fragment: {} (instances {lo}..{hi} of {})",
+                    path.display(),
+                    args.instances
+                ),
+                Err(e) => {
+                    eprintln!("failed to write {}: {e}", path.display());
+                    std::process::exit(1);
                 }
-                (algo.label().to_string(), col.summary())
-            })
-            .collect();
-        columns = Some(results);
-        rows
+            }
+        }
+        cols
+    } else {
+        run_sweep_observed(
+            &spec,
+            &cells,
+            args.instances,
+            args.seed,
+            args.workers,
+            observe,
+        )
     };
+    if args.stable || args.shard_out.is_some() {
+        for col in columns.iter_mut() {
+            obsout::stabilize(col);
+        }
+    }
+    let rows = args
+        .algos
+        .iter()
+        .zip(&columns)
+        .map(|(algo, col)| (algo.label().to_string(), col.summary()))
+        .collect();
     let panel = Panel {
         title: format!(
             "{} — {:?}, {} instances, seed {}",
@@ -514,29 +454,27 @@ fn main() {
             "engine counters (summed over {} instances):",
             args.instances
         );
-        for (i, (label, stats)) in counters.iter().enumerate() {
-            println!("  {label:<16} {stats}");
-            if let Some(o) = columns.as_ref().and_then(|cols| cols[i].obs.as_ref()) {
+        for (&algo, col) in args.algos.iter().zip(&columns) {
+            println!("  {:<16} {}", algo.label(), col.stats);
+            if let Some(o) = &col.obs {
                 println!("  {:<16} {}", "", obsout::latency_summary(o));
             }
         }
     }
     if args.utilization {
-        let cols = columns.as_ref().expect("checked in parse()");
         println!(
             "utilization (timeline recorder, mean over {} instances):",
             args.instances
         );
-        for (&algo, col) in args.algos.iter().zip(cols) {
+        for (&algo, col) in args.algos.iter().zip(&columns) {
             if let Some(o) = &col.obs {
                 println!("  {:<16} {}", algo.label(), obsout::utilization_summary(o));
             }
         }
     }
     if let Some(path) = &args.metrics_out {
-        let cols = columns.as_ref().expect("checked in parse()");
         let mut out = String::new();
-        for (&algo, col) in args.algos.iter().zip(cols) {
+        for (&algo, col) in args.algos.iter().zip(&columns) {
             out.push_str(&obsout::metrics_line(
                 algo.label(),
                 &spec.label(),
@@ -552,7 +490,11 @@ fn main() {
             out.push('\n');
         }
         match std::fs::write(path, out) {
-            Ok(()) => eprintln!("wrote metrics: {} ({} cells)", path.display(), cols.len()),
+            Ok(()) => eprintln!(
+                "wrote metrics: {} ({} cells)",
+                path.display(),
+                columns.len()
+            ),
             Err(e) => {
                 eprintln!("failed to write {}: {e}", path.display());
                 std::process::exit(1);
@@ -560,11 +502,10 @@ fn main() {
         }
     }
     if let Some(path) = &args.trace_out {
-        let cols = columns.as_ref().expect("checked in parse()");
         let traces: Vec<TraceCell> = args
             .algos
             .iter()
-            .zip(cols)
+            .zip(&columns)
             .enumerate()
             .filter_map(|(i, (&algo, col))| {
                 let t = col.obs.as_ref()?.trace.as_ref()?;
@@ -595,7 +536,7 @@ fn main() {
             }
         }
     }
-    if let Some(server) = &serve_handle {
+    if let Some(server) = &server {
         if args.serve_linger > 0 {
             eprintln!(
                 "lingering {}s for scrapers on http://{}/metrics",

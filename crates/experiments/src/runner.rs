@@ -2,10 +2,10 @@
 //!
 //! Two evaluation shapes are provided:
 //!
-//! * **Cell-major** ([`run_cell`] and friends): one `(workload, algorithm,
-//!   mode)` cell over many seeded instances. Each instance is sampled and
-//!   analyzed from scratch — the cold path, also the baseline the sweep
-//!   bench compares against.
+//! * **Cell-major** ([`run_cell`], [`run_cell_ratios`]): one `(workload,
+//!   algorithm, mode)` cell over many seeded instances. Each instance is
+//!   sampled and analyzed from scratch — the baseline the sweep bench
+//!   compares against.
 //! * **Instance-major** ([`run_sweep`]): many `(algorithm, mode)` cells
 //!   over a *shared* instance stream. Because cells compare on common
 //!   random numbers (instance `i` of every cell is the same job), the
@@ -125,14 +125,15 @@ pub fn with_worker_ctx<R>(f: impl FnOnce(&mut WorkerCtx) -> R) -> R {
     WORKER_CTX.with(|c| f(&mut c.borrow_mut()))
 }
 
-/// Fans the absolute instance indices in `range` across the persistent
-/// pool (`None` = the whole team), preserving instance order.
-fn pool_map<U, F>(workers: Option<usize>, range: std::ops::Range<u64>, eval: F) -> Vec<U>
+/// Fans `items` across the persistent pool (`None` = the whole team),
+/// preserving input order.
+fn pool_map<T, U, F>(workers: Option<usize>, items: impl IntoIterator<Item = T>, eval: F) -> Vec<U>
 where
+    T: Send + 'static,
     U: Send + 'static,
-    F: Fn(u64) -> U + Send + Sync + 'static,
+    F: Fn(T) -> U + Send + Sync + 'static,
 {
-    let items: Vec<u64> = range.collect();
+    let items: Vec<T> = items.into_iter().collect();
     match workers {
         Some(w) => fhs_par::pool().map_with(w, items, eval),
         None => fhs_par::pool().map(items, eval),
@@ -155,60 +156,69 @@ pub fn run_cell_ratios(
     base_seed: u64,
     workers: Option<usize>,
 ) -> Vec<f64> {
-    run_cell_instrumented(cell, instances, base_seed, workers)
-        .0
-        .into_iter()
-        .map(|(ratio, _)| ratio)
-        .collect()
-}
-
-/// As [`run_cell_ratios`], but additionally returns each instance's engine
-/// counters plus their aggregate ([`RunStats::merge`] over all instances:
-/// counts and wall times sum, peak queue depth takes the maximum).
-///
-/// The aggregate is reduced *on the workers* via [`fhs_par::Pool::map_fold`]:
-/// each worker folds the instances it evaluates into a chunk-local
-/// accumulator and the caller merges those in input order, so no post-pass
-/// over the per-instance vector is needed and the totals are identical for
-/// every worker count ([`RunStats::merge`] is associative with the default
-/// as identity).
-pub fn run_cell_instrumented(
-    cell: &Cell,
-    instances: usize,
-    base_seed: u64,
-    workers: Option<usize>,
-) -> (Vec<(f64, RunStats)>, RunStats) {
-    #[derive(Default)]
-    struct Acc {
-        per: Vec<(f64, RunStats)>,
-        total: RunStats,
-    }
     let cell = *cell;
-    let eval = move |i: u64| -> Acc {
-        let seed = instance_seed(base_seed, i);
-        let (job, cfg) = cell.spec.sample(seed);
-        let mut opts = RunOptions::seeded(seed);
-        opts.quantum = cell.quantum;
+    let col = SweepCell {
+        quantum: cell.quantum,
+        ..SweepCell::new(cell.algo, cell.mode)
+    };
+    pool_map(workers, 0..instances as u64, move |i| {
+        let inst = Instance::sample(&cell.spec, base_seed, i, false);
         with_worker_ctx(|ctx| {
             let (ws, policy) = ctx.parts(cell.algo);
-            let (result, stats) =
-                metrics::evaluate_instrumented_in(ws, &job, &cfg, policy, cell.mode, &opts);
-            Acc {
-                per: vec![(result.ratio, stats)],
-                total: stats,
-            }
+            inst.eval(ws, policy, &col, ObsConfig::default(), i).0
         })
-    };
-    let merge = |a: &mut Acc, b: Acc| {
-        a.per.extend(b.per);
-        a.total.merge(&b.total);
-    };
-    let items: Vec<u64> = (0..instances as u64).collect();
-    let acc = match workers {
-        Some(w) => fhs_par::pool().map_fold_with(w, items, eval, merge),
-        None => fhs_par::pool().map_fold(items, eval, merge),
-    };
-    (acc.per, acc.total)
+    })
+}
+
+/// One sampled instance: the job, its machine, the shared analysis bundle
+/// (built only when some column needs it) and the instance seed.
+struct Instance {
+    job: KDag,
+    cfg: MachineConfig,
+    artifacts: Option<Arc<Artifacts>>,
+    seed: u64,
+}
+
+impl Instance {
+    /// Samples absolute instance `i` of `spec` (seeded
+    /// `instance_seed(base_seed, i)`), computing its [`Artifacts`] when
+    /// `analyze` is set.
+    fn sample(spec: &WorkloadSpec, base_seed: u64, i: u64, analyze: bool) -> Self {
+        let seed = instance_seed(base_seed, i);
+        let (job, cfg) = spec.sample(seed);
+        let artifacts = analyze.then(|| Arc::new(Artifacts::compute(&job)));
+        Instance {
+            job,
+            cfg,
+            artifacts,
+            seed,
+        }
+    }
+
+    /// Evaluates one column on this instance (absolute index `i`) with
+    /// `ws`/`policy`, recording the `observe` channels. Events are
+    /// recorded for instance 0 only: one bounded trace per column.
+    fn eval(
+        &self,
+        ws: &mut Workspace,
+        policy: &mut dyn Policy,
+        cell: &SweepCell,
+        observe: ObsConfig,
+        i: u64,
+    ) -> (f64, RunStats, Option<Box<RunObs>>) {
+        let mut opts = RunOptions::seeded(self.seed);
+        opts.quantum = cell.quantum;
+        opts.observe = observe;
+        opts.observe.events &= i == 0;
+        let (job, cfg) = (&self.job, &self.cfg);
+        let (result, stats, obs) = match &self.artifacts {
+            Some(a) => metrics::evaluate_observed_with_artifacts_in(
+                ws, job, cfg, policy, cell.mode, &opts, a,
+            ),
+            None => metrics::evaluate_observed_in(ws, job, cfg, policy, cell.mode, &opts),
+        };
+        (result.ratio, stats, obs)
+    }
 }
 
 /// One `(algorithm, mode, cadence)` column of an instance-major sweep; the
@@ -303,22 +313,6 @@ impl SweepCellResult {
     }
 }
 
-/// Transposes instance-major rows into per-column ratios + counters.
-fn transpose(
-    columns: usize,
-    instances: usize,
-    per_instance: Vec<Vec<(f64, RunStats)>>,
-) -> Vec<SweepCellResult> {
-    transpose_observed(
-        columns,
-        instances,
-        per_instance
-            .into_iter()
-            .map(|row| row.into_iter().map(|(r, s)| (r, s, None)).collect())
-            .collect(),
-    )
-}
-
 /// One instance's runs, cell by cell: ratio, engine counters, and the
 /// optional observability payload. The row form produced by
 /// [`run_sweep_rows`] and folded by [`fold_rows`].
@@ -354,10 +348,10 @@ pub fn fold_rows(out: &mut [SweepCellResult], per_instance: Vec<InstanceRuns>) {
     }
 }
 
-/// As [`transpose`], folding each instance's observability payload into
-/// its column in instance order (see [`CellObs::absorb`] for why the
-/// order matters).
-fn transpose_observed(
+/// Transposes instance-major rows into per-column results, folding each
+/// instance's observability payload into its column in instance order (see
+/// [`CellObs::absorb`] for why the order matters).
+fn transpose(
     columns: usize,
     instances: usize,
     per_instance: Vec<InstanceRuns>,
@@ -450,7 +444,7 @@ pub fn run_sweep_observed(
         workers,
         observe,
     );
-    transpose_observed(cells.len(), instances, per_instance)
+    transpose(cells.len(), instances, per_instance)
 }
 
 /// Evaluates the absolute instance indices in `range` for every column
@@ -477,38 +471,18 @@ pub fn run_sweep_rows(
     let spec = *spec;
     let cols: Arc<[SweepCell]> = cells.into();
     let eval = move |i: u64| -> InstanceRuns {
-        let seed = instance_seed(base_seed, i);
-        let (job, cfg) = spec.sample(seed);
-        let artifacts = any_offline.then(|| Arc::new(Artifacts::compute(&job)));
-        // Events for the first instance only: one bounded trace per cell.
-        let mut oc = observe;
-        oc.events &= i == 0;
+        let inst = Instance::sample(&spec, base_seed, i, any_offline);
         with_worker_ctx(|ctx| {
             cols.iter()
                 .map(|cell| {
-                    let mut opts = RunOptions::seeded(seed);
-                    opts.quantum = cell.quantum;
-                    opts.observe = oc;
                     let (ws, policy) = ctx.parts(cell.algo);
-                    let (result, stats, obs) = match &artifacts {
-                        Some(a) => metrics::evaluate_observed_with_artifacts_in(
-                            ws, &job, &cfg, policy, cell.mode, &opts, a,
-                        ),
-                        None => {
-                            metrics::evaluate_observed_in(ws, &job, &cfg, policy, cell.mode, &opts)
-                        }
-                    };
-                    (result.ratio, stats, obs)
+                    inst.eval(ws, policy, cell, observe, i)
                 })
                 .collect()
         })
     };
     pool_map(workers, range, eval)
 }
-
-/// One prepared instance of the fine-grained sweep: the shared job,
-/// machine, optional analysis bundle, and instance seed.
-type PreparedInstance = Arc<(KDag, MachineConfig, Option<Arc<Artifacts>>, u64)>;
 
 /// The fine-grained sweep: stage A samples and analyzes every instance in
 /// parallel (one bundle each), stage B fans the `instances × cells` pairs
@@ -525,12 +499,7 @@ fn run_sweep_fine(
     observe: ObsConfig,
 ) -> Vec<SweepCellResult> {
     let spec = *spec;
-    let prep = move |i: u64| -> PreparedInstance {
-        let seed = instance_seed(base_seed, i);
-        let (job, cfg) = spec.sample(seed);
-        let artifacts = any_offline.then(|| Arc::new(Artifacts::compute(&job)));
-        Arc::new((job, cfg, artifacts, seed))
-    };
+    let prep = move |i: u64| Arc::new(Instance::sample(&spec, base_seed, i, any_offline));
     let prepared = Arc::new(pool_map(workers, 0..instances as u64, prep));
 
     let cols: Arc<[SweepCell]> = cells.into();
@@ -539,35 +508,17 @@ fn run_sweep_fine(
         .flat_map(|i| (0..ncells).map(move |c| (i, c)))
         .collect();
     let eval = move |(i, c): (usize, usize)| -> (f64, RunStats, Option<Box<RunObs>>) {
-        let (job, cfg, artifacts, seed) = &*prepared[i];
-        let cell = cols[c];
-        let mut opts = RunOptions::seeded(*seed);
-        opts.quantum = cell.quantum;
-        // Same first-instance-only event gate as the coarse path.
-        opts.observe = observe;
-        opts.observe.events &= i == 0;
+        let cell = &cols[c];
         with_worker_ctx(|ctx| {
             let (ws, policy) = ctx.parts(cell.algo);
-            let (result, stats, obs) = match artifacts {
-                Some(a) => metrics::evaluate_observed_with_artifacts_in(
-                    ws, job, cfg, policy, cell.mode, &opts, a,
-                ),
-                None => metrics::evaluate_observed_in(ws, job, cfg, policy, cell.mode, &opts),
-            };
-            (result.ratio, stats, obs)
+            prepared[i].eval(ws, policy, cell, observe, i as u64)
         })
     };
-    let mut flat = match workers {
-        Some(w) => fhs_par::pool().map_with(w, pairs, eval),
-        None => fhs_par::pool().map(pairs, eval),
-    };
-    let mut per_instance: Vec<InstanceRuns> = Vec::with_capacity(instances);
-    while !flat.is_empty() {
-        let rest = flat.split_off(ncells.min(flat.len()));
-        per_instance.push(flat);
-        flat = rest;
-    }
-    transpose_observed(ncells, instances, per_instance)
+    let mut flat = pool_map(workers, pairs, eval).into_iter();
+    let per_instance = (0..instances)
+        .map(|_| flat.by_ref().take(ncells).collect())
+        .collect();
+    transpose(ncells, instances, per_instance)
 }
 
 /// The pre-pool instance-major path: scoped threads spawned per call, a
@@ -583,34 +534,14 @@ pub fn run_sweep_unpooled(
     workers: Option<usize>,
 ) -> Vec<SweepCellResult> {
     let any_offline = cells.iter().any(|c| c.algo.is_offline());
-    let eval = |i: u64| -> Vec<(f64, RunStats)> {
-        let seed = instance_seed(base_seed, i);
-        let (job, cfg) = spec.sample(seed);
-        let artifacts = any_offline.then(|| Arc::new(Artifacts::compute(&job)));
+    let eval = |i: u64| -> InstanceRuns {
+        let inst = Instance::sample(spec, base_seed, i, any_offline);
         cells
             .iter()
             .map(|cell| {
                 let mut policy = make_policy(cell.algo);
-                let mut opts = RunOptions::seeded(seed);
-                opts.quantum = cell.quantum;
-                let (result, stats) = match &artifacts {
-                    Some(a) => metrics::evaluate_instrumented_with_artifacts(
-                        &job,
-                        &cfg,
-                        policy.as_mut(),
-                        cell.mode,
-                        &opts,
-                        a,
-                    ),
-                    None => metrics::evaluate_instrumented(
-                        &job,
-                        &cfg,
-                        policy.as_mut(),
-                        cell.mode,
-                        &opts,
-                    ),
-                };
-                (result.ratio, stats)
+                let mut ws = Workspace::new();
+                inst.eval(&mut ws, policy.as_mut(), cell, ObsConfig::default(), i)
             })
             .collect()
     };
@@ -669,14 +600,18 @@ mod tests {
     fn instrumented_ratios_match_plain_and_counters_aggregate() {
         let c = small_cell(Algorithm::DType);
         let plain = run_cell_ratios(&c, 8, 4, Some(2));
-        let (per_instance, total) = run_cell_instrumented(&c, 8, 4, Some(2));
-        let ratios: Vec<f64> = per_instance.iter().map(|&(r, _)| r).collect();
+        let cells = [SweepCell::new(c.algo, c.mode)];
+        let rows = run_sweep_rows(&c.spec, &cells, 0..8, 4, Some(2), ObsConfig::default());
+        let ratios: Vec<f64> = rows.iter().map(|row| row[0].0).collect();
         assert_eq!(plain, ratios, "instrumentation must not perturb results");
         let mut merged = RunStats::default();
-        for (_, s) in &per_instance {
-            assert!(s.epochs > 0);
-            merged.merge(s);
+        for row in &rows {
+            assert!(row[0].1.epochs > 0);
+            merged.merge(&row[0].1);
         }
+        let mut cols = new_sweep_columns(1);
+        fold_rows(&mut cols, rows);
+        let total = cols[0].stats;
         assert_eq!(merged, total);
         assert_eq!(
             total.transitions.releases, total.transitions.completions,
@@ -686,11 +621,13 @@ mod tests {
 
     #[test]
     fn cell_runs_reuse_worker_workspaces() {
-        // The whole point of the steady-state layer: across a cell's
+        // The whole point of the steady-state layer: across a column's
         // instances, at most one engine init per worker is cold. (This
         // worker's thread-local context may already be warm from another
         // test, so only the upper bound is asserted.)
-        let (_, total) = run_cell_instrumented(&small_cell(Algorithm::LSpan), 10, 2, Some(1));
+        let c = small_cell(Algorithm::LSpan);
+        let cells = [SweepCell::new(c.algo, c.mode)];
+        let total = run_sweep(&c.spec, &cells, 10, 2, Some(1))[0].stats;
         assert_eq!(total.workspace_reuses + total.workspace_cold_inits, 10);
         assert!(
             total.workspace_reuses >= 9,
@@ -720,11 +657,20 @@ mod tests {
         for (sc, col) in cells.iter().zip(&sweep) {
             let mut cell = Cell::new(spec, sc.algo, sc.mode);
             cell.quantum = sc.quantum;
-            let (per_instance, total) = run_cell_instrumented(&cell, 10, 7, Some(2));
-            let cold: Vec<f64> = per_instance.iter().map(|&(r, _)| r).collect();
+            let cold = run_cell_ratios(&cell, 10, 7, Some(2));
             assert_eq!(col.ratios, cold, "{:?} diverged from cell-major", sc.algo);
             // Wall-clock nanos are never reproducible; the logical
-            // counters must be.
+            // counters must match a cold per-instance engine loop.
+            let mut total = RunStats::default();
+            for i in 0..10 {
+                let seed = instance_seed(7, i);
+                let (job, cfg) = spec.sample(seed);
+                let mut opts = RunOptions::seeded(seed);
+                opts.quantum = sc.quantum;
+                let mut policy = make_policy(sc.algo);
+                let out = fhs_sim::engine::run(&job, &cfg, policy.as_mut(), sc.mode, &opts);
+                total.merge(&out.stats);
+            }
             assert_eq!(col.stats.epochs, total.epochs);
             assert_eq!(col.stats.tasks_assigned, total.tasks_assigned);
             assert_eq!(col.stats.transitions, total.transitions);

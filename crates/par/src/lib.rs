@@ -248,119 +248,6 @@ impl Pool {
         }
         stitch(n, parts)
     }
-
-    /// Maps every item to an accumulator value and folds them all into one,
-    /// without materializing the per-item results: each worker folds the
-    /// chunks it processes into chunk-local accumulators, and the caller
-    /// merges those in **input order** (by chunk offset).
-    ///
-    /// `A::default()` must be an identity for `merge` and `merge` must be
-    /// associative; then the result is exactly the sequential left fold of
-    /// `f(item)` in input order, independent of team size and scheduling.
-    /// (Commutativity is *not* required.) Panics in `f`/`merge` propagate.
-    ///
-    /// This is the cross-worker reduction path for mergeable metrics —
-    /// `RunStats` totals and histogram snapshots — where a sweep wants one
-    /// aggregate per cell, not a `Vec` of per-instance payloads.
-    pub fn map_fold<T, A, F, M>(&self, items: Vec<T>, f: F, merge: M) -> A
-    where
-        T: Send + 'static,
-        A: Default + Send + 'static,
-        F: Fn(T) -> A + Send + Sync + 'static,
-        M: Fn(&mut A, A) + Send + Sync + 'static,
-    {
-        self.map_fold_with(self.workers(), items, f, merge)
-    }
-
-    /// As [`Pool::map_fold`] with the team capped at `max_workers` (caller
-    /// included). A cap of 1 folds inline and sequentially; the result is
-    /// the same for every cap.
-    pub fn map_fold_with<T, A, F, M>(&self, max_workers: usize, items: Vec<T>, f: F, merge: M) -> A
-    where
-        T: Send + 'static,
-        A: Default + Send + 'static,
-        F: Fn(T) -> A + Send + Sync + 'static,
-        M: Fn(&mut A, A) + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return A::default();
-        }
-        let team = max_workers.max(1).min(self.workers()).min(n);
-        let Some(inject) = (team > 1).then_some(self.inject.as_ref()).flatten() else {
-            let mut acc = A::default();
-            for t in items {
-                merge(&mut acc, f(t));
-            }
-            return acc;
-        };
-
-        struct FoldState<T, A, F, M> {
-            chunks: Mutex<VecDeque<(usize, Vec<T>)>>,
-            results: crossbeam::channel::Sender<(usize, std::thread::Result<A>)>,
-            f: F,
-            merge: M,
-        }
-
-        let chunks = make_chunks(items, team);
-        let total_chunks = chunks.len();
-        let (res_tx, res_rx) = crossbeam::channel::bounded(total_chunks);
-        let state = Arc::new(FoldState {
-            chunks: Mutex::new(chunks),
-            results: res_tx,
-            f,
-            merge,
-        });
-
-        let helper_jobs = (team - 1).min(total_chunks);
-        for _ in 0..helper_jobs {
-            let st = Arc::clone(&state);
-            let job: Job = Box::new(move || {
-                while let Some((start, chunk)) = pop_chunk(&st.chunks) {
-                    let folded = catch_unwind(AssertUnwindSafe(|| {
-                        let mut acc = A::default();
-                        for t in chunk {
-                            (st.merge)(&mut acc, (st.f)(t));
-                        }
-                        acc
-                    }));
-                    if st.results.send((start, folded)).is_err() {
-                        break; // caller is gone (unwound); stop early
-                    }
-                }
-            });
-            // Offer, never block — see the matching comment in `map_with`.
-            if inject.try_send(job).is_err() {
-                break;
-            }
-        }
-
-        let mut parts: Vec<(usize, A)> = Vec::with_capacity(total_chunks);
-        let mut outstanding = total_chunks;
-        while let Some((start, chunk)) = pop_chunk(&state.chunks) {
-            outstanding -= 1;
-            let mut acc = A::default();
-            for t in chunk {
-                (state.merge)(&mut acc, (state.f)(t));
-            }
-            parts.push((start, acc));
-        }
-        for _ in 0..outstanding {
-            let (start, folded) = res_rx.recv().expect("helper result");
-            match folded {
-                Ok(a) => parts.push((start, a)),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        // Merge chunk accumulators in input order: associativity alone
-        // makes the result equal to the sequential fold.
-        parts.sort_unstable_by_key(|&(start, _)| start);
-        let mut acc = A::default();
-        for (_, a) in parts {
-            (state.merge)(&mut acc, a);
-        }
-        acc
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -589,51 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn map_fold_equals_sequential_fold() {
-        let p = Pool::with_helpers(3);
-        let sum = p.map_fold((0..1000u64).collect(), |i| i * i, |a, b| *a += b);
-        assert_eq!(sum, (0..1000u64).map(|i| i * i).sum::<u64>());
-    }
-
-    #[test]
-    fn map_fold_is_order_exact_for_associative_merges() {
-        // String concatenation is associative but NOT commutative: the
-        // offset-ordered merge must still reproduce the sequential fold.
-        let expect: String = (0..200u32).map(|i| format!("{i},")).collect();
-        for helpers in [0, 1, 3, 7] {
-            let p = Pool::with_helpers(helpers);
-            let got = p.map_fold(
-                (0..200u32).collect(),
-                |i| format!("{i},"),
-                |a: &mut String, b| a.push_str(&b),
-            );
-            assert_eq!(got, expect, "helpers = {helpers}");
-        }
-    }
-
-    #[test]
-    fn map_fold_empty_returns_identity() {
-        let p = Pool::with_helpers(2);
-        let acc: u64 = p.map_fold(Vec::<u64>::new(), |i| i, |a, b| *a += b);
-        assert_eq!(acc, 0);
-    }
-
-    #[test]
-    fn map_fold_with_is_cap_independent() {
-        let p = Pool::with_helpers(3);
-        let expect: String = (0..120u32).map(|i| format!("{i};")).collect();
-        for cap in [1, 2, 4, 99] {
-            let got = p.map_fold_with(
-                cap,
-                (0..120u32).collect(),
-                |i| format!("{i};"),
-                |a: &mut String, b| a.push_str(&b),
-            );
-            assert_eq!(got, expect, "cap = {cap}");
-        }
-    }
-
-    #[test]
     fn global_pool_is_usable_and_stable() {
         let a = pool() as *const Pool;
         let out = pool().map((0..50u64).collect(), |i| i + 1);
@@ -683,22 +525,6 @@ mod panic_tests {
             }
             i
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "fold boom")]
-    fn map_fold_panics_propagate() {
-        let p = Pool::with_helpers(3);
-        let _ = p.map_fold(
-            (0..64u32).collect(),
-            |i| {
-                if i == 40 {
-                    panic!("fold boom");
-                }
-                u64::from(i)
-            },
-            |a, b| *a += b,
-        );
     }
 
     #[test]

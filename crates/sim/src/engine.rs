@@ -137,6 +137,7 @@ impl SimOutcome {
 ///
 /// # Panics
 /// * If `job.num_types() != config.num_types()`.
+/// * If `opts.quantum` is `Some(0)`.
 /// * If the policy makes an invalid selection (task not a candidate, wrong
 ///   type, over slot capacity, duplicate).
 /// * If the policy deadlocks the system (assigns nothing while work
@@ -171,52 +172,17 @@ pub fn run_in(
     mode: Mode,
     opts: &RunOptions,
 ) -> SimOutcome {
-    assert_eq!(
-        job.num_types(),
-        config.num_types(),
-        "job declared K={} but machine has K={}",
-        job.num_types(),
-        config.num_types()
-    );
-    let wall = Instant::now();
-    policy.reset_in(ws);
-    policy.init(job, config, opts.seed);
-    let mut out = run_engine(ws, job, config, policy, mode, opts, opts.quantum);
-    out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
-    out
+    run_prepared(ws, job, config, policy, mode, opts, None)
 }
 
-/// As [`run`], but initializes the policy through
+/// As [`run_in`], but initializes the policy through
 /// [`Policy::init_with_artifacts`] with a shared precompute bundle for
-/// `job`. With correct `init_with_artifacts` implementations (bit-identical
-/// state to a cold `init`) the outcome is bit-for-bit the same as [`run`];
-/// the win is that `artifacts` can be computed once per sampled instance
-/// and shared across every `(algorithm, mode)` cell of a sweep.
-///
-/// # Panics
-/// Same conditions as [`run`].
-pub fn run_with_artifacts(
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-    artifacts: &Arc<Artifacts>,
-) -> SimOutcome {
-    run_in_with_artifacts(
-        &mut Workspace::new(),
-        job,
-        config,
-        policy,
-        mode,
-        opts,
-        artifacts,
-    )
-}
-
-/// [`run_with_artifacts`] inside a caller-owned [`Workspace`] — the
-/// steady-state sweep path, combining shared per-instance analyses with
-/// zero-allocation engine reuse. Bit-for-bit equal to [`run`].
+/// `job` — the steady-state sweep path, combining shared per-instance
+/// analyses with zero-allocation engine reuse. With correct
+/// `init_with_artifacts` implementations (bit-identical state to a cold
+/// `init`) the outcome is bit-for-bit the same as [`run`]; the win is that
+/// `artifacts` can be computed once per sampled instance and shared across
+/// every `(algorithm, mode)` cell of a sweep.
 ///
 /// # Panics
 /// Same conditions as [`run`].
@@ -230,6 +196,21 @@ pub fn run_in_with_artifacts(
     opts: &RunOptions,
     artifacts: &Arc<Artifacts>,
 ) -> SimOutcome {
+    run_prepared(ws, job, config, policy, mode, opts, Some(artifacts))
+}
+
+/// The one run prologue behind [`run_in`] and [`run_in_with_artifacts`]:
+/// checks the inputs, resets and initializes the policy (from `artifacts`
+/// when given), runs the engine and stamps its wall time.
+fn run_prepared(
+    ws: &mut Workspace,
+    job: &KDag,
+    config: &MachineConfig,
+    policy: &mut dyn Policy,
+    mode: Mode,
+    opts: &RunOptions,
+    artifacts: Option<&Arc<Artifacts>>,
+) -> SimOutcome {
     assert_eq!(
         job.num_types(),
         config.num_types(),
@@ -237,36 +218,14 @@ pub fn run_in_with_artifacts(
         job.num_types(),
         config.num_types()
     );
+    assert!(opts.quantum != Some(0), "quantum must be positive");
     let wall = Instant::now();
     policy.reset_in(ws);
-    policy.init_with_artifacts(job, config, opts.seed, artifacts);
-    let mut out = run_engine(ws, job, config, policy, mode, opts, opts.quantum);
-    out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
-    out
-}
-
-/// The literal per-quantum preemptive scheduler: the policy is consulted at
-/// *every* unit time step, exactly as described in the paper. Slower by a
-/// factor of the mean task work; equivalent to
-/// [`run`] with [`RunOptions::with_quantum`]`(1)`.
-pub fn run_per_step(
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    opts: &RunOptions,
-) -> SimOutcome {
-    assert_eq!(job.num_types(), config.num_types());
-    let wall = Instant::now();
-    policy.init(job, config, opts.seed);
-    let mut out = run_engine(
-        &mut Workspace::new(),
-        job,
-        config,
-        policy,
-        Mode::Preemptive,
-        opts,
-        Some(1),
-    );
+    match artifacts {
+        Some(a) => policy.init_with_artifacts(job, config, opts.seed, a),
+        None => policy.init(job, config, opts.seed),
+    }
+    let mut out = run_engine(ws, job, config, policy, mode, opts);
     out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
     out
 }
@@ -288,7 +247,6 @@ fn run_engine(
     policy: &mut dyn Policy,
     mode: Mode,
     opts: &RunOptions,
-    quantum: Option<Work>,
 ) -> SimOutcome {
     let preemptive = mode == Mode::Preemptive;
     let reused = ws.begin_run(job, config, preemptive);
@@ -337,7 +295,7 @@ fn run_engine(
             obs: &mut ws.obs,
             config,
             preemptive,
-            quantum,
+            quantum: opts.quantum,
             record_trace: opts.record_trace,
             inter: InterJobPolicy::Fifo,
             now: &mut now,
@@ -477,7 +435,13 @@ mod tests {
             Mode::Preemptive,
             &RunOptions::default(),
         );
-        let slow = run_per_step(&job, &cfg, &mut FifoPolicy, &RunOptions::default());
+        let slow = run(
+            &job,
+            &cfg,
+            &mut FifoPolicy,
+            Mode::Preemptive,
+            &RunOptions::default().with_quantum(1),
+        );
         assert_eq!(fast.makespan, slow.makespan);
         assert_eq!(fast.busy_time, slow.busy_time);
         // the per-step engine pays one epoch per time unit
@@ -559,6 +523,24 @@ mod tests {
             &mut FifoPolicy,
             Mode::NonPreemptive,
             &RunOptions::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be positive")]
+    fn zero_quantum_panics() {
+        // `quantum` is a public field, so `with_quantum`'s check can be
+        // bypassed; the run prologue rejects it instead of looping forever.
+        let opts = RunOptions {
+            quantum: Some(0),
+            ..RunOptions::default()
+        };
+        run(
+            &chain_job(),
+            &MachineConfig::uniform(2, 1),
+            &mut FifoPolicy,
+            Mode::Preemptive,
+            &opts,
         );
     }
 

@@ -20,8 +20,8 @@
 //!   whose choices don't depend on candidates' *remaining* work (FIFO,
 //!   DType, MaxDP, ShiftBT; property-tested), and a coarser preemption
 //!   cadence for those that do (LSpan, MQB). Pass
-//!   [`RunOptions::with_quantum`]`(1)` (or use [`engine::run_per_step`])
-//!   for the paper's literal per-quantum scheduler.
+//!   [`RunOptions::with_quantum`]`(1)` for the paper's literal per-quantum
+//!   scheduler.
 //!
 //! The run state keeps its candidates in indexed, arrival-ordered
 //! [`ready_queue::ReadyQueue`]s: a dense task→slot position map plus

@@ -6,7 +6,7 @@ use kdag::precompute::Artifacts;
 use kdag::KDag;
 
 use crate::config::MachineConfig;
-use crate::engine::{run, run_in, run_in_with_artifacts, run_with_artifacts, Mode, RunOptions};
+use crate::engine::{run_in, run_in_with_artifacts, Mode, RunOptions};
 use crate::instrument::RunStats;
 use crate::policy::Policy;
 use crate::workspace::Workspace;
@@ -32,54 +32,16 @@ pub fn evaluate(
     mode: Mode,
     seed: u64,
 ) -> EvalResult {
-    evaluate_with(job, config, policy, mode, &RunOptions::seeded(seed))
+    let opts = RunOptions::seeded(seed);
+    evaluate_observed_in(&mut Workspace::new(), job, config, policy, mode, &opts).0
 }
 
-/// As [`evaluate`], but with explicit [`RunOptions`] (e.g. a per-quantum
-/// preemption cadence).
-pub fn evaluate_with(
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-) -> EvalResult {
-    evaluate_instrumented(job, config, policy, mode, opts).0
-}
-
-/// As [`evaluate_with`], but also returns the run's engine counters for
-/// callers that aggregate instrumentation across instances.
-pub fn evaluate_instrumented(
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-) -> (EvalResult, RunStats) {
-    let out = run(job, config, policy, mode, opts);
-    let lb = kdag::metrics::lower_bound(job, config.procs_per_type());
-    (eval_result(out.makespan, lb), out.stats)
-}
-
-/// [`evaluate_instrumented`] inside a caller-owned [`Workspace`] — engine
-/// buffers are reused across calls; the result is bit-identical to a cold
-/// evaluation.
-pub fn evaluate_instrumented_in(
-    ws: &mut Workspace,
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-) -> (EvalResult, RunStats) {
-    let out = run_in(ws, job, config, policy, mode, opts);
-    let lb = kdag::metrics::lower_bound(job, config.procs_per_type());
-    (eval_result(out.makespan, lb), out.stats)
-}
-
-/// As [`evaluate_instrumented_in`], but also surfaces the run's
-/// observability payload ([`SimOutcome::obs`](crate::SimOutcome::obs)) —
-/// present when any [`RunOptions::observe`] channel is enabled.
+/// As [`evaluate`], but with explicit [`RunOptions`], inside a caller-owned
+/// [`Workspace`] (engine buffers are reused across calls; the result is
+/// bit-identical to a cold evaluation), and also returning the run's engine
+/// counters and observability payload
+/// ([`SimOutcome::obs`](crate::SimOutcome::obs)) — present when any
+/// [`RunOptions::observe`] channel is enabled.
 pub fn evaluate_observed_in(
     ws: &mut Workspace,
     job: &KDag,
@@ -93,9 +55,13 @@ pub fn evaluate_observed_in(
     (eval_result(out.makespan, lb), out.stats, out.obs)
 }
 
-/// As [`evaluate_instrumented_with_artifacts_in`], but also surfaces the
-/// run's observability payload — the fully-loaded sweep path: shared
-/// per-instance analyses, zero-allocation engine reuse, and recording.
+/// As [`evaluate_observed_in`], but initializes the policy from a shared
+/// [`Artifacts`] bundle (via [`run_in_with_artifacts`]) and reuses the
+/// bundle's span for the lower bound instead of recomputing it — the
+/// fully-loaded sweep path: shared per-instance analyses, zero-allocation
+/// engine reuse, and recording. With a correct
+/// `Policy::init_with_artifacts` implementation the result is bit-identical
+/// to [`evaluate_observed_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_observed_with_artifacts_in(
     ws: &mut Workspace,
@@ -121,43 +87,6 @@ fn eval_result(makespan: Time, lb: Time) -> EvalResult {
             makespan as f64 / lb as f64
         },
     }
-}
-
-/// As [`evaluate_instrumented`], but initializes the policy from a shared
-/// [`Artifacts`] bundle (via [`run_with_artifacts`]) and reuses the
-/// bundle's span for the lower bound instead of recomputing it. With a
-/// correct `Policy::init_with_artifacts` implementation the result is
-/// bit-identical to [`evaluate_instrumented`].
-pub fn evaluate_instrumented_with_artifacts(
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-    artifacts: &Arc<Artifacts>,
-) -> (EvalResult, RunStats) {
-    let out = run_with_artifacts(job, config, policy, mode, opts, artifacts);
-    let lb = kdag::metrics::lower_bound_with_span(job, config.procs_per_type(), artifacts.span());
-    (eval_result(out.makespan, lb), out.stats)
-}
-
-/// [`evaluate_instrumented_with_artifacts`] inside a caller-owned
-/// [`Workspace`] — the steady-state sweep path: shared per-instance
-/// analyses *and* zero-allocation engine reuse. Bit-identical to a cold
-/// evaluation.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_instrumented_with_artifacts_in(
-    ws: &mut Workspace,
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-    artifacts: &Arc<Artifacts>,
-) -> (EvalResult, RunStats) {
-    let out = run_in_with_artifacts(ws, job, config, policy, mode, opts, artifacts);
-    let lb = kdag::metrics::lower_bound_with_span(job, config.procs_per_type(), artifacts.span());
-    (eval_result(out.makespan, lb), out.stats)
 }
 
 #[cfg(test)]

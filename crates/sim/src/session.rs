@@ -754,7 +754,11 @@ impl Session {
     /// Opens a session inside a caller-owned (possibly warm) [`Workspace`]
     /// — the steady-state path for back-to-back sessions: machine buffers,
     /// recorder storage and policy scratch all retain capacity.
+    ///
+    /// # Panics
+    /// If `opts.quantum` is `Some(0)` (also reached through [`Session::new`]).
     pub fn with_workspace(config: MachineConfig, opts: SessionOptions, mut ws: Workspace) -> Self {
+        assert!(opts.quantum != Some(0), "quantum must be positive");
         let preemptive = opts.mode == Mode::Preemptive;
         let reused = ws.begin_session(&config, preemptive);
         let mut stats = RunStats::default();
@@ -1379,6 +1383,17 @@ mod tests {
         assert_eq!(out.stats.epochs, 2);
         assert_eq!(out.stats.dirty_visits, 3);
         assert_eq!(out.stats.full_rescans, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantum must be positive")]
+    fn zero_quantum_panics() {
+        // `quantum` is a public field, bypassing `with_quantum`'s check.
+        let opts = SessionOptions {
+            quantum: Some(0),
+            ..SessionOptions::new(Mode::Preemptive)
+        };
+        Session::new(MachineConfig::uniform(2, 1), opts);
     }
 
     #[test]

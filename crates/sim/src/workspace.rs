@@ -22,7 +22,7 @@
 //!   monotonic epoch counter.
 //!
 //! The `*_in` entry points ([`crate::engine::run_in`],
-//! [`crate::metrics::evaluate_instrumented_in`]) `clear()`-and-reuse the
+//! [`crate::metrics::evaluate_observed_in`]) `clear()`-and-reuse the
 //! buffers instead of reallocating: the second and later runs on the same
 //! workspace allocate ~nothing in the epoch loop (asserted by a
 //! counting-allocator test in `fhs-bench`). The runner keeps one workspace

@@ -84,7 +84,8 @@ proptest! {
     #[test]
     fn per_step_and_epoch_preemptive_agree(dag in arb_kdag(3, 25, 4), cfg in arb_config(3)) {
         let fast = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::Preemptive, &RunOptions::default());
-        let slow = engine::run_per_step(&dag, &cfg, &mut FifoPolicy, &RunOptions::default());
+        let stepped = RunOptions::default().with_quantum(1);
+        let slow = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::Preemptive, &stepped);
         prop_assert_eq!(fast.makespan, slow.makespan);
         prop_assert_eq!(fast.busy_time, slow.busy_time);
     }

@@ -94,11 +94,13 @@ fn parse_cli() -> Result<Cli, String> {
             }
             "--preemptive" => cli.mode = Mode::Preemptive,
             "--quantum" => {
-                cli.quantum = Some(
-                    value("--quantum")?
-                        .parse()
-                        .map_err(|e| format!("--quantum: {e}"))?,
-                )
+                let q: u64 = value("--quantum")?
+                    .parse()
+                    .map_err(|e| format!("--quantum: {e}"))?;
+                if q == 0 {
+                    return Err("--quantum must be at least 1".into());
+                }
+                cli.quantum = Some(q);
             }
             "--seed" => {
                 cli.seed = value("--seed")?

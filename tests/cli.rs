@@ -169,6 +169,25 @@ fn bad_inputs_exit_nonzero_with_diagnostics() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
     std::fs::remove_file(path).ok();
+
+    // zero quantum (would never advance the preemptive clock)
+    let path = write_job("q0", CHAIN);
+    for cmd in ["schedule", "compare"] {
+        let out = fhs()
+            .args([
+                cmd,
+                "--job",
+                path.to_str().unwrap(),
+                "--preemptive",
+                "--quantum",
+                "0",
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("--quantum must be at least 1"));
+    }
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
