@@ -1,5 +1,5 @@
-//! Release-only perf smoke for the two budgets this repo's perf PRs
-//! pinned at the `SystemSize::Huge` rung:
+//! Release-only perf smoke for the budgets and structure this repo's perf
+//! PRs pinned at the `SystemSize::Huge` rung:
 //!
 //! * **Epoch-loop budget** (DESIGN.md §15): a KGreedy run — a trivial
 //!   policy, so the measurement is the fast-forward/dirty-set/hot-state
@@ -13,14 +13,68 @@
 //!   plain inequality on min-of-N wall times, the same invariant the
 //!   scale-bench recording enforces per rung.
 //!
+//! * **Ranked-selection structure** (DESIGN.md §7.1): LSpan and ShiftBT
+//!   select through the journal-fed key index — nonzero journal diff
+//!   events, at most one cold build per type per run, no candidate
+//!   evaluation counters — and a warm rerun allocates zero bytes in the
+//!   epoch loop. A silent return to a per-epoch rescan (or a rebuild every
+//!   epoch) fails here whatever the host's speed.
+//!
 //! Debug builds skip this (a Huge instance in debug takes minutes); CI
 //! runs it in the `--release` step alongside the other Huge smokes.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fhs_core::{make_policy, Algorithm};
 use fhs_sim::{engine, Mode, RunOptions, Workspace};
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+
+thread_local! {
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`System`] plus a per-thread count of bytes requested (growth
+/// included, frees never subtracted) — same probe as `alloc_regression`.
+struct CountingAlloc;
+
+// SAFETY: delegates every operation verbatim to `System`; the
+// bookkeeping allocates nothing itself and `try_with` tolerates
+// thread-teardown allocations.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size.saturating_sub(layout.size()) as u64;
+        let _ = BYTES.try_with(|b| b.set(b.get() + grown));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn probe() -> u64 {
+    BYTES.with(|b| b.get())
+}
+
+/// Serializes this file's tests: the timing budgets must not share the
+/// host's cores with another Huge run.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Minimum wall time of `samples` warm runs of `algo` on the instance.
 fn min_run_time(
@@ -54,6 +108,7 @@ fn min_run_time(
     ignore = "Huge instances are exercised in --release (its own CI step)"
 )]
 fn huge_perf_budgets() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Same instance the scale bench's Huge rung records: layered IR,
     // K = 4, seed 2 → ~110k tasks.
     let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
@@ -79,4 +134,68 @@ fn huge_perf_budgets() {
         "MQB-Approx ({approx:?}) ran slower than exact MQB ({mqb:?}) on Huge — \
          the bounded-candidate path must never cost more time than the index"
     );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "Huge instances are exercised in --release (its own CI step)"
+)]
+fn huge_ranked_selection_is_journal_fed_and_warm_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fhs_sim::instrument::register_alloc_probe(probe);
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
+    let (job, cfg) = spec.sample(2);
+    let k = cfg.num_types() as u64;
+    for algo in [Algorithm::LSpan, Algorithm::ShiftBT] {
+        for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+            let mut ws = Workspace::new();
+            let mut policy = make_policy(algo);
+            let mut run = || {
+                engine::run_in(
+                    &mut ws,
+                    &job,
+                    &cfg,
+                    policy.as_mut(),
+                    mode,
+                    &RunOptions::seeded(2),
+                )
+            };
+            let cold = run();
+            let sel = cold.stats.selection;
+            println!(
+                "huge ranked smoke: {} {mode:?} | diffs {} cold builds {}",
+                algo.label(),
+                sel.diff_events,
+                sel.cold_snapshots
+            );
+            assert!(
+                sel.diff_events > 0,
+                "{} {mode:?}: the key index was never journal-fed",
+                algo.label()
+            );
+            assert!(
+                (1..=k).contains(&sel.cold_snapshots),
+                "{} {mode:?}: {} cold builds for {k} types — rebuilt mid-run?",
+                algo.label(),
+                sel.cold_snapshots
+            );
+            assert_eq!(
+                (sel.candidates_evaluated, sel.candidates_pruned),
+                (0, 0),
+                "{}: ranked selection reports no candidate evaluation",
+                algo.label()
+            );
+
+            let warm = run();
+            assert_eq!(warm.makespan, cold.makespan, "warm replay diverged");
+            assert_eq!(warm.stats.selection, sel, "warm rerun selected differently");
+            assert_eq!(
+                warm.stats.epoch_bytes,
+                0,
+                "{} {mode:?}: warm Huge epoch loop allocated on a reused workspace",
+                algo.label()
+            );
+        }
+    }
 }

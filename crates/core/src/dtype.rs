@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{distance, KDag};
 
@@ -34,6 +34,7 @@ impl Policy for DType {
                 .into_iter()
                 .map(|d| d.map_or(f64::INFINITY, f64::from)),
         );
+        self.selector.invalidate();
     }
 
     fn init_with_artifacts(
@@ -50,12 +51,17 @@ impl Policy for DType {
                 .iter()
                 .map(|d| d.map_or(f64::INFINITY, f64::from)),
         );
+        self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         let dist = &self.dist;
         self.selector
             .assign_by_key(view, out, |_, rt| dist[rt.id.index()])
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.selector.take_stats())
     }
 
     // Keys are fixed per task at init and ties break on (seq, id): the

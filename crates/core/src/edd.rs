@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{duedate, KDag};
 
@@ -32,6 +32,7 @@ impl Policy for Edd {
         self.due.clear();
         self.due
             .extend(duedate::due_dates(job).into_iter().map(|d| d as f64));
+        self.selector.invalidate();
     }
 
     fn init_with_artifacts(
@@ -44,12 +45,17 @@ impl Policy for Edd {
         self.due.clear();
         self.due
             .extend(artifacts.due_dates().iter().map(|&d| d as f64));
+        self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         let due = &self.due;
         self.selector
             .assign_by_key(view, out, |_, rt| due[rt.id.index()]);
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.selector.take_stats())
     }
 
     // Keys are fixed per task at init and ties break on (seq, id): the

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{metrics, KDag, Work};
 
@@ -48,6 +48,7 @@ impl Policy for LSpan {
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
         let spans = metrics::remaining_spans(job);
         self.set_child_spans(job, &spans);
+        self.selector.invalidate();
     }
 
     fn init_with_artifacts(
@@ -58,6 +59,7 @@ impl Policy for LSpan {
         artifacts: &Arc<Artifacts>,
     ) {
         self.set_child_spans(job, artifacts.spans());
+        self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
@@ -65,6 +67,10 @@ impl Policy for LSpan {
         self.selector.assign_by_key(view, out, |_, rt| {
             -((rt.remaining + child_span[rt.id.index()]) as f64)
         });
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.selector.take_stats())
     }
 
     fn detach_job(&mut self) {

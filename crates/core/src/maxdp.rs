@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{descendants, KDag};
 
@@ -31,6 +31,7 @@ impl Policy for MaxDP {
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
         self.desc = descendants::type_blind_descendants(job);
+        self.selector.invalidate();
     }
 
     fn init_with_artifacts(
@@ -42,12 +43,17 @@ impl Policy for MaxDP {
     ) {
         self.desc.clear();
         self.desc.extend_from_slice(artifacts.type_blind());
+        self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         let desc = &self.desc;
         self.selector
             .assign_by_key(view, out, |_, rt| -desc[rt.id.index()]);
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.selector.take_stats())
     }
 
     // Keys are fixed per task at init and ties break on (seq, id): the

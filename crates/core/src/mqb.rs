@@ -30,13 +30,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fhs_sim::{
-    Assignments, EpochView, MachineConfig, Policy, QueueEvent, ReadyTask, SelectionStats,
-};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, ReadyTask, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{descendants::DescendantValues, KDag, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::journal::{Cursor, JournalIndex};
 
 /// Sentinel for "no task / no group / not linked" in the index's u32 links.
 const NONE: u32 = u32::MAX;
@@ -497,6 +497,38 @@ impl IndexCtx<'_> {
     }
 }
 
+impl JournalIndex for IndexCtx<'_> {
+    fn contains(&self, t: usize) -> bool {
+        // Picks on the indexed path remove their member ahead of the
+        // journal's `Removed`.
+        self.m_group[t] != NONE
+    }
+
+    fn insert(&mut self, rt: ReadyTask) {
+        self.insert_member(rt.id.index(), rt.seq, rt.remaining);
+    }
+
+    fn remove(&mut self, t: usize) {
+        self.remove_member(t);
+    }
+
+    fn update(&mut self, t: usize, remaining: u64) {
+        if self.subtract_own {
+            // Remaining work is part of the group key: regroup under the
+            // new value.
+            let seq = self.m_seq[t];
+            self.remove_member(t);
+            self.insert_member(t, seq, remaining);
+        } else {
+            self.m_rem[t] = remaining;
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.ix.live
+    }
+}
+
 /// The Multi-Queue Balancing policy. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Mqb {
@@ -544,9 +576,9 @@ pub struct Mqb {
     m_next: Vec<u32>,
     m_seq: Vec<u64>,
     m_rem: Vec<u64>,
-    /// Per-type journal cursor `(journal_gen, offset)` — how far into each
-    /// queue's change-journal the index has replayed.
-    cursor: Vec<(u64, usize)>,
+    /// Per-type journal cursor — how far into each queue's change-journal
+    /// the index has replayed.
+    cursor: Vec<Cursor>,
     /// Forces a cold index rebuild from the queues at the next `assign`
     /// (set on init/attach/reset; cleared by the rebuild).
     need_rebuild: bool,
@@ -765,64 +797,31 @@ impl Mqb {
     fn sync_index(&mut self, view: &EpochView<'_>) {
         let k = self.k;
         if !self.need_rebuild {
-            let subtract_own = self.tuning.subtract_own_work;
+            let mut accounted = true;
             for alpha in 0..k {
-                let q = &view.queues[alpha];
-                let (gen, off) = self.cursor[alpha];
-                let start = if q.journal_gen() == gen { off } else { 0 };
-                let events = &q.journal()[start..];
-                if !events.is_empty() {
-                    self.sel.diff_events += events.len() as u64;
-                    let mut cx = IndexCtx {
-                        k,
-                        subtract_own,
-                        d: &self.d,
-                        d_total: &self.d_total,
-                        row_class: &self.row_class,
-                        class_rep: &self.class_rep,
-                        ix: &mut self.idx[alpha],
-                        m_group: &mut self.m_group,
-                        m_prev: &mut self.m_prev,
-                        m_next: &mut self.m_next,
-                        m_seq: &mut self.m_seq,
-                        m_rem: &mut self.m_rem,
-                    };
-                    for ev in events {
-                        match *ev {
-                            QueueEvent::Pushed(rt) => {
-                                cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
-                            }
-                            QueueEvent::Removed(id) => {
-                                // Skip-if-absent: picks on the indexed path
-                                // already removed their member.
-                                let t = id.index();
-                                if cx.m_group[t] != NONE {
-                                    cx.remove_member(t);
-                                }
-                            }
-                            QueueEvent::Updated { id, remaining } => {
-                                let t = id.index();
-                                if cx.m_group[t] == NONE {
-                                    continue;
-                                }
-                                if subtract_own {
-                                    // Remaining work is part of the group
-                                    // key: regroup under the new value.
-                                    let seq = cx.m_seq[t];
-                                    cx.remove_member(t);
-                                    cx.insert_member(t, seq, remaining);
-                                } else {
-                                    cx.m_rem[t] = remaining;
-                                }
-                            }
-                        }
-                    }
-                }
-                self.cursor[alpha] = (q.journal_gen(), q.journal().len());
+                let mut cx = IndexCtx {
+                    k,
+                    subtract_own: self.tuning.subtract_own_work,
+                    d: &self.d,
+                    d_total: &self.d_total,
+                    row_class: &self.row_class,
+                    class_rep: &self.class_rep,
+                    ix: &mut self.idx[alpha],
+                    m_group: &mut self.m_group,
+                    m_prev: &mut self.m_prev,
+                    m_next: &mut self.m_next,
+                    m_seq: &mut self.m_seq,
+                    m_rem: &mut self.m_rem,
+                };
+                accounted &= self.cursor[alpha].replay(
+                    &view.queues[alpha],
+                    &mut cx,
+                    &mut self.sel.diff_events,
+                );
             }
             // Defense-in-depth: a view whose queues the journal doesn't
             // explain (hand-built in tests) forces a cold rebuild.
-            if (0..k).any(|a| self.idx[a].live != view.queues[a].len()) {
+            if !accounted {
                 self.need_rebuild = true;
             }
         }
@@ -857,7 +856,7 @@ impl Mqb {
             self.idx.resize_with(k, TypeIndex::default);
         }
         if self.cursor.len() < k {
-            self.cursor.resize(k, (0, 0));
+            self.cursor.resize(k, Cursor::default());
         }
         for alpha in 0..k {
             let q = &view.queues[alpha];
@@ -880,7 +879,7 @@ impl Mqb {
                     cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
                 }
             }
-            self.cursor[alpha] = (q.journal_gen(), q.journal().len());
+            self.cursor[alpha].seek_end(q);
         }
     }
 }

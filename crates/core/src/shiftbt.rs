@@ -59,7 +59,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
+use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::{duedate, KDag, TaskId};
 
@@ -653,6 +653,7 @@ impl Policy for ShiftBT {
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64) {
         let due = duedate::due_dates(job);
         self.sequence_bottlenecks(job, config, &due);
+        self.selector.invalidate();
     }
 
     fn init_with_artifacts(
@@ -663,12 +664,17 @@ impl Policy for ShiftBT {
         artifacts: &Arc<Artifacts>,
     ) {
         self.sequence_bottlenecks(job, config, artifacts.due_dates());
+        self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         let rank = &self.rank;
         self.selector
             .assign_by_key(view, out, |_, rt| rank[rt.id.index()]);
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.selector.take_stats())
     }
 }
 

@@ -49,7 +49,8 @@ pub struct TransitionCounts {
 }
 
 /// Candidate-selection counters reported by policies that maintain an
-/// incremental selection index (MQB's dominance-pruned path; see
+/// incremental selection index (MQB's dominance-pruned path, and the key
+/// index of the ranked policies, which report only the last two; see
 /// [`crate::policy::Policy::take_selection_stats`]).
 ///
 /// All four counters sum under [`merge`](SelectionStats::merge): the
