@@ -1,13 +1,13 @@
 //! Steady-state execution layer macro-benchmark: the pooled sweep
 //! ([`run_sweep`] — persistent worker pool, per-worker reused
 //! [`fhs_sim::Workspace`]s and warm policy values) against
-//! [`run_sweep_unpooled`] (scoped threads spawned per call, cold engine
-//! state and a fresh policy for every evaluation), on the full
-//! six-algorithm × two-mode grid.
+//! [`run_sweep_unpooled`] (the same pool, but cold engine state and a
+//! fresh policy for every evaluation), on the full six-algorithm ×
+//! two-mode grid.
 //!
-//! Both paths share the per-instance artifact cache (PR 2), so what this
-//! bench isolates is the steady-state layer itself: thread reuse, zero
-//! per-run engine allocations, and warm policy scratch.
+//! Both paths share the per-instance artifact cache and the persistent
+//! pool, so what this bench isolates is the warm state itself: zero
+//! per-run engine allocations and warm policy scratch.
 //!
 //! Besides the usual criterion run, `--json <path>` measures the headline
 //! configuration (Large layered IR, ≥1000 tasks per instance, all 12

@@ -19,7 +19,7 @@ use rand::SeedableRng;
 
 use crate::args::CommonArgs;
 use crate::figures::{panel_csv_table, Panel};
-use crate::runner::{instance_seed, with_worker_ctx};
+use crate::runner::{instance_seed, pool_map, with_worker_ctx};
 use crate::stats::Summary;
 
 /// Default instances per cell for the binary.
@@ -78,11 +78,7 @@ pub fn compute(args: &CommonArgs) -> Vec<Panel> {
                             out.makespan as f64 / lb as f64
                         })
                     };
-                    let items: Vec<u64> = (0..args.instances as u64).collect();
-                    let ratios = match args.workers {
-                        Some(w) => fhs_par::pool().map_with(w, items, eval),
-                        None => fhs_par::pool().map(items, eval),
-                    };
+                    let ratios = pool_map(args.workers, 0..args.instances as u64, eval);
                     (format!("{binder}+MQB"), Summary::from_samples(&ratios))
                 })
                 .collect();

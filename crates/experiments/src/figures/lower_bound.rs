@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::args::CommonArgs;
-use crate::runner::{instance_seed, with_worker_ctx};
+use crate::runner::{instance_seed, pool_map, with_worker_ctx};
 use crate::table::Table;
 
 /// Default instances per cell for the binary (each instance re-samples
@@ -78,11 +78,7 @@ fn mean_ratio(
             out.makespan as f64 / t_star
         })
     };
-    let items: Vec<u64> = (0..instances as u64).collect();
-    let ratios = match workers {
-        Some(w) => fhs_par::pool().map_with(w, items, eval),
-        None => fhs_par::pool().map(items, eval),
-    };
+    let ratios = pool_map(workers, 0..instances as u64, eval);
     ratios.iter().sum::<f64>() / ratios.len() as f64
 }
 

@@ -127,7 +127,11 @@ pub fn with_worker_ctx<R>(f: impl FnOnce(&mut WorkerCtx) -> R) -> R {
 
 /// Fans `items` across the persistent pool (`None` = the whole team),
 /// preserving input order.
-fn pool_map<T, U, F>(workers: Option<usize>, items: impl IntoIterator<Item = T>, eval: F) -> Vec<U>
+pub(crate) fn pool_map<T, U, F>(
+    workers: Option<usize>,
+    items: impl IntoIterator<Item = T>,
+    eval: F,
+) -> Vec<U>
 where
     T: Send + 'static,
     U: Send + 'static,
@@ -521,11 +525,11 @@ fn run_sweep_fine(
     transpose(ncells, instances, per_instance)
 }
 
-/// The pre-pool instance-major path: scoped threads spawned per call, a
-/// cold policy and cold engine state for every evaluation. Artifacts are
-/// still shared per instance. Kept as the measured baseline for the
-/// steady-state layer (the `pool` bench asserts [`run_sweep`] beats it and
-/// stays bit-identical to it).
+/// The cold instance-major path: a fresh policy and fresh engine state
+/// for every evaluation, fanned out per instance through the same pool.
+/// Artifacts are still shared per instance. Kept as the measured baseline
+/// for the steady-state layer (the `pool` bench asserts [`run_sweep`]
+/// beats it and stays bit-identical to it).
 pub fn run_sweep_unpooled(
     spec: &WorkloadSpec,
     cells: &[SweepCell],
@@ -533,11 +537,12 @@ pub fn run_sweep_unpooled(
     base_seed: u64,
     workers: Option<usize>,
 ) -> Vec<SweepCellResult> {
+    let spec = *spec;
     let any_offline = cells.iter().any(|c| c.algo.is_offline());
-    let eval = |i: u64| -> InstanceRuns {
-        let inst = Instance::sample(spec, base_seed, i, any_offline);
-        cells
-            .iter()
+    let cols: Arc<[SweepCell]> = cells.into();
+    let eval = move |i: u64| -> InstanceRuns {
+        let inst = Instance::sample(&spec, base_seed, i, any_offline);
+        cols.iter()
             .map(|cell| {
                 let mut policy = make_policy(cell.algo);
                 let mut ws = Workspace::new();
@@ -545,10 +550,7 @@ pub fn run_sweep_unpooled(
             })
             .collect()
     };
-    let per_instance = match workers {
-        Some(w) => fhs_par::parallel_map_with(w, 0..instances as u64, eval),
-        None => fhs_par::parallel_map(0..instances as u64, eval),
-    };
+    let per_instance = pool_map(workers, 0..instances as u64, eval);
     transpose(cells.len(), instances, per_instance)
 }
 

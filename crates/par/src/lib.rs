@@ -1,29 +1,25 @@
-//! # fhs-par — persistent worker pool + scoped parallel map
+//! # fhs-par — persistent worker pool
 //!
 //! The experiment harness evaluates thousands of independent `(job,
 //! policy)` instances per table cell; this crate fans that work across
-//! cores. Two executors are provided:
+//! cores through [`pool()`], a lazily-initialized **persistent** worker
+//! pool shared by the whole process. The sweep runner and the figure
+//! binaries call [`Pool::map`] many times per run; helper threads are
+//! spawned once and reused, so steady-state fan-out pays no thread-spawn
+//! cost and per-thread state (the harness's warm workspaces) survives
+//! from one call to the next. The crate is built on `std` alone.
 //!
-//! * [`pool()`] — a lazily-initialized **persistent** worker pool shared by
-//!   the whole process. The sweep runner and the figure binaries call
-//!   [`Pool::map`] many times per run; worker threads are spawned once and
-//!   reused, so steady-state fan-out pays no thread-spawn cost.
-//! * [`parallel_map`] / [`parallel_map_with`] — the scoped fallback for
-//!   borrowing closures (no `'static` bound), spawning per call.
-//!
-//! Work distribution is pull-based and **chunked** in both: items are split
-//! into contiguous chunks (plus per-item singleton chunks for the
-//! unbalanced tail), workers pop the next chunk from a shared queue, map it
-//! into a chunk-owned output buffer, and the caller stitches buffers back
-//! into input order by chunk offset. No per-item channel sends, and no
-//! per-slot result mutexes: a result is written exactly once, into a buffer
-//! its worker owns. Uneven per-item cost (MQB instances are much more
+//! Work distribution is pull-based and **chunked**: items are split into
+//! contiguous chunks (plus per-item singleton chunks for the unbalanced
+//! tail), team members pop the next chunk from a shared queue, map it into
+//! a chunk-owned output buffer, and the caller stitches buffers back into
+//! input order by chunk offset. No per-item channel sends, and no per-slot
+//! result mutexes: a result is written exactly once, into a buffer its
+//! worker owns. Uneven per-item cost (MQB instances are much more
 //! expensive than KGreedy ones) still balances because idle workers keep
 //! pulling.
 //!
 //! ```
-//! let squares = fhs_par::parallel_map(0..100u64, |i| i * i);
-//! assert_eq!(squares[99], 99 * 99);
 //! let cubes = fhs_par::pool().map((0..10u64).collect(), |i| i * i * i);
 //! assert_eq!(cubes[9], 729);
 //! ```
@@ -33,10 +29,11 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Number of worker threads used by [`parallel_map`] and sized into the
-/// global [`pool()`]: the machine's available parallelism, floor 1.
+/// Team size of the global [`pool()`]: the machine's available
+/// parallelism, floor 1.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -44,7 +41,7 @@ pub fn default_workers() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Chunking shared by both executors.
+// Chunking.
 // ---------------------------------------------------------------------------
 
 /// Splits `items` into contiguous `(start_offset, chunk)` pieces for a team
@@ -112,7 +109,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct Pool {
     helpers: usize,
     /// Job injector; `None` when the pool has no helper threads.
-    inject: Option<crossbeam::channel::Sender<Job>>,
+    inject: Option<SyncSender<Job>>,
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
@@ -135,19 +132,25 @@ impl Pool {
                 inject: None,
             };
         }
-        let (tx, rx) = crossbeam::channel::bounded::<Job>(helpers * 2);
+        let (tx, rx) = mpsc::sync_channel::<Job>(helpers * 2);
+        let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
         for i in 0..helpers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             std::thread::Builder::new()
                 .name(format!("fhs-pool-{i}"))
-                .spawn(move || {
-                    for job in rx.iter() {
-                        // A panicking job must not kill the worker: the
-                        // panic payload is forwarded to the caller through
-                        // the job's own result channel; here we only keep
-                        // the thread alive.
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                    }
+                .spawn(move || loop {
+                    // The receiver lock is held only while waiting for the
+                    // next job: the guard is a temporary of this `let`
+                    // statement (a `while let` would keep it for the whole
+                    // body), so the job runs with the queue free for the
+                    // other helpers. No code panics while holding it.
+                    let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok(job) = next else { break };
+                    // A panicking job must not kill the worker: the panic
+                    // payload is forwarded to the caller through the job's
+                    // own result channel; here we only keep the thread
+                    // alive.
+                    let _ = catch_unwind(AssertUnwindSafe(job));
                 })
                 .expect("spawn pool worker");
         }
@@ -192,15 +195,15 @@ impl Pool {
 
         struct CallState<T, U, F> {
             chunks: Mutex<VecDeque<(usize, Vec<T>)>>,
-            results: crossbeam::channel::Sender<(usize, std::thread::Result<Vec<U>>)>,
+            results: Sender<(usize, std::thread::Result<Vec<U>>)>,
             f: F,
         }
 
         let chunks = make_chunks(items, team);
         let total_chunks = chunks.len();
-        // Capacity for every chunk result: helper sends can never block, so
-        // an unwinding caller cannot strand a helper mid-send.
-        let (res_tx, res_rx) = crossbeam::channel::bounded(total_chunks);
+        // Unbounded: helper sends can never block, so an unwinding caller
+        // cannot strand a helper mid-send.
+        let (res_tx, res_rx) = mpsc::channel();
         let state = Arc::new(CallState {
             chunks: Mutex::new(chunks),
             results: res_tx,
@@ -250,156 +253,35 @@ impl Pool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The scoped (borrowing) fallback.
-// ---------------------------------------------------------------------------
-
-/// Applies `f` to every item of `items` using up to [`default_workers`]
-/// scoped threads, preserving input order in the output.
-///
-/// `f` runs on worker threads, so it must be `Sync` (shared by reference)
-/// and item/result types must cross threads. Panics in `f` propagate.
-/// Unlike [`Pool::map`] this spawns per call but accepts borrowing
-/// closures; steady-state callers should prefer the [`pool()`].
-pub fn parallel_map<I, T, U, F>(items: I, f: F) -> Vec<U>
-where
-    I: IntoIterator<Item = T>,
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    parallel_map_with(default_workers(), items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (1 runs inline, which is
-/// also the degenerate path used by tests for determinism checks).
-pub fn parallel_map_with<I, T, U, F>(workers: usize, items: I, f: F) -> Vec<U>
-where
-    I: IntoIterator<Item = T>,
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    // Single-worker runs stream the input straight through `f` — no
-    // up-front collect, so lazy/expensive iterators are consumed one item
-    // at a time exactly as a plain sequential map would.
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let items: Vec<T> = items.into_iter().collect();
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n);
-    if workers == 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    // Pull-based chunked distribution: each scoped worker pops chunks and
-    // maps them into buffers it owns; results are stitched by offset. No
-    // per-slot locks and no per-item sends.
-    let chunks = Mutex::new(make_chunks(items, workers));
-    let chunks = &chunks;
-    let f = &f;
-    let parts: Vec<(usize, Vec<U>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut got: Vec<(usize, Vec<U>)> = Vec::new();
-                    while let Some((start, chunk)) = pop_chunk(chunks) {
-                        got.push((start, chunk.into_iter().map(f).collect()));
-                    }
-                    got
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    });
-    stitch(n, parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn preserves_order() {
-        let out = parallel_map_with(4, 0..1000usize, |i| i * 2);
-        assert_eq!(out, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_input_gives_empty_output() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_worker_runs_inline() {
-        let out = parallel_map_with(1, 0..10u32, |i| i + 1);
-        assert_eq!(out[9], 10);
-    }
-
-    #[test]
-    fn single_worker_streams_without_collecting_first() {
-        // With one worker, each item must be mapped as soon as it is
-        // produced (lazy pipeline) rather than after an up-front collect of
-        // the whole input. The producing iterator counts what it has
-        // yielded; the mapper observes that count — under the streaming
-        // path exactly one item is ever in flight.
-        let produced = AtomicUsize::new(0);
-        let items = (0..32usize).inspect(|_| {
-            produced.fetch_add(1, Ordering::Relaxed);
-        });
-        let out = parallel_map_with(1, items, |i| {
-            let seen = produced.load(Ordering::Relaxed);
-            assert_eq!(
-                seen,
-                i + 1,
-                "item {i} mapped after {seen} were produced: input was collected up front"
-            );
-            i
-        });
-        assert_eq!(out.len(), 32);
+        for helpers in [0, 2] {
+            let p = Pool::with_helpers(helpers);
+            let out: Vec<u32> = p.map(Vec::new(), |x: u32| x);
+            assert!(out.is_empty());
+            let out: Vec<u32> = p.map_with(2, Vec::new(), |x: u32| x);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
     fn zero_workers_behaves_like_one() {
-        let out = parallel_map_with(0, 0..10u32, |i| i + 1);
-        assert_eq!(out, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn actually_uses_multiple_threads() {
-        let ids = parallel_map_with(4, 0..64u32, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            std::thread::current().id()
+        // A cap of 0 is clamped to 1: the caller maps every item inline,
+        // in order, without offering work to the helpers.
+        let p = Pool::with_helpers(2);
+        let caller = std::thread::current().id();
+        let zero = p.map_with(0, (0..10u32).collect(), move |i| {
+            assert_eq!(std::thread::current().id(), caller);
+            i + 1
         });
-        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
-        assert!(distinct.len() > 1, "expected work on more than one thread");
-    }
-
-    #[test]
-    fn every_item_processed_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let out = parallel_map_with(8, 0..500usize, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
-        assert_eq!(out.len(), 500);
-    }
-
-    #[test]
-    fn matches_sequential_result_bitwise() {
-        let seq = parallel_map_with(1, 0..256u64, |i| i.wrapping_mul(0x9E3779B97F4A7C15));
-        let par = parallel_map_with(7, 0..256u64, |i| i.wrapping_mul(0x9E3779B97F4A7C15));
-        assert_eq!(seq, par);
+        let one = p.map_with(1, (0..10u32).collect(), |i| i + 1);
+        assert_eq!(zero, (1..=10).collect::<Vec<_>>());
+        assert_eq!(zero, one);
     }
 
     #[test]
@@ -505,11 +387,13 @@ mod panic_tests {
     use super::*;
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "capped boom")]
     fn worker_panics_propagate() {
-        let _ = parallel_map_with(4, 0..16u32, |i| {
+        // A panic in a team smaller than the pool still reaches the caller.
+        let p = Pool::with_helpers(3);
+        let _ = p.map_with(2, (0..16u32).collect(), |i| {
             if i == 7 {
-                panic!("boom");
+                panic!("capped boom");
             }
             i
         });

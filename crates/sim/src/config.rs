@@ -13,12 +13,17 @@ impl MachineConfig {
     /// Builds a configuration from explicit per-type counts.
     ///
     /// # Panics
-    /// If `procs` is empty or contains a zero.
+    /// If `procs` is empty, contains a zero, or contains a count above
+    /// `u32::MAX` (the engine numbers a type's processors with `u32` ids).
     pub fn new(procs: Vec<usize>) -> Self {
         assert!(!procs.is_empty(), "need at least one resource type");
         assert!(
             procs.iter().all(|&p| p > 0),
             "every resource type needs at least one processor"
+        );
+        assert!(
+            procs.iter().all(|&p| u32::try_from(p).is_ok()),
+            "a resource type has more than u32::MAX processors"
         );
         MachineConfig { procs }
     }
@@ -109,6 +114,14 @@ mod tests {
     #[should_panic(expected = "at least one processor")]
     fn rejects_zero_processor_type() {
         MachineConfig::new(vec![1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX processors")]
+    fn rejects_pool_wider_than_processor_ids() {
+        // The largest pool with `u32` processor ids is still accepted.
+        MachineConfig::new(vec![u32::MAX as usize, 1]);
+        MachineConfig::new(vec![u32::MAX as usize + 1, 1]);
     }
 
     #[test]

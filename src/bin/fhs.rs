@@ -150,6 +150,9 @@ fn machine_for(cli: &Cli, job: &KDag) -> Result<MachineConfig, String> {
             if procs.contains(&0) {
                 return Err("--machine pools must be ≥ 1".into());
             }
+            if procs.iter().any(|&p| u32::try_from(p).is_err()) {
+                return Err(format!("--machine pools must be ≤ {}", u32::MAX));
+            }
             Ok(MachineConfig::new(procs.clone()))
         }
         None => Ok(MachineConfig::uniform(job.num_types(), 1)),

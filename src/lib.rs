@@ -45,7 +45,7 @@
 //! | [`sched`] | `fhs-core` | KGreedy, LSpan, MaxDP, DType, ShiftBT, MQB |
 //! | [`workloads`] | `fhs-workloads` | EP / Tree / IR generators, adversarial family |
 //! | [`theory`] | `fhs-theory` | Lemma 1, Theorem 2, KGreedy bounds |
-//! | [`par`] | `fhs-par` | the scoped parallel-map executor |
+//! | [`par`] | `fhs-par` | the persistent worker pool that fans instances across cores |
 //! | [`experiments`] | `fhs-experiments` | per-figure experiment runners |
 
 #![forbid(unsafe_code)]

@@ -154,6 +154,22 @@ fn bad_inputs_exit_nonzero_with_diagnostics() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("K=2"));
     std::fs::remove_file(path).ok();
 
+    // a pool wider than the engine's u32 processor ids
+    let path = write_job("wide", CHAIN);
+    let out = fhs()
+        .args([
+            "schedule",
+            "--job",
+            path.to_str().unwrap(),
+            "--machine",
+            "4294967296,1",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("4294967295"));
+    std::fs::remove_file(path).ok();
+
     // unknown algorithm
     let path = write_job("alg", CHAIN);
     let out = fhs()
