@@ -1,19 +1,19 @@
-//! # fhs-bench — Criterion benchmarks for the reproduction
+//! # fhs-bench — fixtures for the release-only tests
 //!
-//! Three bench binaries:
+//! Fixed instances for the test suites under `crates/bench/tests`:
 //!
-//! * `schedulers` — single-job scheduling cost of each algorithm on fixed
-//!   small/medium instances, in both execution modes.
-//! * `figures` — one group per paper figure, timing the full experiment
-//!   cell pipeline (generation → scheduling → statistics) at reduced
-//!   instance counts. The *numbers* the paper reports come from the
-//!   `fhs-experiments` binaries; these benches time regenerating them.
-//! * `ablations` — the design choices called out in DESIGN.md §5:
-//!   MQB's balance metric and own-work subtraction, the epoch-skipping
-//!   preemptive engine vs the literal per-quantum engine, and the
-//!   descendant-value precomputation.
+//! * `bench_gates` — the speed gates: growth exponents, same-binary
+//!   speedups against retained oracles and cold paths, and the
+//!   observability overhead bound (`-- --ignored` adds the host-speed
+//!   gates);
+//! * `alloc_regression` — zero-allocation warm reruns;
+//! * `huge_smoke`, `huge_mqb_smoke`, `perf_smoke` — the ~110k-task rung;
+//! * `stream_smoke`, `mqb_approx_quality` — the session engine and the
+//!   approximation's quality.
 //!
-//! Run with `cargo bench --workspace` (or `-p fhs-bench --bench figures`).
+//! Run them with `cargo test -p fhs-bench --release`; debug builds skip
+//! the timing and Huge-rung tests. Speed over time is recorded by the
+//! repo benchmark (`perfbench/`), not here.
 
 #![forbid(unsafe_code)]
 
@@ -21,17 +21,17 @@ use fhs_sim::MachineConfig;
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 use kdag::KDag;
 
-/// A fixed small layered-EP instance shared by benches.
+/// A fixed small layered-EP instance.
 pub fn small_ep() -> (KDag, MachineConfig) {
     WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4).sample(7)
 }
 
-/// A fixed medium layered-IR instance shared by benches.
+/// A fixed medium layered-IR instance.
 pub fn medium_ir() -> (KDag, MachineConfig) {
     WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4).sample(7)
 }
 
-/// A fixed medium layered-tree instance shared by benches.
+/// A fixed medium layered-tree instance.
 pub fn medium_tree() -> (KDag, MachineConfig) {
     WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4).sample(7)
 }

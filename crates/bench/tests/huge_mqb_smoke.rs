@@ -76,7 +76,9 @@ fn probe() -> u64 {
 )]
 fn huge_exact_mqb_is_subsecond_pruned_and_warm_allocation_free() {
     fhs_sim::instrument::register_alloc_probe(probe);
-    // The scale bench's Huge rung: layered IR, K = 4, seed 2 → ~110k tasks.
+    // The Huge rung of `bench_gates`' scale ladder: layered IR, K = 4,
+    // seed 2 → ~110k tasks. (`perf_smoke` holds the local 1 s budget as a
+    // manual host-speed gate.)
     let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
     let (job, cfg) = spec.sample(2);
     assert!(

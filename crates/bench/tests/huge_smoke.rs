@@ -81,8 +81,8 @@ fn staged<T>(f: impl FnOnce() -> T) -> (T, Duration, u64) {
     ignore = "Huge instances are exercised in --release (its own CI step)"
 )]
 fn huge_pipeline_end_to_end() {
-    // Same instance the scale bench's Huge rung records: layered IR,
-    // K = 4, seed 2 → ~110k tasks.
+    // The Huge rung of `bench_gates`' scale ladder: layered IR, K = 4,
+    // seed 2 → ~110k tasks.
     let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
     let ((job, cfg), gen_t, _) = staged(|| spec.sample(2));
     assert!(

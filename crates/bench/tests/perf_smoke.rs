@@ -10,8 +10,8 @@
 //! * **Bounded-candidate invariant** (DESIGN.md §14): `MQB-Approx` must
 //!   never run slower than exact MQB — approximation is allowed to cost
 //!   accuracy, never time. Locally ~0.20 s vs ~0.33 s; the assert is the
-//!   plain inequality on min-of-N wall times, the same invariant the
-//!   scale-bench recording enforces per rung.
+//!   plain inequality on min-of-N wall times, the same invariant
+//!   `bench_gates` checks on every rung below Huge.
 //!
 //! * **Ranked-selection structure** (DESIGN.md §7.1): LSpan and ShiftBT
 //!   select through the journal-fed key index — nonzero journal diff
@@ -19,6 +19,11 @@
 //!   evaluation counters — and a warm rerun allocates zero bytes in the
 //!   epoch loop. A silent return to a per-epoch rescan (or a rebuild every
 //!   epoch) fails here whatever the host's speed.
+//!
+//! Two local budgets on the same instance are host-speed gates, run by
+//! hand with `-- --ignored`: Huge KGreedy under 27 ms and exact MQB under
+//! 1 s. They were recorded on one host and say more about the host than
+//! about a regression.
 //!
 //! Debug builds skip this (a Huge instance in debug takes minutes); CI
 //! runs it in the `--release` step alongside the other Huge smokes.
@@ -76,30 +81,43 @@ fn probe() -> u64 {
 /// host's cores with another Huge run.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Minimum wall time of `samples` warm runs of `algo` on the instance.
-fn min_run_time(
+/// The Huge rung: layered IR, K = 4, seed 2 → ~110k tasks (the rung
+/// `bench_gates`' scale ladder ends on).
+fn huge_instance() -> (kdag::KDag, fhs_sim::MachineConfig) {
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
+    let (job, cfg) = spec.sample(2);
+    assert!(job.num_tasks() >= 100_000);
+    (job, cfg)
+}
+
+/// Wall times of `samples` runs of `algo` on one reused workspace (the
+/// first cold, the rest warm), sorted ascending.
+fn run_times(
     job: &kdag::KDag,
     cfg: &fhs_sim::MachineConfig,
     algo: Algorithm,
     samples: usize,
-) -> Duration {
+) -> Vec<Duration> {
     let mut ws = Workspace::new();
     let mut policy = make_policy(algo);
-    let mut best = Duration::MAX;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let out = engine::run_in(
-            &mut ws,
-            job,
-            cfg,
-            policy.as_mut(),
-            Mode::NonPreemptive,
-            &RunOptions::seeded(2),
-        );
-        best = best.min(t0.elapsed());
-        assert!(out.makespan > 0, "{}", algo.label());
-    }
-    best
+    let mut times: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            let out = engine::run_in(
+                &mut ws,
+                job,
+                cfg,
+                policy.as_mut(),
+                Mode::NonPreemptive,
+                &RunOptions::seeded(2),
+            );
+            let t = t0.elapsed();
+            assert!(out.makespan > 0, "{}", algo.label());
+            t
+        })
+        .collect();
+    times.sort_unstable();
+    times
 }
 
 #[test]
@@ -109,15 +127,10 @@ fn min_run_time(
 )]
 fn huge_perf_budgets() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Same instance the scale bench's Huge rung records: layered IR,
-    // K = 4, seed 2 → ~110k tasks.
-    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
-    let (job, cfg) = spec.sample(2);
-    assert!(job.num_tasks() >= 100_000);
-
-    let kgreedy = min_run_time(&job, &cfg, Algorithm::KGreedy, 5);
-    let mqb = min_run_time(&job, &cfg, Algorithm::Mqb, 3);
-    let approx = min_run_time(&job, &cfg, Algorithm::MqbApprox, 3);
+    let (job, cfg) = huge_instance();
+    let kgreedy = run_times(&job, &cfg, Algorithm::KGreedy, 5)[0];
+    let mqb = run_times(&job, &cfg, Algorithm::Mqb, 3)[0];
+    let approx = run_times(&job, &cfg, Algorithm::MqbApprox, 3)[0];
     println!(
         "huge perf smoke: kgreedy {kgreedy:?} | mqb {mqb:?} | mqb-approx {approx:?} \
          ({} tasks)",
@@ -144,8 +157,7 @@ fn huge_perf_budgets() {
 fn huge_ranked_selection_is_journal_fed_and_warm_allocation_free() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fhs_sim::instrument::register_alloc_probe(probe);
-    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
-    let (job, cfg) = spec.sample(2);
+    let (job, cfg) = huge_instance();
     let k = cfg.num_types() as u64;
     for algo in [Algorithm::LSpan, Algorithm::ShiftBT] {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
@@ -198,4 +210,34 @@ fn huge_ranked_selection_is_journal_fed_and_warm_allocation_free() {
             );
         }
     }
+}
+
+#[test]
+#[ignore = "host-speed gate: absolute wall clock recorded on one host; \
+            CI asserts the 150 ms bar in huge_perf_budgets"]
+fn huge_kgreedy_within_27ms_local_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (job, cfg) = huge_instance();
+    let times = run_times(&job, &cfg, Algorithm::KGreedy, 7);
+    let median = times[times.len() / 2];
+    println!("huge kgreedy: median of 7 {median:?}, min {:?}", times[0]);
+    assert!(
+        median < Duration::from_millis(27),
+        "KGreedy on the Huge rung must finish under 27 ms (median {median:?})"
+    );
+}
+
+#[test]
+#[ignore = "host-speed gate: absolute wall clock recorded on one host; \
+            huge_mqb_smoke asserts the 10 s CI bar"]
+fn huge_exact_mqb_within_one_second() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (job, cfg) = huge_instance();
+    let mqb = run_times(&job, &cfg, Algorithm::Mqb, 2)[0];
+    println!("huge exact mqb: min of 2 {mqb:?}");
+    // The pre-index quadratic scan sat at ~11 s on this instance.
+    assert!(
+        mqb < Duration::from_secs(1),
+        "exact MQB on the Huge rung must finish under 1 s (got {mqb:?})"
+    );
 }

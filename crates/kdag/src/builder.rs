@@ -29,6 +29,9 @@ pub enum GraphError {
     /// A task was declared with zero work; the discrete-time model requires
     /// every task to occupy at least one time unit.
     ZeroWork(TaskId),
+    /// The total work `T₁` overflows [`Work`]; the payload is the task
+    /// whose work pushed the running sum past `u64::MAX`.
+    WorkOverflow(TaskId),
     /// The builder was created with `K = 0`.
     NoTypes,
 }
@@ -44,6 +47,7 @@ impl fmt::Display for GraphError {
                 write!(f, "task {task} has type {rtype}, but K = {k}")
             }
             GraphError::ZeroWork(t) => write!(f, "task {t} has zero work"),
+            GraphError::WorkOverflow(t) => write!(f, "total work overflows u64 at task {t}"),
             GraphError::NoTypes => write!(f, "a K-DAG needs at least one resource type"),
         }
     }
@@ -136,15 +140,17 @@ impl KDagBuilder {
     /// Validates and freezes the graph in O(V + E).
     ///
     /// Errors take precedence in this order: [`GraphError::NoTypes`], then
-    /// per-task [`GraphError::TypeOutOfRange`] / [`GraphError::ZeroWork`]
-    /// (lowest id first), then [`GraphError::DuplicateEdge`] (the
-    /// lexicographically smallest repeated pair), then
-    /// [`GraphError::Cycle`].
+    /// per-task [`GraphError::TypeOutOfRange`] / [`GraphError::ZeroWork`] /
+    /// [`GraphError::WorkOverflow`] (lowest id first; a task's own type and
+    /// work are checked before the running `T₁` sum it extends), then
+    /// [`GraphError::DuplicateEdge`] (the lexicographically smallest
+    /// repeated pair), then [`GraphError::Cycle`].
     pub fn build(self) -> Result<KDag, GraphError> {
         if self.k == 0 {
             return Err(GraphError::NoTypes);
         }
         let n = self.works.len();
+        let mut total: Work = 0;
         for i in 0..n {
             let t = TaskId::from_index(i);
             if self.rtypes[i] >= self.k {
@@ -157,6 +163,9 @@ impl KDagBuilder {
             if self.works[i] == 0 {
                 return Err(GraphError::ZeroWork(t));
             }
+            total = total
+                .checked_add(self.works[i])
+                .ok_or(GraphError::WorkOverflow(t))?;
         }
 
         // CSR construction (counting sort over edge endpoints). The same
@@ -371,6 +380,20 @@ mod tests {
         let mut b = KDagBuilder::new(2);
         let z = b.add_task(0, 0);
         assert_eq!(b.build().unwrap_err(), GraphError::ZeroWork(z));
+    }
+
+    #[test]
+    fn rejects_total_work_overflow() {
+        let mut b = KDagBuilder::new(1);
+        b.add_task(0, u64::MAX);
+        let v = b.add_task(0, 5);
+        b.add_task(0, 0);
+        assert_eq!(b.build().unwrap_err(), GraphError::WorkOverflow(v));
+
+        // The whole range of a single task's work stays accepted.
+        let mut b = KDagBuilder::new(1);
+        b.add_task(0, u64::MAX);
+        assert_eq!(b.build().unwrap().total_work(), u64::MAX);
     }
 
     #[test]

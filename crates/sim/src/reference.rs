@@ -12,8 +12,8 @@
 //!    implementation for every policy and mode — the two code paths share
 //!    no event-loop code, so agreement on random K-DAGs is strong evidence
 //!    the refactor preserved semantics.
-//! 2. **Baseline.** The engine microbenchmark reports the indexed engine's
-//!    speedup relative to this implementation (`BENCH_engine.json`).
+//! 2. **Baseline.** The `bench_gates` speed gate asserts the indexed
+//!    engine is ≥ 2× faster than this implementation on a wide flat job.
 //!
 //! No instrumentation is collected here; [`SimOutcome::stats`] is zeroed
 //! except for `epochs`.

@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn huge_instances_reach_the_100k_regime() {
-        // The scale bench and the Huge smoke test rely on EP/IR landing
+        // The scale-ladder gate and the Huge smokes rely on EP/IR landing
         // in the ~10⁵-task band with cluster-scale pools; IR must also be
         // wide enough to take the generator's sparse wiring path.
         for family in [Family::Ep, Family::Ir] {

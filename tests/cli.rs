@@ -138,6 +138,24 @@ fn bad_inputs_exit_nonzero_with_diagnostics() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid graph"));
     std::fs::remove_file(path).ok();
 
+    // total work past u64::MAX (would wrap T1 and break the timeline/gantt)
+    let path = write_job(
+        "overflow",
+        "kdag 1\ntask 0 18446744073709551615\ntask 0 5\nedge 0 1\n",
+    );
+    for extra in [&[][..], &["--timeline"], &["--gantt"]] {
+        let out = fhs()
+            .args(["schedule", "--job", path.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("invalid graph"), "{err}");
+        assert!(err.contains("overflows"), "{err}");
+    }
+    std::fs::remove_file(path).ok();
+
     // machine/K mismatch
     let path = write_job("mism", CHAIN);
     let out = fhs()
