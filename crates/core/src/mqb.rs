@@ -41,6 +41,10 @@ use crate::journal::{Cursor, JournalIndex};
 /// Sentinel for "no task / no group / not linked" in the index's u32 links.
 const NONE: u32 = u32::MAX;
 
+/// `m_group` sentinel for a preemptive pick waiting outside the index: it
+/// stays queued, and the next sync re-inserts it (DESIGN.md §14).
+const PENDING: u32 = u32::MAX - 1;
+
 /// Contested rounds with at most this many candidates use the flat full
 /// scan instead of the dominance-pruned index: below this size the scan's
 /// streaming loop beats the index walk, and the small-queue regime is where
@@ -126,29 +130,15 @@ impl InfoModel {
     }
 }
 
-/// Ablation knob: how queue snapshots are compared (DESIGN.md §5.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BalanceMetric {
-    /// The paper's rule: sorted x-utilization vectors compared
-    /// lexicographically.
-    #[default]
-    SortedLexicographic,
-    /// Ablation: compare only the most-starved queue (the first element),
-    /// ignoring the rest of the vector.
-    MinOnly,
-}
-
-/// Ablation switches for MQB's selection rule; defaults reproduce the
-/// paper's algorithm.
+/// Switches for MQB's selection rule; defaults reproduce the paper's
+/// algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MqbTuning {
-    /// Snapshot comparison rule.
-    pub balance: BalanceMetric,
     /// Whether a candidate's own (remaining) work leaves its queue in the
     /// projection. The paper's text only says descendant values are
     /// *added*; removing the dispatched task from its ready queue is the
-    /// literal queue semantics. On by default; the ablation bench
-    /// measures how much it matters.
+    /// literal queue semantics. On by default; off is an ablation, pinned
+    /// against the oracle by `mqb_incremental_equivalence`.
     pub subtract_own_work: bool,
     /// Bounded-candidate approximation (`MQB-Approx`): when set, each
     /// contested pick evaluates at most this many candidates — the top-`c`
@@ -161,7 +151,6 @@ pub struct MqbTuning {
 impl Default for MqbTuning {
     fn default() -> Self {
         MqbTuning {
-            balance: BalanceMetric::SortedLexicographic,
             subtract_own_work: true,
             max_candidates: None,
         }
@@ -177,18 +166,21 @@ impl Default for MqbTuning {
 /// relates (DESIGN.md §14).
 #[derive(Clone, Debug, Default)]
 struct Group {
-    /// Row-class id (index into `Mqb::class_rep`).
-    class: u32,
+    /// The class's total descendant value, copied in at creation (the
+    /// bits are identical for every member): `dominates` tests it and
+    /// `rem_key` before it reads a row, with no per-task lookup.
+    d_total: f64,
     /// Remaining work when `subtract_own_work` is on, 0 otherwise (then
     /// the projected row doesn't depend on remaining work at all).
     rem_key: u64,
-    /// Earliest-arrived member (task index); the group's only possible
-    /// winner.
+    /// The class's representative task (`Mqb::class_rep`): its
+    /// descendant row is the class's row, and its `row_class` the class.
+    rep: u32,
+    /// Earliest-arrived member (task index; `NONE` once the group is
+    /// empty); the group's only possible winner.
     head: u32,
     /// Latest-arrived member: fast path for seq-ascending insertion.
     tail: u32,
-    /// Member count.
-    len: u32,
     /// A live group whose key dominates this one (`NONE` when this group
     /// is on the frontier). The witness's existence is what proves this
     /// group can be pruned; it is *not* required to be on the frontier
@@ -214,17 +206,27 @@ struct TypeIndex {
     groups: Vec<Group>,
     /// Free list into `groups`.
     free: Vec<u32>,
-    /// Groups with no known dominator — the only groups whose heads a pick
-    /// must evaluate. (A superset of the true Pareto frontier: a group
-    /// placed before its would-be dominator stays until a later sweep
-    /// demotes it, which costs evaluations but never correctness.)
+    /// Groups with no witness — the only groups whose heads a pick must
+    /// evaluate. Exactly the Pareto set of the indexed groups: a newcomer
+    /// that dominates frontier groups demotes them at once, so no frontier
+    /// group dominates another (DESIGN.md §14).
     frontier: Vec<u32>,
     /// `(class, rem_key)` → group id. Never iterated, so the std
     /// HashMap's nondeterministic order can't leak into selection.
     map: HashMap<(u32, u64), u32>,
-    /// Live member (queued candidate) count across all groups; checked
-    /// against the queue length as a rebuild trigger for hand-built views.
+    /// Most groups `map` ever held at once; kept through `clear`, like the
+    /// table's capacity.
+    map_peak: usize,
+    /// Live member (queued candidate) count across all groups.
     live: usize,
+    /// This type's last preemptive picks, in pick order: still queued, they
+    /// wait outside the groups (`m_group == PENDING`) until the next sync
+    /// re-inserts them once with their progressed remaining work. Entries
+    /// whose task left the queue meanwhile are skipped.
+    pending: Vec<u32>,
+    /// Entries of `pending` still queued. `live + pending_live` is checked
+    /// against the queue length as a rebuild trigger for hand-built views.
+    pending_live: usize,
 }
 
 impl TypeIndex {
@@ -234,7 +236,16 @@ impl TypeIndex {
         self.frontier.clear();
         self.map.clear();
         self.live = 0;
+        self.pending.clear();
+        self.pending_live = 0;
     }
+}
+
+/// The state-free dominance rule over `(d_total, rem_key)` keys and
+/// descendant rows (DESIGN.md §14), cheapest test first.
+#[inline]
+fn dominates(f: (f64, u64), row_f: &[f64], g: (f64, u64), row_g: &[f64]) -> bool {
+    f.0 > g.0 && f.1 <= g.1 && row_f.iter().zip(row_g).all(|(x, y)| x >= y)
 }
 
 /// Split-borrow view over one type's index plus the policy-wide member
@@ -268,19 +279,30 @@ impl IndexCtx<'_> {
     /// member-free: a domination, once established, holds for the groups'
     /// whole lifetime.
     fn dominates(&self, f: u32, g: u32) -> bool {
-        let gf = &self.ix.groups[f as usize];
-        let gg = &self.ix.groups[g as usize];
-        if gf.rem_key > gg.rem_key {
-            return false;
+        let (gf, gg) = (&self.ix.groups[f as usize], &self.ix.groups[g as usize]);
+        let (rf, rg) = (gf.rep as usize * self.k, gg.rep as usize * self.k);
+        dominates(
+            (gf.d_total, gf.rem_key),
+            &self.d[rf..rf + self.k],
+            (gg.d_total, gg.rem_key),
+            &self.d[rg..rg + self.k],
+        )
+    }
+
+    /// Debug check after each placement batch: the frontier is an
+    /// antichain, the invariant that lets an orphan batch skip the
+    /// surviving frontier in its demotion sweep (`remove_group`).
+    fn debug_assert_antichain(&self) {
+        if cfg!(debug_assertions) {
+            for &f in &self.ix.frontier {
+                for &g in &self.ix.frontier {
+                    debug_assert!(
+                        f == g || !self.dominates(f, g),
+                        "frontier group {f} dominates frontier group {g}"
+                    );
+                }
+            }
         }
-        let rf = self.class_rep[gf.class as usize] as usize;
-        let rg = self.class_rep[gg.class as usize] as usize;
-        if self.d_total[rf] <= self.d_total[rg] {
-            return false;
-        }
-        let ef = &self.d[rf * self.k..rf * self.k + self.k];
-        let eg = &self.d[rg * self.k..rg * self.k + self.k];
-        ef.iter().zip(eg).all(|(x, y)| x >= y)
     }
 
     fn new_group(&mut self, class: u32, rem_key: u64) -> u32 {
@@ -291,27 +313,29 @@ impl IndexCtx<'_> {
                 (self.ix.groups.len() - 1) as u32
             }
         };
+        let rep = self.class_rep[class as usize];
         self.ix.groups[gid as usize] = Group {
-            class,
+            d_total: self.d_total[rep as usize],
             rem_key,
+            rep,
             head: NONE,
             tail: NONE,
-            len: 0,
             witness: NONE,
             child_head: NONE,
             sib_prev: NONE,
             sib_next: NONE,
             frontier_pos: NONE,
         };
-        // Keep `capacity ≥ 2 × len` so hashbrown's tombstone handling can
-        // always rehash in place instead of resizing: insert/remove churn
-        // then never allocates once the table has ratcheted to twice the
-        // live-group peak, which makes warm reruns allocation-free (the
-        // alloc-regression contract) instead of depending on where growth
-        // triggers land relative to retained capacity.
-        let need = 2 * (self.ix.map.len() + 1);
-        if self.ix.map.capacity() < need {
-            self.ix.map.reserve(need - self.ix.map.len());
+        // Size the table by the live-group high-watermark, never by
+        // `capacity()` (which tombstones shrink, so growth would depend on
+        // the churn pattern): at each new peak, room for twice the peak.
+        // Below it hashbrown's tombstone handling always rehashes in place
+        // instead of resizing, so warm reruns allocate nothing (the
+        // alloc-regression contract).
+        let len = self.ix.map.len();
+        if len >= self.ix.map_peak {
+            self.ix.map_peak = len + 1;
+            self.ix.map.reserve(2 * self.ix.map_peak - len);
         }
         self.ix.map.insert((class, rem_key), gid);
         gid
@@ -330,7 +354,7 @@ impl IndexCtx<'_> {
             None => (self.new_group(class, rem_key), true),
         };
         let g = &self.ix.groups[gid as usize];
-        if g.len == 0 {
+        if g.head == NONE {
             self.ix.groups[gid as usize].head = t as u32;
             self.ix.groups[gid as usize].tail = t as u32;
             self.m_prev[t] = NONE;
@@ -343,8 +367,8 @@ impl IndexCtx<'_> {
             self.m_next[tail] = t as u32;
             self.ix.groups[gid as usize].tail = t as u32;
         } else {
-            // Round-end reinsertion of a picked head (or a regrouped
-            // update): walk to the first member arriving after us.
+            // Re-insertion of a pending pick (or a regrouped update):
+            // walk to the first member arriving after us.
             let mut c = g.head as usize;
             while self.m_seq[c] < seq {
                 c = self.m_next[c] as usize;
@@ -359,11 +383,11 @@ impl IndexCtx<'_> {
                 self.m_next[p as usize] = t as u32;
             }
         }
-        self.ix.groups[gid as usize].len += 1;
         self.m_group[t] = gid;
         self.ix.live += 1;
         if fresh {
-            self.place_group(gid);
+            self.place_group(gid, NONE, 0);
+            self.debug_assert_antichain();
         }
     }
 
@@ -384,9 +408,8 @@ impl IndexCtx<'_> {
         } else {
             self.m_prev[n as usize] = p;
         }
-        self.ix.groups[gid as usize].len -= 1;
         self.ix.live -= 1;
-        if self.ix.groups[gid as usize].len == 0 {
+        if self.ix.groups[gid as usize].head == NONE {
             self.remove_group(gid);
         }
     }
@@ -433,23 +456,30 @@ impl IndexCtx<'_> {
         }
     }
 
-    /// Places a detached group: under the first frontier dominator found,
-    /// else onto the frontier — demoting any frontier groups the newcomer
-    /// dominates (they keep their own children; a demoted group's witness
-    /// chain stays valid because every witness stays live).
-    fn place_group(&mut self, gid: u32) {
+    /// Places a detached group: under `hint` (a live group, or `NONE`) if
+    /// it dominates, else under the first frontier dominator found, else
+    /// onto the frontier — demoting the frontier groups from position
+    /// `sweep_from` on that the newcomer dominates (they keep their own
+    /// children; a demoted group's witness chain stays valid because every
+    /// witness stays live). Returns the new witness, `NONE` when the group
+    /// joined the frontier.
+    fn place_group(&mut self, gid: u32, hint: u32, sweep_from: usize) -> u32 {
+        // Transitivity: dominated by a witness means `gid` cannot dominate
+        // anything the witness doesn't already — no sweep needed.
+        if hint != NONE && self.dominates(hint, gid) {
+            self.attach_child(hint, gid);
+            return hint;
+        }
         for pos in 0..self.ix.frontier.len() {
             let f = self.ix.frontier[pos];
             if self.dominates(f, gid) {
-                // Transitivity: dominated by `f` means `gid` cannot
-                // dominate anything `f` doesn't already — no sweep needed.
                 self.attach_child(f, gid);
-                return;
+                return f;
             }
         }
         self.ix.groups[gid as usize].frontier_pos = self.ix.frontier.len() as u32;
         self.ix.frontier.push(gid);
-        let mut i = 0;
+        let mut i = sweep_from;
         while i < self.ix.frontier.len() {
             let f = self.ix.frontier[i];
             if f != gid && self.dominates(gid, f) {
@@ -459,20 +489,35 @@ impl IndexCtx<'_> {
                 i += 1;
             }
         }
+        NONE
     }
 
     /// Retires an empty group. Frontier death re-places each witnessed
-    /// child from scratch; interior death splices the children to the dead
-    /// group's own witness (valid by transitivity through the dead group's
-    /// frozen keys).
+    /// child; interior death splices the children to the dead group's own
+    /// witness (valid by transitivity through the dead group's frozen
+    /// keys).
+    ///
+    /// Re-placing the orphans of a frontier group `g` is cheaper than a
+    /// fresh placement twice over. The frontier is an antichain, and an
+    /// orphan dominating a surviving frontier group `f` would make `g`
+    /// dominate `f` by transitivity — so an orphan's demotion sweep covers
+    /// only the orphans promoted in the same batch, which sit at the
+    /// frontier's tail. And siblings tend to dominate one another or share
+    /// a dominator: each orphan first tries the previous orphan, then the
+    /// witness the previous one found. A sibling witness also keeps the
+    /// orphan off the dead-frontier path next time: when an interior
+    /// witness dies, its children are spliced, not re-placed.
     fn remove_group(&mut self, gid: u32) {
         let (class, rem_key, fpos, witness, mut c) = {
             let g = &self.ix.groups[gid as usize];
-            (g.class, g.rem_key, g.frontier_pos, g.witness, g.child_head)
+            let class = self.row_class[g.rep as usize];
+            (class, g.rem_key, g.frontier_pos, g.witness, g.child_head)
         };
         self.ix.map.remove(&(class, rem_key));
         if fpos != NONE {
             self.frontier_swap_remove(fpos as usize);
+            let batch = self.ix.frontier.len();
+            let (mut prev, mut hint) = (NONE, NONE);
             while c != NONE {
                 let next = self.ix.groups[c as usize].sib_next;
                 {
@@ -481,9 +526,19 @@ impl IndexCtx<'_> {
                     gc.sib_prev = NONE;
                     gc.sib_next = NONE;
                 }
-                self.place_group(c);
+                let w = if prev != NONE && self.dominates(prev, c) {
+                    self.attach_child(prev, c);
+                    prev
+                } else {
+                    self.place_group(c, hint, batch)
+                };
+                if w != NONE {
+                    hint = w;
+                }
+                prev = c;
                 c = next;
             }
+            self.debug_assert_antichain();
         } else {
             self.detach_child(gid);
             while c != NONE {
@@ -495,12 +550,36 @@ impl IndexCtx<'_> {
         self.ix.groups[gid as usize].child_head = NONE;
         self.ix.free.push(gid);
     }
+
+    /// Takes preemptive pick `t` out of its group to wait in the pending
+    /// list: the pick stays queued, but until the next epoch only its
+    /// remaining work can change (or it completes).
+    fn hold_pending(&mut self, t: usize) {
+        self.remove_member(t);
+        self.m_group[t] = PENDING;
+        self.ix.pending.push(t as u32);
+        self.ix.pending_live += 1;
+    }
+
+    /// Re-inserts each still-queued pending pick once, with its current
+    /// remaining work.
+    fn reinsert_pending(&mut self) {
+        for i in 0..self.ix.pending.len() {
+            let t = self.ix.pending[i] as usize;
+            if self.m_group[t] == PENDING {
+                self.m_group[t] = NONE;
+                self.insert_member(t, self.m_seq[t], self.m_rem[t]);
+            }
+        }
+        self.ix.pending.clear();
+        self.ix.pending_live = 0;
+    }
 }
 
 impl JournalIndex for IndexCtx<'_> {
     fn contains(&self, t: usize) -> bool {
-        // Picks on the indexed path remove their member ahead of the
-        // journal's `Removed`.
+        // Non-preemptive picks on the indexed path remove their member
+        // ahead of the journal's `Removed`; pending picks are held.
         self.m_group[t] != NONE
     }
 
@@ -509,11 +588,19 @@ impl JournalIndex for IndexCtx<'_> {
     }
 
     fn remove(&mut self, t: usize) {
-        self.remove_member(t);
+        if self.m_group[t] == PENDING {
+            self.m_group[t] = NONE;
+            self.ix.pending_live -= 1;
+        } else {
+            self.remove_member(t);
+        }
     }
 
     fn update(&mut self, t: usize, remaining: u64) {
-        if self.subtract_own {
+        if self.m_group[t] == PENDING {
+            // Regrouped once, when the sync re-inserts it.
+            self.m_rem[t] = remaining;
+        } else if self.subtract_own {
             // Remaining work is part of the group key: regroup under the
             // new value.
             let seq = self.m_seq[t];
@@ -525,7 +612,7 @@ impl JournalIndex for IndexCtx<'_> {
     }
 
     fn live(&self) -> usize {
-        self.ix.live
+        self.ix.live + self.ix.pending_live
     }
 }
 
@@ -585,17 +672,14 @@ pub struct Mqb {
     /// Selection-work counters, harvested via
     /// [`Policy::take_selection_stats`].
     sel: SelectionStats,
-    /// Tasks picked this round (preemptive indexed path: they stay queued,
-    /// so they re-enter the index at round end).
-    picked: Vec<u32>,
     /// Candidate order for the bounded-candidate approximation.
     approx_order: Vec<u32>,
-    /// Packed `(priority key, snapshot index)` scratch for ranking the
-    /// approximation's candidates: the key embeds the total-descendant
-    /// bits (descending) and the arrival seq so the partial selection
-    /// compares plain integers instead of chasing two indirections per
-    /// comparison.
-    approx_keys: Vec<(u128, u32)>,
+    /// Packed 16-byte sort keys for the approximation, an index in their
+    /// low 32 bits: first the candidates' ranking (total-descendant bits
+    /// descending, then snapshot index) so the partial selection compares
+    /// plain integers instead of chasing two indirections per comparison,
+    /// then the window's grouping (row class, rem key, window position).
+    approx_keys: Vec<u128>,
     /// Window-local group id of each window position: positions with the
     /// same `(row class, dominance remaining-work key)` — bitwise-identical
     /// projected rows at every working state — share a group, mirroring
@@ -607,12 +691,11 @@ pub struct Mqb {
     /// Each group's live head: its earliest untaken window position
     /// (`NONE` once the group is exhausted). Only live heads duel.
     approx_live: Vec<u32>,
-    /// Each group's dominating group (`NONE` on the frontier): a group
-    /// whose key pointwise-dominates this one's, so its live head beats
-    /// every member of this group in every duel of the round.
-    approx_gdom: Vec<u32>,
-    /// The frontier reps' window positions — the only candidates a new
-    /// group must be checked against when building `approx_gdom`.
+    /// Each window position's dominance key `(d_total, rem_key)`, mirrored
+    /// beside `erows` so dominance tests read no per-task table.
+    approx_dom: Vec<(f64, u64)>,
+    /// The frontier's window positions (one member per group) — the only
+    /// groups a new or orphaned group must be checked against.
     approx_front: Vec<u32>,
     /// Window positions taken so far this round, kept sorted; each pick
     /// derives the scan horizon (the `cap`-th untaken position) from it.
@@ -640,8 +723,9 @@ impl Mqb {
         Mqb::with_tuning(info, MqbTuning::default())
     }
 
-    /// Creates MQB with explicit ablation switches (benches only; the
-    /// defaults are the paper's algorithm).
+    /// Creates MQB with explicit switches: the registry builds
+    /// `MQB-Approx` this way, tests the own-work ablation. The defaults
+    /// are the paper's algorithm.
     pub fn with_tuning(info: InfoModel, tuning: MqbTuning) -> Self {
         Mqb {
             info,
@@ -669,13 +753,12 @@ impl Mqb {
             cursor: Vec::new(),
             need_rebuild: true,
             sel: SelectionStats::default(),
-            picked: Vec::new(),
             approx_order: Vec::new(),
             approx_keys: Vec::new(),
             approx_group: Vec::new(),
             approx_next: Vec::new(),
             approx_live: Vec::new(),
-            approx_gdom: Vec::new(),
+            approx_dom: Vec::new(),
             approx_front: Vec::new(),
             approx_taken_pos: Vec::new(),
             approx_kid_head: Vec::new(),
@@ -818,6 +901,7 @@ impl Mqb {
                     &mut cx,
                     &mut self.sel.diff_events,
                 );
+                cx.reinsert_pending();
             }
             // Defense-in-depth: a view whose queues the journal doesn't
             // explain (hand-built in tests) forces a cold rebuild.
@@ -909,8 +993,9 @@ struct Duel<'a> {
     cand_sorted: &'a mut Vec<f64>,
     best_sorted: &'a mut Vec<f64>,
     best_sorted_valid: bool,
-    min_only: bool,
     best_min: f64,
+    /// The type at which the incumbent's projected row takes `best_min`.
+    best_type: usize,
     best_dt: f64,
     best_seq: u64,
     /// Winner so far (caller-defined identifier); `NONE` before the first
@@ -924,7 +1009,6 @@ impl<'a> Duel<'a> {
         best_row: &'a mut Vec<f64>,
         cand_sorted: &'a mut Vec<f64>,
         best_sorted: &'a mut Vec<f64>,
-        min_only: bool,
     ) -> Duel<'a> {
         Duel {
             row,
@@ -932,8 +1016,8 @@ impl<'a> Duel<'a> {
             cand_sorted,
             best_sorted,
             best_sorted_valid: false,
-            min_only,
             best_min: 0.0,
+            best_type: 0,
             best_dt: 0.0,
             best_seq: 0,
             best: NONE,
@@ -945,8 +1029,8 @@ impl<'a> Duel<'a> {
     /// tie-break keys `dt` (total descendant value) and `seq`. On a win the
     /// candidate (identified by `who`) becomes the incumbent. The
     /// comparison sequence — min via `total_cmp`, sorted-lex on bitwise
-    /// min-ties (skipped under MinOnly), then larger `d_total`, then
-    /// earlier arrival — is exactly the naive algorithm's.
+    /// min-ties, then larger `d_total`, then earlier arrival — is exactly
+    /// the naive algorithm's.
     fn challenge(&mut self, who: u32, mn: f64, dt: f64, seq: u64) {
         let mut cand_sorted_built = false;
         let better = if self.best == NONE {
@@ -957,24 +1041,18 @@ impl<'a> Duel<'a> {
                 std::cmp::Ordering::Greater => true,
                 std::cmp::Ordering::Equal => {
                     // Sorted-lex vectors agree at position 0 (total_cmp
-                    // equality is bitwise). Compare the rest — or go
-                    // straight to the tie-break under the MinOnly ablation.
-                    let rest = if self.min_only {
-                        std::cmp::Ordering::Equal
-                    } else {
-                        if !self.best_sorted_valid {
-                            self.best_sorted.clear();
-                            self.best_sorted.extend_from_slice(self.best_row);
-                            self.best_sorted.sort_unstable_by(f64::total_cmp);
-                            self.best_sorted_valid = true;
-                        }
-                        self.cand_sorted.clear();
-                        self.cand_sorted.extend_from_slice(self.row);
-                        self.cand_sorted.sort_unstable_by(f64::total_cmp);
-                        cand_sorted_built = true;
-                        cmp_balance(self.cand_sorted, self.best_sorted)
-                    };
-                    match rest {
+                    // equality is bitwise); compare the rest.
+                    if !self.best_sorted_valid {
+                        self.best_sorted.clear();
+                        self.best_sorted.extend_from_slice(self.best_row);
+                        self.best_sorted.sort_unstable_by(f64::total_cmp);
+                        self.best_sorted_valid = true;
+                    }
+                    self.cand_sorted.clear();
+                    self.cand_sorted.extend_from_slice(self.row);
+                    self.cand_sorted.sort_unstable_by(f64::total_cmp);
+                    cand_sorted_built = true;
+                    match cmp_balance(self.cand_sorted, self.best_sorted) {
                         std::cmp::Ordering::Greater => true,
                         std::cmp::Ordering::Less => false,
                         std::cmp::Ordering::Equal => {
@@ -996,6 +1074,11 @@ impl<'a> Duel<'a> {
             self.best_dt = dt;
             self.best_seq = seq;
             std::mem::swap(self.best_row, self.row);
+            self.best_type = self
+                .best_row
+                .iter()
+                .position(|x| x.total_cmp(&mn).is_eq())
+                .unwrap_or(0);
             if cand_sorted_built {
                 std::mem::swap(self.best_sorted, self.cand_sorted);
                 self.best_sorted_valid = true;
@@ -1052,7 +1135,6 @@ impl Mqb {
             self.erows
                 .extend_from_slice(&self.d[row_start..row_start + k]);
         }
-        let min_only = matches!(self.tuning.balance, BalanceMetric::MinOnly);
         let subtract_own = self.tuning.subtract_own_work;
         self.row.clear();
         self.row.resize(k, 0.0);
@@ -1065,7 +1147,6 @@ impl Mqb {
                 &mut self.best_row,
                 &mut self.cand_sorted,
                 &mut self.best_sorted,
-                min_only,
             );
             let mut evaluated = 0u64;
             for qi in 0..m {
@@ -1120,13 +1201,11 @@ impl Mqb {
     ) {
         let k = self.k;
         let procs = view.config.procs_per_type();
-        let min_only = matches!(self.tuning.balance, BalanceMetric::MinOnly);
         let subtract_own = self.tuning.subtract_own_work;
         self.row.clear();
         self.row.resize(k, 0.0);
         self.best_row.clear();
         self.best_row.resize(k, 0.0);
-        self.picked.clear();
         let mut cx = IndexCtx {
             k,
             subtract_own,
@@ -1148,7 +1227,6 @@ impl Mqb {
                 &mut self.best_row,
                 &mut self.cand_sorted,
                 &mut self.best_sorted,
-                min_only,
             );
             let mut evaluated = 0u64;
             for fi in 0..cx.ix.frontier.len() {
@@ -1184,19 +1262,47 @@ impl Mqb {
             for (beta, w) in self.working.iter_mut().enumerate() {
                 *w += cx.d[row_start + beta];
             }
+            // Preemptive picks stay queued (the engine progresses rather
+            // than starts them): they wait outside the index until the
+            // next sync re-inserts them.
             if view.preemptive {
-                self.picked.push(t as u32);
+                cx.hold_pending(t);
+            } else {
+                cx.remove_member(t);
             }
-            cx.remove_member(t);
         }
-        // Preemptive picks stay queued (the engine progresses rather than
-        // starts them): they re-enter the index for the next epoch. Their
-        // queue entries are untouched, so seq/rem mirrors are still valid.
-        for i in 0..self.picked.len() {
-            let t = self.picked[i] as usize;
-            let (seq, rem) = (cx.m_seq[t], cx.m_rem[t]);
-            cx.insert_member(t, seq, rem);
+    }
+
+    /// A live window group dominating the group of window position `j`:
+    /// `prev`, then `hint` (each a live group or `NONE`), then the first
+    /// live front group that does; `NONE` if none does. Tried in that
+    /// order because neighbouring groups tend to dominate one another or
+    /// share a dominator, and a witness off the front is never orphaned
+    /// (only front groups are picked from, so only they die).
+    fn approx_witness(&self, j: usize, prev: u32, hint: u32) -> u32 {
+        let k = self.k;
+        let (dom_keys, erows) = (&self.approx_dom, &self.erows);
+        let beats = |i: usize| {
+            dominates(
+                dom_keys[i],
+                &erows[i * k..i * k + k],
+                dom_keys[j],
+                &erows[j * k..j * k + k],
+            )
+        };
+        if let Some(h) = [prev, hint]
+            .into_iter()
+            .find(|&h| h != NONE && beats(self.approx_live[h as usize] as usize))
+        {
+            return h;
         }
+        self.approx_front
+            .iter()
+            .find(|&&i| {
+                let fg = self.approx_group[i as usize] as usize;
+                self.approx_live[fg] != NONE && beats(i as usize)
+            })
+            .map_or(NONE, |&i| self.approx_group[i as usize])
     }
 
     /// Contested round, bounded-candidate approximation (`MQB-Approx`):
@@ -1234,8 +1340,8 @@ impl Mqb {
         // Large rung, where the queue is hundreds long but `cap + slots`
         // already covers a sixth of it). `to_bits` with the sign-fold
         // reproduces `f64::total_cmp` exactly, complemented for descending
-        // total descendant value; the arrival seq in the low bits breaks
-        // ties ascending, and is unique per queued entry, so the packed
+        // total descendant value; the snapshot index in the low bits breaks
+        // ties by arrival (a queue iterates in seq order), so the packed
         // order is bitwise the comparator's.
         let l = m.min(cap + slots - 1);
         self.approx_keys.clear();
@@ -1243,7 +1349,7 @@ impl Mqb {
             .extend(self.snap.iter().enumerate().map(|(qi, rt)| {
                 let b = self.d_total[rt.id.index()].to_bits();
                 let asc = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-                ((!asc as u128) << 64 | rt.seq as u128, qi as u32)
+                (!asc as u128) << 64 | qi as u128
             }));
         if l > 0 && l < m {
             self.approx_keys.select_nth_unstable(l - 1);
@@ -1251,15 +1357,18 @@ impl Mqb {
         self.approx_keys[..l].sort_unstable();
         self.approx_order.clear();
         self.approx_order
-            .extend(self.approx_keys[..l].iter().map(|&(_, qi)| qi));
+            .extend(self.approx_keys[..l].iter().map(|&key| key as u32));
+        let subtract_own = self.tuning.subtract_own_work;
         self.erows.clear();
+        self.approx_dom.clear();
         for oi in 0..l {
-            let row_start = self.snap[self.approx_order[oi] as usize].id.index() * k;
+            let rt = &self.snap[self.approx_order[oi] as usize];
+            let row_start = rt.id.index() * k;
             self.erows
                 .extend_from_slice(&self.d[row_start..row_start + k]);
+            let rem_key = if subtract_own { rt.remaining } else { 0 };
+            self.approx_dom.push((self.d_total[rt.id.index()], rem_key));
         }
-        let min_only = matches!(self.tuning.balance, BalanceMetric::MinOnly);
-        let subtract_own = self.tuning.subtract_own_work;
         // Window-local reconstruction of the exact index's pruning
         // structure (DESIGN.md §14), built once per α-round from the
         // state-free relations and consulted by every pick of the round.
@@ -1279,17 +1388,13 @@ impl Mqb {
         // state, with the strict `d_total` settling full ties before seq
         // — so its live head strictly beats every member of the dominated
         // group in every duel, for as long as the dominating group has an
-        // untaken member in the window. Checked against the running
-        // frontier (the undominated reps), which stays small on layered
-        // workloads.
+        // untaken member in the window. Each rep tries the previous rep,
+        // that one's witness, then the running frontier (the undominated
+        // reps, which stay few on layered workloads; `approx_witness`).
         self.approx_keys.clear();
         self.approx_keys.extend((0..l).map(|j| {
-            let rt = &self.snap[self.approx_order[j] as usize];
-            let rem_key = if subtract_own { rt.remaining } else { 0 };
-            (
-                ((self.row_class[rt.id.index()] as u128) << 64) | rem_key as u128,
-                j as u32,
-            )
+            let t = self.snap[self.approx_order[j] as usize].id.index();
+            (self.row_class[t] as u128) << 96 | (self.approx_dom[j].1 as u128) << 32 | j as u128
         }));
         self.approx_keys.sort_unstable();
         self.approx_group.clear();
@@ -1297,17 +1402,15 @@ impl Mqb {
         self.approx_next.clear();
         self.approx_next.resize(l, NONE);
         self.approx_live.clear();
-        self.approx_gdom.clear();
         let mut cur = NONE;
         for i in 0..l {
-            let pos = self.approx_keys[i].1 as usize;
-            if i > 0 && self.approx_keys[i].0 == self.approx_keys[i - 1].0 {
+            let pos = self.approx_keys[i] as u32 as usize;
+            if i > 0 && self.approx_keys[i] >> 32 == self.approx_keys[i - 1] >> 32 {
                 // Members of a run sort pos-ascending, i.e. seq-ascending.
-                self.approx_next[self.approx_keys[i - 1].1 as usize] = pos as u32;
+                self.approx_next[self.approx_keys[i - 1] as u32 as usize] = pos as u32;
             } else {
                 cur = self.approx_live.len() as u32;
                 self.approx_live.push(pos as u32);
-                self.approx_gdom.push(NONE);
             }
             self.approx_group[pos] = cur;
         }
@@ -1317,36 +1420,21 @@ impl Mqb {
         self.approx_kid_next.clear();
         self.approx_kid_next.resize(num_groups, NONE);
         self.approx_front.clear();
+        let (mut prev, mut hint) = (NONE, NONE);
         for j in 0..l {
             let g = self.approx_group[j] as usize;
             if self.approx_live[g] as usize != j {
                 continue; // not its group's rep
             }
-            let rtj = &self.snap[self.approx_order[j] as usize];
-            let dtj = self.d_total[rtj.id.index()];
-            let ej = &self.erows[j * k..j * k + k];
-            let mut dom = NONE;
-            for &i in &self.approx_front {
-                let rti = &self.snap[self.approx_order[i as usize] as usize];
-                if subtract_own && rti.remaining > rtj.remaining {
-                    continue;
-                }
-                if self.d_total[rti.id.index()] <= dtj {
-                    continue;
-                }
-                let ei = &self.erows[i as usize * k..i as usize * k + k];
-                if ei.iter().zip(ej).all(|(x, y)| x >= y) {
-                    dom = self.approx_group[i as usize];
-                    break;
-                }
-            }
+            let dom = self.approx_witness(j, prev, hint);
             if dom == NONE {
                 self.approx_front.push(j as u32);
             } else {
-                self.approx_gdom[g] = dom;
+                hint = dom;
                 self.approx_kid_next[g] = self.approx_kid_head[dom as usize];
                 self.approx_kid_head[dom as usize] = g as u32;
             }
+            prev = g as u32;
         }
         self.row.clear();
         self.row.resize(k, 0.0);
@@ -1387,7 +1475,6 @@ impl Mqb {
                 &mut self.best_row,
                 &mut self.cand_sorted,
                 &mut self.best_sorted,
-                min_only,
             );
             let mut best_oi = 0usize;
             // The front is compacted in place as it is walked: a group
@@ -1416,6 +1503,20 @@ impl Mqb {
                 // Rows are mirrored in prefix (priority) order, not
                 // snapshot order.
                 let ebase = oi * k;
+                // A challenger whose value at the incumbent's most-starved
+                // type is already below the incumbent's minimum loses on
+                // the minimum, whatever the rest of its row: one division
+                // instead of K settles most duels.
+                if duel.best != NONE {
+                    let b = duel.best_type;
+                    let mut load = self.working[b] + self.erows[ebase + b];
+                    if b == alpha && subtract_own {
+                        load -= rt.remaining as f64;
+                    }
+                    if (load / procs[b] as f64).total_cmp(&duel.best_min).is_lt() {
+                        continue;
+                    }
+                }
                 for (beta, &p) in procs.iter().enumerate() {
                     let mut load = self.working[beta] + self.erows[ebase + beta];
                     if beta == alpha && subtract_own {
@@ -1452,13 +1553,15 @@ impl Mqb {
                 // The group is exhausted: re-home its dominated children
                 // now (the exact index re-parents orphans on group death
                 // the same way). Each child hunts for a live replacement
-                // witness on the front, and joins the front itself when
-                // no live front group dominates it — from the next pick
-                // on its live head duels like any other front head. A
-                // child that exhausted while beaten passes its own
-                // children up instead (defensive; beaten groups are
-                // never picked from, so it shouldn't occur).
+                // witness (`approx_witness`) and joins the front itself
+                // when no live group dominates it: from the next pick on
+                // its live head duels like any other front head. Any live
+                // witness will do — its members all rank earlier — so
+                // which one a child gets never matters to a pick. A child
+                // that exhausted while beaten passes its own children up
+                // instead (defensive; it shouldn't occur).
                 self.approx_orphans.clear();
+                let (mut prev, mut hint) = (NONE, NONE);
                 let mut kid = self.approx_kid_head[bg];
                 self.approx_kid_head[bg] = NONE;
                 while kid != NONE {
@@ -1478,35 +1581,15 @@ impl Mqb {
                         continue;
                     }
                     let oj = self.approx_live[g] as usize;
-                    let rtj = self.snap[self.approx_order[oj] as usize];
-                    let dtj = self.d_total[rtj.id.index()];
-                    let ej = &self.erows[oj * k..oj * k + k];
-                    let mut dom = NONE;
-                    for &i in &self.approx_front {
-                        let fg = self.approx_group[i as usize] as usize;
-                        if self.approx_live[fg] == NONE {
-                            continue;
-                        }
-                        let rti = &self.snap[self.approx_order[i as usize] as usize];
-                        if subtract_own && rti.remaining > rtj.remaining {
-                            continue;
-                        }
-                        if self.d_total[rti.id.index()] <= dtj {
-                            continue;
-                        }
-                        let ei = &self.erows[i as usize * k..i as usize * k + k];
-                        if ei.iter().zip(ej).all(|(x, y)| x >= y) {
-                            dom = fg as u32;
-                            break;
-                        }
-                    }
-                    self.approx_gdom[g] = dom;
+                    let dom = self.approx_witness(oj, prev, hint);
                     if dom == NONE {
                         self.approx_front.push(oj as u32);
                     } else {
+                        hint = dom;
                         self.approx_kid_next[g] = self.approx_kid_head[dom as usize];
                         self.approx_kid_head[dom as usize] = gi;
                     }
+                    prev = gi;
                 }
             }
             let rt = self.snap[bqi];
@@ -1622,13 +1705,12 @@ impl Policy for Mqb {
         self.best_row.clear();
         self.cand_sorted.clear();
         self.best_sorted.clear();
-        self.picked.clear();
         self.approx_order.clear();
         self.approx_keys.clear();
         self.approx_group.clear();
         self.approx_next.clear();
         self.approx_live.clear();
-        self.approx_gdom.clear();
+        self.approx_dom.clear();
         self.approx_front.clear();
         self.approx_taken_pos.clear();
         self.approx_kid_head.clear();
@@ -1662,13 +1744,12 @@ impl Policy for Mqb {
         for ix in &mut self.idx {
             ix.clear();
         }
-        self.picked.clear();
         self.approx_order.clear();
         self.approx_keys.clear();
         self.approx_group.clear();
         self.approx_next.clear();
         self.approx_live.clear();
-        self.approx_gdom.clear();
+        self.approx_dom.clear();
         self.approx_front.clear();
         self.approx_taken_pos.clear();
         self.approx_kid_head.clear();

@@ -60,6 +60,41 @@ fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = 
     })
 }
 
+/// Wide random K-DAGs: 400–700 tasks, about two thirds of them roots (a
+/// non-root draws one to three earlier parents). The initial ready queues
+/// sit far above the flat/indexed crossover (64), so — unlike the small
+/// DAGs above — every run drives the dominance index, over random rows
+/// rather than `wide_instance`'s fixed pattern.
+fn arb_wide_kdag(k: usize, max_work: u64) -> impl Strategy<Value = KDag> {
+    (400usize..=700).prop_flat_map(move |n| {
+        let types = proptest::collection::vec(0..k, n);
+        let works = proptest::collection::vec(1..=max_work, n);
+        let parents =
+            proptest::collection::vec((0u8..3, proptest::collection::vec(any::<u32>(), 1..=3)), n);
+        (types, works, parents).prop_map(move |(types, works, parents)| {
+            let mut b = KDagBuilder::new(k);
+            let ids: Vec<TaskId> = types
+                .iter()
+                .zip(&works)
+                .map(|(&t, &w)| b.add_task(t, w))
+                .collect();
+            let mut seen = std::collections::HashSet::new();
+            for (i, (root_draw, ps)) in parents.iter().enumerate().skip(1) {
+                if *root_draw != 0 {
+                    continue;
+                }
+                for &raw in ps {
+                    let p = (raw as usize) % i;
+                    if seen.insert((p, i)) {
+                        b.add_edge(ids[p], ids[i]).unwrap();
+                    }
+                }
+            }
+            b.build().expect("forward-edge graphs are acyclic")
+        })
+    })
+}
+
 fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
     proptest::collection::vec(1usize..4, k).prop_map(MachineConfig::new)
 }
@@ -174,6 +209,43 @@ proptest! {
             prop_assert_eq!(&fast.busy_time, &naive.busy_time);
             prop_assert_eq!(&fast.jobs, &naive.jobs,
                 "{:?} q={:?}: per-job records diverged", mode, quantum);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random wide DAGs through the indexed path: exact and perturbed
+    /// full lookahead and perturbed one-step lookahead, × three cadences,
+    /// against the naive oracle on the full trace — with the index
+    /// engaged on every run (strictly positive pruning).
+    #[test]
+    fn indexed_path_matches_naive_oracle_on_random_wide_dags(
+        dag in arb_wide_kdag(3, 6),
+        cfg in arb_config(3),
+        seed in 0u64..1000,
+    ) {
+        let infos = [
+            InfoModel::ALL_VARIANTS[0], // All+Pre
+            InfoModel::ALL_VARIANTS[1], // All+Exp
+            InfoModel::ALL_VARIANTS[4], // 1Step+Exp
+        ];
+        for info in infos {
+            for (mode, quantum) in CADENCES {
+                let out = run_pair(
+                    &dag, &cfg,
+                    &mut Mqb::new(info),
+                    &mut NaiveMqb::new(info, true),
+                    mode, quantum, seed,
+                );
+                let sel = out.stats.selection;
+                prop_assert!(
+                    sel.candidates_pruned > 0,
+                    "{} {:?} q={:?}: {} tasks never engaged the index (evaluated {})",
+                    info.label(), mode, quantum, dag.num_tasks(), sel.candidates_evaluated
+                );
+            }
         }
     }
 }
