@@ -308,13 +308,13 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
     use fhs_core::mqb::{InfoModel, Mqb, MqbTuning};
     use fhs_core::registry::DEFAULT_APPROX_CAP;
     use fhs_sim::MachineConfig;
-    use kdag::KDagBuilder;
+    use kdag::{KDagBuilder, TaskId};
 
     // A two-type instance whose type-0 ready queue starts ~3× above the
     // flat/indexed crossover (64), so the incremental dominance index —
-    // group slab, frontier, key map, journal cursors — is genuinely
-    // exercised, not just the flat scan. The second wave of type-1
-    // children keeps the journal replaying inserts mid-run.
+    // group slab, row slab, frontier and its mirrors, key map, journal
+    // cursors — is genuinely exercised, not just the flat scan. The second
+    // wave of type-1 children keeps the journal replaying inserts mid-run.
     let mut b = KDagBuilder::new(2);
     let mut roots = Vec::new();
     for i in 0..200u64 {
@@ -329,7 +329,37 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
             b.add_edge(roots[p2], t).unwrap();
         }
     }
-    let job = b.build().unwrap();
+    let wide = b.build().unwrap();
+    // Queues at or below the crossover at first (60 roots beside an
+    // eight-task chain), then a 200-wide type-0 fan-out at the chain's
+    // end: the index places its deferred groups mid-run, on the warm
+    // reruns too.
+    let mut b = KDagBuilder::new(2);
+    for i in 0..60u64 {
+        b.add_task(usize::from(i >= 40), 1 + (i * 7 + 3) % 5);
+    }
+    let mut prev = b.add_task(0, 2);
+    for i in 1..8u64 {
+        let t = b.add_task((i % 2) as usize, 1 + i % 3);
+        b.add_edge(prev, t).unwrap();
+        prev = t;
+    }
+    let fan: Vec<TaskId> = (0..200u64)
+        .map(|i| {
+            let t = b.add_task(0, 1 + (i * 7 + 3) % 5);
+            b.add_edge(prev, t).unwrap();
+            t
+        })
+        .collect();
+    for i in 0..90usize {
+        let t = b.add_task(1, 1 + (i as u64 * 5 + 1) % 4);
+        let (p1, p2) = (i % 200, (i * 3 + 1) % 200);
+        b.add_edge(fan[p1], t).unwrap();
+        if p2 != p1 {
+            b.add_edge(fan[p2], t).unwrap();
+        }
+    }
+    let chain_fanout = b.build().unwrap();
     let cfg = MachineConfig::new(vec![2, 2]);
 
     fhs_sim::instrument::register_alloc_probe(probe);
@@ -343,44 +373,92 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
             },
         ),
     ];
-    for (name, tuning) in variants {
-        for (mode, quantum) in [
-            (Mode::NonPreemptive, None),
-            (Mode::Preemptive, None),
-            (Mode::Preemptive, Some(1)),
-        ] {
-            let mut ws = Workspace::new();
-            let mut policy = Mqb::with_tuning(InfoModel::default(), tuning);
-            let mut opts = RunOptions::seeded(2);
-            opts.quantum = quantum;
-            let cold = engine::run_in(&mut ws, &job, &cfg, &mut policy, mode, &opts);
-            let sel = cold.stats.selection;
-            if tuning.max_candidates.is_none() {
-                assert!(
-                    sel.candidates_pruned > 0 && sel.cold_snapshots == 1,
-                    "{name} {mode:?} q={quantum:?}: indexed path never engaged \
-                     (pruned {}, rebuilds {})",
-                    sel.candidates_pruned,
-                    sel.cold_snapshots
-                );
-            } else {
-                assert!(
-                    sel.candidates_pruned > 0,
-                    "{name} {mode:?} q={quantum:?}: cap never bit on a 200-wide queue"
-                );
+    for (shape, job) in [("wide", &wide), ("chain-fanout", &chain_fanout)] {
+        for (name, tuning) in variants {
+            for (mode, quantum) in [
+                (Mode::NonPreemptive, None),
+                (Mode::Preemptive, None),
+                (Mode::Preemptive, Some(1)),
+            ] {
+                let mut ws = Workspace::new();
+                let mut policy = Mqb::with_tuning(InfoModel::default(), tuning);
+                let mut opts = RunOptions::seeded(2);
+                opts.quantum = quantum;
+                let cold = engine::run_in(&mut ws, job, &cfg, &mut policy, mode, &opts);
+                let sel = cold.stats.selection;
+                if tuning.max_candidates.is_none() {
+                    assert!(
+                        sel.candidates_pruned > 0 && sel.cold_snapshots == 1,
+                        "{shape} {name} {mode:?} q={quantum:?}: indexed path never \
+                         engaged (pruned {}, rebuilds {})",
+                        sel.candidates_pruned,
+                        sel.cold_snapshots
+                    );
+                } else {
+                    assert!(
+                        sel.candidates_pruned > 0,
+                        "{shape} {name} {mode:?} q={quantum:?}: cap never bit on a \
+                         200-wide queue"
+                    );
+                }
+                for rerun in 0..3 {
+                    let warm = engine::run_in(&mut ws, job, &cfg, &mut policy, mode, &opts);
+                    assert_eq!(
+                        warm.makespan, cold.makespan,
+                        "{shape} {name} {mode:?} q={quantum:?}"
+                    );
+                    assert_eq!(
+                        warm.stats.epoch_bytes, 0,
+                        "{shape} {name} {mode:?} q={quantum:?} rerun {rerun}: \
+                         incremental-state epoch loop allocated on a warm workspace",
+                    );
+                }
             }
-            for rerun in 0..3 {
-                let warm = engine::run_in(&mut ws, &job, &cfg, &mut policy, mode, &opts);
-                assert_eq!(
-                    warm.makespan, cold.makespan,
-                    "{name} {mode:?} q={quantum:?}"
-                );
-                assert_eq!(
-                    warm.stats.epoch_bytes, 0,
-                    "{name} {mode:?} q={quantum:?} rerun {rerun}: incremental-state \
-                     epoch loop allocated on a warm workspace",
-                );
-            }
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation accounting is asserted in --release (its own CI step)"
+)]
+fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
+    use fhs_core::mqb::{InfoModel, Mqb};
+    use fhs_sim::Policy;
+    use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+    use kdag::precompute::Artifacts;
+    use std::sync::Arc;
+
+    // The Large rung of `bench_gates`' scale ladder. One-step lookahead
+    // is not in the artifact bundle, so those three models recompute
+    // their matrix on every init: in place, from the retained buffer.
+    let (job, cfg) = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Large, 4).sample(2);
+    let artifacts = Arc::new(Artifacts::compute(&job));
+    for info in InfoModel::ALL_VARIANTS {
+        let mut policy = Mqb::new(info);
+        policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+        let cold: Vec<f64> = (0..job.num_tasks())
+            .flat_map(|i| policy.d_row(kdag::TaskId::from_index(i)).to_vec())
+            .collect();
+        for rerun in 0..3 {
+            let before = probe();
+            policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+            let bytes = probe() - before;
+            assert_eq!(
+                bytes,
+                0,
+                "warm {} init allocated {bytes} bytes on rerun {rerun}",
+                info.label()
+            );
+            let same = (0..job.num_tasks()).all(|i| {
+                let row = policy.d_row(kdag::TaskId::from_index(i));
+                let k = row.len();
+                row.iter()
+                    .zip(&cold[i * k..])
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            assert!(same, "{} rerun {rerun}: matrix changed", info.label());
         }
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! Guards, in order of what they'd catch:
 //!
-//! * **Wall clock**: each cold run must clear 10 s — measured ~0.33 s
-//!   (non-preemptive) on a shared CI core, while the pre-index quadratic
-//!   scan took ~11 s; a selection-layer regression toward O(m²) trips
-//!   this immediately.
+//! * **Wall clock**: each cold run must clear 10 s — measured ~0.3 s
+//!   in either mode (0.23–0.38 s) on a 2-vCPU Xeon VM, while
+//!   the pre-index quadratic scan took ~11 s; a selection-layer
+//!   regression toward O(m²) trips this immediately.
 //! * **Selection counters**: candidates evaluated and pruned and journal
 //!   diff events are pinned exactly, with one cold snapshot. The frontier
 //!   is exactly the Pareto set of the queued groups, so index maintenance
@@ -123,8 +123,9 @@ fn huge_exact_mqb_is_subsecond_pruned_and_warm_allocation_free() {
             sel.cold_snapshots,
         );
 
-        // Wall clock: ~0.33 s measured (non-preemptive); 10 s is CI
-        // headroom, the old quadratic scan's ~11 s cannot clear it.
+        // Wall clock: ~0.3 s measured (2-vCPU Xeon VM);
+        // 10 s is CI headroom, the old quadratic scan's ~11 s cannot
+        // clear it.
         assert!(
             cold_t < Duration::from_secs(10),
             "exact MQB {mode:?} took {cold_t:?} on Huge — selection scaling regression?"

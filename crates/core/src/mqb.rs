@@ -28,6 +28,7 @@
 //! exponentially-distributed vs noisy descendant estimates.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, ReadyTask, SelectionStats};
@@ -41,8 +42,8 @@ use crate::journal::{Cursor, JournalIndex};
 /// Sentinel for "no task / no group / not linked" in the index's u32 links.
 const NONE: u32 = u32::MAX;
 
-/// `m_group` sentinel for a preemptive pick waiting outside the index: it
-/// stays queued, and the next sync re-inserts it (DESIGN.md §14).
+/// `Member::group` sentinel for a preemptive pick waiting outside the
+/// index: it stays queued, and the next sync re-inserts it (DESIGN.md §14).
 const PENDING: u32 = u32::MAX - 1;
 
 /// Contested rounds with at most this many candidates use the flat full
@@ -50,7 +51,10 @@ const PENDING: u32 = u32::MAX - 1;
 /// streaming loop beats the index walk, and the small-queue regime is where
 /// almost all *jobs* (not picks) live. Above it the index path takes over.
 /// Both paths select bit-identical tasks (see DESIGN.md §14), so the
-/// crossover is purely a performance knob.
+/// crossover is purely a performance knob. It also gates the index's
+/// upkeep: a type's groups are placed in the dominance order only when a
+/// round on that type first exceeds it, so a job whose queues never do
+/// (Medium and below, typically) keeps membership alone.
 const INDEX_CROSSOVER: usize = 64;
 
 /// How much of the K-DAG's future MQB may look at (paper §V-G).
@@ -157,6 +161,36 @@ impl Default for MqbTuning {
     }
 }
 
+/// Multiplicative hasher for the index's `(class, rem_key)` map. The keys
+/// are integers the policy derives (a row-class id and a remaining work),
+/// the map is never iterated, and it is probed on every journal event, so
+/// SipHash's per-lookup cost bought nothing. FxHash's word mix (rotate,
+/// xor, multiply), with the well-mixed high product bits rotated down at
+/// `finish` for the table's bucket index. A job can steer the keys only
+/// through its work values; a collision costs probe time, never a pick.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// One candidate-equivalence group of the incremental index: all queued
 /// candidates of one type with a bitwise-identical descendant row
 /// (`class`) and the same dominance remaining-work key (`rem_key`). Such
@@ -164,7 +198,7 @@ impl Default for MqbTuning {
 /// state, so only the group's earliest-arrived member (`head`) can ever
 /// win a pick; groups, not members, are what the dominance frontier
 /// relates (DESIGN.md §14).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Group {
     /// The class's total descendant value, copied in at creation (the
     /// bits are identical for every member): `dominates` tests it and
@@ -173,18 +207,18 @@ struct Group {
     /// Remaining work when `subtract_own_work` is on, 0 otherwise (then
     /// the projected row doesn't depend on remaining work at all).
     rem_key: u64,
-    /// The class's representative task (`Mqb::class_rep`): its
-    /// descendant row is the class's row, and its `row_class` the class.
-    rep: u32,
+    /// The row class; the class's row sits in `TypeIndex::rows`.
+    class: u32,
     /// Earliest-arrived member (task index; `NONE` once the group is
     /// empty); the group's only possible winner.
     head: u32,
     /// Latest-arrived member: fast path for seq-ascending insertion.
     tail: u32,
     /// A live group whose key dominates this one (`NONE` when this group
-    /// is on the frontier). The witness's existence is what proves this
-    /// group can be pruned; it is *not* required to be on the frontier
-    /// itself — chains of witnesses end at a frontier group by induction.
+    /// is on the frontier or unplaced). The witness's existence is what
+    /// proves this group can be pruned; it is *not* required to be on the
+    /// frontier itself — chains of witnesses end at a frontier group by
+    /// induction.
     witness: u32,
     /// Intrusive list of groups this one witnesses.
     child_head: u32,
@@ -192,8 +226,50 @@ struct Group {
     sib_prev: u32,
     /// See `sib_prev`.
     sib_next: u32,
-    /// Position in `TypeIndex::frontier` (`NONE` when dominated).
+    /// Position in `TypeIndex::frontier` (`NONE` when dominated or
+    /// unplaced).
     frontier_pos: u32,
+}
+
+/// One frontier position: its group plus mirrors of the group fields that
+/// evaluation and dominance scans read, so a scan streams the frontier
+/// (and `TypeIndex::front_rows` beside it) instead of chasing the slab.
+/// `debug_assert_mirrors` checks every mirror against its group.
+#[derive(Clone, Copy, Debug)]
+struct Front {
+    d_total: f64,
+    rem_key: u64,
+    gid: u32,
+    head: u32,
+    head_seq: u32,
+}
+
+/// One task's index membership in a 24-byte record: owning group (`NONE`
+/// = not indexed, `PENDING` = a held preemptive pick), seq-ordered
+/// intrusive list links, and the queue entry's seq and remaining work
+/// (mirrors of the journal, so picks don't re-touch queues).
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    group: u32,
+    prev: u32,
+    next: u32,
+    seq: u32,
+    rem: u64,
+}
+
+impl Member {
+    const EMPTY: Member = Member {
+        group: NONE,
+        prev: NONE,
+        next: NONE,
+        seq: 0,
+        rem: 0,
+    };
+}
+
+/// A queue entry's seq in the member record's 32 bits.
+fn seq32(seq: u64) -> u32 {
+    u32::try_from(seq).expect("a run releases fewer than 2^32 tasks")
 }
 
 /// Per-type incremental selection index: the groups of one ready queue and
@@ -204,40 +280,54 @@ struct Group {
 struct TypeIndex {
     /// Group slab; freed ids are recycled through `free`.
     groups: Vec<Group>,
+    /// Each group's descendant row (`gid × K`), copied from its class
+    /// representative at creation: dominance tests read this slab instead
+    /// of the task-indexed matrix.
+    rows: Vec<f64>,
     /// Free list into `groups`.
     free: Vec<u32>,
     /// Groups with no witness — the only groups whose heads a pick must
-    /// evaluate. Exactly the Pareto set of the indexed groups: a newcomer
+    /// evaluate. Exactly the Pareto set of the placed groups: a newcomer
     /// that dominates frontier groups demotes them at once, so no frontier
     /// group dominates another (DESIGN.md §14).
-    frontier: Vec<u32>,
-    /// `(class, rem_key)` → group id. Never iterated, so the std
-    /// HashMap's nondeterministic order can't leak into selection.
-    map: HashMap<(u32, u64), u32>,
+    frontier: Vec<Front>,
+    /// The frontier groups' rows, parallel to `frontier` (`position × K`).
+    front_rows: Vec<f64>,
+    /// `(class, rem_key)` → group id. Never iterated.
+    map: HashMap<(u32, u64), u32, BuildHasherDefault<KeyHasher>>,
     /// Most groups `map` ever held at once; kept through `clear`, like the
     /// table's capacity.
     map_peak: usize,
     /// Live member (queued candidate) count across all groups.
     live: usize,
     /// This type's last preemptive picks, in pick order: still queued, they
-    /// wait outside the groups (`m_group == PENDING`) until the next sync
+    /// wait outside the groups (`group == PENDING`) until the next sync
     /// re-inserts them once with their progressed remaining work. Entries
     /// whose task left the queue meanwhile are skipped.
     pending: Vec<u32>,
     /// Entries of `pending` still queued. `live + pending_live` is checked
     /// against the queue length as a rebuild trigger for hand-built views.
     pending_live: usize,
+    /// Whether the groups are placed in the dominance order. Until a round
+    /// on this type first exceeds [`INDEX_CROSSOVER`], the index tracks
+    /// membership only — every live group is unplaced, off the frontier
+    /// and witness-free — because the flat scan never reads the frontier;
+    /// `place_deferred` then places them all at once.
+    placed: bool,
 }
 
 impl TypeIndex {
     fn clear(&mut self) {
         self.groups.clear();
+        self.rows.clear();
         self.free.clear();
         self.frontier.clear();
+        self.front_rows.clear();
         self.map.clear();
         self.live = 0;
         self.pending.clear();
         self.pending_live = 0;
+        self.placed = false;
     }
 }
 
@@ -249,8 +339,8 @@ fn dominates(f: (f64, u64), row_f: &[f64], g: (f64, u64), row_g: &[f64]) -> bool
 }
 
 /// Split-borrow view over one type's index plus the policy-wide member
-/// arrays and (immutable) descendant tables: the index operations need all
-/// of these at once while `Mqb::assign` concurrently mutates disjoint
+/// records and (immutable) descendant tables: the index operations need
+/// all of these at once while `Mqb::assign` concurrently mutates disjoint
 /// scratch fields (`working`, `row`, …).
 struct IndexCtx<'a> {
     k: usize,
@@ -260,14 +350,17 @@ struct IndexCtx<'a> {
     row_class: &'a [u32],
     class_rep: &'a [u32],
     ix: &'a mut TypeIndex,
-    m_group: &'a mut [u32],
-    m_prev: &'a mut [u32],
-    m_next: &'a mut [u32],
-    m_seq: &'a mut [u64],
-    m_rem: &'a mut [u64],
+    members: &'a mut [Member],
 }
 
 impl IndexCtx<'_> {
+    /// Group `gid`'s key and row, read from the slab.
+    fn key_row(&self, gid: u32) -> ((f64, u64), &[f64]) {
+        let g = &self.ix.groups[gid as usize];
+        let r = gid as usize * self.k;
+        ((g.d_total, g.rem_key), &self.ix.rows[r..r + self.k])
+    }
+
     /// `true` iff group `f`'s key dominates group `g`'s: every descendant-
     /// row entry at least as large, remaining-work key no larger, and total
     /// descendant value **strictly** larger. Because IEEE add/subtract/
@@ -279,14 +372,8 @@ impl IndexCtx<'_> {
     /// member-free: a domination, once established, holds for the groups'
     /// whole lifetime.
     fn dominates(&self, f: u32, g: u32) -> bool {
-        let (gf, gg) = (&self.ix.groups[f as usize], &self.ix.groups[g as usize]);
-        let (rf, rg) = (gf.rep as usize * self.k, gg.rep as usize * self.k);
-        dominates(
-            (gf.d_total, gf.rem_key),
-            &self.d[rf..rf + self.k],
-            (gg.d_total, gg.rem_key),
-            &self.d[rg..rg + self.k],
-        )
+        let ((kf, rf), (kg, rg)) = (self.key_row(f), self.key_row(g));
+        dominates(kf, rf, kg, rg)
     }
 
     /// Debug check after each placement batch: the frontier is an
@@ -294,13 +381,47 @@ impl IndexCtx<'_> {
     /// surviving frontier in its demotion sweep (`remove_group`).
     fn debug_assert_antichain(&self) {
         if cfg!(debug_assertions) {
-            for &f in &self.ix.frontier {
-                for &g in &self.ix.frontier {
+            for f in &self.ix.frontier {
+                for g in &self.ix.frontier {
                     debug_assert!(
-                        f == g || !self.dominates(f, g),
-                        "frontier group {f} dominates frontier group {g}"
+                        f.gid == g.gid || !self.dominates(f.gid, g.gid),
+                        "frontier group {} dominates frontier group {}",
+                        f.gid,
+                        g.gid
                     );
                 }
+            }
+        }
+    }
+
+    /// Debug check beside `debug_assert_antichain` and before each indexed
+    /// pick: every frontier position's mirrored key, row, head and head
+    /// seq equal its group's, and the group knows its position.
+    fn debug_assert_mirrors(&self) {
+        if cfg!(debug_assertions) {
+            let ix = &*self.ix;
+            debug_assert_eq!(ix.front_rows.len(), ix.frontier.len() * self.k);
+            for (pos, (f, frow)) in ix
+                .frontier
+                .iter()
+                .zip(ix.front_rows.chunks(self.k))
+                .enumerate()
+            {
+                let g = &ix.groups[f.gid as usize];
+                let ((d_total, rem_key), row) = self.key_row(f.gid);
+                debug_assert_eq!(g.frontier_pos, pos as u32, "group {}", f.gid);
+                debug_assert_eq!(
+                    (f.d_total.to_bits(), f.rem_key, f.head),
+                    (d_total.to_bits(), rem_key, g.head),
+                    "frontier position {pos}: key or head mirror is stale"
+                );
+                debug_assert_eq!(f.head_seq, self.members[g.head as usize].seq);
+                debug_assert!(
+                    frow.iter()
+                        .zip(row)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "frontier position {pos}: row mirror is stale"
+                );
             }
         }
     }
@@ -310,14 +431,15 @@ impl IndexCtx<'_> {
             Some(g) => g,
             None => {
                 self.ix.groups.push(Group::default());
+                self.ix.rows.resize(self.ix.groups.len() * self.k, 0.0);
                 (self.ix.groups.len() - 1) as u32
             }
         };
-        let rep = self.class_rep[class as usize];
+        let rep = self.class_rep[class as usize] as usize;
         self.ix.groups[gid as usize] = Group {
-            d_total: self.d_total[rep as usize],
+            d_total: self.d_total[rep],
             rem_key,
-            rep,
+            class,
             head: NONE,
             tail: NONE,
             witness: NONE,
@@ -326,6 +448,8 @@ impl IndexCtx<'_> {
             sib_next: NONE,
             frontier_pos: NONE,
         };
+        let (k, r) = (self.k, gid as usize * self.k);
+        self.ix.rows[r..r + k].copy_from_slice(&self.d[rep * k..rep * k + k]);
         // Size the table by the live-group high-watermark, never by
         // `capacity()` (which tombstones shrink, so growth would depend on
         // the churn pattern): at each new peak, room for twice the peak.
@@ -341,72 +465,90 @@ impl IndexCtx<'_> {
         gid
     }
 
-    /// Inserts queued candidate `t` into its group (creating and placing
-    /// the group if its key is new), keeping the member list seq-ordered.
-    fn insert_member(&mut self, t: usize, seq: u64, rem: u64) {
-        debug_assert_eq!(self.m_group[t], NONE, "task {t} inserted twice");
-        self.m_seq[t] = seq;
-        self.m_rem[t] = rem;
+    /// Makes task `t` (or `NONE`) group `gid`'s head, mirrored into the
+    /// group's frontier position if it has one.
+    fn set_head(&mut self, gid: u32, t: u32) {
+        let g = &mut self.ix.groups[gid as usize];
+        g.head = t;
+        if g.frontier_pos != NONE && t != NONE {
+            let f = &mut self.ix.frontier[g.frontier_pos as usize];
+            f.head = t;
+            f.head_seq = self.members[t as usize].seq;
+        }
+    }
+
+    /// Inserts queued candidate `t` into its group (creating the group if
+    /// its key is new, and placing it once the type is placed), keeping
+    /// the member list seq-ordered.
+    fn insert_member(&mut self, t: usize, seq: u32, rem: u64) {
+        debug_assert_eq!(self.members[t].group, NONE, "task {t} inserted twice");
         let class = self.row_class[t];
         let rem_key = if self.subtract_own { rem } else { 0 };
         let (gid, fresh) = match self.ix.map.get(&(class, rem_key)) {
             Some(&g) => (g, false),
             None => (self.new_group(class, rem_key), true),
         };
-        let g = &self.ix.groups[gid as usize];
-        if g.head == NONE {
-            self.ix.groups[gid as usize].head = t as u32;
+        let Group { head, tail, .. } = self.ix.groups[gid as usize];
+        let (prev, next) = if head == NONE {
             self.ix.groups[gid as usize].tail = t as u32;
-            self.m_prev[t] = NONE;
-            self.m_next[t] = NONE;
-        } else if seq >= self.m_seq[g.tail as usize] {
+            (NONE, NONE)
+        } else if seq >= self.members[tail as usize].seq {
             // Releases and rebuilds arrive seq-ascending: tail append.
-            let tail = g.tail as usize;
-            self.m_prev[t] = tail as u32;
-            self.m_next[t] = NONE;
-            self.m_next[tail] = t as u32;
+            self.members[tail as usize].next = t as u32;
             self.ix.groups[gid as usize].tail = t as u32;
+            (tail, NONE)
         } else {
             // Re-insertion of a pending pick (or a regrouped update):
             // walk to the first member arriving after us.
-            let mut c = g.head as usize;
-            while self.m_seq[c] < seq {
-                c = self.m_next[c] as usize;
+            let mut c = head as usize;
+            while self.members[c].seq < seq {
+                c = self.members[c].next as usize;
             }
-            let p = self.m_prev[c];
-            self.m_prev[t] = p;
-            self.m_next[t] = c as u32;
-            self.m_prev[c] = t as u32;
-            if p == NONE {
-                self.ix.groups[gid as usize].head = t as u32;
-            } else {
-                self.m_next[p as usize] = t as u32;
+            let p = self.members[c].prev;
+            self.members[c].prev = t as u32;
+            if p != NONE {
+                self.members[p as usize].next = t as u32;
             }
+            (p, c as u32)
+        };
+        self.members[t] = Member {
+            group: gid,
+            prev,
+            next,
+            seq,
+            rem,
+        };
+        if prev == NONE {
+            self.set_head(gid, t as u32);
         }
-        self.m_group[t] = gid;
         self.ix.live += 1;
-        if fresh {
+        if fresh && self.ix.placed {
             self.place_group(gid, NONE, 0);
             self.debug_assert_antichain();
+            self.debug_assert_mirrors();
         }
     }
 
     /// Removes queued candidate `t` from its group; a group left empty
     /// dies (and its witnessed children are re-homed).
     fn remove_member(&mut self, t: usize) {
-        let gid = self.m_group[t];
-        debug_assert_ne!(gid, NONE, "task {t} not in the index");
-        self.m_group[t] = NONE;
-        let (p, n) = (self.m_prev[t], self.m_next[t]);
+        let Member {
+            group: gid,
+            prev: p,
+            next: n,
+            ..
+        } = self.members[t];
+        debug_assert!(gid != NONE && gid != PENDING, "task {t} not in a group");
+        self.members[t].group = NONE;
         if p == NONE {
-            self.ix.groups[gid as usize].head = n;
+            self.set_head(gid, n);
         } else {
-            self.m_next[p as usize] = n;
+            self.members[p as usize].next = n;
         }
         if n == NONE {
             self.ix.groups[gid as usize].tail = p;
         } else {
-            self.m_prev[n as usize] = p;
+            self.members[n as usize].prev = p;
         }
         self.ix.live -= 1;
         if self.ix.groups[gid as usize].head == NONE {
@@ -448,12 +590,32 @@ impl IndexCtx<'_> {
         gc.sib_next = NONE;
     }
 
+    fn frontier_push(&mut self, gid: u32) {
+        let g = &mut self.ix.groups[gid as usize];
+        g.frontier_pos = self.ix.frontier.len() as u32;
+        self.ix.frontier.push(Front {
+            d_total: g.d_total,
+            rem_key: g.rem_key,
+            gid,
+            head: g.head,
+            head_seq: self.members[g.head as usize].seq,
+        });
+        let r = gid as usize * self.k;
+        self.ix
+            .front_rows
+            .extend_from_slice(&self.ix.rows[r..r + self.k]);
+    }
+
     fn frontier_swap_remove(&mut self, pos: usize) {
-        self.ix.frontier.swap_remove(pos);
-        if pos < self.ix.frontier.len() {
-            let moved = self.ix.frontier[pos];
-            self.ix.groups[moved as usize].frontier_pos = pos as u32;
+        let k = self.k;
+        let ix = &mut *self.ix;
+        ix.frontier.swap_remove(pos);
+        let last = ix.frontier.len();
+        if pos < last {
+            ix.groups[ix.frontier[pos].gid as usize].frontier_pos = pos as u32;
+            ix.front_rows.copy_within(last * k..last * k + k, pos * k);
         }
+        ix.front_rows.truncate(last * k);
     }
 
     /// Places a detached group: under `hint` (a live group, or `NONE`) if
@@ -462,7 +624,8 @@ impl IndexCtx<'_> {
     /// `sweep_from` on that the newcomer dominates (they keep their own
     /// children; a demoted group's witness chain stays valid because every
     /// witness stays live). Returns the new witness, `NONE` when the group
-    /// joined the frontier.
+    /// joined the frontier. Both frontier scans stream `frontier` and
+    /// `front_rows`; only the newcomer's key and row come from the slab.
     fn place_group(&mut self, gid: u32, hint: u32, sweep_from: usize) -> u32 {
         // Transitivity: dominated by a witness means `gid` cannot dominate
         // anything the witness doesn't already — no sweep needed.
@@ -470,21 +633,31 @@ impl IndexCtx<'_> {
             self.attach_child(hint, gid);
             return hint;
         }
-        for pos in 0..self.ix.frontier.len() {
-            let f = self.ix.frontier[pos];
-            if self.dominates(f, gid) {
-                self.attach_child(f, gid);
-                return f;
-            }
+        let dominator = {
+            let (key, row) = self.key_row(gid);
+            let ix = &*self.ix;
+            ix.frontier
+                .iter()
+                .zip(ix.front_rows.chunks_exact(self.k))
+                .find(|(f, frow)| dominates((f.d_total, f.rem_key), frow, key, row))
+                .map(|(f, _)| f.gid)
+        };
+        if let Some(f) = dominator {
+            self.attach_child(f, gid);
+            return f;
         }
-        self.ix.groups[gid as usize].frontier_pos = self.ix.frontier.len() as u32;
-        self.ix.frontier.push(gid);
+        self.frontier_push(gid);
         let mut i = sweep_from;
         while i < self.ix.frontier.len() {
             let f = self.ix.frontier[i];
-            if f != gid && self.dominates(gid, f) {
+            let beaten = f.gid != gid && {
+                let (key, row) = self.key_row(gid);
+                let frow = &self.ix.front_rows[i * self.k..(i + 1) * self.k];
+                dominates(key, row, (f.d_total, f.rem_key), frow)
+            };
+            if beaten {
                 self.frontier_swap_remove(i);
-                self.attach_child(gid, f);
+                self.attach_child(gid, f.gid);
             } else {
                 i += 1;
             }
@@ -492,10 +665,26 @@ impl IndexCtx<'_> {
         NONE
     }
 
+    /// Places every live group of a type whose rounds have not needed the
+    /// index so far, in slab order, each with a full frontier scan and
+    /// sweep. The frontier is the Pareto set of the placed groups whatever
+    /// the placement order, so deferring placement changes no pick and no
+    /// counter.
+    fn place_deferred(&mut self) {
+        self.ix.placed = true;
+        for gid in 0..self.ix.groups.len() as u32 {
+            if self.ix.groups[gid as usize].head != NONE {
+                self.place_group(gid, NONE, 0);
+            }
+        }
+        self.debug_assert_antichain();
+        self.debug_assert_mirrors();
+    }
+
     /// Retires an empty group. Frontier death re-places each witnessed
     /// child; interior death splices the children to the dead group's own
     /// witness (valid by transitivity through the dead group's frozen
-    /// keys).
+    /// keys); an unplaced group has neither witness nor children.
     ///
     /// Re-placing the orphans of a frontier group `g` is cheaper than a
     /// fresh placement twice over. The frontier is an antichain, and an
@@ -508,11 +697,14 @@ impl IndexCtx<'_> {
     /// orphan off the dead-frontier path next time: when an interior
     /// witness dies, its children are spliced, not re-placed.
     fn remove_group(&mut self, gid: u32) {
-        let (class, rem_key, fpos, witness, mut c) = {
-            let g = &self.ix.groups[gid as usize];
-            let class = self.row_class[g.rep as usize];
-            (class, g.rem_key, g.frontier_pos, g.witness, g.child_head)
-        };
+        let Group {
+            class,
+            rem_key,
+            frontier_pos: fpos,
+            witness,
+            child_head: mut c,
+            ..
+        } = self.ix.groups[gid as usize];
         self.ix.map.remove(&(class, rem_key));
         if fpos != NONE {
             self.frontier_swap_remove(fpos as usize);
@@ -539,13 +731,19 @@ impl IndexCtx<'_> {
                 c = next;
             }
             self.debug_assert_antichain();
-        } else {
+            self.debug_assert_mirrors();
+        } else if witness != NONE {
             self.detach_child(gid);
             while c != NONE {
                 let next = self.ix.groups[c as usize].sib_next;
                 self.attach_child(witness, c);
                 c = next;
             }
+        } else {
+            debug_assert!(
+                !self.ix.placed && c == NONE,
+                "placed group {gid} off the order"
+            );
         }
         self.ix.groups[gid as usize].child_head = NONE;
         self.ix.free.push(gid);
@@ -556,7 +754,7 @@ impl IndexCtx<'_> {
     /// remaining work can change (or it completes).
     fn hold_pending(&mut self, t: usize) {
         self.remove_member(t);
-        self.m_group[t] = PENDING;
+        self.members[t].group = PENDING;
         self.ix.pending.push(t as u32);
         self.ix.pending_live += 1;
     }
@@ -566,9 +764,10 @@ impl IndexCtx<'_> {
     fn reinsert_pending(&mut self) {
         for i in 0..self.ix.pending.len() {
             let t = self.ix.pending[i] as usize;
-            if self.m_group[t] == PENDING {
-                self.m_group[t] = NONE;
-                self.insert_member(t, self.m_seq[t], self.m_rem[t]);
+            let m = self.members[t];
+            if m.group == PENDING {
+                self.members[t].group = NONE;
+                self.insert_member(t, m.seq, m.rem);
             }
         }
         self.ix.pending.clear();
@@ -580,16 +779,16 @@ impl JournalIndex for IndexCtx<'_> {
     fn contains(&self, t: usize) -> bool {
         // Non-preemptive picks on the indexed path remove their member
         // ahead of the journal's `Removed`; pending picks are held.
-        self.m_group[t] != NONE
+        self.members[t].group != NONE
     }
 
     fn insert(&mut self, rt: ReadyTask) {
-        self.insert_member(rt.id.index(), rt.seq, rt.remaining);
+        self.insert_member(rt.id.index(), seq32(rt.seq), rt.remaining);
     }
 
     fn remove(&mut self, t: usize) {
-        if self.m_group[t] == PENDING {
-            self.m_group[t] = NONE;
+        if self.members[t].group == PENDING {
+            self.members[t].group = NONE;
             self.ix.pending_live -= 1;
         } else {
             self.remove_member(t);
@@ -597,17 +796,16 @@ impl JournalIndex for IndexCtx<'_> {
     }
 
     fn update(&mut self, t: usize, remaining: u64) {
-        if self.m_group[t] == PENDING {
-            // Regrouped once, when the sync re-inserts it.
-            self.m_rem[t] = remaining;
-        } else if self.subtract_own {
+        let m = self.members[t];
+        if m.group != PENDING && self.subtract_own {
             // Remaining work is part of the group key: regroup under the
             // new value.
-            let seq = self.m_seq[t];
             self.remove_member(t);
-            self.insert_member(t, seq, remaining);
+            self.insert_member(t, m.seq, remaining);
         } else {
-            self.m_rem[t] = remaining;
+            // A pending pick is regrouped once, when the sync re-inserts
+            // it; without own-work subtraction the key ignores remaining.
+            self.members[t].rem = remaining;
         }
     }
 
@@ -655,14 +853,8 @@ pub struct Mqb {
     class_scratch: Vec<u32>,
     /// Per-type index over the queued candidates.
     idx: Vec<TypeIndex>,
-    /// Member state, task-indexed: owning group (`NONE` = not queued),
-    /// seq-ordered intrusive list links, and the queue entry's seq /
-    /// remaining (mirrors of the journal, so picks don't re-touch queues).
-    m_group: Vec<u32>,
-    m_prev: Vec<u32>,
-    m_next: Vec<u32>,
-    m_seq: Vec<u64>,
-    m_rem: Vec<u64>,
+    /// Member records, task-indexed.
+    members: Vec<Member>,
     /// Per-type journal cursor — how far into each queue's change-journal
     /// the index has replayed.
     cursor: Vec<Cursor>,
@@ -697,9 +889,6 @@ pub struct Mqb {
     /// The frontier's window positions (one member per group) — the only
     /// groups a new or orphaned group must be checked against.
     approx_front: Vec<u32>,
-    /// Window positions taken so far this round, kept sorted; each pick
-    /// derives the scan horizon (the `cap`-th untaken position) from it.
-    approx_taken_pos: Vec<u32>,
     /// Head of each group's dominated-children list (`NONE` when none):
     /// the groups holding this one as their dominance witness, re-homed
     /// in O(children) when the witness group exhausts.
@@ -745,11 +934,7 @@ impl Mqb {
             class_rep: Vec::new(),
             class_scratch: Vec::new(),
             idx: Vec::new(),
-            m_group: Vec::new(),
-            m_prev: Vec::new(),
-            m_next: Vec::new(),
-            m_seq: Vec::new(),
-            m_rem: Vec::new(),
+            members: Vec::new(),
             cursor: Vec::new(),
             need_rebuild: true,
             sel: SelectionStats::default(),
@@ -760,7 +945,6 @@ impl Mqb {
             approx_live: Vec::new(),
             approx_dom: Vec::new(),
             approx_front: Vec::new(),
-            approx_taken_pos: Vec::new(),
             approx_kid_head: Vec::new(),
             approx_kid_next: Vec::new(),
             approx_orphans: Vec::new(),
@@ -890,11 +1074,7 @@ impl Mqb {
                     row_class: &self.row_class,
                     class_rep: &self.class_rep,
                     ix: &mut self.idx[alpha],
-                    m_group: &mut self.m_group,
-                    m_prev: &mut self.m_prev,
-                    m_next: &mut self.m_next,
-                    m_seq: &mut self.m_seq,
-                    m_rem: &mut self.m_rem,
+                    members: &mut self.members,
                 };
                 accounted &= self.cursor[alpha].replay(
                     &view.queues[alpha],
@@ -921,16 +1101,8 @@ impl Mqb {
         self.sel.cold_snapshots += 1;
         let k = self.k;
         let n = view.job.num_tasks();
-        self.m_group.clear();
-        self.m_group.resize(n, NONE);
-        self.m_prev.clear();
-        self.m_prev.resize(n, NONE);
-        self.m_next.clear();
-        self.m_next.resize(n, NONE);
-        self.m_seq.clear();
-        self.m_seq.resize(n, 0);
-        self.m_rem.clear();
-        self.m_rem.resize(n, 0);
+        self.members.clear();
+        self.members.resize(n, Member::EMPTY);
         for ix in &mut self.idx {
             ix.clear();
         }
@@ -953,14 +1125,10 @@ impl Mqb {
                     row_class: &self.row_class,
                     class_rep: &self.class_rep,
                     ix: &mut self.idx[alpha],
-                    m_group: &mut self.m_group,
-                    m_prev: &mut self.m_prev,
-                    m_next: &mut self.m_next,
-                    m_seq: &mut self.m_seq,
-                    m_rem: &mut self.m_rem,
+                    members: &mut self.members,
                 };
                 for rt in q.iter() {
-                    cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
+                    cx.insert_member(rt.id.index(), seq32(rt.seq), rt.remaining);
                 }
             }
             self.cursor[alpha].seek_end(q);
@@ -1090,10 +1258,12 @@ impl<'a> Duel<'a> {
 }
 
 /// One-step descendant values: type-`α` work of immediate children only,
-/// split across their parents.
-fn one_step_descendants(job: &KDag) -> Vec<f64> {
+/// split across their parents. Fills `d` in place, so a warm re-init
+/// reuses its allocation.
+fn one_step_descendants(job: &KDag, d: &mut Vec<f64>) {
     let k = job.num_types();
-    let mut d = vec![0.0f64; job.num_tasks() * k];
+    d.clear();
+    d.resize(job.num_tasks() * k, 0.0);
     for v in job.tasks() {
         let row = v.index() * k;
         for &u in job.children(v) {
@@ -1101,7 +1271,6 @@ fn one_step_descendants(job: &KDag) -> Vec<f64> {
             d[row + job.rtype(u)] += job.work(u) as f64 / pr;
         }
     }
-    d
 }
 
 impl Mqb {
@@ -1190,8 +1359,10 @@ impl Mqb {
     /// Contested round, indexed path: evaluates only the dominance-frontier
     /// group heads — provably the only candidates that can win the pick
     /// (DESIGN.md §14) — with the same ladder as the flat scan, so the
-    /// chosen task is bit-identical. Picks update the index directly (the
-    /// queue itself is untouched until the engine acts on the choices).
+    /// chosen task is bit-identical. The first such round on a type places
+    /// its deferred groups. Evaluation streams the frontier's mirrored
+    /// keys, heads and rows. Picks update the index directly (the queue
+    /// itself is untouched until the engine acts on the choices).
     fn assign_indexed(
         &mut self,
         view: &EpochView<'_>,
@@ -1214,31 +1385,34 @@ impl Mqb {
             row_class: &self.row_class,
             class_rep: &self.class_rep,
             ix: &mut self.idx[alpha],
-            m_group: &mut self.m_group,
-            m_prev: &mut self.m_prev,
-            m_next: &mut self.m_next,
-            m_seq: &mut self.m_seq,
-            m_rem: &mut self.m_rem,
+            members: &mut self.members,
         };
+        if !cx.ix.placed {
+            cx.place_deferred();
+        }
 
         for _ in 0..slots {
+            cx.debug_assert_mirrors();
             let mut duel = Duel::new(
                 &mut self.row,
                 &mut self.best_row,
                 &mut self.cand_sorted,
                 &mut self.best_sorted,
             );
-            let mut evaluated = 0u64;
-            for fi in 0..cx.ix.frontier.len() {
-                let head = cx.ix.groups[cx.ix.frontier[fi] as usize].head as usize;
-                let rem = cx.m_rem[head];
-                evaluated += 1;
+            let ix = &*cx.ix;
+            for (fi, (f, frow)) in ix
+                .frontier
+                .iter()
+                .zip(ix.front_rows.chunks_exact(k))
+                .enumerate()
+            {
                 // Same fp operation order as the flat scan — load-bearing.
-                let ebase = head * k;
+                // With own-work subtraction on, `rem_key` is the head's
+                // remaining work.
                 for (beta, &p) in procs.iter().enumerate() {
-                    let mut l = self.working[beta] + cx.d[ebase + beta];
+                    let mut l = self.working[beta] + frow[beta];
                     if beta == alpha && subtract_own {
-                        l -= rem as f64;
+                        l -= f.rem_key as f64;
                     }
                     duel.row[beta] = l / p as f64;
                 }
@@ -1248,19 +1422,21 @@ impl Mqb {
                         mn = x;
                     }
                 }
-                duel.challenge(head as u32, mn, cx.d_total[head], cx.m_seq[head]);
+                duel.challenge(fi as u32, mn, f.d_total, u64::from(f.head_seq));
             }
             assert_ne!(duel.best, NONE, "queue longer than slots");
-            let t = duel.best as usize;
+            let pos = duel.best as usize;
+            let t = ix.frontier[pos].head as usize;
             out.push(alpha, TaskId::from_index(t));
+            let evaluated = ix.frontier.len() as u64;
             self.sel.candidates_evaluated += evaluated;
-            self.sel.candidates_pruned += cx.ix.live as u64 - evaluated;
+            self.sel.candidates_pruned += ix.live as u64 - evaluated;
             // The projection, inlined (`apply_projection` would re-borrow
-            // all of `self` while `cx` holds the index).
-            self.working[alpha] -= cx.m_rem[t] as f64;
-            let row_start = t * k;
-            for (beta, w) in self.working.iter_mut().enumerate() {
-                *w += cx.d[row_start + beta];
+            // all of `self` while `cx` holds the index); the winner's row
+            // is its class's row, bit for bit.
+            self.working[alpha] -= cx.members[t].rem as f64;
+            for (w, &x) in self.working.iter_mut().zip(&ix.front_rows[pos * k..]) {
+                *w += x;
             }
             // Preemptive picks stay queued (the engine progresses rather
             // than starts them): they wait outside the index until the
@@ -1322,8 +1498,6 @@ impl Mqb {
         let procs = view.config.procs_per_type();
         view.queues[alpha].collect_into(&mut self.snap);
         let m = self.snap.len();
-        self.taken.clear();
-        self.taken.resize(m, false);
         // Only the first `cap + slots - 1` candidates in priority order are
         // ever reachable: pick `i` stops after `cap` untaken evaluations,
         // and the `i` tasks taken before it all sit in that same prefix.
@@ -1456,27 +1630,18 @@ impl Mqb {
         // always evaluates `min(cap, untaken positions in window)`).
         //
         // The horizon — the window position of the `cap`-th untaken
-        // entry — follows from the sorted positions taken so far: each
-        // taken position at or before it shifts it one right.
+        // entry — is `cap - 1 + i` at pick `i`: every winner lies inside
+        // its pick's horizon, so each pick moves the horizon exactly one
+        // position right.
         let mut left = m as u64;
-        self.approx_taken_pos.clear();
-        for _ in 0..slots {
-            let mut cutoff = cap - 1;
-            for &t in &self.approx_taken_pos {
-                if t as usize <= cutoff {
-                    cutoff += 1;
-                } else {
-                    break;
-                }
-            }
-            let cutoff = cutoff.min(l - 1);
+        for pick in 0..slots {
+            let cutoff = (cap - 1 + pick).min(l - 1);
             let mut duel = Duel::new(
                 &mut self.row,
                 &mut self.best_row,
                 &mut self.cand_sorted,
                 &mut self.best_sorted,
             );
-            let mut best_oi = 0usize;
             // The front is compacted in place as it is walked: a group
             // with no live member left is dead for the rest of the
             // round, so its entry is dropped — the walk stays
@@ -1498,8 +1663,7 @@ impl Mqb {
                     continue;
                 }
                 let oi = lp as usize;
-                let qi = self.approx_order[oi] as usize;
-                let rt = self.snap[qi];
+                let rt = self.snap[self.approx_order[oi] as usize];
                 // Rows are mirrored in prefix (priority) order, not
                 // snapshot order.
                 let ebase = oi * k;
@@ -1530,20 +1694,12 @@ impl Mqb {
                         mn = x;
                     }
                 }
-                duel.challenge(qi as u32, mn, self.d_total[rt.id.index()], rt.seq);
-                if duel.best == qi as u32 {
-                    best_oi = oi;
-                }
+                duel.challenge(oi as u32, mn, self.approx_dom[oi].0, rt.seq);
             }
             self.approx_front.truncate(w);
             assert_ne!(duel.best, NONE, "queue longer than slots");
-            let bqi = duel.best as usize;
-            self.taken[bqi] = true;
-            let evaluated = (cap as u64).min((l - self.approx_taken_pos.len()) as u64);
-            let ins = self
-                .approx_taken_pos
-                .partition_point(|&t| (t as usize) < best_oi);
-            self.approx_taken_pos.insert(ins, best_oi as u32);
+            let best_oi = duel.best as usize;
+            let evaluated = cap.min(l - pick) as u64;
             // The winner was its group's live head; the next member (if
             // any) steps up, untaken by construction — only live heads
             // are ever picked.
@@ -1592,7 +1748,7 @@ impl Mqb {
                     prev = gi;
                 }
             }
-            let rt = self.snap[bqi];
+            let rt = self.snap[self.approx_order[best_oi] as usize];
             out.push(alpha, rt.id);
             self.sel.candidates_evaluated += evaluated;
             self.sel.candidates_pruned += left - evaluated;
@@ -1623,7 +1779,7 @@ impl Policy for Mqb {
                 let dv = DescendantValues::compute(job);
                 self.set_d_from(dv.values());
             }
-            Lookahead::OneStep => self.d = one_step_descendants(job),
+            Lookahead::OneStep => one_step_descendants(job, &mut self.d),
         }
         self.finish_init(job, seed);
     }
@@ -1641,7 +1797,7 @@ impl Policy for Mqb {
             Lookahead::All => self.set_d_from(artifacts.descendants().values()),
             // One-step lookahead is not part of the bundle (it's a plain
             // O(|V|+|E|) pass with no topo sort) — compute it as `init` does.
-            Lookahead::OneStep => self.d = one_step_descendants(job),
+            Lookahead::OneStep => one_step_descendants(job, &mut self.d),
         }
         self.finish_init(job, seed);
     }
@@ -1712,7 +1868,6 @@ impl Policy for Mqb {
         self.approx_live.clear();
         self.approx_dom.clear();
         self.approx_front.clear();
-        self.approx_taken_pos.clear();
         self.approx_kid_head.clear();
         self.approx_kid_next.clear();
         self.approx_orphans.clear();
@@ -1736,11 +1891,7 @@ impl Policy for Mqb {
         self.best_sorted.clear();
         self.row_class.clear();
         self.class_rep.clear();
-        self.m_group.clear();
-        self.m_prev.clear();
-        self.m_next.clear();
-        self.m_seq.clear();
-        self.m_rem.clear();
+        self.members.clear();
         for ix in &mut self.idx {
             ix.clear();
         }
@@ -1751,7 +1902,6 @@ impl Policy for Mqb {
         self.approx_live.clear();
         self.approx_dom.clear();
         self.approx_front.clear();
-        self.approx_taken_pos.clear();
         self.approx_kid_head.clear();
         self.approx_kid_next.clear();
         self.approx_orphans.clear();
@@ -1816,7 +1966,8 @@ mod tests {
         b.add_edge(v, a).unwrap();
         b.add_edge(a, c).unwrap();
         let job = b.build().unwrap();
-        let d1 = one_step_descendants(&job);
+        let mut d1 = Vec::new();
+        one_step_descendants(&job, &mut d1);
         assert_eq!(d1[v.index() * 2 + 1], 2.0); // only the child, not the grandchild
         let mut full = Mqb::default();
         full.init(&job, &MachineConfig::uniform(2, 1), 0);
@@ -1880,6 +2031,47 @@ mod tests {
             .name(),
             "MQB+1Step+Noise"
         );
+    }
+
+    #[test]
+    fn index_stays_unplaced_while_no_round_exceeds_the_crossover() {
+        // Six layers of 40 tasks, alternating types, each task fed by two
+        // tasks of the layer before: contested rounds, but no queue ever
+        // longer than 64, like a Medium job's.
+        let mut b = KDagBuilder::new(2);
+        let mut prev: Vec<TaskId> = Vec::new();
+        for layer in 0..6u64 {
+            let cur: Vec<TaskId> = (0..40u64)
+                .map(|i| b.add_task((i % 2) as usize, 1 + (i * 7 + layer) % 5))
+                .collect();
+            for (i, &t) in cur.iter().enumerate() {
+                if !prev.is_empty() {
+                    b.add_edge(prev[i], t).unwrap();
+                    b.add_edge(prev[(i * 3 + 1) % 40], t).unwrap();
+                }
+            }
+            prev = cur;
+        }
+        let job = b.build().unwrap();
+        let cfg = MachineConfig::new(vec![2, 2]);
+        for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+            let mut p = Mqb::default();
+            let out = engine::run(&job, &cfg, &mut p, mode, &RunOptions::seeded(1));
+            let sel = out.stats.selection;
+            assert!(
+                sel.candidates_evaluated > 0 && sel.diff_events > 0,
+                "{mode:?}"
+            );
+            assert_eq!(sel.candidates_pruned, 0, "{mode:?}: a round used the index");
+            assert!(
+                p.idx.iter().any(|ix| ix.map_peak > 0),
+                "{mode:?}: no groups"
+            );
+            assert!(
+                p.idx.iter().all(|ix| !ix.placed && ix.frontier.is_empty()),
+                "{mode:?}: the dominance order was maintained but never read"
+            );
+        }
     }
 
     #[test]

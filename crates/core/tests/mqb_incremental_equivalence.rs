@@ -121,6 +121,40 @@ fn wide_instance(n0: usize, n1: usize) -> (KDag, MachineConfig) {
     (b.build().unwrap(), MachineConfig::new(vec![2, 2]))
 }
 
+/// Queues that stay at or below the crossover (64) at first and later
+/// widen past it: 40 type-0 and 20 type-1 roots give contested flat rounds
+/// while the index only tracks membership, and an eight-task chain beside
+/// them releases a 200-wide type-0 fan-out (90 type-1 grandchildren
+/// behind it), so a later round places the deferred groups mid-run.
+fn chain_fanout_instance() -> (KDag, MachineConfig) {
+    let mut b = KDagBuilder::new(2);
+    for i in 0..60u64 {
+        b.add_task(usize::from(i >= 40), 1 + (i * 7 + 3) % 5);
+    }
+    let mut prev = b.add_task(0, 2);
+    for i in 1..8u64 {
+        let t = b.add_task((i % 2) as usize, 1 + i % 3);
+        b.add_edge(prev, t).unwrap();
+        prev = t;
+    }
+    let fan: Vec<TaskId> = (0..200u64)
+        .map(|i| {
+            let t = b.add_task(0, 1 + (i * 7 + 3) % 5);
+            b.add_edge(prev, t).unwrap();
+            t
+        })
+        .collect();
+    for i in 0..90usize {
+        let t = b.add_task(1, 1 + (i as u64 * 5 + 1) % 4);
+        let (p1, p2) = (i % 200, (i * 3 + 1) % 200);
+        b.add_edge(fan[p1], t).unwrap();
+        if p2 != p1 {
+            b.add_edge(fan[p2], t).unwrap();
+        }
+    }
+    (b.build().unwrap(), MachineConfig::new(vec![2, 2]))
+}
+
 fn run_pair(
     dag: &KDag,
     cfg: &MachineConfig,
@@ -286,6 +320,31 @@ fn indexed_path_engages_and_matches_oracle_on_wide_instances() {
                  ({} vs {})",
                 sel.candidates_pruned,
                 sel.candidates_evaluated
+            );
+        }
+    }
+}
+
+/// Dominance placement deferred until a round first exceeds the
+/// crossover: the groups the flat rounds left unplaced are placed mid-run,
+/// in the round that first needs the index, and selection stays
+/// bit-identical to the oracle — with no extra cold snapshot.
+#[test]
+fn deferred_placement_mid_run_matches_oracle() {
+    let (dag, cfg) = chain_fanout_instance();
+    for seed in [3u64, 17] {
+        for (mode, quantum) in CADENCES {
+            let mut fast = Mqb::default();
+            let mut naive = NaiveMqb::new(InfoModel::default(), true);
+            let out = run_pair(&dag, &cfg, &mut fast, &mut naive, mode, quantum, seed);
+            let sel = out.stats.selection;
+            assert!(
+                sel.candidates_pruned > 0,
+                "{mode:?} q={quantum:?}: the fan-out never engaged the index"
+            );
+            assert_eq!(
+                sel.cold_snapshots, 1,
+                "{mode:?} q={quantum:?}: deferred placement must not rebuild"
             );
         }
     }
