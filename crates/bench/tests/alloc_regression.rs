@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fhs_core::{make_policy, ALL_ALGORITHMS};
+use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
 use fhs_sim::{engine, Mode, RunOptions, Workspace};
 
 thread_local! {
@@ -71,7 +71,9 @@ fn probe() -> u64 {
 fn epoch_loop_allocates_zero_bytes_on_reused_workspaces() {
     fhs_sim::instrument::register_alloc_probe(probe);
     let (job, cfg) = fhs_bench::medium_ir();
-    for algo in ALL_ALGORITHMS {
+    // The paper's six, plus MQB-Approx: its candidate orders are built in
+    // the first contested round of every run.
+    for algo in ALL_ALGORITHMS.into_iter().chain([Algorithm::MqbApprox]) {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
             let mut ws = Workspace::new();
             let mut policy = make_policy(algo);
@@ -424,7 +426,8 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
     ignore = "allocation accounting is asserted in --release (its own CI step)"
 )]
 fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
-    use fhs_core::mqb::{InfoModel, Mqb};
+    use fhs_core::mqb::{InfoModel, Mqb, MqbTuning};
+    use fhs_core::registry::DEFAULT_APPROX_CAP;
     use fhs_sim::Policy;
     use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
     use kdag::precompute::Artifacts;
@@ -435,8 +438,16 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
     // their matrix on every init: in place, from the retained buffer.
     let (job, cfg) = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Large, 4).sample(2);
     let artifacts = Arc::new(Artifacts::compute(&job));
-    for info in InfoModel::ALL_VARIANTS {
-        let mut policy = Mqb::new(info);
+    let bounded = MqbTuning {
+        max_candidates: Some(DEFAULT_APPROX_CAP),
+        ..MqbTuning::default()
+    };
+    let variants = InfoModel::ALL_VARIANTS
+        .into_iter()
+        .map(|info| (info, MqbTuning::default()))
+        .chain([(InfoModel::default(), bounded)]);
+    for (info, tuning) in variants {
+        let mut policy = Mqb::with_tuning(info, tuning);
         policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
         let cold: Vec<f64> = (0..job.num_tasks())
             .flat_map(|i| policy.d_row(kdag::TaskId::from_index(i)).to_vec())
@@ -449,7 +460,7 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
                 bytes,
                 0,
                 "warm {} init allocated {bytes} bytes on rerun {rerun}",
-                info.label()
+                policy.name()
             );
             let same = (0..job.num_tasks()).all(|i| {
                 let row = policy.d_row(kdag::TaskId::from_index(i));
@@ -458,7 +469,7 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
                     .zip(&cold[i * k..])
                     .all(|(a, b)| a.to_bits() == b.to_bits())
             });
-            assert!(same, "{} rerun {rerun}: matrix changed", info.label());
+            assert!(same, "{} rerun {rerun}: matrix changed", policy.name());
         }
     }
 }

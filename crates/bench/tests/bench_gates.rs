@@ -8,6 +8,8 @@
 //!   ShiftBT init grow sub-quadratically from Large to Huge, the Huge rung
 //!   is a ≥100k-task instance, and MQB-Approx never costs more than exact
 //!   MQB on any rung.
+//! * **Antichain rung** (§14): on the antichain, where dominance prunes
+//!   nothing, MQB-Approx grows near-linearly from n = 2000 to n = 8000.
 //! * **ShiftBT init** (§9): the incremental init reproduces
 //!   `shiftbt::reference` exactly.
 //! * **Observability** (§10, §16): the steady-state recording channels
@@ -47,6 +49,7 @@ use fhs_sim::{
     engine, reference, Assignments, EpochView, InterJobPolicy, MachineConfig, Mode, ObsConfig,
     Policy, RunOptions, TelemetrySink, TelemetryTick, Workspace,
 };
+use fhs_workloads::adversarial::antichain;
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 use kdag::precompute::Artifacts;
 use kdag::reduction::transitive_reduction;
@@ -218,6 +221,71 @@ fn scale_ladder_grows_subquadratically_and_mqb_approx_never_costs_more() {
     assert!(
         shiftbt_exp < 1.9,
         "ShiftBT init must scale sub-quadratically Large→Huge (exponent {shiftbt_exp:.3})"
+    );
+}
+
+/// One cold non-preemptive run of `algo` on an antichain instance:
+/// candidates evaluated.
+fn antichain_run((job, cfg): &(KDag, MachineConfig), algo: Algorithm) -> u64 {
+    let mut policy = make_policy(algo);
+    let out = engine::run(
+        job,
+        cfg,
+        policy.as_mut(),
+        Mode::NonPreemptive,
+        &RunOptions::seeded(1),
+    );
+    out.stats.selection.candidates_evaluated
+}
+
+/// The antichain rung (`fhs_workloads::adversarial::antichain`): no root
+/// dominates another, so exact MQB evaluates every queued root on every
+/// pick — n² evaluations — and its times are printed, not asserted.
+/// MQB-Approx evaluates at most `cap` candidates per pick and reads its
+/// window off a journal-fed order, so its cost must grow near-linearly:
+/// first the work (evaluations grow at most 4.2× for 4× the roots), then
+/// the time, as a growth exponent below 1.3 from n = 2000 to n = 8000
+/// (min of five interleaved rounds per size).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gates run in --release")]
+fn antichain_rung_mqb_approx_grows_near_linearly() {
+    let _serial = serial();
+    for n in [1000, 2000] {
+        let instance = antichain(n);
+        let t0 = Instant::now();
+        let evaluated = antichain_run(&instance, Algorithm::Mqb);
+        let ns = t0.elapsed().as_nanos();
+        println!("antichain n={n:<5} mqb        {ns:>11} ns, {evaluated} evaluated");
+    }
+    let (small, large) = (antichain(2000), antichain(8000));
+    let (e1, e2) = (
+        antichain_run(&small, Algorithm::MqbApprox),
+        antichain_run(&large, Algorithm::MqbApprox),
+    );
+    assert!(
+        e2 <= e1 * 42 / 10,
+        "MQB-Approx evaluations grew super-linearly on the antichain ({e1} → {e2})"
+    );
+    let ts = interleaved_nanos(
+        5,
+        &mut [
+            &mut || {
+                black_box(antichain_run(&small, Algorithm::MqbApprox));
+            },
+            &mut || {
+                black_box(antichain_run(&large, Algorithm::MqbApprox));
+            },
+        ],
+    );
+    let (t1, t2) = (min_nanos(&ts[0]), min_nanos(&ts[1]));
+    let exp = exponent(2000, t1, 8000, t2);
+    println!(
+        "antichain mqb-approx: n=2000 {t1} ns ({e1} evaluated), n=8000 {t2} ns \
+         ({e2} evaluated), exponent {exp:.3}"
+    );
+    assert!(
+        exp < 1.3,
+        "MQB-Approx must grow near-linearly on the antichain (exponent {exp:.3})"
     );
 }
 

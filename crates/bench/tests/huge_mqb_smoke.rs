@@ -1,11 +1,12 @@
 //! Release-only smoke test of exact MQB on a ~110k-task Huge instance,
 //! in both modes, through the incremental dominance-pruned selection
-//! index (DESIGN.md §14).
+//! index (DESIGN.md §14), plus MQB-Approx's pinned counters on the same
+//! instance.
 //!
 //! Guards, in order of what they'd catch:
 //!
-//! * **Wall clock**: each cold run must clear 10 s — measured ~0.3 s
-//!   in either mode (0.23–0.38 s) on a 2-vCPU Xeon VM, while
+//! * **Wall clock**: each cold run must clear 10 s — measured
+//!   0.18–0.33 s in either mode on a 2-vCPU Xeon VM, while
 //!   the pre-index quadratic scan took ~11 s; a selection-layer
 //!   regression toward O(m²) trips this immediately.
 //! * **Selection counters**: candidates evaluated and pruned and journal
@@ -14,6 +15,9 @@
 //!   can change how fast it is kept but not these numbers; a bug that
 //!   re-routed contested rounds to the flat scan, left dominated groups
 //!   on the frontier or rebuilt the index mid-run moves them.
+//! * **MQB-Approx counters**: its evaluated and pruned counts are a
+//!   closed form of the queue lengths and the cap, pinned per mode; a
+//!   journal-fed window that lost or misordered a candidate moves them.
 //! * **Allocation**: a warm rerun on the reused workspace allocates zero
 //!   bytes — the index's slab, frontier, key map, pending picks and
 //!   journal cursors all run out of retained capacity (same contract as
@@ -24,6 +28,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fhs_core::{make_policy, Algorithm};
@@ -70,6 +75,9 @@ fn probe() -> u64 {
     BYTES.with(|b| b.get())
 }
 
+/// Serializes this file's tests, so each wall clock is a quiet run's.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// The exact selection counters of the seed-2 Huge instance, per mode:
 /// `(evaluated, pruned, diff events)`. Index maintenance may change how
 /// the frontier is kept, never which candidates it holds, so these stay
@@ -79,12 +87,19 @@ const PINNED: [(Mode, u64, u64, u64); 2] = [
     (Mode::Preemptive, 4_611_355, 845_495_750, 361_984),
 ];
 
+/// MQB-Approx's `(evaluated, pruned)` on the same instance, per mode.
+const PINNED_APPROX: [(Mode, u64, u64); 2] = [
+    (Mode::NonPreemptive, 5_111_488, 570_089_889),
+    (Mode::Preemptive, 7_619_830, 857_076_677),
+];
+
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "Huge instances are exercised in --release (its own CI step)"
 )]
 fn huge_exact_mqb_is_subsecond_pruned_and_warm_allocation_free() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fhs_sim::instrument::register_alloc_probe(probe);
     // The Huge rung of `bench_gates`' scale ladder: layered IR, K = 4,
     // seed 2 → ~110k tasks. (`perf_smoke` holds the local 1 s budget as a
@@ -123,7 +138,7 @@ fn huge_exact_mqb_is_subsecond_pruned_and_warm_allocation_free() {
             sel.cold_snapshots,
         );
 
-        // Wall clock: ~0.3 s measured (2-vCPU Xeon VM);
+        // Wall clock: 0.18–0.33 s measured (2-vCPU Xeon VM);
         // 10 s is CI headroom, the old quadratic scan's ~11 s cannot
         // clear it.
         assert!(
@@ -167,6 +182,34 @@ fn huge_exact_mqb_is_subsecond_pruned_and_warm_allocation_free() {
         assert_eq!(
             warm.stats.epoch_bytes, 0,
             "warm Huge MQB {mode:?} epoch loop allocated on a reused workspace"
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "Huge instances are exercised in --release (its own CI step)"
+)]
+fn huge_mqb_approx_counters_are_pinned() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
+    let (job, cfg) = spec.sample(2);
+    for (mode, evaluated, pruned) in PINNED_APPROX {
+        let mut policy = make_policy(Algorithm::MqbApprox);
+        let t0 = Instant::now();
+        let out = engine::run(&job, &cfg, policy.as_mut(), mode, &RunOptions::seeded(2));
+        let sel = out.stats.selection;
+        println!(
+            "huge mqb-approx smoke {mode:?}: cold {:?} | evaluated {} pruned {}",
+            t0.elapsed(),
+            sel.candidates_evaluated,
+            sel.candidates_pruned
+        );
+        assert_eq!(
+            (sel.candidates_evaluated, sel.candidates_pruned),
+            (evaluated, pruned),
+            "{mode:?}: MQB-Approx counters (evaluated, pruned) moved"
         );
     }
 }

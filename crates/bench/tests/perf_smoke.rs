@@ -9,7 +9,7 @@
 //!   growing with scale) or any quadratic regression blows through.
 //! * **Bounded-candidate invariant** (DESIGN.md §14): `MQB-Approx` must
 //!   never run slower than exact MQB — approximation is allowed to cost
-//!   accuracy, never time. Locally ~0.21 s vs ~0.30 s; the assert is the
+//!   accuracy, never time. Locally ~0.16 s vs ~0.23 s; the assert is the
 //!   plain inequality on min-of-N wall times, the same invariant
 //!   `bench_gates` checks on every rung below Huge.
 //!

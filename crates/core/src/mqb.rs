@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::journal::{Cursor, JournalIndex};
+use crate::ranked::key_image;
 
 /// Sentinel for "no task / no group / not linked" in the index's u32 links.
 const NONE: u32 = u32::MAX;
@@ -51,10 +52,14 @@ const PENDING: u32 = u32::MAX - 1;
 /// streaming loop beats the index walk, and the small-queue regime is where
 /// almost all *jobs* (not picks) live. Above it the index path takes over.
 /// Both paths select bit-identical tasks (see DESIGN.md §14), so the
-/// crossover is purely a performance knob. It also gates the index's
-/// upkeep: a type's groups are placed in the dominance order only when a
-/// round on that type first exceeds it, so a job whose queues never do
-/// (Medium and below, typically) keeps membership alone.
+/// crossover is purely a performance knob, though moving it moves the
+/// evaluated/pruned counters `huge_mqb_smoke` pins. It was set before the
+/// indexed path's reject-first head evaluation (DESIGN.md §14), which the
+/// flat path does not use, so the true crossover may now lie lower; it was
+/// not re-measured. It also gates the index's upkeep: a type's groups are
+/// placed in the dominance order only when a round on that type first
+/// exceeds it, so a job whose queues never do (Medium and below,
+/// typically) keeps membership alone.
 const INDEX_CROSSOVER: usize = 64;
 
 /// How much of the K-DAG's future MQB may look at (paper §V-G).
@@ -331,11 +336,279 @@ impl TypeIndex {
     }
 }
 
+/// A set of ranks with an ordered successor search: a bit per rank, and
+/// a summary bit per 64-rank word marking the non-empty words (the
+/// two-level shape of `shiftbt`'s `MinPosSet`).
+#[derive(Clone, Debug, Default)]
+struct RankSet {
+    l0: Vec<u64>,
+    l1: Vec<u64>,
+}
+
+impl RankSet {
+    /// Sizes for `n` ranks and clears. Never shrinks.
+    fn reset(&mut self, n: usize) {
+        let w0 = n.div_ceil(64).max(1);
+        self.l0.clear();
+        self.l0.resize(w0, 0);
+        self.l1.clear();
+        self.l1.resize(w0.div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, r: usize) {
+        self.l0[r >> 6] |= 1 << (r & 63);
+        self.l1[r >> 12] |= 1 << ((r >> 6) & 63);
+    }
+
+    fn remove(&mut self, r: usize) {
+        let w = r >> 6;
+        self.l0[w] &= !(1 << (r & 63));
+        if self.l0[w] == 0 {
+            self.l1[w >> 6] &= !(1 << (w & 63));
+        }
+    }
+
+    /// The smallest member `≥ from`.
+    fn next(&self, from: usize) -> Option<usize> {
+        let w = from >> 6;
+        let bits = *self.l0.get(w)? & (!0u64 << (from & 63));
+        if bits != 0 {
+            return Some(w << 6 | bits.trailing_zeros() as usize);
+        }
+        // The first non-empty word after `w`, through the summary.
+        let w = w + 1;
+        let mut i1 = w >> 6;
+        let mut bits = *self.l1.get(i1)? & (!0u64 << (w & 63));
+        while bits == 0 {
+            i1 += 1;
+            bits = *self.l1.get(i1)?;
+        }
+        let w = i1 << 6 | bits.trailing_zeros() as usize;
+        Some(w << 6 | self.l0[w].trailing_zeros() as usize)
+    }
+}
+
+/// MQB-Approx's per-type candidate order, fed by the queue's journal:
+/// the queued candidates in the approximation's priority order — total
+/// descendant value descending (`total_cmp`), then arrival. A queued
+/// task's key never changes, so the order is a bucket per distinct
+/// `d_total` (its rank, `Mqb::class_rank`), each a seq-ordered list
+/// threaded through the member records (`Member::group` holds the rank),
+/// and a [`RankSet`] of the non-empty buckets. A round reads its window
+/// off the front in O(window), not O(queue).
+#[derive(Clone, Debug, Default)]
+struct ApproxOrder {
+    /// Whether the journal keeps this type current: set by the type's
+    /// first contested round since the policy's last (re)attach.
+    active: bool,
+    cursor: Cursor,
+    /// Per rank: earliest- and latest-arrived queued member (`NONE` when
+    /// the bucket is empty).
+    first: Vec<u32>,
+    last: Vec<u32>,
+    occupied: RankSet,
+    /// Queued candidates held.
+    live: usize,
+}
+
+impl ApproxOrder {
+    /// Empties the order and sizes it for `ranks` buckets, retaining
+    /// capacity. Member records are not touched: an order is only ever
+    /// emptied while its type has none (activation) or alongside a
+    /// wholesale member reset.
+    fn reset(&mut self, ranks: usize) {
+        self.first.clear();
+        self.first.resize(ranks, NONE);
+        self.last.clear();
+        self.last.resize(ranks, NONE);
+        self.occupied.reset(ranks);
+        self.live = 0;
+    }
+}
+
+/// Split-borrow view of one type's [`ApproxOrder`] with the policy's
+/// member records and rank tables, as a journal consumer.
+struct OrderCtx<'a> {
+    order: &'a mut ApproxOrder,
+    members: &'a mut [Member],
+    row_class: &'a [u32],
+    class_rank: &'a [u32],
+}
+
+impl JournalIndex for OrderCtx<'_> {
+    fn contains(&self, t: usize) -> bool {
+        self.members[t].group != NONE
+    }
+
+    fn insert(&mut self, rt: ReadyTask) {
+        let t = rt.id.index();
+        let seq = seq32(rt.seq);
+        let rank = self.class_rank[self.row_class[t] as usize];
+        let r = rank as usize;
+        let o = &mut *self.order;
+        // Releases and cold builds arrive seq-ascending, and a queued
+        // task is never re-inserted (its key cannot change): every insert
+        // appends at its bucket's tail.
+        let prev = o.last[r];
+        if prev == NONE {
+            o.occupied.insert(r);
+            o.first[r] = t as u32;
+        } else {
+            debug_assert!(self.members[prev as usize].seq < seq, "out-of-order insert");
+            self.members[prev as usize].next = t as u32;
+        }
+        o.last[r] = t as u32;
+        self.members[t] = Member {
+            group: rank,
+            prev,
+            next: NONE,
+            seq,
+            rem: rt.remaining,
+        };
+        o.live += 1;
+    }
+
+    fn remove(&mut self, t: usize) {
+        let Member {
+            group: rank,
+            prev,
+            next,
+            ..
+        } = self.members[t];
+        self.members[t].group = NONE;
+        let (o, r) = (&mut *self.order, rank as usize);
+        if prev == NONE {
+            o.first[r] = next;
+        } else {
+            self.members[prev as usize].next = next;
+        }
+        if next == NONE {
+            o.last[r] = prev;
+        } else {
+            self.members[next as usize].prev = prev;
+        }
+        if o.first[r] == NONE {
+            o.occupied.remove(r);
+        }
+        o.live -= 1;
+    }
+
+    fn update(&mut self, t: usize, remaining: u64) {
+        self.members[t].rem = remaining;
+    }
+
+    fn live(&self) -> usize {
+        self.order.live
+    }
+}
+
 /// The state-free dominance rule over `(d_total, rem_key)` keys and
-/// descendant rows (DESIGN.md §14), cheapest test first.
+/// descendant rows (DESIGN.md §14). The keys gate first; the row test
+/// then ANDs all K comparisons without short-circuiting, so the loop
+/// compiles to straight-line compares instead of one unpredictable branch
+/// per entry.
 #[inline]
 fn dominates(f: (f64, u64), row_f: &[f64], g: (f64, u64), row_g: &[f64]) -> bool {
-    f.0 > g.0 && f.1 <= g.1 && row_f.iter().zip(row_g).all(|(x, y)| x >= y)
+    f.0 > g.0
+        && f.1 <= g.1
+        && row_f
+            .iter()
+            .zip(row_g)
+            .fold(true, |all, (x, y)| all & (x >= y))
+}
+
+/// Hash of a descendant row's bits, `KeyHasher`'s word mix; its high 32
+/// bits label the row in the class table (`label_row_classes`).
+#[inline]
+fn row_hash(row: &[f64]) -> u32 {
+    let mut h = KeyHasher::default();
+    for x in row {
+        h.write_u64(x.to_bits());
+    }
+    (h.finish() >> 32) as u32
+}
+
+/// An empty slot of the class table.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// Partitions the `n` tasks of the row-major matrix `d` (`task × k`)
+/// into classes of bitwise-identical rows: `row_class[t]` is task `t`'s class
+/// and `class_rep[c]` the first task of class `c`. Classes are numbered
+/// in order of first appearance.
+///
+/// An open-addressing table (linear probing, load ≤ ¾) maps each row's
+/// 32-bit hash to a class; every hash match is confirmed by a full
+/// bitwise row comparison, so a collision costs a probe, never a merge.
+/// A slot packs `hash << 32 | class`, which filters probes without
+/// touching `d` and lets the table grow by re-hashing the classes' reps.
+/// `slots` is retained scratch: it starts at the size the previous
+/// call's class count needed, so a warm re-init of the same job neither
+/// grows nor allocates.
+fn label_row_classes(
+    d: &[f64],
+    (n, k): (usize, usize),
+    row_class: &mut Vec<u32>,
+    class_rep: &mut Vec<u32>,
+    slots: &mut Vec<u64>,
+) {
+    let row = |t: usize| &d[t * k..t * k + k];
+    let mut cap = (class_rep.len() * 4 / 3 + 1)
+        .clamp(16, 2 * n.max(8))
+        .next_power_of_two();
+    slots.clear();
+    slots.resize(cap, EMPTY_SLOT);
+    row_class.clear();
+    class_rep.clear();
+    let place = |slots: &mut [u64], h: u32, c: usize| {
+        let mask = slots.len() - 1;
+        let mut i = h as usize & mask;
+        while slots[i] != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        slots[i] = u64::from(h) << 32 | c as u64;
+    };
+    for t in 0..n {
+        let h = row_hash(row(t));
+        let mask = cap - 1;
+        let mut i = h as usize & mask;
+        let class = loop {
+            let s = slots[i];
+            if s == EMPTY_SLOT {
+                break None;
+            }
+            if (s >> 32) as u32 == h {
+                let c = s as u32;
+                let rep = class_rep[c as usize] as usize;
+                if row(rep)
+                    .iter()
+                    .zip(row(t))
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                {
+                    break Some(c);
+                }
+            }
+            i = (i + 1) & mask;
+        };
+        let c = match class {
+            Some(c) => c,
+            None => {
+                let c = class_rep.len();
+                class_rep.push(t as u32);
+                if 4 * class_rep.len() > 3 * cap {
+                    cap *= 2;
+                    slots.clear();
+                    slots.resize(cap, EMPTY_SLOT);
+                    for (c, &rep) in class_rep.iter().enumerate() {
+                        place(slots, row_hash(row(rep as usize)), c);
+                    }
+                } else {
+                    slots[i] = u64::from(h) << 32 | c as u64;
+                }
+                c as u32
+            }
+        };
+        row_class.push(c);
+    }
 }
 
 /// Split-borrow view over one type's index plus the policy-wide member
@@ -842,6 +1115,9 @@ pub struct Mqb {
     cand_sorted: Vec<f64>,
     /// Ascending-sorted balance vector of the current best (built lazily).
     best_sorted: Vec<f64>,
+    /// Processor count per type as `f64` (an exact conversion), filled
+    /// once per `assign` for the per-candidate divisions.
+    procs_f: Vec<f64>,
     // --- Incremental dominance-pruned index (DESIGN.md §14). ---
     /// Row-class of each task: tasks with bitwise-identical descendant
     /// rows share a class.
@@ -849,11 +1125,12 @@ pub struct Mqb {
     /// One representative task per class (for reading the class's row and
     /// `d_total` — identical bits for every member by construction).
     class_rep: Vec<u32>,
-    /// Task-index scratch for the class-table sort.
-    class_scratch: Vec<u32>,
+    /// Open-addressing table of `label_row_classes` (retained scratch).
+    class_slots: Vec<u64>,
     /// Per-type index over the queued candidates.
     idx: Vec<TypeIndex>,
-    /// Member records, task-indexed.
+    /// Member records, task-indexed: the exact index's groups, or
+    /// MQB-Approx's rank buckets.
     members: Vec<Member>,
     /// Per-type journal cursor — how far into each queue's change-journal
     /// the index has replayed.
@@ -864,14 +1141,23 @@ pub struct Mqb {
     /// Selection-work counters, harvested via
     /// [`Policy::take_selection_stats`].
     sel: SelectionStats,
-    /// Candidate order for the bounded-candidate approximation.
-    approx_order: Vec<u32>,
-    /// Packed 16-byte sort keys for the approximation, an index in their
-    /// low 32 bits: first the candidates' ranking (total-descendant bits
-    /// descending, then snapshot index) so the partial selection compares
-    /// plain integers instead of chasing two indirections per comparison,
-    /// then the window's grouping (row class, rem key, window position).
+    // --- Bounded-candidate approximation (MQB-Approx). ---
+    /// Per-type candidate order, journal-fed.
+    approx_order: Vec<ApproxOrder>,
+    /// Each row class's `d_total` rank: 0 for the largest value
+    /// (`total_cmp`), equal values sharing a rank. Built at the first
+    /// contested round after `init`, from one sort over the classes.
+    class_rank: Vec<u32>,
+    /// Distinct `d_total` values, i.e. ranks; `None` until `class_rank`
+    /// is built for the current descendant values.
+    num_ranks: Option<usize>,
+    /// Packed 16-byte sort keys, an index in their low 32 bits: the
+    /// classes' `d_total` ranking, and each window segment's grouping (row
+    /// class, rem key, window position).
     approx_keys: Vec<u128>,
+    /// Window position where each bucket's segment of the window starts,
+    /// then the window length.
+    approx_segs: Vec<u32>,
     /// Window-local group id of each window position: positions with the
     /// same `(row class, dominance remaining-work key)` — bitwise-identical
     /// projected rows at every working state — share a group, mirroring
@@ -930,16 +1216,20 @@ impl Mqb {
             best_row: Vec::new(),
             cand_sorted: Vec::new(),
             best_sorted: Vec::new(),
+            procs_f: Vec::new(),
             row_class: Vec::new(),
             class_rep: Vec::new(),
-            class_scratch: Vec::new(),
+            class_slots: Vec::new(),
             idx: Vec::new(),
             members: Vec::new(),
             cursor: Vec::new(),
             need_rebuild: true,
             sel: SelectionStats::default(),
             approx_order: Vec::new(),
+            class_rank: Vec::new(),
+            num_ranks: None,
             approx_keys: Vec::new(),
+            approx_segs: Vec::new(),
             approx_group: Vec::new(),
             approx_next: Vec::new(),
             approx_live: Vec::new(),
@@ -1029,29 +1319,14 @@ impl Mqb {
         // identical descendant rows share a class (and therefore identical
         // projected rows at every working state — the grouping the index's
         // dominance frontier is built over).
-        let n = job.num_tasks();
-        let k = self.k;
-        let d = &self.d;
-        let row_bits = |t: u32| {
-            d[t as usize * k..t as usize * k + k]
-                .iter()
-                .map(|x| x.to_bits())
-        };
-        self.class_scratch.clear();
-        self.class_scratch.extend(0..n as u32);
-        self.class_scratch
-            .sort_unstable_by(|&a, &b| row_bits(a).cmp(row_bits(b)));
-        self.row_class.clear();
-        self.row_class.resize(n, 0);
-        self.class_rep.clear();
-        let mut prev: Option<u32> = None;
-        for &t in &self.class_scratch {
-            if prev.is_none_or(|p| !row_bits(p).eq(row_bits(t))) {
-                self.class_rep.push(t);
-            }
-            self.row_class[t as usize] = (self.class_rep.len() - 1) as u32;
-            prev = Some(t);
-        }
+        label_row_classes(
+            &self.d,
+            (job.num_tasks(), self.k),
+            &mut self.row_class,
+            &mut self.class_rep,
+            &mut self.class_slots,
+        );
+        self.num_ranks = None;
 
         self.need_rebuild = true;
         self.sel = SelectionStats::default();
@@ -1134,6 +1409,100 @@ impl Mqb {
             self.cursor[alpha].seek_end(q);
         }
     }
+
+    /// MQB-Approx's counterpart of `sync_index`: replays each active
+    /// type's journal into its candidate order. After (re)attach, or when
+    /// the journal does not explain a queue, every type drops back to
+    /// inactive, and each type's next contested round builds its order
+    /// cold.
+    fn sync_orders(&mut self, view: &EpochView<'_>) {
+        let k = self.k;
+        if !self.need_rebuild {
+            for (alpha, order) in self.approx_order[..k].iter_mut().enumerate() {
+                if !order.active {
+                    continue;
+                }
+                let mut cursor = order.cursor;
+                let mut cx = OrderCtx {
+                    order,
+                    members: &mut self.members,
+                    row_class: &self.row_class,
+                    class_rank: &self.class_rank,
+                };
+                self.need_rebuild |=
+                    !cursor.replay(&view.queues[alpha], &mut cx, &mut self.sel.diff_events);
+                order.cursor = cursor;
+            }
+        }
+        if self.need_rebuild {
+            self.need_rebuild = false;
+            self.members.clear();
+            self.members.resize(view.job.num_tasks(), Member::EMPTY);
+            // Never shrink: truncating would drop warm capacity.
+            if self.approx_order.len() < k {
+                self.approx_order.resize_with(k, ApproxOrder::default);
+            }
+            for order in &mut self.approx_order {
+                order.active = false;
+            }
+        }
+    }
+
+    /// Builds type `alpha`'s candidate order cold from its queue (the
+    /// type's first contested round since attach, or the journal lost
+    /// track), ranking the row classes first if this init has not.
+    fn activate_order(&mut self, view: &EpochView<'_>, alpha: usize) {
+        let ranks = match self.num_ranks {
+            Some(r) => r,
+            None => self.rank_classes(),
+        };
+        let q = &view.queues[alpha];
+        let mut cx = OrderCtx {
+            order: &mut self.approx_order[alpha],
+            members: &mut self.members,
+            row_class: &self.row_class,
+            class_rank: &self.class_rank,
+        };
+        cx.order.reset(ranks);
+        for rt in q.iter() {
+            cx.insert(*rt);
+        }
+        cx.order.cursor.seek_end(q);
+        cx.order.active = true;
+        self.sel.cold_snapshots += 1;
+    }
+
+    /// Ranks the row classes by `d_total`, descending in `total_cmp`
+    /// order, equal values sharing a rank: one sort over the classes,
+    /// not the tasks, paid only by a policy with a contested round.
+    /// Returns the number of ranks.
+    fn rank_classes(&mut self) -> usize {
+        let (d_total, keys) = (&self.d_total, &mut self.approx_keys);
+        keys.clear();
+        keys.extend(
+            self.class_rep
+                .iter()
+                .enumerate()
+                .map(|(c, &rep)| (!key_image(d_total[rep as usize]) as u128) << 64 | c as u128),
+        );
+        keys.sort_unstable();
+        self.class_rank.clear();
+        self.class_rank.resize(keys.len(), 0);
+        let mut rank = 0;
+        for (i, &key) in keys.iter().enumerate() {
+            if i > 0 && key >> 64 != keys[i - 1] >> 64 {
+                rank += 1;
+            }
+            self.class_rank[key as u32 as usize] = rank;
+        }
+        let ranks = if keys.is_empty() {
+            0
+        } else {
+            rank as usize + 1
+        };
+        self.num_ranks = Some(ranks);
+        ranks
+    }
 }
 
 /// Lexicographic comparison of sorted balance vectors; `Greater` means
@@ -1148,6 +1517,23 @@ pub fn cmp_balance(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
         }
     }
     std::cmp::Ordering::Equal
+}
+
+/// Fills `dst` with `src` sorted ascending by `total_cmp`: an insertion
+/// sort, the fastest for a K-entry row. `total_cmp` is a total order on
+/// bit patterns, so every correct sort yields the same bits.
+fn sorted_into(dst: &mut Vec<f64>, src: &[f64]) {
+    dst.clear();
+    dst.extend_from_slice(src);
+    for i in 1..dst.len() {
+        let x = dst[i];
+        let mut j = i;
+        while j > 0 && x.total_cmp(&dst[j - 1]).is_lt() {
+            dst[j] = dst[j - 1];
+            j -= 1;
+        }
+        dst[j] = x;
+    }
 }
 
 /// Scratch for one pick's selection ladder: the incumbent's projected row,
@@ -1192,6 +1578,60 @@ impl<'a> Duel<'a> {
         }
     }
 
+    /// Reject-first projection of a challenger whose descendant row is
+    /// `drow`: its projected x-utilization row (working value plus
+    /// descendant promise, minus `own_work` at type `own_type`, over the
+    /// processor count) lands in `self.row`, and its minimum is returned
+    /// — or `None` once the challenger provably loses on the minimum.
+    ///
+    /// The value at the incumbent's `best_type` comes first: strictly
+    /// below `best_min`, it bounds the challenger's minimum below the
+    /// incumbent's, and one division settles the duel. Otherwise each
+    /// remaining type is computed once, and a minimum strictly below
+    /// `best_min` rejects. Both rejects are strict: a bitwise tie on the
+    /// minimum goes on to the sorted-lex comparison in `challenge`. The
+    /// per-type floating-point order is the naive algorithm's (add,
+    /// optional subtract, divide), and `total_cmp`'s minimum is one bit
+    /// pattern whatever the visiting order, so every value is bit-identical.
+    #[inline]
+    fn project(
+        &mut self,
+        working: &[f64],
+        procs: &[f64],
+        drow: &[f64],
+        own_type: usize,
+        own_work: f64,
+    ) -> Option<f64> {
+        let k = procs.len();
+        let (working, drow, row) = (&working[..k], &drow[..k], &mut self.row[..k]);
+        let load = |beta: usize| {
+            let mut l = working[beta] + drow[beta];
+            if beta == own_type {
+                l -= own_work;
+            }
+            l / procs[beta]
+        };
+        let (first, at_first) = if self.best == NONE {
+            (0, load(0))
+        } else {
+            let b = self.best_type;
+            let x = load(b);
+            if x.total_cmp(&self.best_min).is_lt() {
+                return None;
+            }
+            (b, x)
+        };
+        let mut mn = at_first;
+        for (beta, r) in row.iter_mut().enumerate() {
+            let x = if beta == first { at_first } else { load(beta) };
+            *r = x;
+            if x.total_cmp(&mn).is_lt() {
+                mn = x;
+            }
+        }
+        (self.best == NONE || !mn.total_cmp(&self.best_min).is_lt()).then_some(mn)
+    }
+
     /// Challenges the incumbent with the candidate whose projected row is
     /// currently in `self.row` (its minimum pre-computed as `mn`), with
     /// tie-break keys `dt` (total descendant value) and `seq`. On a win the
@@ -1211,14 +1651,10 @@ impl<'a> Duel<'a> {
                     // Sorted-lex vectors agree at position 0 (total_cmp
                     // equality is bitwise); compare the rest.
                     if !self.best_sorted_valid {
-                        self.best_sorted.clear();
-                        self.best_sorted.extend_from_slice(self.best_row);
-                        self.best_sorted.sort_unstable_by(f64::total_cmp);
+                        sorted_into(self.best_sorted, self.best_row);
                         self.best_sorted_valid = true;
                     }
-                    self.cand_sorted.clear();
-                    self.cand_sorted.extend_from_slice(self.row);
-                    self.cand_sorted.sort_unstable_by(f64::total_cmp);
+                    sorted_into(self.cand_sorted, self.row);
                     cand_sorted_built = true;
                     match cmp_balance(self.cand_sorted, self.best_sorted) {
                         std::cmp::Ordering::Greater => true,
@@ -1371,8 +1807,8 @@ impl Mqb {
         out: &mut Assignments,
     ) {
         let k = self.k;
-        let procs = view.config.procs_per_type();
         let subtract_own = self.tuning.subtract_own_work;
+        let own_type = if subtract_own { alpha } else { usize::MAX };
         self.row.clear();
         self.row.resize(k, 0.0);
         self.best_row.clear();
@@ -1406,23 +1842,12 @@ impl Mqb {
                 .zip(ix.front_rows.chunks_exact(k))
                 .enumerate()
             {
-                // Same fp operation order as the flat scan — load-bearing.
                 // With own-work subtraction on, `rem_key` is the head's
                 // remaining work.
-                for (beta, &p) in procs.iter().enumerate() {
-                    let mut l = self.working[beta] + frow[beta];
-                    if beta == alpha && subtract_own {
-                        l -= f.rem_key as f64;
-                    }
-                    duel.row[beta] = l / p as f64;
+                let own = f.rem_key as f64;
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, frow, own_type, own) {
+                    duel.challenge(fi as u32, mn, f.d_total, u64::from(f.head_seq));
                 }
-                let mut mn = duel.row[0];
-                for &x in &duel.row[1..] {
-                    if x.total_cmp(&mn).is_lt() {
-                        mn = x;
-                    }
-                }
-                duel.challenge(fi as u32, mn, f.d_total, u64::from(f.head_seq));
             }
             assert_ne!(duel.best, NONE, "queue longer than slots");
             let pos = duel.best as usize;
@@ -1495,54 +1920,44 @@ impl Mqb {
     ) {
         let k = self.k;
         let cap = cap.max(1);
-        let procs = view.config.procs_per_type();
-        view.queues[alpha].collect_into(&mut self.snap);
-        let m = self.snap.len();
+        let m = view.queues[alpha].len();
+        if !self.approx_order[alpha].active {
+            self.activate_order(view, alpha);
+        }
         // Only the first `cap + slots - 1` candidates in priority order are
         // ever reachable: pick `i` stops after `cap` untaken evaluations,
         // and the `i` tasks taken before it all sit in that same prefix.
-        // So a partial selection of the prefix — instead of a full sort of
-        // the round's whole queue — is pick- and counter-identical, and
-        // the expanded descendant rows need mirroring only for the prefix.
-        // At Huge scale the queue dwarfs `cap + slots` by two orders of
-        // magnitude; the full sort/mirror was what made the "approximation"
-        // slower than the exact index.
-        //
-        // The ranking key is packed into one integer per candidate so the
-        // selection compares values in place of a `snap`/`d_total` pointer
-        // chase per comparison (the chase dominated the round cost at the
-        // Large rung, where the queue is hundreds long but `cap + slots`
-        // already covers a sixth of it). `to_bits` with the sign-fold
-        // reproduces `f64::total_cmp` exactly, complemented for descending
-        // total descendant value; the snapshot index in the low bits breaks
-        // ties by arrival (a queue iterates in seq order), so the packed
-        // order is bitwise the comparator's.
+        // So reading just that prefix off the journal-fed order is pick-
+        // and counter-identical to ranking the round's whole queue, and
+        // the descendant rows need mirroring only for the prefix. At Huge
+        // scale the queue dwarfs `cap + slots` by two orders of magnitude.
         let l = m.min(cap + slots - 1);
-        self.approx_keys.clear();
-        self.approx_keys
-            .extend(self.snap.iter().enumerate().map(|(qi, rt)| {
-                let b = self.d_total[rt.id.index()].to_bits();
-                let asc = if b >> 63 == 1 { !b } else { b | (1 << 63) };
-                (!asc as u128) << 64 | qi as u128
-            }));
-        if l > 0 && l < m {
-            self.approx_keys.select_nth_unstable(l - 1);
-        }
-        self.approx_keys[..l].sort_unstable();
-        self.approx_order.clear();
-        self.approx_order
-            .extend(self.approx_keys[..l].iter().map(|&key| key as u32));
         let subtract_own = self.tuning.subtract_own_work;
+        let own_type = if subtract_own { alpha } else { usize::MAX };
+        self.snap.clear();
         self.erows.clear();
         self.approx_dom.clear();
-        for oi in 0..l {
-            let rt = &self.snap[self.approx_order[oi] as usize];
-            let row_start = rt.id.index() * k;
-            self.erows
-                .extend_from_slice(&self.d[row_start..row_start + k]);
-            let rem_key = if subtract_own { rt.remaining } else { 0 };
-            self.approx_dom.push((self.d_total[rt.id.index()], rem_key));
+        self.approx_segs.clear();
+        let order = &self.approx_order[alpha];
+        let mut bucket = order.occupied.next(0);
+        while let Some(r) = bucket.filter(|_| self.snap.len() < l) {
+            self.approx_segs.push(self.snap.len() as u32);
+            let mut t = order.first[r];
+            while t != NONE && self.snap.len() < l {
+                let (ti, mb) = (t as usize, self.members[t as usize]);
+                self.snap.push(ReadyTask {
+                    id: TaskId::from_index(ti),
+                    seq: u64::from(mb.seq),
+                    remaining: mb.rem,
+                });
+                self.erows.extend_from_slice(&self.d[ti * k..ti * k + k]);
+                let rem_key = if subtract_own { mb.rem } else { 0 };
+                self.approx_dom.push((self.d_total[ti], rem_key));
+                t = mb.next;
+            }
+            bucket = order.occupied.next(r + 1);
         }
+        debug_assert_eq!(self.snap.len(), l, "the order holds the whole queue");
         // Window-local reconstruction of the exact index's pruning
         // structure (DESIGN.md §14), built once per α-round from the
         // state-free relations and consulted by every pick of the round.
@@ -1551,10 +1966,11 @@ impl Mqb {
         // remaining-work key)` project bitwise-identical rows at every
         // working state, and the duel's final seq tie-break always favors
         // the earliest untaken member — the group's *live head* — so only
-        // live heads ever duel. Groups are found exactly (same-group
-        // members interleave with other rem-variants of their class in the
-        // seq-ordered window) by sorting the positions on a packed key,
-        // reusing the ranking scratch.
+        // live heads ever duel. A group's members share their row, hence
+        // their `d_total`, so a group never spans two of the order's
+        // buckets: groups are found exactly by sorting each bucket's
+        // window segment (usually one position) on a packed key (same-group
+        // members interleave with other rem-variants of their class).
         //
         // Group dominance: a group whose rep has a pointwise-`≥`
         // descendant row, no larger remaining work, and strictly larger
@@ -1565,28 +1981,32 @@ impl Mqb {
         // untaken member in the window. Each rep tries the previous rep,
         // that one's witness, then the running frontier (the undominated
         // reps, which stay few on layered workloads; `approx_witness`).
-        self.approx_keys.clear();
-        self.approx_keys.extend((0..l).map(|j| {
-            let t = self.snap[self.approx_order[j] as usize].id.index();
-            (self.row_class[t] as u128) << 96 | (self.approx_dom[j].1 as u128) << 32 | j as u128
-        }));
-        self.approx_keys.sort_unstable();
         self.approx_group.clear();
         self.approx_group.resize(l, 0);
         self.approx_next.clear();
         self.approx_next.resize(l, NONE);
         self.approx_live.clear();
-        let mut cur = NONE;
-        for i in 0..l {
-            let pos = self.approx_keys[i] as u32 as usize;
-            if i > 0 && self.approx_keys[i] >> 32 == self.approx_keys[i - 1] >> 32 {
-                // Members of a run sort pos-ascending, i.e. seq-ascending.
-                self.approx_next[self.approx_keys[i - 1] as u32 as usize] = pos as u32;
-            } else {
-                cur = self.approx_live.len() as u32;
-                self.approx_live.push(pos as u32);
+        self.approx_segs.push(l as u32);
+        for seg in self.approx_segs.windows(2) {
+            let (a, b) = (seg[0] as usize, seg[1] as usize);
+            self.approx_keys.clear();
+            self.approx_keys.extend((a..b).map(|j| {
+                let t = self.snap[j].id.index();
+                (self.row_class[t] as u128) << 96 | (self.approx_dom[j].1 as u128) << 32 | j as u128
+            }));
+            self.approx_keys.sort_unstable();
+            let mut cur = NONE;
+            for (i, &key) in self.approx_keys.iter().enumerate() {
+                let pos = key as u32 as usize;
+                if i > 0 && key >> 32 == self.approx_keys[i - 1] >> 32 {
+                    // Members of a run sort pos-ascending, i.e. seq-ascending.
+                    self.approx_next[self.approx_keys[i - 1] as u32 as usize] = pos as u32;
+                } else {
+                    cur = self.approx_live.len() as u32;
+                    self.approx_live.push(pos as u32);
+                }
+                self.approx_group[pos] = cur;
             }
-            self.approx_group[pos] = cur;
         }
         let num_groups = self.approx_live.len();
         self.approx_kid_head.clear();
@@ -1663,38 +2083,12 @@ impl Mqb {
                     continue;
                 }
                 let oi = lp as usize;
-                let rt = self.snap[self.approx_order[oi] as usize];
-                // Rows are mirrored in prefix (priority) order, not
-                // snapshot order.
-                let ebase = oi * k;
-                // A challenger whose value at the incumbent's most-starved
-                // type is already below the incumbent's minimum loses on
-                // the minimum, whatever the rest of its row: one division
-                // instead of K settles most duels.
-                if duel.best != NONE {
-                    let b = duel.best_type;
-                    let mut load = self.working[b] + self.erows[ebase + b];
-                    if b == alpha && subtract_own {
-                        load -= rt.remaining as f64;
-                    }
-                    if (load / procs[b] as f64).total_cmp(&duel.best_min).is_lt() {
-                        continue;
-                    }
+                let rt = self.snap[oi];
+                let drow = &self.erows[oi * k..oi * k + k];
+                let own = rt.remaining as f64;
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, drow, own_type, own) {
+                    duel.challenge(oi as u32, mn, self.approx_dom[oi].0, rt.seq);
                 }
-                for (beta, &p) in procs.iter().enumerate() {
-                    let mut load = self.working[beta] + self.erows[ebase + beta];
-                    if beta == alpha && subtract_own {
-                        load -= rt.remaining as f64;
-                    }
-                    duel.row[beta] = load / p as f64;
-                }
-                let mut mn = duel.row[0];
-                for &x in &duel.row[1..] {
-                    if x.total_cmp(&mn).is_lt() {
-                        mn = x;
-                    }
-                }
-                duel.challenge(oi as u32, mn, self.approx_dom[oi].0, rt.seq);
             }
             self.approx_front.truncate(w);
             assert_ne!(duel.best, NONE, "queue longer than slots");
@@ -1748,7 +2142,7 @@ impl Mqb {
                     prev = gi;
                 }
             }
-            let rt = self.snap[self.approx_order[best_oi] as usize];
+            let rt = self.snap[best_oi];
             out.push(alpha, rt.id);
             self.sel.candidates_evaluated += evaluated;
             self.sel.candidates_pruned += left - evaluated;
@@ -1813,12 +2207,17 @@ impl Policy for Mqb {
             // serves, and the index must be ready when a round crosses the
             // size threshold.
             self.sync_index(view);
+        } else {
+            self.sync_orders(view);
         }
 
         // Working queue-work vector, updated as selections are made.
         self.working.clear();
         self.working
             .extend(view.queue_work.iter().map(|&w| w as f64));
+        self.procs_f.clear();
+        self.procs_f
+            .extend(view.config.procs_per_type().iter().map(|&p| p as f64));
 
         for alpha in 0..k {
             let queue = &view.queues[alpha];
@@ -1861,8 +2260,8 @@ impl Policy for Mqb {
         self.best_row.clear();
         self.cand_sorted.clear();
         self.best_sorted.clear();
-        self.approx_order.clear();
         self.approx_keys.clear();
+        self.approx_segs.clear();
         self.approx_group.clear();
         self.approx_next.clear();
         self.approx_live.clear();
@@ -1895,8 +2294,14 @@ impl Policy for Mqb {
         for ix in &mut self.idx {
             ix.clear();
         }
-        self.approx_order.clear();
+        for order in &mut self.approx_order {
+            order.active = false;
+            order.reset(0);
+        }
+        self.class_rank.clear();
+        self.num_ranks = None;
         self.approx_keys.clear();
+        self.approx_segs.clear();
         self.approx_group.clear();
         self.approx_next.clear();
         self.approx_live.clear();
@@ -2072,6 +2477,130 @@ mod tests {
                 "{mode:?}: the dominance order was maintained but never read"
             );
         }
+    }
+
+    /// Seventy dominated unit-work type-0 fillers, then roots `a` with
+    /// descendant row (1, 1, 5) and `b` with row `b_row` (types 1 and 2
+    /// only), on one processor per type: the type-0 queue of 72 takes the
+    /// indexed path, whose frontier is `[a, b]` in that order. Projected
+    /// at time 0, `a`'s row is (72, 1, 5): `a` is the incumbent when `b`
+    /// is evaluated, with minimum 1 at type 1.
+    fn tie_instance(b_row: [u64; 2]) -> (KDag, MachineConfig, TaskId) {
+        let mut bld = KDagBuilder::new(3);
+        for _ in 0..70 {
+            bld.add_task(0, 1);
+        }
+        let a = bld.add_task(0, 1);
+        for (ty, w) in [(0, 1), (1, 1), (2, 5)] {
+            let c = bld.add_task(ty, w);
+            bld.add_edge(a, c).unwrap();
+        }
+        let b = bld.add_task(0, 1);
+        for (ty, w) in [(1, b_row[0]), (2, b_row[1])] {
+            let c = bld.add_task(ty, w);
+            bld.add_edge(b, c).unwrap();
+        }
+        (bld.build().unwrap(), MachineConfig::uniform(3, 1), b)
+    }
+
+    /// A later frontier head whose minimum ties the incumbent's bit for
+    /// bit must reach the sorted-lex comparison, and win there: `b`'s
+    /// projected row is (71, 1, 6) against `a`'s (72, 1, 5) — a tie at the
+    /// incumbent's best type — and (71, 6, 1) in the second case, a tie on
+    /// the minimum at another type. Sorted, `b` leads 6 to 5 in the second
+    /// place, so `b` is the first pick. A `<=` in either reject drops `b`
+    /// and picks `a`. The bounded variant walks the same two heads.
+    #[test]
+    fn bitwise_min_ties_reach_the_sorted_lex_comparison() {
+        let bounded = MqbTuning {
+            max_candidates: Some(64),
+            ..MqbTuning::default()
+        };
+        for (case, b_row) in [("tie at best type", [1, 6]), ("tie on the minimum", [6, 1])] {
+            let (job, cfg, b) = tie_instance(b_row);
+            for tuning in [MqbTuning::default(), bounded] {
+                let mut p = Mqb::with_tuning(InfoModel::default(), tuning);
+                let out = engine::run(
+                    &job,
+                    &cfg,
+                    &mut p,
+                    Mode::NonPreemptive,
+                    &RunOptions::seeded(0).with_trace(),
+                );
+                let first = out
+                    .trace
+                    .unwrap()
+                    .segments()
+                    .iter()
+                    .find(|s| s.start == 0 && s.rtype == 0)
+                    .map(|s| s.task);
+                let sel = out.stats.selection;
+                assert!(
+                    sel.candidates_pruned > 0,
+                    "{case}: the fillers were not pruned"
+                );
+                assert_eq!(first, Some(b), "{case}, {tuning:?}: the tied head lost");
+            }
+        }
+    }
+
+    /// The sort-based row-class labeling the hashed table replaced, kept
+    /// as its oracle: sort task indices by row bits, then cut at changes.
+    fn sorted_row_classes(d: &[f64], k: usize) -> Vec<u32> {
+        let n = d.len() / k;
+        let bits = |t: usize| d[t * k..t * k + k].iter().map(|x| x.to_bits());
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)));
+        let mut class = vec![0u32; n];
+        let mut c = 0;
+        for (i, &t) in order.iter().enumerate() {
+            if i > 0 && !bits(order[i - 1]).eq(bits(t)) {
+                c += 1;
+            }
+            class[t] = c;
+        }
+        class
+    }
+
+    /// Whether two labelings induce the same partition: a class-to-class
+    /// map consistent in both directions.
+    fn same_partition(a: &[u32], b: &[u32]) -> bool {
+        let (mut ab, mut ba) = (HashMap::new(), HashMap::new());
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(&x, &y)| *ab.entry(x).or_insert(y) == y && *ba.entry(y).or_insert(x) == x)
+    }
+
+    fn assert_classes_match_sort(size: fhs_workloads::resources::SystemSize) {
+        use fhs_workloads::{Family, Typing, WorkloadSpec};
+        let (job, cfg) = WorkloadSpec::new(Family::Ir, Typing::Layered, size, 4).sample(2);
+        for info in InfoModel::ALL_VARIANTS {
+            let mut p = Mqb::new(info);
+            p.init(&job, &cfg, 2);
+            let oracle = sorted_row_classes(&p.d, p.k);
+            assert!(
+                same_partition(&p.row_class, &oracle),
+                "{}: hashed row classes differ from the sort's",
+                info.label()
+            );
+            let classes = *oracle.iter().max().unwrap() as usize + 1;
+            assert_eq!(p.class_rep.len(), classes, "{}", info.label());
+            for (c, &rep) in p.class_rep.iter().enumerate() {
+                assert_eq!(p.row_class[rep as usize], c as u32, "{}", info.label());
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_row_classes_partition_like_the_sort_on_medium() {
+        assert_classes_match_sort(fhs_workloads::resources::SystemSize::Medium);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Huge instances run in --release")]
+    fn hashed_row_classes_partition_like_the_sort_on_huge() {
+        assert_classes_match_sort(fhs_workloads::resources::SystemSize::Huge);
     }
 
     #[test]

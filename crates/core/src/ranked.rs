@@ -47,7 +47,7 @@ struct Entry {
 /// set), so the index compares plain integers and agrees with a
 /// `total_cmp` sort bit for bit — `-0.0 < +0.0` and NaNs included.
 #[inline]
-fn key_image(x: f64) -> u64 {
+pub(crate) fn key_image(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
         !b

@@ -17,14 +17,22 @@
 //! actually engaged (candidates were pruned) while the trace stayed
 //! identical. Without that assertion a regression that quietly routed
 //! everything to the flat path would vacuously pass.
+//!
+//! MQB-Approx reads its per-round window off a journal-fed candidate
+//! order; its oracle is the same naive selection restricted to the
+//! snapshot window — the queue ranked by total descendant value, then
+//! arrival, each pick scanning the first `cap` untaken candidates — with
+//! the evaluated/pruned counters recomputed from that scan.
 
 use std::sync::Arc;
 
 use fhs_core::mqb::{cmp_balance, InfoModel, Mqb, MqbTuning};
+use fhs_core::registry::DEFAULT_APPROX_CAP;
 use fhs_sim::{
-    engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions, Session,
-    SessionOptions,
+    engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions,
+    SelectionStats, Session, SessionOptions,
 };
+use fhs_workloads::adversarial::antichain;
 use kdag::{KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 
@@ -180,6 +188,37 @@ fn run_pair(
     f
 }
 
+fn approx() -> Mqb {
+    Mqb::with_tuning(
+        InfoModel::default(),
+        MqbTuning {
+            max_candidates: Some(DEFAULT_APPROX_CAP),
+            ..MqbTuning::default()
+        },
+    )
+}
+
+/// MQB-Approx against the snapshot-window oracle: identical traces, and
+/// identical evaluated and pruned counts. Returns MQB-Approx's counters.
+fn run_approx_pair(
+    dag: &KDag,
+    cfg: &MachineConfig,
+    mode: Mode,
+    quantum: Option<u64>,
+    seed: u64,
+) -> SelectionStats {
+    let mut naive = NaiveMqb::approx(DEFAULT_APPROX_CAP);
+    let out = run_pair(dag, cfg, &mut approx(), &mut naive, mode, quantum, seed);
+    let (fast, oracle) = (out.stats.selection, naive.sel);
+    assert_eq!(
+        (fast.candidates_evaluated, fast.candidates_pruned),
+        (oracle.candidates_evaluated, oracle.candidates_pruned),
+        "{mode:?} q={quantum:?}: MQB-Approx (evaluated, pruned) diverged from the \
+         snapshot-window oracle"
+    );
+    fast
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -206,11 +245,11 @@ proptest! {
     }
 
     /// Multi-job sessions with staggered admissions and shuffled job
-    /// shapes: every job's retirement record (finish time, first start)
-    /// and the session's busy-time vector match a session of naive
-    /// oracles. Between a policy's epochs other jobs' picks interleave,
-    /// so this pins the journal-cursor bookkeeping under queue churn the
-    /// single-job engine never produces.
+    /// shapes, exact and bounded: every job's retirement record (finish
+    /// time, first start) and the session's busy-time vector match a
+    /// session of naive oracles. Between a policy's epochs other jobs'
+    /// picks interleave, so this pins the journal-cursor bookkeeping under
+    /// queue churn the single-job engine never produces.
     #[test]
     fn shuffled_session_shapes_match_naive_oracle(
         (cfg, jobs) in (
@@ -219,17 +258,18 @@ proptest! {
         ),
         gap in 0u64..6,
     ) {
-        for (mode, quantum) in CADENCES {
+        for ((mode, quantum), bounded) in CADENCES.into_iter().flat_map(|c| [(c, false), (c, true)]) {
             let run_with = |naive: bool| {
                 let mut opts = SessionOptions::new(mode);
                 opts.quantum = quantum;
                 let mut s = Session::new(cfg.clone(), opts);
                 for (i, (dag, seed)) in jobs.iter().enumerate() {
                     s.run_until(i as u64 * gap);
-                    let policy: Box<dyn Policy> = if naive {
-                        Box::new(NaiveMqb::new(InfoModel::default(), true))
-                    } else {
-                        Box::new(Mqb::default())
+                    let policy: Box<dyn Policy> = match (naive, bounded) {
+                        (true, false) => Box::new(NaiveMqb::new(InfoModel::default(), true)),
+                        (true, true) => Box::new(NaiveMqb::approx(DEFAULT_APPROX_CAP)),
+                        (false, false) => Box::new(Mqb::default()),
+                        (false, true) => Box::new(approx()),
                     };
                     s.admit(Arc::new(dag.clone()), policy, *seed);
                 }
@@ -280,6 +320,64 @@ proptest! {
                     info.label(), mode, quantum, dag.num_tasks(), sel.candidates_evaluated
                 );
             }
+        }
+    }
+
+    /// Random wide DAGs through MQB-Approx, × three cadences: picks and
+    /// the evaluated/pruned counters equal the snapshot-window oracle's,
+    /// with the cap biting (strictly positive pruning).
+    #[test]
+    fn approx_matches_snapshot_window_oracle_on_random_wide_dags(
+        dag in arb_wide_kdag(3, 6),
+        cfg in arb_config(3),
+        seed in 0u64..1000,
+    ) {
+        for (mode, quantum) in CADENCES {
+            let sel = run_approx_pair(&dag, &cfg, mode, quantum, seed);
+            prop_assert!(sel.candidates_pruned > 0, "{:?} q={:?}: the cap never bit", mode, quantum);
+        }
+    }
+}
+
+/// Antichains (`fhs_workloads::adversarial::antichain`): no root dominates
+/// another and no two share a group, so every queued root is a frontier
+/// head and goes through the reject ladder on every pick. Exact MQB must
+/// match the naive oracle, MQB-Approx the snapshot-window oracle, in both
+/// modes and all three cadences. The quantum-1 cadence runs the smallest
+/// size only: it consults the oracles every time unit.
+#[test]
+fn antichains_match_oracles_with_every_root_on_the_frontier() {
+    for n in [70usize, 150, 300] {
+        let (dag, cfg) = antichain(n);
+        for (mode, quantum) in CADENCES {
+            if quantum.is_some() && n > 70 {
+                continue;
+            }
+            let mut naive = NaiveMqb::new(InfoModel::default(), true);
+            let out = run_pair(
+                &dag,
+                &cfg,
+                &mut Mqb::default(),
+                &mut naive,
+                mode,
+                quantum,
+                5,
+            );
+            let sel = out.stats.selection;
+            assert!(
+                sel.candidates_evaluated > (n * n / 8) as u64,
+                "n={n} {mode:?} q={quantum:?}: the roots were not all evaluated \
+                 (evaluated {})",
+                sel.candidates_evaluated
+            );
+            if mode == Mode::NonPreemptive {
+                assert_eq!(
+                    sel.candidates_pruned, 0,
+                    "n={n}: an antichain has nothing to prune"
+                );
+            }
+            let sel = run_approx_pair(&dag, &cfg, mode, quantum, 5);
+            assert!(sel.candidates_pruned > 0, "n={n} {mode:?} q={quantum:?}");
         }
     }
 }
@@ -372,9 +470,17 @@ fn indexed_path_matches_oracle_without_own_work_subtraction() {
 /// models: `init` runs a real `Mqb` init and copies its (perturbed)
 /// descendant matrix, then every pick recomputes and re-sorts every
 /// untaken candidate's projected balance vector from scratch.
+///
+/// With a `cap` it is the snapshot-window oracle of MQB-Approx: a
+/// contested round ranks its queue snapshot by total descendant value
+/// (descending, `total_cmp`), then arrival, and each pick scans only the
+/// first `cap` untaken candidates in that order, counting them as
+/// evaluated and the rest of the untaken queue as pruned.
 struct NaiveMqb {
     inner: Mqb,
     subtract_own: bool,
+    cap: Option<usize>,
+    sel: SelectionStats,
     k: usize,
     d: Vec<f64>,
     d_total: Vec<f64>,
@@ -386,10 +492,19 @@ impl NaiveMqb {
         NaiveMqb {
             inner: Mqb::new(info),
             subtract_own,
+            cap: None,
+            sel: SelectionStats::default(),
             k: 0,
             d: Vec::new(),
             d_total: Vec::new(),
             working: Vec::new(),
+        }
+    }
+
+    fn approx(cap: usize) -> Self {
+        NaiveMqb {
+            cap: Some(cap),
+            ..NaiveMqb::new(InfoModel::default(), true)
         }
     }
 
@@ -424,6 +539,7 @@ impl Policy for NaiveMqb {
 
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64) {
         self.inner.init(job, config, seed);
+        self.sel = SelectionStats::default();
         self.k = job.num_types();
         self.d.clear();
         for i in 0..job.num_tasks() {
@@ -460,14 +576,26 @@ impl Policy for NaiveMqb {
                 continue;
             }
 
+            if self.cap.is_some() {
+                snap.sort_by(|a, b| {
+                    let (da, db) = (self.d_total[a.id.index()], self.d_total[b.id.index()]);
+                    db.total_cmp(&da).then(a.seq.cmp(&b.seq))
+                });
+            }
             let mut taken = vec![false; snap.len()];
-            for _ in 0..slots {
+            for pick in 0..slots {
                 let mut best_qi: Option<usize> = None;
                 let mut best: Vec<f64> = Vec::new();
-                for (qi, rt) in snap.iter().enumerate() {
-                    if taken[qi] {
-                        continue;
-                    }
+                let untaken = snap.len() - pick;
+                let scan = self.cap.map_or(untaken, |c| c.min(untaken));
+                self.sel.candidates_evaluated += scan as u64;
+                self.sel.candidates_pruned += (untaken - scan) as u64;
+                let window = snap
+                    .iter()
+                    .enumerate()
+                    .filter(|&(qi, _)| !taken[qi])
+                    .take(scan);
+                for (qi, rt) in window {
                     let cand = self.candidate_balance(alpha, rt, procs);
                     let better = match best_qi {
                         None => true,
@@ -500,5 +628,9 @@ impl Policy for NaiveMqb {
                 self.apply_projection(alpha, &rt);
             }
         }
+    }
+
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        Some(self.sel)
     }
 }
