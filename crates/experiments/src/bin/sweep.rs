@@ -12,9 +12,7 @@ use std::path::PathBuf;
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
 use fhs_experiments::figures::{panel_csv_table, Panel};
 use fhs_experiments::obsout;
-use fhs_experiments::runner::{
-    fold_rows, new_sweep_columns, run_sweep_observed, run_sweep_rows, SweepCell,
-};
+use fhs_experiments::runner::{fold_rows, new_sweep_columns, run_sweep_rows, SweepCell};
 use fhs_experiments::shard::{merge_shards, shard_fragment, ShardMeta};
 use fhs_experiments::telemetry::{sweep_exposition, sweep_snapshot_jsonl, MetricsServer};
 use fhs_obs::{chrome_trace_json, events_jsonl, write_atomic, ObsConfig, TraceCell};
@@ -339,88 +337,84 @@ fn main() {
                 std::process::exit(1);
             }
         });
-    // The chunked loop only runs when something watches mid-sweep
-    // (snapshots, a live endpoint) or the range is a shard; otherwise
-    // the one-shot path keeps its fine-grained dispatch heuristics.
-    let live = args.shard.is_some()
-        || args.snapshot_out.is_some()
-        || args.snapshot_every.is_some()
-        || server.is_some();
-    let mut columns = if live {
-        let total = (hi - lo) as usize;
-        let chunk = args.snapshot_every.unwrap_or(((hi - lo) / 10).max(1));
-        let mut cols = new_sweep_columns(cells.len());
-        let mut shard_rows = Vec::new();
-        let mut at = lo;
-        while at < hi {
-            let end = (at + chunk).min(hi);
-            let batch = run_sweep_rows(&spec, &cells, at..end, args.seed, args.workers, observe);
-            if args.shard_out.is_some() {
-                shard_rows.extend(batch.iter().cloned());
-            }
-            fold_rows(&mut cols, batch);
-            at = end;
-            let done = (at - lo) as usize;
-            let page = sweep_exposition(&spec.label(), mode_label, &labels, &cols, done, total);
-            if let Some(server) = &server {
-                server.publish(page.clone());
-            }
-            if let Some(base) = &args.snapshot_out {
-                let jsonl = sweep_snapshot_jsonl(
-                    &spec.label(),
-                    mode_label,
-                    args.seed,
-                    &labels,
-                    &cols,
-                    done,
-                    total,
-                );
-                for (path, body) in [
-                    (base.with_extension("prom"), &page),
-                    (base.with_extension("jsonl"), &jsonl),
-                ] {
-                    if let Err(e) = write_atomic(&path, body) {
-                        eprintln!("snapshot write failed for {}: {e}", path.display());
-                    }
-                }
-            }
-        }
-        if let Some(path) = &args.shard_out {
-            let fragment = shard_fragment(
-                &ShardMeta {
-                    workload: &spec.label(),
-                    mode: mode_label,
-                    instances: args.instances,
-                    seed: args.seed,
-                    lo,
-                    hi,
-                    cells: &labels,
-                },
-                shard_rows,
-            );
-            match std::fs::write(path, fragment) {
-                Ok(()) => eprintln!(
-                    "wrote shard fragment: {} (instances {lo}..{hi} of {})",
-                    path.display(),
-                    args.instances
-                ),
-                Err(e) => {
-                    eprintln!("failed to write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-        }
-        cols
+    // One loop for every run: the range is evaluated chunk by chunk and
+    // each chunk's rows are folded in order, which is bit-identical to
+    // one fold of the whole range. A watcher (snapshot files, the live
+    // endpoint) sees the columns after every chunk of --snapshot-every
+    // instances (default: a tenth of the range); with nothing watching,
+    // the chunk is the whole range.
+    let watched = args.snapshot_out.is_some() || server.is_some();
+    let total = (hi - lo) as usize;
+    let default_chunk = if watched {
+        ((hi - lo) / 10).max(1)
     } else {
-        run_sweep_observed(
-            &spec,
-            &cells,
-            args.instances,
-            args.seed,
-            args.workers,
-            observe,
-        )
+        hi - lo
     };
+    let chunk = args.snapshot_every.unwrap_or(default_chunk);
+    let mut columns = new_sweep_columns(cells.len());
+    let mut shard_rows = Vec::new();
+    let mut at = lo;
+    while at < hi {
+        let end = (at + chunk).min(hi);
+        let batch = run_sweep_rows(&spec, &cells, at..end, args.seed, args.workers, observe);
+        if args.shard_out.is_some() {
+            shard_rows.extend(batch.iter().cloned());
+        }
+        fold_rows(&mut columns, batch);
+        at = end;
+        if !watched {
+            continue;
+        }
+        let done = (at - lo) as usize;
+        let page = sweep_exposition(&spec.label(), mode_label, &labels, &columns, done, total);
+        if let Some(server) = &server {
+            server.publish(page.clone());
+        }
+        if let Some(base) = &args.snapshot_out {
+            let jsonl = sweep_snapshot_jsonl(
+                &spec.label(),
+                mode_label,
+                args.seed,
+                &labels,
+                &columns,
+                done,
+                total,
+            );
+            for (path, body) in [
+                (base.with_extension("prom"), &page),
+                (base.with_extension("jsonl"), &jsonl),
+            ] {
+                if let Err(e) = write_atomic(&path, body) {
+                    eprintln!("snapshot write failed for {}: {e}", path.display());
+                }
+            }
+        }
+    }
+    if let Some(path) = &args.shard_out {
+        let fragment = shard_fragment(
+            &ShardMeta {
+                workload: &spec.label(),
+                mode: mode_label,
+                instances: args.instances,
+                seed: args.seed,
+                lo,
+                hi,
+                cells: &labels,
+            },
+            shard_rows,
+        );
+        match std::fs::write(path, fragment) {
+            Ok(()) => eprintln!(
+                "wrote shard fragment: {} (instances {lo}..{hi} of {})",
+                path.display(),
+                args.instances
+            ),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
     if args.stable || args.shard_out.is_some() {
         for col in columns.iter_mut() {
             obsout::stabilize(col);

@@ -3,15 +3,17 @@
 //! * [`metrics_line`] — one line of the stable metrics-JSONL schema
 //!   behind `sweep --metrics-out` (hand-rolled JSON; the build
 //!   environment has no serde). Every line carries a `version` field so
-//!   downstream tooling can detect schema changes.
+//!   downstream tooling can detect schema changes. Its `"stats"` object
+//!   has one owner: [`stats_json`] writes and `parse_stats` (the shard
+//!   merge's reader) reads the same key list.
 //! * [`latency_summary`] / [`utilization_summary`] — the human-readable
 //!   per-cell appendix lines shared by `sweep --instrument` /
 //!   `--utilization` and the figure binaries' `--instrument` /
 //!   `--utilization` flags.
 
-use fhs_obs::json::{json_f64, json_string};
+use fhs_obs::json::{json_f64, json_string, Value};
 use fhs_obs::HistSnapshot;
-use fhs_sim::RunStats;
+use fhs_sim::{RunStats, SelectionStats};
 
 use crate::runner::{CellObs, SweepCellResult};
 use crate::stats::Summary;
@@ -47,32 +49,73 @@ pub fn stabilize(col: &mut SweepCellResult) {
     }
 }
 
+/// One exported counter: its JSON key, read and write.
+type Field<T> = (&'static str, fn(&T) -> u64, fn(&mut T, u64));
+
+/// The keys of the `"stats"` object in export order: [`stats_json`]
+/// writes and [`parse_stats`] reads exactly these. `epoch_bytes` (a
+/// per-process allocation probe) is not exported.
+#[rustfmt::skip]
+const STATS_KEYS: [Field<RunStats>; 14] = [
+    ("epochs", |s| s.epochs, |s, v| s.epochs = v),
+    ("epochs_skipped", |s| s.epochs_skipped, |s, v| s.epochs_skipped = v),
+    ("dirty_visits", |s| s.dirty_visits, |s, v| s.dirty_visits = v),
+    ("full_rescans", |s| s.full_rescans, |s, v| s.full_rescans = v),
+    ("tasks_assigned", |s| s.tasks_assigned, |s, v| s.tasks_assigned = v),
+    ("releases", |s| s.transitions.releases, |s, v| s.transitions.releases = v),
+    ("starts", |s| s.transitions.starts, |s, v| s.transitions.starts = v),
+    ("completions", |s| s.transitions.completions, |s, v| s.transitions.completions = v),
+    ("progress_updates", |s| s.transitions.progress_updates, |s, v| s.transitions.progress_updates = v),
+    ("peak_queue_depth", |s| s.transitions.peak_queue_depth as u64, |s, v| s.transitions.peak_queue_depth = v as usize),
+    ("assign_nanos", |s| s.assign_nanos, |s, v| s.assign_nanos = v),
+    ("engine_nanos", |s| s.engine_nanos, |s, v| s.engine_nanos = v),
+    ("workspace_reuses", |s| s.workspace_reuses, |s, v| s.workspace_reuses = v),
+    ("workspace_cold_inits", |s| s.workspace_cold_inits, |s, v| s.workspace_cold_inits = v),
+];
+
+/// The keys of the nested `"selection"` object, in export order.
+#[rustfmt::skip]
+const SELECTION_KEYS: [Field<SelectionStats>; 4] = [
+    ("candidates_evaluated", |s| s.candidates_evaluated, |s, v| s.candidates_evaluated = v),
+    ("candidates_pruned", |s| s.candidates_pruned, |s, v| s.candidates_pruned = v),
+    ("diff_events", |s| s.diff_events, |s, v| s.diff_events = v),
+    ("cold_snapshots", |s| s.cold_snapshots, |s, v| s.cold_snapshots = v),
+];
+
 /// The `"stats"` object of a metrics-JSONL line: the aggregated engine
-/// counters, rendered with a fixed key order. Shared with the shard
-/// fragment writer so both emit (and the merge re-emits) the exact same
-/// bytes for the same counters.
+/// counters, rendered in key order. Shared with the shard fragment
+/// writer so both emit (and the merge re-emits) the exact same bytes for
+/// the same counters.
 pub fn stats_json(stats: &RunStats) -> String {
+    fn object<T>(keys: &[Field<T>], s: &T) -> String {
+        let parts: Vec<String> = keys
+            .iter()
+            .map(|(k, get, _)| format!("\"{k}\":{}", get(s)))
+            .collect();
+        parts.join(",")
+    }
     format!(
-        "{{\"epochs\":{},\"epochs_skipped\":{},\"dirty_visits\":{},\"full_rescans\":{},\"tasks_assigned\":{},\"releases\":{},\"starts\":{},\"completions\":{},\"progress_updates\":{},\"peak_queue_depth\":{},\"assign_nanos\":{},\"engine_nanos\":{},\"workspace_reuses\":{},\"workspace_cold_inits\":{},\"selection\":{{\"candidates_evaluated\":{},\"candidates_pruned\":{},\"diff_events\":{},\"cold_snapshots\":{}}}}}",
-        stats.epochs,
-        stats.epochs_skipped,
-        stats.dirty_visits,
-        stats.full_rescans,
-        stats.tasks_assigned,
-        stats.transitions.releases,
-        stats.transitions.starts,
-        stats.transitions.completions,
-        stats.transitions.progress_updates,
-        stats.transitions.peak_queue_depth,
-        stats.assign_nanos,
-        stats.engine_nanos,
-        stats.workspace_reuses,
-        stats.workspace_cold_inits,
-        stats.selection.candidates_evaluated,
-        stats.selection.candidates_pruned,
-        stats.selection.diff_events,
-        stats.selection.cold_snapshots,
+        "{{{},\"selection\":{{{}}}}}",
+        object(&STATS_KEYS, stats),
+        object(&SELECTION_KEYS, &stats.selection)
     )
+}
+
+/// Parses a [`stats_json`] object back; every key must be present.
+pub(crate) fn parse_stats(v: &Value) -> Result<RunStats, String> {
+    fn fill<T>(keys: &[Field<T>], v: &Value, s: &mut T) -> Result<(), String> {
+        for (key, _, set) in keys {
+            let x = v.get(key).and_then(Value::as_u64);
+            let x = x.ok_or_else(|| format!("missing/invalid u64 field {key:?}"))?;
+            set(s, x);
+        }
+        Ok(())
+    }
+    let sel = v.get("selection").ok_or("missing selection block")?;
+    let mut stats = RunStats::default();
+    fill(&STATS_KEYS, v, &mut stats)?;
+    fill(&SELECTION_KEYS, sel, &mut stats.selection)?;
+    Ok(stats)
 }
 
 /// `{"count":…,"p50":…,"p90":…,"p99":…,"max":…}` for one histogram.
@@ -364,6 +407,49 @@ mod tests {
         let slow = v.get("slowdown_milli").expect("slowdown histogram");
         // Slowdown ≥ 1× always; milli-units put p50 at ≥ 1000.
         assert!(slow.get("p50").and_then(|x| x.as_u64()).unwrap() >= 1000);
+    }
+
+    #[test]
+    fn stats_round_trip_every_exported_counter() {
+        // Every exported field distinct and non-zero (a struct literal, so
+        // a new `RunStats` field must be placed here): a key written but
+        // not read, or read but not written, breaks the round trip.
+        let stats = RunStats {
+            epochs: 1,
+            tasks_assigned: 2,
+            transitions: fhs_sim::TransitionCounts {
+                releases: 3,
+                starts: 4,
+                completions: 5,
+                progress_updates: 6,
+                peak_queue_depth: 7,
+            },
+            assign_nanos: 8,
+            engine_nanos: 9,
+            workspace_reuses: 10,
+            workspace_cold_inits: 11,
+            epoch_bytes: 0,
+            selection: SelectionStats {
+                candidates_evaluated: 12,
+                candidates_pruned: 13,
+                diff_events: 14,
+                cold_snapshots: 15,
+            },
+            epochs_skipped: 16,
+            dirty_visits: 17,
+            full_rescans: 18,
+        };
+        let text = stats_json(&stats);
+        assert_eq!(parse_stats(&parse(&text).unwrap()), Ok(stats));
+        let unexported = RunStats {
+            epoch_bytes: 19,
+            ..stats
+        };
+        assert_eq!(
+            stats_json(&unexported),
+            text,
+            "epoch_bytes stays unexported"
+        );
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //!   `O(cells × instances)` to `O(instances)`, and results are bit-for-bit
 //!   identical to the cell-major path (property-tested).
 //!
+//! Every instance-major sweep runs through one loop, [`run_sweep_rows`]:
+//! it evaluates an absolute instance range into rows and picks the
+//! dispatch granularity (instances or `(instance, column)` pairs) from
+//! the range length and the team width. [`run_sweep_observed`] is that
+//! loop over `0..instances` folded by [`fold_rows`]; the `sweep` binary
+//! folds the same rows chunk by chunk (and a shard writes them out).
+//!
 //! Both shapes execute on the **steady-state layer**: instances fan across
 //! the persistent [`fhs_par::pool()`], and every pool worker keeps one
 //! [`WorkerCtx`] — a reusable engine [`Workspace`] plus one persistent
@@ -341,6 +348,9 @@ pub fn new_sweep_columns(columns: usize) -> Vec<SweepCellResult> {
 /// shard merge both rest on (the utilization aggregates are `f64` sums,
 /// exact only for a fixed fold order).
 pub fn fold_rows(out: &mut [SweepCellResult], per_instance: Vec<InstanceRuns>) {
+    for col in out.iter_mut() {
+        col.ratios.reserve(per_instance.len());
+    }
     for row in per_instance {
         for (col, (ratio, stats, obs)) in out.iter_mut().zip(row) {
             col.ratios.push(ratio);
@@ -350,22 +360,6 @@ pub fn fold_rows(out: &mut [SweepCellResult], per_instance: Vec<InstanceRuns>) {
             }
         }
     }
-}
-
-/// Transposes instance-major rows into per-column results, folding each
-/// instance's observability payload into its column in instance order (see
-/// [`CellObs::absorb`] for why the order matters).
-fn transpose(
-    columns: usize,
-    instances: usize,
-    per_instance: Vec<InstanceRuns>,
-) -> Vec<SweepCellResult> {
-    let mut out = new_sweep_columns(columns);
-    for col in out.iter_mut() {
-        col.ratios.reserve(instances);
-    }
-    fold_rows(&mut out, per_instance);
-    out
 }
 
 /// Evaluates every `(algorithm, mode)` column of `cells` over a shared
@@ -409,6 +403,9 @@ pub fn run_sweep(
 /// across instances, and events are captured for **instance 0 only**, so
 /// one trace per column survives regardless of the sweep size. Per-column
 /// payloads land on [`SweepCellResult::obs`].
+///
+/// It is [`run_sweep_rows`] over `0..instances` folded by [`fold_rows`],
+/// so the dispatch choice described there applies unchanged.
 pub fn run_sweep_observed(
     spec: &WorkloadSpec,
     cells: &[SweepCell],
@@ -417,30 +414,7 @@ pub fn run_sweep_observed(
     workers: Option<usize>,
     observe: ObsConfig,
 ) -> Vec<SweepCellResult> {
-    // Artifacts are only consumed by offline policies; a sweep of purely
-    // online columns (e.g. KGreedy alone) skips the precompute entirely.
-    let any_offline = cells.iter().any(|c| c.algo.is_offline());
-    // Dispatch granularity: instance-level fan-out cannot occupy the team
-    // when instances are few but heavy (the Large/Huge bench shape — 4
-    // instances on an 8-wide team leaves half the workers idle). Below
-    // `team × 4` instances, (instance, cell) pairs become the work items
-    // instead; above it, the instance-level path is preferred since it
-    // keeps only one job + artifact bundle alive per worker rather than
-    // one per instance. Results are bit-identical either way (each pair's
-    // evaluation depends only on its shared, read-only instance bundle).
-    let team = workers.unwrap_or_else(|| fhs_par::pool().workers()).max(1);
-    if instances < team.saturating_mul(4) && cells.len() > 1 {
-        return run_sweep_fine(
-            spec,
-            cells,
-            instances,
-            base_seed,
-            workers,
-            any_offline,
-            observe,
-        );
-    }
-    let per_instance = run_sweep_rows(
+    let rows = run_sweep_rows(
         spec,
         cells,
         0..instances as u64,
@@ -448,7 +422,9 @@ pub fn run_sweep_observed(
         workers,
         observe,
     );
-    transpose(cells.len(), instances, per_instance)
+    let mut out = new_sweep_columns(cells.len());
+    fold_rows(&mut out, rows);
+    out
 }
 
 /// Evaluates the absolute instance indices in `range` for every column
@@ -463,6 +439,13 @@ pub fn run_sweep_observed(
 /// are bit-identical to [`run_sweep_observed`]. The instance-0 event
 /// gate stays absolute too: only the shard containing instance 0
 /// captures a trace.
+///
+/// Dispatch: a range shorter than `team × 4` (`team` = `workers`, or the
+/// whole pool) with more than one column fans `(instance, column)` pairs
+/// across the pool after sampling every instance of the range; otherwise
+/// each work item is one instance with all its columns. The rows are
+/// bit-identical either way, so callers may split a sweep into ranges of
+/// any length.
 pub fn run_sweep_rows(
     spec: &WorkloadSpec,
     cells: &[SweepCell],
@@ -471,9 +454,36 @@ pub fn run_sweep_rows(
     workers: Option<usize>,
     observe: ObsConfig,
 ) -> Vec<InstanceRuns> {
+    // Artifacts are only consumed by offline policies; a sweep of purely
+    // online columns (e.g. KGreedy alone) skips the precompute entirely.
     let any_offline = cells.iter().any(|c| c.algo.is_offline());
     let spec = *spec;
     let cols: Arc<[SweepCell]> = cells.into();
+    let ncells = cols.len();
+    let len = range.end.saturating_sub(range.start) as usize;
+    // Instance-level fan-out cannot occupy the team when instances are
+    // few but heavy (4 Huge instances leave half of an 8-wide team idle),
+    // so short ranges fan (instance, column) pairs instead, at the cost
+    // of keeping every instance bundle of the range alive at once. Rows
+    // are bit-identical either way: each pair reads only its bundle.
+    let team = workers.unwrap_or_else(|| fhs_par::pool().workers()).max(1);
+    if len < team.saturating_mul(4) && ncells > 1 {
+        let lo = range.start;
+        let prep = move |i: u64| Instance::sample(&spec, base_seed, i, any_offline);
+        let prepared = Arc::new(pool_map(workers, range, prep));
+        let pairs = (0..len).flat_map(|i| (0..ncells).map(move |c| (i, c)));
+        let eval = move |(i, c): (usize, usize)| {
+            let cell = &cols[c];
+            with_worker_ctx(|ctx| {
+                let (ws, policy) = ctx.parts(cell.algo);
+                prepared[i].eval(ws, policy, cell, observe, lo + i as u64)
+            })
+        };
+        let mut flat = pool_map(workers, pairs, eval).into_iter();
+        return (0..len)
+            .map(|_| flat.by_ref().take(ncells).collect())
+            .collect();
+    }
     let eval = move |i: u64| -> InstanceRuns {
         let inst = Instance::sample(&spec, base_seed, i, any_offline);
         with_worker_ctx(|ctx| {
@@ -486,43 +496,6 @@ pub fn run_sweep_rows(
         })
     };
     pool_map(workers, range, eval)
-}
-
-/// The fine-grained sweep: stage A samples and analyzes every instance in
-/// parallel (one bundle each), stage B fans the `instances × cells` pairs
-/// across the pool, so even a 4-instance sweep keeps a full team busy.
-/// Holds every instance bundle alive for the duration — callers gate on
-/// instance count to keep that affordable.
-fn run_sweep_fine(
-    spec: &WorkloadSpec,
-    cells: &[SweepCell],
-    instances: usize,
-    base_seed: u64,
-    workers: Option<usize>,
-    any_offline: bool,
-    observe: ObsConfig,
-) -> Vec<SweepCellResult> {
-    let spec = *spec;
-    let prep = move |i: u64| Arc::new(Instance::sample(&spec, base_seed, i, any_offline));
-    let prepared = Arc::new(pool_map(workers, 0..instances as u64, prep));
-
-    let cols: Arc<[SweepCell]> = cells.into();
-    let ncells = cells.len();
-    let pairs: Vec<(usize, usize)> = (0..instances)
-        .flat_map(|i| (0..ncells).map(move |c| (i, c)))
-        .collect();
-    let eval = move |(i, c): (usize, usize)| -> (f64, RunStats, Option<Box<RunObs>>) {
-        let cell = &cols[c];
-        with_worker_ctx(|ctx| {
-            let (ws, policy) = ctx.parts(cell.algo);
-            prepared[i].eval(ws, policy, cell, observe, i as u64)
-        })
-    };
-    let mut flat = pool_map(workers, pairs, eval).into_iter();
-    let per_instance = (0..instances)
-        .map(|_| flat.by_ref().take(ncells).collect())
-        .collect();
-    transpose(ncells, instances, per_instance)
 }
 
 /// The cold instance-major path: a fresh policy and fresh engine state
@@ -550,8 +523,9 @@ pub fn run_sweep_unpooled(
             })
             .collect()
     };
-    let per_instance = pool_map(workers, 0..instances as u64, eval);
-    transpose(cells.len(), instances, per_instance)
+    let mut out = new_sweep_columns(cells.len());
+    fold_rows(&mut out, pool_map(workers, 0..instances as u64, eval));
+    out
 }
 
 #[cfg(test)]
@@ -735,6 +709,30 @@ mod tests {
             assert_eq!(f.stats.tasks_assigned, c.stats.tasks_assigned);
             assert_eq!(f.stats.transitions, c.stats.transitions);
         }
+        // A sub-range off the origin: 2..6 is fine-grained at Some(4)
+        // (4 < 16) and instance-level at Some(1) (4 ≥ 4); the absolute
+        // indices must line up row for row.
+        let oc = ObsConfig {
+            utilization: true,
+            ..ObsConfig::default()
+        };
+        let full = coarse;
+        let fine = run_sweep_rows(&spec, &cells, 2..6, 17, Some(4), oc);
+        let coarse = run_sweep_rows(&spec, &cells, 2..6, 17, Some(1), oc);
+        assert_eq!(fine.len(), 4);
+        for (f, c) in fine.iter().flatten().zip(coarse.iter().flatten()) {
+            assert_eq!(f.0.to_bits(), c.0.to_bits());
+            assert_eq!(f.1.epochs, c.1.epochs);
+            assert_eq!(f.1.tasks_assigned, c.1.tasks_assigned);
+            assert_eq!(f.1.transitions, c.1.transitions);
+            let util =
+                |r: &(f64, RunStats, Option<Box<RunObs>>)| r.2.as_ref().unwrap().util.clone();
+            assert_eq!(util(f), util(c));
+        }
+        for (c, col) in full.iter().enumerate() {
+            let ratios: Vec<f64> = fine.iter().map(|row| row[c].0).collect();
+            assert_eq!(ratios, col.ratios[2..6]);
+        }
     }
 
     #[test]
@@ -768,7 +766,7 @@ mod tests {
     #[test]
     fn observed_aggregates_are_worker_count_independent() {
         // The utilization sums are f64 folds; absorbing runs in instance
-        // order (transpose) must make them bit-identical for any team.
+        // order (fold_rows) must make them bit-identical for any team.
         let spec = WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 3);
         let cells = [SweepCell::new(Algorithm::LSpan, Mode::NonPreemptive)];
         let oc = ObsConfig {

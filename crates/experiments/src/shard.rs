@@ -31,10 +31,10 @@
 //! export them directly via `--trace-out` instead.
 
 use fhs_obs::json::{json_f64, json_string, parse, Value};
-use fhs_obs::{HistSnapshot, UtilSummary};
-use fhs_sim::{RunStats, SelectionStats, TransitionCounts};
+use fhs_obs::HistSnapshot;
+use fhs_sim::RunStats;
 
-use crate::obsout::{self, stats_json};
+use crate::obsout::{self, parse_stats, stats_json};
 use crate::runner::{fold_rows, new_sweep_columns, CellObs, InstanceRuns};
 
 /// Version tag stamped into every fragment's header line; merge refuses
@@ -59,50 +59,6 @@ pub struct ShardMeta<'a> {
     pub hi: u64,
     /// Column labels, in column order (algorithm labels).
     pub cells: &'a [String],
-}
-
-/// One per-instance utilization record: the exact addends
-/// [`UtilSummary::add`] would fold for that run.
-struct UtilEntry {
-    per_type: Vec<f64>,
-    drain_frac: Vec<f64>,
-    imbalance: f64,
-    cov: f64,
-}
-
-fn util_entry(u: &fhs_obs::UtilizationReport) -> UtilEntry {
-    UtilEntry {
-        per_type: u.per_type.iter().map(|t| t.utilization).collect(),
-        drain_frac: u
-            .per_type
-            .iter()
-            .map(|t| {
-                if u.makespan == 0 {
-                    1.0
-                } else {
-                    t.drain_time as f64 / u.makespan as f64
-                }
-            })
-            .collect(),
-        imbalance: u.imbalance(),
-        cov: u.cov(),
-    }
-}
-
-/// Replays one entry into `sum`, mirroring [`UtilSummary::add`] addition
-/// for addition.
-fn util_replay(sum: &mut UtilSummary, e: &UtilEntry) {
-    if sum.sum_util.len() != e.per_type.len() {
-        assert_eq!(sum.runs, 0, "type count changed mid-merge");
-        *sum = UtilSummary::new(e.per_type.len());
-    }
-    sum.runs += 1;
-    for (alpha, (&u, &d)) in e.per_type.iter().zip(&e.drain_frac).enumerate() {
-        sum.sum_util[alpha] += u;
-        sum.sum_drain_frac[alpha] += d;
-    }
-    sum.sum_imbalance += e.imbalance;
-    sum.sum_cov += e.cov;
 }
 
 fn f64s_json(vals: &[f64]) -> String {
@@ -135,14 +91,21 @@ fn hist_parts_json(h: &HistSnapshot) -> String {
 pub fn shard_fragment(meta: &ShardMeta<'_>, rows: Vec<InstanceRuns>) -> String {
     assert_eq!(rows.len() as u64, meta.hi - meta.lo, "row count != range");
     let ncells = meta.cells.len();
-    // Per-cell utilization addends, captured before the rows are folded
+    // Per-cell utilization addends, rendered before the rows are folded
     // away (in row = instance order, the only order that merges exactly).
-    let mut utils: Vec<Vec<UtilEntry>> = (0..ncells).map(|_| Vec::new()).collect();
+    let mut utils: Vec<Vec<String>> = vec![Vec::new(); ncells];
     for row in &rows {
         assert_eq!(row.len(), ncells, "row width != cell count");
         for (c, (_, _, obs)) in row.iter().enumerate() {
             if let Some(u) = obs.as_ref().and_then(|o| o.util.as_ref()) {
-                utils[c].push(util_entry(u));
+                let (util, drain): (Vec<f64>, Vec<f64>) = u.addends().unzip();
+                utils[c].push(format!(
+                    "{{\"u\":{},\"d\":{},\"imb\":{},\"cov\":{}}}",
+                    f64s_json(&util),
+                    f64s_json(&drain),
+                    json_f64(u.imbalance()),
+                    json_f64(u.cov()),
+                ));
             }
         }
     }
@@ -171,23 +134,11 @@ pub fn shard_fragment(meta: &ShardMeta<'_>, rows: Vec<InstanceRuns>) -> String {
             stats_json(&col.stats),
         ));
         if let Some(o) = &col.obs {
-            let entries: Vec<String> = cell_utils
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{{\"u\":{},\"d\":{},\"imb\":{},\"cov\":{}}}",
-                        f64s_json(&e.per_type),
-                        f64s_json(&e.drain_frac),
-                        json_f64(e.imbalance),
-                        json_f64(e.cov),
-                    )
-                })
-                .collect();
             out.push_str(&format!(
                 ",\"obs\":{{\"runs\":{},\"queue_depth\":{},\"util\":[{}]}}",
                 o.runs,
                 hist_parts_json(&o.queue_depth),
-                entries.join(","),
+                cell_utils.join(","),
             ));
         }
         out.push_str("}\n");
@@ -225,39 +176,6 @@ fn lenient_f64(v: &Value) -> f64 {
     v.as_f64().unwrap_or(f64::NAN)
 }
 
-fn f64_vec(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    Ok(want_arr(v, key)?.iter().map(lenient_f64).collect())
-}
-
-fn parse_stats(v: &Value) -> Result<RunStats, String> {
-    let sel = v.get("selection").ok_or("missing selection block")?;
-    Ok(RunStats {
-        epochs: want_u64(v, "epochs")?,
-        epochs_skipped: want_u64(v, "epochs_skipped")?,
-        dirty_visits: want_u64(v, "dirty_visits")?,
-        full_rescans: want_u64(v, "full_rescans")?,
-        tasks_assigned: want_u64(v, "tasks_assigned")?,
-        transitions: TransitionCounts {
-            releases: want_u64(v, "releases")?,
-            starts: want_u64(v, "starts")?,
-            completions: want_u64(v, "completions")?,
-            progress_updates: want_u64(v, "progress_updates")?,
-            peak_queue_depth: want_u64(v, "peak_queue_depth")? as usize,
-        },
-        assign_nanos: want_u64(v, "assign_nanos")?,
-        engine_nanos: want_u64(v, "engine_nanos")?,
-        workspace_reuses: want_u64(v, "workspace_reuses")?,
-        workspace_cold_inits: want_u64(v, "workspace_cold_inits")?,
-        selection: SelectionStats {
-            candidates_evaluated: want_u64(sel, "candidates_evaluated")?,
-            candidates_pruned: want_u64(sel, "candidates_pruned")?,
-            diff_events: want_u64(sel, "diff_events")?,
-            cold_snapshots: want_u64(sel, "cold_snapshots")?,
-        },
-        ..RunStats::default()
-    })
-}
-
 fn parse_hist(v: &Value) -> Result<HistSnapshot, String> {
     let count = want_u64(v, "count")?;
     let max = want_u64(v, "max")?;
@@ -284,7 +202,9 @@ struct CellFrag {
 struct ObsFrag {
     runs: u64,
     queue_depth: HistSnapshot,
-    util: Vec<UtilEntry>,
+    /// Per-instance utilization addends (`{"u","d","imb","cov"}`), folded
+    /// at merge time in global instance order.
+    util: Vec<Value>,
 }
 
 struct Frag {
@@ -337,22 +257,11 @@ fn parse_fragment(text: &str) -> Result<Frag, String> {
         }
         let obs = match v.get("obs") {
             None => None,
-            Some(o) => {
-                let mut util = Vec::new();
-                for e in want_arr(o, "util")? {
-                    util.push(UtilEntry {
-                        per_type: f64_vec(e, "u")?,
-                        drain_frac: f64_vec(e, "d")?,
-                        imbalance: e.get("imb").map(lenient_f64).unwrap_or(f64::NAN),
-                        cov: e.get("cov").map(lenient_f64).unwrap_or(f64::NAN),
-                    });
-                }
-                Some(ObsFrag {
-                    runs: want_u64(o, "runs")?,
-                    queue_depth: parse_hist(o.get("queue_depth").ok_or("missing queue_depth")?)?,
-                    util,
-                })
-            }
+            Some(o) => Some(ObsFrag {
+                runs: want_u64(o, "runs")?,
+                queue_depth: parse_hist(o.get("queue_depth").ok_or("missing queue_depth")?)?,
+                util: want_arr(o, "util")?.to_vec(),
+            }),
         };
         frag.cells.push(CellFrag {
             ratios: want_arr(&v, "ratios")?.iter().map(lenient_f64).collect(),
@@ -448,7 +357,19 @@ pub fn merge_shards(fragments: &[String]) -> Result<String, String> {
                 acc.runs += o.runs;
                 acc.queue_depth.merge(&o.queue_depth);
                 for e in &o.util {
-                    util_replay(&mut acc.util, e);
+                    let (u, d) = (want_arr(e, "u")?, want_arr(e, "d")?);
+                    let types = acc.util.sum_util.len();
+                    if u.len() != d.len() || (acc.util.runs > 0 && u.len() != types) {
+                        return Err(format!(
+                            "cell {label:?}: utilization entry of the wrong width"
+                        ));
+                    }
+                    let lenient = |key| e.get(key).map_or(f64::NAN, lenient_f64);
+                    let addends = u
+                        .iter()
+                        .zip(d)
+                        .map(|(u, d)| (lenient_f64(u), lenient_f64(d)));
+                    acc.util.add_parts(addends, lenient("imb"), lenient("cov"));
                 }
             }
         }
@@ -580,6 +501,27 @@ mod tests {
         let doubled = vec![frags[0].clone(), frags[0].clone(), frags[1].clone()];
         assert!(merge_shards(&doubled).is_err());
         assert!(merge_shards(&[]).is_err());
+    }
+
+    #[test]
+    fn merge_rejects_utilization_entries_of_the_wrong_width() {
+        let (spec, cells, labels) = setup();
+        let oc = ObsConfig::all();
+        let frags = fragments_for(&spec, &cells, &labels, 6, 11, oc, &[0, 3, 6]);
+        assert!(merge_shards(&frags).is_ok());
+        // One entry's drain fractions one longer than its utilizations.
+        let ragged = vec![
+            frags[0].clone(),
+            frags[1].replacen("\"d\":[", "\"d\":[0.5,", 1),
+        ];
+        assert!(merge_shards(&ragged).unwrap_err().contains("wrong width"));
+        // A later entry with a fourth type in both lists.
+        let wider =
+            frags[1]
+                .replacen("\"u\":[", "\"u\":[0.5,", 1)
+                .replacen("\"d\":[", "\"d\":[0.5,", 1);
+        let widened = vec![frags[0].clone(), wider];
+        assert!(merge_shards(&widened).unwrap_err().contains("wrong width"));
     }
 
     #[test]

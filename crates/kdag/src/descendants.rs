@@ -114,12 +114,6 @@ impl DescendantValues {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Returns a mutable view used by the approximate-information models in
-    /// `fhs-core` (MQB+Exp / MQB+Noise perturb a copy of the true values).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
 }
 
 /// Type-blind descendant values used by MaxDP:

@@ -8,7 +8,9 @@
 //!   timelines recorded live from the engine's epoch loop (RLE
 //!   compressed), with derived utilization, idle-time decomposition
 //!   (`busy + idle_active + idle_tail = P_α × makespan`), time-to-drain
-//!   and cross-type imbalance indices (max−min, CoV).
+//!   and cross-type imbalance indices (max−min, CoV); built from a
+//!   trace's intervals, the same timeline gives the interleaving index
+//!   and text sparklines of `fhs schedule --timeline`.
 //! * [`LogHist`] / [`HistSnapshot`] — HDR-style log-bucketed histograms
 //!   (fixed-size arrays, allocation-free recording, exact merging) for
 //!   assign latency, epoch duration and ready-queue depth across pool

@@ -14,7 +14,10 @@
 //! thesis is about: utilization, an idle-time decomposition (idle while
 //! the type still had work in flight vs. idle after it drained), the
 //! time-to-drain, and cross-type imbalance indices (max−min and
-//! coefficient of variation).
+//! coefficient of variation). [`UtilTimeline::from_intervals`] builds the
+//! same encoding from a finished schedule's busy intervals, for the
+//! interleaving index and per-type sparklines, walked segment by segment
+//! rather than over a dense `K × makespan` grid.
 
 /// Run-length-encoded per-type busy-count timelines.
 #[derive(Clone, Debug, Default)]
@@ -78,16 +81,18 @@ impl UtilTimeline {
         &self.segs[alpha]
     }
 
-    /// Integral of the busy count of `alpha` over `[0, makespan)` — the
-    /// type's busy processor-time.
-    pub fn busy_integral(&self, alpha: usize, makespan: u64) -> u64 {
+    /// Integral of the busy count of `alpha` over `[0, x)`; over
+    /// `[0, makespan)` it is the type's busy processor-time.
+    pub fn busy_integral(&self, alpha: usize, x: u64) -> u64 {
         let segs = &self.segs[alpha];
-        let mut busy = 0u64;
-        for (i, &(t, c)) in segs.iter().enumerate() {
-            let end = segs.get(i + 1).map_or(makespan, |&(t2, _)| t2);
-            busy += c as u64 * end.saturating_sub(t);
-        }
-        busy
+        segs.iter()
+            .enumerate()
+            .take_while(|&(_, &(t, _))| t < x)
+            .map(|(i, &(t, c))| {
+                let end = segs.get(i + 1).map_or(x, |&(t2, _)| t2.min(x));
+                c as u64 * (end - t)
+            })
+            .sum()
     }
 
     /// The last instant at which type `alpha` still had a busy processor
@@ -101,6 +106,83 @@ impl UtilTimeline {
             let _ = t;
         }
         0
+    }
+
+    /// The timeline of a finished schedule given as `(type, start, end)`
+    /// busy intervals — one per executed segment, so a preempted task
+    /// contributes one interval per stretch it ran (a recorded trace).
+    pub fn from_intervals(
+        k: usize,
+        intervals: impl IntoIterator<Item = (usize, u64, u64)>,
+    ) -> Self {
+        // +1 at each start, −1 at each end; at one instant the ends sort
+        // first and `set` keeps only the instant's final count.
+        let mut edges: Vec<(u64, usize, i64)> = intervals
+            .into_iter()
+            .filter(|&(_, start, end)| start < end)
+            .flat_map(|(alpha, start, end)| [(start, alpha, 1), (end, alpha, -1)])
+            .collect();
+        edges.sort_unstable();
+        let mut tl = UtilTimeline::new();
+        tl.begin(k);
+        let mut busy = vec![0i64; k];
+        for (t, alpha, delta) in edges {
+            busy[alpha] += delta;
+            tl.set(alpha, t, busy[alpha] as u32);
+        }
+        tl
+    }
+
+    /// Busy type-`alpha` processors during `[t, t+1)`.
+    fn busy_at(&self, alpha: usize, t: u64) -> u32 {
+        let segs = &self.segs[alpha];
+        match segs.partition_point(|&(start, _)| start <= t) {
+            0 => 0,
+            i => segs[i - 1].1,
+        }
+    }
+
+    /// Fraction of `[0, makespan)` during which *every* type had at least
+    /// one busy processor — a scalar measure of the interleaving the paper
+    /// pursues (1.0 = perfectly interleaved, 0.0 = fully serialized by
+    /// type). Returns 1.0 for a zero makespan.
+    pub fn interleaving_index(&self, makespan: u64) -> f64 {
+        if makespan == 0 {
+            return 1.0;
+        }
+        // Between consecutive change points every count is constant.
+        let mut cuts: Vec<u64> = self.segs.iter().flatten().map(|&(t, _)| t).collect();
+        cuts.extend([0, makespan]);
+        cuts.retain(|&t| t <= makespan);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let all_busy: u64 = cuts
+            .windows(2)
+            .filter(|w| (0..self.segs.len()).all(|alpha| self.busy_at(alpha, w[0]) > 0))
+            .map(|w| w[1] - w[0])
+            .sum();
+        all_busy as f64 / makespan as f64
+    }
+
+    /// One text sparkline per type (`.`, `▁▂▃▄▅▆▇█` by mean utilization
+    /// of `procs[alpha]` processors), `[0, makespan)` bucketed to at most
+    /// `max_width` columns.
+    pub fn sparklines(&self, procs: &[usize], makespan: u64, max_width: usize) -> String {
+        const LEVELS: [char; 9] = ['.', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+        let mut out = String::new();
+        let width = (makespan as usize).clamp(1, max_width.max(1));
+        let scale = (makespan as usize).div_ceil(width).max(1) as u64;
+        for (alpha, &p) in procs.iter().enumerate() {
+            out.push_str(&format!("type{alpha} |"));
+            for start in (0..makespan).step_by(scale as usize) {
+                let end = (start + scale).min(makespan);
+                let busy = self.busy_integral(alpha, end) - self.busy_integral(alpha, start);
+                let u = busy as f64 / (end - start) as f64 / p as f64;
+                out.push(LEVELS[((u * 8.0).round() as usize).min(8)]);
+            }
+            out.push_str("|\n");
+        }
+        out
     }
 
     /// Derives the full per-type report for a machine with `procs[alpha]`
@@ -203,6 +285,20 @@ impl UtilizationReport {
         var.sqrt() / mean
     }
 
+    /// Per type, the `(utilization, drain_time / makespan)` pair a
+    /// [`UtilSummary`] sums (the drain fraction is 1.0 for a zero
+    /// makespan).
+    pub fn addends(&self) -> impl ExactSizeIterator<Item = (f64, f64)> + '_ {
+        self.per_type.iter().map(|t| {
+            let drain = if self.makespan == 0 {
+                1.0
+            } else {
+                t.drain_time as f64 / self.makespan as f64
+            };
+            (t.utilization, drain)
+        })
+    }
+
     /// Mean per-type utilization.
     pub fn mean_utilization(&self) -> f64 {
         let n = self.per_type.len();
@@ -247,21 +343,30 @@ impl UtilSummary {
 
     /// Folds one run's report in.
     pub fn add(&mut self, r: &UtilizationReport) {
-        if self.sum_util.len() != r.per_type.len() {
+        self.add_parts(r.addends(), r.imbalance(), r.cov());
+    }
+
+    /// Folds one run given as its addends: per type `(utilization,
+    /// drain fraction)` (see [`UtilizationReport::addends`]), then the
+    /// run's imbalance and CoV. The one fold behind [`add`](Self::add)
+    /// and any replay of recorded addends, so both sum bit for bit alike.
+    pub fn add_parts(
+        &mut self,
+        per_type: impl ExactSizeIterator<Item = (f64, f64)>,
+        imbalance: f64,
+        cov: f64,
+    ) {
+        if self.sum_util.len() != per_type.len() {
             assert_eq!(self.runs, 0, "type count changed mid-summary");
-            *self = UtilSummary::new(r.per_type.len());
+            *self = UtilSummary::new(per_type.len());
         }
         self.runs += 1;
-        for (alpha, t) in r.per_type.iter().enumerate() {
-            self.sum_util[alpha] += t.utilization;
-            self.sum_drain_frac[alpha] += if r.makespan == 0 {
-                1.0
-            } else {
-                t.drain_time as f64 / r.makespan as f64
-            };
+        for (alpha, (u, d)) in per_type.enumerate() {
+            self.sum_util[alpha] += u;
+            self.sum_drain_frac[alpha] += d;
         }
-        self.sum_imbalance += r.imbalance();
-        self.sum_cov += r.cov();
+        self.sum_imbalance += imbalance;
+        self.sum_cov += cov;
     }
 
     /// Merges another summary (e.g. from another worker's share).
@@ -474,6 +579,106 @@ mod tests {
         b.add(&report(0.8, 0.7));
         a.merge(&b);
         assert_eq!(a, s);
+    }
+
+    /// Type 0 busy on `[0, 2)`, then type 1 on `[2, 5)`: a two-task chain.
+    fn chain() -> UtilTimeline {
+        UtilTimeline::from_intervals(2, [(0, 0, 2), (1, 2, 5)])
+    }
+
+    #[test]
+    fn chain_has_zero_interleaving() {
+        assert_eq!(chain().interleaving_index(5), 0.0);
+    }
+
+    #[test]
+    fn parallel_types_have_full_interleaving() {
+        let tl = UtilTimeline::from_intervals(2, [(0, 0, 4), (1, 0, 4)]);
+        assert_eq!(tl.interleaving_index(4), 1.0);
+    }
+
+    #[test]
+    fn sparklines_render_one_row_per_type() {
+        let text = chain().sparklines(&[1, 1], 5, 40);
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.contains("type0 |"));
+        assert!(text.contains('█'));
+        assert!(text.contains('.'));
+    }
+
+    #[test]
+    fn sparklines_respect_width_cap() {
+        let text = chain().sparklines(&[1, 1], 5, 3);
+        for line in text.lines() {
+            let body: String = line.chars().skip_while(|&c| c != '|').collect();
+            assert!(body.chars().count() <= 3 + 2, "row too wide: {line}");
+        }
+    }
+
+    /// The dense `K × makespan` grid the run-length methods replace:
+    /// its interleaving index and sparklines, computed step by step.
+    fn dense(intervals: &[(usize, u64, u64)], procs: &[usize], ms: u64, w: usize) -> (f64, String) {
+        let mut busy = vec![vec![0u32; ms as usize]; procs.len()];
+        for &(alpha, start, end) in intervals {
+            (start..end).for_each(|t| busy[alpha][t as usize] += 1);
+        }
+        let all = (0..ms as usize)
+            .filter(|&t| busy.iter().all(|r| r[t] > 0))
+            .count();
+        let index = if ms == 0 { 1.0 } else { all as f64 / ms as f64 };
+        let scale = (ms as usize)
+            .div_ceil((ms as usize).clamp(1, w.max(1)))
+            .max(1);
+        let mut text = String::new();
+        for (alpha, row) in busy.iter().enumerate() {
+            text.push_str(&format!("type{alpha} |"));
+            for b in row.chunks(scale) {
+                let u = b.iter().sum::<u32>() as f64 / b.len() as f64 / procs[alpha] as f64;
+                text.push(
+                    ['.', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█']
+                        [((u * 8.0).round() as usize).min(8)],
+                );
+            }
+            text.push_str("|\n");
+        }
+        (index, text)
+    }
+
+    #[test]
+    fn run_length_methods_match_the_dense_grid_on_preemptive_traces() {
+        // SplitMix64: a fixed seed, so every case replays.
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..300 {
+            // Each processor runs a sequence of segments separated by
+            // gaps (0 = a task resumed or switched at the same instant),
+            // as a preemptive schedule leaves them in its trace.
+            let procs: Vec<usize> = (0..1 + next(4)).map(|_| 1 + next(3) as usize).collect();
+            let mut intervals = Vec::new();
+            for (alpha, &p) in procs.iter().enumerate() {
+                for _ in 0..p {
+                    let mut t = next(5);
+                    for _ in 0..next(6) {
+                        let len = 1 + next(7);
+                        intervals.push((alpha, t, t + len));
+                        t += len + next(3) * next(4);
+                    }
+                }
+            }
+            let end = intervals.iter().map(|&(_, _, e)| e).max().unwrap_or(0);
+            let makespan = end + next(2) * next(5);
+            let width = 1 + next(30) as usize;
+            let tl = UtilTimeline::from_intervals(procs.len(), intervals.iter().copied());
+            let (index, text) = dense(&intervals, &procs, makespan, width);
+            assert_eq!(tl.interleaving_index(makespan).to_bits(), index.to_bits());
+            assert_eq!(tl.sparklines(&procs, makespan, width), text);
+        }
     }
 
     #[test]

@@ -36,7 +36,11 @@
 //! algorithms of the paper live in the `fhs-core` crate. The engines
 //! optionally record a full [`trace::Trace`] which can be validated against
 //! the model's rules ([`trace::validate`]) and rendered as an ASCII Gantt
-//! chart ([`gantt`]).
+//! chart ([`gantt`]). Per-type utilization timelines are `fhs-obs`'s
+//! [`UtilTimeline`]: the engine records one live when asked
+//! ([`ObsConfig::utilization`]), and [`UtilTimeline::from_intervals`]
+//! builds one from a trace's segments for the interleaving index and
+//! sparklines.
 //!
 //! Beyond one job at a time: the [`session`] module hosts the **session
 //! engine** — a persistent [`Session`] that admits seeded jobs from a
@@ -82,7 +86,6 @@ pub mod session;
 pub mod state;
 pub mod svg;
 pub mod telemetry;
-pub mod timeline;
 pub mod trace;
 pub mod workspace;
 
@@ -91,7 +94,7 @@ pub use engine::{Mode, RunOptions, SimOutcome};
 // The observability layer (utilization timelines, histograms, event
 // trace) lives in the dependency-free `fhs-obs` crate; re-export the
 // handles engine callers need.
-pub use fhs_obs::{HistSnapshot, ObsConfig, RunObs, UtilSummary, UtilizationReport};
+pub use fhs_obs::{HistSnapshot, ObsConfig, RunObs, UtilSummary, UtilTimeline, UtilizationReport};
 pub use instrument::{RunStats, SelectionStats, TransitionCounts};
 pub use policy::{Assignments, EpochView, Policy, ReadyTask};
 pub use ready_queue::{QueueEvent, ReadyQueue};

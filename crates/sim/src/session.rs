@@ -832,11 +832,6 @@ impl Session {
         &self.config
     }
 
-    /// Per-job stream statistics over the jobs retired so far.
-    pub fn stream_stats(&self) -> &fhs_obs::StreamStats {
-        &self.stream
-    }
-
     /// A policy value recycled from a retired job, if any — warm buffers
     /// included. [`Policy::attach_job`]
     /// guarantees re-attachment is bit-identical to a fresh policy, so

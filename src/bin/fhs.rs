@@ -22,7 +22,7 @@ use fhs::kdag::profile::JobProfile;
 use fhs::kdag::text;
 use fhs::prelude::*;
 use fhs::sim::gantt;
-use fhs::sim::timeline::Timeline;
+use fhs::sim::UtilTimeline;
 
 const USAGE: &str = "\
 usage: fhs <command> [options]
@@ -212,9 +212,11 @@ fn run_cli() -> Result<(), String> {
                 print!("{}", gantt::render(&trace, &job, &machine, 100));
             }
             if cli.timeline {
-                let tl = Timeline::of(&trace, &job, &machine);
-                print!("{}", tl.sparklines(&machine, 100));
-                println!("interleaving index: {:.3}", tl.interleaving_index());
+                let spans = trace.segments().iter().map(|s| (s.rtype, s.start, s.end));
+                let tl = UtilTimeline::from_intervals(machine.num_types(), spans);
+                let makespan = trace.makespan();
+                print!("{}", tl.sparklines(machine.procs_per_type(), makespan, 100));
+                println!("interleaving index: {:.3}", tl.interleaving_index(makespan));
             }
             if let Some(path) = &cli.svg {
                 let svg = fhs::sim::svg::render(&trace, &job, &machine);

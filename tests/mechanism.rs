@@ -3,7 +3,14 @@
 //! types busy simultaneously (utilization balancing / task interleaving).
 
 use fhs::prelude::*;
-use fhs::sim::timeline::Timeline;
+use fhs::sim::trace::Trace;
+use fhs::sim::UtilTimeline;
+
+/// The interleaving index of a traced schedule on `k` types.
+fn interleaving_index(trace: &Trace, k: usize) -> f64 {
+    let spans = trace.segments().iter().map(|s| (s.rtype, s.start, s.end));
+    UtilTimeline::from_intervals(k, spans).interleaving_index(trace.makespan())
+}
 
 fn interleaving(algo: Algorithm, spec: &WorkloadSpec, seeds: u64) -> f64 {
     let mut total = 0.0;
@@ -18,7 +25,7 @@ fn interleaving(algo: Algorithm, spec: &WorkloadSpec, seeds: u64) -> f64 {
             &RunOptions::seeded(seed).with_trace(),
         );
         let trace = out.trace.expect("requested");
-        total += Timeline::of(&trace, &job, &cfg).interleaving_index();
+        total += interleaving_index(&trace, cfg.num_types());
     }
     total / seeds as f64
 }
@@ -60,7 +67,7 @@ fn interleaving_tracks_the_makespan_win() {
                 &RunOptions::seeded(seed).with_trace(),
             );
             let trace = out.trace.expect("requested");
-            let il = Timeline::of(&trace, &job, &cfg).interleaving_index();
+            let il = interleaving_index(&trace, cfg.num_types());
             (out.makespan, il)
         };
         let (t_kg, il_kg) = eval(Algorithm::KGreedy);
@@ -109,7 +116,7 @@ fn adversarial_family_shows_the_starvation_mechanism() {
                 &RunOptions::seeded(t).with_trace(),
             );
             let trace = out.trace.expect("requested");
-            il[i] += Timeline::of(&trace, &job, &cfg).interleaving_index() / trials as f64;
+            il[i] += interleaving_index(&trace, cfg.num_types()) / trials as f64;
         }
     }
     // KGreedy drains type by type: pools overlap rarely. The chain tail
