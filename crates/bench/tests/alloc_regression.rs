@@ -239,7 +239,7 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
     let mut policy = ShiftBT::default();
     // Cold init sizes every scratch buffer (relaxation calendars, ready
     // bitsets, EDD orders, cached sequences).
-    policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+    policy.init(&job, &cfg, 1, &artifacts);
     let cold_order = policy.bottleneck_order.clone();
     let cold_rank = policy.rank_table().to_vec();
     // Warm re-init on the same instance must run entirely out of the
@@ -248,7 +248,7 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
     // per-round allocation trips it immediately.
     for rerun in 0..3 {
         let before = probe();
-        policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+        policy.init(&job, &cfg, 1, &artifacts);
         let bytes = probe() - before;
         assert_eq!(
             bytes, 0,
@@ -448,13 +448,13 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
         .chain([(InfoModel::default(), bounded)]);
     for (info, tuning) in variants {
         let mut policy = Mqb::with_tuning(info, tuning);
-        policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+        policy.init(&job, &cfg, 1, &artifacts);
         let cold: Vec<f64> = (0..job.num_tasks())
             .flat_map(|i| policy.d_row(kdag::TaskId::from_index(i)).to_vec())
             .collect();
         for rerun in 0..3 {
             let before = probe();
-            policy.init_with_artifacts(&job, &cfg, 1, &artifacts);
+            policy.init(&job, &cfg, 1, &artifacts);
             let bytes = probe() - before;
             assert_eq!(
                 bytes,

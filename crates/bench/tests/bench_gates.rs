@@ -162,7 +162,7 @@ fn scale_ladder_grows_subquadratically_and_mqb_approx_never_costs_more() {
                     black_box(transitive_reduction(&job));
                 },
                 &mut || {
-                    shiftbt.init_with_artifacts(&job, &cfg, LADDER_SEED, &artifacts);
+                    shiftbt.init(&job, &cfg, LADDER_SEED, &artifacts);
                     black_box(shiftbt.bottleneck_order.len());
                 },
                 &mut || {
@@ -295,9 +295,9 @@ fn shiftbt_matching_oracle_on_large() -> (KDag, MachineConfig, Arc<Artifacts>, S
     let (job, cfg) = ladder_instance(SystemSize::Large);
     let artifacts = Arc::new(Artifacts::compute(&job));
     let (oracle_order, oracle_rank) =
-        shiftbt_reference::bottleneck_sequencing(&job, &cfg, artifacts.due_dates());
+        shiftbt_reference::bottleneck_sequencing(&job, &cfg, artifacts.due_dates(&job));
     let mut p = ShiftBT::default();
-    p.init_with_artifacts(&job, &cfg, LADDER_SEED, &artifacts);
+    p.init(&job, &cfg, LADDER_SEED, &artifacts);
     assert_eq!(p.bottleneck_order, oracle_order, "oracle disagreement");
     assert_eq!(p.rank_table(), &oracle_rank[..], "oracle disagreement");
     (job, cfg, artifacts, p)
@@ -322,14 +322,14 @@ fn shiftbt_init_is_3x_faster_than_oracle_on_large() {
     let p = RefCell::new(p);
     let init = || {
         let mut p = p.borrow_mut();
-        p.init_with_artifacts(&job, &cfg, LADDER_SEED, &artifacts);
+        p.init(&job, &cfg, LADDER_SEED, &artifacts);
         black_box(p.bottleneck_order.len());
     };
     let oracle = || {
         black_box(shiftbt_reference::bottleneck_sequencing(
             &job,
             &cfg,
-            artifacts.due_dates(),
+            artifacts.due_dates(&job),
         ));
     };
     let ts = interleaved_nanos(
@@ -602,7 +602,7 @@ impl Policy for BackOfQueue {
         "BackOfQueue"
     }
 
-    fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64) {}
+    fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {}
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         for alpha in 0..view.config.num_types() {

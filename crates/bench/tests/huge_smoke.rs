@@ -109,7 +109,7 @@ fn huge_pipeline_end_to_end() {
 
     let mut shiftbt = fhs_core::shiftbt::ShiftBT::default();
     let (_, shiftbt_t, _) = staged(|| {
-        shiftbt.init_with_artifacts(&job, &cfg, 2, &artifacts);
+        shiftbt.init(&job, &cfg, 2, &artifacts);
     });
     assert_eq!(shiftbt.bottleneck_order.len(), 4);
     assert_eq!(shiftbt.rank_table().len(), job.num_tasks());
@@ -134,7 +134,7 @@ fn huge_pipeline_end_to_end() {
     let (mqb_mk, mqb_t) = run(Algorithm::Mqb);
     // Both schedules must at least cover the critical path.
     let span_floor = artifacts
-        .spans()
+        .spans(&job)
         .iter()
         .copied()
         .max()

@@ -7,11 +7,9 @@
 //! pools and promotes interleaving. Tasks with no different-type
 //! descendant sort last.
 
-use std::sync::Arc;
-
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{distance, KDag};
+use kdag::KDag;
 
 use crate::ranked::Selector;
 
@@ -27,27 +25,11 @@ impl Policy for DType {
         "DType"
     }
 
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
-        self.dist.clear();
-        self.dist.extend(
-            distance::different_child_distances(job)
-                .into_iter()
-                .map(|d| d.map_or(f64::INFINITY, f64::from)),
-        );
-        self.selector.invalidate();
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        _job: &KDag,
-        _config: &MachineConfig,
-        _seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.dist.clear();
         self.dist.extend(
             artifacts
-                .different_child()
+                .different_child(job)
                 .iter()
                 .map(|d| d.map_or(f64::INFINITY, f64::from)),
         );

@@ -8,11 +8,9 @@
 //! dispatch rule (the `schedulers` bench and the `sweep` binary accept it
 //! by name).
 
-use std::sync::Arc;
-
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{duedate, KDag};
+use kdag::KDag;
 
 use crate::ranked::Selector;
 
@@ -28,23 +26,10 @@ impl Policy for Edd {
         "EDD"
     }
 
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.due.clear();
         self.due
-            .extend(duedate::due_dates(job).into_iter().map(|d| d as f64));
-        self.selector.invalidate();
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        _job: &KDag,
-        _config: &MachineConfig,
-        _seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        self.due.clear();
-        self.due
-            .extend(artifacts.due_dates().iter().map(|&d| d as f64));
+            .extend(artifacts.due_dates(job).iter().map(|&d| d as f64));
         self.selector.invalidate();
     }
 

@@ -17,7 +17,7 @@
 //! (work-conserving per type).
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy};
-use kdag::KDag;
+use kdag::{Artifacts, KDag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,7 +71,7 @@ impl Policy for KGreedy {
         "KGreedy"
     }
 
-    fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64) {
+    fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.rng = StdRng::seed_from_u64(seed ^ 0x4B47_5245_4544_5921);
     }
 

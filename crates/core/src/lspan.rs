@@ -7,11 +7,9 @@
 //! children — is largest. The paper notes simple counter-examples show the
 //! out-tree optimality does **not** survive the lift to K types.
 
-use std::sync::Arc;
-
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{metrics, KDag, Work};
+use kdag::{KDag, Work};
 
 use crate::ranked::Selector;
 
@@ -25,10 +23,13 @@ pub struct LSpan {
     selector: Selector,
 }
 
-impl LSpan {
-    /// Derives the per-task max-child-span table from the (pre)computed
-    /// remaining spans — the shared tail of both init paths.
-    fn set_child_spans(&mut self, job: &KDag, spans: &[Work]) {
+impl Policy for LSpan {
+    fn name(&self) -> &str {
+        "LSpan"
+    }
+
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
+        let spans = artifacts.spans(job);
         self.child_span.clear();
         self.child_span.extend(job.tasks().map(|v| {
             job.children(v)
@@ -37,28 +38,6 @@ impl LSpan {
                 .max()
                 .unwrap_or(0)
         }));
-    }
-}
-
-impl Policy for LSpan {
-    fn name(&self) -> &str {
-        "LSpan"
-    }
-
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
-        let spans = metrics::remaining_spans(job);
-        self.set_child_spans(job, &spans);
-        self.selector.invalidate();
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        _config: &MachineConfig,
-        _seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        self.set_child_spans(job, artifacts.spans());
         self.selector.invalidate();
     }
 

@@ -9,11 +9,9 @@
 //! parallel ones, where what matters is the *type mix* of the descendants,
 //! not their amount.
 
-use std::sync::Arc;
-
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{descendants, KDag};
+use kdag::KDag;
 
 use crate::ranked::Selector;
 
@@ -29,20 +27,9 @@ impl Policy for MaxDP {
         "MaxDP"
     }
 
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
-        self.desc = descendants::type_blind_descendants(job);
-        self.selector.invalidate();
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        _job: &KDag,
-        _config: &MachineConfig,
-        _seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.desc.clear();
-        self.desc.extend_from_slice(artifacts.type_blind());
+        self.desc.extend_from_slice(artifacts.type_blind(job));
         self.selector.invalidate();
     }
 

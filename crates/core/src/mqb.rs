@@ -29,11 +29,10 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, ReadyTask, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{descendants::DescendantValues, KDag, TaskId};
+use kdag::{KDag, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -1097,8 +1096,8 @@ pub struct Mqb {
     d: Vec<f64>,
     /// Per-task total descendant value (tie-break key).
     d_total: Vec<f64>,
-    // Scratch buffers, reused across epochs (and across runs when the
-    // runner keeps policy values warm per worker; see `reset_in`).
+    // Scratch buffers, reused across epochs and across runs (the runner
+    // keeps policy values warm per worker); each is cleared where used.
     working: Vec<f64>,
     taken: Vec<bool>,
     snap: Vec<ReadyTask>,
@@ -2167,30 +2166,11 @@ impl Policy for Mqb {
         }
     }
 
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, seed: u64) {
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         match self.info.lookahead {
-            Lookahead::All => {
-                let dv = DescendantValues::compute(job);
-                self.set_d_from(dv.values());
-            }
-            Lookahead::OneStep => one_step_descendants(job, &mut self.d),
-        }
-        self.finish_init(job, seed);
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        _config: &MachineConfig,
-        seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        match self.info.lookahead {
-            // The artifact values are bit-identical to a cold
-            // `DescendantValues::compute` (same sweep, same order).
-            Lookahead::All => self.set_d_from(artifacts.descendants().values()),
-            // One-step lookahead is not part of the bundle (it's a plain
-            // O(|V|+|E|) pass with no topo sort) — compute it as `init` does.
+            Lookahead::All => self.set_d_from(artifacts.descendants(job).values()),
+            // One-step lookahead is not part of the bundle: it is a plain
+            // O(|V|+|E|) pass with no topological sort.
             Lookahead::OneStep => one_step_descendants(job, &mut self.d),
         }
         self.finish_init(job, seed);
@@ -2246,37 +2226,10 @@ impl Policy for Mqb {
         }
     }
 
-    fn reset_in(&mut self, _workspace: &mut fhs_sim::Workspace) {
-        // The selection scratch is sized inside `assign` and `init`
-        // rebuilds `d`/`d_total`, so nothing *must* be cleared — this
-        // override just drops stale candidate data eagerly so a policy
-        // kept warm across runs by the pooled runner never carries
-        // task ids from a previous instance. Capacity is retained.
-        self.working.clear();
-        self.taken.clear();
-        self.snap.clear();
-        self.erows.clear();
-        self.row.clear();
-        self.best_row.clear();
-        self.cand_sorted.clear();
-        self.best_sorted.clear();
-        self.approx_keys.clear();
-        self.approx_segs.clear();
-        self.approx_group.clear();
-        self.approx_next.clear();
-        self.approx_live.clear();
-        self.approx_dom.clear();
-        self.approx_front.clear();
-        self.approx_kid_head.clear();
-        self.approx_kid_next.clear();
-        self.approx_orphans.clear();
-        self.need_rebuild = true;
-    }
-
     fn detach_job(&mut self) {
         // Session retirement: drop this job's perturbed descendant tables
         // and any candidate scratch eagerly (task ids and values are
-        // meaningless for the next job; `attach_job` rebuilds them).
+        // meaningless for the next job; `init` rebuilds them).
         // Capacity is retained for the recycle pool.
         self.d.clear();
         self.d_total.clear();
@@ -2375,7 +2328,7 @@ mod tests {
         one_step_descendants(&job, &mut d1);
         assert_eq!(d1[v.index() * 2 + 1], 2.0); // only the child, not the grandchild
         let mut full = Mqb::default();
-        full.init(&job, &MachineConfig::uniform(2, 1), 0);
+        full.init(&job, &MachineConfig::uniform(2, 1), 0, &Artifacts::new());
         assert_eq!(full.d_row(v)[1], 10.0); // full lookahead sees both
     }
 
@@ -2390,11 +2343,11 @@ mod tests {
             };
             let mut a = Mqb::new(info);
             let mut b = Mqb::new(info);
-            a.init(&job, &cfg, 42);
-            b.init(&job, &cfg, 42);
+            a.init(&job, &cfg, 42, &Artifacts::new());
+            b.init(&job, &cfg, 42, &Artifacts::new());
             assert_eq!(a.d, b.d, "same seed must give same perturbation");
             let mut c = Mqb::new(info);
-            c.init(&job, &cfg, 43);
+            c.init(&job, &cfg, 43, &Artifacts::new());
             assert_ne!(a.d, c.d, "different seeds must differ");
         }
     }
@@ -2577,7 +2530,7 @@ mod tests {
         let (job, cfg) = WorkloadSpec::new(Family::Ir, Typing::Layered, size, 4).sample(2);
         for info in InfoModel::ALL_VARIANTS {
             let mut p = Mqb::new(info);
-            p.init(&job, &cfg, 2);
+            p.init(&job, &cfg, 2, &Artifacts::new());
             let oracle = sorted_row_classes(&p.d, p.k);
             assert!(
                 same_partition(&p.row_class, &oracle),

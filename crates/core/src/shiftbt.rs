@@ -57,11 +57,10 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::{duedate, KDag, TaskId};
+use kdag::{KDag, TaskId};
 
 use crate::ranked::Selector;
 
@@ -650,20 +649,8 @@ impl Policy for ShiftBT {
         "ShiftBT"
     }
 
-    fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64) {
-        let due = duedate::due_dates(job);
-        self.sequence_bottlenecks(job, config, &due);
-        self.selector.invalidate();
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        _seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        self.sequence_bottlenecks(job, config, artifacts.due_dates());
+    fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
+        self.sequence_bottlenecks(job, config, artifacts.due_dates(job));
         self.selector.invalidate();
     }
 
@@ -838,7 +825,7 @@ mod tests {
         let job = kdag::examples::figure1();
         let cfg = MachineConfig::uniform(3, 2);
         let mut p = ShiftBT::default();
-        p.init(&job, &cfg, 0);
+        p.init(&job, &cfg, 0, &Artifacts::new());
         let mut order = p.bottleneck_order.clone();
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2]);
@@ -891,7 +878,7 @@ mod tests {
         let job = b.build().unwrap();
         let cfg = MachineConfig::new(vec![1, 2]);
         let mut p = ShiftBT::default();
-        p.init(&job, &cfg, 0);
+        p.init(&job, &cfg, 0, &Artifacts::new());
         assert_eq!(p.bottleneck_order[0], 1);
     }
 
@@ -917,10 +904,10 @@ mod tests {
             (kdag::examples::figure1(), MachineConfig::uniform(3, 2)),
             (kdag::examples::figure1(), MachineConfig::new(vec![1, 3, 2])),
         ] {
-            let due = duedate::due_dates(&job);
+            let due = kdag::duedate::due_dates(&job);
             let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();
-            p.init(&job, &cfg, 0);
+            p.init(&job, &cfg, 0, &Artifacts::new());
             assert_eq!(p.bottleneck_order, order);
             assert_eq!(p.rank_table(), &rank[..]);
         }
@@ -942,16 +929,16 @@ mod tests {
         let cfg_b = MachineConfig::new(vec![2, 1]);
 
         let mut warm = ShiftBT::default();
-        warm.init(&job_a, &cfg_a, 0);
-        warm.init(&job_b, &cfg_b, 0);
+        warm.init(&job_a, &cfg_a, 0, &Artifacts::new());
+        warm.init(&job_b, &cfg_b, 0, &Artifacts::new());
         let mut cold = ShiftBT::default();
-        cold.init(&job_b, &cfg_b, 0);
+        cold.init(&job_b, &cfg_b, 0, &Artifacts::new());
         assert_eq!(warm.bottleneck_order, cold.bottleneck_order);
         assert_eq!(warm.rank_table(), cold.rank_table());
 
-        warm.init(&job_a, &cfg_a, 0);
+        warm.init(&job_a, &cfg_a, 0, &Artifacts::new());
         let mut cold_a = ShiftBT::default();
-        cold_a.init(&job_a, &cfg_a, 0);
+        cold_a.init(&job_a, &cfg_a, 0, &Artifacts::new());
         assert_eq!(warm.bottleneck_order, cold_a.bottleneck_order);
         assert_eq!(warm.rank_table(), cold_a.rank_table());
     }

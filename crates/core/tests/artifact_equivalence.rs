@@ -1,14 +1,17 @@
-//! The shared-artifact initialization path must be invisible: for every
-//! policy, `init_with_artifacts` over a precomputed [`Artifacts`] bundle
-//! must leave the policy in **bit-identical** state to a cold `init`, so
-//! artifact-cached runs replay cold runs segment for segment. This is the
-//! contract that makes the instance-major sweep
-//! (`fhs_experiments::runner::run_sweep`) behavior-preserving.
+//! The analysis bundle must be invisible: a policy's `init` reads its
+//! graph analysis from an [`Artifacts`] bundle, and the run must not
+//! depend on how that bundle was filled. Three bundles give the same full
+//! trace: the fresh lazy bundle `engine::run` builds itself, an eager
+//! [`Artifacts::compute`] bundle (as the instance-major sweep
+//! `fhs_experiments::runner::run_sweep` shares across its cells), and a
+//! lazy bundle another policy's `init` already partly filled (as happens
+//! when the cells of one instance fill a bundle in turn).
 //!
-//! Coverage: all six paper schedulers × both modes × both cadences
-//! (completion epochs and `quantum = 1`), plus every §V-G MQB information
-//! model (the perturbation RNG must consume the same stream regardless of
-//! where the descendant matrix came from).
+//! Coverage: all seven fhs-core policies (the paper's six plus EDD) ×
+//! both modes × both cadences (completion epochs and `quantum = 1`), plus
+//! every §V-G MQB information model (the perturbation RNG must consume
+//! the same stream, and perturb the policy's copy, never the shared
+//! descendant matrix).
 //!
 //! A second family pins the rewritten MQB selection loop (cached projected
 //! rows + incremental sorted-vector repair) to `NaiveMqb`, a verbatim
@@ -17,17 +20,31 @@
 //! engine-level `engine_equivalence` suite cannot catch an MQB rewrite bug
 //! because both engines share the policy code; this oracle can.
 
-use std::sync::Arc;
-
 use fhs_core::mqb::{cmp_balance, InfoModel};
-use fhs_core::{make_policy, Algorithm, Mqb, ALL_ALGORITHMS};
+use fhs_core::{make_policy, Algorithm, Mqb};
 use fhs_sim::{
-    engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions, Workspace,
+    engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions,
+    SelectionStats,
 };
 use kdag::descendants::DescendantValues;
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+/// Each fhs-core policy, paired with the policy whose `init` pre-fills
+/// the lazy bundle it then runs on. The pairs cover a bundle already
+/// holding the analysis the policy reads (ShiftBT after EDD, LSpan after
+/// ShiftBT), one holding only other analyses, and an untouched one
+/// (after KGreedy).
+const PREFILLED_BY: [(Algorithm, Algorithm); 7] = [
+    (Algorithm::KGreedy, Algorithm::Mqb),
+    (Algorithm::LSpan, Algorithm::ShiftBT),
+    (Algorithm::DType, Algorithm::MaxDP),
+    (Algorithm::MaxDP, Algorithm::DType),
+    (Algorithm::ShiftBT, Algorithm::Edd),
+    (Algorithm::Mqb, Algorithm::LSpan),
+    (Algorithm::Edd, Algorithm::KGreedy),
+];
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
     (1..=max_tasks).prop_flat_map(move |n| {
@@ -59,65 +76,80 @@ fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
     proptest::collection::vec(1usize..4, k).prop_map(MachineConfig::new)
 }
 
-/// Runs `algo` cold (`engine::run`) and artifact-backed
-/// (`engine::run_in_with_artifacts` over a shared bundle) and asserts the
+/// Initializes the wrapped policy from `bundle`, whichever bundle the
+/// engine hands it, so a run can read a bundle the test prepared.
+struct FromBundle<'a> {
+    inner: &'a mut dyn Policy,
+    bundle: &'a Artifacts,
+}
+
+impl Policy for FromBundle<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, _: &Artifacts) {
+        self.inner.init(job, config, seed, self.bundle)
+    }
+    fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
+        self.inner.assign(view, out)
+    }
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        self.inner.take_selection_stats()
+    }
+    fn assign_stable(&self) -> bool {
+        self.inner.assign_stable()
+    }
+}
+
+/// Runs `algo` on the engine's own fresh bundle, on an eager bundle, and
+/// on a lazy bundle `prefill`'s `init` already filled, and asserts the
 /// strongest observable — the full trace — is identical.
-fn assert_artifact_run_matches_cold(
+fn assert_bundles_agree(
     dag: &KDag,
     cfg: &MachineConfig,
-    artifacts: &Arc<Artifacts>,
     algo: Algorithm,
+    prefill: Algorithm,
     mode: Mode,
     opts: &RunOptions,
 ) {
-    let cold = engine::run(dag, cfg, make_policy(algo).as_mut(), mode, opts);
-    let warm = engine::run_in_with_artifacts(
-        &mut Workspace::new(),
-        dag,
-        cfg,
-        make_policy(algo).as_mut(),
-        mode,
-        opts,
-        artifacts,
-    );
-    assert_eq!(
-        warm.makespan,
-        cold.makespan,
-        "{} {:?}: makespan diverged under artifact init",
-        algo.label(),
-        mode
-    );
-    assert_eq!(warm.busy_time, cold.busy_time);
-    assert_eq!(warm.epochs, cold.epochs, "{} {:?}", algo.label(), mode);
-    let (warm_tr, cold_tr) = (
-        warm.trace.expect("requested"),
-        cold.trace.expect("requested"),
-    );
-    assert_eq!(
-        warm_tr.segments(),
-        cold_tr.segments(),
-        "{} {:?}: trace diverged under artifact init",
-        algo.label(),
-        mode
-    );
+    let fresh = engine::run(dag, cfg, make_policy(algo).as_mut(), mode, opts);
+    let eager = Artifacts::compute(dag);
+    let prefilled = Artifacts::new();
+    make_policy(prefill).init(dag, cfg, opts.seed, &prefilled);
+    for (label, bundle) in [("eager", &eager), ("prefilled", &prefilled)] {
+        let mut policy = make_policy(algo);
+        let mut from = FromBundle {
+            inner: policy.as_mut(),
+            bundle,
+        };
+        let out = engine::run(dag, cfg, &mut from, mode, opts);
+        let ctx = format!("{} {:?} on the {label} bundle", algo.label(), mode);
+        assert_eq!(out.makespan, fresh.makespan, "{ctx}: makespan diverged");
+        assert_eq!(out.busy_time, fresh.busy_time, "{ctx}");
+        assert_eq!(out.epochs, fresh.epochs, "{ctx}");
+        assert_eq!(
+            out.trace.expect("requested").segments(),
+            fresh.trace.as_ref().expect("requested").segments(),
+            "{ctx}: trace diverged"
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All six schedulers, both modes, default cadence: artifact-backed
-    /// initialization replays cold initialization bit for bit.
+    /// All seven policies, both modes, default cadence: how the bundle
+    /// was filled never shows in the run.
     #[test]
-    fn artifact_runs_match_cold_runs_for_all_six(
+    fn bundle_runs_agree_for_all_seven(
         dag in arb_kdag(3, 20, 4),
         cfg in arb_config(3),
         seed in 0u64..1000,
     ) {
-        let artifacts = Arc::new(Artifacts::compute(&dag));
         let opts = RunOptions::seeded(seed).with_trace();
-        for algo in ALL_ALGORITHMS {
+        for (algo, prefill) in PREFILLED_BY {
             for mode in [Mode::NonPreemptive, Mode::Preemptive] {
-                assert_artifact_run_matches_cold(&dag, &cfg, &artifacts, algo, mode, &opts);
+                assert_bundles_agree(&dag, &cfg, algo, prefill, mode, &opts);
             }
         }
     }
@@ -125,34 +157,31 @@ proptest! {
     /// Same equivalence at the paper's literal per-quantum cadence, where
     /// remaining-work-dependent policies re-decide every time unit.
     #[test]
-    fn artifact_runs_match_cold_runs_per_quantum(
+    fn bundle_runs_agree_per_quantum(
         dag in arb_kdag(3, 14, 4),
         cfg in arb_config(3),
         seed in 0u64..1000,
     ) {
-        let artifacts = Arc::new(Artifacts::compute(&dag));
         let opts = RunOptions::seeded(seed).with_trace().with_quantum(1);
-        for algo in ALL_ALGORITHMS {
-            assert_artifact_run_matches_cold(&dag, &cfg, &artifacts, algo, Mode::Preemptive, &opts);
+        for (algo, prefill) in PREFILLED_BY {
+            assert_bundles_agree(&dag, &cfg, algo, prefill, Mode::Preemptive, &opts);
         }
     }
 
-    /// Every §V-G information model: the perturbation RNG must consume the
-    /// same stream whether the descendant matrix came cold or from the
-    /// bundle, so the perturbed values — and hence the runs — are
-    /// identical.
+    /// Every §V-G information model, on a bundle MQB itself pre-filled:
+    /// the perturbed values — and hence the runs — are identical however
+    /// the shared descendant matrix got there.
     #[test]
-    fn artifact_runs_match_cold_runs_for_all_info_models(
+    fn bundle_runs_agree_for_all_info_models(
         dag in arb_kdag(3, 16, 4),
         cfg in arb_config(3),
         seed in 0u64..1000,
     ) {
-        let artifacts = Arc::new(Artifacts::compute(&dag));
         let opts = RunOptions::seeded(seed).with_trace();
         for info in InfoModel::ALL_VARIANTS {
             for mode in [Mode::NonPreemptive, Mode::Preemptive] {
-                assert_artifact_run_matches_cold(
-                    &dag, &cfg, &artifacts, Algorithm::MqbWith(info), mode, &opts,
+                assert_bundles_agree(
+                    &dag, &cfg, Algorithm::MqbWith(info), Algorithm::Mqb, mode, &opts,
                 );
             }
         }
@@ -230,7 +259,7 @@ impl Policy for NaiveMqb {
         "NaiveMQB"
     }
 
-    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64) {
+    fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {
         self.k = job.num_types();
         self.d = DescendantValues::compute(job).values().to_vec();
         self.d_total = (0..job.num_tasks())

@@ -33,7 +33,7 @@ use fhs_sim::{
     SelectionStats, Session, SessionOptions,
 };
 use fhs_workloads::adversarial::antichain;
-use kdag::{KDag, KDagBuilder, TaskId};
+use kdag::{Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 
 const CADENCES: [(Mode, Option<u64>); 3] = [
@@ -537,8 +537,8 @@ impl Policy for NaiveMqb {
         "NaiveMQB"
     }
 
-    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64) {
-        self.inner.init(job, config, seed);
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
+        self.inner.init(job, config, seed, artifacts);
         self.sel = SelectionStats::default();
         self.k = job.num_types();
         self.d.clear();

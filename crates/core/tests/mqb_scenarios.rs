@@ -3,7 +3,7 @@
 
 use fhs_core::mqb::{Accuracy, InfoModel, Lookahead, Mqb};
 use fhs_sim::{engine, MachineConfig, Mode, Policy, RunOptions};
-use kdag::{KDag, KDagBuilder, TaskId};
+use kdag::{Artifacts, KDag, KDagBuilder, TaskId};
 
 fn first_started(job: &KDag, cfg: &MachineConfig, policy: &mut dyn Policy, rtype: usize) -> TaskId {
     let out = engine::run(
@@ -134,7 +134,7 @@ fn exponential_model_is_mean_preserving() {
     let trials = 4000;
     for seed in 0..trials {
         let mut p = Mqb::new(info);
-        p.init(&job, &cfg, seed);
+        p.init(&job, &cfg, seed, &Artifacts::new());
         sum += p.d_row(v)[1];
     }
     let mean = sum / trials as f64;
@@ -160,7 +160,7 @@ fn noise_model_respects_its_envelope() {
     };
     for seed in 0..2000 {
         let mut p = Mqb::new(info);
-        p.init(&job, &cfg, seed);
+        p.init(&job, &cfg, seed, &Artifacts::new());
         let val = p.d_row(v)[1];
         assert!(
             (5.0..=21.0).contains(&val),

@@ -205,24 +205,9 @@ impl Policy for Lockstep {
         self.inner.name()
     }
 
-    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64) {
-        self.inner.init(job, config, seed);
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
+        self.inner.init(job, config, seed, artifacts);
         self.keys = Some(OracleKeys::new(self.algo, job, config));
-    }
-
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        self.inner.init_with_artifacts(job, config, seed, artifacts);
-        self.keys = Some(OracleKeys::new(self.algo, job, config));
-    }
-
-    fn reset_in(&mut self, workspace: &mut Workspace) {
-        self.inner.reset_in(workspace);
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
@@ -339,8 +324,9 @@ proptest! {
                 let mut ws = Workspace::new();
                 let mut p = Lockstep::new(algo);
                 let cold = engine::run_in(&mut ws, &dag, &cfg, &mut p, mode, &o);
-                let warm =
-                    engine::run_in_with_artifacts(&mut ws, &dag, &cfg, &mut p, mode, &o, &artifacts);
+                let (warm, _, _) = fhs_sim::metrics::evaluate_observed_with_artifacts_in(
+                    &mut ws, &dag, &cfg, &mut p, mode, &o, &artifacts,
+                );
                 prop_assert_eq!(cold.makespan, warm.makespan);
             }
         }
@@ -439,9 +425,9 @@ fn reinit_for_a_same_size_job_rebuilds_the_index() {
     };
     for algo in RANKED {
         let mut oracle_a = Lockstep::new(algo);
-        oracle_a.init(&a, &cfg, 0);
+        oracle_a.init(&a, &cfg, 0, &Artifacts::new());
         let mut oracle_b = Lockstep::new(algo);
-        oracle_b.init(&b, &cfg, 0);
+        oracle_b.init(&b, &cfg, 0, &Artifacts::new());
         let picks_a = view_picks(&mut oracle_a, &a);
         let picks_b = view_picks(&mut oracle_b, &b);
         assert_ne!(
@@ -450,9 +436,9 @@ fn reinit_for_a_same_size_job_rebuilds_the_index() {
         );
 
         let mut p = Lockstep::new(algo);
-        p.init(&a, &cfg, 0);
+        p.init(&a, &cfg, 0, &Artifacts::new());
         assert_eq!(view_picks(&mut p, &a), picks_a);
-        p.init(&b, &cfg, 0);
+        p.init(&b, &cfg, 0, &Artifacts::new());
         // Lockstep asserts the picks against the full scan with `b`'s keys.
         assert_eq!(
             view_picks(&mut p, &b),

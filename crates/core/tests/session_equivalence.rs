@@ -17,7 +17,7 @@ use std::sync::Arc;
 use fhs_core::{make_policy, ALL_ALGORITHMS};
 use fhs_sim::{
     engine, Assignments, EpochView, MachineConfig, Mode, Policy, RunOptions, Session,
-    SessionOptions, Workspace, ALL_INTER_JOB_POLICIES,
+    SessionOptions, ALL_INTER_JOB_POLICIES,
 };
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
@@ -34,32 +34,11 @@ impl Policy for Stepping {
     fn name(&self) -> &str {
         self.0.name()
     }
-    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64) {
-        self.0.init(job, config, seed)
-    }
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        self.0.init_with_artifacts(job, config, seed, artifacts)
-    }
-    fn reset_in(&mut self, workspace: &mut Workspace) {
-        self.0.reset_in(workspace)
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
+        self.0.init(job, config, seed, artifacts)
     }
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         self.0.assign(view, out)
-    }
-    fn attach_job(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: Option<&Arc<Artifacts>>,
-    ) {
-        self.0.attach_job(job, config, seed, artifacts)
     }
     fn detach_job(&mut self) {
         self.0.detach_job()

@@ -6,7 +6,7 @@
 
 use fhs_core::shiftbt::{reference, ShiftBT};
 use fhs_sim::{MachineConfig, Policy};
-use kdag::{duedate, KDag, KDagBuilder, TaskId};
+use kdag::{duedate, Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
@@ -42,7 +42,7 @@ fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
 fn assert_matches_oracle(job: &KDag, cfg: &MachineConfig, p: &mut ShiftBT) {
     let due = duedate::due_dates(job);
     let (order, rank) = reference::bottleneck_sequencing(job, cfg, &due);
-    p.init(job, cfg, 0);
+    p.init(job, cfg, 0, &Artifacts::new());
     assert_eq!(p.bottleneck_order, order, "bottleneck order diverged");
     assert_eq!(p.rank_table(), &rank[..], "rank table diverged");
 }

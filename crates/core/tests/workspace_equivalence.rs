@@ -9,16 +9,45 @@
 //! instances inside each case deliberately vary in task count, machine
 //! size, and seed, so the workspace's shape-reset path (`begin_run`) and
 //! the monotonic duplicate-selection stamps are exercised across
-//! shrink/grow transitions, and each policy's `init`/`reset_in` is proven
-//! to fully re-derive its state.
+//! shrink/grow transitions, and each policy's `init` is proven to fully
+//! re-derive its state.
 
 use std::sync::Arc;
 
 use fhs_core::{make_policy, ALL_ALGORITHMS};
-use fhs_sim::{engine, MachineConfig, Mode, RunOptions, Workspace};
+use fhs_sim::{
+    engine, Assignments, EpochView, MachineConfig, Mode, Policy, RunOptions, SelectionStats,
+    Workspace,
+};
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+/// Initializes the wrapped (warm) policy from `bundle`, whichever bundle
+/// the engine hands it: the sweep's shared-bundle path through the public
+/// engine entry.
+struct FromBundle<'a> {
+    inner: &'a mut dyn Policy,
+    bundle: &'a Artifacts,
+}
+
+impl Policy for FromBundle<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, _: &Artifacts) {
+        self.inner.init(job, config, seed, self.bundle)
+    }
+    fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
+        self.inner.assign(view, out)
+    }
+    fn take_selection_stats(&mut self) -> Option<SelectionStats> {
+        self.inner.take_selection_stats()
+    }
+    fn assign_stable(&self) -> bool {
+        self.inner.assign_stable()
+    }
+}
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
     (1..=max_tasks).prop_flat_map(move |n| {
@@ -167,9 +196,8 @@ proptest! {
                     let artifacts = Arc::new(Artifacts::compute(dag));
                     let mut opts = RunOptions::seeded(*seed).with_trace();
                     opts.quantum = quantum;
-                    let warm = engine::run_in_with_artifacts(
-                        &mut ws, dag, cfg, warm_policy.as_mut(), mode, &opts, &artifacts,
-                    );
+                    let mut from = FromBundle { inner: warm_policy.as_mut(), bundle: &artifacts };
+                    let warm = engine::run_in(&mut ws, dag, cfg, &mut from, mode, &opts);
                     let cold = engine::run(
                         dag, cfg, make_policy(algo).as_mut(), mode, &opts,
                     );

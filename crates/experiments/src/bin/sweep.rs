@@ -13,7 +13,7 @@ use fhs_core::{Algorithm, ALL_ALGORITHMS};
 use fhs_experiments::figures::{panel_csv_table, Panel};
 use fhs_experiments::obsout;
 use fhs_experiments::runner::{fold_rows, new_sweep_columns, run_sweep_rows, SweepCell};
-use fhs_experiments::shard::{merge_shards, shard_fragment, ShardMeta};
+use fhs_experiments::shard::{capture_util_addends, merge_shards, shard_fragment, ShardMeta};
 use fhs_experiments::telemetry::{sweep_exposition, sweep_snapshot_jsonl, MetricsServer};
 use fhs_obs::{chrome_trace_json, events_jsonl, write_atomic, ObsConfig, TraceCell};
 use fhs_sim::Mode;
@@ -352,13 +352,14 @@ fn main() {
     };
     let chunk = args.snapshot_every.unwrap_or(default_chunk);
     let mut columns = new_sweep_columns(cells.len());
-    let mut shard_rows = Vec::new();
+    // A shard keeps only its rows' utilization addends past the fold.
+    let mut shard_utils = vec![Vec::new(); cells.len()];
     let mut at = lo;
     while at < hi {
         let end = (at + chunk).min(hi);
         let batch = run_sweep_rows(&spec, &cells, at..end, args.seed, args.workers, observe);
         if args.shard_out.is_some() {
-            shard_rows.extend(batch.iter().cloned());
+            capture_util_addends(&mut shard_utils, &batch);
         }
         fold_rows(&mut columns, batch);
         at = end;
@@ -401,7 +402,8 @@ fn main() {
                 hi,
                 cells: &labels,
             },
-            shard_rows,
+            &mut columns,
+            &shard_utils,
         );
         match std::fs::write(path, fragment) {
             Ok(()) => eprintln!(
@@ -415,7 +417,7 @@ fn main() {
             }
         }
     }
-    if args.stable || args.shard_out.is_some() {
+    if args.stable {
         for col in columns.iter_mut() {
             obsout::stabilize(col);
         }

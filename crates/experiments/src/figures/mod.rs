@@ -156,7 +156,7 @@ mod tests {
     fn csv_accumulates_rows() {
         let mut t = panel_csv_table();
         panel().csv_rows(&mut t);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.to_csv().lines().count(), 3, "header plus two rows");
         assert!(t.to_csv().starts_with("panel,algorithm,mean"));
     }
 }

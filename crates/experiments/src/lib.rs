@@ -34,7 +34,9 @@ pub use runner::{
     run_cell, run_sweep, run_sweep_observed, run_sweep_rows, Cell, CellObs, InstanceRuns,
     SweepCell, SweepCellResult,
 };
-pub use shard::{merge_shards, shard_fragment, ShardMeta, SHARD_SCHEMA_VERSION};
+pub use shard::{
+    capture_util_addends, merge_shards, shard_fragment, ShardMeta, SHARD_SCHEMA_VERSION,
+};
 pub use stats::Summary;
 pub use stream::{run_stream, Arrivals, StreamCell, StreamConfig, StreamResult};
 pub use telemetry::MetricsServer;

@@ -4,8 +4,8 @@
 //!
 //! * **Cell-major** ([`run_cell`], [`run_cell_ratios`]): one `(workload,
 //!   algorithm, mode)` cell over many seeded instances. Each instance is
-//!   sampled and analyzed from scratch — the baseline the sweep bench
-//!   compares against.
+//!   sampled from scratch and its run computes only the analysis its
+//!   policy reads — the baseline the sweep bench compares against.
 //! * **Instance-major** ([`run_sweep`]): many `(algorithm, mode)` cells
 //!   over a *shared* instance stream. Because cells compare on common
 //!   random numbers (instance `i` of every cell is the same job), the
@@ -89,12 +89,11 @@ pub fn instance_seed(base: u64, i: u64) -> u64 {
 /// [`Workspace`] and one policy value per algorithm, both living for the
 /// life of the worker thread.
 ///
-/// Policies are safe to keep warm because `Policy::init` /
-/// `init_with_artifacts` fully re-derive every value table for the incoming
-/// job (and [`fhs_sim::Policy::reset_in`] clears run-scoped scratch), so a
-/// reused policy is bit-identical to a fresh one — the same contract the
-/// workspace itself obeys, and the property the `workspace_equivalence`
-/// suite pins.
+/// Policies are safe to keep warm because [`Policy::init`] fully
+/// re-derives every value table for the incoming job and each scratch
+/// buffer is cleared where it is used, so a reused policy is
+/// bit-identical to a fresh one — the same contract the workspace itself
+/// obeys, and the property the `workspace_equivalence` suite pins.
 #[derive(Default)]
 pub struct WorkerCtx {
     workspace: Workspace,
@@ -173,7 +172,8 @@ pub fn run_cell_ratios(
         ..SweepCell::new(cell.algo, cell.mode)
     };
     pool_map(workers, 0..instances as u64, move |i| {
-        let inst = Instance::sample(&cell.spec, base_seed, i, false);
+        // A lazy bundle: the run computes only what its policy reads.
+        let inst = Instance::sample(&cell.spec, base_seed, i, |_| Artifacts::new());
         with_worker_ctx(|ctx| {
             let (ws, policy) = ctx.parts(cell.algo);
             inst.eval(ws, policy, &col, ObsConfig::default(), i).0
@@ -181,23 +181,28 @@ pub fn run_cell_ratios(
     })
 }
 
-/// One sampled instance: the job, its machine, the shared analysis bundle
-/// (built only when some column needs it) and the instance seed.
+/// One sampled instance: the job, its machine, the analysis bundle every
+/// column reads and the instance seed.
 struct Instance {
     job: KDag,
     cfg: MachineConfig,
-    artifacts: Option<Arc<Artifacts>>,
+    artifacts: Arc<Artifacts>,
     seed: u64,
 }
 
 impl Instance {
     /// Samples absolute instance `i` of `spec` (seeded
-    /// `instance_seed(base_seed, i)`), computing its [`Artifacts`] when
-    /// `analyze` is set.
-    fn sample(spec: &WorkloadSpec, base_seed: u64, i: u64, analyze: bool) -> Self {
+    /// `instance_seed(base_seed, i)`) and builds its bundle with
+    /// `analyze`.
+    fn sample(
+        spec: &WorkloadSpec,
+        base_seed: u64,
+        i: u64,
+        analyze: fn(&KDag) -> Artifacts,
+    ) -> Self {
         let seed = instance_seed(base_seed, i);
         let (job, cfg) = spec.sample(seed);
-        let artifacts = analyze.then(|| Arc::new(Artifacts::compute(&job)));
+        let artifacts = Arc::new(analyze(&job));
         Instance {
             job,
             cfg,
@@ -221,13 +226,15 @@ impl Instance {
         opts.quantum = cell.quantum;
         opts.observe = observe;
         opts.observe.events &= i == 0;
-        let (job, cfg) = (&self.job, &self.cfg);
-        let (result, stats, obs) = match &self.artifacts {
-            Some(a) => metrics::evaluate_observed_with_artifacts_in(
-                ws, job, cfg, policy, cell.mode, &opts, a,
-            ),
-            None => metrics::evaluate_observed_in(ws, job, cfg, policy, cell.mode, &opts),
-        };
+        let (result, stats, obs) = metrics::evaluate_observed_with_artifacts_in(
+            ws,
+            &self.job,
+            &self.cfg,
+            policy,
+            cell.mode,
+            &opts,
+            &self.artifacts,
+        );
         (result.ratio, stats, obs)
     }
 }
@@ -367,8 +374,8 @@ pub fn fold_rows(out: &mut [SweepCellResult], per_instance: Vec<InstanceRuns>) {
 /// fast path.
 ///
 /// Each instance is sampled **once** and its [`Artifacts`] are computed
-/// **once**; every column then initializes its policy from the shared
-/// bundle (`Policy::init_with_artifacts`). Instances fan across up to
+/// **once**, all at once; every column then initializes its policy from
+/// the shared bundle. Instances fan across up to
 /// `workers` persistent pool threads (`None` = the whole team), each
 /// evaluating on its thread's [`WorkerCtx`] — reused workspace, warm
 /// policy values. For any column, the ratios are bit-identical to
@@ -454,9 +461,6 @@ pub fn run_sweep_rows(
     workers: Option<usize>,
     observe: ObsConfig,
 ) -> Vec<InstanceRuns> {
-    // Artifacts are only consumed by offline policies; a sweep of purely
-    // online columns (e.g. KGreedy alone) skips the precompute entirely.
-    let any_offline = cells.iter().any(|c| c.algo.is_offline());
     let spec = *spec;
     let cols: Arc<[SweepCell]> = cells.into();
     let ncells = cols.len();
@@ -469,7 +473,7 @@ pub fn run_sweep_rows(
     let team = workers.unwrap_or_else(|| fhs_par::pool().workers()).max(1);
     if len < team.saturating_mul(4) && ncells > 1 {
         let lo = range.start;
-        let prep = move |i: u64| Instance::sample(&spec, base_seed, i, any_offline);
+        let prep = move |i: u64| Instance::sample(&spec, base_seed, i, Artifacts::compute);
         let prepared = Arc::new(pool_map(workers, range, prep));
         let pairs = (0..len).flat_map(|i| (0..ncells).map(move |c| (i, c)));
         let eval = move |(i, c): (usize, usize)| {
@@ -485,7 +489,7 @@ pub fn run_sweep_rows(
             .collect();
     }
     let eval = move |i: u64| -> InstanceRuns {
-        let inst = Instance::sample(&spec, base_seed, i, any_offline);
+        let inst = Instance::sample(&spec, base_seed, i, Artifacts::compute);
         with_worker_ctx(|ctx| {
             cols.iter()
                 .map(|cell| {
@@ -511,10 +515,9 @@ pub fn run_sweep_unpooled(
     workers: Option<usize>,
 ) -> Vec<SweepCellResult> {
     let spec = *spec;
-    let any_offline = cells.iter().any(|c| c.algo.is_offline());
     let cols: Arc<[SweepCell]> = cells.into();
     let eval = move |i: u64| -> InstanceRuns {
-        let inst = Instance::sample(&spec, base_seed, i, any_offline);
+        let inst = Instance::sample(&spec, base_seed, i, Artifacts::compute);
         cols.iter()
             .map(|cell| {
                 let mut policy = make_policy(cell.algo);

@@ -35,7 +35,7 @@ use fhs_obs::HistSnapshot;
 use fhs_sim::RunStats;
 
 use crate::obsout::{self, parse_stats, stats_json};
-use crate::runner::{fold_rows, new_sweep_columns, CellObs, InstanceRuns};
+use crate::runner::{CellObs, InstanceRuns, SweepCellResult};
 
 /// Version tag stamped into every fragment's header line; merge refuses
 /// fragments with a different version.
@@ -81,25 +81,17 @@ fn hist_parts_json(h: &HistSnapshot) -> String {
     )
 }
 
-/// Renders one shard's fragment from the raw rows produced by
-/// [`run_sweep_rows`](crate::runner::run_sweep_rows) over `lo..hi`.
-///
-/// Line 1 is the header (schema version + sweep identity + range); then
-/// one line per column carrying the per-instance ratios, the stabilized
-/// shard-folded counters, and — when recording ran — the merged
-/// queue-depth histogram plus the per-instance utilization addends.
-pub fn shard_fragment(meta: &ShardMeta<'_>, rows: Vec<InstanceRuns>) -> String {
-    assert_eq!(rows.len() as u64, meta.hi - meta.lo, "row count != range");
-    let ncells = meta.cells.len();
-    // Per-cell utilization addends, rendered before the rows are folded
-    // away (in row = instance order, the only order that merges exactly).
-    let mut utils: Vec<Vec<String>> = vec![Vec::new(); ncells];
-    for row in &rows {
-        assert_eq!(row.len(), ncells, "row width != cell count");
-        for (c, (_, _, obs)) in row.iter().enumerate() {
+/// Renders each column's per-instance utilization addends in `rows` into
+/// `utils` (one list per column), in row = instance order — the only
+/// order that merges exactly. Call it on every chunk of a shard's rows
+/// before [`fold_rows`](crate::runner::fold_rows) consumes the chunk.
+pub fn capture_util_addends(utils: &mut [Vec<String>], rows: &[InstanceRuns]) {
+    for row in rows {
+        assert_eq!(row.len(), utils.len(), "row width != cell count");
+        for (cell_utils, (_, _, obs)) in utils.iter_mut().zip(row) {
             if let Some(u) = obs.as_ref().and_then(|o| o.util.as_ref()) {
                 let (util, drain): (Vec<f64>, Vec<f64>) = u.addends().unzip();
-                utils[c].push(format!(
+                cell_utils.push(format!(
                     "{{\"u\":{},\"d\":{},\"imb\":{},\"cov\":{}}}",
                     f64s_json(&util),
                     f64s_json(&drain),
@@ -109,9 +101,31 @@ pub fn shard_fragment(meta: &ShardMeta<'_>, rows: Vec<InstanceRuns>) -> String {
             }
         }
     }
-    let mut cols = new_sweep_columns(ncells);
-    fold_rows(&mut cols, rows);
+}
+
+/// Renders one shard's fragment from its columns, folded by
+/// [`fold_rows`](crate::runner::fold_rows) from the rows
+/// [`run_sweep_rows`](crate::runner::run_sweep_rows) produced over
+/// `lo..hi`, and the utilization addends [`capture_util_addends`] took
+/// from the same rows. The columns are stabilized first.
+///
+/// Line 1 is the header (schema version + sweep identity + range); then
+/// one line per column carrying the per-instance ratios, the stabilized
+/// shard-folded counters, and — when recording ran — the merged
+/// queue-depth histogram plus the per-instance utilization addends.
+pub fn shard_fragment(
+    meta: &ShardMeta<'_>,
+    cols: &mut [SweepCellResult],
+    utils: &[Vec<String>],
+) -> String {
+    assert_eq!(cols.len(), meta.cells.len(), "column count != cell count");
+    assert_eq!(utils.len(), meta.cells.len(), "addend lists != cell count");
     for col in cols.iter_mut() {
+        assert_eq!(
+            col.ratios.len() as u64,
+            meta.hi - meta.lo,
+            "row count != range"
+        );
         obsout::stabilize(col);
     }
 
@@ -126,7 +140,7 @@ pub fn shard_fragment(meta: &ShardMeta<'_>, rows: Vec<InstanceRuns>) -> String {
         meta.hi,
         labels.join(","),
     );
-    for ((label, col), cell_utils) in meta.cells.iter().zip(&cols).zip(&utils) {
+    for ((label, col), cell_utils) in meta.cells.iter().zip(cols.iter()).zip(utils) {
         out.push_str(&format!(
             "{{\"kind\":\"shard-cell\",\"cell\":{},\"ratios\":{},\"stats\":{}",
             json_string(label),
@@ -392,7 +406,9 @@ pub fn merge_shards(fragments: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_sweep_observed, run_sweep_rows, SweepCell};
+    use crate::runner::{
+        fold_rows, new_sweep_columns, run_sweep_observed, run_sweep_rows, SweepCell,
+    };
     use fhs_core::Algorithm;
     use fhs_obs::ObsConfig;
     use fhs_sim::Mode;
@@ -437,21 +453,55 @@ mod tests {
         bounds
             .windows(2)
             .map(|w| {
-                let rows = run_sweep_rows(spec, cells, w[0]..w[1], seed, Some(2), observe);
-                shard_fragment(
-                    &ShardMeta {
-                        workload: &spec.label(),
-                        mode: "np",
-                        instances,
-                        seed,
-                        lo: w[0],
-                        hi: w[1],
-                        cells: labels,
-                    },
-                    rows,
+                chunked_fragment(
+                    spec,
+                    cells,
+                    labels,
+                    instances,
+                    seed,
+                    observe,
+                    w[0]..w[1],
+                    &[],
                 )
             })
             .collect()
+    }
+
+    /// The fragment of shard `range`, its rows evaluated and folded chunk
+    /// by chunk at the absolute instance indices in `cuts`, as the `sweep`
+    /// binary does with `--snapshot-every`.
+    #[allow(clippy::too_many_arguments)]
+    fn chunked_fragment(
+        spec: &WorkloadSpec,
+        cells: &[SweepCell],
+        labels: &[String],
+        instances: usize,
+        seed: u64,
+        observe: ObsConfig,
+        range: std::ops::Range<u64>,
+        cuts: &[u64],
+    ) -> String {
+        let mut cols = new_sweep_columns(cells.len());
+        let mut utils = vec![Vec::new(); cells.len()];
+        let bounds: Vec<u64> = std::iter::once(range.start)
+            .chain(cuts.iter().copied())
+            .chain(std::iter::once(range.end))
+            .collect();
+        for w in bounds.windows(2) {
+            let rows = run_sweep_rows(spec, cells, w[0]..w[1], seed, Some(2), observe);
+            capture_util_addends(&mut utils, &rows);
+            fold_rows(&mut cols, rows);
+        }
+        let meta = ShardMeta {
+            workload: &spec.label(),
+            mode: "np",
+            instances,
+            seed,
+            lo: range.start,
+            hi: range.end,
+            cells: labels,
+        };
+        shard_fragment(&meta, &mut cols, &utils)
     }
 
     fn setup() -> (WorkloadSpec, Vec<SweepCell>, Vec<String>) {
@@ -475,6 +525,15 @@ mod tests {
         // Merge must not depend on fragment order.
         let reversed: Vec<String> = frags.into_iter().rev().collect();
         assert_eq!(merge_shards(&reversed).unwrap(), want);
+    }
+
+    #[test]
+    fn fragment_folded_in_three_chunks_equals_the_one_shot_fragment() {
+        let (spec, cells, labels) = setup();
+        let oc = ObsConfig::all();
+        let one_shot = chunked_fragment(&spec, &cells, &labels, 12, 41, oc, 2..11, &[]);
+        let chunked = chunked_fragment(&spec, &cells, &labels, 12, 41, oc, 2..11, &[3, 7]);
+        assert_eq!(chunked, one_shot);
     }
 
     #[test]

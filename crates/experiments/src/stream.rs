@@ -22,7 +22,6 @@ use fhs_core::{make_policy, Algorithm};
 use fhs_obs::{JobRecord, StreamStats};
 use fhs_sim::{InterJobPolicy, Mode, RunStats, Session, SessionOptions};
 use fhs_workloads::{ArrivalPlan, WorkloadSpec};
-use kdag::precompute::Artifacts;
 
 use crate::stats::Summary;
 
@@ -140,10 +139,11 @@ impl StreamResult {
 
 /// Runs one stream through one session and returns the per-job metrics.
 ///
-/// Offline algorithms get per-job [`Artifacts`] (computed at admission,
-/// as an online-arrival system would); online ones are admitted directly.
-/// Policy values and job runtimes are recycled across retirements — the
-/// steady-state path the session engine exists for.
+/// Every job is admitted the same way: the session builds its analysis
+/// bundle at admission, as an online-arrival system would, and computes
+/// only the analysis the cell's policy reads. Policy values and job
+/// runtimes are recycled across retirements — the steady-state path the
+/// session engine exists for.
 pub fn run_stream(config: &StreamConfig, cell: &StreamCell) -> StreamResult {
     run_stream_inner(config, cell, None).0
 }
@@ -182,12 +182,7 @@ fn run_stream_inner(
         let policy = session
             .recycled_policy()
             .unwrap_or_else(|| make_policy(cell.algo));
-        if cell.algo.is_offline() {
-            let artifacts = Arc::new(Artifacts::compute(&job));
-            session.admit_with_artifacts(Arc::new(job), policy, arrival.seed, &artifacts);
-        } else {
-            session.admit(Arc::new(job), policy, arrival.seed);
-        }
+        session.admit(Arc::new(job), policy, arrival.seed);
     }
     // Drain before detaching the sink so ticks keep firing through the
     // tail of the stream; `finish` then finds nothing left to run.

@@ -31,11 +31,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with padded columns, a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();

@@ -51,12 +51,6 @@ pub fn different_child_distances_with_order(
     dist
 }
 
-/// Convenience: the distance of one task, computing the whole table.
-/// Prefer [`different_child_distances`] when querying many tasks.
-pub fn different_child_distance(dag: &KDag, v: TaskId) -> Option<u32> {
-    different_child_distances(dag)[v.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,8 +97,9 @@ mod tests {
         b.add_edge(v, mid).unwrap();
         b.add_edge(mid, far).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(different_child_distance(&g, v), Some(1));
-        assert_eq!(different_child_distance(&g, mid), Some(1));
+        let d = different_child_distances(&g);
+        assert_eq!(d[v.index()], Some(1));
+        assert_eq!(d[mid.index()], Some(1));
     }
 
     #[test]

@@ -41,15 +41,6 @@ pub fn earliest_starts(dag: &KDag) -> Vec<Work> {
     est
 }
 
-/// Per-task slack `due(v) − est(v)`: zero exactly on critical tasks.
-pub fn slacks(dag: &KDag) -> Vec<Work> {
-    due_dates(dag)
-        .into_iter()
-        .zip(earliest_starts(dag))
-        .map(|(d, e)| d - e)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,12 +77,16 @@ mod tests {
     #[test]
     fn critical_tasks_have_zero_slack() {
         let g = fork_join();
-        let sl = slacks(&g);
+        let (due, est) = (due_dates(&g), earliest_starts(&g));
         for &v in &critical_path(&g) {
-            assert_eq!(sl[v.index()], 0, "critical task {v} must have no slack");
+            assert_eq!(
+                due[v.index()],
+                est[v.index()],
+                "critical task {v} must have no slack"
+            );
         }
         // the short branch (t2) has slack 3
-        assert_eq!(sl[2], 3);
+        assert_eq!(due[2] - est[2], 3);
     }
 
     #[test]

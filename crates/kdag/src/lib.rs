@@ -19,8 +19,9 @@
 //! * **different-child distances** used by the DType heuristic
 //!   ([`distance`]),
 //! * **due dates** used by the ShiftBT heuristic ([`duedate`]),
-//! * a shared per-instance [`precompute::Artifacts`] bundle running all of
-//!   the above over one topological sort, for artifact-cached sweeps,
+//! * a per-job [`precompute::Artifacts`] bundle running each of the above
+//!   on first use over one shared topological sort, the input of every
+//!   scheduling policy's initialization,
 //! * Graphviz DOT export ([`dot`]) and the paper's Figure-1 example DAG
 //!   ([`examples`]),
 //! * flexible (JIT-compilable) tasks with multiple placement options

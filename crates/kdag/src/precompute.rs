@@ -1,115 +1,119 @@
 //! Shared per-instance analysis artifacts.
 //!
-//! Every offline policy in `fhs-core` starts from the same handful of
-//! graph analyses: a topological order, descendant values (MQB), type-blind
+//! Every offline policy in `fhs-core` starts from one graph analysis: a
+//! topological order feeds descendant values (MQB), type-blind
 //! descendants (MaxDP), remaining spans (LSpan, and — via due dates — EDD
-//! and ShiftBT), and different-child distances (DType). When a sweep
-//! evaluates many `(algorithm, mode)` cells on *common random numbers*,
-//! instance `i` of every cell is the same sampled job, so each cell used to
-//! redo the identical analyses from scratch.
+//! and ShiftBT), and different-child distances (DType). A policy reads
+//! its analysis from an [`Artifacts`] bundle handed to
+//! `fhs_sim::Policy::init`, the only job-initialization hook.
 //!
-//! [`Artifacts::compute`] bundles them: one topological sort feeds every
-//! downstream sweep via the `_with_order` analysis variants, and the bundle
-//! is shared across cells behind an `Arc` through
-//! `fhs_sim::Policy::init_with_artifacts`. Because each analysis here calls
-//! the exact code the policies' cold `init` paths call — over the same
-//! canonical order [`crate::topo::reverse_topological_order`] produces —
-//! every value in the bundle is **bit-identical** to what a cold
-//! initialization computes, and artifact-cached runs reproduce cold runs
-//! bit for bit (property-tested in `fhs-core`'s `artifact_equivalence`).
+//! Each field is filled on first use: an accessor takes the job and runs
+//! its analysis (and the shared reverse topological order it needs) once,
+//! so a bundle built with [`Artifacts::new`] computes only what its
+//! readers ask for — one policy's table plus the span behind the lower
+//! bound. [`Artifacts::compute`] fills every field at once; a sweep
+//! evaluating many `(algorithm, mode)` cells on *common random numbers*
+//! builds one per sampled instance and shares it across the cells behind
+//! an `Arc`. Either way each value comes from the exact standalone
+//! analysis over the canonical order
+//! [`crate::topo::reverse_topological_order`] produces, so it is
+//! **bit-identical** whichever reader filled it first (property-tested in
+//! `fhs-core`'s `artifact_equivalence`).
+//!
+//! A bundle belongs to one job: every accessor must be passed the job the
+//! bundle was first filled for.
+
+use std::sync::OnceLock;
 
 use crate::descendants::{type_blind_descendants_with_order, DescendantValues};
 use crate::distance::different_child_distances_with_order;
 use crate::graph::KDag;
 use crate::metrics::remaining_spans_with_order;
-use crate::topo::topological_order;
+use crate::topo::reverse_topological_order;
 use crate::types::{TaskId, Work};
 
-/// The per-instance analysis bundle: everything the six paper policies
-/// precompute in their `init`, derived once from a single topological sort.
-#[derive(Clone, Debug)]
+/// The per-instance analysis bundle: everything the paper policies
+/// precompute in their `init`, each field derived on first use from one
+/// shared reverse topological order.
+#[derive(Clone, Debug, Default)]
 pub struct Artifacts {
-    topo: Vec<TaskId>,
-    reverse_topo: Vec<TaskId>,
-    descendants: DescendantValues,
-    type_blind: Vec<f64>,
-    spans: Vec<Work>,
-    due_dates: Vec<Work>,
-    different_child: Vec<Option<u32>>,
+    reverse_topo: OnceLock<Vec<TaskId>>,
+    descendants: OnceLock<DescendantValues>,
+    type_blind: OnceLock<Vec<f64>>,
+    spans: OnceLock<Vec<Work>>,
+    due_dates: OnceLock<Vec<Work>>,
+    different_child: OnceLock<Vec<Option<u32>>>,
 }
 
 impl Artifacts {
+    /// An empty bundle; each accessor fills its field on first use.
+    pub fn new() -> Self {
+        Artifacts::default()
+    }
+
     /// Runs every analysis over one shared topological sort. O(|V|·K + |E|·K).
     pub fn compute(dag: &KDag) -> Self {
-        let topo = topological_order(dag).expect("KDag invariant violated: cycle");
-        let mut reverse_topo = topo.clone();
-        reverse_topo.reverse();
-        let descendants = DescendantValues::compute_with_order(dag, &reverse_topo);
-        let type_blind = type_blind_descendants_with_order(dag, &reverse_topo);
-        let spans = remaining_spans_with_order(dag, &reverse_topo);
-        // due(v) = T∞ − span(v), exactly as `crate::duedate::due_dates`.
-        let total = spans.iter().copied().max().unwrap_or(0);
-        let due_dates = spans.iter().map(|&s| total - s).collect();
-        let different_child = different_child_distances_with_order(dag, &reverse_topo);
-        Artifacts {
-            topo,
-            reverse_topo,
-            descendants,
-            type_blind,
-            spans,
-            due_dates,
-            different_child,
-        }
+        let a = Artifacts::new();
+        a.descendants(dag);
+        a.type_blind(dag);
+        a.due_dates(dag);
+        a.different_child(dag);
+        a
     }
 
-    /// Forward topological order (parents before children).
-    pub fn topo(&self) -> &[TaskId] {
-        &self.topo
-    }
-
-    /// Reverse topological order (children before parents).
-    pub fn reverse_topo(&self) -> &[TaskId] {
-        &self.reverse_topo
+    /// Reverse topological order (children before parents), as
+    /// [`reverse_topological_order`]: the sweep order of every analysis.
+    fn reverse_topo(&self, dag: &KDag) -> &[TaskId] {
+        self.reverse_topo
+            .get_or_init(|| reverse_topological_order(dag))
     }
 
     /// Per-type descendant values, as [`DescendantValues::compute`].
-    pub fn descendants(&self) -> &DescendantValues {
-        &self.descendants
+    pub fn descendants(&self, dag: &KDag) -> &DescendantValues {
+        self.descendants
+            .get_or_init(|| DescendantValues::compute_with_order(dag, self.reverse_topo(dag)))
     }
 
     /// Type-blind descendant values, as
     /// [`crate::descendants::type_blind_descendants`].
-    pub fn type_blind(&self) -> &[f64] {
-        &self.type_blind
+    pub fn type_blind(&self, dag: &KDag) -> &[f64] {
+        self.type_blind
+            .get_or_init(|| type_blind_descendants_with_order(dag, self.reverse_topo(dag)))
     }
 
     /// Per-task remaining spans, as [`crate::metrics::remaining_spans`].
-    pub fn spans(&self) -> &[Work] {
-        &self.spans
+    pub fn spans(&self, dag: &KDag) -> &[Work] {
+        self.spans
+            .get_or_init(|| remaining_spans_with_order(dag, self.reverse_topo(dag)))
     }
 
     /// The job span `T∞(J)` — the maximum remaining span.
-    pub fn span(&self) -> Work {
-        self.spans.iter().copied().max().unwrap_or(0)
+    pub fn span(&self, dag: &KDag) -> Work {
+        self.spans(dag).iter().copied().max().unwrap_or(0)
     }
 
     /// Due dates, as [`crate::duedate::due_dates`].
-    pub fn due_dates(&self) -> &[Work] {
-        &self.due_dates
+    pub fn due_dates(&self, dag: &KDag) -> &[Work] {
+        self.due_dates.get_or_init(|| {
+            // due(v) = T∞ − span(v), exactly as `crate::duedate::due_dates`.
+            let total = self.span(dag);
+            self.spans(dag).iter().map(|&s| total - s).collect()
+        })
     }
 
     /// Different-child distances, as
     /// [`crate::distance::different_child_distances`].
-    pub fn different_child(&self) -> &[Option<u32>] {
-        &self.different_child
+    pub fn different_child(&self, dag: &KDag) -> &[Option<u32>] {
+        self.different_child
+            .get_or_init(|| different_child_distances_with_order(dag, self.reverse_topo(dag)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topo::reverse_topological_order;
     use crate::{descendants, distance, duedate, metrics, KDagBuilder};
+    use std::sync::{Arc, Barrier};
 
     fn layered_job() -> KDag {
         // Three layers with cross edges and multi-parent joins over 3 types.
@@ -130,38 +134,105 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every field of `a` equals the eager bundle's, `f64`s bit for bit.
+    fn assert_fields_match_compute(a: &Artifacts, g: &KDag) {
+        let want = Artifacts::compute(g);
+        assert_eq!(a.reverse_topo(g), want.reverse_topo(g));
+        assert_eq!(
+            bits(a.descendants(g).values()),
+            bits(want.descendants(g).values())
+        );
+        assert_eq!(bits(a.type_blind(g)), bits(want.type_blind(g)));
+        assert_eq!(a.spans(g), want.spans(g));
+        assert_eq!(a.span(g), want.span(g));
+        assert_eq!(a.due_dates(g), want.due_dates(g));
+        assert_eq!(a.different_child(g), want.different_child(g));
+    }
+
     #[test]
     fn artifacts_match_standalone_analyses_bitwise() {
         let g = layered_job();
         let a = Artifacts::compute(&g);
-        assert_eq!(a.reverse_topo(), &reverse_topological_order(&g)[..]);
+        assert_eq!(a.reverse_topo(&g), &reverse_topological_order(&g)[..]);
         let dv = descendants::DescendantValues::compute(&g);
-        for (x, y) in a.descendants().values().iter().zip(dv.values()) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "descendant values must be bit-identical"
-            );
-        }
-        let tb = descendants::type_blind_descendants(&g);
-        for (x, y) in a.type_blind().iter().zip(&tb) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.spans(), &metrics::remaining_spans(&g)[..]);
-        assert_eq!(a.span(), metrics::span(&g));
-        assert_eq!(a.due_dates(), &duedate::due_dates(&g)[..]);
         assert_eq!(
-            a.different_child(),
+            bits(a.descendants(&g).values()),
+            bits(dv.values()),
+            "descendant values must be bit-identical"
+        );
+        let tb = descendants::type_blind_descendants(&g);
+        assert_eq!(bits(a.type_blind(&g)), bits(&tb));
+        assert_eq!(a.spans(&g), &metrics::remaining_spans(&g)[..]);
+        assert_eq!(a.span(&g), metrics::span(&g));
+        assert_eq!(a.due_dates(&g), &duedate::due_dates(&g)[..]);
+        assert_eq!(
+            a.different_child(&g),
             &distance::different_child_distances(&g)[..]
         );
+    }
+
+    #[test]
+    fn lazy_fill_in_either_order_equals_compute() {
+        let g = layered_job();
+        // Due dates first: spans and the order are filled on the way, and
+        // nothing else is.
+        let a = Artifacts::new();
+        a.due_dates(&g);
+        assert!(a.spans.get().is_some() && a.reverse_topo.get().is_some());
+        assert!(a.descendants.get().is_none() && a.type_blind.get().is_none());
+        assert!(a.different_child.get().is_none());
+        a.descendants(&g);
+        a.different_child(&g);
+        a.type_blind(&g);
+        assert_fields_match_compute(&a, &g);
+        // The reverse order: the order first, spans before due dates.
+        let b = Artifacts::new();
+        b.reverse_topo(&g);
+        b.type_blind(&g);
+        b.different_child(&g);
+        b.spans(&g);
+        assert!(b.due_dates.get().is_none() && b.descendants.get().is_none());
+        b.descendants(&g);
+        b.due_dates(&g);
+        assert_fields_match_compute(&b, &g);
+    }
+
+    #[test]
+    fn racing_threads_fill_one_shared_bundle_consistently() {
+        let g = layered_job();
+        let shared = Arc::new(Artifacts::new());
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let forward = s.spawn(|| {
+                start.wait();
+                shared.descendants(&g);
+                shared.due_dates(&g);
+                shared.different_child(&g);
+                shared.type_blind(&g);
+            });
+            let backward = s.spawn(|| {
+                start.wait();
+                shared.type_blind(&g);
+                shared.different_child(&g);
+                shared.due_dates(&g);
+                shared.descendants(&g);
+            });
+            forward.join().expect("forward reader panicked");
+            backward.join().expect("backward reader panicked");
+        });
+        assert_fields_match_compute(&shared, &g);
     }
 
     #[test]
     fn empty_graph_artifacts_are_empty() {
         let g = KDagBuilder::new(2).build().unwrap();
         let a = Artifacts::compute(&g);
-        assert!(a.topo().is_empty());
-        assert_eq!(a.span(), 0);
-        assert!(a.due_dates().is_empty());
+        assert!(a.reverse_topo(&g).is_empty());
+        assert_eq!(a.span(&g), 0);
+        assert!(a.due_dates(&g).is_empty());
     }
 }

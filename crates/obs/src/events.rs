@@ -23,8 +23,7 @@ pub enum EventKind {
     RunBegin = 0,
     /// Engine run finished (`arg` = makespan).
     RunEnd = 1,
-    /// Policy per-run initialization (cold artifact build or reuse;
-    /// `arg` = 1 when per-instance artifacts were reused).
+    /// Policy per-job initialization (`arg` = 0).
     PolicyInit = 2,
     /// One scheduling epoch decided (`arg` = tasks assigned this epoch).
     Epoch = 3,

@@ -197,10 +197,9 @@ impl Recorder {
         }
     }
 
-    /// Records a policy-init instant (`reused`: per-instance artifacts
-    /// were warm).
+    /// Records a policy-init instant.
     #[inline]
-    pub fn policy_init(&mut self, reused: bool) {
+    pub fn policy_init(&mut self) {
         if self.cfg.events {
             self.events.push(Event {
                 kind: EventKind::PolicyInit,
@@ -209,7 +208,7 @@ impl Recorder {
                 task: NONE,
                 rtype: NONE,
                 lane: 0,
-                arg: reused as u64,
+                arg: 0,
             });
         }
     }
@@ -410,7 +409,7 @@ mod tests {
     fn full_recording_round_trip() {
         let mut r = Recorder::new();
         r.begin_run(ObsConfig::all(), &[2, 1], true);
-        r.policy_init(false);
+        r.policy_init();
         r.record_depth(3);
         r.record_assign_ns(100);
         r.timeline_set(0, 0, 2);

@@ -298,15 +298,6 @@ impl UtilizationReport {
             (t.utilization, drain)
         })
     }
-
-    /// Mean per-type utilization.
-    pub fn mean_utilization(&self) -> f64 {
-        let n = self.per_type.len();
-        if n == 0 {
-            return 1.0;
-        }
-        self.per_type.iter().map(|t| t.utilization).sum::<f64>() / n as f64
-    }
 }
 
 /// Cross-instance aggregation of [`UtilizationReport`]s for one sweep
@@ -538,7 +529,6 @@ mod tests {
             ],
         };
         assert!((r.imbalance() - 0.5).abs() < 1e-12);
-        assert!((r.mean_utilization() - 0.75).abs() < 1e-12);
         // population std of {1.0, 0.5} is 0.25; CoV = 0.25/0.75
         assert!((r.cov() - 1.0 / 3.0).abs() < 1e-12);
     }

@@ -56,11 +56,6 @@ impl MachineConfig {
         self.procs.iter().sum()
     }
 
-    /// `P_max = max_α P_α`.
-    pub fn max_procs(&self) -> usize {
-        *self.procs.iter().max().expect("non-empty by invariant")
-    }
-
     /// Returns a copy with type `alpha`'s processor count divided by
     /// `divisor` (rounded up, so it never reaches zero) — the skewed-load
     /// transformation of the paper's §V-E, which shrinks type 1 to 1/5 of
@@ -96,7 +91,6 @@ mod tests {
         assert_eq!(c.num_types(), 4);
         assert_eq!(c.procs(2), 3);
         assert_eq!(c.total_procs(), 12);
-        assert_eq!(c.max_procs(), 3);
         assert_eq!(c.procs_per_type(), &[3, 3, 3, 3]);
     }
 

@@ -20,7 +20,6 @@
 //! [`RunStats`] (epochs, assign wall time,
 //! transition counts, peak queue depth), surfaced on [`SimOutcome::stats`].
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use kdag::precompute::Artifacts;
@@ -159,8 +158,8 @@ pub fn run(
 /// the same arguments, regardless of what ran on the workspace before
 /// (property-tested across differently-shaped instances).
 ///
-/// [`crate::policy::Policy::reset_in`] is invoked on `policy` before its
-/// `init`, letting the policy clear or re-home per-run scratch.
+/// The policy is initialized from a fresh [`Artifacts`] bundle, so it
+/// computes only the analysis it reads.
 ///
 /// # Panics
 /// Same conditions as [`run`].
@@ -172,44 +171,21 @@ pub fn run_in(
     mode: Mode,
     opts: &RunOptions,
 ) -> SimOutcome {
-    run_prepared(ws, job, config, policy, mode, opts, None)
+    run_with(ws, job, config, policy, mode, opts, &Artifacts::new())
 }
 
-/// As [`run_in`], but initializes the policy through
-/// [`Policy::init_with_artifacts`] with a shared precompute bundle for
-/// `job` — the steady-state sweep path, combining shared per-instance
-/// analyses with zero-allocation engine reuse. With correct
-/// `init_with_artifacts` implementations (bit-identical state to a cold
-/// `init`) the outcome is bit-for-bit the same as [`run`]; the win is that
-/// `artifacts` can be computed once per sampled instance and shared across
-/// every `(algorithm, mode)` cell of a sweep.
-///
-/// # Panics
-/// Same conditions as [`run`].
+/// The one run prologue behind [`run_in`] and the evaluators: checks the
+/// inputs, initializes the policy from `artifacts` (the bundle of `job`),
+/// runs the engine and stamps its wall time.
 #[allow(clippy::too_many_arguments)]
-pub fn run_in_with_artifacts(
+pub(crate) fn run_with(
     ws: &mut Workspace,
     job: &KDag,
     config: &MachineConfig,
     policy: &mut dyn Policy,
     mode: Mode,
     opts: &RunOptions,
-    artifacts: &Arc<Artifacts>,
-) -> SimOutcome {
-    run_prepared(ws, job, config, policy, mode, opts, Some(artifacts))
-}
-
-/// The one run prologue behind [`run_in`] and [`run_in_with_artifacts`]:
-/// checks the inputs, resets and initializes the policy (from `artifacts`
-/// when given), runs the engine and stamps its wall time.
-fn run_prepared(
-    ws: &mut Workspace,
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-    artifacts: Option<&Arc<Artifacts>>,
+    artifacts: &Artifacts,
 ) -> SimOutcome {
     assert_eq!(
         job.num_types(),
@@ -220,11 +196,7 @@ fn run_prepared(
     );
     assert!(opts.quantum != Some(0), "quantum must be positive");
     let wall = Instant::now();
-    policy.reset_in(ws);
-    match artifacts {
-        Some(a) => policy.init_with_artifacts(job, config, opts.seed, a),
-        None => policy.init(job, config, opts.seed),
-    }
+    policy.init(job, config, opts.seed, artifacts);
     let mut out = run_engine(ws, job, config, policy, mode, opts);
     out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
     out
@@ -266,9 +238,9 @@ fn run_engine(
         if reused {
             ws.obs.workspace_reuse(ws.runs());
         }
-        // `policy.reset_in`/`init` already ran in the caller; record the
-        // init instant retroactively at t = 0.
-        ws.obs.policy_init(false);
+        // `policy.init` already ran in the caller; record the init
+        // instant retroactively at t = 0.
+        ws.obs.policy_init();
         // `begin_run` released the roots (in id order) before the recorder
         // was armed; emit their Release events here.
         for v in job.roots() {
@@ -550,7 +522,7 @@ mod tests {
         fn name(&self) -> &str {
             "WrongType"
         }
-        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64) {}
+        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
             // put a type-0 candidate on type-1 processors
             if let Some(rt) = view.queues[0].first() {
@@ -579,7 +551,7 @@ mod tests {
         fn name(&self) -> &str {
             "Lazy"
         }
-        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64) {}
+        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, _: &EpochView<'_>, _: &mut Assignments) {}
     }
 
@@ -617,7 +589,7 @@ mod tests {
         fn name(&self) -> &str {
             "Duper"
         }
-        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64) {}
+        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
             if let Some(rt) = view.queues[0].first() {
                 out.push(0, rt.id);

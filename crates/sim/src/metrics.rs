@@ -6,7 +6,7 @@ use kdag::precompute::Artifacts;
 use kdag::KDag;
 
 use crate::config::MachineConfig;
-use crate::engine::{run_in, run_in_with_artifacts, Mode, RunOptions};
+use crate::engine::{run_with, Mode, RunOptions};
 use crate::instrument::RunStats;
 use crate::policy::Policy;
 use crate::workspace::Workspace;
@@ -41,7 +41,9 @@ pub fn evaluate(
 /// bit-identical to a cold evaluation), and also returning the run's engine
 /// counters and observability payload
 /// ([`SimOutcome::obs`](crate::SimOutcome::obs)) — present when any
-/// [`RunOptions::observe`] channel is enabled.
+/// [`RunOptions::observe`] channel is enabled. The policy and the lower
+/// bound read one fresh [`Artifacts`] bundle, so each analysis runs at
+/// most once.
 pub fn evaluate_observed_in(
     ws: &mut Workspace,
     job: &KDag,
@@ -50,18 +52,12 @@ pub fn evaluate_observed_in(
     mode: Mode,
     opts: &RunOptions,
 ) -> (EvalResult, RunStats, Option<Box<fhs_obs::RunObs>>) {
-    let out = run_in(ws, job, config, policy, mode, opts);
-    let lb = kdag::metrics::lower_bound(job, config.procs_per_type());
-    (eval_result(out.makespan, lb), out.stats, out.obs)
+    evaluate_with(ws, job, config, policy, mode, opts, &Artifacts::new())
 }
 
-/// As [`evaluate_observed_in`], but initializes the policy from a shared
-/// [`Artifacts`] bundle (via [`run_in_with_artifacts`]) and reuses the
-/// bundle's span for the lower bound instead of recomputing it — the
-/// fully-loaded sweep path: shared per-instance analyses, zero-allocation
-/// engine reuse, and recording. With a correct
-/// `Policy::init_with_artifacts` implementation the result is bit-identical
-/// to [`evaluate_observed_in`].
+/// As [`evaluate_observed_in`], with `job`'s [`Artifacts`] bundle shared
+/// by the caller — the sweep path, where every cell of an instance reads
+/// one bundle. The result is bit-identical to [`evaluate_observed_in`].
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_observed_with_artifacts_in(
     ws: &mut Workspace,
@@ -72,8 +68,22 @@ pub fn evaluate_observed_with_artifacts_in(
     opts: &RunOptions,
     artifacts: &Arc<Artifacts>,
 ) -> (EvalResult, RunStats, Option<Box<fhs_obs::RunObs>>) {
-    let out = run_in_with_artifacts(ws, job, config, policy, mode, opts, artifacts);
-    let lb = kdag::metrics::lower_bound_with_span(job, config.procs_per_type(), artifacts.span());
+    evaluate_with(ws, job, config, policy, mode, opts, artifacts)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn evaluate_with(
+    ws: &mut Workspace,
+    job: &KDag,
+    config: &MachineConfig,
+    policy: &mut dyn Policy,
+    mode: Mode,
+    opts: &RunOptions,
+    artifacts: &Artifacts,
+) -> (EvalResult, RunStats, Option<Box<fhs_obs::RunObs>>) {
+    let out = run_with(ws, job, config, policy, mode, opts, artifacts);
+    let lb =
+        kdag::metrics::lower_bound_with_span(job, config.procs_per_type(), artifacts.span(job));
     (eval_result(out.makespan, lb), out.stats, out.obs)
 }
 

@@ -13,14 +13,11 @@
 //! * **Offline** policies precompute whatever they need from the full
 //!   K-DAG in [`Policy::init`].
 
-use std::sync::Arc;
-
 use kdag::precompute::Artifacts;
 use kdag::{KDag, TaskId, Work};
 
 use crate::config::MachineConfig;
 use crate::ready_queue::ReadyQueue;
-use crate::workspace::Workspace;
 use crate::Time;
 
 /// A candidate task visible to the policy at a decision epoch.
@@ -66,13 +63,6 @@ pub struct EpochView<'a> {
     pub preemptive: bool,
 }
 
-impl EpochView<'_> {
-    /// The x-utilization `r_α = l_α / P_α` of queue `alpha` (MQB §IV-A).
-    pub fn x_utilization(&self, alpha: usize) -> f64 {
-        self.queue_work[alpha] as f64 / self.config.procs(alpha) as f64
-    }
-}
-
 /// The policy's output: for each type, the tasks to run now.
 ///
 /// Reused across epochs to avoid per-epoch allocation.
@@ -115,52 +105,26 @@ impl Assignments {
 ///
 /// One policy value is used for one job execution: [`Policy::init`] is
 /// called once before the run (offline policies precompute their tables
-/// there), then [`Policy::assign`] once per decision epoch.
+/// there), then [`Policy::assign`] once per decision epoch. Engines and
+/// sessions keep policy values warm and call `init` again for each new
+/// job, so `init` must fully re-derive every per-job table.
 pub trait Policy: Send {
     /// Human-readable algorithm name (used in tables and benches).
     fn name(&self) -> &str;
 
-    /// Called once before simulation starts. `seed` feeds any stochastic
+    /// Called once per job before it runs. `seed` feeds any stochastic
     /// component (e.g. MQB's noisy-information models); deterministic
-    /// policies may ignore it.
-    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64);
-
-    /// As [`Policy::init`], with a shared bundle of precomputed graph
-    /// analyses for `job` (see [`kdag::precompute::Artifacts`]). Sweeps
-    /// evaluating many `(algorithm, mode)` cells on common random numbers
-    /// call this so every cell reuses one instance's analyses instead of
-    /// recomputing them per cell.
+    /// policies may ignore it. `artifacts` is `job`'s analysis bundle
+    /// (see [`kdag::precompute::Artifacts`]): offline policies read their
+    /// graph analysis from it, filling it on first use if no earlier
+    /// reader did. A sweep hands every `(algorithm, mode)` cell of one
+    /// instance the same bundle.
     ///
-    /// The contract is strict: initializing from `artifacts` must leave the
-    /// policy in a **bit-identical** state to a cold [`Policy::init`] with
-    /// the same arguments. The default implementation guarantees that
-    /// trivially by ignoring the bundle and delegating to `init`, so
-    /// third-party policies are unaffected.
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        let _ = artifacts;
-        self.init(job, config, seed);
-    }
-
-    /// Hook invoked by the workspace-reusing entry points
-    /// ([`crate::engine::run_in`] and friends) *before* `init`, handing the
-    /// policy the run's [`Workspace`]. Policies that keep per-run scratch
-    /// may clear it here or park reusable buffers in the workspace's typed
-    /// [`Workspace::scratch_mut`] slots so they survive across runs on the
-    /// same worker.
-    ///
-    /// The contract mirrors `init_with_artifacts`: after `reset_in` +
-    /// `init`, the policy's observable behavior must be **bit-identical**
-    /// to a cold `init` alone. The default is a no-op (the cold path), so
-    /// policies that fully reset in `init` need not implement it.
-    fn reset_in(&mut self, workspace: &mut Workspace) {
-        let _ = workspace;
-    }
+    /// After `init`, the policy's observable behaviour on `job` must be
+    /// the same whatever ran on this value before and whichever analyses
+    /// the bundle already held — the contract that lets runners and
+    /// sessions recycle policy values and share bundles bit-identically.
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts);
 
     /// Fill `out` with at most `view.slots[α]` tasks from `view.queues[α]`
     /// for each type `α`. Choosing fewer than the slot count is allowed
@@ -168,36 +132,10 @@ pub trait Policy: Send {
     /// duplicates is an error the engine panics on.
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments);
 
-    /// Job-scoped attach hook for the session engine: called by
-    /// [`crate::session::Session::admit`] when this policy value takes on a
-    /// (new) job mid-session, possibly after having served earlier jobs.
-    /// `artifacts`, when present, carries the job's shared precompute
-    /// bundle.
-    ///
-    /// The contract extends `init_with_artifacts`: after `attach_job`, the
-    /// policy's observable behavior on this job must be **bit-identical**
-    /// to a fresh policy value cold-`init`ed for it — that's what lets
-    /// sessions recycle policy values (warm tables, zero reallocation)
-    /// across a job stream. The default delegates to
-    /// [`Policy::init`]/[`Policy::init_with_artifacts`], whose contracts
-    /// already require full per-job re-initialization.
-    fn attach_job(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: Option<&Arc<Artifacts>>,
-    ) {
-        match artifacts {
-            Some(a) => self.init_with_artifacts(job, config, seed, a),
-            None => self.init(job, config, seed),
-        }
-    }
-
     /// Job-scoped detach hook: called when the session retires this
     /// policy's job, before the value is parked in the recycle pool.
     /// Policies holding per-job derived tables may drop or shrink them
-    /// here; behavior of a later [`Policy::attach_job`] must not depend on
+    /// here; behavior of a later [`Policy::init`] must not depend on
     /// whether `detach_job` ran. The default is a no-op.
     fn detach_job(&mut self) {}
 
@@ -235,32 +173,11 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64) {
-        (**self).init(job, config, seed)
-    }
-    fn init_with_artifacts(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: &Arc<Artifacts>,
-    ) {
-        (**self).init_with_artifacts(job, config, seed, artifacts)
-    }
-    fn reset_in(&mut self, workspace: &mut Workspace) {
-        (**self).reset_in(workspace)
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
+        (**self).init(job, config, seed, artifacts)
     }
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         (**self).assign(view, out)
-    }
-    fn attach_job(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        seed: u64,
-        artifacts: Option<&Arc<Artifacts>>,
-    ) {
-        (**self).attach_job(job, config, seed, artifacts)
     }
     fn detach_job(&mut self) {
         (**self).detach_job()
@@ -286,7 +203,7 @@ impl Policy for FifoPolicy {
         "KGreedy"
     }
 
-    fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64) {}
+    fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {}
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
         for alpha in 0..view.config.num_types() {
@@ -388,26 +305,5 @@ mod tests {
         FifoPolicy.assign(&view, &mut out);
         assert_eq!(out.chosen(0), &[ids[0]]);
         assert_eq!(out.chosen(1), &[ids[1], ids[3]]);
-    }
-
-    #[test]
-    fn x_utilization_divides_by_procs() {
-        let job = {
-            let mut b = KDagBuilder::new(2);
-            b.add_task(0, 1);
-            b.build().unwrap()
-        };
-        let cfg = MachineConfig::new(vec![2, 4]);
-        let view = EpochView {
-            time: 0,
-            job: &job,
-            config: &cfg,
-            queues: &[ReadyQueue::new(), ReadyQueue::new()],
-            queue_work: &[10, 10],
-            slots: &[2, 4],
-            preemptive: false,
-        };
-        assert_eq!(view.x_utilization(0), 5.0);
-        assert_eq!(view.x_utilization(1), 2.5);
     }
 }

@@ -162,7 +162,7 @@ pub fn run(
         job.num_types(),
         config.num_types()
     );
-    policy.init(job, config, opts.seed);
+    policy.init(job, config, opts.seed, &kdag::Artifacts::new());
     match mode {
         Mode::NonPreemptive => run_nonpreemptive(job, config, policy, opts),
         Mode::Preemptive => run_preemptive(job, config, policy, opts, opts.quantum),

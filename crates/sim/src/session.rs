@@ -7,9 +7,10 @@
 //!
 //! * **admit** — [`Session::admit`] attaches a seeded job at the current
 //!   simulation time: a recycled `JobRt` is reset for its shape, the
-//!   per-job policy is attached via
-//!   [`Policy::attach_job`] (artifacts
-//!   optional), and its roots join the shared ready state.
+//!   per-job policy is initialized via [`Policy::init`] from the job's
+//!   [`Artifacts`] bundle (a fresh lazy one, or the caller's through
+//!   [`Session::admit_with_artifacts`]), and its roots join the shared
+//!   ready state.
 //! * **step** — [`Session::run_until`] advances the shared epoch/event
 //!   loop (`drive`) to a target time, stopping exactly at the horizon so
 //!   arrivals interleave deterministically with completions. Every epoch,
@@ -822,21 +823,16 @@ impl Session {
         self.active.len()
     }
 
-    /// Jobs retired so far.
-    pub fn retired_jobs(&self) -> u64 {
-        self.stream.completed
-    }
-
     /// The machine this session schedules onto.
     pub fn config(&self) -> &MachineConfig {
         &self.config
     }
 
     /// A policy value recycled from a retired job, if any — warm buffers
-    /// included. [`Policy::attach_job`]
-    /// guarantees re-attachment is bit-identical to a fresh policy, so
-    /// single-algorithm streams can run allocation-light by re-admitting
-    /// these.
+    /// included. [`Policy::init`] fully re-derives a policy's per-job
+    /// state, so a re-admitted value behaves bit-identically to a fresh
+    /// one and single-algorithm streams can run allocation-light by
+    /// re-admitting these.
     pub fn recycled_policy(&mut self) -> Option<Box<dyn Policy>> {
         self.spare_policies.pop()
     }
@@ -844,12 +840,14 @@ impl Session {
     /// Admits `job` at the current time under `policy` (seeded for
     /// stochastic policies). Roots join the shared ready state
     /// immediately; the job starts competing for slots at the next epoch.
+    /// The policy and the job's isolated lower bound read one fresh
+    /// [`Artifacts`] bundle, so only the analysis the policy needs runs.
     pub fn admit(&mut self, job: Arc<KDag>, policy: Box<dyn Policy>, seed: u64) -> JobId {
-        self.admit_inner(job, policy, seed, None)
+        self.admit_with(job, policy, seed, &Artifacts::new())
     }
 
-    /// As [`Session::admit`], attaching the policy through a shared
-    /// precompute bundle for `job`.
+    /// As [`Session::admit`], with `job`'s analysis bundle supplied by the
+    /// caller.
     pub fn admit_with_artifacts(
         &mut self,
         job: Arc<KDag>,
@@ -857,15 +855,15 @@ impl Session {
         seed: u64,
         artifacts: &Arc<Artifacts>,
     ) -> JobId {
-        self.admit_inner(job, policy, seed, Some(artifacts))
+        self.admit_with(job, policy, seed, artifacts)
     }
 
-    fn admit_inner(
+    fn admit_with(
         &mut self,
         job: Arc<KDag>,
         mut policy: Box<dyn Policy>,
         seed: u64,
-        artifacts: Option<&Arc<Artifacts>>,
+        artifacts: &Artifacts,
     ) -> JobId {
         assert_eq!(
             job.num_types(),
@@ -875,18 +873,16 @@ impl Session {
             self.config.num_types()
         );
         let preemptive = self.opts.mode == Mode::Preemptive;
-        policy.reset_in(&mut self.ws);
-        policy.attach_job(&job, &self.config, seed, artifacts);
+        policy.init(&job, &self.config, seed, artifacts);
         let mut rt = self.spare_rts.pop().unwrap_or_default();
         rt.reset_for(&job, preemptive, self.now);
-        let lower_bound = match artifacts {
-            Some(a) => {
-                kdag::metrics::lower_bound_with_span(&job, self.config.procs_per_type(), a.span())
-            }
-            None => kdag::metrics::lower_bound(&job, self.config.procs_per_type()),
-        };
+        let lower_bound = kdag::metrics::lower_bound_with_span(
+            &job,
+            self.config.procs_per_type(),
+            artifacts.span(&job),
+        );
         if self.ws.obs.events_on() {
-            self.ws.obs.policy_init(artifacts.is_some());
+            self.ws.obs.policy_init();
             for v in job.roots() {
                 self.ws
                     .obs
@@ -1128,7 +1124,6 @@ mod tests {
         s.run_until(100); // job drains at 6, machine idles to 100
         assert_eq!(s.now(), 100);
         assert_eq!(s.active_jobs(), 0);
-        assert_eq!(s.retired_jobs(), 1);
         s.admit(Arc::new(chain_job()), Box::new(FifoPolicy), 0);
         let (out, _) = s.finish();
         assert_eq!(out.makespan, 106);
@@ -1399,7 +1394,7 @@ mod tests {
             fn name(&self) -> &str {
                 "Lazy"
             }
-            fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64) {}
+            fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
             fn assign(&mut self, _: &EpochView<'_>, _: &mut crate::policy::Assignments) {}
         }
         let cfg = MachineConfig::uniform(2, 1);

@@ -45,14 +45,10 @@
 //!   argument covers session-recycled `JobRt`s: their stamps were written
 //!   against the same monotonic counter.
 //!
-//! Policies participate through [`crate::policy::Policy::reset_in`]: the
-//! hook runs before `init` on the `*_in` paths and lets a policy clear
-//! per-run scratch it owns or park per-run state in the workspace's typed
-//! [`scratch_mut`](Workspace::scratch_mut) slots. The default is a no-op
-//! (the cold path), and the contract is the same as for artifacts:
-//! behavior must stay bit-identical to a cold run.
-
-use std::any::{Any, TypeId};
+//! Policy values are kept warm the same way (one per algorithm per pool
+//! worker) and own their scratch: [`crate::policy::Policy::init`]
+//! re-derives every per-job table and each scratch buffer is cleared
+//! where it is used, so the workspace holds no policy state.
 
 use kdag::{KDag, TaskId};
 
@@ -184,7 +180,7 @@ impl MachState {
 /// Owns every per-run allocation of the engine, reusable across runs of
 /// arbitrary `(job, config)` shapes. See the module docs for the reuse
 /// contract and the `JobRt`/`MachState` split.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Workspace {
     /// The single-job runtime (job slot 0 of a one-job session).
     pub(crate) rt: JobRt,
@@ -198,21 +194,6 @@ pub struct Workspace {
     pub(crate) obs: fhs_obs::Recorder,
     /// Completed runs on this workspace (drives the reuse counters).
     runs: u64,
-    /// Policy-owned typed scratch slots, keyed by concrete type. A linear
-    /// scan: policies register at most a couple of entries.
-    scratch: Vec<(TypeId, Box<dyn Any + Send>)>,
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Workspace {
-            rt: JobRt::default(),
-            mach: MachState::default(),
-            obs: fhs_obs::Recorder::new(),
-            runs: 0,
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl Workspace {
@@ -224,26 +205,6 @@ impl Workspace {
     /// Number of engine runs (or sessions) this workspace has hosted.
     pub fn runs(&self) -> u64 {
         self.runs
-    }
-
-    /// The typed scratch slot for `T`, created (via `Default`) on first
-    /// access. Policies use this from [`crate::policy::Policy::reset_in`]
-    /// to keep per-run buffers alive across runs on the same worker.
-    pub fn scratch_mut<T: Default + Send + 'static>(&mut self) -> &mut T {
-        let tid = TypeId::of::<T>();
-        if let Some(i) = self.scratch.iter().position(|(t, _)| *t == tid) {
-            return self.scratch[i]
-                .1
-                .downcast_mut::<T>()
-                .expect("scratch slot type matches its TypeId key");
-        }
-        self.scratch.push((tid, Box::new(T::default())));
-        self.scratch
-            .last_mut()
-            .expect("pushed just above")
-            .1
-            .downcast_mut::<T>()
-            .expect("scratch slot type matches its TypeId key")
     }
 
     /// Re-initializes every engine buffer for a single-job run of
@@ -276,16 +237,6 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scratch_slots_are_typed_and_persistent() {
-        let mut ws = Workspace::new();
-        ws.scratch_mut::<Vec<u64>>().push(7);
-        *ws.scratch_mut::<u32>() += 3;
-        ws.scratch_mut::<Vec<u64>>().push(9);
-        assert_eq!(ws.scratch_mut::<Vec<u64>>(), &[7, 9]);
-        assert_eq!(*ws.scratch_mut::<u32>(), 3);
-    }
 
     #[test]
     fn begin_run_reports_reuse_and_resets_shape() {

@@ -6,7 +6,7 @@
 
 use fhs_sim::policy::{Assignments, EpochView, Policy};
 use fhs_sim::{engine, trace, MachineConfig, Mode, RunOptions};
-use kdag::{KDag, KDagBuilder, TaskId};
+use kdag::{Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,7 +23,7 @@ impl Policy for ChaosPolicy {
         "Chaos"
     }
 
-    fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64) {
+    fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.rng = StdRng::seed_from_u64(seed);
     }
 

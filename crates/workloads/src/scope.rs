@@ -174,7 +174,7 @@ mod tests {
     mod fhs_core_stub {
         use fhs_sim::policy::{Assignments, EpochView, FifoPolicy, Policy};
         use fhs_sim::MachineConfig;
-        use kdag::{descendants, KDag};
+        use kdag::{Artifacts, KDag};
 
         pub fn kgreedy(_seed: u64) -> Box<dyn Policy> {
             Box::new(FifoPolicy)
@@ -190,8 +190,8 @@ mod tests {
             fn name(&self) -> &str {
                 "DescFirst"
             }
-            fn init(&mut self, job: &KDag, _c: &MachineConfig, _s: u64) {
-                self.d = descendants::type_blind_descendants(job);
+            fn init(&mut self, job: &KDag, _c: &MachineConfig, _s: u64, a: &Artifacts) {
+                self.d = a.type_blind(job).to_vec();
             }
             fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
                 for alpha in 0..view.config.num_types() {
