@@ -5,40 +5,29 @@
 //! it, each figure uses its own default (see the individual binaries).
 
 use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::{fig4, fig5, fig6, fig7, fig8, fig_stream, fig_util, lower_bound};
+use fhs_experiments::figures::{
+    fig4, fig5, fig6, fig7, fig8, fig_stream, fig_util, lower_bound, Report,
+};
 
 fn main() {
-    // Detect whether --instances was passed: parse with a sentinel.
-    const SENTINEL: usize = usize::MAX;
-    let args = CommonArgs::from_env(SENTINEL);
-    let with = |d: usize| {
-        let mut a = args.clone();
-        if a.instances == SENTINEL {
-            a.instances = d;
-        }
-        a
-    };
+    let figures: [(usize, Report); 8] = [
+        (lower_bound::DEFAULT_INSTANCES, lower_bound::report),
+        (fig4::figure().default_instances, fig4::report),
+        (fig5::figure().default_instances, fig5::report),
+        (fig6::figure().default_instances, fig6::report),
+        (fig7::figure().default_instances, fig7::report),
+        (fig8::figure().default_instances, fig8::report),
+        (fig_util::figure().default_instances, fig_util::report),
+        (fig_stream::DEFAULT_INSTANCES, fig_stream::report),
+    ];
     let t0 = std::time::Instant::now();
-    print!(
-        "{}",
-        lower_bound::report(&with(lower_bound::DEFAULT_INSTANCES))
-    );
-    println!();
-    print!("{}", fig4::report(&with(fig4::DEFAULT_INSTANCES)));
-    println!();
-    print!("{}", fig5::report(&with(fig5::DEFAULT_INSTANCES)));
-    println!();
-    print!("{}", fig6::report(&with(fig6::DEFAULT_INSTANCES)));
-    println!();
-    print!("{}", fig7::report(&with(fig7::DEFAULT_INSTANCES)));
-    println!();
-    print!("{}", fig8::report(&with(fig8::DEFAULT_INSTANCES)));
-    println!();
-    print!("{}", fig_util::report(&with(fig_util::DEFAULT_INSTANCES)));
-    println!();
-    print!(
-        "{}",
-        fig_stream::report(&with(fig_stream::DEFAULT_INSTANCES))
-    );
+    for (i, (default_instances, report)) in figures.into_iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        // Parsed once per figure, so an absent `--instances` takes that
+        // figure's own default.
+        print!("{}", report(&CommonArgs::from_env(default_instances)));
+    }
     println!("\n(total wall time: {:.1?})", t0.elapsed());
 }

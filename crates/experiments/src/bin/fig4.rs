@@ -1,10 +1,8 @@
 //! Regenerates the paper's Figure 4.
 //! Usage: cargo run -p fhs-experiments --release --bin fig4 -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig4;
+use fhs_experiments::figures::{self, fig4};
 
 fn main() {
-    let args = CommonArgs::from_env(fig4::DEFAULT_INSTANCES);
-    print!("{}", fig4::report(&args));
+    figures::run(fig4::figure().default_instances, fig4::report);
 }

@@ -1,10 +1,8 @@
 //! Regenerates the paper's Figure 5.
 //! Usage: cargo run -p fhs-experiments --release --bin fig5 -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig5;
+use fhs_experiments::figures::{self, fig5};
 
 fn main() {
-    let args = CommonArgs::from_env(fig5::DEFAULT_INSTANCES);
-    print!("{}", fig5::report(&args));
+    figures::run(fig5::figure().default_instances, fig5::report);
 }

@@ -1,10 +1,8 @@
 //! Regenerates the paper's Figure 6.
 //! Usage: cargo run -p fhs-experiments --release --bin fig6 -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig6;
+use fhs_experiments::figures::{self, fig6};
 
 fn main() {
-    let args = CommonArgs::from_env(fig6::DEFAULT_INSTANCES);
-    print!("{}", fig6::report(&args));
+    figures::run(fig6::figure().default_instances, fig6::report);
 }

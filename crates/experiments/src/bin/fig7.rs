@@ -1,10 +1,8 @@
 //! Regenerates the paper's Figure 7.
 //! Usage: cargo run -p fhs-experiments --release --bin fig7 -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig7;
+use fhs_experiments::figures::{self, fig7};
 
 fn main() {
-    let args = CommonArgs::from_env(fig7::DEFAULT_INSTANCES);
-    print!("{}", fig7::report(&args));
+    figures::run(fig7::figure().default_instances, fig7::report);
 }

@@ -1,10 +1,8 @@
 //! Regenerates the paper's Figure 8.
 //! Usage: cargo run -p fhs-experiments --release --bin fig8 -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig8;
+use fhs_experiments::figures::{self, fig8};
 
 fn main() {
-    let args = CommonArgs::from_env(fig8::DEFAULT_INSTANCES);
-    print!("{}", fig8::report(&args));
+    figures::run(fig8::figure().default_instances, fig8::report);
 }

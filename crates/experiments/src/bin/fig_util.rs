@@ -2,10 +2,8 @@
 //! balance per policy).
 //! Usage: cargo run -p fhs-experiments --release --bin fig_util -- [--instances N] [--seed S] [--csv-dir DIR] [--instrument]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::fig_util;
+use fhs_experiments::figures::{self, fig_util};
 
 fn main() {
-    let args = CommonArgs::from_env(fig_util::DEFAULT_INSTANCES);
-    print!("{}", fig_util::report(&args));
+    figures::run(fig_util::figure().default_instances, fig_util::report);
 }

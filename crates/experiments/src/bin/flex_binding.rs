@@ -1,10 +1,8 @@
 //! Runs the §VII extension experiment: JIT type-binding policies.
 //! Usage: cargo run -p fhs-experiments --release --bin flex_binding -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::flex_binding;
+use fhs_experiments::figures::{self, flex_binding};
 
 fn main() {
-    let args = CommonArgs::from_env(flex_binding::DEFAULT_INSTANCES);
-    print!("{}", flex_binding::report(&args));
+    figures::run(flex_binding::DEFAULT_INSTANCES, flex_binding::report);
 }

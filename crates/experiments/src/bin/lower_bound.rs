@@ -1,10 +1,8 @@
 //! Regenerates the Theorem-2 lower-bound experiment (paper Fig. 2 family).
 //! Usage: cargo run -p fhs-experiments --release --bin lower_bound -- [--instances N] [--seed S] [--csv-dir DIR]
 
-use fhs_experiments::args::CommonArgs;
-use fhs_experiments::figures::lower_bound;
+use fhs_experiments::figures::{self, lower_bound};
 
 fn main() {
-    let args = CommonArgs::from_env(lower_bound::DEFAULT_INSTANCES);
-    print!("{}", lower_bound::report(&args));
+    figures::run(lower_bound::DEFAULT_INSTANCES, lower_bound::report);
 }

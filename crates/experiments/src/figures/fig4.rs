@@ -11,98 +11,37 @@
 //! cuts KGreedy's ratio by ≥ 40%.
 
 use fhs_core::ALL_ALGORITHMS;
-use fhs_sim::Mode;
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_workloads::Typing;
 
 use crate::args::CommonArgs;
-use crate::figures::{obs_config, obs_section, panel_csv_table, Panel};
-use crate::runner::{run_sweep_observed, SweepCell, SweepCellResult};
+use crate::figures::{algorithm_cells, paper_panels, Figure, DEFAULT_K};
 
-/// Default instances per cell for the binary (paper: 5000).
-pub const DEFAULT_INSTANCES: usize = 500;
-
-/// Number of resource types in Figures 4 and 6–8 (paper default).
-pub const DEFAULT_K: usize = 4;
-
-/// The six panels (a)–(f) in the paper's order.
-pub fn panel_specs() -> [WorkloadSpec; 6] {
-    [
-        WorkloadSpec::new(Family::Ep, Typing::Random, SystemSize::Small, DEFAULT_K),
-        WorkloadSpec::new(Family::Tree, Typing::Random, SystemSize::Medium, DEFAULT_K),
-        WorkloadSpec::new(Family::Ir, Typing::Random, SystemSize::Medium, DEFAULT_K),
-        WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, DEFAULT_K),
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, DEFAULT_K),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, DEFAULT_K),
-    ]
-}
-
-/// Computes all six panels. Each panel's six algorithm bars share one
-/// instance stream (instance-major sweep), so every instance is sampled
-/// and analyzed once instead of six times.
-pub fn compute(args: &CommonArgs) -> Vec<Panel> {
-    compute_observed(args).into_iter().map(|(p, _)| p).collect()
-}
-
-/// As [`compute`], also returning each panel's raw sweep columns — which
-/// carry the observability payloads when `--instrument`/`--utilization`
-/// recording was requested.
-pub fn compute_observed(args: &CommonArgs) -> Vec<(Panel, Vec<SweepCellResult>)> {
-    let cells: Vec<SweepCell> = ALL_ALGORITHMS
-        .into_iter()
-        .map(|algo| SweepCell::new(algo, Mode::NonPreemptive))
-        .collect();
-    panel_specs()
-        .into_iter()
-        .map(|spec| {
-            let cols = run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                obs_config(args),
-            );
-            let panel = Panel {
-                title: spec.label(),
-                rows: ALL_ALGORITHMS
-                    .into_iter()
-                    .zip(&cols)
-                    .map(|(algo, col)| (algo.label().to_string(), col.summary()))
-                    .collect(),
-            };
-            (panel, cols)
-        })
-        .collect()
+/// The six panels (a)–(f) in the paper's order × the six algorithms.
+/// Each panel's six bars share one instance stream (instance-major
+/// sweep), so every instance is sampled and analyzed once instead of six
+/// times.
+pub fn figure() -> Figure {
+    let [a, b, c] = paper_panels(Typing::Random, DEFAULT_K);
+    let [d, e, f] = paper_panels(Typing::Layered, DEFAULT_K);
+    Figure {
+        stem: "fig4",
+        caption:
+            "Figure 4 — algorithm performance (avg completion-time ratio, non-preemptive, K=4)",
+        default_instances: 500,
+        panels: vec![a, b, c, d, e, f],
+        cells: algorithm_cells(ALL_ALGORITHMS),
+    }
 }
 
 /// Computes, renders, and (optionally) writes `fig4.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute_observed(args);
-    let mut csv = panel_csv_table();
-    let mut out = String::from(
-        "Figure 4 — algorithm performance (avg completion-time ratio, non-preemptive, K=4)\n\n",
-    );
-    for (p, cols) in &panels {
-        out.push_str(&p.render());
-        out.push_str(&obs_section(
-            args,
-            ALL_ALGORITHMS
-                .into_iter()
-                .map(|a| a.label().to_string())
-                .zip(cols.iter()),
-        ));
-        out.push('\n');
-        p.csv_rows(&mut csv);
-    }
-    if let Err(e) = args.write_csv("fig4", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+    figure().report(args)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Panel;
 
     fn tiny_args() -> CommonArgs {
         CommonArgs {
@@ -114,9 +53,14 @@ mod tests {
         }
     }
 
+    fn panels(args: &CommonArgs) -> Vec<Panel> {
+        let panels = figure().bar_panels(args);
+        panels.into_iter().map(|(p, _)| p).collect()
+    }
+
     #[test]
     fn panels_follow_the_papers_captions() {
-        let labels: Vec<String> = panel_specs().iter().map(|s| s.label()).collect();
+        let labels: Vec<String> = figure().panels.iter().map(|s| s.label()).collect();
         assert_eq!(
             labels,
             vec![
@@ -132,7 +76,7 @@ mod tests {
 
     #[test]
     fn compute_produces_six_by_six() {
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         assert_eq!(panels.len(), 6);
         for p in &panels {
             assert_eq!(p.rows.len(), 6);
@@ -153,7 +97,7 @@ mod tests {
         // The headline claim at small scale: on layered workloads MQB's
         // average ratio is well below KGreedy's. 25 instances is enough
         // for the direction (not the exact 40%).
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         for panel in &panels[3..6] {
             let kgreedy = panel.rows[0].1.mean;
             let mqb = panel.rows[5].1.mean;
@@ -170,7 +114,7 @@ mod tests {
     #[test]
     fn report_renders_all_panels() {
         let text = report(&tiny_args());
-        for spec in panel_specs() {
+        for spec in figure().panels {
             assert!(text.contains(&spec.label()));
         }
         assert!(!text.contains("imbalance"), "no appendix without flags");
@@ -186,7 +130,7 @@ mod tests {
         let text = report(&args);
         assert!(text.contains("assign µs"), "--instrument latency lines");
         assert!(text.contains("imbalance"), "--utilization aggregate lines");
-        let (_, cols) = &compute_observed(&args)[0];
+        let cols = &figure().columns(&args)[0];
         let obs = cols[0].obs.as_ref().expect("payload recorded");
         assert_eq!(obs.util.runs, args.instances as u64);
     }

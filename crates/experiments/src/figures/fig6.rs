@@ -6,90 +6,35 @@
 //! close to optimal.
 
 use fhs_core::ALL_ALGORITHMS;
-use fhs_sim::Mode;
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_workloads::Typing;
 
 use crate::args::CommonArgs;
-use crate::figures::{obs_config, obs_section, panel_csv_table, Panel};
-use crate::runner::{run_sweep_observed, SweepCell, SweepCellResult};
+use crate::figures::{algorithm_cells, paper_panels, Figure, DEFAULT_K};
 
-/// Default instances per cell for the binary (paper: 5000).
-pub const DEFAULT_INSTANCES: usize = 500;
-
-/// The two skewed panels (Medium Layered Tree / IR).
-pub fn panel_specs() -> [WorkloadSpec; 2] {
-    [
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4).skewed(),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4).skewed(),
-    ]
-}
-
-/// Computes both skewed panels (instance-major: each instance is sampled
-/// and analyzed once, shared by all six algorithms).
-pub fn compute(args: &CommonArgs) -> Vec<Panel> {
-    compute_observed(args).into_iter().map(|(p, _)| p).collect()
-}
-
-/// As [`compute`], also returning the raw sweep columns with any recorded
-/// observability payloads.
-pub fn compute_observed(args: &CommonArgs) -> Vec<(Panel, Vec<SweepCellResult>)> {
-    let cells: Vec<SweepCell> = ALL_ALGORITHMS
-        .into_iter()
-        .map(|algo| SweepCell::new(algo, Mode::NonPreemptive))
-        .collect();
-    panel_specs()
-        .into_iter()
-        .map(|spec| {
-            let cols = run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                obs_config(args),
-            );
-            let panel = Panel {
-                title: spec.label(),
-                rows: ALL_ALGORITHMS
-                    .into_iter()
-                    .zip(&cols)
-                    .map(|(algo, col)| (algo.label().to_string(), col.summary()))
-                    .collect(),
-            };
-            (panel, cols)
-        })
-        .collect()
+/// The two skewed panels (Medium Layered Tree / IR) × the six
+/// algorithms, instance-major: each instance is sampled and analyzed
+/// once, shared by all six bars.
+pub fn figure() -> Figure {
+    let [_, tree, ir] = paper_panels(Typing::Layered, DEFAULT_K);
+    Figure {
+        stem: "fig6",
+        caption:
+            "Figure 6 — skewed load: type 1's pool shrunk to 1/5 (avg ratio, non-preemptive, K=4)",
+        default_instances: 500,
+        panels: vec![tree.skewed(), ir.skewed()],
+        cells: algorithm_cells(ALL_ALGORITHMS),
+    }
 }
 
 /// Computes, renders, and (optionally) writes `fig6.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute_observed(args);
-    let mut csv = panel_csv_table();
-    let mut out = String::from(
-        "Figure 6 — skewed load: type 1's pool shrunk to 1/5 (avg ratio, non-preemptive, K=4)\n\n",
-    );
-    for (p, cols) in &panels {
-        out.push_str(&p.render());
-        out.push_str(&obs_section(
-            args,
-            ALL_ALGORITHMS
-                .into_iter()
-                .map(|a| a.label().to_string())
-                .zip(cols.iter()),
-        ));
-        out.push('\n');
-        p.csv_rows(&mut csv);
-    }
-    if let Err(e) = args.write_csv("fig6", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+    figure().report(args)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::fig4;
+    use crate::figures::{fig4, Panel};
 
     fn tiny_args() -> CommonArgs {
         CommonArgs {
@@ -101,9 +46,14 @@ mod tests {
         }
     }
 
+    fn panels(fig: Figure, args: &CommonArgs) -> Vec<Panel> {
+        let panels = fig.bar_panels(args);
+        panels.into_iter().map(|(p, _)| p).collect()
+    }
+
     #[test]
     fn two_skewed_panels() {
-        let panels = compute(&tiny_args());
+        let panels = panels(figure(), &tiny_args());
         assert_eq!(panels.len(), 2);
         assert!(panels[0].title.contains("skewed"));
         for p in &panels {
@@ -120,8 +70,8 @@ mod tests {
         // tree panel's spreads are within noise of each other at this
         // sample size.
         let args = tiny_args();
-        let skewed = compute(&args);
-        let unskewed = fig4::compute(&args);
+        let skewed = panels(figure(), &args);
+        let unskewed = panels(fig4::figure(), &args);
         for (sk, un) in skewed.iter().zip(&unskewed[4..6]) {
             for ((label, s), (_, u)) in sk.rows.iter().zip(&un.rows) {
                 assert!(
@@ -148,7 +98,7 @@ mod tests {
 
     #[test]
     fn kgreedy_is_near_optimal_under_skew() {
-        let panels = compute(&tiny_args());
+        let panels = panels(figure(), &tiny_args());
         for p in &panels {
             let kgreedy = p.rows[0].1.mean;
             assert!(kgreedy < 1.6, "{}: KGreedy {}", p.title, kgreedy);

@@ -6,111 +6,44 @@
 //! between online KGreedy and the offline algorithms.
 
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
-use fhs_sim::Mode;
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_workloads::Typing;
 
 use crate::args::CommonArgs;
-use crate::figures::{obs_config, obs_section};
-use crate::runner::{run_sweep_observed, SweepCell, SweepCellResult};
+use crate::figures::{self, mode_cells, obs_section, paper_panels, Figure, DEFAULT_K};
+use crate::runner::SweepCellResult;
 use crate::stats::Summary;
 use crate::table::Table;
 
-/// Default instances per cell for the binary (paper: 5000).
-pub const DEFAULT_INSTANCES: usize = 200;
-
-/// One panel: per algorithm, a (non-preemptive, preemptive) summary pair.
-#[derive(Clone, Debug)]
-pub struct ModePanel {
-    /// Panel caption.
-    pub title: String,
-    /// `(algorithm, non-preemptive, preemptive)` rows.
-    pub rows: Vec<(Algorithm, Summary, Summary)>,
+/// The three layered panels, each one instance-major sweep over twelve
+/// (algorithm, mode) columns, so both modes compare on literally the same
+/// sampled instances and each instance's analysis artifacts are shared
+/// across all columns.
+pub fn figure() -> Figure {
+    Figure {
+        stem: "fig7",
+        caption: "Figure 7 — non-preemptive vs preemptive (avg completion-time ratio, K=4)",
+        default_instances: 200,
+        panels: paper_panels(Typing::Layered, DEFAULT_K).to_vec(),
+        cells: mode_cells(),
+    }
 }
 
-/// The three panels of the figure.
-pub fn panel_specs() -> [WorkloadSpec; 3] {
-    [
-        WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4),
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4),
-    ]
-}
+/// One algorithm's `(algorithm, non-preemptive, preemptive)` summaries.
+pub type ModeRow = (Algorithm, Summary, Summary);
 
-/// The panel's twelve sweep columns: per algorithm, a non-preemptive cell
-/// followed by the paper's literal per-quantum preemptive cell
-/// (quantum = 1).
-fn mode_cells() -> Vec<SweepCell> {
+/// A panel's rows from its [`mode_cells`] columns.
+pub fn mode_rows(cols: &[SweepCellResult]) -> Vec<ModeRow> {
     ALL_ALGORITHMS
         .into_iter()
-        .flat_map(|algo| {
-            [
-                SweepCell::new(algo, Mode::NonPreemptive),
-                SweepCell {
-                    algo,
-                    mode: Mode::Preemptive,
-                    quantum: Some(1),
-                },
-            ]
-        })
-        .collect()
-}
-
-/// Computes the three panels in both execution modes. Each panel is one
-/// instance-major sweep over all twelve (algorithm, mode) columns, so
-/// both modes compare on literally the same sampled instances and each
-/// instance's analysis artifacts are shared across all columns.
-pub fn compute(args: &CommonArgs) -> Vec<ModePanel> {
-    compute_observed(args).into_iter().map(|(p, _)| p).collect()
-}
-
-/// As [`compute`], also returning the raw sweep columns (np/preemptive
-/// interleaved per algorithm) with any recorded observability payloads.
-pub fn compute_observed(args: &CommonArgs) -> Vec<(ModePanel, Vec<SweepCellResult>)> {
-    let cells = mode_cells();
-    panel_specs()
-        .into_iter()
-        .map(|spec| {
-            let cols = run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                obs_config(args),
-            );
-            let panel = ModePanel {
-                title: spec.label(),
-                rows: ALL_ALGORITHMS
-                    .into_iter()
-                    .zip(cols.chunks(2))
-                    .map(|(algo, pair)| (algo, pair[0].summary(), pair[1].summary()))
-                    .collect(),
-            };
-            (panel, cols)
-        })
-        .collect()
-}
-
-/// Labels for the twelve sweep columns of [`compute_observed`].
-fn mode_labels() -> Vec<String> {
-    ALL_ALGORITHMS
-        .into_iter()
-        .flat_map(|algo| {
-            [
-                format!("{} np", algo.label()),
-                format!("{} pre(q=1)", algo.label()),
-            ]
-        })
+        .zip(cols.chunks(2))
+        .map(|(algo, pair)| (algo, pair[0].summary(), pair[1].summary()))
         .collect()
 }
 
 /// Computes, renders, and (optionally) writes `fig7.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute_observed(args);
-    let mut out = String::from(
-        "Figure 7 — non-preemptive vs preemptive (avg completion-time ratio, K=4)\n\n",
-    );
-    let mut csv = Table::new(vec![
+    let fig = figure();
+    let csv = Table::new(vec![
         "panel",
         "algorithm",
         "nonpreemptive_mean",
@@ -119,36 +52,37 @@ pub fn report(args: &CommonArgs) -> String {
         "preemptive_ci95",
         "n",
     ]);
-    for (p, cols) in &panels {
-        let mut t = Table::new(vec!["algorithm", "non-preemptive", "preemptive", "delta"]);
-        for (algo, np, pe) in &p.rows {
-            t.push_row(vec![
-                algo.label().to_string(),
-                format!("{:.3}", np.mean),
-                format!("{:.3}", pe.mean),
-                format!("{:+.3}", pe.mean - np.mean),
-            ]);
-            csv.push_row(vec![
-                p.title.clone(),
-                algo.label().to_string(),
-                format!("{}", np.mean),
-                format!("{}", pe.mean),
-                format!("{}", np.ci95),
-                format!("{}", pe.ci95),
-                np.n.to_string(),
-            ]);
-        }
-        out.push_str(&format!("== {} ==\n{}", p.title, t.render()));
-        out.push_str(&obs_section(
-            args,
-            mode_labels().into_iter().zip(cols.iter()),
-        ));
-        out.push('\n');
-    }
-    if let Err(e) = args.write_csv("fig7", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+    let panels = fig.panels.iter().zip(fig.columns(args));
+    figures::report(
+        args,
+        fig.stem,
+        fig.caption,
+        csv,
+        panels,
+        |(spec, cols), csv| {
+            let title = spec.label();
+            let mut t = Table::new(vec!["algorithm", "non-preemptive", "preemptive", "delta"]);
+            for (algo, np, pe) in mode_rows(&cols) {
+                t.push_row(vec![
+                    algo.label().to_string(),
+                    format!("{:.3}", np.mean),
+                    format!("{:.3}", pe.mean),
+                    format!("{:+.3}", pe.mean - np.mean),
+                ]);
+                csv.push_row(vec![
+                    title.clone(),
+                    algo.label().to_string(),
+                    format!("{}", np.mean),
+                    format!("{}", pe.mean),
+                    format!("{}", np.ci95),
+                    format!("{}", pe.ci95),
+                    np.n.to_string(),
+                ]);
+            }
+            let obs = obs_section(args, fig.labels().zip(&cols));
+            format!("== {title} ==\n{}{obs}\n", t.render())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -165,13 +99,21 @@ mod tests {
         }
     }
 
+    fn panels(args: &CommonArgs) -> Vec<(String, Vec<ModeRow>)> {
+        let fig = figure();
+        let titles = fig.panels.iter().map(|s| s.label());
+        titles
+            .zip(fig.columns(args).iter().map(|c| mode_rows(c)))
+            .collect()
+    }
+
     #[test]
     fn three_panels_six_algorithms_two_modes() {
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         assert_eq!(panels.len(), 3);
         for p in &panels {
-            assert_eq!(p.rows.len(), 6);
-            for (algo, np, pe) in &p.rows {
+            assert_eq!(p.1.len(), 6);
+            for (algo, np, pe) in &p.1 {
                 assert!(np.mean >= 1.0 && pe.mean >= 1.0, "{}", algo.label());
             }
         }
@@ -180,14 +122,14 @@ mod tests {
     #[test]
     fn preemptive_kgreedy_still_trails_offline_mqb() {
         // The paper's point: preemption does not rescue online scheduling.
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         for p in &panels {
-            let kgreedy_pre = p.rows[0].2.mean;
-            let mqb_np = p.rows[5].1.mean;
+            let kgreedy_pre = p.1[0].2.mean;
+            let mqb_np = p.1[5].1.mean;
             assert!(
                 kgreedy_pre > mqb_np,
                 "{}: preemptive KGreedy {} !> MQB {}",
-                p.title,
+                p.0,
                 kgreedy_pre,
                 mqb_np
             );

@@ -10,24 +10,10 @@
 //! KGreedy by 20–30% on tree/IR.
 
 use fhs_core::{mqb::InfoModel, Algorithm};
-use fhs_sim::Mode;
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_workloads::Typing;
 
 use crate::args::CommonArgs;
-use crate::figures::{obs_config, obs_section, panel_csv_table, Panel};
-use crate::runner::{run_sweep_observed, SweepCell, SweepCellResult};
-
-/// Default instances per cell for the binary (paper: 5000).
-pub const DEFAULT_INSTANCES: usize = 300;
-
-/// The three panels of the figure.
-pub fn panel_specs() -> [WorkloadSpec; 3] {
-    [
-        WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4),
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4),
-    ]
-}
+use crate::figures::{algorithm_cells, paper_panels, Figure, DEFAULT_K};
 
 /// The seven bars of each panel: KGreedy then the six MQB variants.
 pub fn algorithms() -> Vec<Algorithm> {
@@ -36,71 +22,28 @@ pub fn algorithms() -> Vec<Algorithm> {
         .collect()
 }
 
-/// Computes the three panels (summaries carry both mean and max). The
-/// seven bars share one instance stream per panel (instance-major sweep).
-pub fn compute(args: &CommonArgs) -> Vec<Panel> {
-    compute_observed(args).into_iter().map(|(p, _)| p).collect()
-}
-
-/// As [`compute`], also returning the raw sweep columns with any recorded
-/// observability payloads.
-pub fn compute_observed(args: &CommonArgs) -> Vec<(Panel, Vec<SweepCellResult>)> {
-    let cells: Vec<SweepCell> = algorithms()
-        .into_iter()
-        .map(|algo| SweepCell::new(algo, Mode::NonPreemptive))
-        .collect();
-    panel_specs()
-        .into_iter()
-        .map(|spec| {
-            let cols = run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                obs_config(args),
-            );
-            let panel = Panel {
-                title: spec.label(),
-                rows: algorithms()
-                    .into_iter()
-                    .zip(&cols)
-                    .map(|(algo, col)| (algo.label().to_string(), col.summary()))
-                    .collect(),
-            };
-            (panel, cols)
-        })
-        .collect()
+/// The three layered panels × the seven bars (summaries carry both mean
+/// and max). The seven bars share one instance stream per panel
+/// (instance-major sweep).
+pub fn figure() -> Figure {
+    Figure {
+        stem: "fig8",
+        caption: "Figure 8 — MQB with partial/imprecise information (avg and max ratio, non-preemptive, K=4)",
+        default_instances: 300,
+        panels: paper_panels(Typing::Layered, DEFAULT_K).to_vec(),
+        cells: algorithm_cells(algorithms()),
+    }
 }
 
 /// Computes, renders, and (optionally) writes `fig8.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute_observed(args);
-    let mut csv = panel_csv_table();
-    let mut out = String::from(
-        "Figure 8 — MQB with partial/imprecise information (avg and max ratio, non-preemptive, K=4)\n\n",
-    );
-    for (p, cols) in &panels {
-        out.push_str(&p.render());
-        out.push_str(&obs_section(
-            args,
-            algorithms()
-                .into_iter()
-                .map(|a| a.label().to_string())
-                .zip(cols.iter()),
-        ));
-        out.push('\n');
-        p.csv_rows(&mut csv);
-    }
-    if let Err(e) = args.write_csv("fig8", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+    figure().report(args)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::Panel;
 
     fn tiny_args() -> CommonArgs {
         CommonArgs {
@@ -112,6 +55,11 @@ mod tests {
         }
     }
 
+    fn panels(args: &CommonArgs) -> Vec<Panel> {
+        let panels = figure().bar_panels(args);
+        panels.into_iter().map(|(p, _)| p).collect()
+    }
+
     #[test]
     fn seven_bars_per_panel_in_paper_order() {
         let algos = algorithms();
@@ -119,7 +67,7 @@ mod tests {
         assert_eq!(algos[0].label(), "KGreedy");
         assert_eq!(algos[1].label(), "MQB+All+Pre");
         assert_eq!(algos[6].label(), "MQB+1Step+Noise");
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         assert_eq!(panels.len(), 3);
         for p in &panels {
             assert_eq!(p.rows.len(), 7);
@@ -128,7 +76,7 @@ mod tests {
 
     #[test]
     fn precise_full_info_mqb_beats_kgreedy_on_layered_workloads() {
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         for p in &panels {
             let kgreedy = p.rows[0].1.mean;
             let mqb_all_pre = p.rows[1].1.mean;
@@ -144,7 +92,7 @@ mod tests {
 
     #[test]
     fn noisy_estimates_still_help_on_tree_and_ir() {
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         for p in &panels[1..] {
             let kgreedy = p.rows[0].1.mean;
             for row in &p.rows[1..] {

@@ -21,6 +21,7 @@ use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
 use crate::args::CommonArgs;
 use crate::chart;
+use crate::figures;
 use crate::stream::{run_stream, Arrivals, StreamCell, StreamConfig, StreamResult};
 use crate::table::Table;
 
@@ -122,14 +123,14 @@ pub fn report(args: &CommonArgs) -> String {
 /// Renders already-computed panels (and optionally writes the CSV) —
 /// shared by [`report`] and the binary's one-pass path.
 pub fn render(args: &CommonArgs, panels: &[StreamPanel]) -> String {
-    let mut out = format!(
+    let caption = format!(
         "Streaming comparison — six policies under a Poisson job stream \
-         ({}, mean gap {MEAN_GAP}, {} jobs per cell, seed {})\n\n",
+         ({}, mean gap {MEAN_GAP}, {} jobs per cell, seed {})",
         stream_spec().label(),
         args.instances,
         args.seed
     );
-    let mut csv = Table::new(vec![
+    let csv = Table::new(vec![
         "inter",
         "algorithm",
         "mode",
@@ -141,7 +142,7 @@ pub fn render(args: &CommonArgs, panels: &[StreamPanel]) -> String {
         "jobs_per_kilotime",
         "jobs",
     ]);
-    for p in panels {
+    figures::report(args, "fig_stream", &caption, csv, panels, |p, csv| {
         let mut t = Table::new(vec![
             "algorithm",
             "mode",
@@ -184,17 +185,13 @@ pub fn render(args: &CommonArgs, panels: &[StreamPanel]) -> String {
             .filter(|r| r.mode == "np")
             .map(|r| (r.algo.label().to_string(), r.result.slowdown_summary().mean))
             .collect();
-        out.push_str(&format!(
+        format!(
             "== inter-job: {} ==\n{}\nmean slowdown (np, lower is better):\n{}\n",
             p.inter.label(),
             t.render(),
             chart::bar_chart(&bars, 48)
-        ));
-    }
-    if let Err(e) = args.write_csv("fig_stream", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+        )
+    })
 }
 
 /// The figure's cells as metrics-JSONL stream lines (the `--metrics-out`

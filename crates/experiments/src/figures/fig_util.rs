@@ -30,18 +30,16 @@
 //! utilizations.
 
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
-use fhs_obs::{ObsConfig, UtilSummary};
-use fhs_sim::{Mode, RunStats};
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_obs::UtilSummary;
+use fhs_sim::RunStats;
+use fhs_workloads::Typing;
 
 use crate::args::CommonArgs;
 use crate::chart;
-use crate::runner::{run_sweep_observed, SweepCell, SweepCellResult};
+use crate::figures::{self, mode_cells, paper_panels, Figure, DEFAULT_K};
+use crate::runner::SweepCellResult;
 use crate::stats::Summary;
 use crate::table::Table;
-
-/// Default instances per cell for the binary.
-pub const DEFAULT_INSTANCES: usize = 200;
 
 /// One `(algorithm, mode)` row of a panel.
 #[derive(Clone, Debug)]
@@ -79,96 +77,53 @@ impl UtilRow {
     }
 }
 
-/// One panel: twelve rows (six algorithms × two modes).
-#[derive(Clone, Debug)]
-pub struct UtilPanel {
-    /// Panel caption.
-    pub title: String,
-    /// Rows in `(algorithm, np), (algorithm, pre)` order.
-    pub rows: Vec<UtilRow>,
+/// The three layered panels shared with Figures 5/7/8, each one sweep
+/// over the twelve (algorithm, mode) cells of Figure 7.
+pub fn figure() -> Figure {
+    Figure {
+        stem: "fig_util",
+        caption: "Utilization observatory — per-type utilization balance per policy (K=4, layered)",
+        default_instances: 200,
+        panels: paper_panels(Typing::Layered, DEFAULT_K).to_vec(),
+        cells: mode_cells(),
+    }
 }
 
-/// The three layered panels shared with Figures 5/7/8.
-pub fn panel_specs() -> [WorkloadSpec; 3] {
-    [
-        WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4),
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4),
-    ]
+/// Runs the panels with utilization recording always on (it is the
+/// figure's subject); `--instrument` additionally turns on the latency
+/// histograms carried by the returned sweep columns.
+pub fn columns(args: &CommonArgs) -> Vec<Vec<SweepCellResult>> {
+    let args = CommonArgs {
+        utilization: true,
+        ..args.clone()
+    };
+    figure().columns(&args)
 }
 
-fn cells() -> Vec<SweepCell> {
+/// A panel's twelve rows, in `(algorithm, np), (algorithm, pre)` order.
+pub fn rows(cols: &[SweepCellResult]) -> Vec<UtilRow> {
     ALL_ALGORITHMS
         .into_iter()
-        .flat_map(|algo| {
-            [
-                SweepCell::new(algo, Mode::NonPreemptive),
-                SweepCell {
-                    algo,
-                    mode: Mode::Preemptive,
-                    quantum: Some(1),
-                },
-            ]
-        })
-        .collect()
-}
-
-/// Computes the three panels. Utilization recording is always on here
-/// (it is the figure's subject); `--instrument` additionally turns on the
-/// latency histograms carried by the returned sweep columns.
-pub fn compute(args: &CommonArgs) -> Vec<(UtilPanel, Vec<SweepCellResult>)> {
-    let observe = ObsConfig {
-        utilization: true,
-        latency: args.instrument,
-        events: false,
-        event_cap: 0,
-    };
-    let cells = cells();
-    panel_specs()
-        .into_iter()
-        .map(|spec| {
-            let cols = run_sweep_observed(
-                &spec,
-                &cells,
-                args.instances,
-                args.seed,
-                args.workers,
-                observe,
-            );
-            let rows = ALL_ALGORITHMS
+        .zip(cols.chunks(2))
+        .flat_map(|(algo, pair)| {
+            ["np", "pre(q=1)"]
                 .into_iter()
-                .zip(cols.chunks(2))
-                .flat_map(|(algo, pair)| {
-                    ["np", "pre(q=1)"]
-                        .into_iter()
-                        .zip(pair)
-                        .map(move |(mode, col)| UtilRow {
-                            algo,
-                            mode,
-                            ratio: col.summary(),
-                            util: col.obs.as_ref().map(|o| o.util.clone()).unwrap_or_default(),
-                            stats: col.stats,
-                        })
+                .zip(pair)
+                .map(move |(mode, col)| UtilRow {
+                    algo,
+                    mode,
+                    ratio: col.summary(),
+                    util: col.obs.as_ref().map(|o| o.util.clone()).unwrap_or_default(),
+                    stats: col.stats,
                 })
-                .collect();
-            (
-                UtilPanel {
-                    title: spec.label(),
-                    rows,
-                },
-                cols,
-            )
         })
         .collect()
 }
 
 /// Computes, renders, and (optionally) writes `fig_util.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute(args);
-    let mut out = String::from(
-        "Utilization observatory — per-type utilization balance per policy (K=4, layered)\n\n",
-    );
-    let mut csv = Table::new(vec![
+    let fig = figure();
+    let csv = Table::new(vec![
         "panel",
         "algorithm",
         "mode",
@@ -186,76 +141,80 @@ pub fn report(args: &CommonArgs) -> String {
         "sel_diff_events",
         "sel_cold_snapshots",
     ]);
-    for (p, _) in &panels {
-        let mut t = Table::new(vec![
-            "algorithm",
-            "mode",
-            "avg ratio",
-            "mean util",
-            "imbalance",
-            "CoV",
-            "drain",
-            "ff-skip",
-            "dirty",
-            "rescans",
-            "sel eval",
-            "sel pruned",
-        ]);
-        for r in &p.rows {
-            t.push_row(vec![
-                r.algo.label().to_string(),
-                r.mode.to_string(),
-                format!("{:.3}", r.ratio.mean),
-                format!("{:.1}%", 100.0 * r.mean_util()),
-                format!("{:.3}", r.util.mean_imbalance()),
-                format!("{:.3}", r.util.mean_cov()),
-                format!("{:.3}", r.mean_drain()),
-                r.stats.epochs_skipped.to_string(),
-                r.stats.dirty_visits.to_string(),
-                r.stats.full_rescans.to_string(),
-                r.stats.selection.candidates_evaluated.to_string(),
-                r.stats.selection.candidates_pruned.to_string(),
+    let panels = fig.panels.iter().zip(columns(args));
+    figures::report(
+        args,
+        fig.stem,
+        fig.caption,
+        csv,
+        panels,
+        |(spec, cols), csv| {
+            let title = spec.label();
+            let rows = rows(&cols);
+            let mut t = Table::new(vec![
+                "algorithm",
+                "mode",
+                "avg ratio",
+                "mean util",
+                "imbalance",
+                "CoV",
+                "drain",
+                "ff-skip",
+                "dirty",
+                "rescans",
+                "sel eval",
+                "sel pruned",
             ]);
-            csv.push_row(vec![
-                p.title.clone(),
-                r.algo.label().to_string(),
-                r.mode.to_string(),
-                format!("{}", r.ratio.mean),
-                format!("{}", r.mean_util()),
-                format!("{}", r.util.mean_imbalance()),
-                format!("{}", r.util.mean_cov()),
-                format!("{}", r.mean_drain()),
-                r.ratio.n.to_string(),
-                r.stats.epochs_skipped.to_string(),
-                r.stats.dirty_visits.to_string(),
-                r.stats.full_rescans.to_string(),
-                r.stats.selection.candidates_evaluated.to_string(),
-                r.stats.selection.candidates_pruned.to_string(),
-                r.stats.selection.diff_events.to_string(),
-                r.stats.selection.cold_snapshots.to_string(),
-            ]);
-        }
-        // The figure's punchline as a bar chart: non-preemptive mean
-        // utilization per algorithm (higher = tighter packing = smaller
-        // makespan; whole-run imbalance/CoV are workload-scaled, see the
-        // module docs).
-        let bars: Vec<(String, f64)> = p
-            .rows
-            .iter()
-            .filter(|r| r.mode == "np")
-            .map(|r| (r.algo.label().to_string(), r.mean_util()))
-            .collect();
-        out.push_str(&format!(
-            "== {} ==\n{}\nmean utilization (np, higher is better):\n{}\n",
-            p.title,
-            t.render(),
-            chart::bar_chart(&bars, 48)
-        ));
-    }
-    if let Err(e) = args.write_csv("fig_util", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+            for r in &rows {
+                t.push_row(vec![
+                    r.algo.label().to_string(),
+                    r.mode.to_string(),
+                    format!("{:.3}", r.ratio.mean),
+                    format!("{:.1}%", 100.0 * r.mean_util()),
+                    format!("{:.3}", r.util.mean_imbalance()),
+                    format!("{:.3}", r.util.mean_cov()),
+                    format!("{:.3}", r.mean_drain()),
+                    r.stats.epochs_skipped.to_string(),
+                    r.stats.dirty_visits.to_string(),
+                    r.stats.full_rescans.to_string(),
+                    r.stats.selection.candidates_evaluated.to_string(),
+                    r.stats.selection.candidates_pruned.to_string(),
+                ]);
+                csv.push_row(vec![
+                    title.clone(),
+                    r.algo.label().to_string(),
+                    r.mode.to_string(),
+                    format!("{}", r.ratio.mean),
+                    format!("{}", r.mean_util()),
+                    format!("{}", r.util.mean_imbalance()),
+                    format!("{}", r.util.mean_cov()),
+                    format!("{}", r.mean_drain()),
+                    r.ratio.n.to_string(),
+                    r.stats.epochs_skipped.to_string(),
+                    r.stats.dirty_visits.to_string(),
+                    r.stats.full_rescans.to_string(),
+                    r.stats.selection.candidates_evaluated.to_string(),
+                    r.stats.selection.candidates_pruned.to_string(),
+                    r.stats.selection.diff_events.to_string(),
+                    r.stats.selection.cold_snapshots.to_string(),
+                ]);
+            }
+            // The figure's punchline as a bar chart: non-preemptive mean
+            // utilization per algorithm (higher = tighter packing = smaller
+            // makespan; whole-run imbalance/CoV are workload-scaled, see the
+            // module docs).
+            let bars: Vec<(String, f64)> = rows
+                .iter()
+                .filter(|r| r.mode == "np")
+                .map(|r| (r.algo.label().to_string(), r.mean_util()))
+                .collect();
+            format!(
+                "== {title} ==\n{}\nmean utilization (np, higher is better):\n{}\n",
+                t.render(),
+                chart::bar_chart(&bars, 48)
+            )
+        },
+    )
 }
 
 #[cfg(test)]
@@ -272,9 +231,31 @@ mod tests {
         }
     }
 
+    struct UtilPanel {
+        title: String,
+        rows: Vec<UtilRow>,
+    }
+
+    fn panels(args: &CommonArgs) -> Vec<(UtilPanel, Vec<SweepCellResult>)> {
+        let fig = figure();
+        let titles = fig.panels.iter().map(|s| s.label());
+        titles
+            .zip(columns(args))
+            .map(|(title, cols)| {
+                (
+                    UtilPanel {
+                        title,
+                        rows: rows(&cols),
+                    },
+                    cols,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn three_panels_of_twelve_rows_with_sane_utilizations() {
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         assert_eq!(panels.len(), 3);
         for (p, cols) in &panels {
             assert_eq!(p.rows.len(), 12);
@@ -299,7 +280,7 @@ mod tests {
         // utilization only through the uniform 1/makespan factor, so the
         // CoV across types must agree for all twelve cells of a panel —
         // a strong end-to-end pin on the timeline accounting.
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         for (p, _) in &panels {
             let cov0 = p.rows[0].util.mean_cov();
             assert!(cov0 > 0.0, "{}: degenerate CoV", p.title);
@@ -321,7 +302,7 @@ mod tests {
         // Mean utilization is the makespan seen from the machine side: on
         // the layered IR panel MQB finishes well before the online greedy,
         // so its mean utilization must be strictly higher.
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         let rows = &panels[2].0.rows;
         assert_eq!(rows[0].algo.label(), "KGreedy");
         assert_eq!(rows[10].algo.label(), "MQB");
@@ -349,7 +330,7 @@ mod tests {
         // session-engine counters: the single-run sweep path behind this
         // figure never skips an epoch, so surfacing them here must read
         // exactly zero (they go live in the streaming harness).
-        let panels = compute(&tiny_args());
+        let panels = panels(&tiny_args());
         let rows = &panels[2].0.rows;
         assert_eq!(rows[10].algo.label(), "MQB");
         assert!(

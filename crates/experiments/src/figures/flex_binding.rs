@@ -12,13 +12,13 @@ use fhs_core::flex::{bind_balanced, bind_fastest, bind_first, bind_random};
 use fhs_core::Algorithm;
 use fhs_sim::{engine, MachineConfig, Mode, RunOptions};
 use fhs_workloads::flexgen::{flexibilize, FlexParams};
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use fhs_workloads::Typing;
 use kdag::flex::FlexKDag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::args::CommonArgs;
-use crate::figures::{panel_csv_table, Panel};
+use crate::figures::{self, panel_csv_table, paper_panels, Panel, DEFAULT_K};
 use crate::runner::{instance_seed, pool_map, with_worker_ctx};
 use crate::stats::Summary;
 
@@ -38,19 +38,11 @@ fn bind(name: &str, flex: &FlexKDag, cfg: &MachineConfig, seed: u64) -> Vec<usiz
     }
 }
 
-/// The three panels (same workloads as Fig. 7/8).
-pub fn panel_specs() -> [WorkloadSpec; 3] {
-    [
-        WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4),
-        WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4),
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4),
-    ]
-}
-
-/// Computes the per-binder panels.
+/// Computes the per-binder panels over the three layered workloads of
+/// Figures 7/8.
 pub fn compute(args: &CommonArgs) -> Vec<Panel> {
     let params = FlexParams::default();
-    panel_specs()
+    paper_panels(Typing::Layered, DEFAULT_K)
         .into_iter()
         .map(|spec| {
             let rows = BINDERS
@@ -92,20 +84,19 @@ pub fn compute(args: &CommonArgs) -> Vec<Panel> {
 
 /// Computes, renders, and (optionally) writes `flex_binding.csv`.
 pub fn report(args: &CommonArgs) -> String {
-    let panels = compute(args);
-    let mut csv = panel_csv_table();
-    let mut out = String::from(
-        "Extension (§VII) — JIT type binding: makespan over the ORIGINAL job's lower bound\n\n",
-    );
-    for p in &panels {
-        out.push_str(&p.render());
-        out.push('\n');
-        p.csv_rows(&mut csv);
-    }
-    if let Err(e) = args.write_csv("flex_binding", &csv.to_csv()) {
-        out.push_str(&format!("(csv write failed: {e})\n"));
-    }
-    out
+    let caption =
+        "Extension (§VII) — JIT type binding: makespan over the ORIGINAL job's lower bound";
+    figures::report(
+        args,
+        "flex_binding",
+        caption,
+        panel_csv_table(),
+        compute(args),
+        |p, csv| {
+            p.csv_rows(csv);
+            format!("{}\n", p.render())
+        },
+    )
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::args::CommonArgs;
+use crate::figures;
 use crate::runner::{instance_seed, pool_map, with_worker_ctx};
 use crate::table::Table;
 
@@ -147,10 +148,7 @@ pub fn report(args: &CommonArgs) -> String {
         "Theorem 2 — adversarial family (P_α = {PROCS_PER_TYPE} per type): measured vs closed forms\n\n{}",
         t.render()
     );
-    if let Err(e) = args.write_csv("lower_bound", &t.to_csv()) {
-        return format!("{out}(csv write failed: {e})\n");
-    }
-    out
+    figures::finish(args, "lower_bound", out, &t)
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! # fhs-experiments — the paper's evaluation, regenerated
 //!
-//! One module (and one binary) per figure of the paper's §V:
+//! One module (and one binary) per figure of the paper's §V. The sweep
+//! figures are data — a [`figures::Figure`] of panel workloads × labeled
+//! cells — run and rendered by one driver in [`figures`]:
 //!
 //! | Module | Paper figure | Content |
 //! |---|---|---|
@@ -9,6 +11,9 @@
 //! | [`figures::fig6`] | Fig. 6 (a–b) | skewed load (type 1's pool ÷ 5) |
 //! | [`figures::fig7`] | Fig. 7 (a–c) | non-preemptive vs preemptive |
 //! | [`figures::fig8`] | Fig. 8 (a–c) | MQB under partial / imprecise information |
+//! | [`figures::fig_util`] | — | per-type utilization balance per policy |
+//! | [`figures::flex_binding`] | §VII | JIT type binding for flexible jobs |
+//! | [`figures::fig_stream`] | — | the six policies under a Poisson job stream |
 //! | [`figures::lower_bound`] | Thm. 2 / Fig. 2 | adversarial family: measured KGreedy vs the online lower bound |
 //!
 //! Every cell aggregates `--instances` independent job instances (the

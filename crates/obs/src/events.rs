@@ -19,7 +19,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Engine run began (`arg` = 1 when the workspace was warm-reused).
+    /// Engine run began (`arg` = 0).
     RunBegin = 0,
     /// Engine run finished (`arg` = makespan).
     RunEnd = 1,
@@ -35,8 +35,6 @@ pub enum EventKind {
     /// Task completed (`task`, `rtype`; ends the processor span for
     /// non-preemptive runs, instant on the queue lane for preemptive).
     Complete = 6,
-    /// Workspace steady-state reuse event (`arg` = reuse count so far).
-    WorkspaceReuse = 7,
 }
 
 impl EventKind {
@@ -50,7 +48,6 @@ impl EventKind {
             EventKind::Release => "release",
             EventKind::Start => "start",
             EventKind::Complete => "complete",
-            EventKind::WorkspaceReuse => "workspace_reuse",
         }
     }
 }

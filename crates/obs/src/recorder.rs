@@ -69,6 +69,10 @@ pub struct Recorder {
     /// Lane base per type: processor `(alpha, p)` renders on lane
     /// `1 + k + proc_base[alpha] + p`.
     proc_base: Vec<u32>,
+    /// The caller's epoch counter at `begin_run`: events carry epochs
+    /// relative to it, so a run's trace does not depend on how many runs
+    /// its workspace hosted before.
+    epoch_base: u64,
 }
 
 impl Recorder {
@@ -103,12 +107,14 @@ impl Recorder {
     }
 
     /// Re-arms the recorder for a run over a machine with
-    /// `procs[alpha]` processors of each type. All storage is sized
-    /// here; the engine must call this before sampling its allocation
-    /// probe. With a default (`any() == false`) config this clears
-    /// nothing and the recorder stays inert.
-    pub fn begin_run(&mut self, cfg: ObsConfig, procs: &[usize], reused: bool) {
+    /// `procs[alpha]` processors of each type, whose epoch counter reads
+    /// `epoch_base` now. All storage is sized here; the engine must call
+    /// this before sampling its allocation probe. With a default
+    /// (`any() == false`) config this clears nothing and the recorder
+    /// stays inert.
+    pub fn begin_run(&mut self, cfg: ObsConfig, procs: &[usize], epoch_base: u64) {
         self.cfg = cfg;
+        self.epoch_base = epoch_base;
         if !cfg.any() {
             return;
         }
@@ -142,7 +148,7 @@ impl Recorder {
                 task: NONE,
                 rtype: NONE,
                 lane: 0,
-                arg: reused as u64,
+                arg: 0,
             });
         }
     }
@@ -213,22 +219,6 @@ impl Recorder {
         }
     }
 
-    /// Records a workspace steady-state reuse instant.
-    #[inline]
-    pub fn workspace_reuse(&mut self, reuses: u64) {
-        if self.cfg.events {
-            self.events.push(Event {
-                kind: EventKind::WorkspaceReuse,
-                t: 0,
-                epoch: 0,
-                task: NONE,
-                rtype: NONE,
-                lane: 0,
-                arg: reuses,
-            });
-        }
-    }
-
     /// Records an epoch instant (`assigned`: tasks assigned this epoch).
     #[inline]
     pub fn epoch_event(&mut self, t: u64, epoch: u64, assigned: u64) {
@@ -236,7 +226,7 @@ impl Recorder {
             self.events.push(Event {
                 kind: EventKind::Epoch,
                 t,
-                epoch,
+                epoch: epoch - self.epoch_base,
                 task: NONE,
                 rtype: NONE,
                 lane: 0,
@@ -252,7 +242,7 @@ impl Recorder {
             self.events.push(Event {
                 kind: EventKind::Release,
                 t,
-                epoch,
+                epoch: epoch - self.epoch_base,
                 task,
                 rtype: alpha as u32,
                 lane: self.queue_lane(alpha),
@@ -282,7 +272,7 @@ impl Recorder {
             self.events.push(Event {
                 kind: EventKind::Start,
                 t,
-                epoch,
+                epoch: epoch - self.epoch_base,
                 task,
                 rtype: alpha as u32,
                 lane,
@@ -303,7 +293,7 @@ impl Recorder {
             self.events.push(Event {
                 kind: EventKind::Complete,
                 t,
-                epoch,
+                epoch: epoch - self.epoch_base,
                 task,
                 rtype: alpha as u32,
                 lane,
@@ -319,7 +309,7 @@ impl Recorder {
             self.events.push(Event {
                 kind: EventKind::RunEnd,
                 t,
-                epoch,
+                epoch: epoch - self.epoch_base,
                 task: NONE,
                 rtype: NONE,
                 lane: 0,
@@ -398,7 +388,7 @@ mod tests {
     #[test]
     fn default_recorder_is_inert() {
         let mut r = Recorder::new();
-        r.begin_run(ObsConfig::default(), &[2, 2], false);
+        r.begin_run(ObsConfig::default(), &[2, 2], 0);
         r.record_assign_ns(5);
         r.timeline_set(0, 0, 1);
         r.release(0, 1, 3, 0);
@@ -408,7 +398,7 @@ mod tests {
     #[test]
     fn full_recording_round_trip() {
         let mut r = Recorder::new();
-        r.begin_run(ObsConfig::all(), &[2, 1], true);
+        r.begin_run(ObsConfig::all(), &[2, 1], 0);
         r.policy_init();
         r.record_depth(3);
         r.record_assign_ns(100);
@@ -427,8 +417,8 @@ mod tests {
         // RunBegin + PolicyInit + Release + Start + Complete + RunEnd
         assert_eq!(obs.events.len(), 6);
         assert_eq!(obs.events[0].kind, EventKind::RunBegin);
-        assert_eq!(obs.events[0].arg, 1); // reused
-                                          // Start landed on type-1 processor lane: 1 + k(2) + base(2) + 0.
+        assert_eq!(obs.events[0].arg, 0);
+        // Start landed on type-1 processor lane: 1 + k(2) + base(2) + 0.
         assert_eq!(obs.events[3].lane, 5);
         // take_run disarms.
         assert!(r.take_run(7).is_none());
@@ -441,7 +431,7 @@ mod tests {
             events: true,
             ..ObsConfig::default()
         };
-        r.begin_run(cfg, &[1], false);
+        r.begin_run(cfg, &[1], 0);
         for i in 0..10 {
             r.epoch_event(i, i, 0);
         }
@@ -458,7 +448,7 @@ mod tests {
             event_cap: 3,
             ..ObsConfig::default()
         };
-        r.begin_run(cfg, &[1], false);
+        r.begin_run(cfg, &[1], 0);
         for i in 0..10 {
             r.epoch_event(i, i, 0);
         }

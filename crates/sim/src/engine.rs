@@ -232,19 +232,20 @@ fn run_engine(
     // storage is sized here (and retained across runs), so the metered
     // epoch loop records without allocating. With observe off this is a
     // no-op and every recorder call in the loop is an early return.
+    // The event stream is a function of the inputs and seed only: whether
+    // this worker's workspace was warm shows in `stats`, never in it, and
+    // epochs are stamped relative to the workspace's counter at entry.
     ws.obs
-        .begin_run(opts.observe, config.procs_per_type(), reused);
+        .begin_run(opts.observe, config.procs_per_type(), ws.mach.epoch);
     if ws.obs.events_on() {
-        if reused {
-            ws.obs.workspace_reuse(ws.runs());
-        }
         // `policy.init` already ran in the caller; record the init
         // instant retroactively at t = 0.
         ws.obs.policy_init();
         // `begin_run` released the roots (in id order) before the recorder
         // was armed; emit their Release events here.
         for v in job.roots() {
-            ws.obs.release(0, 0, v.index() as u32, job.rtype(v));
+            ws.obs
+                .release(0, ws.mach.epoch, v.index() as u32, job.rtype(v));
         }
     }
     let mut last_epoch_t: Option<Instant> = None;
@@ -657,9 +658,16 @@ mod tests {
             (&chain, &cfg2, Mode::Preemptive),
             (&wide, &cfg1, Mode::NonPreemptive),
         ];
+        // With the event channel on too: the event stream must not tell a
+        // warm workspace from a cold one (exports are byte-stable across
+        // pool workers).
+        let opts = opts_trace().with_observe(fhs_obs::ObsConfig {
+            events: true,
+            ..fhs_obs::ObsConfig::default()
+        });
         for (i, (job, cfg, mode)) in runs.into_iter().enumerate() {
-            let cold = run(job, cfg, &mut FifoPolicy, mode, &opts_trace());
-            let warm = run_in(&mut ws, job, cfg, &mut FifoPolicy, mode, &opts_trace());
+            let cold = run(job, cfg, &mut FifoPolicy, mode, &opts);
+            let warm = run_in(&mut ws, job, cfg, &mut FifoPolicy, mode, &opts);
             assert_eq!(warm.makespan, cold.makespan, "run {i}");
             assert_eq!(warm.busy_time, cold.busy_time, "run {i}");
             assert_eq!(warm.epochs, cold.epochs, "run {i}");
@@ -668,6 +676,9 @@ mod tests {
                 cold.trace.as_ref().unwrap().segments(),
                 "run {i}"
             );
+            let events = |o: &SimOutcome| o.obs.as_ref().expect("events on").events.clone();
+            assert!(!events(&cold).is_empty(), "run {i}");
+            assert_eq!(events(&warm), events(&cold), "run {i}");
             if i == 0 {
                 assert_eq!(warm.stats.workspace_cold_inits, 1);
                 assert_eq!(warm.stats.workspace_reuses, 0);

@@ -769,10 +769,7 @@ impl Session {
             stats.workspace_cold_inits = 1;
         }
         ws.obs
-            .begin_run(opts.observe, config.procs_per_type(), reused);
-        if ws.obs.events_on() && reused {
-            ws.obs.workspace_reuse(ws.runs());
-        }
+            .begin_run(opts.observe, config.procs_per_type(), ws.mach.epoch);
         Session {
             config,
             opts,
