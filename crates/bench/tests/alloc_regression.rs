@@ -264,6 +264,46 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
     debug_assertions,
     ignore = "allocation accounting is asserted in --release (its own CI step)"
 )]
+fn warm_shiftbt_sequencing_allocates_only_the_plan_it_stores() {
+    use fhs_core::shiftbt::ShiftBT;
+    use fhs_sim::Policy;
+    use kdag::precompute::Artifacts;
+
+    // The plan lives in the bundle, so a warm init on a filled bundle only
+    // copies it out (the test above). On a bundle without a plan the warm
+    // policy sequences again, out of its retained relaxation scratch: the
+    // only bytes are the plan's own storage (a rank per task, the
+    // bottleneck order and the processor counts).
+    let (job, cfg) = fhs_bench::medium_ir();
+    let unplanned = || {
+        let bundle = Artifacts::new();
+        bundle.due_dates(&job);
+        bundle
+    };
+    let mut policy = ShiftBT::default();
+    policy.init(&job, &cfg, 1, &unplanned());
+    let cold_rank = policy.rank_table().to_vec();
+    let k = job.num_types() as u64;
+    let plan_bytes = 4 * job.num_tasks() as u64 + 2 * 8 * k;
+    for rerun in 0..3 {
+        let bundle = unplanned();
+        let before = probe();
+        policy.init(&job, &cfg, 1, &bundle);
+        let bytes = probe() - before;
+        assert_eq!(
+            bytes, plan_bytes,
+            "warm ShiftBT sequencing allocated {bytes} bytes on rerun {rerun}, \
+             the plan needs {plan_bytes}"
+        );
+        assert_eq!(policy.rank_table(), &cold_rank[..], "rerun {rerun}");
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation accounting is asserted in --release (its own CI step)"
+)]
 fn observed_epoch_loop_is_also_allocation_free_when_warm() {
     use fhs_sim::ObsConfig;
 

@@ -151,7 +151,8 @@ fn scale_ladder_grows_subquadratically_and_mqb_approx_never_costs_more() {
     let mut rungs = Vec::new();
     for (size, rounds) in ladder {
         let (job, cfg) = ladder_instance(size);
-        let artifacts = Arc::new(Artifacts::compute(&job));
+        let unplanned = unplanned_bundles(&job, rounds);
+        let mut unplanned = unplanned.iter();
         let mut shiftbt = ShiftBT::default();
         let (mut ws_mqb, mut ws_approx) = (Workspace::new(), Workspace::new());
         let opts = RunOptions::seeded(LADDER_SEED);
@@ -162,7 +163,8 @@ fn scale_ladder_grows_subquadratically_and_mqb_approx_never_costs_more() {
                     black_box(transitive_reduction(&job));
                 },
                 &mut || {
-                    shiftbt.init(&job, &cfg, LADDER_SEED, &artifacts);
+                    let bundle = unplanned.next().expect("one bundle per round");
+                    shiftbt.init(&job, &cfg, LADDER_SEED, bundle);
                     black_box(shiftbt.bottleneck_order.len());
                 },
                 &mut || {
@@ -289,6 +291,20 @@ fn antichain_rung_mqb_approx_grows_near_linearly() {
     );
 }
 
+/// `n` bundles holding `job`'s due dates but no sequence plan: a ShiftBT
+/// init on one runs the bottleneck sequencing instead of copying a plan
+/// an earlier init left in the bundle. Built, and dropped, outside the
+/// timed closures.
+fn unplanned_bundles(job: &KDag, n: usize) -> Vec<Artifacts> {
+    (0..n)
+        .map(|_| {
+            let bundle = Artifacts::new();
+            bundle.due_dates(job);
+            bundle
+        })
+        .collect()
+}
+
 /// The Large ladder instance and a warm ShiftBT whose bottleneck order
 /// and rank table are checked equal to `shiftbt::reference`'s.
 fn shiftbt_matching_oracle_on_large() -> (KDag, MachineConfig, Arc<Artifacts>, ShiftBT) {
@@ -319,10 +335,14 @@ fn shiftbt_init_is_3x_faster_than_oracle_on_large() {
     // min. Each side runs twice per round and only the second run counts:
     // the timed run starts with its own working set in cache, as it does
     // when a warm policy re-inits back to back.
+    const ROUNDS: usize = 31;
     let p = RefCell::new(p);
+    let unplanned = unplanned_bundles(&job, 2 * ROUNDS);
+    let unplanned = RefCell::new(unplanned.iter());
     let init = || {
+        let bundle = unplanned.borrow_mut().next().expect("one bundle per init");
         let mut p = p.borrow_mut();
-        p.init(&job, &cfg, LADDER_SEED, &artifacts);
+        p.init(&job, &cfg, LADDER_SEED, bundle);
         black_box(p.bottleneck_order.len());
     };
     let oracle = || {
@@ -333,7 +353,7 @@ fn shiftbt_init_is_3x_faster_than_oracle_on_large() {
         ));
     };
     let ts = interleaved_nanos(
-        31,
+        ROUNDS,
         &mut [&mut &init, &mut &init, &mut &oracle, &mut &oracle],
     );
     let (warm_ns, oracle_ns) = (min_nanos(&ts[1]), min_nanos(&ts[3]));

@@ -54,6 +54,15 @@
 //!   sits in a per-policy `RelaxScratch` sized once per job and reused
 //!   across rounds and — on a warm policy — across instances, in the
 //!   spirit of the PR-3 steady-state layer.
+//!
+//! # One plan per instance
+//!
+//! The sequencing reads only the job, the processor counts and the due
+//! dates — not the seed, not the mode. So the plan lives in the
+//! instance's [`Artifacts`] bundle ([`Artifacts::sequence_plan`]): the
+//! first ShiftBT init on a bundle computes it, and every later column
+//! that shares the bundle (the other mode, the quantum cadence) copies
+//! its ranks out.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -578,30 +587,34 @@ impl RelaxScratch {
         entry.seq.clear();
         entry.seq.extend(starts.iter().map(|&(_, v)| v));
     }
-}
 
-impl ShiftBT {
-    /// The bottleneck-sequencing loop shared by both init paths. Only the
-    /// due-date table is precomputable; the iterated one-type relaxations
-    /// depend on the machine configuration and stay here. Bit-identical
-    /// to [`reference::bottleneck_sequencing`] (see the module docs for
-    /// why the caching and early exit preserve every trajectory).
-    fn sequence_bottlenecks(&mut self, job: &KDag, config: &MachineConfig, due: &[u64]) {
+    /// The bottleneck-sequencing loop. It reads only the job, the
+    /// processor counts and the due dates, so its result is stored in the
+    /// instance's [`Artifacts`] bundle and computed once per instance
+    /// (see [`Artifacts::sequence_plan`]). Returns the per-task
+    /// frozen-sequence ranks and the bottleneck order. Bit-identical to
+    /// [`reference::bottleneck_sequencing`] (see the module docs for why
+    /// the caching and early exit preserve every trajectory).
+    fn sequence_bottlenecks(
+        &mut self,
+        job: &KDag,
+        config: &MachineConfig,
+        due: &[u64],
+    ) -> (Vec<u32>, Vec<usize>) {
         let k = job.num_types();
-        let s = &mut self.scratch;
-        s.prepare(job, due);
-        self.bottleneck_order.clear();
+        self.prepare(job, due);
+        let mut bottleneck_order = Vec::with_capacity(k);
 
         for _round in 0..k {
             let mut best: Option<(i64, usize)> = None;
             for alpha in 0..k {
-                if s.fixed[alpha] {
+                if self.fixed[alpha] {
                     continue;
                 }
-                if !s.cache[alpha].valid {
-                    s.relax(job, config, alpha, due);
+                if !self.cache[alpha].valid {
+                    self.relax(job, config, alpha, due);
                 }
-                let lateness = s.cache[alpha].lateness;
+                let lateness = self.cache[alpha].lateness;
                 let better = match best {
                     None => true,
                     Some((bl, ba)) => lateness > bl || (lateness == bl && alpha < ba),
@@ -611,31 +624,28 @@ impl ShiftBT {
                 }
             }
             let (_, alpha) = best.expect("an unfixed type remains each round");
-            for (pos, &v) in s.cache[alpha].seq.iter().enumerate() {
-                s.seq_rank[v.index()] = pos as u32;
+            for (pos, &v) in self.cache[alpha].seq.iter().enumerate() {
+                self.seq_rank[v.index()] = pos as u32;
             }
-            s.fixed[alpha] = true;
-            self.bottleneck_order.push(alpha);
+            self.fixed[alpha] = true;
+            bottleneck_order.push(alpha);
             // A surviving cache must have kept the newly fixed type within
             // its real capacity, or its trajectory no longer replays.
             for beta in 0..k {
                 if beta != alpha
-                    && !s.fixed[beta]
-                    && s.cache[beta].valid
-                    && s.cache[beta].peaks[alpha] as usize > config.procs(alpha)
+                    && !self.fixed[beta]
+                    && self.cache[beta].valid
+                    && self.cache[beta].peaks[alpha] as usize > config.procs(alpha)
                 {
-                    s.cache[beta].valid = false;
+                    self.cache[beta].valid = false;
                 }
             }
         }
-
-        self.rank.clear();
-        self.rank.resize(job.num_tasks(), 0.0);
-        for v in job.tasks() {
-            self.rank[v.index()] = s.seq_rank[v.index()] as f64;
-        }
+        (self.seq_rank.clone(), bottleneck_order)
     }
+}
 
+impl ShiftBT {
     /// The per-task dispatch rank table built by the last init (each
     /// task's position in its type's frozen sequence). For tests and
     /// ablations.
@@ -649,8 +659,20 @@ impl Policy for ShiftBT {
         "ShiftBT"
     }
 
+    /// Copies the instance's sequencing plan out of `artifacts`; the
+    /// first ShiftBT init on a bundle computes it with this policy's warm
+    /// relaxation scratch.
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.sequence_bottlenecks(job, config, artifacts.due_dates(job));
+        let due = artifacts.due_dates(job);
+        let scratch = &mut self.scratch;
+        let plan = artifacts.sequence_plan(config.procs_per_type(), || {
+            scratch.sequence_bottlenecks(job, config, due)
+        });
+        self.bottleneck_order.clear();
+        self.bottleneck_order
+            .extend_from_slice(&plan.bottleneck_order);
+        self.rank.clear();
+        self.rank.extend(plan.rank.iter().map(|&r| r as f64));
         self.selector.invalidate();
     }
 

@@ -13,6 +13,12 @@
 //! the same stream, and perturb the policy's copy, never the shared
 //! descendant matrix).
 //!
+//! ShiftBT's sequencing plan is the one machine-dependent slot of the
+//! bundle: a ShiftBT column on a bundle another cadence's ShiftBT already
+//! planned must run exactly as on a fresh bundle, two inits racing on one
+//! shared bundle must read the same plan, and a bundle must refuse a
+//! second machine.
+//!
 //! A second family pins the rewritten MQB selection loop (cached projected
 //! rows + incremental sorted-vector repair) to `NaiveMqb`, a verbatim
 //! re-statement of the pre-optimization quadratic selection: recompute and
@@ -21,7 +27,7 @@
 //! because both engines share the policy code; this oracle can.
 
 use fhs_core::mqb::{cmp_balance, InfoModel};
-use fhs_core::{make_policy, Algorithm, Mqb};
+use fhs_core::{make_policy, Algorithm, Mqb, ShiftBT};
 use fhs_sim::{
     engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions,
     SelectionStats,
@@ -75,6 +81,13 @@ fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = 
 fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
     proptest::collection::vec(1usize..4, k).prop_map(MachineConfig::new)
 }
+
+/// The three cadences a sweep runs ShiftBT in: `(mode, quantum)`.
+const CADENCES: [(Mode, Option<u64>); 3] = [
+    (Mode::NonPreemptive, None),
+    (Mode::Preemptive, None),
+    (Mode::Preemptive, Some(1)),
+];
 
 /// Initializes the wrapped policy from `bundle`, whichever bundle the
 /// engine hands it, so a run can read a bundle the test prepared.
@@ -187,6 +200,50 @@ proptest! {
         }
     }
 
+    /// ShiftBT in each cadence, on a bundle whose sequence plan ShiftBT in
+    /// another cadence already filled, runs exactly as on a fresh bundle.
+    #[test]
+    fn shiftbt_runs_the_plan_another_cadence_filled(
+        dag in arb_kdag(3, 20, 4),
+        cfg in arb_config(3),
+        seed in 0u64..1000,
+    ) {
+        let opts = |quantum| {
+            let mut opts = RunOptions::seeded(seed).with_trace();
+            opts.quantum = quantum;
+            opts
+        };
+        for (mode, quantum) in CADENCES {
+            let fresh = engine::run(&dag, &cfg, &mut ShiftBT::default(), mode, &opts(quantum));
+            for (fill_mode, fill_quantum) in CADENCES {
+                if (fill_mode, fill_quantum) == (mode, quantum) {
+                    continue;
+                }
+                let bundle = Artifacts::new();
+                let run_on_bundle = |mode, quantum| {
+                    let mut policy = ShiftBT::default();
+                    let mut from = FromBundle { inner: &mut policy, bundle: &bundle };
+                    engine::run(&dag, &cfg, &mut from, mode, &opts(quantum))
+                };
+                run_on_bundle(fill_mode, fill_quantum);
+                bundle.sequence_plan(cfg.procs_per_type(), || {
+                    panic!("the first ShiftBT init filled the plan")
+                });
+                let out = run_on_bundle(mode, quantum);
+                prop_assert_eq!(out.makespan, fresh.makespan);
+                prop_assert_eq!(
+                    out.trace.expect("requested").segments(),
+                    fresh.trace.as_ref().expect("requested").segments(),
+                    "{:?} q={:?} after {:?} q={:?} filled the plan",
+                    mode,
+                    quantum,
+                    fill_mode,
+                    fill_quantum
+                );
+            }
+        }
+    }
+
     /// The optimized MQB selection (cached rows, incremental repair,
     /// change-detection by bit pattern) equals the naive quadratic
     /// selection on the full trace, both modes, both cadences.
@@ -215,6 +272,52 @@ proptest! {
             );
         }
     }
+}
+
+/// Two ShiftBT inits racing on one shared bundle (as the sweep's
+/// `(instance, column)` dispatch runs an instance's ShiftBT columns side
+/// by side) read one plan: the one a lone init computes.
+#[test]
+fn racing_shiftbt_inits_read_one_plan() {
+    use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+    use std::sync::{Arc, Barrier};
+
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4);
+    for seed in 0..4 {
+        let (job, cfg) = spec.sample(seed);
+        let mut alone = ShiftBT::default();
+        alone.init(&job, &cfg, seed, &Artifacts::new());
+        let shared = Arc::new(Artifacts::new());
+        let start = Barrier::new(2);
+        let init = || {
+            let mut p = ShiftBT::default();
+            start.wait();
+            p.init(&job, &cfg, seed, &shared);
+            p
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(init);
+            let b = s.spawn(init);
+            (
+                a.join().expect("init panicked"),
+                b.join().expect("init panicked"),
+            )
+        });
+        for p in [&a, &b] {
+            assert_eq!(p.bottleneck_order, alone.bottleneck_order, "seed {seed}");
+            assert_eq!(p.rank_table(), alone.rank_table(), "seed {seed}");
+        }
+    }
+}
+
+/// A bundle's plan belongs to the machine it was computed for.
+#[test]
+#[should_panic(expected = "serves one machine")]
+fn a_planned_bundle_refuses_another_machine() {
+    let job = kdag::examples::figure1();
+    let bundle = Artifacts::new();
+    ShiftBT::default().init(&job, &MachineConfig::uniform(3, 2), 0, &bundle);
+    ShiftBT::default().init(&job, &MachineConfig::new(vec![1, 3, 2]), 0, &bundle);
 }
 
 /// The pre-optimization MQB selection, restated verbatim as an oracle:

@@ -90,11 +90,12 @@ pub fn figure() -> Figure {
 }
 
 /// Runs the panels with utilization recording always on (it is the
-/// figure's subject); `--instrument` additionally turns on the latency
-/// histograms carried by the returned sweep columns.
+/// figure's subject). The report prints no latency percentiles, so
+/// `--instrument` records none here.
 pub fn columns(args: &CommonArgs) -> Vec<Vec<SweepCellResult>> {
     let args = CommonArgs {
         utilization: true,
+        instrument: false,
         ..args.clone()
     };
     figure().columns(&args)

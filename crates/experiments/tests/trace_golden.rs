@@ -1,7 +1,9 @@
 //! Golden tests for the structured trace export: a real sweep's trace
 //! must be a valid Chrome-trace document (parseable JSON, named
 //! processes/lanes, monotonic timestamps, balanced B/E span pairs) and a
-//! valid JSONL stream with matching event counts.
+//! valid JSONL stream with matching event counts. Both exporters must
+//! also write, byte for byte, what the `fmt`-based exporters in
+//! [`oracle`] write.
 
 use fhs_experiments::runner::{run_sweep_observed, SweepCell};
 use fhs_obs::json::{parse, Value};
@@ -12,16 +14,23 @@ use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 /// One small sweep with tracing on; returns named trace cells exactly as
 /// the `sweep --trace-out` binary builds them.
 fn traced_cells() -> Vec<TraceCell> {
-    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3);
     let cells = [
         SweepCell::new(fhs_core::Algorithm::KGreedy, Mode::NonPreemptive),
         SweepCell::new(fhs_core::Algorithm::Mqb, Mode::NonPreemptive),
     ];
+    recorded_cells(&cells, 0)
+}
+
+/// The instance-0 traces of a 3-type Small IR sweep over `cells`, at
+/// most `event_cap` events each (0 = the default bound).
+fn recorded_cells(cells: &[SweepCell], event_cap: usize) -> Vec<TraceCell> {
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3);
     let observe = ObsConfig {
         events: true,
+        event_cap,
         ..ObsConfig::default()
     };
-    let cols = run_sweep_observed(&spec, &cells, 3, 41, Some(2), observe);
+    let cols = run_sweep_observed(&spec, cells, 3, 41, Some(2), observe);
     cols.iter()
         .enumerate()
         .map(|(i, col)| {
@@ -37,6 +46,32 @@ fn traced_cells() -> Vec<TraceCell> {
             }
         })
         .collect()
+}
+
+#[test]
+fn exporters_write_the_oracle_bytes() {
+    let mut cells = traced_cells();
+    let capped = [
+        SweepCell::new(fhs_core::Algorithm::ShiftBT, Mode::Preemptive),
+        SweepCell::new(fhs_core::Algorithm::Mqb, Mode::NonPreemptive),
+    ];
+    for (i, mut cell) in recorded_cells(&capped, 100).into_iter().enumerate() {
+        cell.pid = 3 + i as u32;
+        cells.push(cell);
+    }
+    cells[1].name = "MQB \"np\" \\ tab\t nl\n cr\r \u{1}\u{1f} é".into();
+    assert!(cells.iter().all(|c| c.k > 1), "every cell has K > 1");
+    assert!(cells.iter().any(|c| c.dropped == 0), "an untruncated cell");
+    assert!(cells.iter().any(|c| c.dropped > 0), "a truncated cell");
+
+    let chrome = chrome_trace_json(&cells);
+    assert_eq!(chrome, oracle::chrome_trace_json(&cells));
+    assert_eq!(chrome.capacity(), chrome.len(), "sized exactly");
+    let jsonl = events_jsonl(&cells);
+    assert_eq!(jsonl, oracle::events_jsonl(&cells));
+    assert_eq!(jsonl.capacity(), jsonl.len(), "sized exactly");
+    assert_eq!(chrome_trace_json(&[]), oracle::chrome_trace_json(&[]));
+    assert_eq!(events_jsonl(&[]), oracle::events_jsonl(&[]));
 }
 
 #[test]
@@ -118,4 +153,172 @@ fn jsonl_stream_matches_the_cells_event_counts() {
         }
     }
     assert!(lines.next().is_none(), "no trailing lines");
+}
+
+/// The `fmt`-based exporters the allocation-free writers replaced, kept
+/// verbatim as the byte oracle.
+mod oracle {
+    use fhs_obs::{EventKind, TraceCell, NONE};
+    use std::fmt::Write;
+
+    fn json_string(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn push_common(out: &mut String, ev: &fhs_obs::Event, pid: u32) {
+        let _ = write!(
+            out,
+            r#""pid":{},"tid":{},"ts":{},"args":{{"epoch":{}"#,
+            pid, ev.lane, ev.t, ev.epoch
+        );
+        if ev.task != NONE {
+            let _ = write!(out, r#","task":{}"#, ev.task);
+        }
+        if ev.rtype != NONE {
+            let _ = write!(out, r#","type":{}"#, ev.rtype);
+        }
+        let _ = write!(out, r#","arg":{}}}"#, ev.arg);
+    }
+
+    pub fn chrome_trace_json(cells: &[TraceCell]) -> String {
+        fn sep(out: &mut String, first: &mut bool) {
+            if *first {
+                *first = false;
+            } else {
+                out.push(',');
+            }
+        }
+        fn lane_meta(out: &mut String, first: &mut bool, pid: u32, tid: u32, name: &str) {
+            sep(out, first);
+            let _ = write!(
+                out,
+                r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":{}}}}}"#,
+                pid,
+                tid,
+                json_string(name)
+            );
+        }
+        let mut out = String::new();
+        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        let mut first = true;
+        for cell in cells {
+            sep(&mut out, &mut first);
+            let _ = write!(
+                out,
+                r#"{{"name":"process_name","ph":"M","pid":{},"args":{{"name":{}}}}}"#,
+                cell.pid,
+                json_string(&cell.name)
+            );
+            lane_meta(&mut out, &mut first, cell.pid, 0, "engine");
+            let mut lane = 1u32;
+            for alpha in 0..cell.k {
+                lane_meta(
+                    &mut out,
+                    &mut first,
+                    cell.pid,
+                    lane,
+                    &format!("queue[{alpha}]"),
+                );
+                lane += 1;
+            }
+            for (alpha, &p) in cell.procs.iter().enumerate() {
+                for i in 0..p {
+                    lane_meta(
+                        &mut out,
+                        &mut first,
+                        cell.pid,
+                        lane,
+                        &format!("proc[{alpha}][{i}]"),
+                    );
+                    lane += 1;
+                }
+            }
+            for ev in &cell.events {
+                sep(&mut out, &mut first);
+                let (ph, name): (&str, String) = match ev.kind {
+                    EventKind::Start if ev.lane > cell.k => ("B", format!("task {}", ev.task)),
+                    EventKind::Complete if ev.lane > cell.k => ("E", format!("task {}", ev.task)),
+                    k => ("i", k.name().to_string()),
+                };
+                let _ = write!(out, r#"{{"name":{},"ph":"{}","#, json_string(&name), ph);
+                if ph == "i" {
+                    out.push_str(r#""s":"t","#);
+                }
+                push_common(&mut out, ev, cell.pid);
+                out.push('}');
+            }
+            if cell.dropped > 0 {
+                sep(&mut out, &mut first);
+                let _ = write!(
+                    out,
+                    r#"{{"name":"trace truncated: {} events dropped","ph":"i","s":"p","pid":{},"tid":0,"ts":{},"args":{{}}}}"#,
+                    cell.dropped,
+                    cell.pid,
+                    cell.events.last().map_or(0, |e| e.t)
+                );
+            }
+        }
+        out.push_str("]}");
+        out
+    }
+
+    pub fn events_jsonl(cells: &[TraceCell]) -> String {
+        let mut out = String::new();
+        for cell in cells {
+            let _ = write!(
+                out,
+                r#"{{"cell":{},"pid":{},"k":{},"procs":["#,
+                json_string(&cell.name),
+                cell.pid,
+                cell.k
+            );
+            for (i, p) in cell.procs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{p}");
+            }
+            let _ = writeln!(
+                out,
+                r#"],"events":{},"dropped":{}}}"#,
+                cell.events.len(),
+                cell.dropped
+            );
+            for ev in &cell.events {
+                let _ = write!(
+                    out,
+                    r#"{{"pid":{},"kind":"{}","t":{},"epoch":{},"lane":{}"#,
+                    cell.pid,
+                    ev.kind.name(),
+                    ev.t,
+                    ev.epoch,
+                    ev.lane
+                );
+                if ev.task != NONE {
+                    let _ = write!(out, r#","task":{}"#, ev.task);
+                }
+                if ev.rtype != NONE {
+                    let _ = write!(out, r#","type":{}"#, ev.rtype);
+                }
+                let _ = writeln!(out, r#","arg":{}}}"#, ev.arg);
+            }
+        }
+        out
+    }
 }

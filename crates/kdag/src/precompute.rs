@@ -22,6 +22,14 @@
 //!
 //! A bundle belongs to one job: every accessor must be passed the job the
 //! bundle was first filled for.
+//!
+//! One slot depends on the machine as well: ShiftBT's [`SequencePlan`]
+//! (its bottleneck order and frozen sequences, paper §IV-B) reads the
+//! per-type processor counts. kdag cannot run the sequencing itself, so
+//! [`Artifacts::sequence_plan`] takes the computation as a closure: the
+//! first caller fills the slot, every later one reads it. The plan
+//! records the processor counts it was computed for, and the accessor
+//! asserts that one bundle only ever sees one machine.
 
 use std::sync::OnceLock;
 
@@ -43,6 +51,19 @@ pub struct Artifacts {
     spans: OnceLock<Vec<Work>>,
     due_dates: OnceLock<Vec<Work>>,
     different_child: OnceLock<Vec<Option<u32>>>,
+    sequence_plan: OnceLock<SequencePlan>,
+}
+
+/// ShiftBT's machine-dependent sequencing result, stored in the bundle
+/// so the columns of one instance compute it once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SequencePlan {
+    /// Processors per type the plan was computed for.
+    pub procs: Vec<usize>,
+    /// Per task: its position in its type's frozen sequence.
+    pub rank: Vec<u32>,
+    /// Types in the order they were fixed (most-late first).
+    pub bottleneck_order: Vec<usize>,
 }
 
 impl Artifacts {
@@ -106,6 +127,34 @@ impl Artifacts {
     pub fn different_child(&self, dag: &KDag) -> &[Option<u32>] {
         self.different_child
             .get_or_init(|| different_child_distances_with_order(dag, self.reverse_topo(dag)))
+    }
+
+    /// The sequencing plan for the machine with `procs` processors per
+    /// type. The first caller fills it with `fill`, which returns the
+    /// per-task ranks and the bottleneck order; racing callers wait for
+    /// that one fill.
+    ///
+    /// # Panics
+    /// If the bundle's plan was computed for different processor counts:
+    /// one bundle serves one machine.
+    pub fn sequence_plan(
+        &self,
+        procs: &[usize],
+        fill: impl FnOnce() -> (Vec<u32>, Vec<usize>),
+    ) -> &SequencePlan {
+        let plan = self.sequence_plan.get_or_init(|| {
+            let (rank, bottleneck_order) = fill();
+            SequencePlan {
+                procs: procs.to_vec(),
+                rank,
+                bottleneck_order,
+            }
+        });
+        assert_eq!(
+            plan.procs, procs,
+            "an Artifacts bundle serves one machine: its sequence plan was computed for other processor counts"
+        );
+        plan
     }
 }
 
@@ -225,6 +274,19 @@ mod tests {
             backward.join().expect("backward reader panicked");
         });
         assert_fields_match_compute(&shared, &g);
+    }
+
+    #[test]
+    fn sequence_plan_is_filled_once() {
+        let a = Artifacts::new();
+        let plan = a
+            .sequence_plan(&[2, 1], || (vec![1, 0, 2], vec![1, 0]))
+            .clone();
+        assert_eq!(plan.procs, [2, 1]);
+        assert_eq!(plan.rank, [1, 0, 2]);
+        assert_eq!(plan.bottleneck_order, [1, 0]);
+        let again = a.sequence_plan(&[2, 1], || unreachable!("the plan is filled"));
+        assert_eq!(again, &plan);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! lanes are individual processors (only meaningful for non-preemptive
 //! runs, where a task occupies one processor for its whole span).
 
+use crate::json::{ByteCount, JsonSink};
+
 /// What happened. Discriminants are stable (used by the JSONL exporter).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -142,20 +144,90 @@ pub struct TraceCell {
     pub dropped: u64,
 }
 
-fn push_common(out: &mut String, ev: &Event, pid: u32) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        r#""pid":{},"tid":{},"ts":{},"args":{{"epoch":{}"#,
-        pid, ev.lane, ev.t, ev.epoch
-    );
+/// Writes the fields a Chrome-trace data event shares, from `"pid"` to
+/// the closed `"args"` object.
+fn chrome_common<S: JsonSink>(out: &mut S, ev: &Event, pid: u32) {
+    out.field(r#""pid":"#, pid.into());
+    out.field(r#","tid":"#, ev.lane.into());
+    out.field(r#","ts":"#, ev.t);
+    out.field(r#","args":{"epoch":"#, ev.epoch);
+    task_type_arg(out, ev);
+    out.raw("}");
+}
+
+/// Writes an event's optional `task` and `type` fields and its `arg`.
+fn task_type_arg<S: JsonSink>(out: &mut S, ev: &Event) {
     if ev.task != NONE {
-        let _ = write!(out, r#","task":{}"#, ev.task);
+        out.field(r#","task":"#, ev.task.into());
     }
     if ev.rtype != NONE {
-        let _ = write!(out, r#","type":{}"#, ev.rtype);
+        out.field(r#","type":"#, ev.rtype.into());
     }
-    let _ = write!(out, r#","arg":{}}}"#, ev.arg);
+    out.field(r#","arg":"#, ev.arg);
+}
+
+/// Writes a `thread_name` metadata entry naming lane `tid`
+/// `label[i][j]…` for `index = [i, j, …]`.
+fn chrome_lane_name<S: JsonSink>(out: &mut S, pid: u32, tid: u32, label: &str, index: &[u32]) {
+    out.field(r#",{"name":"thread_name","ph":"M","pid":"#, pid.into());
+    out.field(r#","tid":"#, tid.into());
+    out.raw(r#","args":{"name":""#);
+    out.raw(label);
+    for &i in index {
+        out.field("[", i.into());
+        out.raw("]");
+    }
+    out.raw(r#""}}"#);
+}
+
+fn chrome_trace_into<S: JsonSink>(out: &mut S, cells: &[TraceCell]) {
+    out.raw(r#"{"displayTimeUnit":"ms","traceEvents":["#);
+    for (c, cell) in cells.iter().enumerate() {
+        // Process + lane metadata. The process entry opens each cell, so
+        // every later entry of the cell follows a comma.
+        let pid = cell.pid;
+        out.raw(if c > 0 { "," } else { "" });
+        out.field(r#"{"name":"process_name","ph":"M","pid":"#, pid.into());
+        out.raw(r#","args":{"name":"#);
+        out.string(&cell.name);
+        out.raw("}}");
+        chrome_lane_name(out, pid, 0, "engine", &[]);
+        for alpha in 0..cell.k {
+            chrome_lane_name(out, pid, 1 + alpha, "queue", &[alpha]);
+        }
+        let mut lane = 1 + cell.k;
+        for (alpha, &p) in (0u32..).zip(&cell.procs) {
+            for i in 0..p {
+                chrome_lane_name(out, pid, lane, "proc", &[alpha, i]);
+                lane += 1;
+            }
+        }
+        for ev in &cell.events {
+            match ev.kind {
+                EventKind::Start | EventKind::Complete if ev.lane > cell.k => {
+                    out.field(r#",{"name":"task "#, ev.task.into());
+                    out.raw(match ev.kind {
+                        EventKind::Start => r#"","ph":"B","#,
+                        _ => r#"","ph":"E","#,
+                    });
+                }
+                kind => {
+                    out.raw(r#",{"name":""#);
+                    out.raw(kind.name());
+                    out.raw(r#"","ph":"i","s":"t","#);
+                }
+            }
+            chrome_common(out, ev, pid);
+            out.raw("}");
+        }
+        if cell.dropped > 0 {
+            out.field(r#",{"name":"trace truncated: "#, cell.dropped);
+            out.field(r#" events dropped","ph":"i","s":"p","pid":"#, pid.into());
+            out.field(r#","tid":0,"ts":"#, cell.events.last().map_or(0, |e| e.t));
+            out.raw(r#","args":{}}"#);
+        }
+    }
+    out.raw("]}");
 }
 
 /// Renders cells as a Chrome-trace (Perfetto-loadable) JSON document.
@@ -163,140 +235,53 @@ fn push_common(out: &mut String, ev: &Event, pid: u32) {
 /// Non-preemptive `Start`/`Complete` pairs become duration (`B`/`E`)
 /// spans on processor lanes; everything else is an instant (`i`). Lane
 /// metadata names each `tid`. Times are sim ticks exported as µs.
+///
+/// One pass measures the document and a second writes it into a buffer
+/// of exactly that size: integers and escaped names go straight into it,
+/// with no allocation per event.
 pub fn chrome_trace_json(cells: &[TraceCell]) -> String {
-    use std::fmt::Write;
-    fn sep(out: &mut String, first: &mut bool) {
-        if *first {
-            *first = false;
-        } else {
-            out.push(',');
-        }
-    }
-    fn lane_meta(out: &mut String, first: &mut bool, pid: u32, tid: u32, name: &str) {
-        sep(out, first);
-        let _ = write!(
-            out,
-            r#"{{"name":"thread_name","ph":"M","pid":{},"tid":{},"args":{{"name":{}}}}}"#,
-            pid,
-            tid,
-            crate::json::json_string(name)
-        );
-    }
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
+    let mut len = ByteCount::default();
+    chrome_trace_into(&mut len, cells);
+    let mut out = Vec::with_capacity(len.0);
+    chrome_trace_into(&mut out, cells);
+    String::from_utf8(out).expect("the writer emits UTF-8")
+}
+
+fn events_jsonl_into<S: JsonSink>(out: &mut S, cells: &[TraceCell]) {
     for cell in cells {
-        // Process + lane metadata.
-        sep(&mut out, &mut first);
-        let _ = write!(
-            out,
-            r#"{{"name":"process_name","ph":"M","pid":{},"args":{{"name":{}}}}}"#,
-            cell.pid,
-            crate::json::json_string(&cell.name)
-        );
-        lane_meta(&mut out, &mut first, cell.pid, 0, "engine");
-        let mut lane = 1u32;
-        for alpha in 0..cell.k {
-            lane_meta(
-                &mut out,
-                &mut first,
-                cell.pid,
-                lane,
-                &format!("queue[{alpha}]"),
-            );
-            lane += 1;
+        out.raw(r#"{"cell":"#);
+        out.string(&cell.name);
+        out.field(r#","pid":"#, cell.pid.into());
+        out.field(r#","k":"#, cell.k.into());
+        out.raw(r#","procs":["#);
+        for (i, &p) in cell.procs.iter().enumerate() {
+            out.field(if i > 0 { "," } else { "" }, p.into());
         }
-        for (alpha, &p) in cell.procs.iter().enumerate() {
-            for i in 0..p {
-                lane_meta(
-                    &mut out,
-                    &mut first,
-                    cell.pid,
-                    lane,
-                    &format!("proc[{alpha}][{i}]"),
-                );
-                lane += 1;
-            }
-        }
+        out.field(r#"],"events":"#, cell.events.len() as u64);
+        out.field(r#","dropped":"#, cell.dropped);
+        out.raw("}\n");
         for ev in &cell.events {
-            sep(&mut out, &mut first);
-            let (ph, name): (&str, String) = match ev.kind {
-                EventKind::Start if ev.lane > cell.k => ("B", format!("task {}", ev.task)),
-                EventKind::Complete if ev.lane > cell.k => ("E", format!("task {}", ev.task)),
-                k => ("i", k.name().to_string()),
-            };
-            let _ = write!(
-                out,
-                r#"{{"name":{},"ph":"{}","#,
-                crate::json::json_string(&name),
-                ph
-            );
-            if ph == "i" {
-                out.push_str(r#""s":"t","#);
-            }
-            push_common(&mut out, ev, cell.pid);
-            out.push('}');
-        }
-        if cell.dropped > 0 {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                r#"{{"name":"trace truncated: {} events dropped","ph":"i","s":"p","pid":{},"tid":0,"ts":{},"args":{{}}}}"#,
-                cell.dropped,
-                cell.pid,
-                cell.events.last().map_or(0, |e| e.t)
-            );
+            out.field(r#"{"pid":"#, cell.pid.into());
+            out.raw(r#","kind":""#);
+            out.raw(ev.kind.name());
+            out.field(r#"","t":"#, ev.t);
+            out.field(r#","epoch":"#, ev.epoch);
+            out.field(r#","lane":"#, ev.lane.into());
+            task_type_arg(out, ev);
+            out.raw("}\n");
         }
     }
-    out.push_str("]}");
-    out
 }
 
 /// Renders cells as JSON Lines: one self-contained object per event,
-/// prefixed by one header object per cell (`{"cell":...}`).
+/// prefixed by one header object per cell (`{"cell":...}`). Written as
+/// [`chrome_trace_json`] is: measured, then filled without allocating.
 pub fn events_jsonl(cells: &[TraceCell]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for cell in cells {
-        let _ = write!(
-            out,
-            r#"{{"cell":{},"pid":{},"k":{},"procs":["#,
-            crate::json::json_string(&cell.name),
-            cell.pid,
-            cell.k
-        );
-        for (i, p) in cell.procs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{p}");
-        }
-        let _ = writeln!(
-            out,
-            r#"],"events":{},"dropped":{}}}"#,
-            cell.events.len(),
-            cell.dropped
-        );
-        for ev in &cell.events {
-            let _ = write!(
-                out,
-                r#"{{"pid":{},"kind":"{}","t":{},"epoch":{},"lane":{}"#,
-                cell.pid,
-                ev.kind.name(),
-                ev.t,
-                ev.epoch,
-                ev.lane
-            );
-            if ev.task != NONE {
-                let _ = write!(out, r#","task":{}"#, ev.task);
-            }
-            if ev.rtype != NONE {
-                let _ = write!(out, r#","type":{}"#, ev.rtype);
-            }
-            let _ = writeln!(out, r#","arg":{}}}"#, ev.arg);
-        }
-    }
-    out
+    let mut len = ByteCount::default();
+    events_jsonl_into(&mut len, cells);
+    let mut out = Vec::with_capacity(len.0);
+    events_jsonl_into(&mut out, cells);
+    String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
 #[cfg(test)]

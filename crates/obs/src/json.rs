@@ -1,31 +1,118 @@
-//! Minimal hand-rolled JSON support: a string escaper for the exporters
-//! and a small recursive-descent parser used by tests and the CI schema
-//! check. The build environment has no crates.io access, so there is no
-//! serde; this keeps "emitted documents actually parse" testable without
-//! trusting the emitter's own formatting.
+//! Minimal hand-rolled JSON support: a string escaper and an
+//! allocation-free writer for the exporters, and a small recursive-descent
+//! parser used by tests and the CI schema check. The build environment has
+//! no crates.io access, so there is no serde; this keeps "emitted documents
+//! actually parse" testable without trusting the emitter's own formatting.
 
 use std::collections::BTreeMap;
 
 /// Escapes `s` as a JSON string literal, including the surrounding
 /// quotes.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+    let mut out = Vec::with_capacity(s.len() + 2);
+    out.string(s);
+    String::from_utf8(out).expect("escaping keeps UTF-8 intact")
+}
+
+/// Where the exporters write JSON text: a byte buffer, or a
+/// [`ByteCount`] that measures the text first so the buffer is sized
+/// exactly once. Nothing goes through `fmt`, and no call builds a
+/// temporary.
+pub(crate) trait JsonSink {
+    /// Appends `s` verbatim.
+    fn raw(&mut self, s: &str);
+
+    /// Appends `v` in decimal.
+    fn uint(&mut self, v: u64);
+
+    /// Appends `key` verbatim, then `v` in decimal.
+    fn field(&mut self, key: &str, v: u64) {
+        self.raw(key);
+        self.uint(v);
     }
-    out.push('"');
-    out
+
+    /// Appends `s` as an escaped JSON string literal, quotes included:
+    /// `"` and `\` are backslash-escaped, `\n`, `\r` and `\t` get their
+    /// short escapes, other control characters `\u00XX`, and everything
+    /// else is copied as is.
+    fn string(&mut self, s: &str) {
+        const HEX: &str = "0123456789abcdef";
+        self.raw("\"");
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `i` is a char boundary.
+            self.raw(&s[start..i]);
+            if escape.is_empty() {
+                let (hi, lo) = (usize::from(b >> 4), usize::from(b & 15));
+                self.raw("\\u00");
+                self.raw(&HEX[hi..=hi]);
+                self.raw(&HEX[lo..=lo]);
+            } else {
+                self.raw(escape);
+            }
+            start = i + 1;
+        }
+        self.raw(&s[start..]);
+        self.raw("\"");
+    }
+}
+
+/// The bytes the exporters write; every write appends whole UTF-8
+/// strings or ASCII digits, so the buffer converts to a `String` at the
+/// end.
+impl JsonSink for Vec<u8> {
+    #[inline]
+    fn raw(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+
+    /// Two digits per division, from a table of the pairs `00`–`99`.
+    #[inline]
+    fn uint(&mut self, mut v: u64) {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        while v >= 10 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v > 0 || i == digits.len() {
+            i -= 1;
+            digits[i] = b'0' + v as u8;
+        }
+        self.extend_from_slice(&digits[i..]);
+    }
+}
+
+/// A [`JsonSink`] that only counts the bytes it would write.
+#[derive(Default)]
+pub(crate) struct ByteCount(pub usize);
+
+impl JsonSink for ByteCount {
+    #[inline]
+    fn raw(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    #[inline]
+    fn uint(&mut self, v: u64) {
+        self.0 += v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
 }
 
 /// Formats an `f64` as a JSON number token: finite values render via
@@ -298,6 +385,17 @@ mod tests {
             let lit = json_string(s);
             let v = parse(&lit).expect("escaped string parses");
             assert_eq!(v.as_str(), Some(s));
+        }
+    }
+
+    #[test]
+    fn sinks_write_and_count_integers_as_display_does() {
+        for v in [0, 7, 10, 99, 100, 105, 1005, 65_536, u64::MAX] {
+            let (mut out, mut len) = (Vec::new(), ByteCount::default());
+            out.uint(v);
+            len.uint(v);
+            assert_eq!(out, v.to_string().as_bytes());
+            assert_eq!(len.0, out.len());
         }
     }
 
