@@ -6,52 +6,34 @@
 //! `--metrics-out` writes one versioned JSON line per cell with the
 //! per-job response/queueing/slowdown percentiles.
 
-use fhs_experiments::args::CommonArgs;
+use fhs_experiments::args::{exit_on_err, write_or_exit, CommonArgs};
 use fhs_experiments::figures::fig_stream;
 
 fn main() {
-    // Peel off --metrics-out (a sweep-style sink CommonArgs doesn't
-    // know), then let the shared parser handle the rest.
+    // --metrics-out is a sweep-style sink the shared options do not have.
     let mut metrics_out: Option<std::path::PathBuf> = None;
-    let mut rest = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--metrics-out" {
-            match it.next() {
-                Some(v) => metrics_out = Some(v.into()),
-                None => {
-                    eprintln!("--metrics-out needs a value");
-                    std::process::exit(2);
-                }
+    let args = CommonArgs::parse_with(
+        std::env::args().skip(1),
+        fig_stream::DEFAULT_INSTANCES,
+        |flag, flags| {
+            if flag != "--metrics-out" {
+                return Ok(false);
             }
-        } else {
-            rest.push(flag);
-        }
-    }
-    let args = match CommonArgs::parse(rest, fig_stream::DEFAULT_INSTANCES) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!(
-                "{msg}\nextra flag: [--metrics-out PATH] writes one metrics-JSONL \
-                 stream line per cell"
-            );
-            std::process::exit(2);
-        }
-    };
+            metrics_out = Some(flags.value(flag)?.into());
+            Ok(true)
+        },
+    );
+    let args = exit_on_err(args.map_err(|msg| {
+        format!(
+            "{msg}\nextra flag: [--metrics-out PATH] writes one metrics-JSONL \
+             stream line per cell"
+        )
+    }));
     let panels = fig_stream::compute(&args);
     if let Some(path) = &metrics_out {
         let body = fig_stream::metrics_jsonl(&args, &panels);
-        match std::fs::write(path, &body) {
-            Ok(()) => eprintln!(
-                "wrote metrics: {} ({} stream cells)",
-                path.display(),
-                body.lines().count()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let detail = format!("{} stream cells", body.lines().count());
+        write_or_exit(path, body, "metrics", &detail);
     }
     print!("{}", fig_stream::render(&args, &panels));
 }

@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
+use fhs_experiments::args::{exit_on_err, write_or_exit, Flags};
 use fhs_experiments::figures::{panel_csv_table, Panel};
 use fhs_experiments::obsout;
 use fhs_experiments::runner::{fold_rows, new_sweep_columns, run_sweep_rows, SweepCell};
@@ -62,7 +63,8 @@ utilization, imbalance, CoV, time-to-drain) from the timeline recorder\n\
 --trace-out writes the structured event trace of instance 0 (one trace \
 process per algorithm); '.jsonl' suffix selects JSON-lines, anything else \
 Chrome-trace JSON loadable in Perfetto / chrome://tracing\n\
---trace-cap bounds the recorded events per run (first-N; default 65536)\n\
+--trace-cap bounds the recorded events per run (first-N; default 65536, \
+at most 16777216)\n\
 --metrics-out appends one JSON line per algorithm cell (versioned schema: \
 ratio summary, engine counters, latency percentiles, utilization)\n\
 --stable canonicalizes exported metrics for byte-identical reproduction: \
@@ -85,7 +87,11 @@ to the unsharded '--stable --metrics-out' run over the full range\n\
 --workers caps the persistent worker pool (default: all cores); results \
 are bit-identical for any worker count";
 
-fn parse() -> Result<SweepArgs, String> {
+/// The largest `--trace-cap`: each traced run reserves its cap up front,
+/// and each worker's workspace keeps that reservation (256× the default).
+const MAX_TRACE_CAP: usize = 1 << 24;
+
+fn parse(args: Vec<String>) -> Result<SweepArgs, String> {
     let mut out = SweepArgs {
         family: Family::Ir,
         typing: Typing::Layered,
@@ -111,73 +117,52 @@ fn parse() -> Result<SweepArgs, String> {
         serve_metrics: None,
         serve_linger: 0,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next() {
+        let f = flag.as_str();
+        match f {
             "--family" => {
-                out.family = match value("--family")?.to_lowercase().as_str() {
-                    "ep" => Family::Ep,
-                    "tree" => Family::Tree,
-                    "ir" => Family::Ir,
-                    other => return Err(format!("unknown family {other}")),
-                }
+                let families = [
+                    ("ep", Family::Ep),
+                    ("tree", Family::Tree),
+                    ("ir", Family::Ir),
+                ];
+                out.family = flags.choice(f, &families)?;
             }
             "--typing" => {
-                out.typing = match value("--typing")?.to_lowercase().as_str() {
-                    "layered" => Typing::Layered,
-                    "random" => Typing::Random,
-                    other => return Err(format!("unknown typing {other}")),
-                }
+                let typings = [("layered", Typing::Layered), ("random", Typing::Random)];
+                out.typing = flags.choice(f, &typings)?;
             }
             "--size" => {
-                out.size = match value("--size")?.to_lowercase().as_str() {
-                    "small" => SystemSize::Small,
-                    "medium" => SystemSize::Medium,
-                    "large" => SystemSize::Large,
-                    "huge" => SystemSize::Huge,
-                    other => return Err(format!("unknown size {other}")),
-                }
+                let sizes = [
+                    ("small", SystemSize::Small),
+                    ("medium", SystemSize::Medium),
+                    ("large", SystemSize::Large),
+                    ("huge", SystemSize::Huge),
+                ];
+                out.size = flags.choice(f, &sizes)?;
             }
-            "--k" => out.k = value("--k")?.parse().map_err(|e| format!("--k: {e}"))?,
+            "--k" => out.k = flags.parse(f)?,
             "--skewed" => out.skewed = true,
             "--preemptive" => out.mode = Mode::Preemptive,
             "--algo" => {
-                let name = value("--algo")?;
+                let name = flags.value(f)?;
                 out.algos.push(
                     Algorithm::parse(&name).ok_or_else(|| format!("unknown algorithm {name}"))?,
                 );
             }
-            "--instances" | "-n" => {
-                out.instances = value("--instances")?
-                    .parse()
-                    .map_err(|e| format!("--instances: {e}"))?
-            }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--instances" | "-n" => out.instances = flags.parse("--instances")?,
+            "--seed" => out.seed = flags.parse(f)?,
             "--csv" => out.csv = true,
-            "--workers" => {
-                out.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
+            "--workers" => out.workers = Some(flags.parse(f)?),
             "--instrument" => out.instrument = true,
             "--utilization" => out.utilization = true,
-            "--trace-out" => out.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--trace-cap" => {
-                out.trace_cap = value("--trace-cap")?
-                    .parse()
-                    .map_err(|e| format!("--trace-cap: {e}"))?
-            }
-            "--metrics-out" => out.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
+            "--trace-out" => out.trace_out = Some(flags.value(f)?.into()),
+            "--trace-cap" => out.trace_cap = flags.parse(f)?,
+            "--metrics-out" => out.metrics_out = Some(flags.value(f)?.into()),
             "--stable" => out.stable = true,
             "--shard" => {
-                let spec = value("--shard")?;
+                let spec = flags.value(f)?;
                 let (i, n) = spec
                     .split_once('/')
                     .ok_or_else(|| format!("--shard wants I/N, got {spec}"))?;
@@ -188,25 +173,13 @@ fn parse() -> Result<SweepArgs, String> {
                 }
                 out.shard = Some((i, n));
             }
-            "--shard-out" => out.shard_out = Some(PathBuf::from(value("--shard-out")?)),
-            "--snapshot-every" => {
-                let n: u64 = value("--snapshot-every")?
-                    .parse()
-                    .map_err(|e| format!("--snapshot-every: {e}"))?;
-                if n == 0 {
-                    return Err("--snapshot-every must be at least 1".into());
-                }
-                out.snapshot_every = Some(n);
-            }
-            "--snapshot-out" => out.snapshot_out = Some(PathBuf::from(value("--snapshot-out")?)),
-            "--serve-metrics" => out.serve_metrics = Some(value("--serve-metrics")?),
-            "--serve-linger" => {
-                out.serve_linger = value("--serve-linger")?
-                    .parse()
-                    .map_err(|e| format!("--serve-linger: {e}"))?
-            }
+            "--shard-out" => out.shard_out = Some(flags.value(f)?.into()),
+            "--snapshot-every" => out.snapshot_every = Some(flags.parse(f)?),
+            "--snapshot-out" => out.snapshot_out = Some(flags.value(f)?.into()),
+            "--serve-metrics" => out.serve_metrics = Some(flags.value(f)?),
+            "--serve-linger" => out.serve_linger = flags.parse(f)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+            other => return Err(format!("unknown flag: {other}\n{USAGE}")),
         }
     }
     if out.k == 0 {
@@ -214,6 +187,12 @@ fn parse() -> Result<SweepArgs, String> {
     }
     if out.instances == 0 {
         return Err("--instances must be at least 1".into());
+    }
+    if out.snapshot_every == Some(0) {
+        return Err("--snapshot-every must be at least 1".into());
+    }
+    if out.trace_cap > MAX_TRACE_CAP {
+        return Err(format!("--trace-cap must be at most {MAX_TRACE_CAP}"));
     }
     if out.algos.is_empty() {
         out.algos = ALL_ALGORITHMS.to_vec();
@@ -235,19 +214,15 @@ fn parse() -> Result<SweepArgs, String> {
 /// The `merge-shards` subcommand: reads shard fragments, folds them back
 /// together, and writes metrics-JSONL byte-identical to the unsharded
 /// `--stable --metrics-out` run.
-fn merge_main(args: &[String]) -> Result<(), String> {
+fn merge_main(args: Vec<String>) -> Result<(), String> {
     let mut out_path: Option<PathBuf> = None;
     let mut fragments = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--out" => {
-                out_path = Some(PathBuf::from(
-                    it.next().ok_or("--out needs a value")?.clone(),
-                ))
-            }
+            "--out" => out_path = Some(flags.value("--out")?.into()),
             "--help" | "-h" => return Err(USAGE.to_string()),
-            path => fragments.push(PathBuf::from(path)),
+            _ => fragments.push(PathBuf::from(arg)),
         }
     }
     if fragments.is_empty() {
@@ -274,21 +249,12 @@ fn merge_main(args: &[String]) -> Result<(), String> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("merge-shards") {
-        if let Err(msg) = merge_main(&argv[1..]) {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-        return;
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "merge-shards") {
+        argv.remove(0);
+        return exit_on_err(merge_main(argv));
     }
-    let args = match parse() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = exit_on_err(parse(argv));
     let mut spec = WorkloadSpec::new(args.family, args.typing, args.size, args.k);
     if args.skewed {
         spec = spec.skewed();
@@ -405,17 +371,8 @@ fn main() {
             &mut columns,
             &shard_utils,
         );
-        match std::fs::write(path, fragment) {
-            Ok(()) => eprintln!(
-                "wrote shard fragment: {} (instances {lo}..{hi} of {})",
-                path.display(),
-                args.instances
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let detail = format!("instances {lo}..{hi} of {}", args.instances);
+        write_or_exit(path, fragment, "shard fragment", &detail);
     }
     if args.stable {
         for col in columns.iter_mut() {
@@ -485,17 +442,7 @@ fn main() {
             ));
             out.push('\n');
         }
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!(
-                "wrote metrics: {} ({} cells)",
-                path.display(),
-                columns.len()
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_or_exit(path, out, "metrics", &format!("{} cells", columns.len()));
     }
     if let Some(path) = &args.trace_out {
         let traces: Vec<TraceCell> = args
@@ -520,17 +467,9 @@ fn main() {
         };
         let events: usize = traces.iter().map(|t| t.events.len()).sum();
         let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!(
-                "wrote trace: {} ({} format, instance 0, {events} events, {dropped} dropped)",
-                path.display(),
-                if jsonl { "JSON-lines" } else { "Chrome-trace" },
-            ),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let format = if jsonl { "JSON-lines" } else { "Chrome-trace" };
+        let detail = format!("{format} format, instance 0, {events} events, {dropped} dropped");
+        write_or_exit(path, body, "trace", &detail);
     }
     if let Some(server) = &server {
         if args.serve_linger > 0 {

@@ -35,92 +35,80 @@ use crate::runner::SweepCellResult;
 // ---------------------------------------------------------------------------
 
 /// Emits the engine-counter families shared by the sweep and stream
-/// expositions, **family-major** over the labeled series (the text format
-/// requires a family's samples to be contiguous, so the per-series loop
-/// must nest inside the per-family loop).
-fn engine_counters(e: &mut Exposition, series: &[(&[(&str, &str)], &RunStats)]) {
-    type Family = (&'static str, &'static str, fn(&RunStats) -> u64);
-    let simple: [Family; 5] = [
+/// expositions for one labeled series.
+fn engine_counters(e: &mut Exposition, labels: &[(&str, &str)], stats: &RunStats) {
+    for (name, help, value) in [
         (
             "fhs_epochs_total",
             "Decision epochs (policy consultations, including fast-forwarded ones)",
-            |s| s.epochs,
+            stats.epochs,
         ),
         (
             "fhs_epochs_skipped_total",
             "Decision epochs fast-forwarded over instead of executed",
-            |s| s.epochs_skipped,
+            stats.epochs_skipped,
         ),
         (
             "fhs_dirty_visits_total",
             "Per-(job, epoch) policy consultations performed by the dirty-set scan",
-            |s| s.dirty_visits,
+            stats.dirty_visits,
         ),
         (
             "fhs_full_rescans_total",
             "Epochs in which the dirty-set skip pruned nothing",
-            |s| s.full_rescans,
+            stats.full_rescans,
         ),
         (
             "fhs_tasks_assigned_total",
             "Task selections across all epochs",
-            |s| s.tasks_assigned,
+            stats.tasks_assigned,
         ),
-    ];
-    for (name, help, get) in simple {
-        for (labels, stats) in series {
-            e.counter(name, help, labels, get(stats));
-        }
+    ] {
+        e.counter(name, help, labels, value);
     }
-    for (labels, stats) in series {
-        for (event, value) in [
-            ("releases", stats.transitions.releases),
-            ("starts", stats.transitions.starts),
-            ("completions", stats.transitions.completions),
-            ("progress_updates", stats.transitions.progress_updates),
-        ] {
-            let mut with_event = labels.to_vec();
-            with_event.push(("event", event));
-            e.counter(
-                "fhs_transitions_total",
-                "State transitions by kind",
-                &with_event,
-                value,
-            );
-        }
-    }
-    for (labels, stats) in series {
-        for (counter, value) in [
-            ("candidates_evaluated", stats.selection.candidates_evaluated),
-            ("candidates_pruned", stats.selection.candidates_pruned),
-            ("diff_events", stats.selection.diff_events),
-            ("cold_snapshots", stats.selection.cold_snapshots),
-        ] {
-            let mut with_counter = labels.to_vec();
-            with_counter.push(("counter", counter));
-            e.counter(
-                "fhs_selection_total",
-                "Candidate-selection counters (incremental-index policies)",
-                &with_counter,
-                value,
-            );
-        }
-    }
-    for (labels, stats) in series {
-        e.gauge(
-            "fhs_peak_queue_depth",
-            "Largest number of live candidates any single type queue held",
-            labels,
-            stats.transitions.peak_queue_depth as f64,
+    for (event, value) in [
+        ("releases", stats.transitions.releases),
+        ("starts", stats.transitions.starts),
+        ("completions", stats.transitions.completions),
+        ("progress_updates", stats.transitions.progress_updates),
+    ] {
+        let mut with_event = labels.to_vec();
+        with_event.push(("event", event));
+        e.counter(
+            "fhs_transitions_total",
+            "State transitions by kind",
+            &with_event,
+            value,
         );
     }
+    for (counter, value) in [
+        ("candidates_evaluated", stats.selection.candidates_evaluated),
+        ("candidates_pruned", stats.selection.candidates_pruned),
+        ("diff_events", stats.selection.diff_events),
+        ("cold_snapshots", stats.selection.cold_snapshots),
+    ] {
+        let mut with_counter = labels.to_vec();
+        with_counter.push(("counter", counter));
+        e.counter(
+            "fhs_selection_total",
+            "Candidate-selection counters (incremental-index policies)",
+            &with_counter,
+            value,
+        );
+    }
+    e.gauge(
+        "fhs_peak_queue_depth",
+        "Largest number of live candidates any single type queue held",
+        labels,
+        stats.transitions.peak_queue_depth as f64,
+    );
 }
 
 /// Renders a sweep's current per-column aggregates as one Prometheus
 /// text-format page. `done`/`total` expose the sweep's progress so a
 /// scraper can watch a long run converge; the per-column families are
-/// labeled `algo="<label>"`. Families are emitted family-major, so the
-/// page always passes [`fhs_obs::validate`].
+/// labeled `algo="<label>"`. The page renders column by column;
+/// [`Exposition`] keeps each family's samples together.
 pub fn sweep_exposition(
     workload: &str,
     mode: &str,
@@ -143,68 +131,46 @@ pub fn sweep_exposition(
         &id,
         done as f64,
     );
-    let label_pairs: Vec<[(&str, &str); 1]> =
-        labels.iter().map(|l| [("algo", l.as_str())]).collect();
-    let series: Vec<(&[(&str, &str)], &RunStats)> = label_pairs
-        .iter()
-        .zip(cols)
-        .map(|(l, c)| (l.as_slice(), &c.stats))
-        .collect();
-    engine_counters(&mut e, &series);
-    // Family-major from here on too: every family's per-column samples
-    // must stay contiguous.
-    let summaries: Vec<_> = cols.iter().map(|c| c.summary()).collect();
-    for (l, (col, s)) in label_pairs.iter().zip(cols.iter().zip(&summaries)) {
+    for (label, col) in labels.iter().zip(cols) {
+        let l = [("algo", label.as_str())];
+        engine_counters(&mut e, &l, &col.stats);
         if !col.ratios.is_empty() {
+            let s = col.summary();
             e.gauge(
                 "fhs_ratio_mean",
                 "Mean completion-time ratio over the instances so far",
-                l,
+                &l,
                 s.mean,
             );
-        }
-    }
-    for (l, (col, s)) in label_pairs.iter().zip(cols.iter().zip(&summaries)) {
-        if !col.ratios.is_empty() {
             e.gauge(
                 "fhs_ratio_p95",
                 "95th-percentile completion-time ratio",
-                l,
+                &l,
                 s.p95,
             );
         }
-    }
-    let observed: Vec<_> = label_pairs
-        .iter()
-        .zip(cols)
-        .filter_map(|(l, c)| c.obs.as_ref().map(|o| (l, o)))
-        .collect();
-    for (l, o) in &observed {
+        let Some(o) = &col.obs else { continue };
         e.histogram(
             "fhs_queue_depth",
             "Ready-queue depth samples (one per type per epoch)",
-            l.as_slice(),
+            &l,
             &o.queue_depth,
         );
-    }
-    for (l, o) in &observed {
         e.histogram(
             "fhs_assign_latency_ns",
             "Per-epoch Policy::assign wall latency",
-            l.as_slice(),
+            &l,
             &o.assign_ns,
         );
-    }
-    for (l, o) in &observed {
         e.histogram(
             "fhs_epoch_latency_ns",
             "Inter-epoch wall durations within the engine loop",
-            l.as_slice(),
+            &l,
             &o.epoch_ns,
         );
-    }
-    let with_util: Vec<_> = observed.iter().filter(|(_, o)| o.util.runs > 0).collect();
-    for (l, o) in &with_util {
+        if o.util.runs == 0 {
+            continue;
+        }
         for alpha in 0..o.util.sum_util.len() {
             let ty = alpha.to_string();
             let lt = [l[0], ("type", ty.as_str())];
@@ -214,12 +180,6 @@ pub fn sweep_exposition(
                 &lt,
                 o.util.mean_util(alpha),
             );
-        }
-    }
-    for (l, o) in &with_util {
-        for alpha in 0..o.util.sum_util.len() {
-            let ty = alpha.to_string();
-            let lt = [l[0], ("type", ty.as_str())];
             e.gauge(
                 "fhs_drain_frac_mean",
                 "Mean per-type time-to-drain over makespan",
@@ -227,20 +187,16 @@ pub fn sweep_exposition(
                 o.util.mean_drain_frac(alpha),
             );
         }
-    }
-    for (l, o) in &with_util {
         e.gauge(
             "fhs_imbalance_mean",
             "Mean utilization-imbalance index (max-min)",
-            l.as_slice(),
+            &l,
             o.util.mean_imbalance(),
         );
-    }
-    for (l, o) in &with_util {
         e.gauge(
             "fhs_cov_mean",
             "Mean coefficient of variation of per-type utilization",
-            l.as_slice(),
+            &l,
             o.util.mean_cov(),
         );
     }
@@ -274,7 +230,7 @@ pub fn stream_exposition(
         &l,
         active_jobs as f64,
     );
-    engine_counters(&mut e, &[(l.as_slice(), stats)]);
+    engine_counters(&mut e, &l, stats);
     e.counter(
         "fhs_jobs_completed_total",
         "Jobs retired from the session",
@@ -531,6 +487,222 @@ mod tests {
     use fhs_sim::{InterJobPolicy, Mode};
     use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
+    // The family-major renderer the sweep exposition had before
+    // `Exposition` grouped families itself, kept verbatim as the oracle
+    // of the column-by-column one.
+    /// Emits the engine-counter families shared by the sweep and stream
+    /// expositions, **family-major** over the labeled series (the text format
+    /// requires a family's samples to be contiguous, so the per-series loop
+    /// must nest inside the per-family loop).
+    fn family_major_engine_counters(e: &mut Exposition, series: &[(&[(&str, &str)], &RunStats)]) {
+        type Family = (&'static str, &'static str, fn(&RunStats) -> u64);
+        let simple: [Family; 5] = [
+            (
+                "fhs_epochs_total",
+                "Decision epochs (policy consultations, including fast-forwarded ones)",
+                |s| s.epochs,
+            ),
+            (
+                "fhs_epochs_skipped_total",
+                "Decision epochs fast-forwarded over instead of executed",
+                |s| s.epochs_skipped,
+            ),
+            (
+                "fhs_dirty_visits_total",
+                "Per-(job, epoch) policy consultations performed by the dirty-set scan",
+                |s| s.dirty_visits,
+            ),
+            (
+                "fhs_full_rescans_total",
+                "Epochs in which the dirty-set skip pruned nothing",
+                |s| s.full_rescans,
+            ),
+            (
+                "fhs_tasks_assigned_total",
+                "Task selections across all epochs",
+                |s| s.tasks_assigned,
+            ),
+        ];
+        for (name, help, get) in simple {
+            for (labels, stats) in series {
+                e.counter(name, help, labels, get(stats));
+            }
+        }
+        for (labels, stats) in series {
+            for (event, value) in [
+                ("releases", stats.transitions.releases),
+                ("starts", stats.transitions.starts),
+                ("completions", stats.transitions.completions),
+                ("progress_updates", stats.transitions.progress_updates),
+            ] {
+                let mut with_event = labels.to_vec();
+                with_event.push(("event", event));
+                e.counter(
+                    "fhs_transitions_total",
+                    "State transitions by kind",
+                    &with_event,
+                    value,
+                );
+            }
+        }
+        for (labels, stats) in series {
+            for (counter, value) in [
+                ("candidates_evaluated", stats.selection.candidates_evaluated),
+                ("candidates_pruned", stats.selection.candidates_pruned),
+                ("diff_events", stats.selection.diff_events),
+                ("cold_snapshots", stats.selection.cold_snapshots),
+            ] {
+                let mut with_counter = labels.to_vec();
+                with_counter.push(("counter", counter));
+                e.counter(
+                    "fhs_selection_total",
+                    "Candidate-selection counters (incremental-index policies)",
+                    &with_counter,
+                    value,
+                );
+            }
+        }
+        for (labels, stats) in series {
+            e.gauge(
+                "fhs_peak_queue_depth",
+                "Largest number of live candidates any single type queue held",
+                labels,
+                stats.transitions.peak_queue_depth as f64,
+            );
+        }
+    }
+
+    /// Renders a sweep's current per-column aggregates as one Prometheus
+    /// text-format page. `done`/`total` expose the sweep's progress so a
+    /// scraper can watch a long run converge; the per-column families are
+    /// labeled `algo="<label>"`. Families are emitted family-major, so the
+    /// page always passes [`fhs_obs::validate`].
+    fn family_major_sweep_exposition(
+        workload: &str,
+        mode: &str,
+        labels: &[String],
+        cols: &[SweepCellResult],
+        done: usize,
+        total: usize,
+    ) -> String {
+        let mut e = Exposition::new();
+        let id = [("workload", workload), ("mode", mode)];
+        e.gauge(
+            "fhs_sweep_instances_total",
+            "Instances this sweep will evaluate",
+            &id,
+            total as f64,
+        );
+        e.gauge(
+            "fhs_sweep_instances_done",
+            "Instances folded into the aggregates so far",
+            &id,
+            done as f64,
+        );
+        let label_pairs: Vec<[(&str, &str); 1]> =
+            labels.iter().map(|l| [("algo", l.as_str())]).collect();
+        let series: Vec<(&[(&str, &str)], &RunStats)> = label_pairs
+            .iter()
+            .zip(cols)
+            .map(|(l, c)| (l.as_slice(), &c.stats))
+            .collect();
+        family_major_engine_counters(&mut e, &series);
+        // Family-major from here on too: every family's per-column samples
+        // must stay contiguous.
+        let summaries: Vec<_> = cols.iter().map(|c| c.summary()).collect();
+        for (l, (col, s)) in label_pairs.iter().zip(cols.iter().zip(&summaries)) {
+            if !col.ratios.is_empty() {
+                e.gauge(
+                    "fhs_ratio_mean",
+                    "Mean completion-time ratio over the instances so far",
+                    l,
+                    s.mean,
+                );
+            }
+        }
+        for (l, (col, s)) in label_pairs.iter().zip(cols.iter().zip(&summaries)) {
+            if !col.ratios.is_empty() {
+                e.gauge(
+                    "fhs_ratio_p95",
+                    "95th-percentile completion-time ratio",
+                    l,
+                    s.p95,
+                );
+            }
+        }
+        let observed: Vec<_> = label_pairs
+            .iter()
+            .zip(cols)
+            .filter_map(|(l, c)| c.obs.as_ref().map(|o| (l, o)))
+            .collect();
+        for (l, o) in &observed {
+            e.histogram(
+                "fhs_queue_depth",
+                "Ready-queue depth samples (one per type per epoch)",
+                l.as_slice(),
+                &o.queue_depth,
+            );
+        }
+        for (l, o) in &observed {
+            e.histogram(
+                "fhs_assign_latency_ns",
+                "Per-epoch Policy::assign wall latency",
+                l.as_slice(),
+                &o.assign_ns,
+            );
+        }
+        for (l, o) in &observed {
+            e.histogram(
+                "fhs_epoch_latency_ns",
+                "Inter-epoch wall durations within the engine loop",
+                l.as_slice(),
+                &o.epoch_ns,
+            );
+        }
+        let with_util: Vec<_> = observed.iter().filter(|(_, o)| o.util.runs > 0).collect();
+        for (l, o) in &with_util {
+            for alpha in 0..o.util.sum_util.len() {
+                let ty = alpha.to_string();
+                let lt = [l[0], ("type", ty.as_str())];
+                e.gauge(
+                    "fhs_utilization_mean",
+                    "Mean per-type utilization over the recorded instances",
+                    &lt,
+                    o.util.mean_util(alpha),
+                );
+            }
+        }
+        for (l, o) in &with_util {
+            for alpha in 0..o.util.sum_util.len() {
+                let ty = alpha.to_string();
+                let lt = [l[0], ("type", ty.as_str())];
+                e.gauge(
+                    "fhs_drain_frac_mean",
+                    "Mean per-type time-to-drain over makespan",
+                    &lt,
+                    o.util.mean_drain_frac(alpha),
+                );
+            }
+        }
+        for (l, o) in &with_util {
+            e.gauge(
+                "fhs_imbalance_mean",
+                "Mean utilization-imbalance index (max-min)",
+                l.as_slice(),
+                o.util.mean_imbalance(),
+            );
+        }
+        for (l, o) in &with_util {
+            e.gauge(
+                "fhs_cov_mean",
+                "Mean coefficient of variation of per-type utilization",
+                l.as_slice(),
+                o.util.mean_cov(),
+            );
+        }
+        e.finish()
+    }
+
     fn sweep_fixture() -> (Vec<String>, Vec<SweepCellResult>) {
         let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3);
         let algos = [Algorithm::Mqb, Algorithm::KGreedy];
@@ -541,6 +713,32 @@ mod tests {
         let cols = run_sweep_observed(&spec, &cells, 6, 9, Some(2), ObsConfig::all());
         let labels = algos.iter().map(|a| a.label().to_string()).collect();
         (labels, cols)
+    }
+
+    #[test]
+    fn column_by_column_page_matches_the_family_major_oracle() {
+        let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3);
+        let algos = [Algorithm::Mqb, Algorithm::KGreedy, Algorithm::ShiftBT];
+        let cells: Vec<SweepCell> = algos
+            .iter()
+            .map(|&a| SweepCell::new(a, Mode::Preemptive))
+            .collect();
+        let labels: Vec<String> = algos.iter().map(|a| a.label().to_string()).collect();
+        let utilization_only = ObsConfig {
+            utilization: true,
+            ..ObsConfig::default()
+        };
+        for observe in [ObsConfig::all(), ObsConfig::default(), utilization_only] {
+            let mut cols = run_sweep_observed(&spec, &cells, 5, 31, Some(2), observe);
+            cols.iter_mut().for_each(obsout::stabilize);
+            for n in [cols.len(), 0] {
+                let (labels, cols) = (&labels[..n], &cols[..n]);
+                let page = sweep_exposition("w", "pre", labels, cols, 5, 8);
+                let oracle = family_major_sweep_exposition("w", "pre", labels, cols, 5, 8);
+                assert_eq!(page, oracle, "{observe:?}, {n} columns");
+                validate(&page).expect("exposition validates");
+            }
+        }
     }
 
     #[test]

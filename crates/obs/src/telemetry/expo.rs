@@ -23,18 +23,18 @@ impl FamilyType {
     }
 }
 
-/// Append-only builder for Prometheus text exposition (format 0.0.4).
+/// Builder for Prometheus text exposition (format 0.0.4).
 ///
-/// `# HELP` and `# TYPE` headers are emitted once per family, on the
-/// first sample of that family; later samples of the same family (e.g.
-/// the same counter under different label sets) append bare sample
-/// lines. Callers should emit all samples of a family consecutively —
-/// the format requires family lines to be grouped, and [`validate`]
-/// checks that.
+/// The format requires each family's lines to be contiguous ([`validate`]
+/// checks that), so the builder groups them itself: samples may arrive in
+/// any order, each family keeps its `# HELP`/`# TYPE` header (emitted
+/// once) and its samples together, and [`finish`](Exposition::finish)
+/// writes the families in the order of their first samples. So callers
+/// may render series by series.
 #[derive(Debug, Default)]
 pub struct Exposition {
-    out: String,
-    seen: BTreeSet<String>,
+    /// (family name, its header and sample lines) in first-sample order.
+    families: Vec<(String, String)>,
 }
 
 /// `true` iff `name` is a legal metric/label name:
@@ -64,6 +64,28 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
+/// Appends the sample line `name{labels} value` to `out`.
+fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: &str) {
+    out.push_str(name);
+    if !labels.is_empty() {
+        out.push('{');
+        for (i, (k, v)) in labels.iter().enumerate() {
+            debug_assert!(valid_name(k), "bad label name {k:?}");
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(k);
+            out.push_str("=\"");
+            out.push_str(&escape_label(v));
+            out.push('"');
+        }
+        out.push('}');
+    }
+    out.push(' ');
+    out.push_str(value);
+    out.push('\n');
+}
+
 /// Escapes a label value: backslash, double-quote, and newline get
 /// backslash escapes per the exposition format.
 fn escape_label(v: &str) -> String {
@@ -85,55 +107,33 @@ impl Exposition {
         Exposition::default()
     }
 
-    fn header(&mut self, name: &str, help: &str, ty: FamilyType) {
+    /// The text of family `name`, opened with its header on first use.
+    fn family(&mut self, name: &str, help: &str, ty: FamilyType) -> &mut String {
         debug_assert!(valid_name(name), "bad metric name {name:?}");
-        if self.seen.insert(name.to_string()) {
-            // HELP text escapes backslash and newline (not quotes).
-            let help = help.replace('\\', "\\\\").replace('\n', "\\n");
-            self.out.push_str("# HELP ");
-            self.out.push_str(name);
-            self.out.push(' ');
-            self.out.push_str(&help);
-            self.out.push('\n');
-            self.out.push_str("# TYPE ");
-            self.out.push_str(name);
-            self.out.push(' ');
-            self.out.push_str(ty.label());
-            self.out.push('\n');
-        }
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                debug_assert!(valid_name(k), "bad label name {k:?}");
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out.push_str(k);
-                self.out.push_str("=\"");
-                self.out.push_str(&escape_label(v));
-                self.out.push('"');
+        let i = match self.families.iter().position(|(n, _)| n == name) {
+            Some(i) => i,
+            None => {
+                // HELP text escapes backslash and newline (not quotes).
+                let help = help.replace('\\', "\\\\").replace('\n', "\\n");
+                let ty = ty.label();
+                let header = format!("# HELP {name} {help}\n# TYPE {name} {ty}\n");
+                self.families.push((name.to_string(), header));
+                self.families.len() - 1
             }
-            self.out.push('}');
-        }
-        self.out.push(' ');
-        self.out.push_str(value);
-        self.out.push('\n');
+        };
+        &mut self.families[i].1
     }
 
     /// Emits one counter sample (integer counters render exactly).
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.header(name, help, FamilyType::Counter);
-        self.sample(name, labels, &value.to_string());
+        let out = self.family(name, help, FamilyType::Counter);
+        sample(out, name, labels, &value.to_string());
     }
 
     /// Emits one gauge sample.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.header(name, help, FamilyType::Gauge);
-        self.sample(name, labels, &fmt_value(value));
+        let out = self.family(name, help, FamilyType::Gauge);
+        sample(out, name, labels, &fmt_value(value));
     }
 
     /// Emits one histogram family member from a log-bucketed snapshot:
@@ -141,7 +141,7 @@ impl Exposition {
     /// upper edge, the mandatory `le="+Inf"` bucket, `_sum`, and
     /// `_count`.
     pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &HistSnapshot) {
-        self.header(name, help, FamilyType::Histogram);
+        let out = self.family(name, help, FamilyType::Histogram);
         let bucket = format!("{name}_bucket");
         let mut cum = 0u64;
         for &(idx, c) in h.buckets() {
@@ -150,19 +150,20 @@ impl Exposition {
             let mut with_le: Vec<(&str, &str)> = Vec::with_capacity(labels.len() + 1);
             with_le.extend_from_slice(labels);
             with_le.push(("le", &le));
-            self.sample(&bucket, &with_le, &cum.to_string());
+            sample(out, &bucket, &with_le, &cum.to_string());
         }
         let mut with_le: Vec<(&str, &str)> = Vec::with_capacity(labels.len() + 1);
         with_le.extend_from_slice(labels);
         with_le.push(("le", "+Inf"));
-        self.sample(&bucket, &with_le, &h.count.to_string());
-        self.sample(&format!("{name}_sum"), labels, &h.sum.to_string());
-        self.sample(&format!("{name}_count"), labels, &h.count.to_string());
+        sample(out, &bucket, &with_le, &h.count.to_string());
+        sample(out, &format!("{name}_sum"), labels, &h.sum.to_string());
+        sample(out, &format!("{name}_count"), labels, &h.count.to_string());
     }
 
-    /// The exposition text built so far.
+    /// The exposition text: every family's lines, families in
+    /// first-sample order.
     pub fn finish(self) -> String {
-        self.out
+        self.families.into_iter().map(|(_, text)| text).collect()
     }
 }
 
@@ -442,6 +443,20 @@ mod tests {
         assert!(text.contains("fhs_epochs_total{algo=\"kgreedy\"} 9\n"));
         assert!(text.contains("# TYPE fhs_util gauge\n"));
         assert!(text.contains("fhs_util 0.5\n"));
+        validate(&text).unwrap();
+
+        // Interleaved families (a, b, a) come out contiguous, in
+        // first-sample order.
+        let mut e = Exposition::new();
+        e.counter("a", "A.", &[("s", "1")], 1);
+        e.gauge("b", "B.", &[("s", "1")], 2.0);
+        e.counter("a", "A.", &[("s", "2")], 3);
+        let text = e.finish();
+        assert_eq!(
+            text,
+            "# HELP a A.\n# TYPE a counter\na{s=\"1\"} 1\na{s=\"2\"} 3\n\
+             # HELP b B.\n# TYPE b gauge\nb{s=\"1\"} 2\n"
+        );
         validate(&text).unwrap();
     }
 

@@ -18,6 +18,7 @@
 //! $ fhs profile --job job.kdag
 //! ```
 
+use fhs::experiments::args::{exit_on_err, Flags};
 use fhs::kdag::profile::JobProfile;
 use fhs::kdag::text;
 use fhs::prelude::*;
@@ -62,8 +63,8 @@ struct Cli {
 }
 
 fn parse_cli() -> Result<Cli, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or(USAGE.to_string())?;
+    let mut flags = Flags::new(std::env::args().skip(1));
+    let command = flags.next().ok_or(USAGE.to_string())?;
     let mut cli = Cli {
         command,
         job: None,
@@ -78,43 +79,34 @@ fn parse_cli() -> Result<Cli, String> {
         trace_csv: None,
         dot: false,
     };
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--job" => cli.job = Some(value("--job")?),
+    while let Some(flag) = flags.next() {
+        let f = flag.as_str();
+        match f {
+            "--job" => cli.job = Some(flags.value(f)?),
             "--machine" => {
-                let spec = value("--machine")?;
-                let procs: Result<Vec<usize>, _> = spec.split(',').map(str::parse).collect();
+                let procs: Result<Vec<usize>, _> =
+                    flags.value(f)?.split(',').map(str::parse).collect();
                 cli.machine = Some(procs.map_err(|e| format!("--machine: {e}"))?);
             }
             "--algo" => {
-                let name = value("--algo")?;
+                let name = flags.value(f)?;
                 cli.algo =
                     Algorithm::parse(&name).ok_or_else(|| format!("unknown algorithm: {name}"))?;
             }
             "--preemptive" => cli.mode = Mode::Preemptive,
-            "--quantum" => {
-                let q: u64 = value("--quantum")?
-                    .parse()
-                    .map_err(|e| format!("--quantum: {e}"))?;
-                if q == 0 {
-                    return Err("--quantum must be at least 1".into());
-                }
-                cli.quantum = Some(q);
-            }
-            "--seed" => {
-                cli.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--quantum" => cli.quantum = Some(flags.parse(f)?),
+            "--seed" => cli.seed = flags.parse(f)?,
             "--gantt" => cli.gantt = true,
             "--timeline" => cli.timeline = true,
-            "--svg" => cli.svg = Some(value("--svg")?),
-            "--trace-csv" => cli.trace_csv = Some(value("--trace-csv")?),
+            "--svg" => cli.svg = Some(flags.value(f)?),
+            "--trace-csv" => cli.trace_csv = Some(flags.value(f)?),
             "--dot" => cli.dot = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag: {other}\n{USAGE}")),
         }
+    }
+    if cli.quantum == Some(0) {
+        return Err("--quantum must be at least 1".into());
     }
     Ok(cli)
 }
@@ -258,8 +250,5 @@ fn run_cli() -> Result<(), String> {
 }
 
 fn main() {
-    if let Err(msg) = run_cli() {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
+    exit_on_err(run_cli());
 }

@@ -225,6 +225,21 @@ fn bad_inputs_exit_nonzero_with_diagnostics() {
 }
 
 #[test]
+fn bad_command_lines_exit_2_naming_the_flag() {
+    for (args, needle) in [
+        (&[][..], "usage: fhs"),
+        (&["schedule", "--bogus"], "unknown flag"),
+        (&["schedule", "--bogus"], "--bogus"),
+        (&["schedule", "--job"], "--job needs a value"),
+    ] {
+        let out = fhs().args(args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {needle:?} not in {err}");
+    }
+}
+
+#[test]
 fn dot_export_via_cli() {
     let path = write_job("dot", CHAIN);
     let out = fhs()
