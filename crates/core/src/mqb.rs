@@ -47,18 +47,18 @@ const NONE: u32 = u32::MAX;
 const PENDING: u32 = u32::MAX - 1;
 
 /// Contested rounds with at most this many candidates use the flat full
-/// scan instead of the dominance-pruned index: below this size the scan's
-/// streaming loop beats the index walk, and the small-queue regime is where
-/// almost all *jobs* (not picks) live. Above it the index path takes over.
-/// Both paths select bit-identical tasks (see DESIGN.md §14), so the
-/// crossover is purely a performance knob, though moving it moves the
-/// evaluated/pruned counters `huge_mqb_smoke` pins. It was set before the
-/// indexed path's reject-first head evaluation (DESIGN.md §14), which the
-/// flat path does not use, so the true crossover may now lie lower; it was
-/// not re-measured. It also gates the index's upkeep: a type's groups are
-/// placed in the dominance order only when a round on that type first
-/// exceeds it, so a job whose queues never do (Medium and below,
-/// typically) keeps membership alone.
+/// scan instead of the dominance-pruned index; above it the index path
+/// takes over. Both paths evaluate candidates through the same
+/// reject-first kernel and select bit-identical tasks (DESIGN.md §14), so
+/// the crossover is purely a performance knob, though moving it moves the
+/// evaluated/pruned counters (`huge_mqb_smoke`, the `fig_util` golden,
+/// perfbench). Re-measured with the shared kernel, the index alone would
+/// be faster at every size, but MQB-Approx, which must cost less than
+/// exact MQB, then no longer does on Small to Large jobs (DESIGN.md §14).
+/// It also gates the index's upkeep: a type's groups are placed in the
+/// dominance order only when a round on that type first exceeds it, so a
+/// job whose queues never do (Medium and below, typically) keeps
+/// membership alone.
 const INDEX_CROSSOVER: usize = 64;
 
 /// How much of the K-DAG's future MQB may look at (paper §V-G).
@@ -1714,12 +1714,13 @@ impl Mqb {
     ///
     /// Gather the candidates' descendant rows contiguously once (a pure
     /// copy, so every value is bit-identical to indexing `d` directly),
-    /// then evaluate each pick by streaming over `erows`: a candidate's
-    /// projected row is recomputed fresh from the current working vector —
-    /// the exact computation the naive algorithm performs — and the
-    /// lexicographic comparison short-circuits on the sorted vectors'
-    /// *first* element (the minimum), which decides almost every duel.
-    /// Full ascending sorts are built only on bitwise min-ties.
+    /// then evaluate each pick by streaming over `erows` through the
+    /// reject-first kernel the indexed path uses ([`Duel::project`]): a
+    /// candidate's projected row is recomputed fresh from the current
+    /// working vector — the exact computation the naive algorithm
+    /// performs — and only candidates that can win or tie on the minimum
+    /// reach the sorted-lex ladder in [`Duel::challenge`]. Every untaken
+    /// candidate counts as evaluated, rejected or not.
     fn assign_flat(
         &mut self,
         view: &EpochView<'_>,
@@ -1728,7 +1729,6 @@ impl Mqb {
         out: &mut Assignments,
     ) {
         let k = self.k;
-        let procs = view.config.procs_per_type();
         view.queues[alpha].collect_into(&mut self.snap);
         let m = self.snap.len();
         self.taken.clear();
@@ -1739,7 +1739,11 @@ impl Mqb {
             self.erows
                 .extend_from_slice(&self.d[row_start..row_start + k]);
         }
-        let subtract_own = self.tuning.subtract_own_work;
+        let own_type = if self.tuning.subtract_own_work {
+            alpha
+        } else {
+            usize::MAX
+        };
         self.row.clear();
         self.row.resize(k, 0.0);
         self.best_row.clear();
@@ -1753,33 +1757,16 @@ impl Mqb {
                 &mut self.best_sorted,
             );
             let mut evaluated = 0u64;
-            for qi in 0..m {
-                if self.taken[qi] {
+            let cands = self.snap.iter().zip(self.erows.chunks_exact(k));
+            for (qi, ((rt, erow), &taken)) in cands.zip(&self.taken).enumerate() {
+                if taken {
                     continue;
                 }
-                let rt = self.snap[qi];
                 evaluated += 1;
-                // The candidate's projected x-utilization row: working
-                // value plus its descendant promise, minus its own work
-                // leaving its queue, over the processor count. The
-                // floating-point operation order here is load-bearing —
-                // it reproduces the naive per-pick evaluation bit for
-                // bit (and the indexed path reproduces it in turn).
-                let ebase = qi * k;
-                for (beta, &p) in procs.iter().enumerate() {
-                    let mut l = self.working[beta] + self.erows[ebase + beta];
-                    if beta == alpha && subtract_own {
-                        l -= rt.remaining as f64;
-                    }
-                    duel.row[beta] = l / p as f64;
+                let own = rt.remaining as f64;
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, erow, own_type, own) {
+                    duel.challenge(qi as u32, mn, self.d_total[rt.id.index()], rt.seq);
                 }
-                let mut mn = duel.row[0];
-                for &x in &duel.row[1..] {
-                    if x.total_cmp(&mn).is_lt() {
-                        mn = x;
-                    }
-                }
-                duel.challenge(qi as u32, mn, self.d_total[rt.id.index()], rt.seq);
             }
             assert_ne!(duel.best, NONE, "queue longer than slots");
             let bqi = duel.best as usize;
@@ -2572,5 +2559,42 @@ mod tests {
             &RunOptions::seeded(0).with_trace(),
         );
         fhs_sim::trace::validate(&out.trace.unwrap(), &job, &cfg).unwrap();
+    }
+
+    /// Exact MQB's selection counters on one Medium and one Large layered
+    /// EP instance, both modes: `(candidates_evaluated, candidates_pruned,
+    /// diff_events, cold_snapshots)`. Medium rounds stay at or below
+    /// [`INDEX_CROSSOVER`] (flat path only, nothing pruned); Large ones mix
+    /// both paths. The flat path rejects most candidates before the
+    /// sorted-lex ladder, yet every untaken candidate still counts as
+    /// evaluated: these pins hold that definition.
+    #[test]
+    fn selection_counters_are_pinned_on_medium_and_large_ep() {
+        use fhs_workloads::resources::SystemSize::{Large, Medium};
+        use fhs_workloads::{Family, Typing, WorkloadSpec};
+        let mut got = Vec::new();
+        for size in [Medium, Large] {
+            let (job, cfg) = WorkloadSpec::new(Family::Ep, Typing::Layered, size, 4).sample(7);
+            for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+                let mut p = Mqb::default();
+                let s = engine::run(&job, &cfg, &mut p, mode, &RunOptions::seeded(7))
+                    .stats
+                    .selection;
+                let counts = (
+                    s.candidates_evaluated,
+                    s.candidates_pruned,
+                    s.diff_events,
+                    s.cold_snapshots,
+                );
+                got.push((size, mode, counts));
+            }
+        }
+        let want = [
+            (Medium, Mode::NonPreemptive, (2992, 0, 1040, 1)),
+            (Medium, Mode::Preemptive, (6530, 0, 1835, 1)),
+            (Large, Mode::NonPreemptive, (117387, 443882, 11265, 1)),
+            (Large, Mode::Preemptive, (168835, 724058, 19891, 1)),
+        ];
+        assert_eq!(got, want);
     }
 }

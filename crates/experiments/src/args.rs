@@ -2,7 +2,7 @@
 //! `--flag value` walker ([`Flags`]) behind the figure binaries, `sweep`
 //! (both its sweep and `merge-shards` forms) and the `fhs` CLI; their
 //! exit conventions (status 2 for a bad command line, [`exit_on_err`];
-//! status 1 for a failed write, [`write_or_exit`]); and the options the
+//! status 1 for a failed write, [`write_file_or_exit`]); and the options the
 //! figure binaries share ([`CommonArgs`]). No external dependency.
 
 use std::fmt::Display;
@@ -66,16 +66,20 @@ pub fn exit_on_err<T>(r: Result<T, String>) -> T {
     })
 }
 
-/// Writes `body` to `path` and notes `wrote <what>: <path> (<detail>)` on
-/// stderr; on failure prints the error and exits with status 1.
-pub fn write_or_exit(path: &Path, body: impl AsRef<[u8]>, what: &str, detail: &str) {
-    match std::fs::write(path, body) {
-        Ok(()) => eprintln!("wrote {what}: {} ({detail})", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+/// Writes `body` to `path`; on failure prints `failed to write <path>:
+/// <error>` and exits with status 1.
+pub fn write_file_or_exit(path: &Path, body: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
     }
+}
+
+/// [`write_file_or_exit`], then notes `wrote <what>: <path> (<detail>)`
+/// on stderr.
+pub fn write_or_exit(path: &Path, body: impl AsRef<[u8]>, what: &str, detail: &str) {
+    write_file_or_exit(path, body);
+    eprintln!("wrote {what}: {} ({detail})", path.display());
 }
 
 /// Common options of every figure binary.

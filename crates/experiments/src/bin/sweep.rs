@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
-use fhs_experiments::args::{exit_on_err, write_or_exit, Flags};
+use fhs_experiments::args::{exit_on_err, write_file_or_exit, write_or_exit, Flags};
 use fhs_experiments::figures::{panel_csv_table, Panel};
 use fhs_experiments::obsout;
 use fhs_experiments::runner::{fold_rows, new_sweep_columns, run_sweep_rows, SweepCell};
@@ -235,7 +235,7 @@ fn merge_main(args: Vec<String>) -> Result<(), String> {
     let merged = merge_shards(&texts)?;
     match &out_path {
         Some(path) => {
-            std::fs::write(path, &merged).map_err(|e| format!("{}: {e}", path.display()))?;
+            write_file_or_exit(path, &merged);
             eprintln!(
                 "merged {} fragments into {} ({} cells)",
                 texts.len(),

@@ -127,3 +127,31 @@ fn a_failed_output_write_exits_1_naming_the_path() {
         "{err}"
     );
 }
+
+#[test]
+fn a_failed_merge_write_exits_1_naming_the_path() {
+    let frag = std::env::temp_dir().join(format!("fhs-cli-{}-s0.jsonl", std::process::id()));
+    let shard = Command::new(SWEEP)
+        .args(["--size", "small", "--k", "2", "--instances", "2"])
+        .args(["--algo", "KGreedy", "--shard", "0/1", "--shard-out"])
+        .arg(&frag)
+        .output()
+        .expect("spawn");
+    assert!(
+        shard.status.success(),
+        "{}",
+        String::from_utf8_lossy(&shard.stderr)
+    );
+    let out = Command::new(SWEEP)
+        .args(["merge-shards", "--out", "/nonexistent-dir/m.jsonl"])
+        .arg(&frag)
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&frag).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("failed to write /nonexistent-dir/m.jsonl"),
+        "{err}"
+    );
+}

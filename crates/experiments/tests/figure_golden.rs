@@ -8,10 +8,13 @@
 //! the pins hold whatever the library's internal shape.
 //!
 //! `--instrument` is left off: its lines carry wall-clock latencies.
-//! `fig_stream` is not pinned for the same reason. Values are recorded
-//! under the offline rand shim's streams (crates/compat/rand); an
-//! intentional change to a figure's output re-pins them from the hashes
-//! the failing assertion prints, and says why in the commit.
+//! Without it `fig_stream`'s output is deterministic too (it ignores
+//! `--utilization`), for any worker count; its pin is the golden for
+//! the session path: Poisson arrivals, per-arrival sampling and MQB's
+//! flat picks. Values are recorded under the offline rand shim's
+//! streams (crates/compat/rand); an intentional change to a figure's
+//! output re-pins them from the hashes the failing assertion prints, and
+//! says why in the commit.
 
 use std::process::Command;
 
@@ -125,5 +128,15 @@ fn lower_bound_bytes_are_pinned() {
         "lower_bound",
         3,
         (0x571772ccb6187d3c, 0x848127bd534ec052),
+    );
+}
+
+#[test]
+fn fig_stream_bytes_are_pinned() {
+    check(
+        env!("CARGO_BIN_EXE_fig_stream"),
+        "fig_stream",
+        8,
+        (0x3ced439b2b00421c, 0x2ac6da6b746e959e),
     );
 }

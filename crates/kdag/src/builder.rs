@@ -207,10 +207,12 @@ impl KDagBuilder {
             child_targets,
             parent_offsets,
             parent_targets,
+            id_ordered: forward,
         };
 
         // Ids increase along every edge, so id order is a topological
-        // order: the graph is acyclic without a Kahn pass. (All the
+        // order: the graph is acyclic without a Kahn pass, and the
+        // topological sorts in `crate::topo` return the id order. (All the
         // workload generators add tasks phase by phase and take this path.)
         if forward {
             return Ok(dag);

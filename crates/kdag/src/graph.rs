@@ -24,6 +24,9 @@ pub struct KDag {
     pub(crate) child_targets: Vec<TaskId>,
     pub(crate) parent_offsets: Vec<u32>,
     pub(crate) parent_targets: Vec<TaskId>,
+    // Every edge goes from a lower to a higher id, so id order is a
+    // topological order (set by the builder's CSR pass).
+    pub(crate) id_ordered: bool,
 }
 
 /// Semantic equality: same `K`, same tasks (type/work by id) and the same

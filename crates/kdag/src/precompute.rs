@@ -20,6 +20,15 @@
 //! **bit-identical** whichever reader filled it first (property-tested in
 //! `fhs-core`'s `artifact_equivalence`).
 //!
+//! For an id-ordered DAG — every edge from a lower to a higher id, as
+//! every workload generator emits — that order is `n-1, …, 0`, taken
+//! without Kahn's algorithm. Each analysis is a DP over a task's
+//! children, which any reverse topological order has finished before the
+//! task, so the values do not depend on which order it is; `kdag`'s
+//! `id_order_shortcut_matches_kahn_across_a_relabelling` property test
+//! checks every field bit for bit against the same DAG relabelled to
+//! take Kahn's path.
+//!
 //! A bundle belongs to one job: every accessor must be passed the job the
 //! bundle was first filled for.
 //!

@@ -4,12 +4,23 @@ use crate::graph::KDag;
 use crate::types::TaskId;
 
 /// Returns a topological order of all tasks (parents before children), or
-/// `None` if the graph contains a cycle. Kahn's algorithm, O(|V| + |E|).
+/// `None` if the graph contains a cycle.
 ///
-/// The order is deterministic: among simultaneously-available tasks, lower
-/// task ids come first (the frontier is a sorted-by-construction FIFO over
-/// an initial id-ordered scan).
+/// An *id-ordered* DAG — every edge goes from a lower to a higher id, as
+/// every workload generator emits — is returned in id order `0..n`
+/// without a sort; the builder notes this while it lays out the CSR.
+/// Any other DAG runs Kahn's algorithm, O(|V| + |E|), whose order is
+/// deterministic: among simultaneously-available tasks, lower task ids
+/// come first (the frontier is a sorted-by-construction FIFO over an
+/// initial id-ordered scan).
+///
+/// The analyses over this order (spans, due dates, descendant values,
+/// different-child distances) are DPs over each task's children, so any
+/// topological order gives them the same bits.
 pub fn topological_order(dag: &KDag) -> Option<Vec<TaskId>> {
+    if dag.id_ordered {
+        return Some(dag.tasks().collect());
+    }
     let order = partial_topological_order(dag);
     (order.len() == dag.num_tasks()).then_some(order)
 }
@@ -40,8 +51,9 @@ pub(crate) fn partial_topological_order(dag: &KDag) -> Vec<TaskId> {
 }
 
 /// Returns the tasks in *reverse* topological order (children before
-/// parents). Panics on cyclic input — only built [`KDag`]s (which are
-/// validated) should reach this.
+/// parents): [`topological_order`] reversed, so `n-1, …, 0` for an
+/// id-ordered DAG. Panics on cyclic input — only built [`KDag`]s (which
+/// are validated) should reach this.
 pub fn reverse_topological_order(dag: &KDag) -> Vec<TaskId> {
     let mut order = topological_order(dag).expect("KDag invariant violated: cycle");
     order.reverse();

@@ -4,7 +4,7 @@
 //! lower-indexed to a higher-indexed task, which guarantees acyclicity by
 //! construction; the builder's own validation is exercised separately.
 
-use kdag::{descendants, distance, duedate, metrics, topo, KDag, KDagBuilder, TaskId};
+use kdag::{descendants, distance, duedate, metrics, topo, Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 
 /// Strategy: a random K-DAG with up to `max_tasks` tasks, `k` types, edge
@@ -243,5 +243,99 @@ proptest! {
         prop_assert_eq!(metrics::span(&batch.job), metrics::span(&dag));
         let d = descendants::DescendantValues::compute(&batch.job);
         prop_assert!(d.root_identity_holds(&batch.job, 1e-9));
+    }
+}
+
+/// `dag` with task `i` relabelled `perm[i]`. Edges are added source by
+/// source in the original's CSR order, so each task's children keep their
+/// stored order under the relabelling — the order every analysis sums in.
+fn relabelled(dag: &KDag, perm: &[usize]) -> KDag {
+    let mut inv = vec![0; perm.len()];
+    for (i, &p) in perm.iter().enumerate() {
+        inv[p] = i;
+    }
+    let mut b = KDagBuilder::new(dag.num_types());
+    for &i in &inv {
+        let v = TaskId::from_index(i);
+        b.add_task(dag.rtype(v), dag.work(v));
+    }
+    let id = |v: TaskId| TaskId::from_index(perm[v.index()]);
+    for u in dag.tasks() {
+        for &c in dag.children(u) {
+            b.add_edge(id(u), id(c)).unwrap();
+        }
+    }
+    b.build().expect("a relabelled DAG is a DAG")
+}
+
+/// The permutation that sorts `keys` (ties by index): `perm[i]` is the
+/// rank of `keys[i]`.
+fn ranks(keys: &[u64]) -> Vec<usize> {
+    let mut by_key: Vec<usize> = (0..keys.len()).collect();
+    by_key.sort_by_key(|&i| (keys[i], i));
+    let mut perm = vec![0; keys.len()];
+    for (rank, &i) in by_key.iter().enumerate() {
+        perm[i] = rank;
+    }
+    perm
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Oracle for the id-order shortcut: an id-ordered DAG (which skips
+    /// Kahn's algorithm) and the same DAG under a random id permutation
+    /// (which, once an edge points down in id, takes Kahn's path) must
+    /// agree on every `Artifacts` field bit for bit, task for task, and
+    /// on the transitive reduction edge for edge.
+    #[test]
+    fn id_order_shortcut_matches_kahn_across_a_relabelling(
+        dag in arb_kdag(4, 60, 5),
+        keys in proptest::collection::vec(any::<u64>(), 60),
+    ) {
+        let n = dag.num_tasks();
+        let id_order: Vec<TaskId> = dag.tasks().collect();
+        prop_assert_eq!(topo::topological_order(&dag), Some(id_order.clone()));
+        let a = Artifacts::compute(&dag);
+        let a_red = kdag::reduction::transitive_reduction(&dag);
+        // The reversal breaks id order on every edge, so the Kahn side is
+        // exercised whenever the DAG has an edge.
+        for perm in [ranks(&keys[..n]), (0..n).rev().collect()] {
+            let g = relabelled(&dag, &perm);
+            let order = topo::topological_order(&g).expect("acyclic");
+            let ascending = g.tasks().all(|u| g.children(u).iter().all(|&c| u < c));
+            if ascending {
+                prop_assert_eq!(&order, &id_order);
+            } else {
+                prop_assert!(topo::is_topological_order(&g, &order));
+            }
+            let mut rev = order;
+            rev.reverse();
+            prop_assert_eq!(topo::reverse_topological_order(&g), rev);
+
+            let b = Artifacts::compute(&g);
+            prop_assert_eq!(a.span(&dag), b.span(&g));
+            let g_red = kdag::reduction::transitive_reduction(&g);
+            for v in dag.tasks() {
+                let (i, j) = (v.index(), perm[v.index()]);
+                let w = TaskId::from_index(j);
+                prop_assert_eq!(a.spans(&dag)[i], b.spans(&g)[j]);
+                prop_assert_eq!(a.due_dates(&dag)[i], b.due_dates(&g)[j]);
+                prop_assert_eq!(
+                    bits(a.descendants(&dag).row(v)),
+                    bits(b.descendants(&g).row(w))
+                );
+                prop_assert_eq!(a.type_blind(&dag)[i].to_bits(), b.type_blind(&g)[j].to_bits());
+                prop_assert_eq!(a.different_child(&dag)[i], b.different_child(&g)[j]);
+                let mapped: Vec<usize> =
+                    a_red.children(v).iter().map(|c| perm[c.index()]).collect();
+                let got: Vec<usize> = g_red.children(w).iter().map(|c| c.index()).collect();
+                prop_assert_eq!(mapped, got);
+            }
+        }
     }
 }

@@ -22,6 +22,14 @@
 //! stored adjacency order (pinned against the hash-set original in
 //! `tests/ir_equivalence.rs`).
 //!
+//! The per-pair draw is `gen_bool(u)` without its branch. `gen_bool(u)`
+//! tests `(x >> 11) · 2⁻⁵³ < u` on one raw `u64` draw `x`; scaling by a
+//! power of two is exact, so for the integer `x >> 11` that is exactly
+//! `x >> 11 < ⌈u · 2⁵³⌉`. Each map's threshold is computed once per
+//! iteration, every reduce draws one `u64` per map unconditionally (the
+//! same stream), and the hits are collected branch-free before they are
+//! wired in map order.
+//!
 //! * **Layered** IR assigns one type per *phase* (map phase of iteration
 //!   `t` gets type `2t mod K`, its reduce phase `2t+1 mod K`). The paper
 //!   says "all nodes at each iteration … have the same type"; we refine to
@@ -106,6 +114,10 @@ pub fn generate<R: Rng>(k: usize, params: &IrParams, typing: Typing, rng: &mut R
     // iteration's reduces), and each reduce's number of map inputs.
     let mut guaranteed: Vec<usize> = Vec::with_capacity(maps);
     let mut fanin: Vec<u32> = vec![0; reduces];
+    // Dense wiring scratch: each map's integer draw threshold, and the
+    // maps one reduce's draws hit.
+    let mut thresholds: Vec<u64> = Vec::with_capacity(maps);
+    let mut hits: Vec<usize> = Vec::new();
     for it in 0..iters {
         // Map phase.
         let map_phase = 2 * it;
@@ -227,11 +239,27 @@ pub fn generate<R: Rng>(k: usize, params: &IrParams, typing: Typing, rng: &mut R
                 }
             }
         } else {
+            // `gen_bool(p)` on a raw draw `x` is `x >> 11 < ⌈p · 2⁵³⌉`
+            // (module docs).
+            thresholds.clear();
+            thresholds.extend(weights.iter().map(|&p| {
+                assert!((0.0..=1.0).contains(&p), "gen_bool probability {p}");
+                (p * (1u64 << 53) as f64).ceil() as u64
+            }));
+            hits.resize(maps, 0);
             for (ri, &r) in reduce_ids.iter().enumerate() {
-                for (mi, &m) in map_ids.iter().enumerate() {
-                    if rng.gen_bool(weights[mi]) && guaranteed[mi] != ri {
+                // One draw per map, as the per-pair `gen_bool` took; the
+                // hits are collected without a branch, then wired in map
+                // order.
+                let mut n_hits = 0;
+                for (mi, &t) in thresholds.iter().enumerate() {
+                    hits[n_hits] = mi;
+                    n_hits += usize::from(rng.next_u64() >> 11 < t);
+                }
+                for &mi in &hits[..n_hits] {
+                    if guaranteed[mi] != ri {
                         fanin[ri] += 1;
-                        b.add_edge(m, r).expect("map→reduce edge");
+                        b.add_edge(map_ids[mi], r).expect("map→reduce edge");
                     }
                 }
                 if fanin[ri] == 0 {

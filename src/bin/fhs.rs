@@ -18,7 +18,9 @@
 //! $ fhs profile --job job.kdag
 //! ```
 
-use fhs::experiments::args::{exit_on_err, Flags};
+use std::path::Path;
+
+use fhs::experiments::args::{exit_on_err, write_file_or_exit, Flags};
 use fhs::kdag::profile::JobProfile;
 use fhs::kdag::text;
 use fhs::prelude::*;
@@ -212,12 +214,12 @@ fn run_cli() -> Result<(), String> {
             }
             if let Some(path) = &cli.svg {
                 let svg = fhs::sim::svg::render(&trace, &job, &machine);
-                std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
+                write_file_or_exit(Path::new(path), svg);
                 println!("wrote {path}");
             }
             if let Some(path) = &cli.trace_csv {
                 let csv = fhs::sim::trace::to_csv(&trace);
-                std::fs::write(path, csv).map_err(|e| format!("{path}: {e}"))?;
+                write_file_or_exit(Path::new(path), csv);
                 println!("wrote {path}");
             }
             Ok(())

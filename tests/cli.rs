@@ -304,3 +304,24 @@ fn trace_csv_export_writes_segments() {
     std::fs::remove_file(job).ok();
     std::fs::remove_file(csv_path).ok();
 }
+
+#[test]
+fn failed_export_writes_exit_1_naming_the_path() {
+    let job = write_job("badout", CHAIN);
+    for (flag, path) in [
+        ("--svg", "/nonexistent-dir/x.svg"),
+        ("--trace-csv", "/nonexistent-dir/x.csv"),
+    ] {
+        let out = fhs()
+            .args(["schedule", "--job", job.to_str().unwrap(), flag, path])
+            .output()
+            .expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(
+            err.contains(&format!("failed to write {path}")),
+            "{flag}: {err}"
+        );
+    }
+    std::fs::remove_file(job).ok();
+}
