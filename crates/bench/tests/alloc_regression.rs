@@ -411,7 +411,6 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
             "MQB-Approx",
             MqbTuning {
                 max_candidates: Some(DEFAULT_APPROX_CAP),
-                ..MqbTuning::default()
             },
         ),
     ];
@@ -480,7 +479,6 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
     let artifacts = Arc::new(Artifacts::compute(&job));
     let bounded = MqbTuning {
         max_candidates: Some(DEFAULT_APPROX_CAP),
-        ..MqbTuning::default()
     };
     let variants = InfoModel::ALL_VARIANTS
         .into_iter()
@@ -519,32 +517,17 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
     debug_assertions,
     ignore = "allocation accounting is asserted in --release (its own CI step)"
 )]
-fn session_epoch_loop_with_armed_telemetry_stays_allocation_free_when_warm() {
-    use fhs_sim::{Session, SessionOptions, TelemetrySink, TelemetryTick};
+fn session_epoch_loop_stays_allocation_free_on_recycled_waves_when_warm() {
+    use fhs_sim::{Session, SessionOptions};
     use kdag::precompute::Artifacts;
     use std::sync::Arc;
 
-    // The telemetry acceptance criterion: arming the periodic-snapshot
-    // cadence hook keeps the warm session epoch loop at exactly zero
-    // bytes outside snapshot ticks.
-    //
     // A session's in-loop bytes are not literally zero end to end: each
     // *fresh* policy (one per admission until retirements stock the spare
     // pool) sizes its scratch lazily inside its first epochs. What is
     // zero — and what this test pins, bytes-exact — is the steady state
     // the session engine exists for: with recycled policies on a warm
-    // workspace, an entire extra wave of jobs adds 0 bytes, and the
-    // telemetry cadence adds 0 bytes on top whether it is armed-but-idle
-    // or firing into a non-allocating sink. Tick-time *rendering* is the
-    // sink's business (snapshot sinks format and write on their own
-    // budget); the engine-side dispatch must be free.
-    struct CountTicks(std::rc::Rc<Cell<u64>>);
-    impl TelemetrySink for CountTicks {
-        fn tick(&mut self, _t: &TelemetryTick<'_>) {
-            self.0.set(self.0.get() + 1);
-        }
-    }
-
+    // workspace, an entire extra wave of jobs adds 0 bytes.
     fhs_sim::instrument::register_alloc_probe(probe);
     let (job, cfg) = fhs_bench::small_ep();
     let job = Arc::new(job);
@@ -555,14 +538,10 @@ fn session_epoch_loop_with_armed_telemetry_stays_allocation_free_when_warm() {
             // Each wave admits four jobs; waves are spaced far enough
             // apart that a wave fully retires (restocking the spare
             // policy/runtime pools) before the next one arrives.
-            let run = |ws: Workspace, waves: u64, every: Option<u64>| {
+            let run = |ws: Workspace, waves: u64| {
                 let mut opts = SessionOptions::new(mode);
                 opts.quantum = quantum;
                 let mut s = Session::with_workspace(cfg.clone(), opts, ws);
-                let ticks = std::rc::Rc::new(Cell::new(0u64));
-                if let Some(every) = every {
-                    s.set_telemetry(every, Box::new(CountTicks(std::rc::Rc::clone(&ticks))));
-                }
                 for wave in 0..waves {
                     for (i, t) in [0u64, 3, 9, 14].into_iter().enumerate() {
                         s.run_until(wave * 100_000 + t);
@@ -575,46 +554,31 @@ fn session_epoch_loop_with_armed_telemetry_stays_allocation_free_when_warm() {
                         }
                     }
                 }
-                s.drain();
-                let sink = s.take_telemetry();
-                let ticks = every.map(|_| {
-                    assert!(sink.is_some(), "armed sink must survive the session");
-                    ticks.get()
-                });
                 let (out, ws) = s.finish();
                 assert_eq!(out.jobs.len() as u64, 4 * waves, "jobs lost");
-                (out.makespan, out.stats.epoch_bytes, ticks, ws)
+                (out.makespan, out.stats.epoch_bytes, ws)
             };
 
             // Cold sizing pass, then the one-wave reference on the warm
             // workspace: its bytes are exactly the fresh-policy scratch.
-            let (_, _, _, ws) = run(Workspace::new(), 1, None);
-            let (makespan_1, bytes_1, _, ws) = run(ws, 1, None);
-            // Arming the cadence (first tick far beyond the session)
-            // must not add a byte or change the schedule.
-            let (makespan, bytes, ticks, ws) = run(ws, 1, Some(u64::MAX / 2));
+            let (_, _, ws) = run(Workspace::new(), 1);
+            let (makespan_1, bytes_1, ws) = run(ws, 1);
+            // A warm rerun of the same wave repeats the schedule and the
+            // bytes exactly.
+            let (makespan, bytes, ws) = run(ws, 1);
             assert_eq!(makespan, makespan_1, "{} {mode:?}", algo.label());
-            assert_eq!(
-                ticks,
-                Some(0),
-                "{} {mode:?}: cadence fired early",
-                algo.label()
-            );
             assert_eq!(
                 bytes,
                 bytes_1,
-                "{} {mode:?}: arming the telemetry cadence allocated in the epoch loop",
+                "{} {mode:?}: a warm rerun allocated differently in the epoch loop",
                 algo.label()
             );
             // Steady state: the second wave pays a one-time sizing bump
             // (first retirement-recycle round of the session), and from
             // then on every additional wave runs entirely on recycled
-            // policies and the warm workspace — 0 extra bytes, with the
-            // cadence still armed.
-            let (_, bytes_2, ticks, ws) = run(ws, 2, Some(u64::MAX / 2));
-            assert_eq!(ticks, Some(0), "{} {mode:?}", algo.label());
-            let (_, bytes_3, ticks, ws) = run(ws, 3, Some(u64::MAX / 2));
-            assert_eq!(ticks, Some(0), "{} {mode:?}", algo.label());
+            // policies and the warm workspace — 0 extra bytes.
+            let (_, bytes_2, ws) = run(ws, 2);
+            let (_, bytes_3, _) = run(ws, 3);
             assert_eq!(
                 bytes_3,
                 bytes_2,
@@ -622,27 +586,6 @@ fn session_epoch_loop_with_armed_telemetry_stays_allocation_free_when_warm() {
                  policies ({} bytes over the two-wave reference)",
                 algo.label(),
                 bytes_3.saturating_sub(bytes_2)
-            );
-            // Cadence actually firing into a non-allocating sink: ticks
-            // are dispatched, the schedule is untouched, and the epoch
-            // loop still adds nothing over the reference.
-            let (makespan, bytes, ticks, _) = run(ws, 1, Some(8));
-            assert_eq!(
-                makespan,
-                makespan_1,
-                "{} {mode:?}: telemetry ticks perturbed the schedule",
-                algo.label()
-            );
-            assert!(
-                ticks.unwrap() > 0,
-                "{} {mode:?}: cadence of 8 never fired",
-                algo.label()
-            );
-            assert_eq!(
-                bytes,
-                bytes_1,
-                "{} {mode:?}: tick dispatch allocated in the epoch loop",
-                algo.label()
             );
         }
     }

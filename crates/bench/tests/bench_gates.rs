@@ -12,8 +12,8 @@
 //!   nothing, MQB-Approx grows near-linearly from n = 2000 to n = 8000.
 //! * **ShiftBT init** (§9): the incremental init reproduces
 //!   `shiftbt::reference` exactly.
-//! * **Observability** (§10, §16): the steady-state recording channels
-//!   and the session snapshot cadence cost ≤ 5% on a Large instance.
+//! * **Observability** (§10): the steady-state recording channels cost
+//!   ≤ 5% on a Large instance.
 //! * **Sweep and pool** (§7, §8): instance-major ≡ cell-major and ≥ 2×
 //!   faster; pooled ≡ cold bitwise.
 //! * **Engine** (§6): the indexed engine matches `sim::reference` and is
@@ -30,9 +30,8 @@
 //! cargo test -p fhs-bench --release --test bench_gates -- --nocapture
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::hint::black_box;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -41,13 +40,9 @@ use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
 use fhs_experiments::runner::{
     instance_seed, run_cell_ratios, run_sweep, run_sweep_unpooled, Cell as RunnerCell, SweepCell,
 };
-use fhs_experiments::stream::{
-    run_stream, run_stream_with_telemetry, Arrivals, StreamCell, StreamConfig,
-};
-use fhs_experiments::telemetry::StreamSnapshotSink;
 use fhs_sim::{
-    engine, reference, Assignments, EpochView, InterJobPolicy, MachineConfig, Mode, ObsConfig,
-    Policy, RunOptions, TelemetrySink, TelemetryTick, Workspace,
+    engine, reference, Assignments, EpochView, MachineConfig, Mode, ObsConfig, Policy, RunOptions,
+    Workspace,
 };
 use fhs_workloads::adversarial::antichain;
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
@@ -380,17 +375,6 @@ fn steady_channels() -> ObsConfig {
     }
 }
 
-/// [`StreamSnapshotSink`] plus a tick count readable after the sink
-/// disappears behind `Box<dyn TelemetrySink>`.
-struct CountingSnapshot(StreamSnapshotSink, Rc<Cell<u64>>);
-
-impl TelemetrySink for CountingSnapshot {
-    fn tick(&mut self, tick: &TelemetryTick<'_>) {
-        self.1.set(self.1.get() + 1);
-        self.0.tick(tick);
-    }
-}
-
 #[test]
 #[cfg_attr(debug_assertions, ignore = "timing gates run in --release")]
 fn steady_observability_costs_at_most_5_percent_on_large() {
@@ -441,49 +425,6 @@ fn steady_observability_costs_at_most_5_percent_on_large() {
         worst = worst.max(overhead);
     }
 
-    // Session snapshot cadence: a Poisson job stream with the telemetry
-    // hook rendering a full exposition page every 64 executed epochs.
-    let scfg = StreamConfig {
-        spec: WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4),
-        jobs: 48,
-        arrivals: Arrivals::Poisson { mean_gap: 4.0 },
-        seed: 0x5EED,
-    };
-    let scell = StreamCell::new(Algorithm::Mqb, InterJobPolicy::Fifo);
-    let cadence = 64;
-    let ticks = Rc::new(Cell::new(0u64));
-    let make_sink = || -> Box<dyn TelemetrySink> {
-        Box::new(CountingSnapshot(
-            StreamSnapshotSink::new("MQB", "fifo", &scfg.spec.label(), "np", scfg.seed),
-            Rc::clone(&ticks),
-        ))
-    };
-    let plain_run = run_stream(&scfg, &scell);
-    let (armed_run, _) = run_stream_with_telemetry(&scfg, &scell, cadence, make_sink());
-    assert_eq!(
-        plain_run.makespan, armed_run.makespan,
-        "snapshot cadence changed the schedule"
-    );
-    assert!(ticks.get() > 0, "cadence of {cadence} epochs never fired");
-    let ts = interleaved_nanos(
-        41,
-        &mut [
-            &mut || {
-                black_box(run_stream(&scfg, &scell));
-            },
-            &mut || {
-                black_box(run_stream_with_telemetry(
-                    &scfg,
-                    &scell,
-                    cadence,
-                    make_sink(),
-                ));
-            },
-        ],
-    );
-    let s_overhead = median_ratio(&ts[1], &ts[0]) - 1.0;
-    println!("obs session cadence-{cadence}: {:+.2}%", s_overhead * 100.0);
-    worst = worst.max(s_overhead);
     assert!(
         worst <= 0.05,
         "observability overhead must be ≤5% on a Large instance (got {:.2}%)",

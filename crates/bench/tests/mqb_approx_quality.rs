@@ -42,7 +42,6 @@ fn approx() -> Box<dyn fhs_sim::Policy> {
         InfoModel::default(),
         MqbTuning {
             max_candidates: Some(DEFAULT_APPROX_CAP),
-            ..MqbTuning::default()
         },
     ))
 }

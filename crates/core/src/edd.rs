@@ -5,8 +5,7 @@
 //! `due(v) = T∞(J) − span(v)` directly, without the shifting-bottleneck
 //! sequencing loop. Comparing EDD against [`crate::ShiftBT`] isolates how
 //! much the iterative bottleneck sequencing adds over its underlying
-//! dispatch rule (the `schedulers` bench and the `sweep` binary accept it
-//! by name).
+//! dispatch rule (the `sweep` binary accepts it by name).
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;

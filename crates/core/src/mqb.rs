@@ -140,29 +140,14 @@ impl InfoModel {
 
 /// Switches for MQB's selection rule; defaults reproduce the paper's
 /// algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MqbTuning {
-    /// Whether a candidate's own (remaining) work leaves its queue in the
-    /// projection. The paper's text only says descendant values are
-    /// *added*; removing the dispatched task from its ready queue is the
-    /// literal queue semantics. On by default; off is an ablation, pinned
-    /// against the oracle by `mqb_incremental_equivalence`.
-    pub subtract_own_work: bool,
     /// Bounded-candidate approximation (`MQB-Approx`): when set, each
     /// contested pick evaluates at most this many candidates — the top-`c`
     /// untaken by the cheap priority (total descendant value descending,
     /// then arrival) — instead of the exact dominance-pruned selection.
     /// `None` (the default) is the exact algorithm.
     pub max_candidates: Option<usize>,
-}
-
-impl Default for MqbTuning {
-    fn default() -> Self {
-        MqbTuning {
-            subtract_own_work: true,
-            max_candidates: None,
-        }
-    }
 }
 
 /// Multiplicative hasher for the index's `(class, rem_key)` map. The keys
@@ -208,8 +193,8 @@ struct Group {
     /// bits are identical for every member): `dominates` tests it and
     /// `rem_key` before it reads a row, with no per-task lookup.
     d_total: f64,
-    /// Remaining work when `subtract_own_work` is on, 0 otherwise (then
-    /// the projected row doesn't depend on remaining work at all).
+    /// The members' remaining work, which the projection subtracts from
+    /// their own type.
     rem_key: u64,
     /// The row class; the class's row sits in `TypeIndex::rows`.
     class: u32,
@@ -616,7 +601,6 @@ fn label_row_classes(
 /// scratch fields (`working`, `row`, …).
 struct IndexCtx<'a> {
     k: usize,
-    subtract_own: bool,
     d: &'a [f64],
     d_total: &'a [f64],
     row_class: &'a [u32],
@@ -755,10 +739,9 @@ impl IndexCtx<'_> {
     fn insert_member(&mut self, t: usize, seq: u32, rem: u64) {
         debug_assert_eq!(self.members[t].group, NONE, "task {t} inserted twice");
         let class = self.row_class[t];
-        let rem_key = if self.subtract_own { rem } else { 0 };
-        let (gid, fresh) = match self.ix.map.get(&(class, rem_key)) {
+        let (gid, fresh) = match self.ix.map.get(&(class, rem)) {
             Some(&g) => (g, false),
-            None => (self.new_group(class, rem_key), true),
+            None => (self.new_group(class, rem), true),
         };
         let Group { head, tail, .. } = self.ix.groups[gid as usize];
         let (prev, next) = if head == NONE {
@@ -1069,14 +1052,14 @@ impl JournalIndex for IndexCtx<'_> {
 
     fn update(&mut self, t: usize, remaining: u64) {
         let m = self.members[t];
-        if m.group != PENDING && self.subtract_own {
+        if m.group != PENDING {
             // Remaining work is part of the group key: regroup under the
             // new value.
             self.remove_member(t);
             self.insert_member(t, m.seq, remaining);
         } else {
             // A pending pick is regrouped once, when the sync re-inserts
-            // it; without own-work subtraction the key ignores remaining.
+            // it.
             self.members[t].rem = remaining;
         }
     }
@@ -1198,8 +1181,7 @@ impl Mqb {
     }
 
     /// Creates MQB with explicit switches: the registry builds
-    /// `MQB-Approx` this way, tests the own-work ablation. The defaults
-    /// are the paper's algorithm.
+    /// `MQB-Approx` this way. The defaults are the paper's algorithm.
     pub fn with_tuning(info: InfoModel, tuning: MqbTuning) -> Self {
         Mqb {
             info,
@@ -1342,7 +1324,6 @@ impl Mqb {
             for alpha in 0..k {
                 let mut cx = IndexCtx {
                     k,
-                    subtract_own: self.tuning.subtract_own_work,
                     d: &self.d,
                     d_total: &self.d_total,
                     row_class: &self.row_class,
@@ -1393,7 +1374,6 @@ impl Mqb {
             {
                 let mut cx = IndexCtx {
                     k,
-                    subtract_own: self.tuning.subtract_own_work,
                     d: &self.d,
                     d_total: &self.d_total,
                     row_class: &self.row_class,
@@ -1739,11 +1719,6 @@ impl Mqb {
             self.erows
                 .extend_from_slice(&self.d[row_start..row_start + k]);
         }
-        let own_type = if self.tuning.subtract_own_work {
-            alpha
-        } else {
-            usize::MAX
-        };
         self.row.clear();
         self.row.resize(k, 0.0);
         self.best_row.clear();
@@ -1764,7 +1739,7 @@ impl Mqb {
                 }
                 evaluated += 1;
                 let own = rt.remaining as f64;
-                if let Some(mn) = duel.project(&self.working, &self.procs_f, erow, own_type, own) {
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, erow, alpha, own) {
                     duel.challenge(qi as u32, mn, self.d_total[rt.id.index()], rt.seq);
                 }
             }
@@ -1793,15 +1768,12 @@ impl Mqb {
         out: &mut Assignments,
     ) {
         let k = self.k;
-        let subtract_own = self.tuning.subtract_own_work;
-        let own_type = if subtract_own { alpha } else { usize::MAX };
         self.row.clear();
         self.row.resize(k, 0.0);
         self.best_row.clear();
         self.best_row.resize(k, 0.0);
         let mut cx = IndexCtx {
             k,
-            subtract_own,
             d: &self.d,
             d_total: &self.d_total,
             row_class: &self.row_class,
@@ -1828,10 +1800,9 @@ impl Mqb {
                 .zip(ix.front_rows.chunks_exact(k))
                 .enumerate()
             {
-                // With own-work subtraction on, `rem_key` is the head's
-                // remaining work.
+                // `rem_key` is the head's remaining work.
                 let own = f.rem_key as f64;
-                if let Some(mn) = duel.project(&self.working, &self.procs_f, frow, own_type, own) {
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, frow, alpha, own) {
                     duel.challenge(fi as u32, mn, f.d_total, u64::from(f.head_seq));
                 }
             }
@@ -1918,8 +1889,6 @@ impl Mqb {
         // the descendant rows need mirroring only for the prefix. At Huge
         // scale the queue dwarfs `cap + slots` by two orders of magnitude.
         let l = m.min(cap + slots - 1);
-        let subtract_own = self.tuning.subtract_own_work;
-        let own_type = if subtract_own { alpha } else { usize::MAX };
         self.snap.clear();
         self.erows.clear();
         self.approx_dom.clear();
@@ -1937,8 +1906,7 @@ impl Mqb {
                     remaining: mb.rem,
                 });
                 self.erows.extend_from_slice(&self.d[ti * k..ti * k + k]);
-                let rem_key = if subtract_own { mb.rem } else { 0 };
-                self.approx_dom.push((self.d_total[ti], rem_key));
+                self.approx_dom.push((self.d_total[ti], mb.rem));
                 t = mb.next;
             }
             bucket = order.occupied.next(r + 1);
@@ -2072,7 +2040,7 @@ impl Mqb {
                 let rt = self.snap[oi];
                 let drow = &self.erows[oi * k..oi * k + k];
                 let own = rt.remaining as f64;
-                if let Some(mn) = duel.project(&self.working, &self.procs_f, drow, own_type, own) {
+                if let Some(mn) = duel.project(&self.working, &self.procs_f, drow, alpha, own) {
                     duel.challenge(oi as u32, mn, self.approx_dom[oi].0, rt.seq);
                 }
             }
@@ -2454,7 +2422,6 @@ mod tests {
     fn bitwise_min_ties_reach_the_sorted_lex_comparison() {
         let bounded = MqbTuning {
             max_candidates: Some(64),
-            ..MqbTuning::default()
         };
         for (case, b_row) in [("tie at best type", [1, 6]), ("tie on the minimum", [6, 1])] {
             let (job, cfg, b) = tie_instance(b_row);

@@ -101,7 +101,6 @@ pub fn make_policy(algorithm: Algorithm) -> Box<dyn Policy> {
             InfoModel::default(),
             MqbTuning {
                 max_candidates: Some(DEFAULT_APPROX_CAP),
-                ..MqbTuning::default()
             },
         )),
         Algorithm::Edd => Box::new(Edd::default()),

@@ -33,8 +33,7 @@ pub const DEFAULT_INSTANCES: usize = 48;
 /// session saturates near one retirement per ~30 time units, so 40 puts
 /// the offered load around 0.75 — continuously busy with real queueing,
 /// but stable, so per-job response compares policies rather than the
-/// depth of an unbounded backlog. (The `throughput` bench deliberately
-/// uses a *saturating* gap instead: its subject is sustained capacity.)
+/// depth of an unbounded backlog.
 pub const MEAN_GAP: f64 = 40.0;
 
 /// The streamed workload: the Small layered IR family (the most

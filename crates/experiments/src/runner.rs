@@ -5,7 +5,9 @@
 //! * **Cell-major** ([`run_cell`], [`run_cell_ratios`]): one `(workload,
 //!   algorithm, mode)` cell over many seeded instances. Each instance is
 //!   sampled from scratch and its run computes only the analysis its
-//!   policy reads — the baseline the sweep bench compares against.
+//!   policy reads — the baseline
+//!   `bench_gates::instance_major_sweep_matches_cell_major_and_is_2x_faster`
+//!   times the sweep against.
 //! * **Instance-major** ([`run_sweep`]): many `(algorithm, mode)` cells
 //!   over a *shared* instance stream. Because cells compare on common
 //!   random numbers (instance `i` of every cell is the same job), the
@@ -504,9 +506,10 @@ pub fn run_sweep_rows(
 
 /// The cold instance-major path: a fresh policy and fresh engine state
 /// for every evaluation, fanned out per instance through the same pool.
-/// Artifacts are still shared per instance. Kept as the measured baseline
-/// for the steady-state layer (the `pool` bench asserts [`run_sweep`]
-/// beats it and stays bit-identical to it).
+/// Artifacts are still shared per instance. Kept as the cold reference
+/// for the steady-state layer:
+/// `bench_gates::pooled_sweep_matches_cold_bitwise_on_large_grid` checks
+/// that [`run_sweep`] stays bit-identical to it.
 pub fn run_sweep_unpooled(
     spec: &WorkloadSpec,
     cells: &[SweepCell],

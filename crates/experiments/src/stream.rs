@@ -15,6 +15,11 @@
 //! outcome carries the retired-job records plus mergeable
 //! response/queueing/slowdown histograms. Everything is deterministic in
 //! the [`StreamConfig`] seed, so streams replay bit for bit.
+//!
+//! The session's epoch loop calls nothing observe-only. A caller that
+//! wants a live view of a stream steps the [`Session`] with
+//! [`Session::run_until`] and reads it between steps, as `sweep`
+//! publishes its snapshots between chunks.
 
 use std::sync::Arc;
 
@@ -145,37 +150,10 @@ impl StreamResult {
 /// runtimes are recycled across retirements — the steady-state path the
 /// session engine exists for.
 pub fn run_stream(config: &StreamConfig, cell: &StreamCell) -> StreamResult {
-    run_stream_inner(config, cell, None).0
-}
-
-/// As [`run_stream`], with the session engine's telemetry cadence hook
-/// armed: `sink` receives a [`fhs_sim::TelemetryTick`] every `every`
-/// executed epochs (live engine counters plus the per-job stream
-/// histograms so far). Telemetry is observe-only — the returned result is
-/// bit-identical to [`run_stream`] (pinned by test) — and the sink comes
-/// back for inspection after the stream drains.
-pub fn run_stream_with_telemetry(
-    config: &StreamConfig,
-    cell: &StreamCell,
-    every: u64,
-    sink: Box<dyn fhs_sim::TelemetrySink>,
-) -> (StreamResult, Box<dyn fhs_sim::TelemetrySink>) {
-    let (result, sink) = run_stream_inner(config, cell, Some((every, sink)));
-    (result, sink.expect("telemetry sink survives the session"))
-}
-
-fn run_stream_inner(
-    config: &StreamConfig,
-    cell: &StreamCell,
-    telemetry: Option<(u64, Box<dyn fhs_sim::TelemetrySink>)>,
-) -> (StreamResult, Option<Box<dyn fhs_sim::TelemetrySink>>) {
     let (_, machine) = config.spec.sample(config.seed);
     let mut opts = SessionOptions::new(cell.mode).with_inter(cell.inter);
     opts.quantum = cell.quantum;
     let mut session = Session::new(machine, opts);
-    if let Some((every, sink)) = telemetry {
-        session.set_telemetry(every, sink);
-    }
     for arrival in config.plan().arrivals() {
         session.run_until(arrival.t);
         let (job, _) = config.spec.sample(arrival.seed);
@@ -184,21 +162,14 @@ fn run_stream_inner(
             .unwrap_or_else(|| make_policy(cell.algo));
         session.admit(Arc::new(job), policy, arrival.seed);
     }
-    // Drain before detaching the sink so ticks keep firing through the
-    // tail of the stream; `finish` then finds nothing left to run.
-    session.drain();
-    let sink = session.take_telemetry();
     let (out, _) = session.finish();
-    (
-        StreamResult {
-            cell: *cell,
-            makespan: out.makespan,
-            jobs: out.jobs,
-            stream: out.stream,
-            stats: out.stats,
-        },
-        sink,
-    )
+    StreamResult {
+        cell: *cell,
+        makespan: out.makespan,
+        jobs: out.jobs,
+        stream: out.stream,
+        stats: out.stats,
+    }
 }
 
 #[cfg(test)]

@@ -3,29 +3,25 @@
 //!
 //! Three pieces, all offline-friendly (std only):
 //!
-//! * [`sweep_exposition`] / [`stream_exposition`] render the existing
-//!   aggregates — engine counters, selection/fast-forward counters,
-//!   log-bucketed latency histograms, utilization gauges, per-job stream
-//!   histograms — in the Prometheus text format 0.0.4 implemented by
-//!   [`fhs_obs::Exposition`] (validated by [`fhs_obs::validate`]).
-//! * [`StreamSnapshotSink`] plugs into the session engine's cadence hook
-//!   ([`fhs_sim::Session::set_telemetry`]): every N epochs it atomically
-//!   writes the current exposition and a versioned snapshot-JSONL line
-//!   (tmp + rename, so a scraper never reads a torn file). Snapshots are
-//!   observe-only — the schedule is pinned byte-identical by the session
-//!   telemetry tests.
+//! * [`sweep_exposition`] renders a sweep's aggregates — engine counters,
+//!   selection/fast-forward counters, log-bucketed latency histograms,
+//!   utilization gauges — in the Prometheus text format 0.0.4 implemented
+//!   by [`fhs_obs::Exposition`] (validated by [`fhs_obs::validate`]).
+//! * [`sweep_snapshot_jsonl`] renders the same aggregates as a versioned
+//!   snapshot-JSONL page. `sweep` publishes both between chunks, outside
+//!   the engine, with [`fhs_obs::write_atomic`] (tmp + rename, so a
+//!   scraper never reads a torn file).
 //! * [`MetricsServer`] answers `GET /metrics` from the latest published
 //!   snapshot over a plain [`std::net::TcpListener`] — no HTTP stack, no
 //!   runtime; good enough for a scrape cadence of seconds.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fhs_obs::{write_atomic, Exposition, StreamStats, SNAPSHOT_SCHEMA_VERSION};
-use fhs_sim::{RunStats, TelemetrySink, TelemetryTick};
+use fhs_obs::{Exposition, SNAPSHOT_SCHEMA_VERSION};
+use fhs_sim::RunStats;
 
 use crate::obsout;
 use crate::runner::SweepCellResult;
@@ -34,8 +30,7 @@ use crate::runner::SweepCellResult;
 // Expositions.
 // ---------------------------------------------------------------------------
 
-/// Emits the engine-counter families shared by the sweep and stream
-/// expositions for one labeled series.
+/// Emits the engine-counter families for one labeled series.
 fn engine_counters(e: &mut Exposition, labels: &[(&str, &str)], stats: &RunStats) {
     for (name, help, value) in [
         (
@@ -203,73 +198,6 @@ pub fn sweep_exposition(
     e.finish()
 }
 
-/// Renders one running session's live state — engine counters plus the
-/// per-job response/queueing/slowdown histograms — as a Prometheus page.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_exposition(
-    cell: &str,
-    inter: &str,
-    now: u64,
-    epoch: u64,
-    active_jobs: usize,
-    stats: &RunStats,
-    stream: &StreamStats,
-) -> String {
-    let mut e = Exposition::new();
-    let l = [("algo", cell), ("inter", inter)];
-    e.gauge("fhs_session_time", "Current simulated time", &l, now as f64);
-    e.gauge(
-        "fhs_session_epoch",
-        "Current machine epoch",
-        &l,
-        epoch as f64,
-    );
-    e.gauge(
-        "fhs_session_active_jobs",
-        "Jobs admitted and not yet retired",
-        &l,
-        active_jobs as f64,
-    );
-    engine_counters(&mut e, &l, stats);
-    e.counter(
-        "fhs_jobs_completed_total",
-        "Jobs retired from the session",
-        &l,
-        stream.completed,
-    );
-    e.counter(
-        "fhs_job_tasks_total",
-        "Tasks across all retired jobs",
-        &l,
-        stream.tasks,
-    );
-    e.counter(
-        "fhs_job_work_total",
-        "Total work across all retired jobs",
-        &l,
-        stream.work,
-    );
-    e.histogram(
-        "fhs_job_response_time",
-        "Per-job response time (finish - arrival)",
-        &l,
-        &stream.response.snapshot(),
-    );
-    e.histogram(
-        "fhs_job_queueing_delay",
-        "Per-job queueing delay (first start - arrival)",
-        &l,
-        &stream.queueing.snapshot(),
-    );
-    e.histogram(
-        "fhs_job_slowdown_milli",
-        "Per-job slowdown in milli-units (1500 = 1.5x)",
-        &l,
-        &stream.slowdown_milli.snapshot(),
-    );
-    e.finish()
-}
-
 /// The snapshot-JSONL page for a (possibly still running) sweep: a
 /// versioned progress header, then one standard metrics line per column
 /// covering the `done` instances folded so far.
@@ -299,103 +227,6 @@ pub fn sweep_snapshot_jsonl(
         out.push('\n');
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// The session snapshot sink.
-// ---------------------------------------------------------------------------
-
-/// A [`TelemetrySink`] for the session engine's cadence hook: every tick
-/// it renders [`stream_exposition`] plus a versioned snapshot-JSONL line
-/// and atomically replaces the target files (and publishes to a
-/// [`MetricsServer`], when one is attached). I/O failures are reported on
-/// [`StreamSnapshotSink::io_errors`] rather than panicking mid-schedule.
-pub struct StreamSnapshotSink {
-    /// `algo` label stamped on every family.
-    pub cell: String,
-    /// Inter-job policy label.
-    pub inter: String,
-    /// Workload label (snapshot-JSONL identity).
-    pub workload: String,
-    /// Mode label (snapshot-JSONL identity).
-    pub mode: String,
-    /// Base seed (snapshot-JSONL identity).
-    pub seed: u64,
-    /// Exposition target (`.prom`), if any.
-    pub prom_path: Option<PathBuf>,
-    /// Snapshot-JSONL target, if any.
-    pub jsonl_path: Option<PathBuf>,
-    /// Live endpoint to publish each exposition to, if any.
-    pub server: Option<MetricsServer>,
-    /// Ticks delivered so far.
-    pub ticks: u64,
-    /// Snapshot writes that failed (the run itself is never interrupted).
-    pub io_errors: u64,
-}
-
-impl StreamSnapshotSink {
-    /// A sink with the given series identity and no outputs attached yet.
-    pub fn new(cell: &str, inter: &str, workload: &str, mode: &str, seed: u64) -> Self {
-        StreamSnapshotSink {
-            cell: cell.to_string(),
-            inter: inter.to_string(),
-            workload: workload.to_string(),
-            mode: mode.to_string(),
-            seed,
-            prom_path: None,
-            jsonl_path: None,
-            server: None,
-            ticks: 0,
-            io_errors: 0,
-        }
-    }
-}
-
-impl TelemetrySink for StreamSnapshotSink {
-    fn tick(&mut self, tick: &TelemetryTick<'_>) {
-        self.ticks += 1;
-        let stream = match tick.stream {
-            Some(s) => s,
-            None => return,
-        };
-        let page = stream_exposition(
-            &self.cell,
-            &self.inter,
-            tick.now,
-            tick.epoch,
-            tick.active_jobs,
-            tick.stats,
-            stream,
-        );
-        if let Some(server) = &self.server {
-            server.publish(page.clone());
-        }
-        if let Some(path) = &self.prom_path {
-            if write_atomic(path, &page).is_err() {
-                self.io_errors += 1;
-            }
-        }
-        if let Some(path) = &self.jsonl_path {
-            let line = format!(
-                "{{\"version\":{SNAPSHOT_SCHEMA_VERSION},\"kind\":\"stream-snapshot\",\"epoch\":{},\"active_jobs\":{}}}\n{}\n",
-                tick.epoch,
-                tick.active_jobs,
-                obsout::stream_line(
-                    &self.cell,
-                    &self.inter,
-                    &self.workload,
-                    &self.mode,
-                    stream.completed as usize,
-                    self.seed,
-                    tick.now,
-                    stream,
-                ),
-            );
-            if write_atomic(path, &line).is_err() {
-                self.io_errors += 1;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,12 +310,9 @@ fn serve_one(mut stream: TcpStream, latest: &Mutex<String>) -> std::io::Result<(
 mod tests {
     use super::*;
     use crate::runner::{run_sweep_observed, SweepCell};
-    use crate::stream::{
-        run_stream, run_stream_with_telemetry, Arrivals, StreamCell, StreamConfig,
-    };
     use fhs_core::Algorithm;
     use fhs_obs::{validate, ObsConfig};
-    use fhs_sim::{InterJobPolicy, Mode};
+    use fhs_sim::Mode;
     use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
     // The family-major renderer the sweep exposition had before
@@ -792,52 +620,5 @@ mod tests {
         // A republish is visible on the next scrape.
         server.publish("t 2\n".to_string());
         assert!(fetch("/metrics").ends_with("t 2\n"));
-    }
-
-    #[test]
-    fn stream_snapshot_sink_writes_valid_pages_without_perturbing_the_run() {
-        let cfg = StreamConfig {
-            spec: WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3),
-            jobs: 6,
-            arrivals: Arrivals::Poisson { mean_gap: 4.0 },
-            seed: 21,
-        };
-        let cell = StreamCell::new(Algorithm::Mqb, InterJobPolicy::FairShare);
-        let base = run_stream(&cfg, &cell);
-
-        let dir = std::env::temp_dir().join(format!("fhs-telemetry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let server = MetricsServer::start("127.0.0.1:0").expect("bind");
-        let mut sink = StreamSnapshotSink::new("MQB", "fair", &cfg.spec.label(), "np", cfg.seed);
-        sink.prom_path = Some(dir.join("stream.prom"));
-        sink.jsonl_path = Some(dir.join("stream.jsonl"));
-        sink.server = Some(server.clone());
-        let (out, _sink) = run_stream_with_telemetry(&cfg, &cell, 8, Box::new(sink));
-
-        // Observe-only: the telemetry run retires the same schedule.
-        assert_eq!(out.makespan, base.makespan);
-        let fa: Vec<(u64, u64)> = base.jobs.iter().map(|j| (j.id, j.finish)).collect();
-        let fb: Vec<(u64, u64)> = out.jobs.iter().map(|j| (j.id, j.finish)).collect();
-        assert_eq!(fa, fb);
-
-        let page = std::fs::read_to_string(dir.join("stream.prom")).expect("prom written");
-        validate(&page).expect("exposition validates");
-        assert!(page.contains("fhs_jobs_completed_total"));
-        let jsonl = std::fs::read_to_string(dir.join("stream.jsonl")).expect("jsonl written");
-        let mut lines = jsonl.lines();
-        let header = fhs_obs::json::parse(lines.next().unwrap()).expect("header parses");
-        assert_eq!(
-            header.get("kind").and_then(|v| v.as_str()),
-            Some("stream-snapshot")
-        );
-        fhs_obs::json::parse(lines.next().unwrap()).expect("stream line parses");
-
-        // The same page was published live.
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        write!(s, "GET /metrics HTTP/1.1\r\n\r\n").unwrap();
-        let mut body = String::new();
-        s.read_to_string(&mut body).unwrap();
-        assert!(body.contains("fhs_job_response_time_bucket"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

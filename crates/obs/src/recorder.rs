@@ -43,7 +43,7 @@ impl ObsConfig {
         self.utilization || self.latency || self.events
     }
 
-    /// Everything on (used by tests and the overhead bench).
+    /// Everything on (used by tests and `bench_gates`' observability gate).
     pub fn all() -> Self {
         ObsConfig {
             utilization: true,

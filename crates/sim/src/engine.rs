@@ -274,7 +274,6 @@ fn run_engine(
             now: &mut now,
             stats: &mut stats,
             last_epoch_t: &mut last_epoch_t,
-            telemetry: None,
         };
         session::drive(&mut cx, &mut jobs, None);
     }

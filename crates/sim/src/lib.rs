@@ -85,7 +85,6 @@ pub mod reference;
 pub mod session;
 pub mod state;
 pub mod svg;
-pub mod telemetry;
 pub mod trace;
 pub mod workspace;
 
@@ -101,7 +100,6 @@ pub use ready_queue::{QueueEvent, ReadyQueue};
 pub use session::{
     InterJobPolicy, JobId, Session, SessionOptions, SessionOutcome, ALL_INTER_JOB_POLICIES,
 };
-pub use telemetry::{TelemetrySink, TelemetryTick};
 pub use workspace::Workspace;
 
 /// Simulator clock value, in discrete time units.

@@ -212,9 +212,6 @@ pub(crate) struct DriveCtx<'a> {
     /// Timestamp of the previous epoch's assign (epoch-duration histogram
     /// sampling); persists across drive calls within a session.
     pub(crate) last_epoch_t: &'a mut Option<Instant>,
-    /// Periodic telemetry cadence, when a sink is registered (sessions
-    /// only; the single-run engine passes `None`). Observe-only.
-    pub(crate) telemetry: Option<crate::telemetry::CadenceCtx<'a>>,
 }
 
 /// The shared admit/step/drain epoch loop — the engine core for both the
@@ -275,23 +272,6 @@ pub(crate) fn drive(
             // lets workspace and job-runtime reuse skip clearing stamps.
             cx.mach.epoch += 1;
             cx.stats.epochs += 1;
-            // Telemetry cadence: fire on executed epochs only (a
-            // fast-forward bulk jump may overshoot `next_at`; the next
-            // executed epoch fires once and re-arms). Observe-only — the
-            // sink sees shared references and the loop state is
-            // untouched.
-            if let Some(tel) = cx.telemetry.as_mut() {
-                if cx.stats.epochs >= *tel.next_at {
-                    *tel.next_at = cx.stats.epochs + tel.every;
-                    tel.sink.tick(&crate::telemetry::TelemetryTick {
-                        now: *cx.now,
-                        epoch: cx.mach.epoch,
-                        stats: &*cx.stats,
-                        stream: tel.stream,
-                        active_jobs: tel.active_jobs,
-                    });
-                }
-            }
             if cx.preemptive {
                 cx.mach.running_now[..k].fill(0);
             }
@@ -743,7 +723,6 @@ pub struct Session {
     last_epoch_t: Option<Instant>,
     jobs: Vec<fhs_obs::JobRecord>,
     stream: fhs_obs::StreamStats,
-    telemetry: Option<crate::telemetry::SessionTelemetry>,
 }
 
 impl Session {
@@ -785,29 +764,7 @@ impl Session {
             last_epoch_t: None,
             jobs: Vec::new(),
             stream: fhs_obs::StreamStats::default(),
-            telemetry: None,
         }
-    }
-
-    /// Registers a telemetry sink called every `every` executed decision
-    /// epochs (see [`crate::telemetry::TelemetrySink`]). The hook is
-    /// observe-only: schedules, counters and outcomes are identical with
-    /// or without it. Replaces any previous sink.
-    ///
-    /// # Panics
-    /// If `every` is 0.
-    pub fn set_telemetry(&mut self, every: u64, sink: Box<dyn crate::telemetry::TelemetrySink>) {
-        assert!(every > 0, "telemetry cadence must be positive");
-        self.telemetry = Some(crate::telemetry::SessionTelemetry {
-            every,
-            next_at: self.stats.epochs + every,
-            sink,
-        });
-    }
-
-    /// Unregisters the telemetry sink, returning it for reuse.
-    pub fn take_telemetry(&mut self) -> Option<Box<dyn crate::telemetry::TelemetrySink>> {
-        self.telemetry.take().map(|t| t.sink)
     }
 
     /// Current simulation time.
@@ -949,17 +906,6 @@ impl Session {
         for j in jobs.iter_mut() {
             j.done = j.rt.finish.is_some();
         }
-        let active_jobs = jobs.len();
-        let telemetry = self
-            .telemetry
-            .as_mut()
-            .map(|t| crate::telemetry::CadenceCtx {
-                every: t.every,
-                next_at: &mut t.next_at,
-                sink: &mut *t.sink,
-                stream: Some(&self.stream),
-                active_jobs,
-            });
         let mut cx = DriveCtx {
             mach: &mut self.ws.mach,
             obs: &mut self.ws.obs,
@@ -971,11 +917,9 @@ impl Session {
             now: &mut self.now,
             stats: &mut self.stats,
             last_epoch_t: &mut self.last_epoch_t,
-            telemetry,
         };
         // With a counting allocator registered, meter the epoch loop —
-        // in steady state (warm workspace, warm policies, no telemetry
-        // tick due) the delta is ~0, asserted by the allocation-
+        // in steady state (warm workspace, warm policies) the delta is ~0, asserted by the allocation-
         // regression suite.
         let alloc_at_entry = crate::instrument::alloc_probe();
         drive(&mut cx, &mut jobs, stop_at);
@@ -1245,95 +1189,6 @@ mod tests {
         assert_eq!(out.stats.epochs, 3);
         assert_eq!(out.stats.epochs_skipped, 2);
         assert_eq!(out.stats.transitions.progress_updates, 3);
-    }
-
-    #[test]
-    fn telemetry_ticks_fire_on_cadence_and_do_not_perturb() {
-        use crate::telemetry::{TelemetrySink, TelemetryTick};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        #[derive(Default)]
-        struct Probe {
-            ticks: Vec<(u64, u64, usize)>, // (epochs, now, active)
-        }
-        struct ProbeSink(Rc<RefCell<Probe>>);
-        impl TelemetrySink for ProbeSink {
-            fn tick(&mut self, t: &TelemetryTick<'_>) {
-                self.0
-                    .borrow_mut()
-                    .ticks
-                    .push((t.stats.epochs, t.now, t.active_jobs));
-            }
-        }
-
-        let run = |every: Option<u64>| {
-            let cfg = MachineConfig::uniform(2, 2);
-            let mut s = Session::new(cfg, SessionOptions::new(Mode::NonPreemptive));
-            let probe = Rc::new(RefCell::new(Probe::default()));
-            if let Some(every) = every {
-                s.set_telemetry(every, Box::new(ProbeSink(probe.clone())));
-            }
-            s.admit(Arc::new(chain_job()), Box::new(FifoPolicy), 0);
-            s.run_until(2);
-            s.admit(Arc::new(wide_job()), Box::new(FifoPolicy), 1);
-            let (out, _) = s.finish();
-            let ticks = probe.borrow().ticks.clone();
-            (out, ticks)
-        };
-
-        let (base, no_ticks) = run(None);
-        assert!(no_ticks.is_empty());
-        let (out, ticks) = run(Some(2));
-        // Observe-only: identical schedule and counters with the sink on
-        // (wall-clock nanos aside, which never replay).
-        assert_eq!(out.makespan, base.makespan);
-        let dewall = |mut s: RunStats| {
-            s.assign_nanos = 0;
-            s.engine_nanos = 0;
-            s
-        };
-        assert_eq!(dewall(out.stats), dewall(base.stats));
-        // Ticks fire at every 2nd executed epoch, with monotone counters.
-        assert!(!ticks.is_empty());
-        assert_eq!(ticks.len() as u64, out.stats.epochs / 2);
-        for (i, &(epochs, _, active)) in ticks.iter().enumerate() {
-            assert_eq!(epochs, 2 * (i as u64 + 1));
-            assert!(active >= 1);
-        }
-        let times: Vec<u64> = ticks.iter().map(|t| t.1).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn telemetry_cadence_survives_fast_forward_bulk_jumps() {
-        use crate::telemetry::{TelemetrySink, TelemetryTick};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        struct Count(Rc<RefCell<Vec<u64>>>);
-        impl TelemetrySink for Count {
-            fn tick(&mut self, t: &TelemetryTick<'_>) {
-                self.0.borrow_mut().push(t.stats.epochs);
-            }
-        }
-        // One 10-work task under quantum 1 fast-forwards 9 of 10 epochs;
-        // with a cadence of 3 the single executed epoch fires at most one
-        // tick, and the bulk jump must not re-fire for the overshoot.
-        let mut b = KDagBuilder::new(1);
-        b.add_task(0, 10);
-        let job = b.build().unwrap();
-        let cfg = MachineConfig::uniform(1, 1);
-        let mut s = Session::new(cfg, SessionOptions::new(Mode::Preemptive).with_quantum(1));
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        s.set_telemetry(3, Box::new(Count(fired.clone())));
-        s.admit(Arc::new(job), Box::new(FifoPolicy), 0);
-        let (out, _) = s.finish();
-        assert_eq!(out.stats.epochs, 10);
-        assert_eq!(out.stats.epochs_skipped, 9);
-        // Cadence 3 over a single executed epoch (epochs counter 1 at the
-        // tick check): no tick fires before the jump, none after.
-        assert!(fired.borrow().is_empty());
     }
 
     #[test]

@@ -226,8 +226,9 @@ mod tests {
 
     #[test]
     fn large_ep_and_ir_instances_have_at_least_1000_tasks() {
-        // The sweep bench relies on Large EP/IR being ≥ 1000 tasks for
-        // every seed (Tree only guarantees ≥ cap/5 and is excluded).
+        // `bench_gates`' Large instances rely on Large EP/IR being ≥ 1000
+        // tasks for every seed (Tree only guarantees ≥ cap/5 and is
+        // excluded).
         for family in [Family::Ep, Family::Ir] {
             let s = WorkloadSpec::new(family, Typing::Layered, SystemSize::Large, 4);
             for seed in 0..5 {

@@ -43,27 +43,47 @@ fn full_matrix_produces_legal_schedules() {
 }
 
 /// Completion times always fall between the paper's lower bound and the
-/// additive greedy upper bound, across the whole matrix.
+/// additive greedy upper bound, across the whole matrix: both typings,
+/// in every cadence (non-preemptive, preemptive, preemptive at quantum 1).
 #[test]
 fn makespans_respect_both_theory_bounds() {
+    let cadences = [
+        (Mode::NonPreemptive, None),
+        (Mode::Preemptive, None),
+        (Mode::Preemptive, Some(1)),
+    ];
     for family in [Family::Ep, Family::Tree, Family::Ir] {
-        let spec = WorkloadSpec::new(family, Typing::Layered, SystemSize::Small, 3);
-        for seed in 0..10u64 {
-            let (job, cfg) = spec.sample(seed);
-            let lb = fhs::kdag::metrics::lower_bound(&job, cfg.procs_per_type());
-            let additive: u64 = fhs::kdag::metrics::span(&job)
-                + (0..job.num_types())
-                    .map(|a| job.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
-                    .sum::<u64>();
-            for algo in ALL_ALGORITHMS {
-                let mut policy = make_policy(algo);
-                let r = metrics::evaluate(&job, &cfg, policy.as_mut(), Mode::NonPreemptive, seed);
-                assert!(r.makespan >= lb, "{} beat the lower bound", algo.label());
-                assert!(
-                    r.makespan <= additive,
-                    "{} exceeded the additive greedy bound",
-                    algo.label()
-                );
+        for typing in [Typing::Layered, Typing::Random] {
+            let spec = WorkloadSpec::new(family, typing, SystemSize::Small, 3);
+            for seed in 0..10u64 {
+                let (job, cfg) = spec.sample(seed);
+                let lb = fhs::kdag::metrics::lower_bound(&job, cfg.procs_per_type());
+                let additive: u64 = fhs::kdag::metrics::span(&job)
+                    + (0..job.num_types())
+                        .map(|a| job.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
+                        .sum::<u64>();
+                for algo in ALL_ALGORITHMS {
+                    for (mode, quantum) in cadences {
+                        let mut opts = RunOptions::seeded(seed);
+                        opts.quantum = quantum;
+                        let mut policy = make_policy(algo);
+                        let makespan =
+                            engine::run(&job, &cfg, policy.as_mut(), mode, &opts).makespan;
+                        let at = || {
+                            format!(
+                                "{} {mode:?} q={quantum:?} {} seed {seed}",
+                                algo.label(),
+                                spec.label()
+                            )
+                        };
+                        assert!(makespan >= lb, "{} beat the lower bound", at());
+                        assert!(
+                            makespan <= additive,
+                            "{} exceeded the additive greedy bound",
+                            at()
+                        );
+                    }
+                }
             }
         }
     }
