@@ -267,24 +267,26 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
 fn warm_shiftbt_sequencing_allocates_only_the_plan_it_stores() {
     use fhs_core::shiftbt::ShiftBT;
     use fhs_sim::Policy;
-    use kdag::precompute::Artifacts;
+    use kdag::precompute::{Artifacts, SequencePlan};
 
     // The plan lives in the bundle, so a warm init on a filled bundle only
-    // copies it out (the test above). On a bundle without a plan the warm
-    // policy sequences again, out of its retained relaxation scratch: the
-    // only bytes are the plan's own storage (a rank per task, the
-    // bottleneck order and the processor counts).
+    // takes a handle on it (the test above). On a bundle without a plan
+    // the warm policy sequences again, out of its retained relaxation
+    // scratch: the only bytes are the plan's own storage (a rank per
+    // task, the bottleneck order and the processor counts) and the shared
+    // allocation holding it (two reference counts and the plan).
     let (job, cfg) = fhs_bench::medium_ir();
     let unplanned = || {
         let bundle = Artifacts::new();
-        bundle.due_dates(&job);
+        bundle.spans(&job);
         bundle
     };
     let mut policy = ShiftBT::default();
     policy.init(&job, &cfg, 1, &unplanned());
     let cold_rank = policy.rank_table().to_vec();
     let k = job.num_types() as u64;
-    let plan_bytes = 4 * job.num_tasks() as u64 + 2 * 8 * k;
+    let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<SequencePlan>();
+    let plan_bytes = 4 * job.num_tasks() as u64 + 2 * 8 * k + shared as u64;
     for rerun in 0..3 {
         let bundle = unplanned();
         let before = probe();

@@ -286,15 +286,16 @@ fn antichain_rung_mqb_approx_grows_near_linearly() {
     );
 }
 
-/// `n` bundles holding `job`'s due dates but no sequence plan: a ShiftBT
-/// init on one runs the bottleneck sequencing instead of copying a plan
-/// an earlier init left in the bundle. Built, and dropped, outside the
+/// `n` bundles holding `job`'s spans (which the due dates are read off)
+/// but no sequence plan: a ShiftBT init on one runs the bottleneck
+/// sequencing instead of taking a plan an earlier init left in the
+/// bundle. Built, and dropped, outside the
 /// timed closures.
 fn unplanned_bundles(job: &KDag, n: usize) -> Vec<Artifacts> {
     (0..n)
         .map(|_| {
             let bundle = Artifacts::new();
-            bundle.due_dates(job);
+            bundle.spans(job);
             bundle
         })
         .collect()
@@ -306,7 +307,7 @@ fn shiftbt_matching_oracle_on_large() -> (KDag, MachineConfig, Arc<Artifacts>, S
     let (job, cfg) = ladder_instance(SystemSize::Large);
     let artifacts = Arc::new(Artifacts::compute(&job));
     let (oracle_order, oracle_rank) =
-        shiftbt_reference::bottleneck_sequencing(&job, &cfg, artifacts.due_dates(&job));
+        shiftbt_reference::bottleneck_sequencing(&job, &cfg, &artifacts.due_dates(&job).to_vec());
     let mut p = ShiftBT::default();
     p.init(&job, &cfg, LADDER_SEED, &artifacts);
     assert_eq!(p.bottleneck_order, oracle_order, "oracle disagreement");
@@ -334,6 +335,7 @@ fn shiftbt_init_is_3x_faster_than_oracle_on_large() {
     let p = RefCell::new(p);
     let unplanned = unplanned_bundles(&job, 2 * ROUNDS);
     let unplanned = RefCell::new(unplanned.iter());
+    let due = artifacts.due_dates(&job).to_vec();
     let init = || {
         let bundle = unplanned.borrow_mut().next().expect("one bundle per init");
         let mut p = p.borrow_mut();
@@ -341,11 +343,7 @@ fn shiftbt_init_is_3x_faster_than_oracle_on_large() {
         black_box(p.bottleneck_order.len());
     };
     let oracle = || {
-        black_box(shiftbt_reference::bottleneck_sequencing(
-            &job,
-            &cfg,
-            artifacts.due_dates(&job),
-        ));
+        black_box(shiftbt_reference::bottleneck_sequencing(&job, &cfg, &due));
     };
     let ts = interleaved_nanos(
         ROUNDS,

@@ -7,6 +7,8 @@
 //! pools and promotes interleaving. Tasks with no different-type
 //! descendant sort last.
 
+use std::sync::Arc;
+
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::KDag;
@@ -16,7 +18,8 @@ use crate::ranked::Selector;
 /// Different-type-first policy. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct DType {
-    dist: Vec<f64>, // distance, or +inf when no different-type descendant
+    /// The bundle's different-child distances, held for one run.
+    dist: Option<Arc<Vec<Option<u32>>>>,
     selector: Selector,
 }
 
@@ -26,20 +29,20 @@ impl Policy for DType {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.dist.clear();
-        self.dist.extend(
-            artifacts
-                .different_child(job)
-                .iter()
-                .map(|d| d.map_or(f64::INFINITY, f64::from)),
-        );
+        self.dist = Some(Arc::clone(artifacts.shared_different_child(job)));
         self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
-        let dist = &self.dist;
-        self.selector
-            .assign_by_key(view, out, |_, rt| dist[rt.id.index()])
+        let dist = self.dist.as_deref().expect("init ran");
+        // No different-type descendant sorts last.
+        self.selector.assign_by_key(view, out, |_, rt| {
+            dist[rt.id.index()].map_or(f64::INFINITY, f64::from)
+        })
+    }
+
+    fn detach_job(&mut self) {
+        self.dist = None;
     }
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {

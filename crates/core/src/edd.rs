@@ -7,16 +7,21 @@
 //! much the iterative bottleneck sequencing adds over its underlying
 //! dispatch rule (the `sweep` binary accepts it by name).
 
+use std::sync::Arc;
+
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
-use kdag::KDag;
+use kdag::{KDag, Work};
 
 use crate::ranked::Selector;
 
 /// Earliest-due-date policy. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct Edd {
-    due: Vec<f64>,
+    /// The bundle's remaining spans, held for one run.
+    spans: Option<Arc<Vec<Work>>>,
+    /// The job span `T∞(J)`.
+    span: Work,
     selector: Selector,
 }
 
@@ -26,16 +31,19 @@ impl Policy for Edd {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.due.clear();
-        self.due
-            .extend(artifacts.due_dates(job).iter().map(|&d| d as f64));
+        self.spans = Some(Arc::clone(artifacts.shared_spans(job)));
+        self.span = artifacts.span(job);
         self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
-        let due = &self.due;
+        let (spans, span) = (self.spans.as_deref().expect("init ran"), self.span);
         self.selector
-            .assign_by_key(view, out, |_, rt| due[rt.id.index()]);
+            .assign_by_key(view, out, |_, rt| (span - spans[rt.id.index()]) as f64);
+    }
+
+    fn detach_job(&mut self) {
+        self.spans = None;
     }
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {

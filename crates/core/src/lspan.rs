@@ -53,7 +53,7 @@ impl Policy for LSpan {
     }
 
     fn detach_job(&mut self) {
-        // Session retirement: the child-span table indexes this job's task
+        // Job retirement: the child-span table indexes this job's task
         // ids; drop the contents eagerly (capacity retained for reuse).
         self.child_span.clear();
     }

@@ -9,6 +9,8 @@
 //! parallel ones, where what matters is the *type mix* of the descendants,
 //! not their amount.
 
+use std::sync::Arc;
+
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
 use kdag::KDag;
@@ -18,7 +20,8 @@ use crate::ranked::Selector;
 /// Maximum-descendants-first policy. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MaxDP {
-    desc: Vec<f64>,
+    /// The bundle's type-blind descendant values, held for one run.
+    desc: Option<Arc<Vec<f64>>>,
     selector: Selector,
 }
 
@@ -28,15 +31,18 @@ impl Policy for MaxDP {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.desc.clear();
-        self.desc.extend_from_slice(artifacts.type_blind(job));
+        self.desc = Some(Arc::clone(artifacts.shared_type_blind(job)));
         self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
-        let desc = &self.desc;
+        let desc = self.desc.as_deref().expect("init ran");
         self.selector
             .assign_by_key(view, out, |_, rt| -desc[rt.id.index()]);
+    }
+
+    fn detach_job(&mut self) {
+        self.desc = None;
     }
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {

@@ -29,8 +29,11 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, ReadyTask, SelectionStats};
+use kdag::descendants::DescendantValues;
 use kdag::precompute::Artifacts;
 use kdag::{KDag, TaskId};
 use rand::rngs::StdRng;
@@ -1069,14 +1072,36 @@ impl JournalIndex for IndexCtx<'_> {
     }
 }
 
+/// The descendant matrix MQB ranks by, row-major (`task × K`): the
+/// bundle's own matrix under the default model (held for one run), or a
+/// retained buffer for the perturbed and one-step models, which derive
+/// their own values.
+#[derive(Clone, Debug, Default)]
+struct DescTable {
+    shared: Option<Arc<DescendantValues>>,
+    own: Vec<f64>,
+}
+
+impl Deref for DescTable {
+    type Target = [f64];
+
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        match &self.shared {
+            Some(d) => d.values(),
+            None => &self.own,
+        }
+    }
+}
+
 /// The Multi-Queue Balancing policy. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Mqb {
     info: InfoModel,
     tuning: MqbTuning,
     k: usize,
-    /// Perturbed per-type descendant values, row-major (`task × K`).
-    d: Vec<f64>,
+    /// Per-type descendant values (perturbed under a noisy model).
+    d: DescTable,
     /// Per-task total descendant value (tie-break key).
     d_total: Vec<f64>,
     // Scratch buffers, reused across epochs and across runs (the runner
@@ -1187,7 +1212,7 @@ impl Mqb {
             info,
             tuning,
             k: 0,
-            d: Vec::new(),
+            d: DescTable::default(),
             d_total: Vec::new(),
             working: Vec::new(),
             taken: Vec::new(),
@@ -1240,23 +1265,17 @@ impl Mqb {
     fn apply_projection(&mut self, alpha: usize, rt: &ReadyTask) {
         self.working[alpha] -= rt.remaining as f64;
         let row_start = rt.id.index() * self.k;
-        for (beta, w) in self.working.iter_mut().enumerate() {
-            *w += self.d[row_start + beta];
+        let row = &self.d[row_start..row_start + self.k];
+        for (w, &x) in self.working.iter_mut().zip(row) {
+            *w += x;
         }
     }
 
-    /// Shared tail of both init paths: takes the (raw) descendant matrix,
-    /// applies the information-model perturbation, and derives the per-task
-    /// totals. The perturbation consumes the seeded RNG in exactly the same
-    /// sequence regardless of where `d` came from, so artifact-backed and
-    /// cold initializations are bit-identical.
-    /// Replaces the descendant matrix in place, retaining the allocation
-    /// of a warm (worker-persistent) policy value.
-    fn set_d_from(&mut self, values: &[f64]) {
-        self.d.clear();
-        self.d.extend_from_slice(values);
-    }
-
+    /// Shared tail of every init path: applies the information-model
+    /// perturbation to the (raw) descendant matrix and derives the
+    /// per-task totals. The perturbation consumes the seeded RNG in
+    /// exactly the same sequence regardless of where `d` came from, so
+    /// artifact-backed and cold initializations are bit-identical.
     fn finish_init(&mut self, job: &KDag, seed: u64) {
         self.k = job.num_types();
 
@@ -1264,7 +1283,7 @@ impl Mqb {
             Accuracy::Precise => {}
             Accuracy::Exponential => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                for v in &mut self.d {
+                for v in &mut self.d.own {
                     if *v > 0.0 {
                         // Inverse-CDF exponential with mean *v.
                         let u: f64 = rng.gen_range(0.0..1.0);
@@ -1279,7 +1298,7 @@ impl Mqb {
                 } else {
                     job.total_work() as f64 / job.num_tasks() as f64
                 };
-                for v in &mut self.d {
+                for v in &mut self.d.own {
                     let mult: f64 = rng.gen_range(0.5..1.5);
                     let add: f64 = if mean_work > 0.0 {
                         rng.gen_range(0.0..mean_work)
@@ -1714,10 +1733,10 @@ impl Mqb {
         self.taken.clear();
         self.taken.resize(m, false);
         self.erows.clear();
-        for qi in 0..m {
-            let row_start = self.snap[qi].id.index() * k;
-            self.erows
-                .extend_from_slice(&self.d[row_start..row_start + k]);
+        let d: &[f64] = &self.d;
+        for rt in &self.snap {
+            let row_start = rt.id.index() * k;
+            self.erows.extend_from_slice(&d[row_start..row_start + k]);
         }
         self.row.clear();
         self.row.resize(k, 0.0);
@@ -2122,11 +2141,22 @@ impl Policy for Mqb {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
-        match self.info.lookahead {
-            Lookahead::All => self.set_d_from(artifacts.descendants(job).values()),
+        match (self.info.lookahead, self.info.accuracy) {
+            // The default model ranks by the bundle's own matrix.
+            (Lookahead::All, Accuracy::Precise) => {
+                self.d.shared = Some(Arc::clone(artifacts.shared_descendants(job)));
+            }
+            // A perturbed model rewrites its copy in place, retaining the
+            // allocation of a warm (worker-persistent) policy value.
+            (Lookahead::All, _) => {
+                self.d.own.clear();
+                self.d
+                    .own
+                    .extend_from_slice(artifacts.descendants(job).values());
+            }
             // One-step lookahead is not part of the bundle: it is a plain
             // O(|V|+|E|) pass with no topological sort.
-            Lookahead::OneStep => one_step_descendants(job, &mut self.d),
+            (Lookahead::OneStep, _) => one_step_descendants(job, &mut self.d.own),
         }
         self.finish_init(job, seed);
     }
@@ -2182,11 +2212,13 @@ impl Policy for Mqb {
     }
 
     fn detach_job(&mut self) {
-        // Session retirement: drop this job's perturbed descendant tables
-        // and any candidate scratch eagerly (task ids and values are
-        // meaningless for the next job; `init` rebuilds them).
-        // Capacity is retained for the recycle pool.
-        self.d.clear();
+        // Job retirement (a run returned, or a session retired the job):
+        // let the bundle's matrix go, and drop this job's perturbed
+        // descendant tables and any candidate scratch eagerly (task ids
+        // and values are meaningless for the next job; `init` rebuilds
+        // them). Capacity is retained for the recycle pool.
+        self.d.shared = None;
+        self.d.own.clear();
         self.d_total.clear();
         self.working.clear();
         self.taken.clear();
@@ -2300,10 +2332,10 @@ mod tests {
             let mut b = Mqb::new(info);
             a.init(&job, &cfg, 42, &Artifacts::new());
             b.init(&job, &cfg, 42, &Artifacts::new());
-            assert_eq!(a.d, b.d, "same seed must give same perturbation");
+            assert_eq!(*a.d, *b.d, "same seed must give same perturbation");
             let mut c = Mqb::new(info);
             c.init(&job, &cfg, 43, &Artifacts::new());
-            assert_ne!(a.d, c.d, "different seeds must differ");
+            assert_ne!(*a.d, *c.d, "different seeds must differ");
         }
     }
 

@@ -60,15 +60,19 @@
 //! The sequencing reads only the job, the processor counts and the due
 //! dates — not the seed, not the mode. So the plan lives in the
 //! instance's [`Artifacts`] bundle ([`Artifacts::sequence_plan`]): the
-//! first ShiftBT init on a bundle computes it, and every later column
-//! that shares the bundle (the other mode, the quantum cadence) copies
-//! its ranks out.
+//! first ShiftBT init on a bundle computes it, and every column that
+//! shares the bundle (the other mode, the quantum cadence) holds the
+//! bundle's plan for its run and reads its ranks from there. The due
+//! dates are read off the bundle's spans ([`DueDates`]); no due-date
+//! table is built.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
-use kdag::precompute::Artifacts;
+use kdag::duedate::DueDates;
+use kdag::precompute::{Artifacts, SequencePlan};
 use kdag::{KDag, TaskId};
 
 use crate::ranked::Selector;
@@ -76,7 +80,8 @@ use crate::ranked::Selector;
 /// Shifting-bottleneck policy. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct ShiftBT {
-    rank: Vec<f64>,
+    /// The bundle's sequencing plan, held for one run.
+    plan: Option<Arc<SequencePlan>>,
     selector: Selector,
     /// Bottleneck order chosen during [`Policy::init`] (most-late type
     /// first); exposed for tests and ablations.
@@ -311,7 +316,7 @@ impl RelaxScratch {
     /// Sizes every buffer for `job`, precomputes the per-type EDD orders,
     /// and clears all cached state. Buffers never shrink, so a warm policy
     /// re-sequencing the same (or a smaller) job allocates nothing.
-    fn prepare(&mut self, job: &KDag, due: &[u64]) {
+    fn prepare(&mut self, job: &KDag, due: DueDates<'_>) {
         let n = job.num_tasks();
         let k = job.num_types();
         self.indeg0.clear();
@@ -341,13 +346,13 @@ impl RelaxScratch {
         // due values beats the comparison sort: tasks are scattered in
         // ascending id order, which makes ties on `due` fall back to id
         // order — exactly the reference's sort key.
-        let max_due = due.iter().copied().max().unwrap_or(0) as usize;
+        let max_due = due.max() as usize;
         if max_due <= 8 * n + 64 {
             let stride = max_due + 1;
             self.due_counts.clear();
             self.due_counts.resize(k * stride, 0);
             for v in job.tasks() {
-                self.due_counts[job.rtype(v) * stride + due[v.index()] as usize] += 1;
+                self.due_counts[job.rtype(v) * stride + due.get(v) as usize] += 1;
             }
             // In-place exclusive prefix sums turn counts into offsets.
             for alpha in 0..k {
@@ -362,7 +367,7 @@ impl RelaxScratch {
                     .resize(self.type_counts[alpha] as usize, TaskId::from_index(0));
             }
             for v in job.tasks() {
-                let slot = job.rtype(v) * stride + due[v.index()] as usize;
+                let slot = job.rtype(v) * stride + due.get(v) as usize;
                 let pos = self.due_counts[slot];
                 self.due_counts[slot] += 1;
                 self.edd_order[job.rtype(v)][pos as usize] = v;
@@ -372,7 +377,7 @@ impl RelaxScratch {
                 self.edd_order[job.rtype(v)].push(v);
             }
             for o in &mut self.edd_order[..k] {
-                o.sort_unstable_by_key(|&v| (due[v.index()], v));
+                o.sort_unstable_by_key(|&v| (due.get(v), v));
             }
         }
         if self.ready.len() < k {
@@ -400,7 +405,7 @@ impl RelaxScratch {
     /// dispatches compile down to straight array traffic: no per-event
     /// branching on which rank table applies, no method-call boundaries
     /// the optimizer has to reason across.
-    fn relax(&mut self, job: &KDag, config: &MachineConfig, target: usize, due: &[u64]) {
+    fn relax(&mut self, job: &KDag, config: &MachineConfig, target: usize, due: DueDates<'_>) {
         let k = job.num_types();
         for alpha in 0..k {
             self.cap[alpha] = if alpha == target || self.fixed[alpha] {
@@ -515,7 +520,7 @@ impl RelaxScratch {
                         if is_target {
                             starts.push((now, v));
                             started_target += 1;
-                            max_lateness = max_lateness.max(now as i64 - due[v.index()] as i64);
+                            max_lateness = max_lateness.max(now as i64 - due.get(v) as i64);
                         }
                         taken += 1;
                         completions.push(now + job.work(v), v);
@@ -579,7 +584,7 @@ impl RelaxScratch {
             }
         }
 
-        starts.sort_unstable_by_key(|&(t, v)| (t, due[v.index()], v));
+        starts.sort_unstable_by_key(|&(t, v)| (t, due.get(v), v));
         let entry = &mut cache[target];
         entry.valid = true;
         entry.lateness = max_lateness;
@@ -599,7 +604,7 @@ impl RelaxScratch {
         &mut self,
         job: &KDag,
         config: &MachineConfig,
-        due: &[u64],
+        due: DueDates<'_>,
     ) -> (Vec<u32>, Vec<usize>) {
         let k = job.num_types();
         self.prepare(job, due);
@@ -646,11 +651,14 @@ impl RelaxScratch {
 }
 
 impl ShiftBT {
-    /// The per-task dispatch rank table built by the last init (each
-    /// task's position in its type's frozen sequence). For tests and
-    /// ablations.
-    pub fn rank_table(&self) -> &[f64] {
-        &self.rank
+    /// The per-task dispatch keys of the plan this policy holds (each
+    /// task's position in its type's frozen sequence; empty between
+    /// runs). Copied out, for tests and ablations.
+    pub fn rank_table(&self) -> Vec<f64> {
+        self.plan
+            .iter()
+            .flat_map(|p| p.rank.iter().map(|&r| f64::from(r)))
+            .collect()
     }
 }
 
@@ -659,27 +667,30 @@ impl Policy for ShiftBT {
         "ShiftBT"
     }
 
-    /// Copies the instance's sequencing plan out of `artifacts`; the
-    /// first ShiftBT init on a bundle computes it with this policy's warm
+    /// Takes the instance's sequencing plan from `artifacts`; the first
+    /// ShiftBT init on a bundle computes it with this policy's warm
     /// relaxation scratch.
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         let due = artifacts.due_dates(job);
         let scratch = &mut self.scratch;
-        let plan = artifacts.sequence_plan(config.procs_per_type(), || {
+        let plan = artifacts.shared_sequence_plan(config.procs_per_type(), || {
             scratch.sequence_bottlenecks(job, config, due)
         });
         self.bottleneck_order.clear();
         self.bottleneck_order
             .extend_from_slice(&plan.bottleneck_order);
-        self.rank.clear();
-        self.rank.extend(plan.rank.iter().map(|&r| r as f64));
+        self.plan = Some(Arc::clone(plan));
         self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
-        let rank = &self.rank;
+        let rank = &self.plan.as_deref().expect("init ran").rank;
         self.selector
-            .assign_by_key(view, out, |_, rt| rank[rt.id.index()]);
+            .assign_by_key(view, out, |_, rt| f64::from(rank[rt.id.index()]));
+    }
+
+    fn detach_job(&mut self) {
+        self.plan = None;
     }
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {

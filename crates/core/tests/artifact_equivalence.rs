@@ -36,6 +36,7 @@ use kdag::descendants::DescendantValues;
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Each fhs-core policy, paired with the policy whose `init` pre-fills
 /// the lazy bundle it then runs on. The pairs cover a bundle already
@@ -318,6 +319,133 @@ fn a_planned_bundle_refuses_another_machine() {
     let bundle = Artifacts::new();
     ShiftBT::default().init(&job, &MachineConfig::uniform(3, 2), 0, &bundle);
     ShiftBT::default().init(&job, &MachineConfig::new(vec![1, 3, 2]), 0, &bundle);
+}
+
+/// Handles on one bundle table besides the bundle's own.
+type Holders = Arc<dyn Fn() -> usize + Send + Sync>;
+
+/// Records, at every epoch of its run, the [`Holders`] count of the table
+/// the wrapped policy ranks by.
+struct Probe {
+    inner: Box<dyn Policy>,
+    holders: Holders,
+    seen: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Policy for Probe {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
+        self.inner.init(job, config, seed, artifacts)
+    }
+    fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
+        self.seen.lock().unwrap().push((self.holders)());
+        self.inner.assign(view, out)
+    }
+    fn detach_job(&mut self) {
+        self.inner.detach_job()
+    }
+}
+
+/// The policies that rank by one bundle table — default-model MQB,
+/// MaxDP, DType, ShiftBT and EDD — hold a handle on the bundle's own
+/// table, not a copy, for the length of a run, and let go of it when the
+/// run returns: on the sweep's evaluation path (which perfbench's traced
+/// mode calls directly) and at a session retirement alike. A handle on
+/// another allocation would not raise the bundle table's count, so a
+/// count of one during the run is `Arc::ptr_eq` with the bundle's table.
+/// A noisy MQB perturbs a copy of its own and holds none.
+#[test]
+fn offline_policies_read_the_bundles_own_tables_for_one_run() {
+    use fhs_core::mqb::{Accuracy, Lookahead};
+    use fhs_sim::{metrics, Session, SessionOptions, Workspace};
+    use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 4);
+    let (job, cfg) = spec.sample(3);
+    let job = Arc::new(job);
+    let bundle = Arc::new(Artifacts::compute(&job));
+    // Plan the bundle, so every table exists before any run.
+    ShiftBT::default().init(&job, &cfg, 0, &bundle);
+    let procs = cfg.procs_per_type().to_vec();
+    // Each count less the bundle's own handle.
+    let table = |f: fn(&Artifacts, &KDag, &[usize]) -> usize| -> Holders {
+        let (bundle, job, procs) = (Arc::clone(&bundle), Arc::clone(&job), procs.clone());
+        Arc::new(move || f(&bundle, &job, &procs) - 1)
+    };
+    let descendants = table(|a, j, _| Arc::strong_count(a.shared_descendants(j)));
+    let noisy = Algorithm::MqbWith(InfoModel {
+        lookahead: Lookahead::All,
+        accuracy: Accuracy::Noisy,
+    });
+    let cases = [
+        (Algorithm::Mqb, Arc::clone(&descendants), 1),
+        (
+            Algorithm::MaxDP,
+            table(|a, j, _| Arc::strong_count(a.shared_type_blind(j))),
+            1,
+        ),
+        (
+            Algorithm::DType,
+            table(|a, j, _| Arc::strong_count(a.shared_different_child(j))),
+            1,
+        ),
+        (
+            Algorithm::ShiftBT,
+            table(|a, _, p| {
+                Arc::strong_count(a.shared_sequence_plan(p, || unreachable!("planned")))
+            }),
+            1,
+        ),
+        (
+            Algorithm::Edd,
+            table(|a, j, _| Arc::strong_count(a.shared_spans(j))),
+            1,
+        ),
+        (noisy, descendants, 0),
+    ];
+    let mut ws = Workspace::new();
+    for (algo, holders, during) in cases {
+        let label = algo.label();
+        let probe = |seen: &Arc<Mutex<Vec<usize>>>| Probe {
+            inner: make_policy(algo),
+            holders: Arc::clone(&holders),
+            seen: Arc::clone(seen),
+        };
+        let check = |seen: &Mutex<Vec<usize>>, path: &str| {
+            let seen = seen.lock().unwrap();
+            assert!(!seen.is_empty(), "{label} {path}: no epoch ran");
+            assert!(
+                seen.iter().all(|&h| h == during),
+                "{label} {path}: held {seen:?} handles during the run, want {during}"
+            );
+            assert_eq!(holders(), 0, "{label} {path}: a table outlived the run");
+        };
+        // One warm value for both modes, as a pool worker keeps it; it
+        // is alive at each check.
+        let seen = Arc::default();
+        let mut warm = probe(&seen);
+        for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+            metrics::evaluate_observed_with_artifacts_in(
+                &mut ws,
+                &job,
+                &cfg,
+                &mut warm,
+                mode,
+                &RunOptions::seeded(1),
+                &bundle,
+            );
+            check(&seen, &format!("{mode:?} run"));
+        }
+        let seen = Arc::default();
+        let mut session = Session::new(cfg.clone(), SessionOptions::new(Mode::NonPreemptive));
+        session.admit_with_artifacts(Arc::clone(&job), Box::new(probe(&seen)), 1, &bundle);
+        session.drain();
+        // The retired policy waits, warm, in the session's recycle pool.
+        assert_eq!(session.active_jobs(), 0);
+        check(&seen, "session");
+    }
 }
 
 /// The pre-optimization MQB selection, restated verbatim as an oracle:

@@ -63,22 +63,32 @@ proptest! {
     #[test]
     fn all_policies_respect_the_additive_greedy_bound(dag in arb_kdag(3, 30, 4), cfg in arb_config(3)) {
         // Every implemented policy is work-conserving per type, so
-        // Graham's per-type argument bounds them all:
-        // T ≤ T∞ + Σ_α ⌈T1_α / P_α⌉.
+        // Graham's per-type argument bounds them all, in every cadence
+        // (non-preemptive, preemptive at completions, preemptive at
+        // quantum 1): T ≤ T∞ + Σ_α ⌈T1_α / P_α⌉.
         let additive: u64 = kdag::metrics::span(&dag)
             + (0..dag.num_types())
                 .map(|a| dag.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
                 .sum::<u64>();
+        let cadences = [
+            (Mode::NonPreemptive, RunOptions::default()),
+            (Mode::Preemptive, RunOptions::default()),
+            (Mode::Preemptive, RunOptions::default().with_quantum(1)),
+        ];
         for algo in ALL_ALGORITHMS {
-            let mut p = make_policy(algo);
-            let out = engine::run(&dag, &cfg, p.as_mut(), Mode::NonPreemptive, &RunOptions::default());
-            prop_assert!(
-                out.makespan <= additive,
-                "{}: {} > {}",
-                algo.label(),
-                out.makespan,
-                additive
-            );
+            for (mode, opts) in &cadences {
+                let mut p = make_policy(algo);
+                let out = engine::run(&dag, &cfg, p.as_mut(), *mode, opts);
+                prop_assert!(
+                    out.makespan <= additive,
+                    "{} {:?} q={:?}: {} > {}",
+                    algo.label(),
+                    mode,
+                    opts.quantum,
+                    out.makespan,
+                    additive
+                );
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 //!     --algo MQB --algo KGreedy --preemptive --skewed --instances 1000
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 
 use fhs_core::{Algorithm, ALL_ALGORITHMS};
@@ -208,6 +209,25 @@ fn parse(args: Vec<String>) -> Result<SweepArgs, String> {
             ));
         }
     }
+    // Two outputs on one file would silently overwrite each other.
+    let mut files: Vec<(&str, PathBuf)> = Vec::new();
+    if let Some(base) = &out.snapshot_out {
+        for ext in ["prom", "jsonl"] {
+            files.push(("--snapshot-out", base.with_extension(ext)));
+        }
+    }
+    for (flag, path) in [
+        ("--metrics-out", &out.metrics_out),
+        ("--trace-out", &out.trace_out),
+        ("--shard-out", &out.shard_out),
+    ] {
+        files.extend(path.clone().map(|p| (flag, p)));
+    }
+    for (i, (a, path)) in files.iter().enumerate() {
+        if let Some((b, _)) = files[i + 1..].iter().find(|(_, p)| p == path) {
+            return Err(format!("{a} and {b} both write {}", path.display()));
+        }
+    }
     Ok(out)
 }
 
@@ -333,7 +353,13 @@ fn main() {
             continue;
         }
         let done = (at - lo) as usize;
-        let page = sweep_exposition(&spec.label(), mode_label, &labels, &columns, done, total);
+        // --stable pages render from copies stabilized as the final
+        // columns are, so they too are a function of the inputs alone.
+        let mut shown = Cow::Borrowed(&columns[..]);
+        if args.stable {
+            shown.to_mut().iter_mut().for_each(obsout::stabilize);
+        }
+        let page = sweep_exposition(&spec.label(), mode_label, &labels, &shown, done, total);
         if let Some(server) = &server {
             server.publish(page.clone());
         }
@@ -343,7 +369,7 @@ fn main() {
                 mode_label,
                 args.seed,
                 &labels,
-                &columns,
+                &shown,
                 done,
                 total,
             );

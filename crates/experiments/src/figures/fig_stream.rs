@@ -22,6 +22,7 @@ use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 use crate::args::CommonArgs;
 use crate::chart;
 use crate::figures;
+use crate::runner::pool_map;
 use crate::stream::{run_stream, Arrivals, StreamCell, StreamConfig, StreamResult};
 use crate::table::Table;
 
@@ -74,7 +75,10 @@ pub struct StreamPanel {
 }
 
 /// Computes the three panels (one per inter-job policy); `--instances`
-/// is the number of jobs streamed through each cell's session.
+/// is the number of jobs streamed through each cell's session. Every
+/// cell is an independent stream, so the cells fan out over the pool
+/// (`--workers`), and the rows come back in panel order whatever the
+/// worker count.
 pub fn compute(args: &CommonArgs) -> Vec<StreamPanel> {
     let config = StreamConfig {
         spec: stream_spec(),
@@ -82,34 +86,38 @@ pub fn compute(args: &CommonArgs) -> Vec<StreamPanel> {
         arrivals: Arrivals::Poisson { mean_gap: MEAN_GAP },
         seed: args.seed,
     };
-    ALL_INTER_JOB_POLICIES
+    let cells: Vec<(StreamCell, &'static str)> = ALL_INTER_JOB_POLICIES
         .into_iter()
-        .map(|inter| {
-            let rows = ALL_ALGORITHMS
-                .into_iter()
-                .flat_map(|algo| {
-                    [
-                        ("np", Mode::NonPreemptive, None),
-                        ("pre(q=1)", Mode::Preemptive, Some(1)),
-                    ]
-                    .into_iter()
-                    .map(move |(label, mode, quantum)| (algo, label, mode, quantum))
-                })
-                .map(|(algo, label, mode, quantum)| {
+        .flat_map(|inter| {
+            ALL_ALGORITHMS.into_iter().flat_map(move |algo| {
+                [
+                    ("np", Mode::NonPreemptive, None),
+                    ("pre(q=1)", Mode::Preemptive, Some(1)),
+                ]
+                .map(|(label, mode, quantum)| {
                     let cell = StreamCell {
                         algo,
                         mode,
                         quantum,
                         inter,
                     };
-                    StreamRow {
-                        algo,
-                        mode: label,
-                        result: run_stream(&config, &cell),
-                    }
+                    (cell, label)
                 })
-                .collect();
-            StreamPanel { inter, rows }
+            })
+        })
+        .collect();
+    let per_panel = cells.len() / ALL_INTER_JOB_POLICIES.len();
+    let mut rows = pool_map(args.workers, cells, move |(cell, label)| StreamRow {
+        algo: cell.algo,
+        mode: label,
+        result: run_stream(&config, &cell),
+    })
+    .into_iter();
+    ALL_INTER_JOB_POLICIES
+        .into_iter()
+        .map(|inter| StreamPanel {
+            inter,
+            rows: rows.by_ref().take(per_panel).collect(),
         })
         .collect()
 }

@@ -52,6 +52,67 @@ fn sweep_rejects_bad_shards() {
     );
 }
 
+/// `--snapshot-out BASE` writes `BASE.prom` and `BASE.jsonl`; an export
+/// naming either file would overwrite a snapshot page.
+#[test]
+fn sweep_rejects_outputs_that_share_a_file() {
+    rejects(
+        SWEEP,
+        &[
+            "--snapshot-out",
+            "/tmp/chunk",
+            "--metrics-out",
+            "/tmp/chunk.jsonl",
+        ],
+        &["--snapshot-out", "--metrics-out", "/tmp/chunk.jsonl"],
+    );
+    rejects(
+        SWEEP,
+        &["--trace-out", "/tmp/run.prom", "--snapshot-out", "/tmp/run"],
+        &["--snapshot-out", "--trace-out", "/tmp/run.prom"],
+    );
+    rejects(
+        SWEEP,
+        &["--metrics-out", "m.jsonl", "--trace-out", "m.jsonl"],
+        &["--metrics-out and --trace-out both write m.jsonl"],
+    );
+}
+
+/// `--stable` reaches the snapshot pages: two runs write the same
+/// `.prom` and `.jsonl` bytes, latency histograms on.
+#[test]
+fn stable_snapshot_pages_are_byte_identical_across_runs() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let page = |run: u32, ext: &str| dir.join(format!("fhs-cli-snap-{pid}-{run}.{ext}"));
+    for run in 0..2 {
+        let out = Command::new(SWEEP)
+            .args(["--size", "small", "--k", "2", "--instances", "6"])
+            .args(["--stable", "--instrument", "--snapshot-every", "2"])
+            .arg("--snapshot-out")
+            .arg(page(run, "out"))
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for ext in ["prom", "jsonl"] {
+        let (a, b) = (page(0, ext), page(1, ext));
+        let first = std::fs::read(&a).expect("first page");
+        let second = std::fs::read(&b).expect("second page");
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
+        assert!(!first.is_empty(), "empty .{ext} page");
+        assert!(
+            first == second,
+            ".{ext} pages differ between two --stable runs"
+        );
+    }
+}
+
 #[test]
 fn sweep_rejects_unknown_and_unfinished_flags() {
     rejects(SWEEP, &["--bogus"], &["unknown flag", "--bogus"]);

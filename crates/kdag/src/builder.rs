@@ -168,31 +168,26 @@ impl KDagBuilder {
                 .ok_or(GraphError::WorkOverflow(t))?;
         }
 
-        // CSR construction (counting sort over edge endpoints). The same
-        // pass notes whether every edge points from a lower to a higher id.
+        // Child CSR construction (counting sort over edge sources); parents
+        // are only counted. The same pass notes whether every edge points
+        // from a lower to a higher id.
         let mut child_offsets = vec![0u32; n + 1];
-        let mut parent_offsets = vec![0u32; n + 1];
+        let mut parent_counts = vec![0u32; n];
         let mut forward = true;
         for &(u, v) in &self.edges {
             child_offsets[u.index() + 1] += 1;
-            parent_offsets[v.index() + 1] += 1;
+            parent_counts[v.index()] += 1;
             forward &= u < v;
         }
         for i in 0..n {
             child_offsets[i + 1] += child_offsets[i];
-            parent_offsets[i + 1] += parent_offsets[i];
         }
         let mut child_targets = vec![TaskId::from_index(0); self.edges.len()];
-        let mut parent_targets = vec![TaskId::from_index(0); self.edges.len()];
         let mut child_fill = child_offsets.clone();
-        let mut parent_fill = parent_offsets.clone();
         for &(u, v) in &self.edges {
             let ci = child_fill[u.index()] as usize;
             child_targets[ci] = v;
             child_fill[u.index()] += 1;
-            let pi = parent_fill[v.index()] as usize;
-            parent_targets[pi] = u;
-            parent_fill[v.index()] += 1;
         }
 
         if let Some((u, v)) = smallest_duplicate(&child_offsets, &child_targets) {
@@ -205,8 +200,7 @@ impl KDagBuilder {
             works: self.works,
             child_offsets,
             child_targets,
-            parent_offsets,
-            parent_targets,
+            parent_counts,
             id_ordered: forward,
         };
 
@@ -418,7 +412,7 @@ mod tests {
         assert_eq!(b.num_edges(), 2);
         let g = b.build().unwrap();
         assert_eq!(g.children(a), &[c, d]);
-        assert_eq!(g.parents(d), &[a]);
+        assert_eq!(g.num_parents(d), 1);
         assert_eq!(g.num_parents(a), 0);
     }
 

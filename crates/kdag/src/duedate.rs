@@ -15,15 +15,49 @@
 
 use crate::graph::KDag;
 use crate::metrics::remaining_spans;
-use crate::types::Work;
+use crate::types::{TaskId, Work};
 
 /// Due dates (latest safe start times) for every task: `T∞ − span(v)`.
 ///
 /// Always ≥ 0 since `span(v) ≤ T∞` for every task.
 pub fn due_dates(dag: &KDag) -> Vec<Work> {
-    let spans = remaining_spans(dag);
-    let total = spans.iter().copied().max().unwrap_or(0);
-    spans.into_iter().map(|s| total - s).collect()
+    DueDates::from_spans(&remaining_spans(dag)).to_vec()
+}
+
+/// The due dates of a job read off the remaining spans they derive from:
+/// each [`DueDates::get`] computes `T∞ − span(v)`, so no due-date table
+/// is stored beside the spans. The values are exactly [`due_dates`]'s.
+#[derive(Clone, Copy, Debug)]
+pub struct DueDates<'a> {
+    span: Work,
+    spans: &'a [Work],
+}
+
+impl<'a> DueDates<'a> {
+    /// Due dates over per-task remaining spans (as
+    /// [`crate::metrics::remaining_spans`]); `T∞` is their maximum.
+    pub fn from_spans(spans: &'a [Work]) -> Self {
+        DueDates {
+            span: spans.iter().copied().max().unwrap_or(0),
+            spans,
+        }
+    }
+
+    /// `due(v) = T∞ − span(v)`.
+    #[inline]
+    pub fn get(&self, v: TaskId) -> Work {
+        self.span - self.spans[v.index()]
+    }
+
+    /// The latest due date (0 for an empty job).
+    pub fn max(&self) -> Work {
+        self.spans.iter().min().map_or(0, |&s| self.span - s)
+    }
+
+    /// Every due date, in task order.
+    pub fn to_vec(&self) -> Vec<Work> {
+        self.spans.iter().map(|&s| self.span - s).collect()
+    }
 }
 
 /// Earliest possible start times under infinite resources:

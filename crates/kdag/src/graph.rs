@@ -10,10 +10,11 @@ use crate::types::{TaskId, Work};
 /// outside the graph so that one job description can be simulated many
 /// times and shared across threads (`KDag` is `Send + Sync`).
 ///
-/// Adjacency is stored in CSR (compressed sparse row) form for both the
-/// child and the parent direction, so the per-task neighbour lists are
-/// contiguous slices and iteration in the simulator's hot path is
-/// allocation-free.
+/// Children are stored in CSR (compressed sparse row) form, so each
+/// task's child list is a contiguous slice and iteration in the
+/// simulator's hot path is allocation-free. Parents are kept only as a
+/// count per task: every analysis and engine walks edges downward, and
+/// readiness and the descendant recursion need nothing but `pr(v)`.
 #[derive(Clone, Debug)]
 pub struct KDag {
     pub(crate) k: usize,
@@ -22,8 +23,8 @@ pub struct KDag {
     // CSR adjacency: children of task i are child_targets[child_offsets[i]..child_offsets[i+1]].
     pub(crate) child_offsets: Vec<u32>,
     pub(crate) child_targets: Vec<TaskId>,
-    pub(crate) parent_offsets: Vec<u32>,
-    pub(crate) parent_targets: Vec<TaskId>,
+    /// Number of parents of each task.
+    pub(crate) parent_counts: Vec<u32>,
     // Every edge goes from a lower to a higher id, so id order is a
     // topological order (set by the builder's CSR pass).
     pub(crate) id_ordered: bool,
@@ -102,21 +103,11 @@ impl KDag {
         &self.child_targets[lo..hi]
     }
 
-    /// Parents of `v`: tasks with an edge `u → v`.
-    #[inline]
-    pub fn parents(&self, v: TaskId) -> &[TaskId] {
-        let i = v.index();
-        let lo = self.parent_offsets[i] as usize;
-        let hi = self.parent_offsets[i + 1] as usize;
-        &self.parent_targets[lo..hi]
-    }
-
     /// Number of parents `pr(v)`; the denominator in descendant-value
     /// propagation.
     #[inline]
     pub fn num_parents(&self, v: TaskId) -> usize {
-        let i = v.index();
-        (self.parent_offsets[i + 1] - self.parent_offsets[i]) as usize
+        self.parent_counts[v.index()] as usize
     }
 
     /// Number of children of `v`.
@@ -225,13 +216,14 @@ mod tests {
     #[test]
     fn adjacency_is_consistent_both_directions() {
         let g = diamond();
+        let mut counts = vec![0; g.num_tasks()];
         for v in g.tasks() {
             for &c in g.children(v) {
-                assert!(g.parents(c).contains(&v));
+                counts[c.index()] += 1;
             }
-            for &p in g.parents(v) {
-                assert!(g.children(p).contains(&v));
-            }
+        }
+        for v in g.tasks() {
+            assert_eq!(g.num_parents(v), counts[v.index()]);
         }
     }
 

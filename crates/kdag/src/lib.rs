@@ -9,7 +9,10 @@
 //!
 //! This crate provides:
 //!
-//! * the immutable [`KDag`] graph and its checked [`KDagBuilder`],
+//! * the immutable [`KDag`] graph and its checked [`KDagBuilder`]; a
+//!   graph stores each task's children (CSR) and only the *number* of its
+//!   parents — there are no parent lists, since every analysis and the
+//!   simulator walk edges downward,
 //! * topological utilities ([`topo`]),
 //! * the job measures from the paper ([`metrics`]): per-type work
 //!   `T1(J, α)`, span (critical-path length) `T∞(J)`, and per-task
@@ -21,7 +24,8 @@
 //! * **due dates** used by the ShiftBT heuristic ([`duedate`]),
 //! * a per-job [`precompute::Artifacts`] bundle running each of the above
 //!   on first use over one shared topological sort, the input of every
-//!   scheduling policy's initialization,
+//!   scheduling policy's initialization; it stores each table once and
+//!   hands out shared handles on it,
 //! * Graphviz DOT export ([`dot`]) and the paper's Figure-1 example DAG
 //!   ([`examples`]),
 //! * flexible (JIT-compilable) tasks with multiple placement options

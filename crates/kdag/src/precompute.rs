@@ -11,14 +11,21 @@
 //! its analysis (and the shared reverse topological order it needs) once,
 //! so a bundle built with [`Artifacts::new`] computes only what its
 //! readers ask for — one policy's table plus the span behind the lower
-//! bound. [`Artifacts::compute`] fills every field at once; a sweep
-//! evaluating many `(algorithm, mode)` cells on *common random numbers*
-//! builds one per sampled instance and shares it across the cells behind
-//! an `Arc`. Either way each value comes from the exact standalone
-//! analysis over the canonical order
-//! [`crate::topo::reverse_topological_order`] produces, so it is
-//! **bit-identical** whichever reader filled it first (property-tested in
-//! `fhs-core`'s `artifact_equivalence`).
+//! bound. [`Artifacts::compute`] fills every field at once and then drops
+//! the order, which no filled table needs again; a sweep evaluating many
+//! `(algorithm, mode)` cells on *common random numbers* builds one per
+//! sampled instance and shares it across the cells behind an `Arc`.
+//! Either way each value comes from the exact standalone analysis over
+//! the canonical order [`crate::topo::reverse_topological_order`]
+//! produces, so it is **bit-identical** whichever reader filled it first
+//! (property-tested in `fhs-core`'s `artifact_equivalence`).
+//!
+//! Each table is stored once, behind an `Arc`: the `shared_*` accessors
+//! return the bundle's own handle, which a policy clones and keeps for
+//! the length of one run, reading its keys from it instead of copying
+//! them.
+//! Due dates are not stored at all: [`Artifacts::due_dates`] reads
+//! `due(v) = T∞ − span(v)` off the spans.
 //!
 //! For an id-ordered DAG — every edge from a lower to a higher id, as
 //! every workload generator emits — that order is `n-1, …, 0`, taken
@@ -40,10 +47,11 @@
 //! records the processor counts it was computed for, and the accessor
 //! asserts that one bundle only ever sees one machine.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::descendants::{type_blind_descendants_with_order, DescendantValues};
 use crate::distance::different_child_distances_with_order;
+use crate::duedate::DueDates;
 use crate::graph::KDag;
 use crate::metrics::remaining_spans_with_order;
 use crate::topo::reverse_topological_order;
@@ -55,12 +63,11 @@ use crate::types::{TaskId, Work};
 #[derive(Clone, Debug, Default)]
 pub struct Artifacts {
     reverse_topo: OnceLock<Vec<TaskId>>,
-    descendants: OnceLock<DescendantValues>,
-    type_blind: OnceLock<Vec<f64>>,
-    spans: OnceLock<Vec<Work>>,
-    due_dates: OnceLock<Vec<Work>>,
-    different_child: OnceLock<Vec<Option<u32>>>,
-    sequence_plan: OnceLock<SequencePlan>,
+    descendants: OnceLock<Arc<DescendantValues>>,
+    type_blind: OnceLock<Arc<Vec<f64>>>,
+    spans: OnceLock<Arc<Vec<Work>>>,
+    different_child: OnceLock<Arc<Vec<Option<u32>>>>,
+    sequence_plan: OnceLock<Arc<SequencePlan>>,
 }
 
 /// ShiftBT's machine-dependent sequencing result, stored in the bundle
@@ -81,13 +88,15 @@ impl Artifacts {
         Artifacts::default()
     }
 
-    /// Runs every analysis over one shared topological sort. O(|V|·K + |E|·K).
+    /// Runs every analysis over one shared topological sort, then drops
+    /// the sort. O(|V|·K + |E|·K).
     pub fn compute(dag: &KDag) -> Self {
-        let a = Artifacts::new();
+        let mut a = Artifacts::new();
         a.descendants(dag);
         a.type_blind(dag);
-        a.due_dates(dag);
+        a.spans(dag);
         a.different_child(dag);
+        a.reverse_topo.take();
         a
     }
 
@@ -100,21 +109,42 @@ impl Artifacts {
 
     /// Per-type descendant values, as [`DescendantValues::compute`].
     pub fn descendants(&self, dag: &KDag) -> &DescendantValues {
-        self.descendants
-            .get_or_init(|| DescendantValues::compute_with_order(dag, self.reverse_topo(dag)))
+        self.shared_descendants(dag)
+    }
+
+    /// [`Artifacts::descendants`] as the bundle's own shared matrix: a policy
+    /// clones the handle to keep the matrix for one run.
+    pub fn shared_descendants(&self, dag: &KDag) -> &Arc<DescendantValues> {
+        filled(&self.descendants, || {
+            DescendantValues::compute_with_order(dag, self.reverse_topo(dag))
+        })
     }
 
     /// Type-blind descendant values, as
     /// [`crate::descendants::type_blind_descendants`].
     pub fn type_blind(&self, dag: &KDag) -> &[f64] {
-        self.type_blind
-            .get_or_init(|| type_blind_descendants_with_order(dag, self.reverse_topo(dag)))
+        self.shared_type_blind(dag)
+    }
+
+    /// [`Artifacts::type_blind`] as the bundle's own shared table: a policy
+    /// clones the handle to keep the table for one run.
+    pub fn shared_type_blind(&self, dag: &KDag) -> &Arc<Vec<f64>> {
+        filled(&self.type_blind, || {
+            type_blind_descendants_with_order(dag, self.reverse_topo(dag))
+        })
     }
 
     /// Per-task remaining spans, as [`crate::metrics::remaining_spans`].
     pub fn spans(&self, dag: &KDag) -> &[Work] {
-        self.spans
-            .get_or_init(|| remaining_spans_with_order(dag, self.reverse_topo(dag)))
+        self.shared_spans(dag)
+    }
+
+    /// [`Artifacts::spans`] as the bundle's own shared table: a policy
+    /// clones the handle to keep the table for one run.
+    pub fn shared_spans(&self, dag: &KDag) -> &Arc<Vec<Work>> {
+        filled(&self.spans, || {
+            remaining_spans_with_order(dag, self.reverse_topo(dag))
+        })
     }
 
     /// The job span `T∞(J)` — the maximum remaining span.
@@ -122,20 +152,23 @@ impl Artifacts {
         self.spans(dag).iter().copied().max().unwrap_or(0)
     }
 
-    /// Due dates, as [`crate::duedate::due_dates`].
-    pub fn due_dates(&self, dag: &KDag) -> &[Work] {
-        self.due_dates.get_or_init(|| {
-            // due(v) = T∞ − span(v), exactly as `crate::duedate::due_dates`.
-            let total = self.span(dag);
-            self.spans(dag).iter().map(|&s| total - s).collect()
-        })
+    /// Due dates, as [`crate::duedate::due_dates`], read off the spans.
+    pub fn due_dates(&self, dag: &KDag) -> DueDates<'_> {
+        DueDates::from_spans(self.spans(dag))
     }
 
     /// Different-child distances, as
     /// [`crate::distance::different_child_distances`].
     pub fn different_child(&self, dag: &KDag) -> &[Option<u32>] {
-        self.different_child
-            .get_or_init(|| different_child_distances_with_order(dag, self.reverse_topo(dag)))
+        self.shared_different_child(dag)
+    }
+
+    /// [`Artifacts::different_child`] as the bundle's own shared table: a policy
+    /// clones the handle to keep the table for one run.
+    pub fn shared_different_child(&self, dag: &KDag) -> &Arc<Vec<Option<u32>>> {
+        filled(&self.different_child, || {
+            different_child_distances_with_order(dag, self.reverse_topo(dag))
+        })
     }
 
     /// The sequencing plan for the machine with `procs` processors per
@@ -151,7 +184,17 @@ impl Artifacts {
         procs: &[usize],
         fill: impl FnOnce() -> (Vec<u32>, Vec<usize>),
     ) -> &SequencePlan {
-        let plan = self.sequence_plan.get_or_init(|| {
+        self.shared_sequence_plan(procs, fill)
+    }
+
+    /// [`Artifacts::sequence_plan`] as the bundle's own shared plan: a
+    /// policy clones the handle to keep the plan for one run.
+    pub fn shared_sequence_plan(
+        &self,
+        procs: &[usize],
+        fill: impl FnOnce() -> (Vec<u32>, Vec<usize>),
+    ) -> &Arc<SequencePlan> {
+        let plan = filled(&self.sequence_plan, || {
             let (rank, bottleneck_order) = fill();
             SequencePlan {
                 procs: procs.to_vec(),
@@ -165,6 +208,11 @@ impl Artifacts {
         );
         plan
     }
+}
+
+/// The table in `cell`, computed by `f` on first use.
+fn filled<T>(cell: &OnceLock<Arc<T>>, f: impl FnOnce() -> T) -> &Arc<T> {
+    cell.get_or_init(|| Arc::new(f()))
 }
 
 #[cfg(test)]
@@ -207,7 +255,7 @@ mod tests {
         assert_eq!(bits(a.type_blind(g)), bits(want.type_blind(g)));
         assert_eq!(a.spans(g), want.spans(g));
         assert_eq!(a.span(g), want.span(g));
-        assert_eq!(a.due_dates(g), want.due_dates(g));
+        assert_eq!(a.due_dates(g).to_vec(), want.due_dates(g).to_vec());
         assert_eq!(a.different_child(g), want.different_child(g));
     }
 
@@ -226,7 +274,7 @@ mod tests {
         assert_eq!(bits(a.type_blind(&g)), bits(&tb));
         assert_eq!(a.spans(&g), &metrics::remaining_spans(&g)[..]);
         assert_eq!(a.span(&g), metrics::span(&g));
-        assert_eq!(a.due_dates(&g), &duedate::due_dates(&g)[..]);
+        assert_eq!(a.due_dates(&g).to_vec(), duedate::due_dates(&g));
         assert_eq!(
             a.different_child(&g),
             &distance::different_child_distances(&g)[..]
@@ -234,10 +282,37 @@ mod tests {
     }
 
     #[test]
+    fn compute_drops_the_order_and_hands_out_its_own_tables() {
+        let g = layered_job();
+        let a = Artifacts::compute(&g);
+        assert!(a.reverse_topo.get().is_none(), "compute kept the order");
+        assert!(std::ptr::eq(&**a.shared_descendants(&g), a.descendants(&g)));
+        assert!(std::ptr::eq(
+            a.shared_type_blind(&g).as_slice(),
+            a.type_blind(&g)
+        ));
+        assert!(std::ptr::eq(a.shared_spans(&g).as_slice(), a.spans(&g)));
+        assert!(std::ptr::eq(
+            a.shared_different_child(&g).as_slice(),
+            a.different_child(&g)
+        ));
+        let plan = a.shared_sequence_plan(&[1, 1, 1], || (vec![0; g.num_tasks()], vec![0, 1, 2]));
+        assert!(std::ptr::eq(
+            &**plan,
+            a.sequence_plan(&[1, 1, 1], || unreachable!("the plan is filled"))
+        ));
+        // The handles keep a table alive past its bundle.
+        let spans = Arc::clone(a.shared_spans(&g));
+        let want = a.spans(&g).to_vec();
+        drop(a);
+        assert_eq!(*spans, want);
+    }
+
+    #[test]
     fn lazy_fill_in_either_order_equals_compute() {
         let g = layered_job();
-        // Due dates first: spans and the order are filled on the way, and
-        // nothing else is.
+        // Due dates first: they are read off the spans, so spans and the
+        // order are filled on the way, and nothing else is.
         let a = Artifacts::new();
         a.due_dates(&g);
         assert!(a.spans.get().is_some() && a.reverse_topo.get().is_some());
@@ -253,7 +328,7 @@ mod tests {
         b.type_blind(&g);
         b.different_child(&g);
         b.spans(&g);
-        assert!(b.due_dates.get().is_none() && b.descendants.get().is_none());
+        assert!(b.descendants.get().is_none());
         b.descendants(&g);
         b.due_dates(&g);
         assert_fields_match_compute(&b, &g);
@@ -304,6 +379,6 @@ mod tests {
         let a = Artifacts::compute(&g);
         assert!(a.reverse_topo(&g).is_empty());
         assert_eq!(a.span(&g), 0);
-        assert!(a.due_dates(&g).is_empty());
+        assert!(a.due_dates(&g).to_vec().is_empty());
     }
 }

@@ -34,7 +34,7 @@ pub fn topological_order(dag: &KDag) -> Option<Vec<TaskId>> {
 /// one a separate queue would pop.
 pub(crate) fn partial_topological_order(dag: &KDag) -> Vec<TaskId> {
     let n = dag.num_tasks();
-    let mut indeg: Vec<u32> = dag.parent_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut indeg = dag.parent_counts.clone();
     let mut order = Vec::with_capacity(n);
     order.extend((0..n).filter(|&i| indeg[i] == 0).map(TaskId::from_index));
     let mut head = 0;

@@ -324,7 +324,7 @@ proptest! {
                 let (i, j) = (v.index(), perm[v.index()]);
                 let w = TaskId::from_index(j);
                 prop_assert_eq!(a.spans(&dag)[i], b.spans(&g)[j]);
-                prop_assert_eq!(a.due_dates(&dag)[i], b.due_dates(&g)[j]);
+                prop_assert_eq!(a.due_dates(&dag).get(v), b.due_dates(&g).get(w));
                 prop_assert_eq!(
                     bits(a.descendants(&dag).row(v)),
                     bits(b.descendants(&g).row(w))

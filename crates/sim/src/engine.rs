@@ -176,7 +176,9 @@ pub fn run_in(
 
 /// The one run prologue behind [`run_in`] and the evaluators: checks the
 /// inputs, initializes the policy from `artifacts` (the bundle of `job`),
-/// runs the engine and stamps its wall time.
+/// runs the engine, detaches the policy from the job — so it lets go of
+/// the bundle's tables, as at a session retirement — and stamps the wall
+/// time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_with(
     ws: &mut Workspace,
@@ -198,6 +200,7 @@ pub(crate) fn run_with(
     let wall = Instant::now();
     policy.init(job, config, opts.seed, artifacts);
     let mut out = run_engine(ws, job, config, policy, mode, opts);
+    policy.detach_job();
     out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
     out
 }

@@ -105,9 +105,11 @@ impl Assignments {
 ///
 /// One policy value is used for one job execution: [`Policy::init`] is
 /// called once before the run (offline policies precompute their tables
-/// there), then [`Policy::assign`] once per decision epoch. Engines and
-/// sessions keep policy values warm and call `init` again for each new
-/// job, so `init` must fully re-derive every per-job table.
+/// there, or take shared handles on the bundle's), then
+/// [`Policy::assign`] once per decision epoch, then
+/// [`Policy::detach_job`] when the job retires. Engines and sessions keep
+/// policy values warm and call `init` again for each new job, so `init`
+/// must fully re-derive every per-job table.
 pub trait Policy: Send {
     /// Human-readable algorithm name (used in tables and benches).
     fn name(&self) -> &str;
@@ -118,7 +120,9 @@ pub trait Policy: Send {
     /// (see [`kdag::precompute::Artifacts`]): offline policies read their
     /// graph analysis from it, filling it on first use if no earlier
     /// reader did. A sweep hands every `(algorithm, mode)` cell of one
-    /// instance the same bundle.
+    /// instance the same bundle. A policy may keep the bundle's tables
+    /// through their shared handles (`Artifacts::shared_*`) instead of
+    /// copying them, until [`Policy::detach_job`].
     ///
     /// After `init`, the policy's observable behaviour on `job` must be
     /// the same whatever ran on this value before and whichever analyses
@@ -132,11 +136,14 @@ pub trait Policy: Send {
     /// duplicates is an error the engine panics on.
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments);
 
-    /// Job-scoped detach hook: called when the session retires this
-    /// policy's job, before the value is parked in the recycle pool.
-    /// Policies holding per-job derived tables may drop or shrink them
-    /// here; behavior of a later [`Policy::init`] must not depend on
-    /// whether `detach_job` ran. The default is a no-op.
+    /// Job-scoped detach hook: called when this policy's job retires —
+    /// at the end of every engine run, and when a session retires the
+    /// job, before the value is parked in the recycle pool. A policy
+    /// holding the bundle's tables (see [`Policy::init`]) lets them go
+    /// here, so a warm value never keeps a finished instance's analysis
+    /// alive; one holding per-job derived tables may drop or shrink them.
+    /// Behavior of a later [`Policy::init`] must not depend on whether
+    /// `detach_job` ran. The default is a no-op.
     fn detach_job(&mut self) {}
 
     /// Takes (and resets) the policy's candidate-selection counters, when

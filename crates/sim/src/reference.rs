@@ -163,10 +163,12 @@ pub fn run(
         config.num_types()
     );
     policy.init(job, config, opts.seed, &kdag::Artifacts::new());
-    match mode {
+    let out = match mode {
         Mode::NonPreemptive => run_nonpreemptive(job, config, policy, opts),
         Mode::Preemptive => run_preemptive(job, config, policy, opts, opts.quantum),
-    }
+    };
+    policy.detach_job();
+    out
 }
 
 fn outcome(makespan: Time, epochs: u64, busy_time: Vec<Time>, trace: Option<Trace>) -> SimOutcome {

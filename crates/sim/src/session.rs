@@ -54,7 +54,7 @@ use crate::engine::Mode;
 use crate::instrument::RunStats;
 use crate::policy::{EpochView, Policy};
 use crate::trace::Segment;
-use crate::workspace::{JobRt, MachState, Workspace};
+use crate::workspace::{JobRt, MachState, Workspace, NO_PROC};
 use crate::Time;
 
 /// How a [`Session`] orders active jobs when handing out the epoch's
@@ -531,9 +531,11 @@ pub(crate) fn drive(
                             let chosen = j.rt.out.chosen(alpha);
                             let mut needs: Vec<TaskId> = Vec::new();
                             for &v in chosen {
-                                match j.rt.last_proc[v.index()] {
-                                    Some(p) if !used[p as usize] => used[p as usize] = true,
-                                    _ => needs.push(v),
+                                let p = j.rt.proc_of[v.index()];
+                                if p != NO_PROC && !used[p as usize] {
+                                    used[p as usize] = true;
+                                } else {
+                                    needs.push(v);
                                 }
                             }
                             let mut next_free = 0usize;
@@ -542,13 +544,13 @@ pub(crate) fn drive(
                                     next_free += 1;
                                 }
                                 used[next_free] = true;
-                                j.rt.last_proc[v.index()] = Some(next_free as u32);
+                                j.rt.proc_of[v.index()] = next_free as u32;
                             }
                             for &v in chosen {
                                 cx.mach.segments.push(Segment {
                                     task: v,
                                     rtype: alpha,
-                                    proc: j.rt.last_proc[v.index()].expect("assigned above"),
+                                    proc: j.rt.proc_of[v.index()],
                                     start: *cx.now,
                                     end: *cx.now + dt,
                                 });
@@ -574,7 +576,7 @@ pub(crate) fn drive(
                                     .complete(now, cx.mach.epoch, v.index() as u32, alpha, None);
                                 j.rt.state
                                     .complete_obs(j.job, v, now, cx.mach.epoch, Some(cx.obs));
-                                j.rt.last_proc[v.index()] = None;
+                                j.rt.proc_of[v.index()] = NO_PROC;
                             }
                         }
                     }

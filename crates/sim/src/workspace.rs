@@ -59,6 +59,9 @@ use crate::state::JobState;
 use crate::trace::Segment;
 use crate::Time;
 
+/// `JobRt::proc_of` entry of a preemptive task holding no processor.
+pub(crate) const NO_PROC: u32 = u32::MAX;
+
 /// The per-job half of the engine's mutable state: everything whose
 /// lifetime is one job, reusable across jobs of arbitrary shape via
 /// [`reset_for`](JobRt::reset_for). The single-job engine embeds one in
@@ -72,10 +75,10 @@ pub(crate) struct JobRt {
     pub(crate) out: Assignments,
     /// Duplicate-selection stamps; never cleared (see module docs).
     pub(crate) stamp: Vec<u64>,
-    /// Non-preemptive: processor each running task occupies.
+    /// Processor of each task: non-preemptive, the one a running task
+    /// occupies; preemptive, the last one it ran on (trace stability),
+    /// [`NO_PROC`] before its first run and after it completes.
     pub(crate) proc_of: Vec<u32>,
-    /// Preemptive: last processor each task ran on (trace stability).
-    pub(crate) last_proc: Vec<Option<u32>>,
     /// Session metadata: admission time of the job (0 for single runs).
     pub(crate) arrival: Time,
     /// Session metadata: first time any task of the job was dispatched.
@@ -97,13 +100,8 @@ impl JobRt {
         // epoch ids ≤ the machine's monotonic counter, so they can never
         // collide with a fresh epoch id.
         self.stamp.resize(n, 0);
-        if preemptive {
-            self.last_proc.clear();
-            self.last_proc.resize(n, None);
-        } else {
-            self.proc_of.clear();
-            self.proc_of.resize(n, 0);
-        }
+        self.proc_of.clear();
+        self.proc_of.resize(n, if preemptive { NO_PROC } else { 0 });
         self.arrival = arrival;
         self.first_start = None;
         self.finish = None;
