@@ -1,14 +1,12 @@
 //! Release-only smoke test for the `SystemSize::Huge` frontier: the full
-//! analysis pipeline — generate → streaming transitive reduction →
-//! [`Artifacts`] → ShiftBT init → KGreedy and MQB engine runs — on a
-//! ~110k-task layered IR instance.
+//! analysis pipeline — generate → [`Artifacts`] → ShiftBT init → KGreedy
+//! and MQB engine runs — on a ~110k-task layered IR instance.
 //!
 //! Two regression guards ride along:
 //!
-//! * **Memory**: the streaming reduction must stay far below the dense
-//!   n²-bit reachability matrix the pre-streaming implementation built
-//!   (~1.5 GB at this n). A counting allocator bounds its total
-//!   allocation traffic to a small multiple of the instance size.
+//! * **Memory**: a counting allocator pins the bytes
+//!   [`Artifacts::compute`] allocates to its tables' own storage, so a
+//!   stored topological order or a copied table shows up as a byte count.
 //! * **Wall clock**: each stage gets a generous budget that a linear or
 //!   near-linear implementation clears by an order of magnitude, but a
 //!   quadratic regression (≈1000× at this scale) cannot.
@@ -24,8 +22,8 @@ use std::time::{Duration, Instant};
 use fhs_core::{make_policy, Algorithm};
 use fhs_sim::{engine, Mode, Policy, RunOptions, Workspace};
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use kdag::descendants::DescendantValues;
 use kdag::precompute::Artifacts;
-use kdag::reduction::transitive_reduction;
 
 thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
@@ -91,21 +89,24 @@ fn huge_pipeline_end_to_end() {
         job.num_tasks()
     );
 
-    let (reduced, reduce_t, reduce_bytes) = staged(|| transitive_reduction(&job));
-    assert_eq!(reduced.num_tasks(), job.num_tasks());
-    assert!(reduced.num_edges() <= job.num_edges());
-    // The dense reachability matrix of the pre-streaming reduction is
-    // n²/8 bytes ≈ 1.5 GB here. The streaming pass holds O(n + E·d̄)
-    // state; 64 MB of total allocation traffic is already generous for
-    // this instance and two orders of magnitude under the dense matrix.
-    let dense_matrix = (job.num_tasks() as u64).pow(2) / 8;
-    assert!(
-        reduce_bytes < 64 << 20,
-        "streaming reduction allocated {reduce_bytes} bytes (dense matrix \
-         would be {dense_matrix}) — memory regression?"
+    let (artifacts, art_t, art_bytes) = staged(|| Artifacts::compute(&job));
+    // Each table's own storage and nothing else: per task, K descendant
+    // values (f64), a type-blind value (f64), a remaining span (u64) and
+    // a different-child distance (Option<u32>), 8K + 24 bytes; once, the
+    // descendant sweep's K-wide accumulator; per table, the `Arc`
+    // allocation holding two reference counts and the table's header.
+    // The instance is id-ordered, so no topological order is allocated.
+    let (n, k) = (job.num_tasks(), job.num_types());
+    let word = std::mem::size_of::<usize>();
+    let headers = 4 * 2 * word
+        + std::mem::size_of::<DescendantValues>()
+        + 3 * std::mem::size_of::<Vec<u64>>();
+    let table_bytes = (n * (8 * k + 24) + 8 * k + headers) as u64;
+    assert_eq!(
+        art_bytes, table_bytes,
+        "Artifacts::compute allocated {art_bytes} bytes on Huge, its tables need {table_bytes}"
     );
-
-    let (artifacts, art_t, _) = staged(|| Arc::new(Artifacts::compute(&job)));
+    let artifacts = Arc::new(artifacts);
 
     let mut shiftbt = fhs_core::shiftbt::ShiftBT::default();
     let (_, shiftbt_t, _) = staged(|| {
@@ -142,8 +143,8 @@ fn huge_pipeline_end_to_end() {
     assert!(kg_mk >= span_floor && mqb_mk >= span_floor);
 
     println!(
-        "huge smoke: {} tasks, {} edges | gen {gen_t:?} reduce {reduce_t:?} \
-         artifacts {art_t:?} shiftbt {shiftbt_t:?} kgreedy {kg_t:?} mqb {mqb_t:?}",
+        "huge smoke: {} tasks, {} edges | gen {gen_t:?} artifacts {art_t:?} \
+         ({art_bytes} bytes) shiftbt {shiftbt_t:?} kgreedy {kg_t:?} mqb {mqb_t:?}",
         job.num_tasks(),
         job.num_edges(),
     );
@@ -152,7 +153,7 @@ fn huge_pipeline_end_to_end() {
     // MQB in ~10 s on a single shared core; a quadratic (or worse)
     // regression at n ≈ 1.1 × 10⁵ blows through these by orders of
     // magnitude, while machine noise cannot.
-    let analysis = gen_t + reduce_t + art_t + shiftbt_t;
+    let analysis = gen_t + art_t + shiftbt_t;
     assert!(
         analysis < Duration::from_secs(30),
         "analysis pipeline took {analysis:?} on Huge — scaling regression?"

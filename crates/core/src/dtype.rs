@@ -29,7 +29,7 @@ impl Policy for DType {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.dist = Some(Arc::clone(artifacts.shared_different_child(job)));
+        self.dist = Some(Arc::clone(artifacts.different_child(job)));
         self.selector.invalidate();
     }
 

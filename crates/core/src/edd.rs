@@ -31,7 +31,7 @@ impl Policy for Edd {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.spans = Some(Arc::clone(artifacts.shared_spans(job)));
+        self.spans = Some(Arc::clone(artifacts.spans(job)));
         self.span = artifacts.span(job);
         self.selector.invalidate();
     }

@@ -31,7 +31,7 @@ impl Policy for MaxDP {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        self.desc = Some(Arc::clone(artifacts.shared_type_blind(job)));
+        self.desc = Some(Arc::clone(artifacts.type_blind(job)));
         self.selector.invalidate();
     }
 

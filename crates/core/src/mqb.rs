@@ -2144,7 +2144,7 @@ impl Policy for Mqb {
         match (self.info.lookahead, self.info.accuracy) {
             // The default model ranks by the bundle's own matrix.
             (Lookahead::All, Accuracy::Precise) => {
-                self.d.shared = Some(Arc::clone(artifacts.shared_descendants(job)));
+                self.d.shared = Some(Arc::clone(artifacts.descendants(job)));
             }
             // A perturbed model rewrites its copy in place, retaining the
             // allocation of a warm (worker-persistent) policy value.

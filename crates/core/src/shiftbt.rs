@@ -673,7 +673,7 @@ impl Policy for ShiftBT {
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         let due = artifacts.due_dates(job);
         let scratch = &mut self.scratch;
-        let plan = artifacts.shared_sequence_plan(config.procs_per_type(), || {
+        let plan = artifacts.sequence_plan(config.procs_per_type(), || {
             scratch.sequence_bottlenecks(job, config, due)
         });
         self.bottleneck_order.clear();

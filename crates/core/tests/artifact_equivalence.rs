@@ -374,7 +374,7 @@ fn offline_policies_read_the_bundles_own_tables_for_one_run() {
         let (bundle, job, procs) = (Arc::clone(&bundle), Arc::clone(&job), procs.clone());
         Arc::new(move || f(&bundle, &job, &procs) - 1)
     };
-    let descendants = table(|a, j, _| Arc::strong_count(a.shared_descendants(j)));
+    let descendants = table(|a, j, _| Arc::strong_count(a.descendants(j)));
     let noisy = Algorithm::MqbWith(InfoModel {
         lookahead: Lookahead::All,
         accuracy: Accuracy::Noisy,
@@ -383,24 +383,22 @@ fn offline_policies_read_the_bundles_own_tables_for_one_run() {
         (Algorithm::Mqb, Arc::clone(&descendants), 1),
         (
             Algorithm::MaxDP,
-            table(|a, j, _| Arc::strong_count(a.shared_type_blind(j))),
+            table(|a, j, _| Arc::strong_count(a.type_blind(j))),
             1,
         ),
         (
             Algorithm::DType,
-            table(|a, j, _| Arc::strong_count(a.shared_different_child(j))),
+            table(|a, j, _| Arc::strong_count(a.different_child(j))),
             1,
         ),
         (
             Algorithm::ShiftBT,
-            table(|a, _, p| {
-                Arc::strong_count(a.shared_sequence_plan(p, || unreachable!("planned")))
-            }),
+            table(|a, _, p| Arc::strong_count(a.sequence_plan(p, || unreachable!("planned")))),
             1,
         ),
         (
             Algorithm::Edd,
-            table(|a, j, _| Arc::strong_count(a.shared_spans(j))),
+            table(|a, j, _| Arc::strong_count(a.spans(j))),
             1,
         ),
         (noisy, descendants, 0),

@@ -35,11 +35,6 @@ impl Batch {
             Err(j) => j - 1,
         }
     }
-
-    /// Maps a component-local task id to its union id.
-    pub fn to_union(&self, component: usize, local: TaskId) -> TaskId {
-        TaskId::from_index(self.offsets[component] + local.index())
-    }
 }
 
 /// Builds the disjoint union of `jobs` (all must declare the same `K`).
@@ -107,7 +102,7 @@ mod tests {
         let batch = disjoint_union(&[&a, &b]);
         for j in 0..2 {
             for v in a.tasks() {
-                let u = batch.to_union(j, v);
+                let u = TaskId::from_index(batch.offsets[j] + v.index());
                 assert_eq!(batch.component_of(u), j, "task {v} of component {j}");
                 assert_eq!(batch.job.rtype(u), a.rtype(v));
                 assert_eq!(batch.job.work(u), a.work(v));

@@ -19,7 +19,7 @@
 //! ([`type_blind_descendants`]).
 
 use crate::graph::KDag;
-use crate::topo::reverse_topological_order;
+use crate::topo::children_first;
 use crate::types::TaskId;
 
 /// Dense `|V| × K` matrix of per-type descendant values.
@@ -33,22 +33,13 @@ impl DescendantValues {
     /// Computes descendant values for every task of `dag` in one reverse
     /// topological sweep, O(|V|·K + |E|·K).
     pub fn compute(dag: &KDag) -> Self {
-        Self::compute_with_order(dag, &reverse_topological_order(dag))
-    }
-
-    /// As [`DescendantValues::compute`], but over a caller-supplied reverse
-    /// topological order — lets a precompute layer topo-sort once and feed
-    /// every analysis. The accumulation is order-insensitive per task, and
-    /// with the canonical order (see [`crate::topo::reverse_topological_order`])
-    /// the result is bit-identical to [`DescendantValues::compute`].
-    pub fn compute_with_order(dag: &KDag, reverse_topo: &[TaskId]) -> Self {
         let n = dag.num_tasks();
         let k = dag.num_types();
         let mut values = vec![0.0f64; n * k];
         // One reusable per-type accumulator across the whole sweep instead
         // of a fresh allocation per task.
         let mut acc = vec![0.0f64; k];
-        for &v in reverse_topo {
+        for v in children_first(dag) {
             acc.fill(0.0);
             for &u in dag.children(v) {
                 let pr = dag.num_parents(u) as f64; // ≥ 1: u has parent v
@@ -123,16 +114,9 @@ impl DescendantValues {
 /// Equal to the per-type row sums of [`DescendantValues`], computed in a
 /// single pass without the K-factor.
 pub fn type_blind_descendants(dag: &KDag) -> Vec<f64> {
-    type_blind_descendants_with_order(dag, &reverse_topological_order(dag))
-}
-
-/// As [`type_blind_descendants`], over a caller-supplied reverse topological
-/// order (the accumulator here is a scalar register, so there is no per-task
-/// buffer to hoist — only the shared topo sort to reuse).
-pub fn type_blind_descendants_with_order(dag: &KDag, reverse_topo: &[TaskId]) -> Vec<f64> {
     let n = dag.num_tasks();
     let mut d = vec![0.0f64; n];
-    for &v in reverse_topo {
+    for v in children_first(dag) {
         let mut acc = 0.0;
         for &u in dag.children(v) {
             let pr = dag.num_parents(u) as f64;

@@ -6,8 +6,7 @@
 //! distance: completing them soonest unlocks work for other resource types.
 
 use crate::graph::KDag;
-use crate::topo::reverse_topological_order;
-use crate::types::TaskId;
+use crate::topo::children_first;
 
 /// Distance from each task to its nearest different-type descendant;
 /// `None` when every descendant (possibly none) shares the task's type.
@@ -22,17 +21,8 @@ use crate::types::TaskId;
 /// The same-type case may reuse `dist(u)` directly because `u` shares `v`'s
 /// type, so "different from `u`" and "different from `v`" coincide.
 pub fn different_child_distances(dag: &KDag) -> Vec<Option<u32>> {
-    different_child_distances_with_order(dag, &reverse_topological_order(dag))
-}
-
-/// As [`different_child_distances`], over a caller-supplied reverse
-/// topological order — used by `kdag::precompute` to share one topo sort.
-pub fn different_child_distances_with_order(
-    dag: &KDag,
-    reverse_topo: &[TaskId],
-) -> Vec<Option<u32>> {
     let mut dist: Vec<Option<u32>> = vec![None; dag.num_tasks()];
-    for &v in reverse_topo {
+    for v in children_first(dag) {
         let mut best: Option<u32> = None;
         for &u in dag.children(v) {
             let cand = if dag.rtype(u) != dag.rtype(v) {

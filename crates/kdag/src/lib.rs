@@ -23,9 +23,9 @@
 //!   ([`distance`]),
 //! * **due dates** used by the ShiftBT heuristic ([`duedate`]),
 //! * a per-job [`precompute::Artifacts`] bundle running each of the above
-//!   on first use over one shared topological sort, the input of every
-//!   scheduling policy's initialization; it stores each table once and
-//!   hands out shared handles on it,
+//!   on first use, the input of every scheduling policy's
+//!   initialization; it stores each table once and hands out the
+//!   bundle's own shared handle on it,
 //! * Graphviz DOT export ([`dot`]) and the paper's Figure-1 example DAG
 //!   ([`examples`]),
 //! * flexible (JIT-compilable) tasks with multiple placement options
@@ -72,8 +72,6 @@ pub mod flex;
 pub mod metrics;
 pub mod precompute;
 pub mod profile;
-pub mod random;
-pub mod reduction;
 pub mod text;
 pub mod topo;
 

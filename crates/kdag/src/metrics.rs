@@ -2,7 +2,7 @@
 //! and per-task remaining spans.
 
 use crate::graph::KDag;
-use crate::topo::reverse_topological_order;
+use crate::topo::children_first;
 use crate::types::{TaskId, Work};
 
 /// Per-task *remaining span*: `span(v) = w(v) + max over children span(c)`
@@ -10,14 +10,8 @@ use crate::types::{TaskId, Work};
 /// starts at `v`, the quantity LSpan ranks by and the ingredient of due
 /// dates. O(|V| + |E|).
 pub fn remaining_spans(dag: &KDag) -> Vec<Work> {
-    remaining_spans_with_order(dag, &reverse_topological_order(dag))
-}
-
-/// As [`remaining_spans`], over a caller-supplied reverse topological order
-/// — used by `kdag::precompute` to topo-sort once and feed every analysis.
-pub fn remaining_spans_with_order(dag: &KDag, reverse_topo: &[TaskId]) -> Vec<Work> {
     let mut span = vec![0; dag.num_tasks()];
-    for &v in reverse_topo {
+    for v in children_first(dag) {
         let best_child = dag
             .children(v)
             .iter()

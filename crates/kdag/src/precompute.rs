@@ -1,40 +1,39 @@
 //! Shared per-instance analysis artifacts.
 //!
-//! Every offline policy in `fhs-core` starts from one graph analysis: a
-//! topological order feeds descendant values (MQB), type-blind
-//! descendants (MaxDP), remaining spans (LSpan, and — via due dates — EDD
-//! and ShiftBT), and different-child distances (DType). A policy reads
-//! its analysis from an [`Artifacts`] bundle handed to
-//! `fhs_sim::Policy::init`, the only job-initialization hook.
+//! Every offline policy in `fhs-core` starts from one graph analysis:
+//! descendant values (MQB), type-blind descendants (MaxDP), remaining
+//! spans (LSpan, and — via due dates — EDD and ShiftBT), and
+//! different-child distances (DType). A policy reads its analysis from
+//! an [`Artifacts`] bundle handed to `fhs_sim::Policy::init`, the only
+//! job-initialization hook.
 //!
 //! Each field is filled on first use: an accessor takes the job and runs
-//! its analysis (and the shared reverse topological order it needs) once,
-//! so a bundle built with [`Artifacts::new`] computes only what its
-//! readers ask for — one policy's table plus the span behind the lower
-//! bound. [`Artifacts::compute`] fills every field at once and then drops
-//! the order, which no filled table needs again; a sweep evaluating many
-//! `(algorithm, mode)` cells on *common random numbers* builds one per
-//! sampled instance and shares it across the cells behind an `Arc`.
-//! Either way each value comes from the exact standalone analysis over
-//! the canonical order [`crate::topo::reverse_topological_order`]
-//! produces, so it is **bit-identical** whichever reader filled it first
-//! (property-tested in `fhs-core`'s `artifact_equivalence`).
+//! its analysis once, so a bundle built with [`Artifacts::new`] computes
+//! only what its readers ask for — one policy's table plus the span
+//! behind the lower bound. [`Artifacts::compute`] fills every field at
+//! once; a sweep evaluating many `(algorithm, mode)` cells on *common
+//! random numbers* builds one per sampled instance and shares it across
+//! the cells behind an `Arc`. Either way each value is exactly the
+//! standalone analysis's, so it is **bit-identical** whichever reader
+//! filled it first (property-tested in `fhs-core`'s
+//! `artifact_equivalence`).
 //!
-//! Each table is stored once, behind an `Arc`: the `shared_*` accessors
-//! return the bundle's own handle, which a policy clones and keeps for
-//! the length of one run, reading its keys from it instead of copying
-//! them.
-//! Due dates are not stored at all: [`Artifacts::due_dates`] reads
-//! `due(v) = T∞ − span(v)` off the spans.
+//! Each analysis walks the job children-first on its own, in the order
+//! [`crate::topo::reverse_topological_order`] returns: `n-1, …, 0` for an
+//! id-ordered DAG (every edge from a lower to a higher id, as every
+//! workload generator emits), which no analysis allocates, and Kahn's
+//! order reversed otherwise. No order is stored. Each is a DP
+//! over a task's children, which any reverse topological order has
+//! finished before the task, so the values do not depend on which order
+//! it is; `kdag`'s `id_order_shortcut_matches_kahn_across_a_relabelling`
+//! property test checks every field bit for bit against the same DAG
+//! relabelled to take Kahn's path.
 //!
-//! For an id-ordered DAG — every edge from a lower to a higher id, as
-//! every workload generator emits — that order is `n-1, …, 0`, taken
-//! without Kahn's algorithm. Each analysis is a DP over a task's
-//! children, which any reverse topological order has finished before the
-//! task, so the values do not depend on which order it is; `kdag`'s
-//! `id_order_shortcut_matches_kahn_across_a_relabelling` property test
-//! checks every field bit for bit against the same DAG relabelled to
-//! take Kahn's path.
+//! Each table is stored once, behind an `Arc`, and its accessor returns
+//! the bundle's own handle: a reader borrows the table through it, and a
+//! policy clones it to keep the table for the length of one run instead
+//! of copying its keys. Due dates are not stored at all:
+//! [`Artifacts::due_dates`] reads `due(v) = T∞ − span(v)` off the spans.
 //!
 //! A bundle belongs to one job: every accessor must be passed the job the
 //! bundle was first filled for.
@@ -49,20 +48,17 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::descendants::{type_blind_descendants_with_order, DescendantValues};
-use crate::distance::different_child_distances_with_order;
+use crate::descendants::{type_blind_descendants, DescendantValues};
+use crate::distance::different_child_distances;
 use crate::duedate::DueDates;
 use crate::graph::KDag;
-use crate::metrics::remaining_spans_with_order;
-use crate::topo::reverse_topological_order;
-use crate::types::{TaskId, Work};
+use crate::metrics::remaining_spans;
+use crate::types::Work;
 
 /// The per-instance analysis bundle: everything the paper policies
-/// precompute in their `init`, each field derived on first use from one
-/// shared reverse topological order.
+/// precompute in their `init`, each field derived on first use.
 #[derive(Clone, Debug, Default)]
 pub struct Artifacts {
-    reverse_topo: OnceLock<Vec<TaskId>>,
     descendants: OnceLock<Arc<DescendantValues>>,
     type_blind: OnceLock<Arc<Vec<f64>>>,
     spans: OnceLock<Arc<Vec<Work>>>,
@@ -88,63 +84,29 @@ impl Artifacts {
         Artifacts::default()
     }
 
-    /// Runs every analysis over one shared topological sort, then drops
-    /// the sort. O(|V|·K + |E|·K).
+    /// Runs every analysis. O(|V|·K + |E|·K).
     pub fn compute(dag: &KDag) -> Self {
-        let mut a = Artifacts::new();
+        let a = Artifacts::new();
         a.descendants(dag);
         a.type_blind(dag);
         a.spans(dag);
         a.different_child(dag);
-        a.reverse_topo.take();
         a
     }
 
-    /// Reverse topological order (children before parents), as
-    /// [`reverse_topological_order`]: the sweep order of every analysis.
-    fn reverse_topo(&self, dag: &KDag) -> &[TaskId] {
-        self.reverse_topo
-            .get_or_init(|| reverse_topological_order(dag))
-    }
-
     /// Per-type descendant values, as [`DescendantValues::compute`].
-    pub fn descendants(&self, dag: &KDag) -> &DescendantValues {
-        self.shared_descendants(dag)
+    pub fn descendants(&self, dag: &KDag) -> &Arc<DescendantValues> {
+        filled(&self.descendants, || DescendantValues::compute(dag))
     }
 
-    /// [`Artifacts::descendants`] as the bundle's own shared matrix: a policy
-    /// clones the handle to keep the matrix for one run.
-    pub fn shared_descendants(&self, dag: &KDag) -> &Arc<DescendantValues> {
-        filled(&self.descendants, || {
-            DescendantValues::compute_with_order(dag, self.reverse_topo(dag))
-        })
+    /// Type-blind descendant values, as [`type_blind_descendants`].
+    pub fn type_blind(&self, dag: &KDag) -> &Arc<Vec<f64>> {
+        filled(&self.type_blind, || type_blind_descendants(dag))
     }
 
-    /// Type-blind descendant values, as
-    /// [`crate::descendants::type_blind_descendants`].
-    pub fn type_blind(&self, dag: &KDag) -> &[f64] {
-        self.shared_type_blind(dag)
-    }
-
-    /// [`Artifacts::type_blind`] as the bundle's own shared table: a policy
-    /// clones the handle to keep the table for one run.
-    pub fn shared_type_blind(&self, dag: &KDag) -> &Arc<Vec<f64>> {
-        filled(&self.type_blind, || {
-            type_blind_descendants_with_order(dag, self.reverse_topo(dag))
-        })
-    }
-
-    /// Per-task remaining spans, as [`crate::metrics::remaining_spans`].
-    pub fn spans(&self, dag: &KDag) -> &[Work] {
-        self.shared_spans(dag)
-    }
-
-    /// [`Artifacts::spans`] as the bundle's own shared table: a policy
-    /// clones the handle to keep the table for one run.
-    pub fn shared_spans(&self, dag: &KDag) -> &Arc<Vec<Work>> {
-        filled(&self.spans, || {
-            remaining_spans_with_order(dag, self.reverse_topo(dag))
-        })
+    /// Per-task remaining spans, as [`remaining_spans`].
+    pub fn spans(&self, dag: &KDag) -> &Arc<Vec<Work>> {
+        filled(&self.spans, || remaining_spans(dag))
     }
 
     /// The job span `T∞(J)` — the maximum remaining span.
@@ -157,18 +119,9 @@ impl Artifacts {
         DueDates::from_spans(self.spans(dag))
     }
 
-    /// Different-child distances, as
-    /// [`crate::distance::different_child_distances`].
-    pub fn different_child(&self, dag: &KDag) -> &[Option<u32>] {
-        self.shared_different_child(dag)
-    }
-
-    /// [`Artifacts::different_child`] as the bundle's own shared table: a policy
-    /// clones the handle to keep the table for one run.
-    pub fn shared_different_child(&self, dag: &KDag) -> &Arc<Vec<Option<u32>>> {
-        filled(&self.different_child, || {
-            different_child_distances_with_order(dag, self.reverse_topo(dag))
-        })
+    /// Different-child distances, as [`different_child_distances`].
+    pub fn different_child(&self, dag: &KDag) -> &Arc<Vec<Option<u32>>> {
+        filled(&self.different_child, || different_child_distances(dag))
     }
 
     /// The sequencing plan for the machine with `procs` processors per
@@ -180,16 +133,6 @@ impl Artifacts {
     /// If the bundle's plan was computed for different processor counts:
     /// one bundle serves one machine.
     pub fn sequence_plan(
-        &self,
-        procs: &[usize],
-        fill: impl FnOnce() -> (Vec<u32>, Vec<usize>),
-    ) -> &SequencePlan {
-        self.shared_sequence_plan(procs, fill)
-    }
-
-    /// [`Artifacts::sequence_plan`] as the bundle's own shared plan: a
-    /// policy clones the handle to keep the plan for one run.
-    pub fn shared_sequence_plan(
         &self,
         procs: &[usize],
         fill: impl FnOnce() -> (Vec<u32>, Vec<usize>),
@@ -247,7 +190,6 @@ mod tests {
     /// Every field of `a` equals the eager bundle's, `f64`s bit for bit.
     fn assert_fields_match_compute(a: &Artifacts, g: &KDag) {
         let want = Artifacts::compute(g);
-        assert_eq!(a.reverse_topo(g), want.reverse_topo(g));
         assert_eq!(
             bits(a.descendants(g).values()),
             bits(want.descendants(g).values())
@@ -263,7 +205,6 @@ mod tests {
     fn artifacts_match_standalone_analyses_bitwise() {
         let g = layered_job();
         let a = Artifacts::compute(&g);
-        assert_eq!(a.reverse_topo(&g), &reverse_topological_order(&g)[..]);
         let dv = descendants::DescendantValues::compute(&g);
         assert_eq!(
             bits(a.descendants(&g).values()),
@@ -272,37 +213,35 @@ mod tests {
         );
         let tb = descendants::type_blind_descendants(&g);
         assert_eq!(bits(a.type_blind(&g)), bits(&tb));
-        assert_eq!(a.spans(&g), &metrics::remaining_spans(&g)[..]);
+        assert_eq!(**a.spans(&g), metrics::remaining_spans(&g));
         assert_eq!(a.span(&g), metrics::span(&g));
         assert_eq!(a.due_dates(&g).to_vec(), duedate::due_dates(&g));
         assert_eq!(
-            a.different_child(&g),
-            &distance::different_child_distances(&g)[..]
+            **a.different_child(&g),
+            distance::different_child_distances(&g)
         );
     }
 
     #[test]
-    fn compute_drops_the_order_and_hands_out_its_own_tables() {
+    fn compute_hands_out_its_own_tables() {
         let g = layered_job();
         let a = Artifacts::compute(&g);
-        assert!(a.reverse_topo.get().is_none(), "compute kept the order");
-        assert!(std::ptr::eq(&**a.shared_descendants(&g), a.descendants(&g)));
-        assert!(std::ptr::eq(
-            a.shared_type_blind(&g).as_slice(),
-            a.type_blind(&g)
-        ));
-        assert!(std::ptr::eq(a.shared_spans(&g).as_slice(), a.spans(&g)));
-        assert!(std::ptr::eq(
-            a.shared_different_child(&g).as_slice(),
-            a.different_child(&g)
-        ));
-        let plan = a.shared_sequence_plan(&[1, 1, 1], || (vec![0; g.num_tasks()], vec![0, 1, 2]));
-        assert!(std::ptr::eq(
-            &**plan,
+        let b = a.clone();
+        // Every read returns the one stored table, and a cloned bundle
+        // shares it.
+        assert!(Arc::ptr_eq(a.descendants(&g), b.descendants(&g)));
+        assert!(Arc::ptr_eq(a.type_blind(&g), b.type_blind(&g)));
+        assert!(Arc::ptr_eq(a.spans(&g), b.spans(&g)));
+        assert!(Arc::ptr_eq(a.different_child(&g), b.different_child(&g)));
+        let plan =
+            Arc::clone(a.sequence_plan(&[1, 1, 1], || (vec![0; g.num_tasks()], vec![0, 1, 2])));
+        assert!(Arc::ptr_eq(
+            &plan,
             a.sequence_plan(&[1, 1, 1], || unreachable!("the plan is filled"))
         ));
+        drop(b);
         // The handles keep a table alive past its bundle.
-        let spans = Arc::clone(a.shared_spans(&g));
+        let spans = Arc::clone(a.spans(&g));
         let want = a.spans(&g).to_vec();
         drop(a);
         assert_eq!(*spans, want);
@@ -311,20 +250,19 @@ mod tests {
     #[test]
     fn lazy_fill_in_either_order_equals_compute() {
         let g = layered_job();
-        // Due dates first: they are read off the spans, so spans and the
-        // order are filled on the way, and nothing else is.
+        // Due dates first: they are read off the spans, so the spans are
+        // filled on the way, and nothing else is.
         let a = Artifacts::new();
         a.due_dates(&g);
-        assert!(a.spans.get().is_some() && a.reverse_topo.get().is_some());
+        assert!(a.spans.get().is_some());
         assert!(a.descendants.get().is_none() && a.type_blind.get().is_none());
         assert!(a.different_child.get().is_none());
         a.descendants(&g);
         a.different_child(&g);
         a.type_blind(&g);
         assert_fields_match_compute(&a, &g);
-        // The reverse order: the order first, spans before due dates.
+        // The reverse order: spans before due dates.
         let b = Artifacts::new();
-        b.reverse_topo(&g);
         b.type_blind(&g);
         b.different_child(&g);
         b.spans(&g);
@@ -377,7 +315,7 @@ mod tests {
     fn empty_graph_artifacts_are_empty() {
         let g = KDagBuilder::new(2).build().unwrap();
         let a = Artifacts::compute(&g);
-        assert!(a.reverse_topo(&g).is_empty());
+        assert!(a.spans(&g).is_empty());
         assert_eq!(a.span(&g), 0);
         assert!(a.due_dates(&g).to_vec().is_empty());
     }

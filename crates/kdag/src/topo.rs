@@ -55,9 +55,30 @@ pub(crate) fn partial_topological_order(dag: &KDag) -> Vec<TaskId> {
 /// id-ordered DAG. Panics on cyclic input — only built [`KDag`]s (which
 /// are validated) should reach this.
 pub fn reverse_topological_order(dag: &KDag) -> Vec<TaskId> {
-    let mut order = topological_order(dag).expect("KDag invariant violated: cycle");
-    order.reverse();
-    order
+    children_first(dag).collect()
+}
+
+/// The tasks children-first, the sweep order of every per-task analysis
+/// (spans, descendant values, different-child distances): `n-1, …, 0`
+/// for an id-ordered DAG, with no allocation, and Kahn's order reversed
+/// otherwise. Each analysis is a DP over a task's children, which any
+/// reverse topological order has finished before the task, so the
+/// values do not depend on which order this is.
+///
+/// # Panics
+/// On cyclic input — only built [`KDag`]s (which are validated) should
+/// reach this.
+pub(crate) fn children_first(dag: &KDag) -> impl Iterator<Item = TaskId> {
+    // One of the two halves is empty: the ids, or Kahn's order.
+    let (ids, kahn) = if dag.id_ordered {
+        (0..dag.num_tasks(), Vec::new())
+    } else {
+        let order = topological_order(dag).expect("KDag invariant violated: cycle");
+        (0..0, order)
+    };
+    ids.rev()
+        .map(TaskId::from_index)
+        .chain(kahn.into_iter().rev())
 }
 
 /// Longest-path depth (in edge count) of every task: roots have depth 0,

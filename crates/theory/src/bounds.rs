@@ -129,42 +129,42 @@ mod tests {
     }
 }
 
-/// Lemma 1's full distribution: `Pr[Q = q]` where `Q` is the number of
-/// draws needed to collect all `r` red balls among `n`. From the paper's
-/// proof: `Pr[Q = r+i] = C(r+i−1, i) / C(n, r)` — the last red ball is at
-/// position `r+i` and the `i` black balls before it may sit anywhere among
-/// the first `r+i−1` positions.
-///
-/// Returns 0 outside the support `r ≤ q ≤ n` (and for `r = 0` the
-/// distribution is a point mass at 0).
-pub fn lemma1_pmf(n: u64, r: u64, q: u64) -> f64 {
-    assert!(r <= n, "cannot have more red balls than balls");
-    if r == 0 {
-        return if q == 0 { 1.0 } else { 0.0 };
-    }
-    if q < r || q > n {
-        return 0.0;
-    }
-    let i = q - r;
-    // C(r+i−1, i) / C(n, r) computed in log space for robustness.
-    (ln_choose(r + i - 1, i) - ln_choose(n, r)).exp()
-}
-
-/// `ln C(n, k)` via `ln Γ` (Stirling-free exact accumulation; n stays
-/// small in our uses).
-fn ln_choose(n: u64, k: u64) -> f64 {
-    assert!(k <= n);
-    let k = k.min(n - k);
-    let mut acc = 0.0f64;
-    for j in 0..k {
-        acc += ((n - j) as f64).ln() - ((j + 1) as f64).ln();
-    }
-    acc
-}
-
 #[cfg(test)]
 mod pmf_tests {
     use super::*;
+
+    /// Lemma 1's full distribution: `Pr[Q = q]` where `Q` is the number of
+    /// draws needed to collect all `r` red balls among `n`. From the paper's
+    /// proof: `Pr[Q = r+i] = C(r+i−1, i) / C(n, r)` — the last red ball is at
+    /// position `r+i` and the `i` black balls before it may sit anywhere among
+    /// the first `r+i−1` positions.
+    ///
+    /// Returns 0 outside the support `r ≤ q ≤ n` (and for `r = 0` the
+    /// distribution is a point mass at 0).
+    fn lemma1_pmf(n: u64, r: u64, q: u64) -> f64 {
+        assert!(r <= n, "cannot have more red balls than balls");
+        if r == 0 {
+            return if q == 0 { 1.0 } else { 0.0 };
+        }
+        if q < r || q > n {
+            return 0.0;
+        }
+        let i = q - r;
+        // C(r+i−1, i) / C(n, r) computed in log space for robustness.
+        (ln_choose(r + i - 1, i) - ln_choose(n, r)).exp()
+    }
+
+    /// `ln C(n, k)` via `ln Γ` (Stirling-free exact accumulation; n stays
+    /// small in our uses).
+    fn ln_choose(n: u64, k: u64) -> f64 {
+        assert!(k <= n);
+        let k = k.min(n - k);
+        let mut acc = 0.0f64;
+        for j in 0..k {
+            acc += ((n - j) as f64).ln() - ((j + 1) as f64).ln();
+        }
+        acc
+    }
 
     #[test]
     fn pmf_sums_to_one() {

@@ -57,16 +57,6 @@ impl AdversarialParams {
     pub fn optimal_makespan(&self) -> u64 {
         (self.procs.len() as u64 - 1) + (self.m * self.procs.last().expect("non-empty")) as u64
     }
-
-    /// The Theorem-2 lower bound on any online algorithm's competitive
-    /// ratio for this configuration:
-    /// `K + 1 − Σ_α 1/(P_α+1) − 1/(P_max+1)`.
-    pub fn competitive_lower_bound(&self) -> f64 {
-        let k = self.procs.len() as f64;
-        let sum: f64 = self.procs.iter().map(|&p| 1.0 / (p as f64 + 1.0)).sum();
-        let pmax = *self.procs.iter().max().expect("non-empty") as f64;
-        k + 1.0 - sum - 1.0 / (pmax + 1.0)
-    }
 }
 
 /// Generates one instance of the adversarial family; the positions of the
@@ -217,16 +207,6 @@ mod tests {
     fn optimal_makespan_formula() {
         let p = small();
         assert_eq!(p.optimal_makespan(), 2 + 6); // K-1 + m·P_K
-    }
-
-    #[test]
-    fn lower_bound_formula_matches_hand_computation() {
-        let p = AdversarialParams::new(vec![1, 1], 3);
-        // K+1 - (1/2 + 1/2) - 1/2 = 3 - 1 - 0.5 = 1.5? K=2: 2+1-1-0.5 = 1.5
-        assert!((p.competitive_lower_bound() - 1.5).abs() < 1e-12);
-        let p = AdversarialParams::new(vec![1000, 1000, 1000, 1000], 2);
-        // approaches K+1 = 5 for large pools
-        assert!(p.competitive_lower_bound() > 4.99);
     }
 
     #[test]
