@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
+use kdag::distance::Distances;
 use kdag::precompute::Artifacts;
 use kdag::KDag;
 
@@ -19,7 +20,7 @@ use crate::ranked::Selector;
 #[derive(Clone, Debug, Default)]
 pub struct DType {
     /// The bundle's different-child distances, held for one run.
-    dist: Option<Arc<Vec<Option<u32>>>>,
+    dist: Option<Arc<Distances>>,
     selector: Selector,
 }
 
@@ -37,7 +38,7 @@ impl Policy for DType {
         let dist = self.dist.as_deref().expect("init ran");
         // No different-type descendant sorts last.
         self.selector.assign_by_key(view, out, |_, rt| {
-            dist[rt.id.index()].map_or(f64::INFINITY, f64::from)
+            dist.get(rt.id).map_or(f64::INFINITY, f64::from)
         })
     }
 

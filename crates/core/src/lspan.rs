@@ -6,6 +6,13 @@
 //! remaining span — its remaining work plus the longest span among its
 //! children — is largest. The paper notes simple counter-examples show the
 //! out-tree optimality does **not** survive the lift to K types.
+//!
+//! The policy keeps no table of its own: it holds the bundle's remaining
+//! spans for one run, as DType holds its distances. The longest span
+//! among `v`'s children is `span(v) − work(v)` exactly (integers), so a
+//! candidate's key is `remaining + span(v) − work(v)`.
+
+use std::sync::Arc;
 
 use fhs_sim::{Assignments, EpochView, MachineConfig, Policy, SelectionStats};
 use kdag::precompute::Artifacts;
@@ -16,10 +23,10 @@ use crate::ranked::Selector;
 /// Longest-span-first policy. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct LSpan {
-    /// `max over children c of span(c)` per task; the dynamic remaining
-    /// span of a candidate is `remaining + child_span`, which under
+    /// The bundle's remaining spans, held for one run. A candidate's
+    /// dynamic remaining span is `remaining + span − work`, which under
     /// preemption correctly shrinks as the task executes.
-    child_span: Vec<Work>,
+    spans: Option<Arc<Vec<Work>>>,
     selector: Selector,
 }
 
@@ -29,22 +36,16 @@ impl Policy for LSpan {
     }
 
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
-        let spans = artifacts.spans(job);
-        self.child_span.clear();
-        self.child_span.extend(job.tasks().map(|v| {
-            job.children(v)
-                .iter()
-                .map(|&c| spans[c.index()])
-                .max()
-                .unwrap_or(0)
-        }));
+        self.spans = Some(Arc::clone(artifacts.spans(job)));
         self.selector.invalidate();
     }
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
-        let child_span = &self.child_span;
+        let spans = self.spans.as_deref().expect("init ran");
+        let job = view.job;
         self.selector.assign_by_key(view, out, |_, rt| {
-            -((rt.remaining + child_span[rt.id.index()]) as f64)
+            let child_span = spans[rt.id.index()] - job.work(rt.id);
+            -((rt.remaining + child_span) as f64)
         });
     }
 
@@ -53,9 +54,7 @@ impl Policy for LSpan {
     }
 
     fn detach_job(&mut self) {
-        // Job retirement: the child-span table indexes this job's task
-        // ids; drop the contents eagerly (capacity retained for reuse).
-        self.child_span.clear();
+        self.spans = None;
     }
 }
 

@@ -49,11 +49,14 @@
 //!   sequence positions), so pop-min is a few word operations instead of
 //!   a heap pop — and selects exactly the sorted prefix the reference's
 //!   per-epoch full sort selects. Completion events live in a circular
-//!   calendar sized by the job's largest work value (production work
-//!   values are 1–2; a binary heap covers pathological jobs). All of it
-//!   sits in a per-policy `RelaxScratch` sized once per job and reused
-//!   across rounds and — on a warm policy — across instances, in the
-//!   spirit of the PR-3 steady-state layer.
+//!   calendar with one bucket per instant of the job's largest work
+//!   value (production work values are 1–2; a binary heap covers
+//!   pathological jobs), each bucket sized by the largest batch it
+//!   holds. The target's start order is recorded as tasks start, which
+//!   is already the reference's sorted order. All of it sits in a
+//!   `RelaxScratch` built for one sequencing call and reused across its
+//!   rounds; it is dropped when the plan is stored, so no policy keeps
+//!   relaxation state between runs.
 //!
 //! # One plan per instance
 //!
@@ -86,7 +89,6 @@ pub struct ShiftBT {
     /// Bottleneck order chosen during [`Policy::init`] (most-late type
     /// first); exposed for tests and ablations.
     pub bottleneck_order: Vec<usize>,
-    scratch: RelaxScratch,
 }
 
 /// One cached one-type relaxation: the lateness and start order it
@@ -163,242 +165,238 @@ impl MinPosSet {
     }
 }
 
-/// Completion-event queue. Every pending finish time lies in
-/// `[now, now + max_work]`, so with the small work values every production
-/// workload uses (see `fhs_workloads::WORK_RANGE`) a circular calendar of
-/// `> max_work` buckets gives O(1) push and O(max_work) advance; jobs with
-/// larger work values fall back to a binary heap.
+/// Completion-event queue. Every task's work is at least 1, so every
+/// pending finish time lies in `[now + 1, now + max_work]`: with the small
+/// work values every production workload uses (see
+/// `fhs_workloads::WORK_RANGE`) a circular calendar of `> max_work`
+/// buckets gives O(1) push and O(max_work) advance; jobs with larger work
+/// values fall back to a binary heap.
 ///
-/// The calendar is one flat buffer of `slots × n` task slots: a task
-/// completes exactly once per simulation, so `n` bounds every bucket and
-/// pushes never check capacity or touch an allocator. Batch order within
-/// a bucket is insertion order — within one completion instant the
-/// cascade's arithmetic is commutative (busy counts, indegrees, ready-set
-/// inserts), so bucket order never affects the relaxation's outputs.
-#[derive(Clone, Debug, Default)]
+/// A bucket holds the tasks finishing at one instant, in push order, and
+/// grows to the largest such batch it ever holds. Within one completion
+/// instant the cascade's arithmetic is commutative (busy counts,
+/// indegrees, ready-set inserts), so batch order never affects the
+/// relaxation's outputs.
+#[derive(Debug)]
 struct Completions {
-    /// Flat power-of-two circular calendar: bucket `s` occupies
-    /// `flat[s * slot_cap ..][..lens[s]]`.
-    flat: Vec<TaskId>,
-    lens: Vec<u32>,
-    slot_cap: usize,
+    /// Power-of-two circular calendar: `buckets[t & mask]` holds the
+    /// tasks finishing at `t`. Empty on the heap path.
+    buckets: Vec<Vec<TaskId>>,
     mask: u64,
     pending: usize,
-    use_heap: bool,
-    heap: BinaryHeap<Reverse<(u64, TaskId)>>,
+    /// The heap path, for work values of `RING_SLOTS` and beyond.
+    heap: Option<BinaryHeap<Reverse<(u64, TaskId)>>>,
+    /// The heap path's batch buffer.
+    batch: Vec<TaskId>,
 }
 
-/// Largest bucket count served by the calendar path (work values of
-/// `RING_SLOTS` and beyond go through the heap).
+/// Largest bucket count served by the calendar path.
 const RING_SLOTS: usize = 8;
 
 impl Completions {
-    /// Empties the queue and picks the representation for `max_work`,
-    /// sizing calendar buckets for `n` tasks. Stale `flat` contents are
-    /// fine — `lens` gates what is ever read.
-    fn reset(&mut self, max_work: u64, min_work: u64, n: usize) {
+    /// An empty queue, on the calendar path when `max_work` allows.
+    fn new(max_work: u64) -> Self {
+        let calendar = max_work < RING_SLOTS as u64;
+        let slots = if calendar {
+            (max_work as usize + 1).next_power_of_two()
+        } else {
+            0
+        };
+        Completions {
+            buckets: vec![Vec::new(); slots],
+            mask: (slots as u64).saturating_sub(1),
+            pending: 0,
+            heap: (!calendar).then(BinaryHeap::new),
+            batch: Vec::new(),
+        }
+    }
+
+    /// Drops every pending event (capacity retained).
+    fn clear(&mut self) {
         self.pending = 0;
-        self.heap.clear();
-        self.use_heap = max_work as usize >= RING_SLOTS || min_work == 0;
-        if !self.use_heap {
-            let slots = (max_work as usize + 1).next_power_of_two();
-            self.mask = slots as u64 - 1;
-            self.slot_cap = n;
-            self.lens.clear();
-            self.lens.resize(slots, 0);
-            if self.flat.len() < slots * n {
-                self.flat.resize(slots * n, TaskId::from_index(0));
-            }
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        if let Some(h) = &mut self.heap {
+            h.clear();
         }
     }
 
     #[inline]
     fn push(&mut self, t: u64, v: TaskId) {
-        if self.use_heap {
-            self.heap.push(Reverse((t, v)));
-        } else {
-            let s = (t & self.mask) as usize;
-            let l = self.lens[s] as usize;
-            self.flat[s * self.slot_cap + l] = v;
-            self.lens[s] = l as u32 + 1;
-            self.pending += 1;
+        match &mut self.heap {
+            Some(h) => h.push(Reverse((t, v))),
+            None => {
+                self.buckets[(t & self.mask) as usize].push(v);
+                self.pending += 1;
+            }
         }
     }
 
-    /// The earliest pending finish time, which is always `>= now`.
+    /// The earliest pending finish time, which is always `> now`.
     #[inline]
     fn next_time(&self, now: u64) -> Option<u64> {
-        if self.use_heap {
-            return self.heap.peek().map(|&Reverse((t, _))| t);
+        if let Some(h) = &self.heap {
+            return h.peek().map(|&Reverse((t, _))| t);
         }
         if self.pending == 0 {
             return None;
         }
-        (now..=now + self.mask).find(|t| self.lens[(t & self.mask) as usize] != 0)
+        (now + 1..=now + self.mask).find(|t| !self.buckets[(t & self.mask) as usize].is_empty())
     }
 
-    /// Claims the batch finishing exactly at `t`: returns the flat range
-    /// holding it and marks the bucket empty. The caller reads the range
-    /// by index while pushing new events; pushes can never land in a
-    /// claimed bucket (`work ≥ 1` and `work < slots` keep them disjoint),
-    /// so the range stays intact while it is being consumed.
+    /// Takes the batch finishing exactly at `t`. Pushes made while it is
+    /// consumed finish at `t + work > t` and never join it (on the
+    /// calendar path `work < slots` keeps them out of its bucket); hand
+    /// the buffer back with [`Completions::put_back`].
     #[inline]
-    fn claim_at(&mut self, t: u64) -> std::ops::Range<usize> {
-        let s = (t & self.mask) as usize;
-        let cnt = self.lens[s] as usize;
-        self.lens[s] = 0;
-        self.pending -= cnt;
-        let base = s * self.slot_cap;
-        base..base + cnt
-    }
-
-    /// Heap-path drain: pops every task finishing exactly at `t` into
-    /// `buf` (which must be empty).
-    #[inline]
-    fn drain_heap_at(&mut self, t: u64, buf: &mut Vec<TaskId>) {
-        while let Some(&Reverse((t2, _))) = self.heap.peek() {
-            if t2 != t {
-                break;
+    fn take_at(&mut self, t: u64) -> Vec<TaskId> {
+        match &mut self.heap {
+            Some(h) => {
+                let mut batch = std::mem::take(&mut self.batch);
+                while let Some(&Reverse((t2, v))) = h.peek() {
+                    if t2 != t {
+                        break;
+                    }
+                    h.pop();
+                    batch.push(v);
+                }
+                batch
             }
-            buf.push(self.heap.pop().expect("peeked").0 .1);
+            None => {
+                let batch = std::mem::take(&mut self.buckets[(t & self.mask) as usize]);
+                self.pending -= batch.len();
+                batch
+            }
+        }
+    }
+
+    /// Returns a consumed batch's buffer, keeping its capacity.
+    #[inline]
+    fn put_back(&mut self, t: u64, mut batch: Vec<TaskId>) {
+        batch.clear();
+        match self.heap {
+            Some(_) => self.batch = batch,
+            None => self.buckets[(t & self.mask) as usize] = batch,
         }
     }
 }
 
-/// Reusable relaxation state. Sized by [`RelaxScratch::prepare`] per
-/// sequencing call; every buffer keeps its capacity across rounds and
-/// across instances on a warm policy.
-#[derive(Clone, Debug, Default)]
+/// The relaxation state of one sequencing call. It lives only inside
+/// [`sequence_bottlenecks`]: it is built for the job, reused across the
+/// rounds and dropped when the plan is returned, so no policy keeps it.
+#[derive(Debug)]
 struct RelaxScratch {
-    /// Indegree of every task in the job (template, copied per sim).
-    indeg0: Vec<u32>,
     /// Working indegrees of the current simulation.
     indeg: Vec<u32>,
-    /// Per-type EDD order: tasks sorted by `(due, id)`, computed once per
-    /// sequencing call and shared by every relaxation.
+    /// Per-type EDD order: tasks sorted by `(due, id)`, shared by every
+    /// relaxation.
     edd_order: Vec<Vec<TaskId>>,
-    /// Per-type ready set over dispatch ranks (EDD rank for the target
-    /// type, frozen-sequence rank for fixed types). Infinite-capacity
-    /// types never queue: they start the moment they become ready.
+    /// Per-type ready set over dispatch ranks. Infinite-capacity types
+    /// never queue: they start the moment they become ready.
     ready: Vec<MinPosSet>,
     /// Calendar/heap of pending finish events.
     completions: Completions,
-    /// Batch buffer for tasks finishing at the current instant.
-    drain: Vec<TaskId>,
-    /// `(start, task)` log of the target type's dispatches.
-    starts: Vec<(u64, TaskId)>,
-    /// Frozen-sequence position per task, written as each type is fixed
-    /// (task type sets are disjoint, so one flat table serves all types).
-    seq_rank: Vec<u32>,
-    /// Flat per-task dispatch rank of the current relaxation: EDD rank
-    /// for the target type, frozen-sequence rank for fixed types.
-    dispatch_rank: Vec<u32>,
+    /// Per-task dispatch rank: a fixed type's task holds its position in
+    /// the type's frozen sequence, and the current relaxation target's
+    /// task its EDD rank (task type sets are disjoint, so one flat table
+    /// serves all types). Once every type is fixed it is the plan's rank.
+    rank: Vec<u32>,
     /// Which types have been fixed so far.
     fixed: Vec<bool>,
     /// Per-type cached relaxations.
     cache: Vec<CacheEntry>,
     /// Number of tasks of each type.
     type_counts: Vec<u32>,
-    /// Largest per-task work in the job (sizes the completion calendar).
-    max_work: u64,
-    /// Smallest per-task work in the job (`0` forces the heap path: a
-    /// zero-work task can finish at the instant being drained).
-    min_work: u64,
     /// Per-type capacity of the current sim (`usize::MAX` = infinite).
     cap: Vec<usize>,
     /// Per-type running-task count of the current sim.
     busy: Vec<u32>,
-    /// Counting-sort workspace for the per-type EDD orders.
-    due_counts: Vec<u32>,
+}
+
+/// Per-type EDD orders: each type's tasks sorted by `(due, id)`. Due dates
+/// are bounded by the job span, so for every sane workload a counting
+/// sort over due values beats the comparison sort: tasks are scattered in
+/// ascending id order, which makes ties on `due` fall back to id order —
+/// exactly the reference's sort key.
+fn edd_orders(job: &KDag, due: DueDates<'_>, type_counts: &[u32]) -> Vec<Vec<TaskId>> {
+    let max_due = due.max() as usize;
+    if max_due > 8 * job.num_tasks() + 64 {
+        let mut orders: Vec<Vec<TaskId>> = type_counts
+            .iter()
+            .map(|&c| Vec::with_capacity(c as usize))
+            .collect();
+        for v in job.tasks() {
+            orders[job.rtype(v)].push(v);
+        }
+        for o in &mut orders {
+            o.sort_unstable_by_key(|&v| (due.get(v), v));
+        }
+        return orders;
+    }
+    let stride = max_due + 1;
+    let mut offsets = vec![0u32; job.num_types() * stride];
+    for v in job.tasks() {
+        offsets[job.rtype(v) * stride + due.get(v) as usize] += 1;
+    }
+    // In-place exclusive prefix sums turn counts into offsets.
+    for row in offsets.chunks_exact_mut(stride) {
+        let mut acc = 0u32;
+        for c in row {
+            let next = acc + *c;
+            *c = acc;
+            acc = next;
+        }
+    }
+    let mut orders: Vec<Vec<TaskId>> = type_counts
+        .iter()
+        .map(|&c| vec![TaskId::from_index(0); c as usize])
+        .collect();
+    for v in job.tasks() {
+        let slot = job.rtype(v) * stride + due.get(v) as usize;
+        orders[job.rtype(v)][offsets[slot] as usize] = v;
+        offsets[slot] += 1;
+    }
+    orders
 }
 
 impl RelaxScratch {
-    /// Sizes every buffer for `job`, precomputes the per-type EDD orders,
-    /// and clears all cached state. Buffers never shrink, so a warm policy
-    /// re-sequencing the same (or a smaller) job allocates nothing.
-    fn prepare(&mut self, job: &KDag, due: DueDates<'_>) {
+    /// Sizes every buffer for `job` and precomputes the per-type EDD
+    /// orders.
+    fn new(job: &KDag, due: DueDates<'_>) -> Self {
         let n = job.num_tasks();
         let k = job.num_types();
-        self.indeg0.clear();
-        self.indeg0
-            .extend((0..n).map(|i| job.num_parents(TaskId::from_index(i)) as u32));
-        self.type_counts.clear();
-        self.type_counts.resize(k, 0);
-        self.max_work = 0;
-        self.min_work = u64::MAX;
+        let mut type_counts = vec![0u32; k];
+        let mut max_work = 0;
         for v in job.tasks() {
-            self.type_counts[job.rtype(v)] += 1;
-            self.max_work = self.max_work.max(job.work(v));
-            self.min_work = self.min_work.min(job.work(v));
+            type_counts[job.rtype(v)] += 1;
+            max_work = max_work.max(job.work(v));
         }
-        self.fixed.clear();
-        self.fixed.resize(k, false);
-        self.seq_rank.clear();
-        self.seq_rank.resize(n, 0);
-        if self.edd_order.len() < k {
-            self.edd_order.resize_with(k, Vec::new);
+        RelaxScratch {
+            indeg: Vec::with_capacity(n),
+            edd_order: edd_orders(job, due, &type_counts),
+            ready: vec![MinPosSet::default(); k],
+            completions: Completions::new(max_work),
+            rank: vec![0; n],
+            fixed: vec![false; k],
+            cache: vec![CacheEntry::default(); k],
+            type_counts,
+            cap: vec![0; k],
+            busy: vec![0; k],
         }
-        for o in &mut self.edd_order[..k] {
-            o.clear();
-        }
-        // Per-type EDD order, keyed by `(due, id)`. Due dates are bounded
-        // by the job span, so for every sane workload a counting sort over
-        // due values beats the comparison sort: tasks are scattered in
-        // ascending id order, which makes ties on `due` fall back to id
-        // order — exactly the reference's sort key.
-        let max_due = due.max() as usize;
-        if max_due <= 8 * n + 64 {
-            let stride = max_due + 1;
-            self.due_counts.clear();
-            self.due_counts.resize(k * stride, 0);
-            for v in job.tasks() {
-                self.due_counts[job.rtype(v) * stride + due.get(v) as usize] += 1;
-            }
-            // In-place exclusive prefix sums turn counts into offsets.
-            for alpha in 0..k {
-                let row = &mut self.due_counts[alpha * stride..(alpha + 1) * stride];
-                let mut acc = 0u32;
-                for c in row {
-                    let next = acc + *c;
-                    *c = acc;
-                    acc = next;
-                }
-                self.edd_order[alpha]
-                    .resize(self.type_counts[alpha] as usize, TaskId::from_index(0));
-            }
-            for v in job.tasks() {
-                let slot = job.rtype(v) * stride + due.get(v) as usize;
-                let pos = self.due_counts[slot];
-                self.due_counts[slot] += 1;
-                self.edd_order[job.rtype(v)][pos as usize] = v;
-            }
-        } else {
-            for v in job.tasks() {
-                self.edd_order[job.rtype(v)].push(v);
-            }
-            for o in &mut self.edd_order[..k] {
-                o.sort_unstable_by_key(|&v| (due.get(v), v));
-            }
-        }
-        if self.ready.len() < k {
-            self.ready.resize_with(k, MinPosSet::default);
-        }
-        if self.cache.len() < k {
-            self.cache.resize_with(k, CacheEntry::default);
-        }
-        for e in &mut self.cache[..k] {
-            e.valid = false;
-        }
-        self.cap.clear();
-        self.cap.resize(k, 0);
-        self.busy.clear();
-        self.busy.resize(k, 0);
     }
 
     /// Runs the one-type relaxation for `target` and stores the result
     /// (lateness, start order, peak concurrencies) in `cache[target]`.
     /// Exits as soon as every `target` task has started: from that point
     /// the maximum lateness is fully determined.
+    ///
+    /// The start order is recorded as tasks start. The reference sorts
+    /// its starts by `(time, due, id)`, and this is already that order:
+    /// every work value is at least 1, so each instant gets one dispatch
+    /// pass and time only grows between passes, and a pass takes the
+    /// target's ready tasks in ascending EDD rank, which is `(due, id)`
+    /// order.
     ///
     /// The hot loops borrow every scratch field exactly once up front and
     /// read dispatch ranks from one flat per-task table, so admissions and
@@ -414,33 +412,30 @@ impl RelaxScratch {
                 usize::MAX
             };
         }
-        self.busy[..k].fill(0);
+        self.busy.fill(0);
         self.indeg.clear();
-        self.indeg.extend_from_slice(&self.indeg0);
+        self.indeg.extend_from_slice(job.parent_counts());
         for alpha in 0..k {
             if self.cap[alpha] != usize::MAX {
                 let m = self.type_counts[alpha] as usize;
                 self.ready[alpha].reset(m);
             }
         }
-        self.completions
-            .reset(self.max_work, self.min_work, job.num_tasks());
-        self.starts.clear();
-        let mut peaks = std::mem::take(&mut self.cache[target].peaks);
+        self.completions.clear();
+        // The target dispatches by EDD rank. Its entries are free: only a
+        // fixed type's entries are read, and the target is not fixed.
+        for (i, &v) in self.edd_order[target].iter().enumerate() {
+            self.rank[v.index()] = i as u32;
+        }
+        let target_total = self.type_counts[target] as usize;
+        let entry = &mut self.cache[target];
+        let mut peaks = std::mem::take(&mut entry.peaks);
         peaks.clear();
         peaks.resize(k, 0);
+        let mut seq = std::mem::take(&mut entry.seq);
+        seq.clear();
+        seq.reserve_exact(target_total);
 
-        // One flat dispatch-rank table for this relaxation: EDD rank for
-        // the target type, frozen-sequence rank for fixed types. Entries
-        // of infinite-capacity types are stale and never read.
-        self.dispatch_rank.clear();
-        self.dispatch_rank.extend_from_slice(&self.seq_rank);
-        for (i, &v) in self.edd_order[target].iter().enumerate() {
-            self.dispatch_rank[v.index()] = i as u32;
-        }
-
-        let target_total = self.type_counts[target];
-        let mut started_target = 0u32;
         let mut max_lateness = i64::MIN;
         let mut now = 0u64;
 
@@ -449,16 +444,14 @@ impl RelaxScratch {
             edd_order,
             ready,
             completions,
-            drain,
-            starts,
+            rank,
             cache,
             cap,
             busy,
-            dispatch_rank,
             ..
         } = self;
         let indeg = &mut indeg[..];
-        let dispatch_rank = &dispatch_rank[..];
+        let rank = &rank[..];
         let cap = &cap[..k];
         let busy = &mut busy[..k];
         let peaks_s = &mut peaks[..k];
@@ -477,7 +470,7 @@ impl RelaxScratch {
                     busy[alpha] += 1;
                     completions.push($now + job.work(v), v);
                 } else {
-                    ready[alpha].insert(dispatch_rank[v.index()] as usize);
+                    ready[alpha].insert(rank[v.index()] as usize);
                 }
             }};
         }
@@ -486,7 +479,7 @@ impl RelaxScratch {
             admit!(v, 0);
         }
 
-        while started_target < target_total {
+        while seq.len() < target_total {
             // Dispatch at `now`: each finite-capacity type starts its
             // `free` smallest-ranked ready tasks — exactly the sorted
             // prefix the reference implementation takes. Infinite types
@@ -518,8 +511,7 @@ impl RelaxScratch {
                         w &= w - 1;
                         let v = order[pos];
                         if is_target {
-                            starts.push((now, v));
-                            started_target += 1;
+                            seq.push(v);
                             max_lateness = max_lateness.max(now as i64 - due.get(v) as i64);
                         }
                         taken += 1;
@@ -536,118 +528,92 @@ impl RelaxScratch {
             for alpha in 0..k {
                 peaks_s[alpha] = peaks_s[alpha].max(busy[alpha]);
             }
-            if started_target == target_total {
+            if seq.len() == target_total {
                 break;
             }
 
             // Advance to the next completion instant and retire the whole
-            // batch before the next dispatch pass.
+            // batch before the next dispatch pass. Admissions during the
+            // batch finish after `now`, so they never join it.
             now = completions
                 .next_time(now)
                 .expect("target tasks remain, something must be running");
-            if completions.use_heap {
-                // Heap path; the re-drain loop cascades through any
-                // zero-work chains landing at the same instant.
-                let mut buf = std::mem::take(drain);
-                loop {
-                    buf.clear();
-                    completions.drain_heap_at(now, &mut buf);
-                    if buf.is_empty() {
-                        break;
-                    }
-                    for &v in &buf {
-                        busy[job.rtype(v)] -= 1;
-                        for &c in job.children(v) {
-                            let ci = c.index();
-                            indeg[ci] -= 1;
-                            if indeg[ci] == 0 {
-                                admit!(c, now);
-                            }
-                        }
-                    }
-                }
-                *drain = buf;
-            } else {
-                // Calendar path: `work ≥ 1` on this path, so admissions
-                // during the batch can never land back at `now`.
-                for i in completions.claim_at(now) {
-                    let v = completions.flat[i];
-                    busy[job.rtype(v)] -= 1;
-                    for &c in job.children(v) {
-                        let ci = c.index();
-                        indeg[ci] -= 1;
-                        if indeg[ci] == 0 {
-                            admit!(c, now);
-                        }
+            let batch = completions.take_at(now);
+            for &v in &batch {
+                busy[job.rtype(v)] -= 1;
+                for &c in job.children(v) {
+                    let ci = c.index();
+                    indeg[ci] -= 1;
+                    if indeg[ci] == 0 {
+                        admit!(c, now);
                     }
                 }
             }
+            completions.put_back(now, batch);
         }
 
-        starts.sort_unstable_by_key(|&(t, v)| (t, due.get(v), v));
         let entry = &mut cache[target];
         entry.valid = true;
         entry.lateness = max_lateness;
         entry.peaks = peaks;
-        entry.seq.clear();
-        entry.seq.extend(starts.iter().map(|&(_, v)| v));
+        entry.seq = seq;
     }
+}
 
-    /// The bottleneck-sequencing loop. It reads only the job, the
-    /// processor counts and the due dates, so its result is stored in the
-    /// instance's [`Artifacts`] bundle and computed once per instance
-    /// (see [`Artifacts::sequence_plan`]). Returns the per-task
-    /// frozen-sequence ranks and the bottleneck order. Bit-identical to
-    /// [`reference::bottleneck_sequencing`] (see the module docs for why
-    /// the caching and early exit preserve every trajectory).
-    fn sequence_bottlenecks(
-        &mut self,
-        job: &KDag,
-        config: &MachineConfig,
-        due: DueDates<'_>,
-    ) -> (Vec<u32>, Vec<usize>) {
-        let k = job.num_types();
-        self.prepare(job, due);
-        let mut bottleneck_order = Vec::with_capacity(k);
+/// The bottleneck-sequencing loop. It reads only the job, the processor
+/// counts and the due dates, so its result is stored in the instance's
+/// [`Artifacts`] bundle and computed once per instance (see
+/// [`Artifacts::sequence_plan`]); its relaxation scratch is dropped when
+/// it returns. Returns the per-task frozen-sequence ranks and the
+/// bottleneck order. Bit-identical to [`reference::bottleneck_sequencing`]
+/// (see the module docs for why the caching and early exit preserve
+/// every trajectory).
+fn sequence_bottlenecks(
+    job: &KDag,
+    config: &MachineConfig,
+    due: DueDates<'_>,
+) -> (Vec<u32>, Vec<usize>) {
+    let k = job.num_types();
+    let mut s = RelaxScratch::new(job, due);
+    let mut bottleneck_order = Vec::with_capacity(k);
 
-        for _round in 0..k {
-            let mut best: Option<(i64, usize)> = None;
-            for alpha in 0..k {
-                if self.fixed[alpha] {
-                    continue;
-                }
-                if !self.cache[alpha].valid {
-                    self.relax(job, config, alpha, due);
-                }
-                let lateness = self.cache[alpha].lateness;
-                let better = match best {
-                    None => true,
-                    Some((bl, ba)) => lateness > bl || (lateness == bl && alpha < ba),
-                };
-                if better {
-                    best = Some((lateness, alpha));
-                }
+    for _round in 0..k {
+        let mut best: Option<(i64, usize)> = None;
+        for alpha in 0..k {
+            if s.fixed[alpha] {
+                continue;
             }
-            let (_, alpha) = best.expect("an unfixed type remains each round");
-            for (pos, &v) in self.cache[alpha].seq.iter().enumerate() {
-                self.seq_rank[v.index()] = pos as u32;
+            if !s.cache[alpha].valid {
+                s.relax(job, config, alpha, due);
             }
-            self.fixed[alpha] = true;
-            bottleneck_order.push(alpha);
-            // A surviving cache must have kept the newly fixed type within
-            // its real capacity, or its trajectory no longer replays.
-            for beta in 0..k {
-                if beta != alpha
-                    && !self.fixed[beta]
-                    && self.cache[beta].valid
-                    && self.cache[beta].peaks[alpha] as usize > config.procs(alpha)
-                {
-                    self.cache[beta].valid = false;
-                }
+            let lateness = s.cache[alpha].lateness;
+            let better = match best {
+                None => true,
+                Some((bl, ba)) => lateness > bl || (lateness == bl && alpha < ba),
+            };
+            if better {
+                best = Some((lateness, alpha));
             }
         }
-        (self.seq_rank.clone(), bottleneck_order)
+        let (_, alpha) = best.expect("an unfixed type remains each round");
+        for (pos, &v) in s.cache[alpha].seq.iter().enumerate() {
+            s.rank[v.index()] = pos as u32;
+        }
+        s.fixed[alpha] = true;
+        bottleneck_order.push(alpha);
+        // A surviving cache must have kept the newly fixed type within
+        // its real capacity, or its trajectory no longer replays.
+        for beta in 0..k {
+            if beta != alpha
+                && !s.fixed[beta]
+                && s.cache[beta].valid
+                && s.cache[beta].peaks[alpha] as usize > config.procs(alpha)
+            {
+                s.cache[beta].valid = false;
+            }
+        }
     }
+    (s.rank, bottleneck_order)
 }
 
 impl ShiftBT {
@@ -668,13 +634,11 @@ impl Policy for ShiftBT {
     }
 
     /// Takes the instance's sequencing plan from `artifacts`; the first
-    /// ShiftBT init on a bundle computes it with this policy's warm
-    /// relaxation scratch.
+    /// ShiftBT init on a bundle computes it.
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         let due = artifacts.due_dates(job);
-        let scratch = &mut self.scratch;
         let plan = artifacts.sequence_plan(config.procs_per_type(), || {
-            scratch.sequence_bottlenecks(job, config, due)
+            sequence_bottlenecks(job, config, due)
         });
         self.bottleneck_order.clear();
         self.bottleneck_order
@@ -937,6 +901,43 @@ mod tests {
             (kdag::examples::figure1(), MachineConfig::uniform(3, 2)),
             (kdag::examples::figure1(), MachineConfig::new(vec![1, 3, 2])),
         ] {
+            let due = kdag::duedate::due_dates(&job);
+            let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
+            let mut p = ShiftBT::default();
+            p.init(&job, &cfg, 0, &Artifacts::new());
+            assert_eq!(p.bottleneck_order, order);
+            assert_eq!(p.rank_table(), &rank[..]);
+        }
+    }
+
+    #[test]
+    fn heap_path_matches_oracle() {
+        // Work values of `RING_SLOTS` and beyond take the completion heap
+        // (the equivalence proptests draw work values below it).
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..64 {
+            let n = 1 + next(40) as usize;
+            let mut b = KDagBuilder::new(3);
+            let ids: Vec<_> = (0..n)
+                .map(|_| b.add_task(next(3) as usize, 1 + next(20)))
+                .collect();
+            let mut edges = std::collections::BTreeSet::new();
+            for i in 1..n {
+                for _ in 0..next(4) {
+                    edges.insert((next(i as u64) as usize, i));
+                }
+            }
+            for (p, c) in edges {
+                b.add_edge(ids[p], ids[c]).unwrap();
+            }
+            let job = b.build().unwrap();
+            let cfg = MachineConfig::new(vec![1 + next(3) as usize, 1, 1 + next(2) as usize]);
             let due = kdag::duedate::due_dates(&job);
             let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();

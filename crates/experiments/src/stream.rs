@@ -150,7 +150,7 @@ impl StreamResult {
 /// runtimes are recycled across retirements — the steady-state path the
 /// session engine exists for.
 pub fn run_stream(config: &StreamConfig, cell: &StreamCell) -> StreamResult {
-    let (_, machine) = config.spec.sample(config.seed);
+    let machine = config.spec.sample_machine(config.seed);
     let mut opts = SessionOptions::new(cell.mode).with_inter(cell.inter);
     opts.quantum = cell.quantum;
     let mut session = Session::new(machine, opts);

@@ -17,7 +17,8 @@ pub enum GraphError {
     /// The finished edge set contains a directed cycle; the payload is one
     /// task on some cycle, for diagnostics.
     Cycle(TaskId),
-    /// A task was declared with a resource type `≥ K`.
+    /// A task was declared with a resource type `≥ K`, or one that does
+    /// not fit in the 32 bits a [`KDag`] stores a type in.
     TypeOutOfRange {
         /// Offending task.
         task: TaskId,
@@ -73,9 +74,11 @@ impl std::error::Error for GraphError {}
 #[derive(Clone, Debug)]
 pub struct KDagBuilder {
     k: usize,
-    rtypes: Vec<usize>,
+    rtypes: Vec<u32>,
     works: Vec<Work>,
     edges: Vec<(TaskId, TaskId)>,
+    /// The first task declared with a type out of range, and that type.
+    bad_type: Option<(TaskId, usize)>,
 }
 
 impl KDagBuilder {
@@ -86,6 +89,7 @@ impl KDagBuilder {
             rtypes: Vec::new(),
             works: Vec::new(),
             edges: Vec::new(),
+            bad_type: None,
         }
     }
 
@@ -96,6 +100,7 @@ impl KDagBuilder {
             rtypes: Vec::with_capacity(tasks),
             works: Vec::with_capacity(tasks),
             edges: Vec::with_capacity(edges),
+            bad_type: None,
         }
     }
 
@@ -104,7 +109,13 @@ impl KDagBuilder {
     /// [`KDagBuilder::build`] so generators can stay infallible.
     pub fn add_task(&mut self, rtype: usize, work: Work) -> TaskId {
         let id = TaskId::from_index(self.works.len());
-        self.rtypes.push(rtype);
+        match u32::try_from(rtype) {
+            Ok(t) if rtype < self.k => self.rtypes.push(t),
+            _ => {
+                self.bad_type.get_or_insert((id, rtype));
+                self.rtypes.push(0);
+            }
+        }
         self.works.push(work);
         id
     }
@@ -153,10 +164,10 @@ impl KDagBuilder {
         let mut total: Work = 0;
         for i in 0..n {
             let t = TaskId::from_index(i);
-            if self.rtypes[i] >= self.k {
+            if let Some((task, rtype)) = self.bad_type.filter(|&(task, _)| task == t) {
                 return Err(GraphError::TypeOutOfRange {
-                    task: t,
-                    rtype: self.rtypes[i],
+                    task,
+                    rtype,
                     k: self.k,
                 });
             }
@@ -376,6 +387,26 @@ mod tests {
         let mut b = KDagBuilder::new(2);
         let z = b.add_task(0, 0);
         assert_eq!(b.build().unwrap_err(), GraphError::ZeroWork(z));
+
+        // Errors keep id order: task 0's zero work before task 1's type.
+        let mut b = KDagBuilder::new(2);
+        let z = b.add_task(0, 0);
+        b.add_task(5, 1);
+        assert_eq!(b.build().unwrap_err(), GraphError::ZeroWork(z));
+
+        // A type wider than 32 bits is reported as declared, whatever K.
+        let wide = u32::MAX as usize + 1;
+        let mut b = KDagBuilder::new(usize::MAX);
+        b.add_task(0, 1);
+        let t = b.add_task(wide, 1);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::TypeOutOfRange {
+                task: t,
+                rtype: wide,
+                k: usize::MAX
+            }
+        );
     }
 
     #[test]

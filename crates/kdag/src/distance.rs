@@ -7,9 +7,43 @@
 
 use crate::graph::KDag;
 use crate::topo::children_first;
+use crate::types::TaskId;
 
-/// Distance from each task to its nearest different-type descendant;
-/// `None` when every descendant (possibly none) shares the task's type.
+/// "No different-type descendant". A distance counts the edges of a
+/// path, so only a chain of 2³² tasks could reach this value.
+const NONE: u32 = u32::MAX;
+
+/// Per-task different-child distances, 4 bytes a task (a task with no
+/// different-type descendant stores a sentinel).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Distances(Vec<u32>);
+
+fn decode(d: u32) -> Option<u32> {
+    (d != NONE).then_some(d)
+}
+
+impl Distances {
+    /// The distance from `v` to its nearest different-type descendant;
+    /// `None` when every descendant (possibly none) shares `v`'s type.
+    #[inline]
+    pub fn get(&self, v: TaskId) -> Option<u32> {
+        decode(self.0[v.index()])
+    }
+}
+
+/// Every distance, in task order.
+impl<'a> IntoIterator for &'a Distances {
+    type Item = Option<u32>;
+    type IntoIter =
+        std::iter::Map<std::iter::Copied<std::slice::Iter<'a, u32>>, fn(u32) -> Option<u32>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().copied().map(decode)
+    }
+}
+
+/// Distance from each task to its nearest different-type descendant (see
+/// [`Distances::get`]).
 ///
 /// Recursion (reverse topological):
 ///
@@ -20,31 +54,35 @@ use crate::topo::children_first;
 ///
 /// The same-type case may reuse `dist(u)` directly because `u` shares `v`'s
 /// type, so "different from `u`" and "different from `v`" coincide.
-pub fn different_child_distances(dag: &KDag) -> Vec<Option<u32>> {
-    let mut dist: Vec<Option<u32>> = vec![None; dag.num_tasks()];
+pub fn different_child_distances(dag: &KDag) -> Distances {
+    let mut dist = vec![NONE; dag.num_tasks()];
     for v in children_first(dag) {
-        let mut best: Option<u32> = None;
-        for &u in dag.children(v) {
-            let cand = if dag.rtype(u) != dag.rtype(v) {
-                Some(1)
-            } else {
-                dist[u.index()].map(|d| d.saturating_add(1))
-            };
-            best = match (best, cand) {
-                (None, c) => c,
-                (b, None) => b,
-                (Some(b), Some(c)) => Some(b.min(c)),
-            };
-        }
-        dist[v.index()] = best;
+        // `NONE` is the largest value, and `NONE + 1` saturates to it, so
+        // a plain minimum keeps "no descendant" out of every real distance.
+        dist[v.index()] = dag
+            .children(v)
+            .iter()
+            .map(|&u| {
+                if dag.rtype(u) != dag.rtype(v) {
+                    1
+                } else {
+                    dist[u.index()].saturating_add(1)
+                }
+            })
+            .min()
+            .unwrap_or(NONE);
     }
-    dist
+    Distances(dist)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::KDagBuilder;
+
+    fn all(g: &KDag) -> Vec<Option<u32>> {
+        different_child_distances(g).into_iter().collect()
+    }
 
     #[test]
     fn immediate_different_child_is_distance_one() {
@@ -53,7 +91,7 @@ mod tests {
         let c = b.add_task(1, 1);
         b.add_edge(a, c).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(different_child_distances(&g), vec![Some(1), None]);
+        assert_eq!(all(&g), vec![Some(1), None]);
     }
 
     #[test]
@@ -68,10 +106,7 @@ mod tests {
         b.add_edge(t1, t2).unwrap();
         b.add_edge(t2, t3).unwrap();
         let g = b.build().unwrap();
-        assert_eq!(
-            different_child_distances(&g),
-            vec![Some(3), Some(2), Some(1), None]
-        );
+        assert_eq!(all(&g), vec![Some(3), Some(2), Some(1), None]);
     }
 
     #[test]
@@ -88,8 +123,8 @@ mod tests {
         b.add_edge(mid, far).unwrap();
         let g = b.build().unwrap();
         let d = different_child_distances(&g);
-        assert_eq!(d[v.index()], Some(1));
-        assert_eq!(d[mid.index()], Some(1));
+        assert_eq!(d.get(v), Some(1));
+        assert_eq!(d.get(mid), Some(1));
     }
 
     #[test]
@@ -99,7 +134,7 @@ mod tests {
         let c = b.add_task(2, 1);
         b.add_edge(a, c).unwrap();
         let g = b.build().unwrap();
-        assert!(different_child_distances(&g).iter().all(Option::is_none));
+        assert!(all(&g).iter().all(Option::is_none));
     }
 
     #[test]
@@ -115,8 +150,8 @@ mod tests {
         b.add_edge(m, l).unwrap();
         let g = b.build().unwrap();
         let d = different_child_distances(&g);
-        assert_eq!(d[r.index()], Some(1));
-        assert_eq!(d[m.index()], None);
-        assert_eq!(d[l.index()], None);
+        assert_eq!(d.get(r), Some(1));
+        assert_eq!(d.get(m), None);
+        assert_eq!(d.get(l), None);
     }
 }

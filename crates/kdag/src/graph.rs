@@ -18,7 +18,8 @@ use crate::types::{TaskId, Work};
 #[derive(Clone, Debug)]
 pub struct KDag {
     pub(crate) k: usize,
-    pub(crate) rtypes: Vec<usize>,
+    /// Each task's type, in 32 bits (the builder rejects a wider one).
+    pub(crate) rtypes: Vec<u32>,
     pub(crate) works: Vec<Work>,
     // CSR adjacency: children of task i are child_targets[child_offsets[i]..child_offsets[i+1]].
     pub(crate) child_offsets: Vec<u32>,
@@ -85,7 +86,7 @@ impl KDag {
     /// The resource type `α` of task `v` (0-based, `< K`).
     #[inline]
     pub fn rtype(&self, v: TaskId) -> usize {
-        self.rtypes[v.index()]
+        self.rtypes[v.index()] as usize
     }
 
     /// The work `T1(v, α)` of task `v` (always ≥ 1).
@@ -108,6 +109,13 @@ impl KDag {
     #[inline]
     pub fn num_parents(&self, v: TaskId) -> usize {
         self.parent_counts[v.index()] as usize
+    }
+
+    /// Every task's number of parents, in task order: the initial
+    /// indegrees of a simulation over the job.
+    #[inline]
+    pub fn parent_counts(&self) -> &[u32] {
+        &self.parent_counts
     }
 
     /// Number of children of `v`.
@@ -156,39 +164,15 @@ impl KDag {
 
     /// Number of tasks of type `alpha`, `|V(J, α)|`.
     pub fn num_tasks_of_type(&self, alpha: usize) -> usize {
-        self.rtypes.iter().filter(|&&t| t == alpha).count()
-    }
-
-    /// Returns `true` iff `u ≺ v`, i.e. a directed path from `u` to `v`
-    /// exists. O(|V| + |E|) DFS; intended for tests and validation, not the
-    /// simulator hot path.
-    pub fn precedes(&self, u: TaskId, v: TaskId) -> bool {
-        if u == v {
-            return false;
-        }
-        let mut seen = vec![false; self.num_tasks()];
-        let mut stack = vec![u];
-        seen[u.index()] = true;
-        while let Some(x) = stack.pop() {
-            for &c in self.children(x) {
-                if c == v {
-                    return true;
-                }
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        false
+        self.rtypes.iter().filter(|&&t| t as usize == alpha).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{KDagBuilder, TaskId};
+    use crate::{KDag, KDagBuilder, TaskId};
 
-    fn diamond() -> crate::KDag {
+    fn diamond() -> KDag {
         // t0 -> {t1,t2} -> t3, types 0/1/1/0, works 1/2/3/4.
         let mut b = KDagBuilder::new(2);
         let a = b.add_task(0, 1);
@@ -245,6 +229,28 @@ mod tests {
         assert_eq!(g.num_tasks_of_type(1), 2);
     }
 
+    /// Whether a directed path leads from `u` to `v` (DFS).
+    fn precedes(g: &KDag, u: TaskId, v: TaskId) -> bool {
+        if u == v {
+            return false;
+        }
+        let mut seen = vec![false; g.num_tasks()];
+        let mut stack = vec![u];
+        seen[u.index()] = true;
+        while let Some(x) = stack.pop() {
+            for &c in g.children(x) {
+                if c == v {
+                    return true;
+                }
+                if !seen[c.index()] {
+                    seen[c.index()] = true;
+                    stack.push(c);
+                }
+            }
+        }
+        false
+    }
+
     #[test]
     fn precedes_follows_paths_not_edges_only() {
         let g = diamond();
@@ -253,11 +259,11 @@ mod tests {
             TaskId::from_index(1),
             TaskId::from_index(3),
         );
-        assert!(g.precedes(a, z)); // transitive
-        assert!(g.precedes(a, x));
-        assert!(!g.precedes(z, a));
-        assert!(!g.precedes(a, a)); // irreflexive
-        assert!(!g.precedes(x, TaskId::from_index(2))); // siblings unordered
+        assert!(precedes(&g, a, z)); // transitive
+        assert!(precedes(&g, a, x));
+        assert!(!precedes(&g, z, a));
+        assert!(!precedes(&g, a, a)); // irreflexive
+        assert!(!precedes(&g, x, TaskId::from_index(2))); // siblings unordered
     }
 
     #[test]

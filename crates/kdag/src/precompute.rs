@@ -18,8 +18,8 @@
 //! filled it first (property-tested in `fhs-core`'s
 //! `artifact_equivalence`).
 //!
-//! Each analysis walks the job children-first on its own, in the order
-//! [`crate::topo::reverse_topological_order`] returns: `n-1, …, 0` for an
+//! Each analysis walks the job children-first on its own, in
+//! [`crate::topo::topological_order`] reversed: `n-1, …, 0` for an
 //! id-ordered DAG (every edge from a lower to a higher id, as every
 //! workload generator emits), which no analysis allocates, and Kahn's
 //! order reversed otherwise. No order is stored. Each is a DP
@@ -49,7 +49,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::descendants::{type_blind_descendants, DescendantValues};
-use crate::distance::different_child_distances;
+use crate::distance::{different_child_distances, Distances};
 use crate::duedate::DueDates;
 use crate::graph::KDag;
 use crate::metrics::remaining_spans;
@@ -62,7 +62,7 @@ pub struct Artifacts {
     descendants: OnceLock<Arc<DescendantValues>>,
     type_blind: OnceLock<Arc<Vec<f64>>>,
     spans: OnceLock<Arc<Vec<Work>>>,
-    different_child: OnceLock<Arc<Vec<Option<u32>>>>,
+    different_child: OnceLock<Arc<Distances>>,
     sequence_plan: OnceLock<Arc<SequencePlan>>,
 }
 
@@ -120,7 +120,7 @@ impl Artifacts {
     }
 
     /// Different-child distances, as [`different_child_distances`].
-    pub fn different_child(&self, dag: &KDag) -> &Arc<Vec<Option<u32>>> {
+    pub fn different_child(&self, dag: &KDag) -> &Arc<Distances> {
         filled(&self.different_child, || different_child_distances(dag))
     }
 

@@ -50,14 +50,6 @@ pub(crate) fn partial_topological_order(dag: &KDag) -> Vec<TaskId> {
     order
 }
 
-/// Returns the tasks in *reverse* topological order (children before
-/// parents): [`topological_order`] reversed, so `n-1, …, 0` for an
-/// id-ordered DAG. Panics on cyclic input — only built [`KDag`]s (which
-/// are validated) should reach this.
-pub fn reverse_topological_order(dag: &KDag) -> Vec<TaskId> {
-    children_first(dag).collect()
-}
-
 /// The tasks children-first, the sweep order of every per-task analysis
 /// (spans, descendant values, different-child distances): `n-1, …, 0`
 /// for an id-ordered DAG, with no allocation, and Kahn's order reversed
@@ -113,26 +105,6 @@ pub fn layers(dag: &KDag) -> Vec<Vec<TaskId>> {
     out
 }
 
-/// Verifies that `order` is a permutation of all tasks consistent with the
-/// precedence edges. Intended for tests and schedule validation.
-pub fn is_topological_order(dag: &KDag, order: &[TaskId]) -> bool {
-    if order.len() != dag.num_tasks() {
-        return false;
-    }
-    let mut position = vec![usize::MAX; dag.num_tasks()];
-    for (pos, &v) in order.iter().enumerate() {
-        if v.index() >= dag.num_tasks() || position[v.index()] != usize::MAX {
-            return false;
-        }
-        position[v.index()] = pos;
-    }
-    dag.tasks().all(|v| {
-        dag.children(v)
-            .iter()
-            .all(|&c| position[v.index()] < position[c.index()])
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,19 +122,21 @@ mod tests {
     }
 
     #[test]
-    fn topological_order_respects_edges() {
-        let g = two_chains_joined();
-        let order = topological_order(&g).unwrap();
-        assert!(is_topological_order(&g, &order));
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn reverse_order_is_reversed() {
-        let g = two_chains_joined();
-        let mut fwd = topological_order(&g).unwrap();
-        fwd.reverse();
-        assert_eq!(fwd, reverse_topological_order(&g));
+    fn children_first_reverses_the_topological_order() {
+        // Id-ordered (no sort), and the same shape relabelled so that
+        // edges point down in id (Kahn's order): 4 -> 1 -> 0, 2 -> 3 -> 0.
+        let mut b = KDagBuilder::new(1);
+        let t: Vec<_> = (0..5).map(|_| b.add_task(0, 1)).collect();
+        b.add_edge(t[4], t[1]).unwrap();
+        b.add_edge(t[1], t[0]).unwrap();
+        b.add_edge(t[2], t[3]).unwrap();
+        b.add_edge(t[3], t[0]).unwrap();
+        let relabelled = b.build().unwrap();
+        for g in [two_chains_joined(), relabelled] {
+            let mut fwd = topological_order(&g).unwrap();
+            fwd.reverse();
+            assert_eq!(fwd, children_first(&g).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -195,19 +169,5 @@ mod tests {
         let g = KDagBuilder::new(1).build().unwrap();
         assert!(layers(&g).is_empty());
         assert_eq!(topological_order(&g).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn is_topological_order_rejects_bad_inputs() {
-        let g = two_chains_joined();
-        let mut order = topological_order(&g).unwrap();
-        // wrong length
-        assert!(!is_topological_order(&g, &order[1..]));
-        // duplicate entry
-        let dup = vec![order[0]; 5];
-        assert!(!is_topological_order(&g, &dup));
-        // edge violated
-        order.swap(0, 4); // sink before its ancestors
-        assert!(!is_topological_order(&g, &order));
     }
 }

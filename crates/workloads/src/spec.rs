@@ -139,12 +139,7 @@ impl WorkloadSpec {
     /// Deterministically samples one `(job, machine)` instance.
     pub fn sample(&self, seed: u64) -> (KDag, MachineConfig) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let config = resources::sample_config(self.k, self.size, &mut rng);
-        let config = if self.skewed {
-            resources::skew(&config)
-        } else {
-            config
-        };
+        let config = self.machine(&mut rng);
         let job = match self.family {
             Family::Ep => {
                 let p = ep::EpParams::sample(&mut rng, self.branch_range());
@@ -161,6 +156,21 @@ impl WorkloadSpec {
             }
         };
         (job, config)
+    }
+
+    /// The machine of [`WorkloadSpec::sample`]`(seed)`, without the job:
+    /// the machine is drawn first, from the same stream.
+    pub fn sample_machine(&self, seed: u64) -> MachineConfig {
+        self.machine(&mut StdRng::seed_from_u64(seed))
+    }
+
+    fn machine(&self, rng: &mut StdRng) -> MachineConfig {
+        let config = resources::sample_config(self.k, self.size, rng);
+        if self.skewed {
+            resources::skew(&config)
+        } else {
+            config
+        }
     }
 }
 
@@ -270,6 +280,28 @@ mod tests {
                     .procs_per_type()
                     .iter()
                     .all(|&p| (100..=200).contains(&p)));
+            }
+        }
+    }
+
+    #[test]
+    fn machine_only_sampling_matches_the_full_sample() {
+        for family in [Family::Ep, Family::Tree, Family::Ir] {
+            for size in [
+                SystemSize::Small,
+                SystemSize::Medium,
+                SystemSize::Large,
+                SystemSize::Huge,
+            ] {
+                let s = WorkloadSpec::new(family, Typing::Random, size, 3);
+                for (spec, seed) in [(s, 0), (s.skewed(), 1)] {
+                    assert_eq!(
+                        spec.sample_machine(seed),
+                        spec.sample(seed).1,
+                        "{} seed {seed}",
+                        spec.label()
+                    );
+                }
             }
         }
     }
