@@ -1,6 +1,7 @@
-//! # fhs-bench — fixtures for the release-only tests
+//! # fhs-bench — the release-only test suites
 //!
-//! Fixed instances for the test suites under `crates/bench/tests`:
+//! This crate holds no code: its test suites live under
+//! `crates/bench/tests`:
 //!
 //! * `bench_gates` — the speed gates: growth exponents, same-binary
 //!   speedups against retained oracles and cold paths, and the
@@ -16,37 +17,3 @@
 //! repo benchmark (`perfbench/`), not here.
 
 #![forbid(unsafe_code)]
-
-use fhs_sim::MachineConfig;
-use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
-use kdag::KDag;
-
-/// A fixed small layered-EP instance.
-pub fn small_ep() -> (KDag, MachineConfig) {
-    WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4).sample(7)
-}
-
-/// A fixed medium layered-IR instance.
-pub fn medium_ir() -> (KDag, MachineConfig) {
-    WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4).sample(7)
-}
-
-/// A fixed medium layered-tree instance.
-pub fn medium_tree() -> (KDag, MachineConfig) {
-    WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4).sample(7)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_are_nontrivial() {
-        let (ep, _) = small_ep();
-        let (ir, _) = medium_ir();
-        let (tree, _) = medium_tree();
-        assert!(ep.num_tasks() > 20);
-        assert!(ir.num_tasks() > 100);
-        assert!(tree.num_tasks() > 60);
-    }
-}

@@ -21,7 +21,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
-use fhs_sim::{engine, Mode, RunOptions, Workspace};
+use fhs_sim::{engine, MachineConfig, Mode, RunOptions, Workspace};
+use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
+use kdag::KDag;
 
 thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
@@ -80,6 +82,31 @@ fn live() -> i64 {
     LIVE.with(|b| b.get())
 }
 
+/// A fixed small layered-EP instance.
+fn small_ep() -> (KDag, MachineConfig) {
+    WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4).sample(7)
+}
+
+/// A fixed medium layered-IR instance.
+fn medium_ir() -> (KDag, MachineConfig) {
+    WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Medium, 4).sample(7)
+}
+
+/// A fixed medium layered-tree instance.
+fn medium_tree() -> (KDag, MachineConfig) {
+    WorkloadSpec::new(Family::Tree, Typing::Layered, SystemSize::Medium, 4).sample(7)
+}
+
+#[test]
+fn fixtures_are_nontrivial() {
+    let (ep, _) = small_ep();
+    let (ir, _) = medium_ir();
+    let (tree, _) = medium_tree();
+    assert!(ep.num_tasks() > 20);
+    assert!(ir.num_tasks() > 100);
+    assert!(tree.num_tasks() > 60);
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -87,7 +114,7 @@ fn live() -> i64 {
 )]
 fn epoch_loop_allocates_zero_bytes_on_reused_workspaces() {
     fhs_sim::instrument::register_alloc_probe(probe);
-    let (job, cfg) = fhs_bench::medium_ir();
+    let (job, cfg) = medium_ir();
     // The paper's six, plus MQB-Approx: its candidate orders are built in
     // the first contested round of every run.
     for algo in ALL_ALGORITHMS.into_iter().chain([Algorithm::MqbApprox]) {
@@ -145,9 +172,9 @@ fn heterogeneous_grow_then_shrink_shapes_stay_allocation_free_when_warm() {
     // never-seen dimension may allocate.
     fhs_sim::instrument::register_alloc_probe(probe);
     let shapes = [
-        ("medium-ir", fhs_bench::medium_ir()),
-        ("small-ep", fhs_bench::small_ep()),
-        ("medium-tree", fhs_bench::medium_tree()),
+        ("medium-ir", medium_ir()),
+        ("small-ep", small_ep()),
+        ("medium-tree", medium_tree()),
     ];
     for algo in ALL_ALGORITHMS {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
@@ -208,7 +235,7 @@ fn heterogeneous_grow_then_shrink_shapes_stay_allocation_free_when_warm() {
 )]
 fn per_quantum_cadence_is_also_allocation_free_when_warm() {
     fhs_sim::instrument::register_alloc_probe(probe);
-    let (job, cfg) = fhs_bench::small_ep();
+    let (job, cfg) = small_ep();
     for algo in ALL_ALGORITHMS {
         let mut ws = Workspace::new();
         let mut policy = make_policy(algo);
@@ -251,14 +278,14 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
     use kdag::precompute::Artifacts;
     use std::sync::Arc;
 
-    let (job, cfg) = fhs_bench::medium_ir();
+    let (job, cfg) = medium_ir();
     let artifacts = Arc::new(Artifacts::compute(&job));
     let mut policy = ShiftBT::default();
-    // Cold init sequences the instance and stores the plan in the bundle
-    // (and sizes the policy's own bottleneck-order copy).
+    // Cold init sequences the instance and stores the plan in the bundle.
     policy.init(&job, &cfg, 1, &artifacts);
-    let cold_order = policy.bottleneck_order.clone();
-    let cold_rank = policy.rank_table().to_vec();
+    let stored =
+        || artifacts.sequence_plan(cfg.procs_per_type(), || unreachable!("init stored it"));
+    let cold = Arc::clone(stored());
     // Warm re-init on the same bundle must only take a handle on the
     // stored plan: zero heap traffic, same answer. The budget is a hard
     // zero — a regression that re-sequences, or copies the plan, trips it
@@ -271,8 +298,7 @@ fn warm_shiftbt_init_stays_within_byte_budget() {
             bytes, 0,
             "warm ShiftBT init allocated {bytes} bytes on rerun {rerun}"
         );
-        assert_eq!(policy.bottleneck_order, cold_order, "rerun {rerun}");
-        assert_eq!(policy.rank_table(), &cold_rank[..], "rerun {rerun}");
+        assert!(Arc::ptr_eq(stored(), &cold), "rerun {rerun}");
     }
 }
 
@@ -291,18 +317,21 @@ fn shiftbt_sequencing_leaves_only_the_plan_live() {
     // the policy sequences, with a relaxation scratch that lives only for
     // that call. Once `init` returns, a fresh policy has left live only
     // the plan's own storage (a rank per task, the bottleneck order and
-    // the processor counts), the shared allocation holding it (two
-    // reference counts and the plan), and its own copy of the bottleneck
-    // order.
-    let (job, cfg) = fhs_bench::medium_ir();
+    // the processor counts) and the shared allocation holding it (two
+    // reference counts and the plan).
+    let (job, cfg) = medium_ir();
     let unplanned = || {
         let bundle = Artifacts::new();
         bundle.spans(&job);
         bundle
     };
-    let mut first = ShiftBT::default();
-    first.init(&job, &cfg, 1, &unplanned());
-    let cold_rank = first.rank_table().to_vec();
+    let stored = |bundle: &Artifacts| {
+        let plan = bundle.sequence_plan(cfg.procs_per_type(), || unreachable!("init stored it"));
+        SequencePlan::clone(plan)
+    };
+    let first = unplanned();
+    ShiftBT::default().init(&job, &cfg, 1, &first);
+    let cold = stored(&first);
     let k = job.num_types() as i64;
     let shared = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<SequencePlan>();
     let plan_bytes = 4 * job.num_tasks() as i64 + 2 * 8 * k + shared as i64;
@@ -313,13 +342,10 @@ fn shiftbt_sequencing_leaves_only_the_plan_live() {
         policy.init(&job, &cfg, 1, &bundle);
         let kept = live() - before;
         assert_eq!(
-            kept,
-            plan_bytes + 8 * k,
-            "ShiftBT sequencing left {kept} bytes live on rerun {rerun}, \
-             the plan and the policy's bottleneck order need {}",
-            plan_bytes + 8 * k
+            kept, plan_bytes,
+            "ShiftBT sequencing left {kept} bytes live on rerun {rerun}, the plan needs {plan_bytes}"
         );
-        assert_eq!(policy.rank_table(), &cold_rank[..], "rerun {rerun}");
+        assert_eq!(stored(&bundle), cold, "rerun {rerun}");
     }
 }
 
@@ -332,12 +358,15 @@ fn observed_epoch_loop_is_also_allocation_free_when_warm() {
     use fhs_sim::ObsConfig;
 
     fhs_sim::instrument::register_alloc_probe(probe);
-    let (job, cfg) = fhs_bench::medium_ir();
+    let (job, cfg) = medium_ir();
     // Every recording channel on: utilization timeline, latency + depth
     // histograms, and the bounded event trace. The recorder state lives in
     // the workspace, so the first observed run sizes its buffers (allowed
     // to allocate) and warm reruns must stay at exactly zero.
-    let opts = RunOptions::seeded(1).with_observe(ObsConfig::all());
+    let opts = RunOptions {
+        observe: ObsConfig::all(),
+        ..RunOptions::seeded(1)
+    };
     for algo in ALL_ALGORITHMS {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
             let mut ws = Workspace::new();
@@ -553,7 +582,7 @@ fn session_epoch_loop_stays_allocation_free_on_recycled_waves_when_warm() {
     // the session engine exists for: with recycled policies on a warm
     // workspace, an entire extra wave of jobs adds 0 bytes.
     fhs_sim::instrument::register_alloc_probe(probe);
-    let (job, cfg) = fhs_bench::small_ep();
+    let (job, cfg) = small_ep();
     let job = Arc::new(job);
     let artifacts = Arc::new(Artifacts::compute(&job));
 

@@ -187,18 +187,19 @@ fn huge_pipeline_end_to_end() {
     );
     let artifacts = Arc::new(artifacts);
 
-    // ShiftBT keeps the plan it stores in the bundle (a rank per task,
-    // the bottleneck order, the processor counts, and the shared
-    // allocation holding them) and its own copy of the bottleneck order:
-    // its relaxation scratch is gone once `init` returns.
+    // ShiftBT keeps only the plan it stores in the bundle (a rank per
+    // task, the bottleneck order, the processor counts, and the shared
+    // allocation holding them): its relaxation scratch is gone once
+    // `init` returns.
     let mut shiftbt = fhs_core::shiftbt::ShiftBT::default();
     let (_, shiftbt_t, _, shiftbt_live) = staged(|| {
         shiftbt.init(&job, &cfg, 2, &artifacts);
     });
-    assert_eq!(shiftbt.bottleneck_order.len(), 4);
-    assert_eq!(shiftbt.rank_table().len(), job.num_tasks());
+    let plan = artifacts.sequence_plan(cfg.procs_per_type(), || unreachable!("init stored it"));
+    assert_eq!(plan.bottleneck_order.len(), 4);
+    assert_eq!(plan.rank.len(), job.num_tasks());
     let plan_bytes = 4 * n + 2 * word * k + 2 * word + std::mem::size_of::<SequencePlan>();
-    let shiftbt_scratch = shiftbt_live - (plan_bytes + word * k) as i64;
+    let shiftbt_scratch = shiftbt_live - plan_bytes as i64;
     assert_eq!(
         shiftbt_scratch, 0,
         "ShiftBT init kept {shiftbt_scratch} bytes beyond its plan"

@@ -163,7 +163,7 @@ mod tests {
                 );
                 let bound: u64 = kdag::metrics::span(&job)
                     + (0..3)
-                        .map(|a| job.total_work_of_type(a).div_ceil(p as u64))
+                        .map(|a| job.total_work_per_type()[a].div_ceil(p as u64))
                         .sum::<u64>();
                 assert!(out.makespan <= bound);
             }

@@ -86,9 +86,6 @@ pub struct ShiftBT {
     /// The bundle's sequencing plan, held for one run.
     plan: Option<Arc<SequencePlan>>,
     selector: Selector,
-    /// Bottleneck order chosen during [`Policy::init`] (most-late type
-    /// first); exposed for tests and ablations.
-    pub bottleneck_order: Vec<usize>,
 }
 
 /// One cached one-type relaxation: the lateness and start order it
@@ -616,18 +613,6 @@ fn sequence_bottlenecks(
     (s.rank, bottleneck_order)
 }
 
-impl ShiftBT {
-    /// The per-task dispatch keys of the plan this policy holds (each
-    /// task's position in its type's frozen sequence; empty between
-    /// runs). Copied out, for tests and ablations.
-    pub fn rank_table(&self) -> Vec<f64> {
-        self.plan
-            .iter()
-            .flat_map(|p| p.rank.iter().map(|&r| f64::from(r)))
-            .collect()
-    }
-}
-
 impl Policy for ShiftBT {
     fn name(&self) -> &str {
         "ShiftBT"
@@ -640,9 +625,6 @@ impl Policy for ShiftBT {
         let plan = artifacts.sequence_plan(config.procs_per_type(), || {
             sequence_bottlenecks(job, config, due)
         });
-        self.bottleneck_order.clear();
-        self.bottleneck_order
-            .extend_from_slice(&plan.bottleneck_order);
         self.plan = Some(Arc::clone(plan));
         self.selector.invalidate();
     }
@@ -817,13 +799,23 @@ mod tests {
     use fhs_sim::{engine, Mode, RunOptions};
     use kdag::KDagBuilder;
 
+    /// The plan `p` holds.
+    fn plan(p: &ShiftBT) -> &SequencePlan {
+        p.plan.as_deref().expect("init ran")
+    }
+
+    /// The plan's ranks in the oracle's form.
+    fn ranks(p: &ShiftBT) -> Vec<f64> {
+        plan(p).rank.iter().map(|&r| f64::from(r)).collect()
+    }
+
     #[test]
     fn every_type_gets_sequenced_exactly_once() {
         let job = kdag::examples::figure1();
         let cfg = MachineConfig::uniform(3, 2);
         let mut p = ShiftBT::default();
         p.init(&job, &cfg, 0, &Artifacts::new());
-        let mut order = p.bottleneck_order.clone();
+        let mut order = plan(&p).bottleneck_order.clone();
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2]);
     }
@@ -876,7 +868,7 @@ mod tests {
         let cfg = MachineConfig::new(vec![1, 2]);
         let mut p = ShiftBT::default();
         p.init(&job, &cfg, 0, &Artifacts::new());
-        assert_eq!(p.bottleneck_order[0], 1);
+        assert_eq!(plan(&p).bottleneck_order[0], 1);
     }
 
     #[test]
@@ -905,8 +897,8 @@ mod tests {
             let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();
             p.init(&job, &cfg, 0, &Artifacts::new());
-            assert_eq!(p.bottleneck_order, order);
-            assert_eq!(p.rank_table(), &rank[..]);
+            assert_eq!(plan(&p).bottleneck_order, order);
+            assert_eq!(ranks(&p), rank);
         }
     }
 
@@ -942,8 +934,8 @@ mod tests {
             let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();
             p.init(&job, &cfg, 0, &Artifacts::new());
-            assert_eq!(p.bottleneck_order, order);
-            assert_eq!(p.rank_table(), &rank[..]);
+            assert_eq!(plan(&p).bottleneck_order, order);
+            assert_eq!(ranks(&p), rank);
         }
     }
 
@@ -967,13 +959,11 @@ mod tests {
         warm.init(&job_b, &cfg_b, 0, &Artifacts::new());
         let mut cold = ShiftBT::default();
         cold.init(&job_b, &cfg_b, 0, &Artifacts::new());
-        assert_eq!(warm.bottleneck_order, cold.bottleneck_order);
-        assert_eq!(warm.rank_table(), cold.rank_table());
+        assert_eq!(plan(&warm), plan(&cold));
 
         warm.init(&job_a, &cfg_a, 0, &Artifacts::new());
         let mut cold_a = ShiftBT::default();
         cold_a.init(&job_a, &cfg_a, 0, &Artifacts::new());
-        assert_eq!(warm.bottleneck_order, cold_a.bottleneck_order);
-        assert_eq!(warm.rank_table(), cold_a.rank_table());
+        assert_eq!(plan(&warm), plan(&cold_a));
     }
 }

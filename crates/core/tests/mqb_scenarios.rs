@@ -204,6 +204,12 @@ fn preemptive_mqb_reconsiders_running_tasks() {
     );
     let tr = out.trace.expect("requested");
     // the gpu task must start well before `long` finishes
-    let gpu_start = tr.task_segments(gpu)[0].start;
+    let gpu_start = tr
+        .segments()
+        .iter()
+        .filter(|s| s.task == gpu)
+        .map(|s| s.start)
+        .min()
+        .expect("gpu ran");
     assert!(gpu_start <= 4, "gpu started only at {gpu_start}");
 }

@@ -66,7 +66,10 @@ proptest! {
                 let plain = engine::run(
                     &dag, &cfg, make_policy(algo).as_mut(), mode, &plain_opts,
                 );
-                let seen_opts = plain_opts.clone().with_observe(ObsConfig::all());
+                let seen_opts = RunOptions {
+                    observe: ObsConfig::all(),
+                    ..plain_opts.clone()
+                };
                 let seen = engine::run(
                     &dag, &cfg, make_policy(algo).as_mut(), mode, &seen_opts,
                 );

@@ -68,7 +68,7 @@ proptest! {
         // quantum 1): T ≤ T∞ + Σ_α ⌈T1_α / P_α⌉.
         let additive: u64 = kdag::metrics::span(&dag)
             + (0..dag.num_types())
-                .map(|a| dag.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
+                .map(|a| dag.total_work_per_type()[a].div_ceil(cfg.procs(a) as u64))
                 .sum::<u64>();
         let cadences = [
             (Mode::NonPreemptive, RunOptions::default()),

@@ -119,11 +119,9 @@ proptest! {
         let (dag, seed) = &jobs[0];
         for algo in ALL_ALGORITHMS {
             for (mode, quantum) in CADENCES {
-                let mut opts = RunOptions::seeded(*seed).with_observe(fhs_sim::ObsConfig {
-                    utilization: true,
-                    ..fhs_sim::ObsConfig::default()
-                });
+                let mut opts = RunOptions::seeded(*seed);
                 opts.quantum = quantum;
+                opts.observe.utilization = true;
                 let single = engine::run(dag, &cfg, make_policy(algo).as_mut(), mode, &opts);
 
                 let mut s = Session::new(cfg.clone(), session_opts(mode, quantum));

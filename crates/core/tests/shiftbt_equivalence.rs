@@ -39,12 +39,16 @@ fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
     proptest::collection::vec(1usize..5, k).prop_map(MachineConfig::new)
 }
 
+/// Inits `p` on a fresh bundle and checks the plan it stored there.
 fn assert_matches_oracle(job: &KDag, cfg: &MachineConfig, p: &mut ShiftBT) {
     let due = duedate::due_dates(job);
     let (order, rank) = reference::bottleneck_sequencing(job, cfg, &due);
-    p.init(job, cfg, 0, &Artifacts::new());
-    assert_eq!(p.bottleneck_order, order, "bottleneck order diverged");
-    assert_eq!(p.rank_table(), &rank[..], "rank table diverged");
+    let bundle = Artifacts::new();
+    p.init(job, cfg, 0, &bundle);
+    let plan = bundle.sequence_plan(cfg.procs_per_type(), || unreachable!("init stored it"));
+    assert_eq!(plan.bottleneck_order, order, "bottleneck order diverged");
+    let plan_rank: Vec<f64> = plan.rank.iter().map(|&r| f64::from(r)).collect();
+    assert_eq!(plan_rank, rank, "rank table diverged");
 }
 
 proptest! {

@@ -36,8 +36,8 @@ pub mod table;
 pub mod telemetry;
 
 pub use runner::{
-    run_cell, run_sweep, run_sweep_observed, run_sweep_rows, Cell, CellObs, InstanceRuns,
-    SweepCell, SweepCellResult,
+    run_sweep, run_sweep_observed, run_sweep_rows, CellObs, InstanceRuns, SweepCell,
+    SweepCellResult,
 };
 pub use shard::{
     capture_util_addends, merge_shards, shard_fragment, ShardMeta, SHARD_SCHEMA_VERSION,

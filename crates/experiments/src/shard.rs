@@ -31,7 +31,7 @@
 //! export them directly via `--trace-out` instead.
 
 use fhs_obs::json::{json_f64, json_string, parse, Value};
-use fhs_obs::HistSnapshot;
+use fhs_obs::{HistSnapshot, BUCKETS};
 use fhs_sim::RunStats;
 
 use crate::obsout::{self, parse_stats, stats_json};
@@ -190,19 +190,34 @@ fn lenient_f64(v: &Value) -> f64 {
     v.as_f64().unwrap_or(f64::NAN)
 }
 
+/// Reads a histogram back, checking what [`HistSnapshot::from_parts`]
+/// requires: bucket indices below [`BUCKETS`] in strictly ascending
+/// order, non-zero counts, and counts that sum to `count`.
 fn parse_hist(v: &Value) -> Result<HistSnapshot, String> {
     let count = want_u64(v, "count")?;
     let max = want_u64(v, "max")?;
     let sum = want_u64(v, "sum")?;
-    let mut buckets = Vec::new();
+    let mut buckets: Vec<(u16, u64)> = Vec::new();
+    let mut total = 0u64;
     for pair in want_arr(v, "buckets")? {
         let p = pair.as_array().ok_or("bucket entry is not a pair")?;
         if p.len() != 2 {
             return Err("bucket entry is not a pair".into());
         }
-        let idx = p[0].as_u64().ok_or("bad bucket index")?;
-        let n = p[1].as_u64().ok_or("bad bucket count")?;
-        buckets.push((idx as u16, n));
+        let idx = p[0]
+            .as_u64()
+            .filter(|&i| i < BUCKETS as u64)
+            .ok_or("bad bucket index")?;
+        let idx = u16::try_from(idx).expect("BUCKETS fits u16");
+        if buckets.last().is_some_and(|&(prev, _)| prev >= idx) {
+            return Err(format!("bucket {idx} out of order"));
+        }
+        let n = p[1].as_u64().filter(|&n| n > 0).ok_or("bad bucket count")?;
+        total = total.checked_add(n).ok_or("bucket counts overflow")?;
+        buckets.push((idx, n));
+    }
+    if total != count {
+        return Err(format!("bucket counts sum to {total}, not count {count}"));
     }
     Ok(HistSnapshot::from_parts(count, max, sum, buckets))
 }
@@ -581,6 +596,119 @@ mod tests {
                 .replacen("\"d\":[", "\"d\":[0.5,", 1);
         let widened = vec![frags[0].clone(), wider];
         assert!(merge_shards(&widened).unwrap_err().contains("wrong width"));
+    }
+
+    /// One real two-shard fragment set with every channel recorded.
+    fn observed_fragments() -> &'static [String] {
+        static FRAGS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        FRAGS.get_or_init(|| {
+            let (spec, cells, labels) = setup();
+            fragments_for(&spec, &cells, &labels, 4, 11, ObsConfig::all(), &[0, 2, 4])
+        })
+    }
+
+    /// Merges two observed fragments, the second's first queue-depth
+    /// histogram replaced by the JSON object `hist`.
+    fn merge_with_queue_depth(hist: &str) -> Result<String, String> {
+        let frags = observed_fragments();
+        let key = "\"queue_depth\":";
+        let start = frags[1].find(key).expect("recording ran") + key.len();
+        let end = start + frags[1][start..].find('}').expect("a closed object") + 1;
+        let bad = format!("{}{hist}{}", &frags[1][..start], &frags[1][end..]);
+        merge_shards(&[frags[0].clone(), bad])
+    }
+
+    #[test]
+    fn merge_takes_a_well_formed_histogram() {
+        let hist = r#"{"count":3,"max":40,"sum":47,"buckets":[[1,1],[40,2]]}"#;
+        assert!(merge_with_queue_depth(hist).is_ok());
+    }
+
+    #[test]
+    fn merge_rejects_a_bucket_index_past_the_table() {
+        for idx in [BUCKETS, 600, 65_536 + 1] {
+            let hist = format!(r#"{{"count":1,"max":5,"sum":5,"buckets":[[{idx},1]]}}"#);
+            let err = merge_with_queue_depth(&hist).unwrap_err();
+            assert!(err.contains("bucket index"), "{idx}: {err}");
+        }
+    }
+
+    #[test]
+    fn merge_rejects_buckets_out_of_order() {
+        for buckets in ["[[5,1],[2,1]]", "[[3,1],[3,1]]"] {
+            let hist = format!(r#"{{"count":2,"max":5,"sum":7,"buckets":{buckets}}}"#);
+            let err = merge_with_queue_depth(&hist).unwrap_err();
+            assert!(err.contains("out of order"), "{buckets}: {err}");
+        }
+    }
+
+    #[test]
+    fn merge_rejects_a_zero_bucket_count() {
+        let hist = r#"{"count":1,"max":5,"sum":5,"buckets":[[2,0],[5,1]]}"#;
+        let err = merge_with_queue_depth(hist).unwrap_err();
+        assert!(err.contains("bucket count"), "{err}");
+    }
+
+    #[test]
+    fn merge_rejects_bucket_counts_that_miss_the_total() {
+        for (count, buckets) in [(3, "[[5,1]]"), (1, "[[2,1],[5,1]]")] {
+            let hist = format!(r#"{{"count":{count},"max":5,"sum":5,"buckets":{buckets}}}"#);
+            let err = merge_with_queue_depth(&hist).unwrap_err();
+            assert!(err.contains("sum to"), "{buckets}: {err}");
+        }
+        let hist = format!(
+            r#"{{"count":1,"max":5,"sum":5,"buckets":[[1,{}],[2,2]]}}"#,
+            u64::MAX
+        );
+        assert!(merge_with_queue_depth(&hist)
+            .unwrap_err()
+            .contains("overflow"));
+    }
+
+    proptest::proptest! {
+        // 4096 cases, about a second in debug: only about one case in a
+        // thousand mangles a histogram bucket into a parseable but
+        // invalid one.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Truncated, spliced and byte-flipped fragments are merged or
+        /// refused, never a panic.
+        #[test]
+        fn merge_survives_mangled_fragments(
+            edits in proptest::collection::vec(
+                (0u8..3, 0usize..2, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), 1u8..=255),
+                1..4,
+            ),
+        ) {
+            let mut frags: Vec<Vec<u8>> =
+                observed_fragments().iter().map(|f| f.clone().into_bytes()).collect();
+            for (op, which, at, len, mask) in edits {
+                let other = frags[1 - which].clone();
+                let f = &mut frags[which];
+                let at = at as usize % (f.len() + 1);
+                match op {
+                    // Truncate at `at`.
+                    0 => f.truncate(at),
+                    // Splice in up to 64 bytes of the other fragment.
+                    1 => {
+                        let from = len as usize % (other.len() + 1);
+                        let to = (from + 1 + len as usize % 64).min(other.len());
+                        f.splice(at..at, other[from..to].iter().copied());
+                    }
+                    // Flip the bits of `mask` in one byte.
+                    _ => {
+                        if let Some(b) = f.get_mut(at) {
+                            *b ^= mask;
+                        }
+                    }
+                }
+            }
+            let frags: Vec<String> = frags
+                .iter()
+                .map(|f| String::from_utf8_lossy(f).into_owned())
+                .collect();
+            let _ = merge_shards(&frags);
+        }
     }
 
     #[test]

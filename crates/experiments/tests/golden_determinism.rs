@@ -1,6 +1,6 @@
 //! Golden determinism pins for all six algorithms in both modes: exact
-//! makespans and trace hashes on one fixed instance, and exact
-//! [`run_cell_ratios`] outputs on a small cell. These freeze the full
+//! makespans and trace hashes on one fixed instance, and the exact
+//! per-instance ratios of each cell swept alone over a small workload. These freeze the full
 //! seed→schedule pipeline (generator sampling, policy decisions, engine
 //! event order), so an engine or policy refactor that silently changes
 //! any schedule fails here even when every invariant test still passes.
@@ -11,7 +11,7 @@
 //! in the commit.
 
 use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
-use fhs_experiments::runner::{instance_seed, run_cell_ratios, Cell};
+use fhs_experiments::runner::{instance_seed, run_sweep, SweepCell};
 use fhs_sim::{engine, trace, Mode, RunOptions};
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
@@ -252,9 +252,9 @@ fn golden_run_cell_ratios() {
     let spec = WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4);
     assert_eq!(GOLDEN_RATIOS.len(), ALL_ALGORITHMS.len() * 2);
     for &(algo, mode, expected) in GOLDEN_RATIOS {
-        let got = run_cell_ratios(&Cell::new(spec, algo, mode), 6, 0x5EED, Some(1));
+        let got = run_sweep(&spec, &[SweepCell::new(algo, mode)], 6, 0x5EED, Some(1));
         assert_eq!(
-            got,
+            got[0].ratios,
             expected,
             "{} {:?}: per-instance ratios drifted",
             algo.label(),

@@ -62,9 +62,8 @@ mod tests {
         let g = figure1();
         assert_eq!(g.num_types(), 3);
         assert_eq!(g.num_tasks(), 14);
-        assert_eq!(g.total_work_of_type(0), 7, "α1 (circle) work");
-        assert_eq!(g.total_work_of_type(1), 4, "α2 (square) work");
-        assert_eq!(g.total_work_of_type(2), 3, "α3 (triangle) work");
+        // α1 (circle), α2 (square), α3 (triangle).
+        assert_eq!(g.total_work_per_type(), vec![7, 4, 3], "per-type work");
         assert_eq!(metrics::span(&g), 7, "T∞(J)");
     }
 
@@ -73,14 +72,5 @@ mod tests {
         let g = figure1();
         assert!(g.tasks().all(|v| g.work(v) == 1));
         assert_eq!(g.roots().count(), 1);
-    }
-
-    #[test]
-    fn figure1_critical_path_alternates_types() {
-        let g = figure1();
-        let path = metrics::critical_path(&g);
-        assert_eq!(path.len(), 7);
-        let types: Vec<usize> = path.iter().map(|&v| g.rtype(v)).collect();
-        assert_eq!(types, vec![0, 1, 0, 2, 0, 1, 0]);
     }
 }

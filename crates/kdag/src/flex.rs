@@ -123,11 +123,6 @@ impl FlexKDagBuilder {
         id
     }
 
-    /// Convenience: a task fixed to one type (no flexibility).
-    pub fn add_fixed_task(&mut self, rtype: usize, work: Work) -> TaskId {
-        self.add_task(vec![Placement { rtype, work }])
-    }
-
     /// Adds a precedence edge; same eager checks as the plain builder.
     pub fn add_edge(&mut self, from: TaskId, to: TaskId) -> Result<(), GraphError> {
         let n = self.options.len();
@@ -199,7 +194,7 @@ mod tests {
             Placement { rtype: 0, work: 4 },
             Placement { rtype: 1, work: 2 },
         ]);
-        let c = b.add_fixed_task(0, 3);
+        let c = b.add_task(vec![Placement { rtype: 0, work: 3 }]);
         b.add_edge(a, c).unwrap();
         b.build().unwrap()
     }
@@ -251,8 +246,8 @@ mod tests {
     #[test]
     fn build_rejects_cycles() {
         let mut b = FlexKDagBuilder::new(1);
-        let a = b.add_fixed_task(0, 1);
-        let c = b.add_fixed_task(0, 1);
+        let a = b.add_task(vec![Placement { rtype: 0, work: 1 }]);
+        let c = b.add_task(vec![Placement { rtype: 0, work: 1 }]);
         b.add_edge(a, c).unwrap();
         b.add_edge(c, a).unwrap();
         assert!(matches!(b.build(), Err(GraphError::Cycle(_))));

@@ -118,13 +118,6 @@ impl KDag {
         &self.parent_counts
     }
 
-    /// Number of children of `v`.
-    #[inline]
-    pub fn num_children(&self, v: TaskId) -> usize {
-        let i = v.index();
-        (self.child_offsets[i + 1] - self.child_offsets[i]) as usize
-    }
-
     /// Iterator over all task ids in dense index order.
     pub fn tasks(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
         (0..self.num_tasks()).map(TaskId::from_index)
@@ -133,19 +126,6 @@ impl KDag {
     /// Tasks with no parents — ready at time 0.
     pub fn roots(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.tasks().filter(|&v| self.num_parents(v) == 0)
-    }
-
-    /// Tasks with no children.
-    pub fn sinks(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks().filter(|&v| self.num_children(v) == 0)
-    }
-
-    /// Total work `T1(J, α)` of the tasks of type `alpha`.
-    pub fn total_work_of_type(&self, alpha: usize) -> Work {
-        self.tasks()
-            .filter(|&v| self.rtype(v) == alpha)
-            .map(|v| self.work(v))
-            .sum()
     }
 
     /// Per-type total work as a vector of length `K`: `[T1(J,0), …]`.
@@ -215,14 +195,13 @@ mod tests {
     fn roots_and_sinks() {
         let g = diamond();
         assert_eq!(g.roots().collect::<Vec<_>>(), vec![TaskId::from_index(0)]);
-        assert_eq!(g.sinks().collect::<Vec<_>>(), vec![TaskId::from_index(3)]);
+        let sinks: Vec<_> = g.tasks().filter(|&v| g.children(v).is_empty()).collect();
+        assert_eq!(sinks, vec![TaskId::from_index(3)]);
     }
 
     #[test]
     fn per_type_work_sums() {
         let g = diamond();
-        assert_eq!(g.total_work_of_type(0), 5);
-        assert_eq!(g.total_work_of_type(1), 5);
         assert_eq!(g.total_work_per_type(), vec![5, 5]);
         assert_eq!(g.total_work(), 10);
         assert_eq!(g.num_tasks_of_type(0), 2);

@@ -50,8 +50,7 @@
 //! b.add_edge(g2, sink).unwrap();
 //! let job = b.build().unwrap();
 //!
-//! assert_eq!(job.total_work_of_type(0), 4);
-//! assert_eq!(job.total_work_of_type(1), 7);
+//! assert_eq!(job.total_work_per_type(), vec![4, 7]);
 //! assert_eq!(metrics::span(&job), 3 + 5 + 1);
 //! ```
 

@@ -3,7 +3,7 @@
 
 use crate::graph::KDag;
 use crate::topo::children_first;
-use crate::types::{TaskId, Work};
+use crate::types::Work;
 
 /// Per-task *remaining span*: `span(v) = w(v) + max over children span(c)`
 /// (just `w(v)` for sinks). This is the length of the longest chain that
@@ -27,39 +27,6 @@ pub fn remaining_spans(dag: &KDag) -> Vec<Work> {
 /// any precedence chain. Zero for an empty job.
 pub fn span(dag: &KDag) -> Work {
     remaining_spans(dag).into_iter().max().unwrap_or(0)
-}
-
-/// One critical path — a chain of tasks realizing [`span`] — parents first.
-/// Empty for an empty job. Ties broken toward lower task ids.
-pub fn critical_path(dag: &KDag) -> Vec<TaskId> {
-    if dag.is_empty() {
-        return Vec::new();
-    }
-    let spans = remaining_spans(dag);
-    let mut current = dag
-        .tasks()
-        .max_by(|&a, &b| {
-            spans[a.index()]
-                .cmp(&spans[b.index()])
-                .then(b.index().cmp(&a.index())) // prefer lower id on tie
-        })
-        .expect("non-empty graph");
-    let mut path = vec![current];
-    loop {
-        let next = dag.children(current).iter().copied().max_by(|&a, &b| {
-            spans[a.index()]
-                .cmp(&spans[b.index()])
-                .then(b.index().cmp(&a.index()))
-        });
-        match next {
-            Some(c) => {
-                path.push(c);
-                current = c;
-            }
-            None => break,
-        }
-    }
-    path
 }
 
 /// The paper's offline lower bound on any schedule's completion time:
@@ -142,22 +109,8 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_realizes_span() {
-        let g = fork_join();
-        let path = critical_path(&g);
-        assert_eq!(path.len(), 3);
-        let total: u64 = path.iter().map(|&v| g.work(v)).sum();
-        assert_eq!(total, span(&g));
-        // consecutive entries are edges
-        for w in path.windows(2) {
-            assert!(g.children(w[0]).contains(&w[1]));
-        }
-    }
-
-    #[test]
-    fn critical_path_of_empty_graph_is_empty() {
+    fn span_of_empty_graph_is_zero() {
         let g = KDagBuilder::new(1).build().unwrap();
-        assert!(critical_path(&g).is_empty());
         assert_eq!(span(&g), 0);
     }
 

@@ -27,6 +27,58 @@ fn is_topological_order(dag: &KDag, order: &[TaskId]) -> bool {
     })
 }
 
+/// One critical path — a chain of tasks realizing `metrics::span` —
+/// parents first; empty for an empty job. Ties go to lower task ids.
+fn critical_path(dag: &KDag) -> Vec<TaskId> {
+    let spans = metrics::remaining_spans(dag);
+    // The task of largest span, the lowest id among equals.
+    let longest = |tasks: &mut dyn Iterator<Item = TaskId>| {
+        tasks.max_by(|&a, &b| {
+            spans[a.index()]
+                .cmp(&spans[b.index()])
+                .then(b.index().cmp(&a.index()))
+        })
+    };
+    let mut path: Vec<TaskId> = longest(&mut dag.tasks()).into_iter().collect();
+    while let Some(c) = path
+        .last()
+        .and_then(|&v| longest(&mut dag.children(v).iter().copied()))
+    {
+        path.push(c);
+    }
+    path
+}
+
+/// Conservation: for every type `α`, the roots' descendant values sum to
+/// the type-`α` work of all non-root tasks, up to relative tolerance `tol`.
+fn root_identity_holds(d: &descendants::DescendantValues, dag: &KDag, tol: f64) -> bool {
+    let mut root_sum = vec![0.0f64; dag.num_types()];
+    for r in dag.roots() {
+        for (alpha, s) in root_sum.iter_mut().enumerate() {
+            *s += d.get(r, alpha);
+        }
+    }
+    let mut non_root_work = vec![0.0f64; dag.num_types()];
+    for v in dag.tasks() {
+        if dag.num_parents(v) > 0 {
+            non_root_work[dag.rtype(v)] += dag.work(v) as f64;
+        }
+    }
+    root_sum
+        .iter()
+        .zip(&non_root_work)
+        .all(|(a, b)| (a - b).abs() <= tol * b.abs().max(1.0))
+}
+
+#[test]
+fn figure1_critical_path_alternates_types() {
+    let g = kdag::examples::figure1();
+    let path = critical_path(&g);
+    assert_eq!(path.len(), 7);
+    let types: Vec<usize> = path.iter().map(|&v| g.rtype(v)).collect();
+    assert_eq!(types, vec![0, 1, 0, 2, 0, 1, 0]);
+}
+
 fn two_chains_joined() -> KDag {
     // 0 -> 1 -> 4, 2 -> 3 -> 4
     let mut b = KDagBuilder::new(1);
@@ -123,7 +175,7 @@ proptest! {
 
     #[test]
     fn critical_path_is_a_chain_realizing_the_span(dag in arb_kdag(4, 60, 5)) {
-        let path = metrics::critical_path(&dag);
+        let path = critical_path(&dag);
         let total: u64 = path.iter().map(|&v| dag.work(v)).sum();
         prop_assert_eq!(total, metrics::span(&dag));
         for w in path.windows(2) {
@@ -134,7 +186,7 @@ proptest! {
     #[test]
     fn descendant_root_identity(dag in arb_kdag(4, 60, 5)) {
         let d = descendants::DescendantValues::compute(&dag);
-        prop_assert!(d.root_identity_holds(&dag, 1e-9));
+        prop_assert!(root_identity_holds(&d, &dag, 1e-9));
     }
 
     #[test]
@@ -202,7 +254,7 @@ proptest! {
         let lb = metrics::lower_bound(&dag, &procs);
         prop_assert!(lb >= metrics::span(&dag));
         for alpha in 0..dag.num_types() {
-            prop_assert!(lb >= dag.total_work_of_type(alpha).div_ceil(p as u64));
+            prop_assert!(lb >= dag.total_work_per_type()[alpha].div_ceil(p as u64));
         }
         // more processors can only lower the bound
         let lb_more = metrics::lower_bound(&dag, &vec![p + 1; dag.num_types()]);
@@ -259,7 +311,7 @@ proptest! {
         prop_assert_eq!(batch.job.total_work(), 2 * dag.total_work());
         prop_assert_eq!(metrics::span(&batch.job), metrics::span(&dag));
         let d = descendants::DescendantValues::compute(&batch.job);
-        prop_assert!(d.root_identity_holds(&batch.job, 1e-9));
+        prop_assert!(root_identity_holds(&d, &batch.job, 1e-9));
     }
 }
 

@@ -188,11 +188,18 @@ impl Value {
     }
 }
 
-/// Parses one JSON document. Errors carry a byte offset and message.
+/// The deepest array/object nesting [`parse`] accepts. The emitters
+/// nest a few levels; the cap bounds the parser's recursion on input
+/// from outside the process.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document. Errors carry a byte offset and message;
+/// nesting deeper than 128 arrays/objects is an error.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         b: src.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -206,6 +213,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -230,8 +239,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.i
+                    ));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -290,12 +313,16 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.i + 4 >= self.b.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i + 1..self.i + 5]).unwrap();
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.i))?;
+                            // Exactly four ASCII hex digits: no sign, and
+                            // no byte of a multi-byte character.
+                            let hex = self
+                                .b
+                                .get(self.i + 1..self.i + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
+                            let cp = hex.iter().fold(0, |cp, &d| {
+                                cp << 4 | char::from(d).to_digit(16).expect("a hex digit")
+                            });
                             // Surrogates are not needed by our own emitters;
                             // map unpaired ones to the replacement char.
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
@@ -424,5 +451,26 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse(r#"{"a":1} extra"#).is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_ascii_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+        // The fourth byte starts a two-byte character.
+        assert!(parse("\"\\u000é\"").is_err());
+        // A sign is not a hex digit.
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u004""#).is_err());
+        assert!(parse(r#""\u00"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&format!("{}1", r#"{"a":"#.repeat(200_000))).is_err());
     }
 }

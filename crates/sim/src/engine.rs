@@ -89,12 +89,6 @@ impl RunOptions {
         self.quantum = Some(q);
         self
     }
-
-    /// Enables the given observability channels for the run.
-    pub fn with_observe(mut self, cfg: fhs_obs::ObsConfig) -> Self {
-        self.observe = cfg;
-        self
-    }
 }
 
 /// Result of one engine run.
@@ -663,10 +657,13 @@ mod tests {
         // With the event channel on too: the event stream must not tell a
         // warm workspace from a cold one (exports are byte-stable across
         // pool workers).
-        let opts = opts_trace().with_observe(fhs_obs::ObsConfig {
-            events: true,
-            ..fhs_obs::ObsConfig::default()
-        });
+        let opts = RunOptions {
+            observe: fhs_obs::ObsConfig {
+                events: true,
+                ..fhs_obs::ObsConfig::default()
+            },
+            ..opts_trace()
+        };
         for (i, (job, cfg, mode)) in runs.into_iter().enumerate() {
             let cold = run(job, cfg, &mut FifoPolicy, mode, &opts);
             let warm = run_in(&mut ws, job, cfg, &mut FifoPolicy, mode, &opts);
@@ -701,7 +698,10 @@ mod tests {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
             let plain = run(&job, &cfg, &mut FifoPolicy, mode, &RunOptions::default());
             assert!(plain.obs.is_none());
-            let opts = RunOptions::default().with_observe(fhs_obs::ObsConfig::all());
+            let opts = RunOptions {
+                observe: fhs_obs::ObsConfig::all(),
+                ..RunOptions::default()
+            };
             let seen = run(&job, &cfg, &mut FifoPolicy, mode, &opts);
             assert_eq!(seen.makespan, plain.makespan, "{mode:?}");
             assert_eq!(seen.busy_time, plain.busy_time, "{mode:?}");

@@ -774,11 +774,6 @@ impl Session {
         self.now
     }
 
-    /// Jobs currently admitted and not yet retired.
-    pub fn active_jobs(&self) -> usize {
-        self.active.len()
-    }
-
     /// The machine this session schedules onto.
     pub fn config(&self) -> &MachineConfig {
         &self.config
@@ -1066,7 +1061,7 @@ mod tests {
         s.admit(Arc::new(chain_job()), Box::new(FifoPolicy), 0);
         s.run_until(100); // job drains at 6, machine idles to 100
         assert_eq!(s.now(), 100);
-        assert_eq!(s.active_jobs(), 0);
+        assert!(s.active.is_empty());
         s.admit(Arc::new(chain_job()), Box::new(FifoPolicy), 0);
         let (out, _) = s.finish();
         assert_eq!(out.makespan, 106);
@@ -1082,7 +1077,7 @@ mod tests {
         let mut s = Session::new(cfg, SessionOptions::default());
         let job = KDagBuilder::new(1).build().unwrap();
         s.admit(Arc::new(job), Box::new(FifoPolicy), 0);
-        assert_eq!(s.active_jobs(), 0);
+        assert!(s.active.is_empty());
         let (out, _) = s.finish();
         assert_eq!(out.jobs[0].response(), 0);
         assert_eq!(out.jobs[0].slowdown(), 1.0);

@@ -30,7 +30,7 @@ pub enum TaskStatus {
 /// policies can dispatch by prefix and every policy sees a deterministic
 /// ordering. A dense task→slot position map (`pos`) indexes every `Ready`
 /// task's queue entry, making [`start`](JobState::start),
-/// [`complete`](JobState::complete), [`progress`](JobState::progress) and
+/// [`complete_obs`](JobState::complete_obs), [`progress`](JobState::progress) and
 /// [`remaining`](JobState::remaining) O(1) amortized — removal tombstones
 /// the slot and an amortized compaction pass (see [`ReadyQueue`]) reclaims
 /// storage without disturbing arrival order.
@@ -269,15 +269,10 @@ impl JobState {
     }
 
     /// Marks `v` complete and releases any children whose last dependency
-    /// this was. Newly released children are appended to their queues.
-    pub fn complete(&mut self, job: &KDag, v: TaskId) {
-        self.complete_obs(job, v, 0, 0, None);
-    }
-
-    /// As [`complete`](JobState::complete), but reports each newly released
-    /// child to `obs` (stamped with sim time `t` and `epoch`). The
-    /// recorder is write-only: state transitions are identical to
-    /// [`complete`](JobState::complete).
+    /// this was. Newly released children are appended to their queues,
+    /// and each is reported to `obs` (stamped with sim time `t` and
+    /// `epoch`). The recorder is write-only: state transitions are the
+    /// same with or without it.
     pub fn complete_obs(
         &mut self,
         job: &KDag,
@@ -382,13 +377,13 @@ mod tests {
         let rem = s.start(&job, ids[0]);
         assert_eq!(rem, 2);
         assert_eq!(s.queue_work(), &[0, 0]);
-        s.complete(&job, ids[0]);
+        s.complete_obs(&job, ids[0], 0, 0, None);
         assert_eq!(s.status(ids[1]), TaskStatus::Ready);
         assert_eq!(s.queue_work(), &[0, 3]);
         s.start(&job, ids[1]);
-        s.complete(&job, ids[1]);
+        s.complete_obs(&job, ids[1], 0, 0, None);
         s.start(&job, ids[2]);
-        s.complete(&job, ids[2]);
+        s.complete_obs(&job, ids[2], 0, 0, None);
         assert!(s.all_done(&job));
     }
 
@@ -417,7 +412,7 @@ mod tests {
         assert_eq!(s.queue_work(), &[1, 0]);
         assert_eq!(s.remaining(&job, ids[0]), Some(1));
         assert_eq!(s.progress(&job, ids[0], 1), 0);
-        s.complete(&job, ids[0]); // completes directly from Ready
+        s.complete_obs(&job, ids[0], 0, 0, None); // completes directly from Ready
         assert_eq!(s.status(ids[0]), TaskStatus::Done);
         assert_eq!(s.status(ids[1]), TaskStatus::Ready);
     }
@@ -436,9 +431,9 @@ mod tests {
         let root_seqs: Vec<u64> = s.queues()[0].iter().map(|rt| rt.seq).collect();
         assert_eq!(root_seqs, vec![0, 1]);
         s.start(&job, a);
-        s.complete(&job, a);
+        s.complete_obs(&job, a, 0, 0, None);
         s.start(&job, c);
-        s.complete(&job, c);
+        s.complete_obs(&job, c, 0, 0, None);
         assert_eq!(s.queues()[0].first().unwrap().seq, 2);
     }
 
@@ -465,7 +460,7 @@ mod tests {
         // Survivors still progress and complete via their slots.
         assert_eq!(s.progress(&job, ids[1], 2), 3);
         assert_eq!(s.remaining(&job, ids[1]), Some(3));
-        s.complete(&job, ids[1]);
+        s.complete_obs(&job, ids[1], 0, 0, None);
         assert_eq!(s.status(ids[1]), TaskStatus::Done);
         let total: Work = s.queues()[0].iter().map(|rt| rt.remaining).sum();
         assert_eq!(total, s.queue_work()[0]);
@@ -478,9 +473,9 @@ mod tests {
         assert_eq!(s.transition_counts().releases, 1); // the root
         assert_eq!(s.transition_counts().peak_queue_depth, 1);
         s.start(&job, ids[0]);
-        s.complete(&job, ids[0]);
+        s.complete_obs(&job, ids[0], 0, 0, None);
         s.progress(&job, ids[1], 3);
-        s.complete(&job, ids[1]);
+        s.complete_obs(&job, ids[1], 0, 0, None);
         let c = s.transition_counts();
         assert_eq!(c.releases, 3);
         assert_eq!(c.starts, 1);

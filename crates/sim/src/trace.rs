@@ -42,25 +42,6 @@ impl Trace {
     pub fn makespan(&self) -> Time {
         self.makespan
     }
-
-    /// All segments of one task, sorted by start time.
-    pub fn task_segments(&self, task: TaskId) -> Vec<Segment> {
-        let mut segs: Vec<Segment> = self
-            .segments
-            .iter()
-            .copied()
-            .filter(|s| s.task == task)
-            .collect();
-        segs.sort_by_key(|s| s.start);
-        segs
-    }
-
-    /// Number of preemptions: segments beyond the first, per task, summed.
-    pub fn preemption_count(&self, job: &KDag) -> usize {
-        job.tasks()
-            .map(|v| self.task_segments(v).len().saturating_sub(1))
-            .sum()
-    }
 }
 
 /// Merges back-to-back segments of the same task on the same processor
@@ -296,7 +277,6 @@ mod tests {
         let cfg = MachineConfig::uniform(2, 1);
         let t = Trace::new(vec![seg(0, 0, 0, 0, 2), seg(1, 1, 0, 2, 3)], 3);
         assert_eq!(validate(&t, &job, &cfg), Ok(()));
-        assert_eq!(t.preemption_count(&job), 0);
     }
 
     #[test]
@@ -407,14 +387,5 @@ mod tests {
         let mut segs = vec![seg(0, 0, 0, 0, 1), seg(0, 0, 1, 1, 2)];
         coalesce(&mut segs);
         assert_eq!(segs.len(), 2);
-    }
-
-    #[test]
-    fn preemption_count_counts_extra_segments() {
-        let mut b = KDagBuilder::new(1);
-        b.add_task(0, 3);
-        let job = b.build().unwrap();
-        let t = Trace::new(vec![seg(0, 0, 0, 0, 1), seg(0, 0, 1, 2, 4)], 4);
-        assert_eq!(t.preemption_count(&job), 1);
     }
 }

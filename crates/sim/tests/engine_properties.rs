@@ -47,7 +47,7 @@ proptest! {
         let tr = out.trace.expect("requested");
         prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()));
         // non-preemptive = one segment per task
-        prop_assert_eq!(tr.preemption_count(&dag), 0);
+        prop_assert_eq!(tr.segments().len(), dag.num_tasks());
     }
 
     #[test]
@@ -71,7 +71,7 @@ proptest! {
             // avoid slack in the multiplicative one on tiny instances.
             let additive: u64 = metrics::span(&dag)
                 + (0..dag.num_types())
-                    .map(|a| dag.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
+                    .map(|a| dag.total_work_per_type()[a].div_ceil(cfg.procs(a) as u64))
                     .sum::<u64>();
             prop_assert!(
                 out.makespan <= additive,
@@ -97,7 +97,7 @@ proptest! {
             prop_assert_eq!(out.busy_time.iter().sum::<u64>(), dag.total_work());
             // per-type busy time equals per-type work
             for alpha in 0..dag.num_types() {
-                prop_assert_eq!(out.busy_time[alpha], dag.total_work_of_type(alpha));
+                prop_assert_eq!(out.busy_time[alpha], dag.total_work_per_type()[alpha]);
             }
             // utilization in (0, 1]
             for u in out.utilization(&cfg) {

@@ -34,15 +34,6 @@ pub fn theorem2_lower_bound(procs: &[usize]) -> f64 {
     k + 1.0 - sum - 1.0 / (pmax + 1.0)
 }
 
-/// The deterministic online lower bound `K + 1 − 1/P_max` from the earlier
-/// He/Sun/Hsu result the paper §III cites.
-pub fn deterministic_lower_bound(procs: &[usize]) -> f64 {
-    assert!(!procs.is_empty() && procs.iter().all(|&p| p > 0));
-    let k = procs.len() as f64;
-    let pmax = *procs.iter().max().expect("non-empty") as f64;
-    k + 1.0 - 1.0 / pmax
-}
-
 /// KGreedy's guarantee: `(K+1)`-competitive completion time (paper §III,
 /// "Performance Upper Bound").
 pub fn kgreedy_upper_bound(k: usize) -> f64 {
@@ -108,7 +99,9 @@ mod tests {
         // randomized LB ≤ deterministic LB ≤ KGreedy guarantee
         for procs in [vec![1usize, 2], vec![3, 3, 3], vec![1, 5, 10, 10]] {
             let rand_lb = theorem2_lower_bound(&procs);
-            let det_lb = deterministic_lower_bound(&procs);
+            // He/Sun/Hsu's deterministic bound, K + 1 − 1/P_max (§III).
+            let pmax = *procs.iter().max().expect("non-empty") as f64;
+            let det_lb = procs.len() as f64 + 1.0 - 1.0 / pmax;
             let ub = kgreedy_upper_bound(procs.len());
             assert!(rand_lb <= det_lb + 1e-12, "{procs:?}");
             assert!(det_lb <= ub, "{procs:?}");

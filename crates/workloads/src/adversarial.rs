@@ -62,23 +62,6 @@ impl AdversarialParams {
 /// Generates one instance of the adversarial family; the positions of the
 /// active tasks are the only randomness.
 pub fn generate<R: Rng>(params: &AdversarialParams, rng: &mut R) -> KDag {
-    generate_impl(params, &mut |pool: &mut Vec<TaskId>| pool.shuffle(rng))
-}
-
-/// The *deterministic* worst case against FIFO dispatch: every active
-/// task sits at the **end** of its type's id block, so a scheduler that
-/// drains queues in arrival order completes the entire block before
-/// uncovering the tasks that gate the next type — realizing the
-/// deterministic online lower bound `K + 1 − 1/P_max` (He/Sun/Hsu, cited
-/// in §III) instead of its randomized average.
-pub fn generate_worst_case_fifo(params: &AdversarialParams) -> KDag {
-    // "Shuffle" = rotate actives to the back: the selection below takes
-    // the first entries of the pool, so reverse id order puts the highest
-    // ids (last in FIFO arrival order) first.
-    generate_impl(params, &mut |pool: &mut Vec<TaskId>| pool.reverse())
-}
-
-fn generate_impl(params: &AdversarialParams, arrange: &mut dyn FnMut(&mut Vec<TaskId>)) -> KDag {
     let k = params.procs.len();
     let pk = *params.procs.last().expect("non-empty");
     let m = params.m;
@@ -97,7 +80,7 @@ fn generate_impl(params: &AdversarialParams, arrange: &mut dyn FnMut(&mut Vec<Ta
     // (α+1)-task.
     for alpha in 0..k.saturating_sub(1) {
         let mut pool = tasks_of[alpha].clone();
-        arrange(&mut pool);
+        pool.shuffle(rng);
         let active = &pool[..params.procs[alpha]];
         for &a in active {
             for &t in &tasks_of[alpha + 1] {
@@ -125,7 +108,7 @@ fn generate_impl(params: &AdversarialParams, arrange: &mut dyn FnMut(&mut Vec<Ta
     }
     if let Some(&head) = chain.first() {
         let mut pool = non_chain.to_vec();
-        arrange(&mut pool);
+        pool.shuffle(rng);
         for &a in &pool[..pk] {
             b.add_edge(a, head).expect("gate edges are valid");
         }
@@ -170,23 +153,6 @@ mod tests {
     use kdag::metrics;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn worst_case_fifo_variant_matches_counts_and_span() {
-        let p = AdversarialParams::new(vec![2, 2, 3], 2);
-        let g = generate_worst_case_fifo(&p);
-        assert_eq!(g.num_tasks_of_type(0), 2 * 3 * 2);
-        assert_eq!(g.num_tasks_of_type(2), 3 * 3 * 2);
-        assert_eq!(metrics::span(&g), p.optimal_makespan());
-        // actives are the highest non-chain ids of each type: the very
-        // last type-0 task must have outgoing edges
-        let last_t0 = g
-            .tasks()
-            .filter(|&v| g.rtype(v) == 0)
-            .max()
-            .expect("type-0 tasks exist");
-        assert!(g.num_children(last_t0) > 0, "last type-0 id must be active");
-    }
 
     fn small() -> AdversarialParams {
         AdversarialParams::new(vec![2, 2, 3], 2)

@@ -106,11 +106,6 @@ impl ArrivalPlan {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
-
-    /// Time of the last arrival (0 for an empty plan).
-    pub fn horizon(&self) -> u64 {
-        self.arrivals.last().map_or(0, |a| a.t)
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +129,8 @@ mod tests {
     #[test]
     fn poisson_mean_gap_is_roughly_respected() {
         let a = ArrivalPlan::poisson(2000, 10.0, 42, 0);
-        let mean = a.horizon() as f64 / a.len() as f64;
+        let horizon = a.arrivals().last().expect("2000 arrivals").t;
+        let mean = horizon as f64 / a.len() as f64;
         // Exponential(10) gaps, ceiled: the empirical mean lands near
         // 10.5; allow generous slack for the fixed seed.
         assert!((8.0..14.0).contains(&mean), "mean gap {mean}");
@@ -164,7 +160,6 @@ mod tests {
     fn empty_plans_are_well_formed() {
         let p = ArrivalPlan::poisson(0, 1.0, 0, 0);
         assert!(p.is_empty());
-        assert_eq!(p.horizon(), 0);
         let r = ArrivalPlan::random_order(0, 1, 0, 0);
         assert!(r.is_empty());
     }

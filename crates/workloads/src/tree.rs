@@ -171,7 +171,7 @@ mod tests {
         // except possibly at the truncation point, child counts are 0 or m
         let odd: Vec<usize> = g
             .tasks()
-            .map(|v| g.num_children(v))
+            .map(|v| g.children(v).len())
             .filter(|&c| c != 0 && c != 3)
             .collect();
         assert!(odd.len() <= 1, "at most the truncated node may be partial");

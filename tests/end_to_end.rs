@@ -60,7 +60,7 @@ fn makespans_respect_both_theory_bounds() {
                 let lb = fhs::kdag::metrics::lower_bound(&job, cfg.procs_per_type());
                 let additive: u64 = fhs::kdag::metrics::span(&job)
                     + (0..job.num_types())
-                        .map(|a| job.total_work_of_type(a).div_ceil(cfg.procs(a) as u64))
+                        .map(|a| job.total_work_per_type()[a].div_ceil(cfg.procs(a) as u64))
                         .sum::<u64>();
                 for algo in ALL_ALGORITHMS {
                     for (mode, quantum) in cadences {
@@ -180,14 +180,11 @@ fn sampling_is_shared_across_algorithms() {
 /// consistent summaries.
 #[test]
 fn experiment_runner_through_facade() {
-    use fhs::experiments::{run_cell, Cell};
-    let cell = Cell::new(
-        WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3),
-        Algorithm::Mqb,
-        Mode::NonPreemptive,
-    );
-    let s1 = run_cell(&cell, 10, 42, Some(1));
-    let s2 = run_cell(&cell, 10, 42, Some(4));
+    use fhs::experiments::{run_sweep, SweepCell};
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Small, 3);
+    let cells = [SweepCell::new(Algorithm::Mqb, Mode::NonPreemptive)];
+    let s1 = run_sweep(&spec, &cells, 10, 42, Some(1))[0].summary();
+    let s2 = run_sweep(&spec, &cells, 10, 42, Some(4))[0].summary();
     assert_eq!(s1, s2, "results must not depend on parallelism");
     assert!(s1.mean >= 1.0);
     assert!(s1.max >= s1.mean && s1.mean >= s1.min);

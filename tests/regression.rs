@@ -6,24 +6,23 @@
 //! If a change is *intentional* (e.g. retuned workload parameters),
 //! update the pinned values and record the reason in CHANGELOG.md.
 
-use fhs::experiments::{run_cell, Cell};
+use fhs::experiments::{run_sweep, SweepCell};
 use fhs::prelude::*;
 
 #[test]
 fn pinned_small_layered_ep_cell() {
     let spec = WorkloadSpec::new(Family::Ep, Typing::Layered, SystemSize::Small, 4);
-    let kg = run_cell(
-        &Cell::new(spec, Algorithm::KGreedy, Mode::NonPreemptive),
-        25,
-        7,
-        Some(1),
-    );
-    let mqb = run_cell(
-        &Cell::new(spec, Algorithm::Mqb, Mode::NonPreemptive),
-        25,
-        7,
-        Some(1),
-    );
+    let cell = |algo| {
+        run_sweep(
+            &spec,
+            &[SweepCell::new(algo, Mode::NonPreemptive)],
+            25,
+            7,
+            Some(1),
+        )
+    };
+    let kg = cell(Algorithm::KGreedy)[0].summary();
+    let mqb = cell(Algorithm::Mqb)[0].summary();
     // Values pinned against the offline rand shim (crates/compat/rand,
     // xoshiro256++): the workspace's only RNG since the registry became
     // unreachable, so these are the canonical streams going forward.
