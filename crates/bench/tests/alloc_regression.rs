@@ -400,8 +400,7 @@ fn observed_epoch_loop_is_also_allocation_free_when_warm() {
     ignore = "allocation accounting is asserted in --release (its own CI step)"
 )]
 fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
-    use fhs_core::mqb::{InfoModel, Mqb, MqbTuning};
-    use fhs_core::registry::DEFAULT_APPROX_CAP;
+    use fhs_core::mqb::{InfoModel, Mqb};
     use fhs_sim::MachineConfig;
     use kdag::{KDagBuilder, TaskId};
 
@@ -458,29 +457,24 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
     let cfg = MachineConfig::new(vec![2, 2]);
 
     fhs_sim::instrument::register_alloc_probe(probe);
-    let variants: [(&str, MqbTuning); 2] = [
-        ("MQB-indexed", MqbTuning::default()),
-        (
-            "MQB-Approx",
-            MqbTuning {
-                max_candidates: Some(DEFAULT_APPROX_CAP),
-            },
-        ),
-    ];
     for (shape, job) in [("wide", &wide), ("chain-fanout", &chain_fanout)] {
-        for (name, tuning) in variants {
+        for (name, approx) in [("MQB-indexed", false), ("MQB-Approx", true)] {
             for (mode, quantum) in [
                 (Mode::NonPreemptive, None),
                 (Mode::Preemptive, None),
                 (Mode::Preemptive, Some(1)),
             ] {
                 let mut ws = Workspace::new();
-                let mut policy = Mqb::with_tuning(InfoModel::default(), tuning);
+                let mut policy = if approx {
+                    Mqb::approx(InfoModel::default())
+                } else {
+                    Mqb::default()
+                };
                 let mut opts = RunOptions::seeded(2);
                 opts.quantum = quantum;
                 let cold = engine::run_in(&mut ws, job, &cfg, &mut policy, mode, &opts);
                 let sel = cold.stats.selection;
-                if tuning.max_candidates.is_none() {
+                if !approx {
                     assert!(
                         sel.candidates_pruned > 0 && sel.cold_snapshots == 1,
                         "{shape} {name} {mode:?} q={quantum:?}: indexed path never \
@@ -518,8 +512,7 @@ fn warm_indexed_mqb_epoch_loop_allocates_zero_bytes() {
     ignore = "allocation accounting is asserted in --release (its own CI step)"
 )]
 fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
-    use fhs_core::mqb::{InfoModel, Mqb, MqbTuning};
-    use fhs_core::registry::DEFAULT_APPROX_CAP;
+    use fhs_core::mqb::{InfoModel, Mqb};
     use fhs_sim::Policy;
     use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
     use kdag::precompute::Artifacts;
@@ -530,15 +523,11 @@ fn warm_mqb_init_allocates_zero_bytes_for_every_info_model() {
     // their matrix on every init: in place, from the retained buffer.
     let (job, cfg) = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Large, 4).sample(2);
     let artifacts = Arc::new(Artifacts::compute(&job));
-    let bounded = MqbTuning {
-        max_candidates: Some(DEFAULT_APPROX_CAP),
-    };
     let variants = InfoModel::ALL_VARIANTS
         .into_iter()
-        .map(|info| (info, MqbTuning::default()))
-        .chain([(InfoModel::default(), bounded)]);
-    for (info, tuning) in variants {
-        let mut policy = Mqb::with_tuning(info, tuning);
+        .map(Mqb::new)
+        .chain([Mqb::approx(InfoModel::default())]);
+    for mut policy in variants {
         policy.init(&job, &cfg, 1, &artifacts);
         let cold: Vec<f64> = (0..job.num_tasks())
             .flat_map(|i| policy.d_row(kdag::TaskId::from_index(i)).to_vec())

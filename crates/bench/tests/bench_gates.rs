@@ -11,7 +11,8 @@
 //! * **Antichain rung** (§14): on the antichain, where dominance prunes
 //!   nothing, MQB-Approx grows near-linearly from n = 2000 to n = 8000.
 //! * **ShiftBT init** (§9): the incremental init reproduces
-//!   `shiftbt::reference` exactly.
+//!   the from-scratch oracle (`core/tests/support/shiftbt_reference.rs`)
+//!   exactly.
 //! * **Observability** (§10): the steady-state recording channels cost
 //!   ≤ 5% on a Large instance.
 //! * **Sweep and pool** (§7, §8): instance-major ≡ cell-major and ≥ 2×
@@ -35,14 +36,13 @@ use std::hint::black_box;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use fhs_core::shiftbt::{reference as shiftbt_reference, ShiftBT};
+use fhs_core::shiftbt::ShiftBT;
 use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
 use fhs_experiments::runner::{instance_seed, run_sweep, SweepCell};
 use fhs_sim::{
     engine, reference, Assignments, EpochView, MachineConfig, Mode, ObsConfig, Policy, RunOptions,
     Workspace,
 };
-use fhs_workloads::adversarial::antichain;
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder};
@@ -50,6 +50,11 @@ use kdag::{KDag, KDagBuilder};
 #[path = "../../experiments/tests/support/baselines.rs"]
 mod baselines;
 use baselines::cold_sweep;
+#[path = "../../core/tests/support/antichain.rs"]
+mod antichain;
+#[path = "../../core/tests/support/shiftbt_reference.rs"]
+mod shiftbt_reference;
+use antichain::antichain;
 
 /// Base seed of the Large observability instance and sweep grid.
 const BASE_SEED: u64 = 0xBE7C;
@@ -230,7 +235,7 @@ fn antichain_run((job, cfg): &(KDag, MachineConfig), algo: Algorithm) -> u64 {
     out.stats.selection.candidates_evaluated
 }
 
-/// The antichain rung (`fhs_workloads::adversarial::antichain`): no root
+/// The antichain rung (`core/tests/support/antichain.rs`): no root
 /// dominates another, so exact MQB evaluates every queued root on every
 /// pick — n² evaluations — and its times are printed, not asserted.
 /// MQB-Approx evaluates at most `cap` candidates per pick and reads its
@@ -297,7 +302,7 @@ fn unplanned_bundles(job: &KDag, n: usize) -> Vec<Artifacts> {
 }
 
 /// The Large ladder instance and a warm ShiftBT whose bottleneck order
-/// and rank table are checked equal to `shiftbt::reference`'s.
+/// and rank table are checked equal to the from-scratch oracle's.
 fn shiftbt_matching_oracle_on_large() -> (KDag, MachineConfig, Arc<Artifacts>, ShiftBT) {
     let (job, cfg) = ladder_instance(SystemSize::Large);
     let artifacts = Arc::new(Artifacts::compute(&job));

@@ -12,8 +12,8 @@
 //! a broken candidate ordering (e.g. dropping the `d_total` sort would
 //! blow the gap past 30% on layered IR).
 
-use fhs_core::mqb::{InfoModel, Mqb, MqbTuning};
-use fhs_core::registry::{make_policy, Algorithm, DEFAULT_APPROX_CAP};
+use fhs_core::mqb::{InfoModel, Mqb};
+use fhs_core::registry::{make_policy, Algorithm};
 use fhs_sim::{metrics, Mode};
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
@@ -38,12 +38,7 @@ fn exact() -> Box<dyn fhs_sim::Policy> {
 }
 
 fn approx() -> Box<dyn fhs_sim::Policy> {
-    Box::new(Mqb::with_tuning(
-        InfoModel::default(),
-        MqbTuning {
-            max_candidates: Some(DEFAULT_APPROX_CAP),
-        },
-    ))
+    Box::new(Mqb::approx(InfoModel::default()))
 }
 
 /// Small/Medium instances across families: queues rarely cross the cap,

@@ -225,6 +225,6 @@ mod tests {
             Mode::NonPreemptive,
             &RunOptions::seeded(9).with_trace(),
         );
-        fhs_sim::trace::validate(&out.trace.unwrap(), &job, &cfg).unwrap();
+        crate::trace_check::validate(&out.trace.unwrap(), &job, &cfg).unwrap();
     }
 }

@@ -57,3 +57,12 @@ pub use maxdp::MaxDP;
 pub use mqb::Mqb;
 pub use registry::{make_policy, Algorithm, ALL_ALGORITHMS};
 pub use shiftbt::ShiftBT;
+
+// The test support files the suites share: the trace checker and the
+// ShiftBT oracle.
+#[cfg(test)]
+#[path = "../tests/support/shiftbt_reference.rs"]
+mod shiftbt_reference;
+#[cfg(test)]
+#[path = "../../sim/tests/support/trace_check.rs"]
+mod trace_check;

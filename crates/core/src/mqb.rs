@@ -64,6 +64,11 @@ const PENDING: u32 = u32::MAX - 1;
 /// membership alone.
 const INDEX_CROSSOVER: usize = 64;
 
+/// MQB-Approx's per-pick candidate budget ([`Mqb::approx`]): matches the
+/// exact path's flat/indexed crossover, so the approximation only ever
+/// deviates in rounds where the exact algorithm would lean on the index.
+pub const DEFAULT_APPROX_CAP: usize = 64;
+
 /// How much of the K-DAG's future MQB may look at (paper §V-G).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Lookahead {
@@ -139,18 +144,6 @@ impl InfoModel {
             (Lookahead::OneStep, Accuracy::Noisy) => "MQB+1Step+Noise",
         }
     }
-}
-
-/// Switches for MQB's selection rule; defaults reproduce the paper's
-/// algorithm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MqbTuning {
-    /// Bounded-candidate approximation (`MQB-Approx`): when set, each
-    /// contested pick evaluates at most this many candidates — the top-`c`
-    /// untaken by the cheap priority (total descendant value descending,
-    /// then arrival) — instead of the exact dominance-pruned selection.
-    /// `None` (the default) is the exact algorithm.
-    pub max_candidates: Option<usize>,
 }
 
 /// Multiplicative hasher for the index's `(class, rem_key)` map. The keys
@@ -1098,7 +1091,8 @@ impl Deref for DescTable {
 #[derive(Clone, Debug)]
 pub struct Mqb {
     info: InfoModel,
-    tuning: MqbTuning,
+    /// MQB-Approx's candidate cap; `None` is the exact algorithm.
+    approx_cap: Option<usize>,
     k: usize,
     /// Per-type descendant values (perturbed under a noisy model).
     d: DescTable,
@@ -1200,17 +1194,12 @@ impl Default for Mqb {
 }
 
 impl Mqb {
-    /// Creates MQB with the given information model.
+    /// Creates MQB, the paper's exact algorithm, with the given
+    /// information model.
     pub fn new(info: InfoModel) -> Self {
-        Mqb::with_tuning(info, MqbTuning::default())
-    }
-
-    /// Creates MQB with explicit switches: the registry builds
-    /// `MQB-Approx` this way. The defaults are the paper's algorithm.
-    pub fn with_tuning(info: InfoModel, tuning: MqbTuning) -> Self {
         Mqb {
             info,
-            tuning,
+            approx_cap: None,
             k: 0,
             d: DescTable::default(),
             d_total: Vec::new(),
@@ -1244,6 +1233,18 @@ impl Mqb {
             approx_kid_head: Vec::new(),
             approx_kid_next: Vec::new(),
             approx_orphans: Vec::new(),
+        }
+    }
+
+    /// Creates MQB-Approx with the given information model: each
+    /// contested pick evaluates at most [`DEFAULT_APPROX_CAP`] candidates
+    /// — the top ones untaken by the cheap priority (total descendant
+    /// value descending, then arrival) — instead of the exact
+    /// dominance-pruned selection.
+    pub fn approx(info: InfoModel) -> Self {
+        Mqb {
+            approx_cap: Some(DEFAULT_APPROX_CAP),
+            ..Mqb::new(info)
         }
     }
 
@@ -2129,7 +2130,7 @@ impl Policy for Mqb {
     fn name(&self) -> &str {
         // The bounded-candidate variant is a first-class policy of its own
         // (`Algorithm::MqbApprox`); its name must match that label.
-        if self.tuning.max_candidates.is_some() {
+        if self.approx_cap.is_some() {
             return "MQB-Approx";
         }
         // The plain name for the default model; experiments use
@@ -2165,7 +2166,7 @@ impl Policy for Mqb {
         let k = self.k;
         debug_assert_eq!(k, view.config.num_types());
 
-        let approx_cap = self.tuning.max_candidates;
+        let approx_cap = self.approx_cap;
         if approx_cap.is_none() {
             // Exact mode keeps the incremental index current every epoch —
             // journal diffs are O(changes) even in epochs the flat path
@@ -2452,13 +2453,9 @@ mod tests {
     /// and picks `a`. The bounded variant walks the same two heads.
     #[test]
     fn bitwise_min_ties_reach_the_sorted_lex_comparison() {
-        let bounded = MqbTuning {
-            max_candidates: Some(64),
-        };
         for (case, b_row) in [("tie at best type", [1, 6]), ("tie on the minimum", [6, 1])] {
             let (job, cfg, b) = tie_instance(b_row);
-            for tuning in [MqbTuning::default(), bounded] {
-                let mut p = Mqb::with_tuning(InfoModel::default(), tuning);
+            for mut p in [Mqb::default(), Mqb::approx(InfoModel::default())] {
                 let out = engine::run(
                     &job,
                     &cfg,
@@ -2478,7 +2475,7 @@ mod tests {
                     sel.candidates_pruned > 0,
                     "{case}: the fillers were not pruned"
                 );
-                assert_eq!(first, Some(b), "{case}, {tuning:?}: the tied head lost");
+                assert_eq!(first, Some(b), "{case}, {}: the tied head lost", p.name());
             }
         }
     }
@@ -2557,7 +2554,7 @@ mod tests {
             Mode::NonPreemptive,
             &RunOptions::seeded(0).with_trace(),
         );
-        fhs_sim::trace::validate(&out.trace.unwrap(), &job, &cfg).unwrap();
+        crate::trace_check::validate(&out.trace.unwrap(), &job, &cfg).unwrap();
     }
 
     /// Exact MQB's selection counters on one Medium and one Large layered

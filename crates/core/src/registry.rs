@@ -3,13 +3,8 @@
 
 use fhs_sim::Policy;
 
-use crate::mqb::{InfoModel, Mqb, MqbTuning};
+use crate::mqb::{InfoModel, Mqb};
 use crate::{DType, Edd, KGreedy, LSpan, MaxDP, ShiftBT};
-
-/// Per-pick candidate budget for [`Algorithm::MqbApprox`]: matches MQB's
-/// exact-path flat/indexed crossover, so the approximation only ever
-/// deviates in rounds where the exact algorithm would lean on the index.
-pub const DEFAULT_APPROX_CAP: usize = 64;
 
 /// The algorithms evaluated in the paper's §V.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -29,7 +24,8 @@ pub enum Algorithm {
     /// Multi-Queue Balancing with an explicit information model (§V-G).
     MqbWith(InfoModel),
     /// Bounded-candidate MQB: each contested pick evaluates at most
-    /// [`DEFAULT_APPROX_CAP`] candidates (top-c by total descendant value).
+    /// [`DEFAULT_APPROX_CAP`](crate::mqb::DEFAULT_APPROX_CAP) candidates
+    /// (top-c by total descendant value).
     /// Schedule quality vs exact MQB is pinned by tests.
     MqbApprox,
     /// Earliest due date (extension baseline; not in the paper's six).
@@ -97,12 +93,7 @@ pub fn make_policy(algorithm: Algorithm) -> Box<dyn Policy> {
         Algorithm::ShiftBT => Box::new(ShiftBT::default()),
         Algorithm::Mqb => Box::new(Mqb::default()),
         Algorithm::MqbWith(info) => Box::new(Mqb::new(info)),
-        Algorithm::MqbApprox => Box::new(Mqb::with_tuning(
-            InfoModel::default(),
-            MqbTuning {
-                max_candidates: Some(DEFAULT_APPROX_CAP),
-            },
-        )),
+        Algorithm::MqbApprox => Box::new(Mqb::approx(InfoModel::default())),
         Algorithm::Edd => Box::new(Edd::default()),
     }
 }

@@ -24,7 +24,8 @@
 //!
 //! A literal implementation runs K(K+1)/2 full relaxation simulations
 //! from scratch. The production path here (bit-identical to the retained
-//! [`mod@reference`] loop, proptested) cuts that three ways:
+//! from-scratch loop, the oracle in `tests/support/shiftbt_reference.rs`,
+//! proptested) cuts that three ways:
 //!
 //! * **Cached relaxations.** A type's relaxation from an earlier round
 //!   stays valid after type `β` is fixed as long as the cached simulation
@@ -562,9 +563,9 @@ impl RelaxScratch {
 /// [`Artifacts`] bundle and computed once per instance (see
 /// [`Artifacts::sequence_plan`]); its relaxation scratch is dropped when
 /// it returns. Returns the per-task frozen-sequence ranks and the
-/// bottleneck order. Bit-identical to [`reference::bottleneck_sequencing`]
-/// (see the module docs for why the caching and early exit preserve
-/// every trajectory).
+/// bottleneck order. Bit-identical to the from-scratch oracle in
+/// `tests/support/shiftbt_reference.rs` (see the module docs for why the
+/// caching and early exit preserve every trajectory).
 fn sequence_bottlenecks(
     job: &KDag,
     config: &MachineConfig,
@@ -641,155 +642,6 @@ impl Policy for ShiftBT {
 
     fn take_selection_stats(&mut self) -> Option<SelectionStats> {
         Some(self.selector.take_stats())
-    }
-}
-
-/// The pre-incremental sequencing loop, kept verbatim as the oracle for
-/// the equivalence property tests: every round re-simulates every
-/// remaining type's relaxation from scratch, to completion, with fresh
-/// allocations. O(K²) full simulations — do not call it on Huge
-/// instances outside of benchmarks.
-pub mod reference {
-    use super::*;
-
-    /// Runs the original bottleneck-sequencing loop and returns the
-    /// bottleneck order (most-late type first) and the per-task rank
-    /// table, exactly as [`ShiftBT`] computes them.
-    pub fn bottleneck_sequencing(
-        job: &KDag,
-        config: &MachineConfig,
-        due: &[u64],
-    ) -> (Vec<usize>, Vec<f64>) {
-        let k = job.num_types();
-        let mut fixed: Vec<Option<Vec<u64>>> = vec![None; k];
-        let mut bottleneck_order = Vec::new();
-
-        let mut remaining: Vec<usize> = (0..k).collect();
-        while !remaining.is_empty() {
-            let mut best: Option<(i64, usize, Vec<TaskId>)> = None;
-            for &alpha in &remaining {
-                let (lateness, seq) = relax(job, config, &fixed, alpha, due);
-                let better = match &best {
-                    None => true,
-                    Some((bl, ba, _)) => lateness > *bl || (lateness == *bl && alpha < *ba),
-                };
-                if better {
-                    best = Some((lateness, alpha, seq));
-                }
-            }
-            let (_, alpha, seq) = best.expect("remaining non-empty");
-            let mut ranks = vec![0u64; job.num_tasks()];
-            for (pos, &v) in seq.iter().enumerate() {
-                ranks[v.index()] = pos as u64;
-            }
-            fixed[alpha] = Some(ranks);
-            bottleneck_order.push(alpha);
-            remaining.retain(|&a| a != alpha);
-        }
-
-        let mut rank = vec![0.0; job.num_tasks()];
-        for v in job.tasks() {
-            let alpha = job.rtype(v);
-            rank[v.index()] = fixed[alpha].as_ref().expect("all types fixed")[v.index()] as f64;
-        }
-        (bottleneck_order, rank)
-    }
-
-    /// One-type relaxation: simulate the whole job with type `target` at
-    /// its real capacity under EDD, fixed types at their capacity under
-    /// their frozen sequences, and all other types at infinite capacity.
-    /// Returns the maximum start-based lateness over `target`'s tasks
-    /// (`i64::MIN` if the type has none) and the `target` tasks in start
-    /// order.
-    fn relax(
-        job: &KDag,
-        config: &MachineConfig,
-        fixed: &[Option<Vec<u64>>],
-        target: usize,
-        due: &[u64],
-    ) -> (i64, Vec<TaskId>) {
-        let k = job.num_types();
-        let n = job.num_tasks();
-        let mut indeg: Vec<u32> = (0..n)
-            .map(|i| job.num_parents(TaskId::from_index(i)) as u32)
-            .collect();
-        let mut ready: Vec<Vec<TaskId>> = vec![Vec::new(); k];
-        for v in job.roots() {
-            ready[job.rtype(v)].push(v);
-        }
-        let capacity: Vec<Option<usize>> = (0..k)
-            .map(|a| {
-                if a == target || fixed[a].is_some() {
-                    Some(config.procs(a))
-                } else {
-                    None // infinite
-                }
-            })
-            .collect();
-        let key = |alpha: usize, v: TaskId| -> u64 {
-            if alpha == target {
-                due[v.index()]
-            } else if let Some(rk) = &fixed[alpha] {
-                rk[v.index()]
-            } else {
-                0 // infinite capacity: order irrelevant
-            }
-        };
-
-        let mut busy = vec![0usize; k];
-        let mut heap: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
-        let mut now = 0u64;
-        let mut starts: Vec<(u64, TaskId)> = Vec::new();
-        let mut max_lateness = i64::MIN;
-        let mut done = 0usize;
-
-        while done < n {
-            // Dispatch at `now`.
-            for alpha in 0..k {
-                let free = match capacity[alpha] {
-                    Some(c) => c - busy[alpha],
-                    None => usize::MAX,
-                };
-                if free == 0 || ready[alpha].is_empty() {
-                    continue;
-                }
-                ready[alpha].sort_unstable_by_key(|&v| (key(alpha, v), v));
-                let take = free.min(ready[alpha].len());
-                for &v in ready[alpha].iter().take(take) {
-                    if alpha == target {
-                        starts.push((now, v));
-                        max_lateness = max_lateness.max(now as i64 - due[v.index()] as i64);
-                    }
-                    busy[alpha] += 1;
-                    heap.push(Reverse((now + job.work(v), v)));
-                }
-                ready[alpha].drain(..take);
-            }
-
-            // Advance to the next completion.
-            let Reverse((t, v)) = heap.pop().expect("work remains, something must be running");
-            now = t;
-            let mut finished = vec![v];
-            while let Some(&Reverse((t2, _))) = heap.peek() {
-                if t2 != now {
-                    break;
-                }
-                finished.push(heap.pop().expect("peeked").0 .1);
-            }
-            for v in finished {
-                busy[job.rtype(v)] -= 1;
-                done += 1;
-                for &c in job.children(v) {
-                    indeg[c.index()] -= 1;
-                    if indeg[c.index()] == 0 {
-                        ready[job.rtype(c)].push(c);
-                    }
-                }
-            }
-        }
-
-        starts.sort_unstable_by_key(|&(t, v)| (t, due[v.index()], v));
-        (max_lateness, starts.into_iter().map(|(_, v)| v).collect())
     }
 }
 
@@ -894,7 +746,7 @@ mod tests {
             (kdag::examples::figure1(), MachineConfig::new(vec![1, 3, 2])),
         ] {
             let due = kdag::duedate::due_dates(&job);
-            let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
+            let (order, rank) = crate::shiftbt_reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();
             p.init(&job, &cfg, 0, &Artifacts::new());
             assert_eq!(plan(&p).bottleneck_order, order);
@@ -931,7 +783,7 @@ mod tests {
             let job = b.build().unwrap();
             let cfg = MachineConfig::new(vec![1 + next(3) as usize, 1, 1 + next(2) as usize]);
             let due = kdag::duedate::due_dates(&job);
-            let (order, rank) = reference::bottleneck_sequencing(&job, &cfg, &due);
+            let (order, rank) = crate::shiftbt_reference::bottleneck_sequencing(&job, &cfg, &due);
             let mut p = ShiftBT::default();
             p.init(&job, &cfg, 0, &Artifacts::new());
             assert_eq!(plan(&p).bottleneck_order, order);

@@ -176,7 +176,7 @@ proptest! {
         cfg in arb_config(3),
         seed in 0u64..1000,
     ) {
-        let opts = RunOptions::seeded(seed).with_trace().with_quantum(1);
+        let opts = RunOptions { quantum: Some(1), ..RunOptions::seeded(seed).with_trace() };
         for (algo, prefill) in PREFILLED_BY {
             assert_bundles_agree(&dag, &cfg, algo, prefill, Mode::Preemptive, &opts);
         }

@@ -5,12 +5,12 @@
 //! the full trace, segment by segment.
 //!
 //! A second family pins the epoch-skipping preemptive engine to the
-//! literal per-quantum scheduler (`with_quantum(1)`): exactly for policies
+//! literal per-quantum scheduler (`quantum: Some(1)`): exactly for policies
 //! whose choices ignore candidates' *remaining* work (DType, MaxDP,
 //! ShiftBT — and FIFO, covered in `fhs-sim`'s own suite), skipping
 //! decision epochs between completions cannot change the schedule.
 //! LSpan and MQB *do* read remaining work, so they are only compared to
-//! the reference engines at `with_quantum(1)` (above). KGreedy is
+//! the reference engines at `quantum: Some(1)` (above). KGreedy is
 //! excluded from the cadence family only: its RNG draws once
 //! per consulted epoch, so changing the epoch *count* legitimately
 //! changes the stream (it still matches `reference::run` exactly).
@@ -109,7 +109,7 @@ proptest! {
         cfg in arb_config(3),
         seed in 0u64..1000,
     ) {
-        let opts = RunOptions::seeded(seed).with_trace().with_quantum(1);
+        let opts = RunOptions { quantum: Some(1), ..RunOptions::seeded(seed).with_trace() };
         for algo in ALL_ALGORITHMS {
             assert_matches_reference(&dag, &cfg, algo, Mode::Preemptive, &opts);
         }
@@ -125,7 +125,7 @@ proptest! {
     ) {
         for algo in [Algorithm::DType, Algorithm::MaxDP, Algorithm::ShiftBT] {
             let opts = RunOptions::seeded(seed);
-            let stepped = opts.clone().with_quantum(1);
+            let stepped = RunOptions { quantum: Some(1), ..opts.clone() };
             let fast = engine::run(&dag, &cfg, make_policy(algo).as_mut(), Mode::Preemptive, &opts);
             let slow = engine::run(&dag, &cfg, make_policy(algo).as_mut(), Mode::Preemptive, &stepped);
             prop_assert_eq!(fast.makespan, slow.makespan, "{}", algo.label());

@@ -26,15 +26,17 @@
 
 use std::sync::Arc;
 
-use fhs_core::mqb::{cmp_balance, InfoModel, Mqb, MqbTuning};
-use fhs_core::registry::DEFAULT_APPROX_CAP;
+use fhs_core::mqb::{cmp_balance, InfoModel, Mqb, DEFAULT_APPROX_CAP};
 use fhs_sim::{
     engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyTask, RunOptions,
     SelectionStats, Session, SessionOptions,
 };
-use fhs_workloads::adversarial::antichain;
 use kdag::{Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+#[path = "support/antichain.rs"]
+mod antichain;
+use antichain::antichain;
 
 const CADENCES: [(Mode, Option<u64>); 3] = [
     (Mode::NonPreemptive, None),
@@ -189,12 +191,7 @@ fn run_pair(
 }
 
 fn approx() -> Mqb {
-    Mqb::with_tuning(
-        InfoModel::default(),
-        MqbTuning {
-            max_candidates: Some(DEFAULT_APPROX_CAP),
-        },
-    )
+    Mqb::approx(InfoModel::default())
 }
 
 /// MQB-Approx against the snapshot-window oracle: identical traces, and
@@ -338,7 +335,31 @@ proptest! {
     }
 }
 
-/// Antichains (`fhs_workloads::adversarial::antichain`): no root dominates
+#[test]
+fn antichain_roots_tie_on_total_and_are_pairwise_incomparable() {
+    let (job, cfg) = antichain(5);
+    assert_eq!(job.num_tasks(), 15);
+    assert_eq!(cfg.procs_per_type(), &[4, 4, 4]);
+    let dv = kdag::descendants::DescendantValues::compute(&job);
+    let roots: Vec<&[f64]> = job
+        .tasks()
+        .filter(|&v| job.rtype(v) == 0)
+        .map(|v| dv.row(v))
+        .collect();
+    assert_eq!(roots.len(), 5);
+    for (i, r) in roots.iter().enumerate() {
+        assert_eq!(r, &[0.0, i as f64 + 1.0, 5.0 - i as f64]);
+        assert_eq!(r.iter().sum::<f64>(), 6.0);
+    }
+    for a in &roots {
+        for b in &roots {
+            let ge = a.iter().zip(b.iter()).all(|(x, y)| x >= y);
+            assert!(a == b || !ge, "{a:?} dominates {b:?}");
+        }
+    }
+}
+
+/// Antichains (`support/antichain.rs`): no root dominates
 /// another and no two share a group, so every queued root is a frontier
 /// head and goes through the reject ladder on every pick. Exact MQB must
 /// match the naive oracle, MQB-Approx the snapshot-window oracle, in both

@@ -4,9 +4,12 @@
 
 use fhs_core::mqb::InfoModel;
 use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
-use fhs_sim::{engine, trace, MachineConfig, Mode, RunOptions};
+use fhs_sim::{engine, MachineConfig, Mode, RunOptions};
 use kdag::{KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+#[path = "../../sim/tests/support/trace_check.rs"]
+mod trace_check;
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
     (1..=max_tasks).prop_flat_map(move |n| {
@@ -50,7 +53,7 @@ proptest! {
                 let out = engine::run(&dag, &cfg, p.as_mut(), mode, &opts);
                 let tr = out.trace.expect("requested");
                 prop_assert_eq!(
-                    trace::validate(&tr, &dag, &cfg),
+                    trace_check::validate(&tr, &dag, &cfg),
                     Ok(()),
                     "{} produced an illegal {:?} schedule",
                     algo.label(),
@@ -73,7 +76,7 @@ proptest! {
         let cadences = [
             (Mode::NonPreemptive, RunOptions::default()),
             (Mode::Preemptive, RunOptions::default()),
-            (Mode::Preemptive, RunOptions::default().with_quantum(1)),
+            (Mode::Preemptive, RunOptions { quantum: Some(1), ..RunOptions::default() }),
         ];
         for algo in ALL_ALGORITHMS {
             for (mode, opts) in &cadences {
@@ -116,7 +119,7 @@ proptest! {
             let mut p = make_policy(Algorithm::MqbWith(info));
             let out = engine::run(&dag, &cfg, p.as_mut(), Mode::Preemptive, &opts);
             let tr = out.trace.expect("requested");
-            prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()), "{}", info.label());
+            prop_assert_eq!(trace_check::validate(&tr, &dag, &cfg), Ok(()), "{}", info.label());
         }
     }
 
@@ -174,7 +177,7 @@ proptest! {
             let epoch = engine::run(&dag, &cfg, a.as_mut(), Mode::Preemptive, &RunOptions::seeded(3));
             let quantum = engine::run(
                 &dag, &cfg, b.as_mut(), Mode::Preemptive,
-                &RunOptions::seeded(3).with_quantum(1),
+                &RunOptions { quantum: Some(1), ..RunOptions::seeded(3) },
             );
             prop_assert_eq!(epoch.makespan, quantum.makespan, "{}", a.name());
             prop_assert_eq!(epoch.busy_time, quantum.busy_time, "{}", a.name());
@@ -193,10 +196,10 @@ proptest! {
             let mut p = make_policy(algo);
             let out = engine::run(
                 &dag, &cfg, p.as_mut(), Mode::Preemptive,
-                &RunOptions::seeded(9).with_trace().with_quantum(q),
+                &RunOptions { quantum: Some(q), ..RunOptions::seeded(9).with_trace() },
             );
             let tr = out.trace.expect("requested");
-            prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()), "{} q={}", algo.label(), q);
+            prop_assert_eq!(trace_check::validate(&tr, &dag, &cfg), Ok(()), "{} q={}", algo.label(), q);
             prop_assert_eq!(out.busy_time.iter().sum::<u64>(), dag.total_work());
         }
     }

@@ -22,7 +22,6 @@
 
 use std::sync::Arc;
 
-use fhs_core::shiftbt::reference::bottleneck_sequencing;
 use fhs_core::{DType, Edd, LSpan, MaxDP, ShiftBT};
 use fhs_sim::{
     engine, Assignments, EpochView, MachineConfig, Mode, Policy, ReadyQueue, ReadyTask, RunOptions,
@@ -31,6 +30,10 @@ use fhs_sim::{
 use kdag::precompute::Artifacts;
 use kdag::{descendants, distance, duedate, metrics, KDag, KDagBuilder, TaskId, Work};
 use proptest::prelude::*;
+
+#[path = "support/shiftbt_reference.rs"]
+mod shiftbt_reference;
+use shiftbt_reference::bottleneck_sequencing;
 
 const CADENCES: [(Mode, Option<u64>); 3] = [
     (Mode::NonPreemptive, None),

@@ -1,13 +1,16 @@
 //! Equivalence proof for ShiftBT's incremental bottleneck sequencing:
 //! on random K-DAGs and machine configurations, the cached /
 //! early-exiting / heap-dispatched production path must reproduce the
-//! retained from-scratch oracle (`shiftbt::reference`) bit for bit —
+//! retained from-scratch oracle (`support/shiftbt_reference.rs`) bit for bit —
 //! the same bottleneck order and the same per-task rank table.
 
-use fhs_core::shiftbt::{reference, ShiftBT};
+use fhs_core::shiftbt::ShiftBT;
 use fhs_sim::{MachineConfig, Policy};
 use kdag::{duedate, Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+#[path = "support/shiftbt_reference.rs"]
+mod reference;
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
     (1..=max_tasks).prop_flat_map(move |n| {

@@ -6,7 +6,7 @@
 //! * [`sweep_exposition`] renders a sweep's aggregates — engine counters,
 //!   selection/fast-forward counters, log-bucketed latency histograms,
 //!   utilization gauges — in the Prometheus text format 0.0.4 implemented
-//!   by [`fhs_obs::Exposition`] (validated by [`fhs_obs::validate`]).
+//!   by [`fhs_obs::Exposition`].
 //! * [`sweep_snapshot_jsonl`] renders the same aggregates as a versioned
 //!   snapshot-JSONL page. `sweep` publishes both between chunks, outside
 //!   the engine, with [`fhs_obs::write_atomic`] (tmp + rename, so a
@@ -307,11 +307,16 @@ fn serve_one(mut stream: TcpStream, latest: &Mutex<String>) -> std::io::Result<(
 }
 
 #[cfg(test)]
+#[path = "../../obs/tests/support/exposition_check.rs"]
+mod exposition_check;
+
+#[cfg(test)]
 mod tests {
+    use super::exposition_check::validate;
     use super::*;
     use crate::runner::{run_sweep_observed, SweepCell};
     use fhs_core::Algorithm;
-    use fhs_obs::{validate, ObsConfig};
+    use fhs_obs::ObsConfig;
     use fhs_sim::Mode;
     use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 
@@ -404,7 +409,7 @@ mod tests {
     /// text-format page. `done`/`total` expose the sweep's progress so a
     /// scraper can watch a long run converge; the per-column families are
     /// labeled `algo="<label>"`. Families are emitted family-major, so the
-    /// page always passes [`fhs_obs::validate`].
+    /// page always passes the exposition checker.
     fn family_major_sweep_exposition(
         workload: &str,
         mode: &str,

@@ -164,20 +164,39 @@ pub struct HistSnapshot {
 impl HistSnapshot {
     /// Reassembles a snapshot from serialized parts (the inverse of
     /// reading `count`/`max`/`sum`/[`buckets`](HistSnapshot::buckets) —
-    /// used by the shard-merge tool). `buckets` must be ascending by
-    /// index with non-zero counts summing to `count`; debug-asserted.
-    pub fn from_parts(count: u64, max: u64, sum: u64, buckets: Vec<(u16, u64)>) -> HistSnapshot {
-        debug_assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0), "unsorted");
-        debug_assert!(buckets
-            .iter()
-            .all(|&(i, c)| (i as usize) < BUCKETS && c > 0));
-        debug_assert_eq!(buckets.iter().map(|&(_, c)| c).sum::<u64>(), count);
-        HistSnapshot {
+    /// used by the shard-merge tool). Refuses a bucket list that is not
+    /// strictly ascending by index, names an index at or past
+    /// [`BUCKETS`], holds a zero count, or does not sum to `count`.
+    pub fn from_parts(
+        count: u64,
+        max: u64,
+        sum: u64,
+        buckets: Vec<(u16, u64)>,
+    ) -> Result<HistSnapshot, String> {
+        let mut total = 0u64;
+        for (i, &(idx, n)) in buckets.iter().enumerate() {
+            if usize::from(idx) >= BUCKETS {
+                return Err(format!(
+                    "bucket index {idx} past the {BUCKETS}-bucket table"
+                ));
+            }
+            if i > 0 && buckets[i - 1].0 >= idx {
+                return Err(format!("bucket {idx} out of order"));
+            }
+            if n == 0 {
+                return Err(format!("zero bucket count at bucket {idx}"));
+            }
+            total = total.checked_add(n).ok_or("bucket counts overflow")?;
+        }
+        if total != count {
+            return Err(format!("bucket counts sum to {total}, not count {count}"));
+        }
+        Ok(HistSnapshot {
             count,
             max,
             sum,
             buckets,
-        }
+        })
     }
 
     /// `true` when nothing was recorded.
@@ -421,5 +440,23 @@ mod tests {
         assert_eq!(a.sum(), 120);
         a.reset();
         assert_eq!(a.sum(), 0);
+    }
+
+    #[test]
+    fn from_parts_refuses_every_invalid_bucket_list() {
+        let top = (BUCKETS - 1) as u16;
+        for (count, buckets, why) in [
+            (1, vec![(BUCKETS as u16, 1)], "past the"),
+            (1, vec![(u16::MAX, 1)], "past the"),
+            (2, vec![(5, 1), (2, 1)], "out of order"),
+            (2, vec![(3, 1), (3, 1)], "out of order"),
+            (1, vec![(2, 0), (5, 1)], "zero bucket count"),
+            (3, vec![(5, 1)], "sum to"),
+            (1, vec![(2, 1), (5, 1)], "sum to"),
+            (1, vec![(1, u64::MAX), (top, 2)], "overflow"),
+        ] {
+            let err = HistSnapshot::from_parts(count, 5, 5, buckets.clone()).unwrap_err();
+            assert!(err.contains(why), "{buckets:?}: {err}");
+        }
     }
 }

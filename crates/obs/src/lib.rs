@@ -24,9 +24,9 @@
 //!   in the warm epoch loop (storage is sized in
 //!   [`Recorder::begin_run`]).
 //! * [`telemetry`] — a hand-rolled Prometheus text-format
-//!   [`Exposition`] builder (with a structural [`validate`]r) plus
-//!   atomic tmp+rename snapshot publication ([`write_atomic`]), the
-//!   substrate of the live telemetry service in `fhs-experiments`.
+//!   [`Exposition`] builder plus atomic tmp+rename snapshot publication
+//!   ([`write_atomic`]), the substrate of the live telemetry service in
+//!   `fhs-experiments`.
 //!
 //! The crate deliberately has **zero dependencies** — it sits *below*
 //! `fhs-sim` in the dependency graph and speaks plain integers, so the
@@ -49,5 +49,5 @@ pub use events::{chrome_trace_json, events_jsonl, Event, EventBuf, EventKind, Tr
 pub use hist::{bucket_high, bucket_index, HistSnapshot, LogHist, BUCKETS};
 pub use jobs::{JobRecord, StreamStats};
 pub use recorder::{ObsConfig, Recorder, RunObs};
-pub use telemetry::{validate, write_atomic, Exposition, SNAPSHOT_SCHEMA_VERSION};
+pub use telemetry::{write_atomic, Exposition, SNAPSHOT_SCHEMA_VERSION};
 pub use timeline::{TypeUtilization, UtilSummary, UtilTimeline, UtilizationReport};

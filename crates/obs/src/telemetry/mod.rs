@@ -11,10 +11,6 @@
 //!   [`HistSnapshot`](crate::HistSnapshot)s as cumulative `_bucket`
 //!   lines (upper edges from [`bucket_high`](crate::bucket_high)) with
 //!   the mandatory `+Inf` bucket, `_sum`, and `_count`.
-//! * [`validate`] — a structural checker for exposition text (line
-//!   grammar, header placement, monotone cumulative buckets, `+Inf` ==
-//!   `_count`), used by tests and the CI scrape check so "what we serve
-//!   actually parses" does not depend on trusting the builder.
 //! * [`write_atomic`] — tmp-file + rename snapshot publication, so a
 //!   concurrent reader (or a crash) never observes a torn file.
 //!
@@ -24,5 +20,11 @@
 mod expo;
 mod snapshot;
 
-pub use expo::{validate, Exposition};
+pub use expo::Exposition;
 pub use snapshot::{write_atomic, SNAPSHOT_SCHEMA_VERSION};
+
+// The unit tests check every page the builder writes with the test-support
+// exposition checker, which fhs-experiments' telemetry tests share.
+#[cfg(test)]
+#[path = "../../tests/support/exposition_check.rs"]
+mod exposition_check;

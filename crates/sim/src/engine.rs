@@ -82,13 +82,6 @@ impl RunOptions {
         self.record_trace = true;
         self
     }
-
-    /// Sets the preemptive re-decision quantum.
-    pub fn with_quantum(mut self, q: Work) -> Self {
-        assert!(q > 0, "quantum must be positive");
-        self.quantum = Some(q);
-        self
-    }
 }
 
 /// Result of one engine run.
@@ -409,7 +402,10 @@ mod tests {
             &cfg,
             &mut FifoPolicy,
             Mode::Preemptive,
-            &RunOptions::default().with_quantum(1),
+            &RunOptions {
+                quantum: Some(1),
+                ..RunOptions::default()
+            },
         );
         assert_eq!(fast.makespan, slow.makespan);
         assert_eq!(fast.busy_time, slow.busy_time);
@@ -424,7 +420,7 @@ mod tests {
         for mode in [Mode::NonPreemptive, Mode::Preemptive] {
             let out = run(&job, &cfg, &mut FifoPolicy, mode, &opts_trace());
             let trace = out.trace.expect("trace requested");
-            crate::trace::validate(&trace, &job, &cfg).unwrap();
+            crate::trace_check::validate(&trace, &job, &cfg).unwrap();
             assert_eq!(trace.makespan(), out.makespan);
         }
     }
@@ -498,8 +494,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantum must be positive")]
     fn zero_quantum_panics() {
-        // `quantum` is a public field, so `with_quantum`'s check can be
-        // bypassed; the run prologue rejects it instead of looping forever.
+        // The run prologue rejects a zero quantum instead of looping
+        // forever.
         let opts = RunOptions {
             quantum: Some(0),
             ..RunOptions::default()

@@ -19,9 +19,9 @@
 //!   between — exactly equivalent to per-quantum re-decisions for policies
 //!   whose choices don't depend on candidates' *remaining* work (FIFO,
 //!   DType, MaxDP, ShiftBT; property-tested), and a coarser preemption
-//!   cadence for those that do (LSpan, MQB). Pass
-//!   [`RunOptions::with_quantum`]`(1)` for the paper's literal per-quantum
-//!   scheduler.
+//!   cadence for those that do (LSpan, MQB). Set
+//!   [`RunOptions::quantum`] to `Some(1)` for the paper's literal
+//!   per-quantum scheduler.
 //!
 //! The run state keeps its candidates in indexed, arrival-ordered
 //! [`ready_queue::ReadyQueue`]s: a dense task→slot position map plus
@@ -34,10 +34,11 @@
 //!
 //! Scheduling behaviour is supplied through the [`Policy`] trait; the six
 //! algorithms of the paper live in the `fhs-core` crate. The engines
-//! optionally record a full [`trace::Trace`] which can be validated against
-//! the model's rules ([`trace::validate`]) and rendered as an ASCII Gantt
-//! chart ([`gantt`]). Per-type utilization timelines are `fhs-obs`'s
-//! [`UtilTimeline`]: the engine records one live when asked
+//! optionally record a full [`trace::Trace`], which can be exported as CSV
+//! and rendered as an ASCII Gantt chart ([`gantt`]); the test suites check
+//! every recorded trace against the model's rules with the checker in
+//! `tests/support/trace_check.rs`. Per-type utilization timelines are
+//! `fhs-obs`'s [`UtilTimeline`]: the engine records one live when asked
 //! ([`ObsConfig::utilization`]), and [`UtilTimeline::from_intervals`]
 //! builds one from a trace's segments for the interleaving index and
 //! sparklines.
@@ -104,3 +105,11 @@ pub use workspace::Workspace;
 
 /// Simulator clock value, in discrete time units.
 pub type Time = u64;
+
+// The unit tests share the suites' trace checker, which names this crate
+// `fhs_sim`.
+#[cfg(test)]
+extern crate self as fhs_sim;
+#[cfg(test)]
+#[path = "../tests/support/trace_check.rs"]
+mod trace_check;

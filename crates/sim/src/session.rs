@@ -147,13 +147,6 @@ impl SessionOptions {
         self.inter = inter;
         self
     }
-
-    /// Sets the preemptive re-decision quantum.
-    pub fn with_quantum(mut self, q: Work) -> Self {
-        assert!(q > 0, "quantum must be positive");
-        self.quantum = Some(q);
-        self
-    }
 }
 
 /// Aggregate result of a finished [`Session`].
@@ -1162,7 +1155,13 @@ mod tests {
         b.add_task(0, 10);
         let job = b.build().unwrap();
         let cfg = MachineConfig::uniform(1, 1);
-        let mut s = Session::new(cfg, SessionOptions::new(Mode::Preemptive).with_quantum(1));
+        let mut s = Session::new(
+            cfg,
+            SessionOptions {
+                quantum: Some(1),
+                ..SessionOptions::new(Mode::Preemptive)
+            },
+        );
         s.admit(Arc::new(job), Box::new(FifoPolicy), 0);
         let (out, _) = s.finish();
         assert_eq!(out.makespan, 10);
@@ -1179,7 +1178,13 @@ mod tests {
         b.add_task(0, 7);
         let job = b.build().unwrap();
         let cfg = MachineConfig::uniform(1, 1);
-        let mut s = Session::new(cfg, SessionOptions::new(Mode::Preemptive).with_quantum(3));
+        let mut s = Session::new(
+            cfg,
+            SessionOptions {
+                quantum: Some(3),
+                ..SessionOptions::new(Mode::Preemptive)
+            },
+        );
         s.admit(Arc::new(job), Box::new(FifoPolicy), 0);
         let (out, _) = s.finish();
         assert_eq!(out.makespan, 7);
@@ -1227,7 +1232,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "quantum must be positive")]
     fn zero_quantum_panics() {
-        // `quantum` is a public field, bypassing `with_quantum`'s check.
         let opts = SessionOptions {
             quantum: Some(0),
             ..SessionOptions::new(Mode::Preemptive)

@@ -1,8 +1,9 @@
-//! Execution traces and the model-rule validator.
+//! Execution traces: the segments a run recorded, coalescing and CSV
+//! export. The model-rule checker that tests run over traces lives in
+//! the test support file `tests/support/trace_check.rs`.
 
-use kdag::{KDag, TaskId};
+use kdag::TaskId;
 
-use crate::config::MachineConfig;
 use crate::Time;
 
 /// A contiguous stretch of one task executing on one processor.
@@ -28,7 +29,7 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Wraps raw segments; see [`validate`] for checking them.
+    /// Wraps raw segments.
     pub fn new(segments: Vec<Segment>, makespan: Time) -> Self {
         Trace { segments, makespan }
     }
@@ -83,175 +84,12 @@ pub fn to_csv(trace: &Trace) -> String {
     out
 }
 
-/// Ways a trace can violate the K-DAG execution model.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceError {
-    /// A segment has `end <= start`.
-    EmptySegment(TaskId),
-    /// A segment ran a task on a pool of the wrong type.
-    TypeMismatch {
-        /// Offending task.
-        task: TaskId,
-        /// Task's declared type.
-        task_type: usize,
-        /// Pool the segment claims.
-        pool: usize,
-    },
-    /// A segment names a processor index `≥ P_α`.
-    BadProcessor(TaskId),
-    /// The union of a task's segments does not equal its work.
-    WorkMismatch {
-        /// Offending task.
-        task: TaskId,
-        /// Total executed time.
-        executed: u64,
-        /// Declared work.
-        work: u64,
-    },
-    /// Two segments overlap on one processor.
-    ProcessorOverlap {
-        /// Resource type of the pool.
-        rtype: usize,
-        /// Processor index.
-        proc: u32,
-        /// Time at which the overlap begins.
-        at: Time,
-    },
-    /// Two segments of one task overlap in time (a task cannot run on two
-    /// processors at once).
-    TaskOverlap(TaskId),
-    /// A task started before one of its parents finished.
-    PrecedenceViolation {
-        /// Parent task.
-        parent: TaskId,
-        /// Child task.
-        child: TaskId,
-    },
-    /// A segment extends past the recorded makespan.
-    ExceedsMakespan(TaskId),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::EmptySegment(t) => write!(f, "empty segment for {t}"),
-            TraceError::TypeMismatch {
-                task,
-                task_type,
-                pool,
-            } => {
-                write!(f, "{task} of type {task_type} ran on a type-{pool} pool")
-            }
-            TraceError::BadProcessor(t) => write!(f, "{t} ran on a nonexistent processor"),
-            TraceError::WorkMismatch {
-                task,
-                executed,
-                work,
-            } => {
-                write!(f, "{task} executed {executed} units but has work {work}")
-            }
-            TraceError::ProcessorOverlap { rtype, proc, at } => {
-                write!(f, "pool {rtype} processor {proc} double-booked at t={at}")
-            }
-            TraceError::TaskOverlap(t) => write!(f, "{t} ran on two processors at once"),
-            TraceError::PrecedenceViolation { parent, child } => {
-                write!(f, "{child} started before its parent {parent} finished")
-            }
-            TraceError::ExceedsMakespan(t) => write!(f, "{t} runs past the makespan"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Checks that `trace` is a legal execution of `job` on `config`:
-/// segment sanity, type matching, processor bounds, per-processor and
-/// per-task exclusivity, exact work totals, precedence, and makespan
-/// containment.
-pub fn validate(trace: &Trace, job: &KDag, config: &MachineConfig) -> Result<(), TraceError> {
-    // Per-segment sanity + accumulate per-task execution.
-    let mut executed = vec![0u64; job.num_tasks()];
-    for s in trace.segments() {
-        if s.end <= s.start {
-            return Err(TraceError::EmptySegment(s.task));
-        }
-        let tt = job.rtype(s.task);
-        if tt != s.rtype {
-            return Err(TraceError::TypeMismatch {
-                task: s.task,
-                task_type: tt,
-                pool: s.rtype,
-            });
-        }
-        if (s.proc as usize) >= config.procs(s.rtype) {
-            return Err(TraceError::BadProcessor(s.task));
-        }
-        if s.end > trace.makespan() {
-            return Err(TraceError::ExceedsMakespan(s.task));
-        }
-        executed[s.task.index()] += s.end - s.start;
-    }
-
-    for v in job.tasks() {
-        if executed[v.index()] != job.work(v) {
-            return Err(TraceError::WorkMismatch {
-                task: v,
-                executed: executed[v.index()],
-                work: job.work(v),
-            });
-        }
-    }
-
-    // Processor exclusivity: sort by (type, proc, start).
-    let mut by_proc: Vec<&Segment> = trace.segments().iter().collect();
-    by_proc.sort_by_key(|s| (s.rtype, s.proc, s.start));
-    for w in by_proc.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if a.rtype == b.rtype && a.proc == b.proc && b.start < a.end {
-            return Err(TraceError::ProcessorOverlap {
-                rtype: a.rtype,
-                proc: a.proc,
-                at: b.start,
-            });
-        }
-    }
-
-    // Task exclusivity: sort by (task, start).
-    let mut by_task: Vec<&Segment> = trace.segments().iter().collect();
-    by_task.sort_by_key(|s| (s.task, s.start));
-    for w in by_task.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        if a.task == b.task && b.start < a.end {
-            return Err(TraceError::TaskOverlap(a.task));
-        }
-    }
-
-    // Precedence: child's first start ≥ parent's last end.
-    let mut first_start = vec![Time::MAX; job.num_tasks()];
-    let mut last_end = vec![0 as Time; job.num_tasks()];
-    for s in trace.segments() {
-        let i = s.task.index();
-        first_start[i] = first_start[i].min(s.start);
-        last_end[i] = last_end[i].max(s.end);
-    }
-    for v in job.tasks() {
-        for &c in job.children(v) {
-            if first_start[c.index()] < last_end[v.index()] {
-                return Err(TraceError::PrecedenceViolation {
-                    parent: v,
-                    child: c,
-                });
-            }
-        }
-    }
-
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kdag::KDagBuilder;
+    use crate::trace_check::{validate, TraceError};
+    use crate::MachineConfig;
+    use kdag::{KDag, KDagBuilder};
 
     fn tiny_job() -> KDag {
         let mut b = KDagBuilder::new(2);

@@ -5,11 +5,14 @@
 //! with non-empty queues, erratic preemption).
 
 use fhs_sim::policy::{Assignments, EpochView, Policy};
-use fhs_sim::{engine, trace, MachineConfig, Mode, RunOptions};
+use fhs_sim::{engine, MachineConfig, Mode, RunOptions};
 use kdag::{Artifacts, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/trace_check.rs"]
+mod trace_check;
 
 /// Selects a random subset (possibly empty per type, but never globally
 /// empty when work exists) of candidates each epoch.
@@ -108,7 +111,7 @@ proptest! {
             prop_assert_eq!(out.busy_time.iter().sum::<u64>(), dag.total_work());
             // legal trace
             let tr = out.trace.expect("requested");
-            prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()), "{:?}", mode);
+            prop_assert_eq!(trace_check::validate(&tr, &dag, &cfg), Ok(()), "{:?}", mode);
             // within the trivial serial bound
             prop_assert!(out.makespan <= dag.total_work());
         }

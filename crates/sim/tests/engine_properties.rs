@@ -3,9 +3,12 @@
 //! per-quantum engine, and conservation laws.
 
 use fhs_sim::policy::FifoPolicy;
-use fhs_sim::{engine, trace, MachineConfig, Mode, RunOptions};
+use fhs_sim::{engine, MachineConfig, Mode, RunOptions};
 use kdag::{metrics, KDag, KDagBuilder, TaskId};
 use proptest::prelude::*;
+
+#[path = "support/trace_check.rs"]
+mod trace_check;
 
 fn arb_kdag(k: usize, max_tasks: usize, max_work: u64) -> impl Strategy<Value = KDag> {
     (1..=max_tasks).prop_flat_map(move |n| {
@@ -45,7 +48,7 @@ proptest! {
         let opts = RunOptions::default().with_trace();
         let out = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::NonPreemptive, &opts);
         let tr = out.trace.expect("requested");
-        prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()));
+        prop_assert_eq!(trace_check::validate(&tr, &dag, &cfg), Ok(()));
         // non-preemptive = one segment per task
         prop_assert_eq!(tr.segments().len(), dag.num_tasks());
     }
@@ -55,7 +58,7 @@ proptest! {
         let opts = RunOptions::default().with_trace();
         let out = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::Preemptive, &opts);
         let tr = out.trace.expect("requested");
-        prop_assert_eq!(trace::validate(&tr, &dag, &cfg), Ok(()));
+        prop_assert_eq!(trace_check::validate(&tr, &dag, &cfg), Ok(()));
     }
 
     #[test]
@@ -84,7 +87,7 @@ proptest! {
     #[test]
     fn per_step_and_epoch_preemptive_agree(dag in arb_kdag(3, 25, 4), cfg in arb_config(3)) {
         let fast = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::Preemptive, &RunOptions::default());
-        let stepped = RunOptions::default().with_quantum(1);
+        let stepped = RunOptions { quantum: Some(1), ..RunOptions::default() };
         let slow = engine::run(&dag, &cfg, &mut FifoPolicy, Mode::Preemptive, &stepped);
         prop_assert_eq!(fast.makespan, slow.makespan);
         prop_assert_eq!(fast.busy_time, slow.busy_time);

@@ -16,11 +16,7 @@
 //! `T* = K − 1 + m·P_K`; an online scheduler must drain whole queues to
 //! stumble on the hidden active tasks, costing
 //! `≈ (K + 1 − Σ_α 1/(P_α+1)) · m·P_K` in expectation — the Ω(K) gap.
-//!
-//! Also here: [`antichain`], an adversary of MQB's *selection cost*
-//! rather than of its schedule.
 
-use fhs_sim::MachineConfig;
 use kdag::{KDag, KDagBuilder, TaskId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -117,36 +113,6 @@ pub fn generate<R: Rng>(params: &AdversarialParams, rng: &mut R) -> KDag {
     b.build().expect("the adversarial family is acyclic")
 }
 
-/// A worst case for MQB's dominance pruning, the three-partite shape of
-/// Kari, Russell & Shashidhar's k-partite task graphs: K = 3,
-/// P = (4, 4, 4), and `n` unit-work type-0 roots, root `i` (1-based)
-/// feeding a type-1 child of work `i` and a type-2 child of work
-/// `n + 1 − i`.
-///
-/// Every root has the same total descendant value `n + 1`, and the roots'
-/// descendant rows `(0, i, n + 1 − i)` are pairwise incomparable, so no
-/// root dominates another: exact MQB evaluates the whole ready queue on
-/// every pick.
-///
-/// # Panics
-/// If `n == 0`.
-pub fn antichain(n: usize) -> (KDag, MachineConfig) {
-    assert!(n > 0, "an antichain needs at least one root");
-    let n = n as u64;
-    let mut b = KDagBuilder::new(3);
-    for i in 1..=n {
-        let root = b.add_task(0, 1);
-        let left = b.add_task(1, i);
-        let right = b.add_task(2, n + 1 - i);
-        b.add_edge(root, left).expect("root edges are valid");
-        b.add_edge(root, right).expect("root edges are valid");
-    }
-    (
-        b.build().expect("a forest of depth one is acyclic"),
-        MachineConfig::new(vec![4, 4, 4]),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,29 +187,5 @@ mod tests {
             .collect();
         parent_counts.sort_unstable();
         assert_eq!(parent_counts, vec![1, 1, 1, 1, 1, 2, 2, 3]);
-    }
-
-    #[test]
-    fn antichain_roots_tie_on_total_and_are_pairwise_incomparable() {
-        let (job, cfg) = antichain(5);
-        assert_eq!(job.num_tasks(), 15);
-        assert_eq!(cfg.procs_per_type(), &[4, 4, 4]);
-        let dv = kdag::descendants::DescendantValues::compute(&job);
-        let roots: Vec<&[f64]> = job
-            .tasks()
-            .filter(|&v| job.rtype(v) == 0)
-            .map(|v| dv.row(v))
-            .collect();
-        assert_eq!(roots.len(), 5);
-        for (i, r) in roots.iter().enumerate() {
-            assert_eq!(r, &[0.0, i as f64 + 1.0, 5.0 - i as f64]);
-            assert_eq!(r.iter().sum::<f64>(), 6.0);
-        }
-        for a in &roots {
-            for b in &roots {
-                let ge = a.iter().zip(b.iter()).all(|(x, y)| x >= y);
-                assert!(a == b || !ge, "{a:?} dominates {b:?}");
-            }
-        }
     }
 }

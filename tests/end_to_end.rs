@@ -2,10 +2,13 @@
 //! through scheduling to metric computation, exercised through the facade.
 
 use fhs::prelude::*;
-use fhs::sim::{metrics, trace};
+use fhs::sim::metrics;
 use fhs::workloads::adversarial::{self, AdversarialParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "../crates/sim/tests/support/trace_check.rs"]
+mod trace_check;
 
 /// Every (family × typing × size × algorithm × mode) combination runs to
 /// completion with a legal schedule.
@@ -28,7 +31,7 @@ fn full_matrix_produces_legal_schedules() {
                         );
                         let tr = out.trace.expect("trace requested");
                         assert_eq!(
-                            trace::validate(&tr, &job, &cfg),
+                            trace_check::validate(&tr, &job, &cfg),
                             Ok(()),
                             "{} {:?} on {}",
                             algo.label(),
