@@ -12,7 +12,11 @@
 //!   retain past `init` (the plan in the bundle, and nothing per task of
 //!   their own), and what an MQB run leaves in its policy and its
 //!   workspace. The last two are exact values for the fixed seed, so the
-//!   next cut to either shows as a changed pin.
+//!   next cut to either shows as a changed pin. A second test pins what
+//!   a warm sweep worker keeps — its workspace and its six policy values
+//!   after every event column ran a smaller Huge instance, then a larger
+//!   one — with each per-task table written as a formula in `n`, and
+//!   prints it as the `huge smoke worker bytes:` line.
 //! * **Wall clock**: each stage gets a generous budget that a linear or
 //!   near-linear implementation clears by an order of magnitude, but a
 //!   quadratic regression (≈1000× at this scale) cannot.
@@ -25,8 +29,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fhs_core::{make_policy, Algorithm};
-use fhs_sim::{engine, MachineConfig, Mode, Policy, RunOptions, Workspace};
+use fhs_core::{make_policy, Algorithm, ALL_ALGORITHMS};
+use fhs_sim::{engine, metrics, MachineConfig, Mode, Policy, RunOptions, Workspace};
 use fhs_workloads::{resources::SystemSize, Family, Typing, WorkloadSpec};
 use kdag::descendants::DescendantValues;
 use kdag::distance::Distances;
@@ -224,21 +228,20 @@ fn huge_pipeline_end_to_end() {
     // What an MQB run leaves in its policy and its workspace, pinned
     // exactly for this seed (n = 109,576, K = 4) so the next cut to
     // either shows:
-    // - MQB, 8,970,768 bytes: the task-indexed member records (24n =
-    //   2,629,824); the tie-break totals `d_total` (8n = 876,608); the
-    //   row classes (a u32 per task at power-of-two capacity, 524,288),
-    //   their representatives (262,144) and labelling table (1,048,576);
-    //   the per-type group slabs, rows, free lists and frontiers
-    //   (1,762,048); and 1,795,197 more, mostly the per-type
-    //   `(class, rem)` → group maps.
-    // - The workspace, 6,076,916 bytes: six per-task tables (status word,
-    //   remaining work, indegree, queue position, stamp and processor;
-    //   32n = 3,506,432), the ready queues with their journals
-    //   (2,293,152), the event calendar (263,680), and 13,652 bytes of
-    //   per-type buffers.
-    assert_eq!(mqb.policy, 8_970_768, "MQB kept {} bytes", mqb.policy);
+    // - MQB, 5,358,144 bytes: the task-indexed 16-byte member records
+    //   (16n = 1,753,216); the row classes (a u32 per task at
+    //   power-of-two capacity, 524,288), their representatives (262,144)
+    //   and the open-addressing table that labels them at `init` and then
+    //   finds the groups (1,048,576); the per-type group slabs, rows, free
+    //   lists and frontiers (1,762,048); and 7,872 bytes of scratch and
+    //   the policy value itself.
+    // - The workspace, 4,762,004 bytes: five u32 per-task tables (status
+    //   word, indegree, queue position, stamp and processor; 20n =
+    //   2,191,520), the ready queues with their journals (2,293,152), the
+    //   event calendar (263,680), and 13,652 bytes of per-type buffers.
+    assert_eq!(mqb.policy, 5_358_144, "MQB kept {} bytes", mqb.policy);
     assert_eq!(
-        mqb.workspace, 6_076_916,
+        mqb.workspace, 4_762_004,
         "MQB's workspace kept {} bytes",
         mqb.workspace
     );
@@ -275,4 +278,93 @@ fn huge_pipeline_end_to_end() {
         mqb_t < Duration::from_secs(30),
         "MQB run took {mqb_t:?} on Huge — scaling regression?"
     );
+}
+
+/// The live bytes a warm sweep worker's [`Workspace`] and six policy
+/// values hold, measured by dropping each, after every event column has
+/// run a smaller Huge instance and then a larger one.
+fn worker_bytes() -> (usize, i64, Vec<(Algorithm, i64)>) {
+    let spec = WorkloadSpec::new(Family::Ir, Typing::Layered, SystemSize::Huge, 4);
+    let mut ws = Workspace::new();
+    let mut policies: Vec<(Algorithm, Box<dyn Policy>)> = ALL_ALGORITHMS
+        .into_iter()
+        .map(|algo| (algo, make_policy(algo)))
+        .collect();
+    let mut n = 0;
+    for seed in [8, 2] {
+        let (job, cfg) = spec.sample(seed);
+        let artifacts = Arc::new(Artifacts::compute(&job));
+        for (algo, policy) in &mut policies {
+            for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+                let (result, _, _) = metrics::evaluate_observed_with_artifacts_in(
+                    &mut ws,
+                    &job,
+                    &cfg,
+                    policy.as_mut(),
+                    mode,
+                    &RunOptions::seeded(seed),
+                    &artifacts,
+                );
+                assert!(result.ratio >= 1.0, "{} {mode:?}", algo.label());
+            }
+        }
+        n = job.num_tasks();
+    }
+    let before = live();
+    drop(ws);
+    let workspace = before - live();
+    let policies = policies
+        .into_iter()
+        .map(|(algo, policy)| {
+            let before = live();
+            drop(policy);
+            (algo, before - live())
+        })
+        .collect();
+    (n, workspace, policies)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "Huge instances are exercised in --release (its own CI step)"
+)]
+fn a_warm_sweep_worker_keeps_each_per_task_fact_once() {
+    let (n, workspace, policies) = worker_bytes();
+    println!("huge smoke worker bytes: n {n} | workspace {workspace} | {policies:?}");
+    // The instances are seed 8 (76,638 tasks), then seed 2 (n = 109,576).
+    // The per-task tables grow by doubling: sized for the smaller job,
+    // each holds max(2 × 76,638, n) = 153,276 slots after the larger.
+    assert_eq!(n, 109_576);
+    let slots = (2 * 76_638).max(n);
+    // The workspace: five u32 per-task tables — the status word, indegree
+    // and queue position of the job state, the duplicate-selection stamp
+    // and the processor of the job runtime — then, pinned for these
+    // seeds, the ready queues with their journals (2,958,688), the event
+    // calendar, the recorder and the per-type buffers (278,216).
+    let per_task = 4 * slots + 4 * slots + 4 * slots + 4 * slots + 4 * slots;
+    assert_eq!(workspace, (per_task + 3_236_904) as i64, "the workspace");
+    // MQB: the 16-byte member records and the u32 row classes (pushed,
+    // so at power-of-two capacity), per task; then the class
+    // representatives (262,144), the shared labelling and
+    // group-key table (1,048,576), the per-type group slabs, rows, free
+    // lists, frontiers and pending picks (1,801,216), and the scratch and
+    // the policy value (9,981). The other five keep no per-task table:
+    // KGreedy its permutation overrides, the offline four their ranked
+    // selection index, each sized by the longest queue.
+    let want = [
+        (Algorithm::KGreedy, 447_520),
+        (Algorithm::LSpan, 952_496),
+        (Algorithm::DType, 725_520),
+        (Algorithm::MaxDP, 627_296),
+        (Algorithm::ShiftBT, 752_704),
+        (
+            Algorithm::Mqb,
+            16 * slots + 4 * n.next_power_of_two() + 3_121_917,
+        ),
+    ];
+    for ((algo, got), (want_algo, want)) in policies.into_iter().zip(want) {
+        assert_eq!(algo, want_algo);
+        assert_eq!(got, want as i64, "{} keeps {got} bytes", algo.label());
+    }
 }

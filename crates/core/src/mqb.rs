@@ -27,8 +27,7 @@
 //! [`InfoModel`]: one-step vs full lookahead, and precise vs
 //! exponentially-distributed vs noisy descendant estimates.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -146,13 +145,14 @@ impl InfoModel {
     }
 }
 
-/// Multiplicative hasher for the index's `(class, rem_key)` map. The keys
-/// are integers the policy derives (a row-class id and a remaining work),
-/// the map is never iterated, and it is probed on every journal event, so
-/// SipHash's per-lookup cost bought nothing. FxHash's word mix (rotate,
-/// xor, multiply), with the well-mixed high product bits rotated down at
-/// `finish` for the table's bucket index. A job can steer the keys only
-/// through its work values; a collision costs probe time, never a pick.
+/// Multiplicative hasher for the policy's open-addressing table
+/// ([`GroupTable`]): the row-class labelling hashes descendant rows, the
+/// index hashes `(type, class, rem_key)` group keys. The table is probed
+/// on every journal event, so SipHash's per-lookup cost would buy
+/// nothing. FxHash's word mix (rotate, xor, multiply), with the
+/// well-mixed high product bits rotated down at `finish`. A job can steer
+/// the keys only through its work values; a collision costs probe time,
+/// never a pick.
 #[derive(Clone, Copy, Debug, Default)]
 struct KeyHasher(u64);
 
@@ -185,12 +185,12 @@ impl Hasher for KeyHasher {
 /// relates (DESIGN.md §14).
 #[derive(Clone, Copy, Debug, Default)]
 struct Group {
-    /// The class's total descendant value, copied in at creation (the
-    /// bits are identical for every member): `dominates` tests it and
-    /// `rem_key` before it reads a row, with no per-task lookup.
+    /// The class's total descendant value, summed from the class's row at
+    /// creation (the bits are identical for every member): `dominates`
+    /// tests it and `rem_key` before it reads a row.
     d_total: f64,
     /// The members' remaining work, which the projection subtracts from
-    /// their own type.
+    /// their own type: the one copy of a grouped member's remaining work.
     rem_key: u64,
     /// The row class; the class's row sits in `TypeIndex::rows`.
     class: u32,
@@ -229,17 +229,19 @@ struct Front {
     head_seq: u32,
 }
 
-/// One task's index membership in a 24-byte record: owning group (`NONE`
+/// One task's index membership in a 16-byte record: owning group (`NONE`
 /// = not indexed, `PENDING` = a held preemptive pick), seq-ordered
-/// intrusive list links, and the queue entry's seq and remaining work
-/// (mirrors of the journal, so picks don't re-touch queues).
+/// intrusive list links, and the queue entry's seq (a mirror of the
+/// journal, so picks don't re-touch queues). The record keeps no
+/// remaining work: a grouped member's is its group's `rem_key`, a pending
+/// pick's rides in `TypeIndex::pending` (at position `prev`), and
+/// MQB-Approx keeps its own table (`Mqb::approx_rem`).
 #[derive(Clone, Copy, Debug)]
 struct Member {
     group: u32,
     prev: u32,
     next: u32,
     seq: u32,
-    rem: u64,
 }
 
 impl Member {
@@ -248,7 +250,6 @@ impl Member {
         prev: NONE,
         next: NONE,
         seq: 0,
-        rem: 0,
     };
 }
 
@@ -260,7 +261,8 @@ fn seq32(seq: u64) -> u32 {
 /// Per-type incremental selection index: the groups of one ready queue and
 /// their dominance frontier. Maintained by queue-journal diffs between
 /// epochs; rebuilt from a queue snapshot on attach or journal
-/// discontinuity.
+/// discontinuity. Groups are found by key through the policy's one
+/// [`GroupTable`], shared by every type.
 #[derive(Clone, Debug, Default)]
 struct TypeIndex {
     /// Group slab; freed ids are recycled through `free`.
@@ -278,18 +280,14 @@ struct TypeIndex {
     frontier: Vec<Front>,
     /// The frontier groups' rows, parallel to `frontier` (`position × K`).
     front_rows: Vec<f64>,
-    /// `(class, rem_key)` → group id. Never iterated.
-    map: HashMap<(u32, u64), u32, BuildHasherDefault<KeyHasher>>,
-    /// Most groups `map` ever held at once; kept through `clear`, like the
-    /// table's capacity.
-    map_peak: usize,
     /// Live member (queued candidate) count across all groups.
     live: usize,
-    /// This type's last preemptive picks, in pick order: still queued, they
-    /// wait outside the groups (`group == PENDING`) until the next sync
-    /// re-inserts them once with their progressed remaining work. Entries
-    /// whose task left the queue meanwhile are skipped.
-    pending: Vec<u32>,
+    /// This type's last preemptive picks, in pick order, each with its
+    /// remaining work: still queued, they wait outside the groups (`group
+    /// == PENDING`, `prev` = the entry's position here) until the next
+    /// sync re-inserts them once with their progressed remaining work.
+    /// Entries whose task left the queue meanwhile are skipped.
+    pending: Vec<(u32, u64)>,
     /// Entries of `pending` still queued. `live + pending_live` is checked
     /// against the queue length as a rebuild trigger for hand-built views.
     pending_live: usize,
@@ -308,7 +306,6 @@ impl TypeIndex {
         self.free.clear();
         self.frontier.clear();
         self.front_rows.clear();
-        self.map.clear();
         self.live = 0;
         self.pending.clear();
         self.pending_live = 0;
@@ -411,6 +408,7 @@ impl ApproxOrder {
 struct OrderCtx<'a> {
     order: &'a mut ApproxOrder,
     members: &'a mut [Member],
+    rem: &'a mut [u64],
     row_class: &'a [u32],
     class_rank: &'a [u32],
 }
@@ -443,8 +441,8 @@ impl JournalIndex for OrderCtx<'_> {
             prev,
             next: NONE,
             seq,
-            rem: rt.remaining,
         };
+        self.rem[t] = rt.remaining;
         o.live += 1;
     }
 
@@ -474,7 +472,7 @@ impl JournalIndex for OrderCtx<'_> {
     }
 
     fn update(&mut self, t: usize, remaining: u64) {
-        self.members[t].rem = remaining;
+        self.rem[t] = remaining;
     }
 
     fn live(&self) -> usize {
@@ -497,6 +495,14 @@ fn dominates(f: (f64, u64), row_f: &[f64], g: (f64, u64), row_g: &[f64]) -> bool
             .fold(true, |all, (x, y)| all & (x >= y))
 }
 
+/// The tie-break total `Σ_β d_β(t)` of a descendant row, summed in row
+/// order: the expression `DescendantValues::total` uses, so every copy of
+/// a row sums to the same bits.
+#[inline]
+fn row_total(row: &[f64]) -> f64 {
+    row.iter().sum()
+}
+
 /// Hash of a descendant row's bits, `KeyHasher`'s word mix; its high 32
 /// bits label the row in the class table (`label_row_classes`).
 #[inline]
@@ -508,8 +514,127 @@ fn row_hash(row: &[f64]) -> u32 {
     (h.finish() >> 32) as u32
 }
 
-/// An empty slot of the class table.
+/// Hash of a group key `(type, row class, rem_key)`, as `row_hash`.
+#[inline]
+fn group_hash(alpha: u32, class: u32, rem_key: u64) -> u32 {
+    let mut h = KeyHasher::default();
+    h.write_u32(alpha);
+    h.write_u32(class);
+    h.write_u64(rem_key);
+    (h.finish() >> 32) as u32
+}
+
+/// An empty slot of the policy's open-addressing table.
 const EMPTY_SLOT: u64 = u64::MAX;
+
+/// The exact index's group lookup: an open-addressing table (linear
+/// probing, power-of-two length, load ≤ ½) of slots `hash << 32 | gid`,
+/// one table for every type. A slot names a group id, not its type: a
+/// lookup from type `α` confirms a hash match against `α`'s own slab (a
+/// live group there with the probed key). A live key is unique within a
+/// type, so a slot another type owns can confirm only where it names the
+/// very group `α`'s own slot names, and two slots of one value are
+/// interchangeable: removal deletes a slot by value, with backward-shift
+/// deletion (no tombstones).
+///
+/// The slot buffer is shared with `label_row_classes`, which runs at
+/// `init`, before the index is built: `reset` re-forms the table at every
+/// cold rebuild. It is sized by the most groups ever live at once (kept
+/// through `reset`, like the buffer's capacity), so a warm rerun of a job
+/// neither grows nor allocates.
+#[derive(Clone, Debug, Default)]
+struct GroupTable {
+    slots: Vec<u64>,
+    /// Groups held.
+    len: usize,
+    /// Most groups ever held at once.
+    peak: usize,
+}
+
+impl GroupTable {
+    /// Empties the table at a length with room for `peak` groups.
+    fn reset(&mut self) {
+        let cap = (2 * self.peak).max(16).next_power_of_two();
+        self.slots.clear();
+        self.slots.resize(cap, EMPTY_SLOT);
+        self.len = 0;
+    }
+
+    /// The first group with hash `h` that `is_key` confirms.
+    #[inline]
+    fn find(&self, h: u32, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY_SLOT {
+                return None;
+            }
+            if (s >> 32) as u32 == h && is_key(s as u32) {
+                return Some(s as u32);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn place(slots: &mut [u64], slot: u64) {
+        let mask = slots.len() - 1;
+        let mut i = (slot >> 32) as usize & mask;
+        while slots[i] != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        slots[i] = slot;
+    }
+
+    /// Adds group `gid` under hash `h`, doubling the table past load ½.
+    /// Of the old and the doubled buffer the larger stays, so growth never
+    /// drops the labelling's capacity.
+    fn insert(&mut self, h: u32, gid: u32) {
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        if 2 * self.len > self.slots.len() {
+            let mut grown = vec![EMPTY_SLOT; 2 * self.slots.len()];
+            for &s in self.slots.iter().filter(|&&s| s != EMPTY_SLOT) {
+                GroupTable::place(&mut grown, s);
+            }
+            if self.slots.capacity() >= grown.len() {
+                self.slots.clear();
+                self.slots.extend_from_slice(&grown);
+            } else {
+                self.slots = grown;
+            }
+        }
+        GroupTable::place(&mut self.slots, u64::from(h) << 32 | u64::from(gid));
+    }
+
+    /// Removes one slot `h << 32 | gid`, which must be present, then shifts
+    /// each later slot of the probe run back into the hole unless the hole
+    /// lies before its home.
+    fn remove(&mut self, h: u32, gid: u32) {
+        let mask = self.slots.len() - 1;
+        let want = u64::from(h) << 32 | u64::from(gid);
+        let mut hole = h as usize & mask;
+        while self.slots[hole] != want {
+            debug_assert_ne!(self.slots[hole], EMPTY_SLOT, "group {gid} not in the table");
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s == EMPTY_SLOT {
+                break;
+            }
+            let home = (s >> 32) as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole] = EMPTY_SLOT;
+        self.len -= 1;
+    }
+}
 
 /// Partitions the `n` tasks of the row-major matrix `d` (`task × k`)
 /// into classes of bitwise-identical rows: `row_class[t]` is task `t`'s class
@@ -521,9 +646,9 @@ const EMPTY_SLOT: u64 = u64::MAX;
 /// bitwise row comparison, so a collision costs a probe, never a merge.
 /// A slot packs `hash << 32 | class`, which filters probes without
 /// touching `d` and lets the table grow by re-hashing the classes' reps.
-/// `slots` is retained scratch: it starts at the size the previous
-/// call's class count needed, so a warm re-init of the same job neither
-/// grows nor allocates.
+/// `slots` is retained scratch (the [`GroupTable`]'s buffer): it starts at
+/// the size the previous call's class count needed, so a warm re-init of
+/// the same job neither grows nor allocates.
 fn label_row_classes(
     d: &[f64],
     (n, k): (usize, usize),
@@ -597,11 +722,13 @@ fn label_row_classes(
 /// scratch fields (`working`, `row`, …).
 struct IndexCtx<'a> {
     k: usize,
+    /// The index's type, part of every group key.
+    alpha: u32,
     d: &'a [f64],
-    d_total: &'a [f64],
     row_class: &'a [u32],
     class_rep: &'a [u32],
     ix: &'a mut TypeIndex,
+    table: &'a mut GroupTable,
     members: &'a mut [Member],
 }
 
@@ -678,7 +805,7 @@ impl IndexCtx<'_> {
         }
     }
 
-    fn new_group(&mut self, class: u32, rem_key: u64) -> u32 {
+    fn new_group(&mut self, class: u32, rem_key: u64, h: u32) -> u32 {
         let gid = match self.ix.free.pop() {
             Some(g) => g,
             None => {
@@ -687,9 +814,10 @@ impl IndexCtx<'_> {
                 (self.ix.groups.len() - 1) as u32
             }
         };
-        let rep = self.class_rep[class as usize] as usize;
+        let (k, rep) = (self.k, self.class_rep[class as usize] as usize);
+        let row = &self.d[rep * k..rep * k + k];
         self.ix.groups[gid as usize] = Group {
-            d_total: self.d_total[rep],
+            d_total: row_total(row),
             rem_key,
             class,
             head: NONE,
@@ -700,20 +828,9 @@ impl IndexCtx<'_> {
             sib_next: NONE,
             frontier_pos: NONE,
         };
-        let (k, r) = (self.k, gid as usize * self.k);
-        self.ix.rows[r..r + k].copy_from_slice(&self.d[rep * k..rep * k + k]);
-        // Size the table by the live-group high-watermark, never by
-        // `capacity()` (which tombstones shrink, so growth would depend on
-        // the churn pattern): at each new peak, room for twice the peak.
-        // Below it hashbrown's tombstone handling always rehashes in place
-        // instead of resizing, so warm reruns allocate nothing (the
-        // alloc-regression contract).
-        let len = self.ix.map.len();
-        if len >= self.ix.map_peak {
-            self.ix.map_peak = len + 1;
-            self.ix.map.reserve(2 * self.ix.map_peak - len);
-        }
-        self.ix.map.insert((class, rem_key), gid);
+        let r = gid as usize * k;
+        self.ix.rows[r..r + k].copy_from_slice(row);
+        self.table.insert(h, gid);
         gid
     }
 
@@ -735,9 +852,16 @@ impl IndexCtx<'_> {
     fn insert_member(&mut self, t: usize, seq: u32, rem: u64) {
         debug_assert_eq!(self.members[t].group, NONE, "task {t} inserted twice");
         let class = self.row_class[t];
-        let (gid, fresh) = match self.ix.map.get(&(class, rem)) {
-            Some(&g) => (g, false),
-            None => (self.new_group(class, rem), true),
+        let h = group_hash(self.alpha, class, rem);
+        let groups = &self.ix.groups;
+        let found = self.table.find(h, |g| {
+            groups
+                .get(g as usize)
+                .is_some_and(|g| g.head != NONE && g.class == class && g.rem_key == rem)
+        });
+        let (gid, fresh) = match found {
+            Some(g) => (g, false),
+            None => (self.new_group(class, rem, h), true),
         };
         let Group { head, tail, .. } = self.ix.groups[gid as usize];
         let (prev, next) = if head == NONE {
@@ -767,7 +891,6 @@ impl IndexCtx<'_> {
             prev,
             next,
             seq,
-            rem,
         };
         if prev == NONE {
             self.set_head(gid, t as u32);
@@ -956,7 +1079,8 @@ impl IndexCtx<'_> {
             child_head: mut c,
             ..
         } = self.ix.groups[gid as usize];
-        self.ix.map.remove(&(class, rem_key));
+        self.table
+            .remove(group_hash(self.alpha, class, rem_key), gid);
         if fpos != NONE {
             self.frontier_swap_remove(fpos as usize);
             let batch = self.ix.frontier.len();
@@ -1001,12 +1125,16 @@ impl IndexCtx<'_> {
     }
 
     /// Takes preemptive pick `t` out of its group to wait in the pending
-    /// list: the pick stays queued, but until the next epoch only its
-    /// remaining work can change (or it completes).
+    /// list, carrying its remaining work (the group's key): the pick stays
+    /// queued, but until the next epoch only its remaining work can change
+    /// (or it completes).
     fn hold_pending(&mut self, t: usize) {
+        let rem = self.ix.groups[self.members[t].group as usize].rem_key;
         self.remove_member(t);
-        self.members[t].group = PENDING;
-        self.ix.pending.push(t as u32);
+        let m = &mut self.members[t];
+        m.group = PENDING;
+        m.prev = self.ix.pending.len() as u32;
+        self.ix.pending.push((t as u32, rem));
         self.ix.pending_live += 1;
     }
 
@@ -1014,11 +1142,12 @@ impl IndexCtx<'_> {
     /// remaining work.
     fn reinsert_pending(&mut self) {
         for i in 0..self.ix.pending.len() {
-            let t = self.ix.pending[i] as usize;
+            let (t, rem) = self.ix.pending[i];
+            let t = t as usize;
             let m = self.members[t];
             if m.group == PENDING {
                 self.members[t].group = NONE;
-                self.insert_member(t, m.seq, m.rem);
+                self.insert_member(t, m.seq, rem);
             }
         }
         self.ix.pending.clear();
@@ -1056,7 +1185,7 @@ impl JournalIndex for IndexCtx<'_> {
         } else {
             // A pending pick is regrouped once, when the sync re-inserts
             // it.
-            self.members[t].rem = remaining;
+            self.ix.pending[m.prev as usize].1 = remaining;
         }
     }
 
@@ -1094,10 +1223,10 @@ pub struct Mqb {
     /// MQB-Approx's candidate cap; `None` is the exact algorithm.
     approx_cap: Option<usize>,
     k: usize,
-    /// Per-type descendant values (perturbed under a noisy model).
+    /// Per-type descendant values (perturbed under a noisy model). A
+    /// task's tie-break total is summed from its row where it is read
+    /// (`row_total`).
     d: DescTable,
-    /// Per-task total descendant value (tie-break key).
-    d_total: Vec<f64>,
     // Scratch buffers, reused across epochs and across runs (the runner
     // keeps policy values warm per worker); each is cleared where used.
     working: Vec<f64>,
@@ -1124,10 +1253,11 @@ pub struct Mqb {
     /// rows share a class.
     row_class: Vec<u32>,
     /// One representative task per class (for reading the class's row and
-    /// `d_total` — identical bits for every member by construction).
+    /// its total — identical bits for every member by construction).
     class_rep: Vec<u32>,
-    /// Open-addressing table of `label_row_classes` (retained scratch).
-    class_slots: Vec<u64>,
+    /// The groups' key table; its buffer is `label_row_classes`' scratch
+    /// at `init`.
+    groups: GroupTable,
     /// Per-type index over the queued candidates.
     idx: Vec<TypeIndex>,
     /// Member records, task-indexed: the exact index's groups, or
@@ -1145,6 +1275,9 @@ pub struct Mqb {
     // --- Bounded-candidate approximation (MQB-Approx). ---
     /// Per-type candidate order, journal-fed.
     approx_order: Vec<ApproxOrder>,
+    /// Each queued candidate's remaining work, task-indexed: the rank
+    /// buckets do not group by it. Empty for exact MQB.
+    approx_rem: Vec<u64>,
     /// Each row class's `d_total` rank: 0 for the largest value
     /// (`total_cmp`), equal values sharing a rank. Built at the first
     /// contested round after `init`, from one sort over the classes.
@@ -1202,7 +1335,6 @@ impl Mqb {
             approx_cap: None,
             k: 0,
             d: DescTable::default(),
-            d_total: Vec::new(),
             working: Vec::new(),
             taken: Vec::new(),
             snap: Vec::new(),
@@ -1214,13 +1346,14 @@ impl Mqb {
             procs_f: Vec::new(),
             row_class: Vec::new(),
             class_rep: Vec::new(),
-            class_slots: Vec::new(),
+            groups: GroupTable::default(),
             idx: Vec::new(),
             members: Vec::new(),
             cursor: Vec::new(),
             need_rebuild: true,
             sel: SelectionStats::default(),
             approx_order: Vec::new(),
+            approx_rem: Vec::new(),
             class_rank: Vec::new(),
             num_ranks: None,
             approx_keys: Vec::new(),
@@ -1273,8 +1406,8 @@ impl Mqb {
     }
 
     /// Shared tail of every init path: applies the information-model
-    /// perturbation to the (raw) descendant matrix and derives the
-    /// per-task totals. The perturbation consumes the seeded RNG in
+    /// perturbation to the (raw) descendant matrix and labels its row
+    /// classes. The perturbation consumes the seeded RNG in
     /// exactly the same sequence regardless of where `d` came from, so
     /// artifact-backed and cold initializations are bit-identical.
     fn finish_init(&mut self, job: &KDag, seed: u64) {
@@ -1311,11 +1444,6 @@ impl Mqb {
             }
         }
 
-        self.d_total.clear();
-        self.d_total.extend(
-            (0..job.num_tasks()).map(|i| self.d[i * self.k..(i + 1) * self.k].iter().sum::<f64>()),
-        );
-
         // Class table for the incremental index: tasks with bitwise-
         // identical descendant rows share a class (and therefore identical
         // projected rows at every working state — the grouping the index's
@@ -1325,7 +1453,7 @@ impl Mqb {
             (job.num_tasks(), self.k),
             &mut self.row_class,
             &mut self.class_rep,
-            &mut self.class_slots,
+            &mut self.groups.slots,
         );
         self.num_ranks = None;
 
@@ -1344,11 +1472,12 @@ impl Mqb {
             for alpha in 0..k {
                 let mut cx = IndexCtx {
                     k,
+                    alpha: alpha as u32,
                     d: &self.d,
-                    d_total: &self.d_total,
                     row_class: &self.row_class,
                     class_rep: &self.class_rep,
                     ix: &mut self.idx[alpha],
+                    table: &mut self.groups,
                     members: &mut self.members,
                 };
                 accounted &= self.cursor[alpha].replay(
@@ -1370,14 +1499,16 @@ impl Mqb {
         }
     }
 
-    /// Cold rebuild: resets the member arrays and every type's index, then
-    /// reinserts all queued candidates from the view's queues.
+    /// Cold rebuild: resets the member arrays, the group table and every
+    /// type's index, then reinserts all queued candidates from the view's
+    /// queues.
     fn rebuild_index(&mut self, view: &EpochView<'_>) {
         self.sel.cold_snapshots += 1;
         let k = self.k;
         let n = view.job.num_tasks();
         self.members.clear();
         self.members.resize(n, Member::EMPTY);
+        self.groups.reset();
         for ix in &mut self.idx {
             ix.clear();
         }
@@ -1394,11 +1525,12 @@ impl Mqb {
             {
                 let mut cx = IndexCtx {
                     k,
+                    alpha: alpha as u32,
                     d: &self.d,
-                    d_total: &self.d_total,
                     row_class: &self.row_class,
                     class_rep: &self.class_rep,
                     ix: &mut self.idx[alpha],
+                    table: &mut self.groups,
                     members: &mut self.members,
                 };
                 for rt in q.iter() {
@@ -1425,6 +1557,7 @@ impl Mqb {
                 let mut cx = OrderCtx {
                     order,
                     members: &mut self.members,
+                    rem: &mut self.approx_rem,
                     row_class: &self.row_class,
                     class_rank: &self.class_rank,
                 };
@@ -1435,8 +1568,11 @@ impl Mqb {
         }
         if self.need_rebuild {
             self.need_rebuild = false;
+            let n = view.job.num_tasks();
             self.members.clear();
-            self.members.resize(view.job.num_tasks(), Member::EMPTY);
+            self.members.resize(n, Member::EMPTY);
+            self.approx_rem.clear();
+            self.approx_rem.resize(n, 0);
             // Never shrink: truncating would drop warm capacity.
             if self.approx_order.len() < k {
                 self.approx_order.resize_with(k, ApproxOrder::default);
@@ -1459,6 +1595,7 @@ impl Mqb {
         let mut cx = OrderCtx {
             order: &mut self.approx_order[alpha],
             members: &mut self.members,
+            rem: &mut self.approx_rem,
             row_class: &self.row_class,
             class_rank: &self.class_rank,
         };
@@ -1471,19 +1608,17 @@ impl Mqb {
         self.sel.cold_snapshots += 1;
     }
 
-    /// Ranks the row classes by `d_total`, descending in `total_cmp`
+    /// Ranks the row classes by their total, descending in `total_cmp`
     /// order, equal values sharing a rank: one sort over the classes,
     /// not the tasks, paid only by a policy with a contested round.
     /// Returns the number of ranks.
     fn rank_classes(&mut self) -> usize {
-        let (d_total, keys) = (&self.d_total, &mut self.approx_keys);
+        let (d, k, keys) = (&self.d, self.k, &mut self.approx_keys);
         keys.clear();
-        keys.extend(
-            self.class_rep
-                .iter()
-                .enumerate()
-                .map(|(c, &rep)| (!key_image(d_total[rep as usize]) as u128) << 64 | c as u128),
-        );
+        keys.extend(self.class_rep.iter().enumerate().map(|(c, &rep)| {
+            let rep = rep as usize;
+            (!key_image(row_total(&d[rep * k..rep * k + k])) as u128) << 64 | c as u128
+        }));
         keys.sort_unstable();
         self.class_rank.clear();
         self.class_rank.resize(keys.len(), 0);
@@ -1760,7 +1895,7 @@ impl Mqb {
                 evaluated += 1;
                 let own = rt.remaining as f64;
                 if let Some(mn) = duel.project(&self.working, &self.procs_f, erow, alpha, own) {
-                    duel.challenge(qi as u32, mn, self.d_total[rt.id.index()], rt.seq);
+                    duel.challenge(qi as u32, mn, row_total(erow), rt.seq);
                 }
             }
             assert_ne!(duel.best, NONE, "queue longer than slots");
@@ -1794,11 +1929,12 @@ impl Mqb {
         self.best_row.resize(k, 0.0);
         let mut cx = IndexCtx {
             k,
+            alpha: alpha as u32,
             d: &self.d,
-            d_total: &self.d_total,
             row_class: &self.row_class,
             class_rep: &self.class_rep,
             ix: &mut self.idx[alpha],
+            table: &mut self.groups,
             members: &mut self.members,
         };
         if !cx.ix.placed {
@@ -1835,8 +1971,9 @@ impl Mqb {
             self.sel.candidates_pruned += ix.live as u64 - evaluated;
             // The projection, inlined (`apply_projection` would re-borrow
             // all of `self` while `cx` holds the index); the winner's row
-            // is its class's row, bit for bit.
-            self.working[alpha] -= cx.members[t].rem as f64;
+            // is its class's row and its remaining work its group's key,
+            // bit for bit.
+            self.working[alpha] -= ix.frontier[pos].rem_key as f64;
             for (w, &x) in self.working.iter_mut().zip(&ix.front_rows[pos * k..]) {
                 *w += x;
             }
@@ -1920,13 +2057,14 @@ impl Mqb {
             let mut t = order.first[r];
             while t != NONE && self.snap.len() < l {
                 let (ti, mb) = (t as usize, self.members[t as usize]);
+                let (rem, row) = (self.approx_rem[ti], &self.d[ti * k..ti * k + k]);
                 self.snap.push(ReadyTask {
                     id: TaskId::from_index(ti),
                     seq: u64::from(mb.seq),
-                    remaining: mb.rem,
+                    remaining: rem,
                 });
-                self.erows.extend_from_slice(&self.d[ti * k..ti * k + k]);
-                self.approx_dom.push((self.d_total[ti], mb.rem));
+                self.erows.extend_from_slice(row);
+                self.approx_dom.push((row_total(row), rem));
                 t = mb.next;
             }
             bucket = order.occupied.next(r + 1);
@@ -2220,7 +2358,6 @@ impl Policy for Mqb {
         // them). Capacity is retained for the recycle pool.
         self.d.shared = None;
         self.d.own.clear();
-        self.d_total.clear();
         self.working.clear();
         self.taken.clear();
         self.snap.clear();
@@ -2232,6 +2369,7 @@ impl Policy for Mqb {
         self.row_class.clear();
         self.class_rep.clear();
         self.members.clear();
+        self.approx_rem.clear();
         for ix in &mut self.idx {
             ix.clear();
         }
@@ -2264,6 +2402,91 @@ mod tests {
     use super::*;
     use fhs_sim::{engine, metrics, MachineConfig, Mode, RunOptions};
     use kdag::KDagBuilder;
+    use std::collections::HashMap;
+
+    /// Checks `t` against `model` (live group id → hash): every live group
+    /// is found under its hash, `len` matches, and every occupied slot is
+    /// reachable — no empty slot between its home and its position, the
+    /// invariant backward-shift deletion keeps.
+    fn assert_table_matches(t: &GroupTable, model: &HashMap<u32, u32>, gone: &[(u32, u32)]) {
+        assert_eq!(t.len, model.len());
+        assert!(2 * t.len <= t.slots.len(), "load above one half");
+        let mask = t.slots.len() - 1;
+        let mut occupied = 0;
+        for (j, &s) in t.slots.iter().enumerate() {
+            if s == EMPTY_SLOT {
+                continue;
+            }
+            occupied += 1;
+            let (h, g) = ((s >> 32) as u32, s as u32);
+            assert_eq!(model.get(&g), Some(&h), "slot {j} holds a dead group {g}");
+            let mut i = h as usize & mask;
+            while i != j {
+                assert_ne!(t.slots[i], EMPTY_SLOT, "group {g} is cut off from its home");
+                i = (i + 1) & mask;
+            }
+        }
+        assert_eq!(occupied, model.len());
+        for (&g, &h) in model {
+            assert_eq!(t.find(h, |x| x == g), Some(g));
+        }
+        for &(h, g) in gone {
+            if !model.contains_key(&g) {
+                assert_eq!(t.find(h, |x| x == g), None, "removed group {g} found");
+            }
+        }
+    }
+
+    #[test]
+    fn group_table_matches_a_hash_map_model_through_grow_and_churn() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let mut t = GroupTable::default();
+        for cycle in 0..24u32 {
+            t.reset();
+            assert_eq!(t.slots.len(), (2 * t.peak).max(16).next_power_of_two());
+            let mask_hint = t.slots.len() as u32 - 1;
+            // Every hash shares its low bits with a few others, and the
+            // table's last homes wrap around its end: each cycle's keys
+            // crowd into one or two probe runs whatever the table length.
+            let home = if cycle % 2 == 0 { 0 } else { mask_hint - 2 };
+            let hash = |rng: &mut StdRng| {
+                home.wrapping_add(rng.gen_range(0..4u32)) | rng.gen_range(0..4u32) << 20
+            };
+            // `live` holds the model's entries in a seeded order, so the
+            // removal sequence does not depend on the map's iteration.
+            let (mut model, mut live) = (HashMap::new(), Vec::new());
+            let mut gone = Vec::new();
+            let mut next_gid = 0u32;
+            let target = 8 + (cycle as usize * 37) % 300;
+            for step in 0..6 * target {
+                let grow = step < target || rng.gen_range(0..2u32) == 0;
+                if grow || live.is_empty() {
+                    let h = hash(&mut rng);
+                    t.insert(h, next_gid);
+                    model.insert(next_gid, h);
+                    live.push((h, next_gid));
+                    next_gid += 1;
+                } else {
+                    let (h, g) = live.swap_remove(rng.gen_range(0..live.len()));
+                    model.remove(&g);
+                    t.remove(h, g);
+                    gone.push((h, g));
+                }
+                if step % 7 == 0 {
+                    assert_table_matches(&t, &model, &gone);
+                }
+            }
+            assert_table_matches(&t, &model, &gone);
+            while let Some((h, g)) = live.pop() {
+                model.remove(&g);
+                t.remove(h, g);
+                gone.push((h, g));
+                assert_table_matches(&t, &model, &gone);
+            }
+            assert!(t.slots.iter().all(|&s| s == EMPTY_SLOT));
+        }
+        assert!(t.peak >= 300, "the cycles never grew the table");
+    }
 
     #[test]
     fn cmp_balance_is_lexicographic_on_sorted_vectors() {
@@ -2409,10 +2632,7 @@ mod tests {
                 "{mode:?}"
             );
             assert_eq!(sel.candidates_pruned, 0, "{mode:?}: a round used the index");
-            assert!(
-                p.idx.iter().any(|ix| ix.map_peak > 0),
-                "{mode:?}: no groups"
-            );
+            assert!(p.groups.peak > 0, "{mode:?}: no groups");
             assert!(
                 p.idx.iter().all(|ix| !ix.placed && ix.frontier.is_empty()),
                 "{mode:?}: the dominance order was maintained but never read"

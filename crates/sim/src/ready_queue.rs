@@ -291,6 +291,13 @@ impl ReadyQueue {
         remaining
     }
 
+    /// Remaining work of the (live) candidate at `slot`.
+    #[inline]
+    pub(crate) fn remaining_at(&self, slot: usize) -> Work {
+        debug_assert!(self.is_live(slot), "slot {slot} is tombstoned");
+        self.entries[slot].remaining
+    }
+
     /// Number of tombstoned slots awaiting compaction.
     #[inline]
     pub(crate) fn dead(&self) -> usize {

@@ -319,6 +319,7 @@ pub(crate) fn drive(
                     cx.stats.dirty_visits += 1;
                 }
                 j.rt.out.reset(k);
+                let stamp = j.rt.stamp_id(cx.mach.epoch);
                 if latency_on {
                     for alpha in 0..k {
                         cx.obs.record_depth(j.rt.state.queues()[alpha].len() as u64);
@@ -384,12 +385,8 @@ pub(crate) fn drive(
                             "type mismatch for task {v}: type {} chosen for type-{alpha} processors",
                             j.job.rtype(v)
                         );
-                        assert_ne!(
-                            j.rt.stamp[v.index()],
-                            cx.mach.epoch,
-                            "task {v} chosen twice"
-                        );
-                        j.rt.stamp[v.index()] = cx.mach.epoch;
+                        assert_ne!(j.rt.stamp[v.index()], stamp, "task {v} chosen twice");
+                        j.rt.stamp[v.index()] = stamp;
                     }
                     cx.stats.tasks_assigned += cx.mach.chosen_buf.len() as u64;
 
@@ -981,6 +978,7 @@ mod tests {
     use super::*;
     use crate::engine::{self, RunOptions};
     use crate::policy::FifoPolicy;
+    use crate::workspace::tests::{three_pairs, Duper};
     use kdag::KDagBuilder;
 
     fn chain_job() -> KDag {
@@ -1074,6 +1072,50 @@ mod tests {
         let (out, _) = s.finish();
         assert_eq!(out.jobs[0].response(), 0);
         assert_eq!(out.jobs[0].slowdown(), 1.0);
+    }
+
+    /// A session whose first job ran at epochs 1–3 and retired, leaving
+    /// its runtime in the spare pool with stamps 1, 1, 2, 2, 3, 3; the
+    /// workspace's epoch counter then jumps to `epoch`.
+    fn session_with_a_spare_runtime_at(mode: Mode, epoch: u64) -> Session {
+        let cfg = MachineConfig::uniform(1, 2);
+        let mut s = Session::new(cfg, SessionOptions::new(mode));
+        s.admit(Arc::new(three_pairs()), Box::new(FifoPolicy), 0);
+        s.drain();
+        assert_eq!(s.ws.mach.epoch, 3);
+        assert_eq!(s.spare_rts.len(), 1);
+        assert_eq!(s.spare_rts[0].stamp, [1, 1, 2, 2, 3, 3]);
+        s.ws.mach.epoch = epoch;
+        s
+    }
+
+    #[test]
+    fn recycled_runtimes_rebase_their_stamps_across_2_pow_32() {
+        for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+            let cfg = MachineConfig::uniform(1, 2);
+            let mut fresh = Session::new(cfg, SessionOptions::new(mode));
+            fresh.admit(Arc::new(three_pairs()), Box::new(FifoPolicy), 0);
+            let (want, _) = fresh.finish();
+            // The recycled runtime's next epochs, 2³² .. 2³² + 2, lie 2³²
+            // past its base, so it rebases and their ids are 1, 2 and 3:
+            // the ids its stale stamps hold for the same tasks, unless the
+            // rebase zeroed them.
+            let mut s = session_with_a_spare_runtime_at(mode, (1 << 32) - 1);
+            let start = s.now();
+            s.admit(Arc::new(three_pairs()), Box::new(FifoPolicy), 0);
+            let (out, _) = s.finish();
+            let got = &out.jobs[1];
+            assert_eq!(got.finish - start, want.jobs[0].finish, "{mode:?}");
+            assert_eq!(out.stats.epochs, 2 * want.stats.epochs, "{mode:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chosen twice")]
+    fn recycled_runtime_rejects_duplicates_after_the_rebase() {
+        let mut s = session_with_a_spare_runtime_at(Mode::Preemptive, (1 << 32) - 1);
+        s.admit(Arc::new(three_pairs()), Box::new(Duper), 0);
+        s.drain();
     }
 
     #[test]

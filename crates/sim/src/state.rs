@@ -38,18 +38,16 @@ pub enum TaskStatus {
 /// The per-task records are a structure-of-arrays *hot band* sized to what
 /// the epoch loop touches: one packed `word` per task (status in the low 2
 /// bits, resource type above — one load answers both questions the engine
-/// asks on every transition, with no `KDag` indirection), and a dense
-/// `rem` mirror of remaining work so preemptive `remaining()` probes never
-/// chase `pos → queue → slot`. A `ready_mask` summarizes per-type queue
-/// non-emptiness for the session engine's dirty-set skip.
+/// asks on every transition, with no `KDag` indirection). A queued task's
+/// remaining work lives only in its queue entry, which is authoritative
+/// while the task is `Ready`; [`remaining`](JobState::remaining) reads it
+/// through `pos`. A `ready_mask` summarizes per-type queue non-emptiness
+/// for the session engine's dirty-set skip.
 #[derive(Debug)]
 pub struct JobState {
     /// Hot per-task word: bits 0–1 hold the status code, bits 2+ the
     /// resource type.
     word: Vec<u32>,
-    /// Dense remaining-work mirror; authoritative while a task is `Ready`
-    /// (kept in sync with its queue entry), stale otherwise.
-    rem: Vec<Work>,
     indeg: Vec<u32>,
     queues: Vec<ReadyQueue>,
     queue_work: Vec<Work>,
@@ -93,7 +91,6 @@ impl JobState {
     pub(crate) fn empty() -> Self {
         JobState {
             word: Vec::new(),
-            rem: Vec::new(),
             indeg: Vec::new(),
             queues: Vec::new(),
             queue_work: Vec::new(),
@@ -124,8 +121,6 @@ impl JobState {
         self.word.clear();
         self.word
             .extend((0..n).map(|i| (job.rtype(TaskId::from_index(i)) as u32) << 2));
-        self.rem.clear();
-        self.rem.resize(n, 0);
         self.ready_mask = 0;
         self.indeg.clear();
         self.indeg
@@ -213,7 +208,6 @@ impl JobState {
         self.word[i] |= ST_READY;
         let alpha = (self.word[i] >> 2) as usize;
         let w = job.work(v);
-        self.rem[i] = w;
         let slot = self.queues[alpha].push(ReadyTask {
             id: v,
             seq: self.next_seq,
@@ -321,7 +315,6 @@ impl JobState {
         );
         let alpha = (self.word[i] >> 2) as usize;
         let rem = self.queues[alpha].progress_slot(self.pos[i] as usize, dt);
-        self.rem[i] = rem;
         self.queue_work[alpha] -= dt;
         self.counts.progress_updates += 1;
         rem
@@ -335,15 +328,17 @@ impl JobState {
         }
     }
 
-    /// Remaining work of a queued candidate (preemptive engines). Served
-    /// from the dense `rem` mirror: no `pos → queue → slot` chase.
+    /// Remaining work of a queued candidate (preemptive engines), read
+    /// from its queue entry through `pos`: the entry is the one copy of a
+    /// `Ready` task's remaining work.
     pub fn remaining(&self, job: &KDag, v: TaskId) -> Option<Work> {
         debug_assert_eq!(self.rtype_of(v), job.rtype(v));
         let i = v.index();
-        if self.word[i] & 3 != ST_READY {
+        let word = self.word[i];
+        if word & 3 != ST_READY {
             return None;
         }
-        Some(self.rem[i])
+        Some(self.queues[(word >> 2) as usize].remaining_at(self.pos[i] as usize))
     }
 }
 

@@ -43,7 +43,10 @@
 //!   (> it). The counter advances eagerly inside the loop, so even a run
 //!   abandoned by a panic leaves the workspace consistent. The same
 //!   argument covers session-recycled `JobRt`s: their stamps were written
-//!   against the same monotonic counter.
+//!   against the same monotonic counter. A stamp is a `u32` offset of the
+//!   epoch from the job runtime's `stamp_base`; when the counter runs
+//!   2³² epochs past the base, the stamps are zeroed and the base moves
+//!   up (`JobRt::stamp_id`), so a stale stamp still never matches.
 //!
 //! Policy values are kept warm the same way (one per algorithm per pool
 //! worker) and own their scratch: [`crate::policy::Policy::init`]
@@ -73,8 +76,13 @@ pub(crate) struct JobRt {
     pub(crate) state: JobState,
     /// The policy's output lanes for this job.
     pub(crate) out: Assignments,
-    /// Duplicate-selection stamps; never cleared (see module docs).
-    pub(crate) stamp: Vec<u64>,
+    /// Duplicate-selection stamps: the offset from `stamp_base` of the
+    /// last epoch that chose each task (0 = none since the base moved).
+    /// Cleared only when the base moves (see module docs).
+    pub(crate) stamp: Vec<u32>,
+    /// The epoch the stamps count from; every epoch id a stamp can hold
+    /// is in `stamp_base + 1 ..= stamp_base + 2³² − 1`.
+    pub(crate) stamp_base: u64,
     /// Processor of each task: non-preemptive, the one a running task
     /// occupies; preemptive, the last one it ran on (trace stability),
     /// [`NO_PROC`] before its first run and after it completes.
@@ -96,9 +104,9 @@ impl JobRt {
     pub(crate) fn reset_for(&mut self, job: &KDag, preemptive: bool, arrival: Time) {
         let n = job.num_tasks();
         self.state.reset(job);
-        // Stamps are only *resized*, never zeroed: surviving entries hold
-        // epoch ids ≤ the machine's monotonic counter, so they can never
-        // collide with a fresh epoch id.
+        // Stamps are only *resized*, not zeroed: surviving entries hold ids
+        // of epochs at or before the machine's monotonic counter, so they
+        // can never collide with a fresh epoch's id (`stamp_id`).
         self.stamp.resize(n, 0);
         self.proc_of.clear();
         self.proc_of.resize(n, if preemptive { NO_PROC } else { 0 });
@@ -106,6 +114,23 @@ impl JobRt {
         self.first_start = None;
         self.finish = None;
         self.attained = 0;
+    }
+
+    /// The stamp of machine epoch `epoch`, which must be no earlier than
+    /// any epoch this runtime has stamped (the counter is monotonic).
+    /// Once `epoch` lies 2³² or more past `stamp_base`, the stamps are
+    /// zeroed and the base moves to `epoch − 1`, so the id is 1 and every
+    /// stale stamp, now 0, is below it.
+    #[inline]
+    pub(crate) fn stamp_id(&mut self, epoch: u64) -> u32 {
+        match u32::try_from(epoch - self.stamp_base) {
+            Ok(id) => id,
+            Err(_) => {
+                self.stamp.fill(0);
+                self.stamp_base = epoch - 1;
+                1
+            }
+        }
     }
 }
 
@@ -233,7 +258,7 @@ impl Workspace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -284,7 +309,84 @@ mod tests {
         ws.begin_run(&big, &cfg, true);
         // Entries reborn by the shrink-then-grow hold 0; survivors hold 5.
         // Both are below any future epoch id (monotonic counter at 5).
-        assert!(ws.rt.stamp.iter().all(|&s| s <= ws.mach.epoch));
+        let now = ws.rt.stamp_id(ws.mach.epoch);
+        assert!(ws.rt.stamp.iter().all(|&s| s <= now));
+    }
+
+    /// Six independent tasks of work 3 on two type-0 processors: FIFO
+    /// runs them two at a time, one decision epoch per pair.
+    pub(crate) fn three_pairs() -> KDag {
+        let mut b = kdag::KDagBuilder::new(1);
+        for _ in 0..6 {
+            b.add_task(0, 3);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn stamps_rebase_when_the_epoch_counter_crosses_2_pow_32() {
+        use crate::engine::{run, run_in, Mode, RunOptions};
+        use crate::policy::FifoPolicy;
+        let job = three_pairs();
+        let cfg = MachineConfig::uniform(1, 2);
+        for mode in [Mode::NonPreemptive, Mode::Preemptive] {
+            let opts = RunOptions::default().with_trace();
+            let cold = run(&job, &cfg, &mut FifoPolicy, mode, &opts);
+            assert_eq!(cold.epochs, 3, "{mode:?}");
+            let mut ws = Workspace::new();
+            run_in(&mut ws, &job, &cfg, &mut FifoPolicy, mode, &opts);
+            // Stale stamps as an epoch-1 pick leaves them; the next run's
+            // epochs are 2³² − 1, 2³² and 2³² + 1. Unless the crossing
+            // zeroes them, the second pair collides with its id there (1).
+            ws.rt.stamp.fill(1);
+            ws.mach.epoch = (1 << 32) - 2;
+            let warm = run_in(&mut ws, &job, &cfg, &mut FifoPolicy, mode, &opts);
+            assert_eq!(ws.mach.epoch, (1 << 32) + 1, "{mode:?}");
+            assert_eq!(ws.rt.stamp_base, (1 << 32) - 1, "{mode:?}");
+            // The rebase zeroed the first pair's stamps (id 2³² − 1).
+            assert_eq!(ws.rt.stamp, [0, 0, 1, 1, 2, 2], "{mode:?}");
+            assert_eq!(warm.makespan, cold.makespan, "{mode:?}");
+            assert_eq!(
+                warm.trace.unwrap().segments(),
+                cold.trace.unwrap().segments(),
+                "{mode:?}"
+            );
+            assert_eq!(warm.stats.transitions, cold.stats.transitions, "{mode:?}");
+            assert_eq!(warm.stats.epochs, cold.stats.epochs, "{mode:?}");
+        }
+    }
+
+    /// Chooses the first queued task twice.
+    pub(crate) struct Duper;
+    impl crate::policy::Policy for Duper {
+        fn name(&self) -> &str {
+            "Duper"
+        }
+        fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &kdag::precompute::Artifacts) {}
+        fn assign(&mut self, view: &crate::policy::EpochView<'_>, out: &mut Assignments) {
+            if let Some(rt) = view.queues[0].first() {
+                out.push(0, rt.id);
+                out.push(0, rt.id);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chosen twice")]
+    fn duplicates_panic_right_after_the_stamp_rebase() {
+        use crate::engine::{run_in, Mode, RunOptions};
+        let job = three_pairs();
+        let cfg = MachineConfig::uniform(1, 2);
+        let mut ws = Workspace::new();
+        ws.mach.epoch = (1 << 32) - 1;
+        run_in(
+            &mut ws,
+            &job,
+            &cfg,
+            &mut Duper,
+            Mode::Preemptive,
+            &RunOptions::default(),
+        );
     }
 
     #[test]
