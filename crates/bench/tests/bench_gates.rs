@@ -560,10 +560,6 @@ fn instance_major_sweep_matches_cell_major_and_is_2x_faster() {
 struct BackOfQueue;
 
 impl Policy for BackOfQueue {
-    fn name(&self) -> &str {
-        "BackOfQueue"
-    }
-
     fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {}
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {

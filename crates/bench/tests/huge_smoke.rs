@@ -228,20 +228,20 @@ fn huge_pipeline_end_to_end() {
     // What an MQB run leaves in its policy and its workspace, pinned
     // exactly for this seed (n = 109,576, K = 4) so the next cut to
     // either shows:
-    // - MQB, 5,358,144 bytes: the task-indexed 16-byte member records
+    // - MQB, 5,356,096 bytes: the task-indexed 16-byte member records
     //   (16n = 1,753,216); the row classes (a u32 per task at
     //   power-of-two capacity, 524,288), their representatives (262,144)
     //   and the open-addressing table that labels them at `init` and then
     //   finds the groups (1,048,576); the per-type group slabs, rows, free
-    //   lists and frontiers (1,762,048); and 7,872 bytes of scratch and
+    //   lists and frontiers (1,762,048); and 5,824 bytes of scratch and
     //   the policy value itself.
-    // - The workspace, 4,762,004 bytes: five u32 per-task tables (status
+    // - The workspace, 4,091,284 bytes: five u32 per-task tables (status
     //   word, indegree, queue position, stamp and processor; 20n =
-    //   2,191,520), the ready queues with their journals (2,293,152), the
+    //   2,191,520), the ready queues with their journals (1,622,432), the
     //   event calendar (263,680), and 13,652 bytes of per-type buffers.
-    assert_eq!(mqb.policy, 5_358_144, "MQB kept {} bytes", mqb.policy);
+    assert_eq!(mqb.policy, 5_356_096, "MQB kept {} bytes", mqb.policy);
     assert_eq!(
-        mqb.workspace, 4_762_004,
+        mqb.workspace, 4_091_284,
         "MQB's workspace kept {} bytes",
         mqb.workspace
     );
@@ -340,16 +340,16 @@ fn a_warm_sweep_worker_keeps_each_per_task_fact_once() {
     // The workspace: five u32 per-task tables — the status word, indegree
     // and queue position of the job state, the duplicate-selection stamp
     // and the processor of the job runtime — then, pinned for these
-    // seeds, the ready queues with their journals (2,958,688), the event
+    // seeds, the ready queues with their journals (2,073,952), the event
     // calendar, the recorder and the per-type buffers (278,216).
     let per_task = 4 * slots + 4 * slots + 4 * slots + 4 * slots + 4 * slots;
-    assert_eq!(workspace, (per_task + 3_236_904) as i64, "the workspace");
+    assert_eq!(workspace, (per_task + 2_352_168) as i64, "the workspace");
     // MQB: the 16-byte member records and the u32 row classes (pushed,
     // so at power-of-two capacity), per task; then the class
     // representatives (262,144), the shared labelling and
     // group-key table (1,048,576), the per-type group slabs, rows, free
     // lists, frontiers and pending picks (1,801,216), and the scratch and
-    // the policy value (9,981). The other five keep no per-task table:
+    // the policy value (7,933). The other five keep no per-task table:
     // KGreedy its permutation overrides, the offline four their ranked
     // selection index, each sized by the longest queue.
     let want = [
@@ -360,7 +360,7 @@ fn a_warm_sweep_worker_keeps_each_per_task_fact_once() {
         (Algorithm::ShiftBT, 752_704),
         (
             Algorithm::Mqb,
-            16 * slots + 4 * n.next_power_of_two() + 3_121_917,
+            16 * slots + 4 * n.next_power_of_two() + 3_119_869,
         ),
     ];
     for ((algo, got), (want_algo, want)) in policies.into_iter().zip(want) {

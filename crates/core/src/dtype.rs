@@ -25,10 +25,6 @@ pub struct DType {
 }
 
 impl Policy for DType {
-    fn name(&self) -> &str {
-        "DType"
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.dist = Some(Arc::clone(artifacts.different_child(job)));
         self.selector.invalidate();

@@ -26,10 +26,6 @@ pub struct Edd {
 }
 
 impl Policy for Edd {
-    fn name(&self) -> &str {
-        "EDD"
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.spans = Some(Arc::clone(artifacts.spans(job)));
         self.span = artifacts.span(job);
@@ -111,7 +107,7 @@ mod tests {
     #[test]
     fn registry_accepts_edd_by_name() {
         let algo = crate::Algorithm::parse("EDD").expect("EDD is registered");
-        let p = crate::make_policy(algo);
-        assert_eq!(p.name(), "EDD");
+        assert_eq!(algo.label(), "EDD");
+        crate::make_policy(algo);
     }
 }

@@ -67,10 +67,6 @@ impl Default for KGreedy {
 }
 
 impl Policy for KGreedy {
-    fn name(&self) -> &str {
-        "KGreedy"
-    }
-
     fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.rng = StdRng::seed_from_u64(seed ^ 0x4B47_5245_4544_5921);
     }
@@ -140,11 +136,6 @@ mod tests {
     use super::*;
     use fhs_sim::{engine, metrics, MachineConfig, Mode, RunOptions};
     use kdag::{examples::figure1, KDagBuilder};
-
-    #[test]
-    fn name_is_kgreedy() {
-        assert_eq!(KGreedy::default().name(), "KGreedy");
-    }
 
     #[test]
     fn greedy_bound_holds_on_figure1() {

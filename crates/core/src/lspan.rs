@@ -31,10 +31,6 @@ pub struct LSpan {
 }
 
 impl Policy for LSpan {
-    fn name(&self) -> &str {
-        "LSpan"
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.spans = Some(Arc::clone(artifacts.spans(job)));
         self.selector.invalidate();

@@ -26,10 +26,6 @@ pub struct MaxDP {
 }
 
 impl Policy for MaxDP {
-    fn name(&self) -> &str {
-        "MaxDP"
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {
         self.desc = Some(Arc::clone(artifacts.type_blind(job)));
         self.selector.invalidate();

@@ -253,11 +253,6 @@ impl Member {
     };
 }
 
-/// A queue entry's seq in the member record's 32 bits.
-fn seq32(seq: u64) -> u32 {
-    u32::try_from(seq).expect("a run releases fewer than 2^32 tasks")
-}
-
 /// Per-type incremental selection index: the groups of one ready queue and
 /// their dominance frontier. Maintained by queue-journal diffs between
 /// epochs; rebuilt from a queue snapshot on attach or journal
@@ -420,7 +415,7 @@ impl JournalIndex for OrderCtx<'_> {
 
     fn insert(&mut self, rt: ReadyTask) {
         let t = rt.id.index();
-        let seq = seq32(rt.seq);
+        let seq = rt.seq;
         let rank = self.class_rank[self.row_class[t] as usize];
         let r = rank as usize;
         let o = &mut *self.order;
@@ -1163,7 +1158,7 @@ impl JournalIndex for IndexCtx<'_> {
     }
 
     fn insert(&mut self, rt: ReadyTask) {
-        self.insert_member(rt.id.index(), seq32(rt.seq), rt.remaining);
+        self.insert_member(rt.id.index(), rt.seq, rt.remaining);
     }
 
     fn remove(&mut self, t: usize) {
@@ -1534,7 +1529,7 @@ impl Mqb {
                     members: &mut self.members,
                 };
                 for rt in q.iter() {
-                    cx.insert_member(rt.id.index(), seq32(rt.seq), rt.remaining);
+                    cx.insert_member(rt.id.index(), rt.seq, rt.remaining);
                 }
             }
             self.cursor[alpha].seek_end(q);
@@ -1685,7 +1680,7 @@ struct Duel<'a> {
     /// The type at which the incumbent's projected row takes `best_min`.
     best_type: usize,
     best_dt: f64,
-    best_seq: u64,
+    best_seq: u32,
     /// Winner so far (caller-defined identifier); `NONE` before the first
     /// challenger.
     best: u32,
@@ -1773,7 +1768,7 @@ impl<'a> Duel<'a> {
     /// comparison sequence — min via `total_cmp`, sorted-lex on bitwise
     /// min-ties, then larger `d_total`, then earlier arrival — is exactly
     /// the naive algorithm's.
-    fn challenge(&mut self, who: u32, mn: f64, dt: f64, seq: u64) {
+    fn challenge(&mut self, who: u32, mn: f64, dt: f64, seq: u32) {
         let mut cand_sorted_built = false;
         let better = if self.best == NONE {
             true
@@ -1959,7 +1954,7 @@ impl Mqb {
                 // `rem_key` is the head's remaining work.
                 let own = f.rem_key as f64;
                 if let Some(mn) = duel.project(&self.working, &self.procs_f, frow, alpha, own) {
-                    duel.challenge(fi as u32, mn, f.d_total, u64::from(f.head_seq));
+                    duel.challenge(fi as u32, mn, f.d_total, f.head_seq);
                 }
             }
             assert_ne!(duel.best, NONE, "queue longer than slots");
@@ -2060,7 +2055,7 @@ impl Mqb {
                 let (rem, row) = (self.approx_rem[ti], &self.d[ti * k..ti * k + k]);
                 self.snap.push(ReadyTask {
                     id: TaskId::from_index(ti),
-                    seq: u64::from(mb.seq),
+                    seq: mb.seq,
                     remaining: rem,
                 });
                 self.erows.extend_from_slice(row);
@@ -2265,20 +2260,6 @@ impl Mqb {
 }
 
 impl Policy for Mqb {
-    fn name(&self) -> &str {
-        // The bounded-candidate variant is a first-class policy of its own
-        // (`Algorithm::MqbApprox`); its name must match that label.
-        if self.approx_cap.is_some() {
-            return "MQB-Approx";
-        }
-        // The plain name for the default model; experiments use
-        // `InfoModel::label` for the §V-G variants.
-        match (self.info.lookahead, self.info.accuracy) {
-            (Lookahead::All, Accuracy::Precise) => "MQB",
-            _ => self.info.label(),
-        }
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         match (self.info.lookahead, self.info.accuracy) {
             // The default model ranks by the bundle's own matrix.
@@ -2590,16 +2571,6 @@ mod tests {
                 "MQB+1Step+Noise"
             ]
         );
-        use fhs_sim::Policy as _;
-        assert_eq!(Mqb::default().name(), "MQB");
-        assert_eq!(
-            Mqb::new(InfoModel {
-                lookahead: Lookahead::OneStep,
-                accuracy: Accuracy::Noisy
-            })
-            .name(),
-            "MQB+1Step+Noise"
-        );
     }
 
     #[test]
@@ -2675,7 +2646,13 @@ mod tests {
     fn bitwise_min_ties_reach_the_sorted_lex_comparison() {
         for (case, b_row) in [("tie at best type", [1, 6]), ("tie on the minimum", [6, 1])] {
             let (job, cfg, b) = tie_instance(b_row);
-            for mut p in [Mqb::default(), Mqb::approx(InfoModel::default())] {
+            for (algo, mut p) in [
+                (crate::Algorithm::Mqb, Mqb::default()),
+                (
+                    crate::Algorithm::MqbApprox,
+                    Mqb::approx(InfoModel::default()),
+                ),
+            ] {
                 let out = engine::run(
                     &job,
                     &cfg,
@@ -2695,7 +2672,12 @@ mod tests {
                     sel.candidates_pruned > 0,
                     "{case}: the fillers were not pruned"
                 );
-                assert_eq!(first, Some(b), "{case}, {}: the tied head lost", p.name());
+                assert_eq!(
+                    first,
+                    Some(b),
+                    "{case}, {}: the tied head lost",
+                    algo.label()
+                );
             }
         }
     }

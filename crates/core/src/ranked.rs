@@ -63,7 +63,7 @@ where
 {
     Entry {
         key: key_image(key(alpha, rt)),
-        seq: u32::try_from(rt.seq).expect("a run releases fewer than 2^32 tasks"),
+        seq: rt.seq,
         id: rt.id.index() as u32,
     }
 }
@@ -291,7 +291,7 @@ impl<F: FnMut(usize, &ReadyTask) -> f64> JournalIndex for KeyIndex<'_, F> {
         let e = &mut self.ty.picked[i];
         let rt = ReadyTask {
             id: TaskId::from_index(t),
-            seq: u64::from(e.seq),
+            seq: e.seq,
             remaining,
         };
         e.key = key_image((self.key)(self.alpha, &rt));
@@ -433,7 +433,7 @@ mod tests {
     use fhs_sim::{MachineConfig, ReadyQueue};
     use kdag::{KDagBuilder, TaskId};
 
-    fn rt(i: usize, seq: u64, rem: u64) -> ReadyTask {
+    fn rt(i: usize, seq: u32, rem: u64) -> ReadyTask {
         ReadyTask {
             id: TaskId::from_index(i),
             seq,

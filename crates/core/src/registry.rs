@@ -146,16 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_match_labels() {
-        for algo in ALL_ALGORITHMS {
-            let p = make_policy(algo);
-            assert_eq!(p.name(), algo.label());
-        }
-        let p = make_policy(Algorithm::MqbApprox);
-        assert_eq!(p.name(), Algorithm::MqbApprox.label());
-    }
-
-    #[test]
     fn mqb_approx_completes_figure1() {
         let job = kdag::examples::figure1();
         let cfg = MachineConfig::uniform(3, 2);

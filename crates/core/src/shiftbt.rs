@@ -615,10 +615,6 @@ fn sequence_bottlenecks(
 }
 
 impl Policy for ShiftBT {
-    fn name(&self) -> &str {
-        "ShiftBT"
-    }
-
     /// Takes the instance's sequencing plan from `artifacts`; the first
     /// ShiftBT init on a bundle computes it.
     fn init(&mut self, job: &KDag, config: &MachineConfig, _seed: u64, artifacts: &Artifacts) {

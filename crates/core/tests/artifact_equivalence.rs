@@ -98,9 +98,6 @@ struct FromBundle<'a> {
 }
 
 impl Policy for FromBundle<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.inner.init(job, config, seed, self.bundle)
     }
@@ -328,9 +325,6 @@ struct Probe {
 }
 
 impl Policy for Probe {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         self.inner.init(job, config, seed, artifacts)
     }
@@ -482,10 +476,6 @@ impl NaiveMqb {
 }
 
 impl Policy for NaiveMqb {
-    fn name(&self) -> &str {
-        "NaiveMQB"
-    }
-
     fn init(&mut self, job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {
         self.k = job.num_types();
         self.d = DescendantValues::compute(job).values().to_vec();

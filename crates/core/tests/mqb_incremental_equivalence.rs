@@ -535,10 +535,6 @@ impl NaiveMqb {
 }
 
 impl Policy for NaiveMqb {
-    fn name(&self) -> &str {
-        "NaiveMQB"
-    }
-
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         self.inner.init(job, config, seed, artifacts);
         self.sel = SelectionStats::default();

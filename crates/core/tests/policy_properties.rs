@@ -41,6 +41,9 @@ fn arb_config(k: usize) -> impl Strategy<Value = MachineConfig> {
     proptest::collection::vec(1usize..4, k).prop_map(MachineConfig::new)
 }
 
+/// Makes a fresh policy value.
+type Factory = fn() -> Box<dyn fhs_sim::Policy>;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,13 +168,13 @@ proptest! {
         cfg in arb_config(3),
     ) {
         use fhs_core::kgreedy::FifoGreedy;
-        let static_key: Vec<Box<dyn Fn() -> Box<dyn fhs_sim::Policy>>> = vec![
-            Box::new(|| Box::new(FifoGreedy)),
-            Box::new(|| make_policy(Algorithm::DType)),
-            Box::new(|| make_policy(Algorithm::MaxDP)),
-            Box::new(|| make_policy(Algorithm::ShiftBT)),
+        let static_key: [(&str, Factory); 4] = [
+            ("FifoGreedy", || Box::new(FifoGreedy)),
+            (Algorithm::DType.label(), || make_policy(Algorithm::DType)),
+            (Algorithm::MaxDP.label(), || make_policy(Algorithm::MaxDP)),
+            (Algorithm::ShiftBT.label(), || make_policy(Algorithm::ShiftBT)),
         ];
-        for factory in &static_key {
+        for (label, factory) in static_key {
             let mut a = factory();
             let mut b = factory();
             let epoch = engine::run(&dag, &cfg, a.as_mut(), Mode::Preemptive, &RunOptions::seeded(3));
@@ -179,8 +182,8 @@ proptest! {
                 &dag, &cfg, b.as_mut(), Mode::Preemptive,
                 &RunOptions { quantum: Some(1), ..RunOptions::seeded(3) },
             );
-            prop_assert_eq!(epoch.makespan, quantum.makespan, "{}", a.name());
-            prop_assert_eq!(epoch.busy_time, quantum.busy_time, "{}", a.name());
+            prop_assert_eq!(epoch.makespan, quantum.makespan, "{}", label);
+            prop_assert_eq!(epoch.busy_time, quantum.busy_time, "{}", label);
         }
     }
 

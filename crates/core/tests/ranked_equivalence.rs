@@ -131,7 +131,7 @@ impl OracleKeys {
 /// rebuilds a `(key, seq, id)` vector over its whole queue.
 #[derive(Default)]
 struct FullScan {
-    scratch: Vec<(f64, u64, u32)>, // (key, seq, task-index)
+    scratch: Vec<(f64, u32, u32)>, // (key, seq, task-index)
 }
 
 impl FullScan {
@@ -160,7 +160,7 @@ impl FullScan {
                     .iter()
                     .map(|rt| (key(alpha, rt), rt.seq, rt.id.index() as u32)),
             );
-            let cmp = |a: &(f64, u64, u32), b: &(f64, u64, u32)| {
+            let cmp = |a: &(f64, u32, u32), b: &(f64, u32, u32)| {
                 a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
             };
             // (key, seq, id) is a strict total order (seq is unique), so a
@@ -204,10 +204,6 @@ impl Lockstep {
 }
 
 impl Policy for Lockstep {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         self.inner.init(job, config, seed, artifacts);
         self.keys = Some(OracleKeys::new(self.algo, job, config));
@@ -400,7 +396,7 @@ fn reinit_for_a_same_size_job_rebuilds_the_index() {
                 (0..8)
                     .map(|i| ReadyTask {
                         id: TaskId::from_index(i),
-                        seq: i as u64,
+                        seq: i as u32,
                         remaining: 1,
                     })
                     .collect(),

@@ -15,9 +15,10 @@
 use std::sync::Arc;
 
 use fhs_core::{make_policy, ALL_ALGORITHMS};
+use fhs_sim::instrument::Kind;
 use fhs_sim::{
-    engine, Assignments, EpochView, MachineConfig, Mode, Policy, RunOptions, Session,
-    SessionOptions, ALL_INTER_JOB_POLICIES,
+    engine, Assignments, EpochView, MachineConfig, Mode, ObsConfig, Policy, RunOptions, RunStats,
+    SelectionStats, Session, SessionOptions, ALL_INTER_JOB_POLICIES,
 };
 use kdag::precompute::Artifacts;
 use kdag::{KDag, KDagBuilder, TaskId};
@@ -31,9 +32,6 @@ use proptest::prelude::*;
 struct Stepping(Box<dyn Policy>);
 
 impl Policy for Stepping {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         self.0.init(job, config, seed, artifacts)
     }
@@ -110,8 +108,10 @@ proptest! {
 
     /// Every scheduler, both modes, both cadences: a session holding
     /// exactly one job reproduces `engine::run` on the schedule
-    /// observables — makespan, busy-time vector, epoch count, assignment
-    /// count, and the per-type utilization timeline integrals.
+    /// observables — makespan, busy-time vector, every logical counter of
+    /// the counter tables, the per-type utilization timeline integrals and
+    /// the whole event stream. Both take the same lifecycle steps (arm,
+    /// attach, drive, retire, close); this pins that they stay one.
     #[test]
     fn one_job_session_replays_engine_run(
         (cfg, jobs) in arb_stream(),
@@ -121,10 +121,12 @@ proptest! {
             for (mode, quantum) in CADENCES {
                 let mut opts = RunOptions::seeded(*seed);
                 opts.quantum = quantum;
-                opts.observe.utilization = true;
+                opts.observe = ObsConfig::all();
                 let single = engine::run(dag, &cfg, make_policy(algo).as_mut(), mode, &opts);
 
-                let mut s = Session::new(cfg.clone(), session_opts(mode, quantum));
+                let mut sopts = session_opts(mode, quantum);
+                sopts.observe = ObsConfig::all();
+                let mut s = Session::new(cfg.clone(), sopts);
                 s.admit(Arc::new(dag.clone()), make_policy(algo), *seed);
                 let (out, _) = s.finish();
 
@@ -133,8 +135,16 @@ proptest! {
                     "{} {:?} q={:?}: session makespan diverged", algo.label(), mode, quantum
                 );
                 prop_assert_eq!(&out.busy_time, &single.busy_time);
-                prop_assert_eq!(out.stats.epochs, single.stats.epochs);
-                prop_assert_eq!(out.stats.tasks_assigned, single.stats.tasks_assigned);
+                // Every logical counter; the wall clocks and the workspace
+                // counters are not functions of the schedule.
+                for c in RunStats::COUNTERS.iter().filter(|c| c.kind == Kind::Logical) {
+                    prop_assert_eq!((c.get)(&out.stats), (c.get)(&single.stats), "{}", c.key);
+                }
+                for c in &SelectionStats::COUNTERS {
+                    prop_assert_eq!(
+                        (c.get)(&out.stats.selection), (c.get)(&single.stats.selection), "{}", c.key
+                    );
+                }
                 prop_assert_eq!(out.jobs.len(), 1);
                 prop_assert_eq!(out.jobs[0].finish, single.makespan);
                 prop_assert_eq!(out.jobs[0].response(), single.makespan);
@@ -147,6 +157,10 @@ proptest! {
                     prop_assert_eq!(a.idle_active, b.idle_active);
                     prop_assert_eq!(a.idle_tail, b.idle_tail);
                 }
+                let events = |o: &Option<Box<fhs_sim::RunObs>>| {
+                    o.as_ref().map(|o| (o.events.clone(), o.events_dropped))
+                };
+                prop_assert_eq!(events(&out.obs), events(&single.obs));
             }
         }
     }

@@ -7,7 +7,7 @@
 //! (`fhs_experiments::runner`) keep one workspace and one policy set per
 //! pool worker across thousands of differently-shaped instances. The
 //! instances inside each case deliberately vary in task count, machine
-//! size, and seed, so the workspace's shape-reset path (`begin_run`) and
+//! size, and seed, so the workspace's shape-reset path (`Workspace::arm`) and
 //! the monotonic duplicate-selection stamps are exercised across
 //! shrink/grow transitions, and each policy's `init` is proven to fully
 //! re-derive its state.
@@ -32,9 +32,6 @@ struct FromBundle<'a> {
 }
 
 impl Policy for FromBundle<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.inner.init(job, config, seed, self.bundle)
     }

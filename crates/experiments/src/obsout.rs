@@ -4,8 +4,10 @@
 //!   behind `sweep --metrics-out` (hand-rolled JSON; the build
 //!   environment has no serde). Every line carries a `version` field so
 //!   downstream tooling can detect schema changes. Its `"stats"` object
-//!   has one owner: [`stats_json`] writes and `parse_stats` (the shard
-//!   merge's reader) reads the same key list.
+//!   has one owner, the counter tables [`RunStats::COUNTERS`] and
+//!   [`SelectionStats::COUNTERS`]: [`stats_json`] writes, `parse_stats`
+//!   (the shard merge's reader) reads and [`stabilize`] canonicalizes the
+//!   counters they list.
 //! * [`latency_summary`] / [`utilization_summary`] — the human-readable
 //!   per-cell appendix lines shared by `sweep --instrument` /
 //!   `--utilization` and the figure binaries' `--instrument` /
@@ -13,6 +15,7 @@
 
 use fhs_obs::json::{json_f64, json_string, Value};
 use fhs_obs::HistSnapshot;
+use fhs_sim::instrument::{Counter, Kind};
 use fhs_sim::{RunStats, SelectionStats};
 
 use crate::runner::{CellObs, SweepCellResult};
@@ -31,90 +34,62 @@ fn num(v: f64) -> String {
 }
 
 /// Canonicalizes one sweep column for reproducible (`--stable`) output:
-/// zeroes the wall-clock counters (`assign_nanos`, `engine_nanos`), the
-/// per-process pool artifacts (`workspace_reuses`, `workspace_cold_inits`,
-/// `epoch_bytes`), and clears the wall-latency histograms. Everything
-/// left is a pure function of (workload, seed, instance set), so
-/// stabilized output is byte-identical across reruns, worker counts, and
-/// shard splits — the form the shard merge reproduces.
+/// zeroes every counter that is not [`Kind::Logical`] (the wall clocks,
+/// the pool artifacts and the allocation probe), and clears the
+/// wall-latency histograms. Everything left is a pure function of
+/// (workload, seed, instance set), so stabilized output is byte-identical
+/// across reruns, worker counts, and shard splits — the form the shard
+/// merge reproduces.
 pub fn stabilize(col: &mut SweepCellResult) {
-    col.stats.assign_nanos = 0;
-    col.stats.engine_nanos = 0;
-    col.stats.workspace_reuses = 0;
-    col.stats.workspace_cold_inits = 0;
-    col.stats.epoch_bytes = 0;
+    for c in &RunStats::COUNTERS {
+        if c.kind != Kind::Logical {
+            (c.set)(&mut col.stats, 0);
+        }
+    }
     if let Some(o) = col.obs.as_mut() {
         o.assign_ns = HistSnapshot::default();
         o.epoch_ns = HistSnapshot::default();
     }
 }
 
-/// One exported counter: its JSON key, read and write.
-type Field<T> = (&'static str, fn(&T) -> u64, fn(&mut T, u64));
-
-/// The keys of the `"stats"` object in export order: [`stats_json`]
-/// writes and [`parse_stats`] reads exactly these. `epoch_bytes` (a
-/// per-process allocation probe) is not exported.
-#[rustfmt::skip]
-const STATS_KEYS: [Field<RunStats>; 14] = [
-    ("epochs", |s| s.epochs, |s, v| s.epochs = v),
-    ("epochs_skipped", |s| s.epochs_skipped, |s, v| s.epochs_skipped = v),
-    ("dirty_visits", |s| s.dirty_visits, |s, v| s.dirty_visits = v),
-    ("full_rescans", |s| s.full_rescans, |s, v| s.full_rescans = v),
-    ("tasks_assigned", |s| s.tasks_assigned, |s, v| s.tasks_assigned = v),
-    ("releases", |s| s.transitions.releases, |s, v| s.transitions.releases = v),
-    ("starts", |s| s.transitions.starts, |s, v| s.transitions.starts = v),
-    ("completions", |s| s.transitions.completions, |s, v| s.transitions.completions = v),
-    ("progress_updates", |s| s.transitions.progress_updates, |s, v| s.transitions.progress_updates = v),
-    ("peak_queue_depth", |s| s.transitions.peak_queue_depth as u64, |s, v| s.transitions.peak_queue_depth = v as usize),
-    ("assign_nanos", |s| s.assign_nanos, |s, v| s.assign_nanos = v),
-    ("engine_nanos", |s| s.engine_nanos, |s, v| s.engine_nanos = v),
-    ("workspace_reuses", |s| s.workspace_reuses, |s, v| s.workspace_reuses = v),
-    ("workspace_cold_inits", |s| s.workspace_cold_inits, |s, v| s.workspace_cold_inits = v),
-];
-
-/// The keys of the nested `"selection"` object, in export order.
-#[rustfmt::skip]
-const SELECTION_KEYS: [Field<SelectionStats>; 4] = [
-    ("candidates_evaluated", |s| s.candidates_evaluated, |s, v| s.candidates_evaluated = v),
-    ("candidates_pruned", |s| s.candidates_pruned, |s, v| s.candidates_pruned = v),
-    ("diff_events", |s| s.diff_events, |s, v| s.diff_events = v),
-    ("cold_snapshots", |s| s.cold_snapshots, |s, v| s.cold_snapshots = v),
-];
+/// The counters of `table` that metrics-JSONL carries, in table order:
+/// all but [`Kind::Internal`] ones.
+fn exported<T>(table: &[Counter<T>]) -> impl Iterator<Item = &Counter<T>> {
+    table.iter().filter(|c| c.kind != Kind::Internal)
+}
 
 /// The `"stats"` object of a metrics-JSONL line: the aggregated engine
-/// counters, rendered in key order. Shared with the shard fragment
+/// counters, rendered in table order. Shared with the shard fragment
 /// writer so both emit (and the merge re-emits) the exact same bytes for
 /// the same counters.
 pub fn stats_json(stats: &RunStats) -> String {
-    fn object<T>(keys: &[Field<T>], s: &T) -> String {
-        let parts: Vec<String> = keys
-            .iter()
-            .map(|(k, get, _)| format!("\"{k}\":{}", get(s)))
+    fn object<T>(table: &[Counter<T>], s: &T) -> String {
+        let parts: Vec<String> = exported(table)
+            .map(|c| format!("\"{}\":{}", c.key, (c.get)(s)))
             .collect();
         parts.join(",")
     }
     format!(
         "{{{},\"selection\":{{{}}}}}",
-        object(&STATS_KEYS, stats),
-        object(&SELECTION_KEYS, &stats.selection)
+        object(&RunStats::COUNTERS, stats),
+        object(&SelectionStats::COUNTERS, &stats.selection)
     )
 }
 
 /// Parses a [`stats_json`] object back; every key must be present.
 pub(crate) fn parse_stats(v: &Value) -> Result<RunStats, String> {
-    fn fill<T>(keys: &[Field<T>], v: &Value, s: &mut T) -> Result<(), String> {
-        for (key, _, set) in keys {
-            let x = v.get(key).and_then(Value::as_u64);
-            let x = x.ok_or_else(|| format!("missing/invalid u64 field {key:?}"))?;
-            set(s, x);
+    fn fill<T>(table: &[Counter<T>], v: &Value, s: &mut T) -> Result<(), String> {
+        for c in exported(table) {
+            let x = v.get(c.key).and_then(Value::as_u64);
+            let x = x.ok_or_else(|| format!("missing/invalid u64 field {:?}", c.key))?;
+            (c.set)(s, x);
         }
         Ok(())
     }
     let sel = v.get("selection").ok_or("missing selection block")?;
     let mut stats = RunStats::default();
-    fill(&STATS_KEYS, v, &mut stats)?;
-    fill(&SELECTION_KEYS, sel, &mut stats.selection)?;
+    fill(&RunStats::COUNTERS, v, &mut stats)?;
+    fill(&SelectionStats::COUNTERS, sel, &mut stats.selection)?;
     Ok(stats)
 }
 
@@ -409,47 +384,108 @@ mod tests {
         assert!(slow.get("p50").and_then(|x| x.as_u64()).unwrap() >= 1000);
     }
 
+    /// Every counter of both tables set to a distinct non-zero value,
+    /// straight from the tables, so a counter added to the struct but not
+    /// to its table, or to the table but not to an exporter, shows here.
+    fn distinct_counters() -> RunStats {
+        let mut stats = RunStats::default();
+        let mut next = 0;
+        for c in &RunStats::COUNTERS {
+            next += 1;
+            (c.set)(&mut stats, next);
+        }
+        for c in &SelectionStats::COUNTERS {
+            next += 1;
+            (c.set)(&mut stats.selection, next);
+        }
+        stats
+    }
+
     #[test]
-    fn stats_round_trip_every_exported_counter() {
-        // Every exported field distinct and non-zero (a struct literal, so
-        // a new `RunStats` field must be placed here): a key written but
-        // not read, or read but not written, breaks the round trip.
-        let stats = RunStats {
-            epochs: 1,
-            tasks_assigned: 2,
-            transitions: fhs_sim::TransitionCounts {
-                releases: 3,
-                starts: 4,
-                completions: 5,
-                progress_updates: 6,
-                peak_queue_depth: 7,
-            },
-            assign_nanos: 8,
-            engine_nanos: 9,
-            workspace_reuses: 10,
-            workspace_cold_inits: 11,
-            epoch_bytes: 0,
-            selection: SelectionStats {
-                candidates_evaluated: 12,
-                candidates_pruned: 13,
-                diff_events: 14,
-                cold_snapshots: 15,
-            },
-            epochs_skipped: 16,
-            dirty_visits: 17,
-            full_rescans: 18,
+    fn every_counter_survives_json_merge_stabilize_and_the_prometheus_page() {
+        let stats = distinct_counters();
+        let value = |s: &RunStats, key: &str| -> u64 {
+            let run = RunStats::COUNTERS.iter().map(|c| (c.key, (c.get)(s)));
+            let sel = SelectionStats::COUNTERS
+                .iter()
+                .map(|c| (c.key, (c.get)(&s.selection)));
+            run.chain(sel)
+                .find(|(k, _)| *k == key)
+                .expect("a table key")
+                .1
         };
+        let tables = || {
+            let run = RunStats::COUNTERS
+                .iter()
+                .map(|c| (c.key, c.kind, c.peak, c.prom));
+            let sel = SelectionStats::COUNTERS
+                .iter()
+                .map(|c| (c.key, c.kind, c.peak, c.prom));
+            run.chain(sel)
+        };
+        // Every field is distinct: no two keys share a getter's field.
+        let mut seen: Vec<u64> = tables().map(|(key, ..)| value(&stats, key)).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), tables().count());
+
+        // JSON: every exported counter round-trips; the internal ones are
+        // not written.
         let text = stats_json(&stats);
-        assert_eq!(parse_stats(&parse(&text).unwrap()), Ok(stats));
-        let unexported = RunStats {
-            epoch_bytes: 19,
-            ..stats
+        let back = parse_stats(&parse(&text).unwrap()).unwrap();
+        for (key, kind, ..) in tables() {
+            let want = if kind == Kind::Internal {
+                0
+            } else {
+                value(&stats, key)
+            };
+            assert_eq!(value(&back, key), want, "{key} through JSON");
+            assert_eq!(
+                text.contains(&format!("\"{key}\":")),
+                kind != Kind::Internal,
+                "{key}"
+            );
+        }
+
+        // Merge: sums, or keeps the peak.
+        let mut merged = stats;
+        merged.merge(&stats);
+        for (key, _, peak, _) in tables() {
+            let v = value(&stats, key);
+            let want = if peak { v } else { 2 * v };
+            assert_eq!(value(&merged, key), want, "{key} through merge");
+        }
+
+        // Stabilize: keeps exactly the logical counters.
+        let mut col = SweepCellResult {
+            ratios: vec![1.0],
+            stats,
+            obs: None,
         };
-        assert_eq!(
-            stats_json(&unexported),
-            text,
-            "epoch_bytes stays unexported"
-        );
+        stabilize(&mut col);
+        for (key, kind, ..) in tables() {
+            let want = if kind == Kind::Logical {
+                value(&stats, key)
+            } else {
+                0
+            };
+            assert_eq!(value(&col.stats, key), want, "{key} through stabilize");
+        }
+
+        // The Prometheus page carries each counter with a series once, at
+        // its value, labeled by its key within a shared family.
+        col.stats = stats;
+        let page = crate::telemetry::sweep_exposition("w", "np", &["A".to_string()], &[col], 1, 1);
+        for (key, _, _, prom) in tables() {
+            let Some(p) = prom else { continue };
+            let series = match p.label {
+                Some(label) => format!("{}{{algo=\"A\",{label}=\"{key}\"}} ", p.family),
+                None => format!("{}{{algo=\"A\"}} ", p.family),
+            };
+            let line = format!("{series}{}\n", value(&stats, key));
+            assert_eq!(page.matches(&series).count(), 1, "{key}: {page}");
+            assert!(page.contains(&line), "{key}: {line:?} not in {page}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`sweep_exposition`] renders a sweep's aggregates — engine counters,
 //!   selection/fast-forward counters, log-bucketed latency histograms,
 //!   utilization gauges — in the Prometheus text format 0.0.4 implemented
-//!   by [`fhs_obs::Exposition`].
+//!   by [`fhs_obs::Exposition`]. The engine counters' families, help
+//!   texts and labels come from the one counter table
+//!   ([`RunStats::COUNTERS`], [`SelectionStats::COUNTERS`]).
 //! * [`sweep_snapshot_jsonl`] renders the same aggregates as a versioned
 //!   snapshot-JSONL page. `sweep` publishes both between chunks, outside
 //!   the engine, with [`fhs_obs::write_atomic`] (tmp + rename, so a
@@ -21,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use fhs_obs::{Exposition, SNAPSHOT_SCHEMA_VERSION};
-use fhs_sim::RunStats;
+use fhs_sim::{RunStats, SelectionStats};
 
 use crate::obsout;
 use crate::runner::SweepCellResult;
@@ -30,73 +32,30 @@ use crate::runner::SweepCellResult;
 // Expositions.
 // ---------------------------------------------------------------------------
 
-/// Emits the engine-counter families for one labeled series.
+/// Emits the engine-counter families for one labeled series: every
+/// counter of [`RunStats::COUNTERS`] and [`SelectionStats::COUNTERS`] with
+/// a Prometheus series, the counter families first and the gauges (the
+/// peaks) after.
 fn engine_counters(e: &mut Exposition, labels: &[(&str, &str)], stats: &RunStats) {
-    for (name, help, value) in [
-        (
-            "fhs_epochs_total",
-            "Decision epochs (policy consultations, including fast-forwarded ones)",
-            stats.epochs,
-        ),
-        (
-            "fhs_epochs_skipped_total",
-            "Decision epochs fast-forwarded over instead of executed",
-            stats.epochs_skipped,
-        ),
-        (
-            "fhs_dirty_visits_total",
-            "Per-(job, epoch) policy consultations performed by the dirty-set scan",
-            stats.dirty_visits,
-        ),
-        (
-            "fhs_full_rescans_total",
-            "Epochs in which the dirty-set skip pruned nothing",
-            stats.full_rescans,
-        ),
-        (
-            "fhs_tasks_assigned_total",
-            "Task selections across all epochs",
-            stats.tasks_assigned,
-        ),
-    ] {
-        e.counter(name, help, labels, value);
+    let run = RunStats::COUNTERS
+        .iter()
+        .map(|c| (c.key, c.prom, c.peak, (c.get)(stats)));
+    let sel = SelectionStats::COUNTERS.iter();
+    let sel = sel.map(|c| (c.key, c.prom, c.peak, (c.get)(&stats.selection)));
+    for gauges in [false, true] {
+        for (key, prom, peak, value) in run.clone().chain(sel.clone()) {
+            let Some(p) = prom.filter(|_| peak == gauges) else {
+                continue;
+            };
+            let mut l = labels.to_vec();
+            l.extend(p.label.map(|name| (name, key)));
+            if peak {
+                e.gauge(p.family, p.help, &l, value as f64);
+            } else {
+                e.counter(p.family, p.help, &l, value);
+            }
+        }
     }
-    for (event, value) in [
-        ("releases", stats.transitions.releases),
-        ("starts", stats.transitions.starts),
-        ("completions", stats.transitions.completions),
-        ("progress_updates", stats.transitions.progress_updates),
-    ] {
-        let mut with_event = labels.to_vec();
-        with_event.push(("event", event));
-        e.counter(
-            "fhs_transitions_total",
-            "State transitions by kind",
-            &with_event,
-            value,
-        );
-    }
-    for (counter, value) in [
-        ("candidates_evaluated", stats.selection.candidates_evaluated),
-        ("candidates_pruned", stats.selection.candidates_pruned),
-        ("diff_events", stats.selection.diff_events),
-        ("cold_snapshots", stats.selection.cold_snapshots),
-    ] {
-        let mut with_counter = labels.to_vec();
-        with_counter.push(("counter", counter));
-        e.counter(
-            "fhs_selection_total",
-            "Candidate-selection counters (incremental-index policies)",
-            &with_counter,
-            value,
-        );
-    }
-    e.gauge(
-        "fhs_peak_queue_depth",
-        "Largest number of live candidates any single type queue held",
-        labels,
-        stats.transitions.peak_queue_depth as f64,
-    );
 }
 
 /// Renders a sweep's current per-column aggregates as one Prometheus

@@ -78,6 +78,51 @@ fn sweep_rejects_outputs_that_share_a_file() {
     );
 }
 
+/// `--skewed` shrinks the first type's pool to a fifth (paper §V-E): the
+/// panel says so in its title, and the ratios move against the same
+/// sweep on the even machine.
+#[test]
+fn skewed_sweep_titles_its_panel_and_moves_the_ratios() {
+    let sweep = |skewed: bool| {
+        let mut cmd = Command::new(SWEEP);
+        cmd.args(["--family", "ir", "--typing", "layered", "--size", "small"])
+            .args(["--k", "3", "--instances", "4", "--seed", "5", "--stable"]);
+        if skewed {
+            cmd.arg("--skewed");
+        }
+        let out = cmd.output().expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let (skewed, even) = (sweep(true), sweep(false));
+    let title = |page: &str| page.lines().next().unwrap_or("").to_string();
+    assert!(
+        title(&skewed).starts_with("== Small Layered IR (skewed) — "),
+        "{}",
+        title(&skewed)
+    );
+    assert!(!title(&even).contains("skewed"), "{}", title(&even));
+    // The rows of the summary table: one per algorithm, ratios included.
+    let rows = |page: &str| -> Vec<String> {
+        page.lines()
+            .skip(3)
+            .take_while(|l| !l.is_empty())
+            .map(str::to_string)
+            .collect()
+    };
+    let (a, b) = (rows(&skewed), rows(&even));
+    assert_eq!(a.len(), 6, "{skewed}");
+    assert_eq!(b.len(), 6, "{even}");
+    assert!(
+        a.iter().zip(&b).all(|(x, y)| x != y),
+        "skewed rows match the even machine's:\n{skewed}\n{even}"
+    );
+}
+
 /// `--stable` reaches the snapshot pages: two runs write the same
 /// `.prom` and `.jsonl` bytes, latency histograms on.
 #[test]

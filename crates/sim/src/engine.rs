@@ -28,7 +28,7 @@ use kdag::{KDag, Work};
 use crate::config::MachineConfig;
 use crate::instrument::RunStats;
 use crate::policy::Policy;
-use crate::session::{self, DriveCtx, InterJobPolicy, SessionJob};
+use crate::session::{SessionJob, SessionOptions};
 use crate::trace::Trace;
 use crate::workspace::Workspace;
 use crate::Time;
@@ -161,11 +161,14 @@ pub fn run_in(
     run_with(ws, job, config, policy, mode, opts, &Artifacts::new())
 }
 
-/// The one run prologue behind [`run_in`] and the evaluators: checks the
-/// inputs, initializes the policy from `artifacts` (the bundle of `job`),
-/// runs the engine, detaches the policy from the job — so it lets go of
-/// the bundle's tables, as at a session retirement — and stamps the wall
-/// time.
+/// The single run behind [`run_in`] and the evaluators: a **one-job
+/// session** taking each step of the shared lifecycle once (arm, attach
+/// with the policy initialized from `artifacts`, `job`'s bundle, drive,
+/// retire, close), plus what only a single run has: the trace and the
+/// [`SimOutcome`], stamped with the whole run's wall time. The job rides
+/// in the workspace's own `JobRt` under heap slot 0 with no stop horizon,
+/// which keeps the historical `(time, task)` event order and a warm run
+/// allocation-free (the job array is on the stack).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_with(
     ws: &mut Workspace,
@@ -176,124 +179,47 @@ pub(crate) fn run_with(
     opts: &RunOptions,
     artifacts: &Artifacts,
 ) -> SimOutcome {
-    assert_eq!(
-        job.num_types(),
-        config.num_types(),
-        "job declared K={} but machine has K={}",
-        job.num_types(),
-        config.num_types()
-    );
-    assert!(opts.quantum != Some(0), "quantum must be positive");
     let wall = Instant::now();
-    policy.init(job, config, opts.seed, artifacts);
-    let mut out = run_engine(ws, job, config, policy, mode, opts);
-    policy.detach_job();
-    out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
-    out
-}
-
-/// The single-job engine entry: arms the workspace and recorder, then runs
-/// a **one-job session** — the unified epoch/event loop lives in
-/// [`session::drive`] and is shared verbatim with the multi-job
-/// [`crate::session::Session`]. The single job rides in the workspace's
-/// embedded [`JobRt`](crate::workspace::JobRt) under heap slot 0 (so event
-/// ordering is exactly the historical `(time, task)` key) with no stop
-/// horizon, which keeps this path bit-identical to the pre-session engine
-/// (pinned by the goldens and the workspace/session equivalence proptests)
-/// and allocation-free on a warm workspace (the session job array is on
-/// the stack).
-fn run_engine(
-    ws: &mut Workspace,
-    job: &KDag,
-    config: &MachineConfig,
-    policy: &mut dyn Policy,
-    mode: Mode,
-    opts: &RunOptions,
-) -> SimOutcome {
-    let preemptive = mode == Mode::Preemptive;
-    let reused = ws.begin_run(job, config, preemptive);
-    let mut stats = RunStats::default();
-    if reused {
-        stats.workspace_reuses = 1;
-    } else {
-        stats.workspace_cold_inits = 1;
-    }
-    // Arm the recorder before the allocation probe below: all observability
-    // storage is sized here (and retained across runs), so the metered
-    // epoch loop records without allocating. With observe off this is a
-    // no-op and every recorder call in the loop is an early return.
-    // The event stream is a function of the inputs and seed only: whether
-    // this worker's workspace was warm shows in `stats`, never in it, and
-    // epochs are stamped relative to the workspace's counter at entry.
-    ws.obs
-        .begin_run(opts.observe, config.procs_per_type(), ws.mach.epoch);
-    if ws.obs.events_on() {
-        // `policy.init` already ran in the caller; record the init
-        // instant retroactively at t = 0.
-        ws.obs.policy_init();
-        // `begin_run` released the roots (in id order) before the recorder
-        // was armed; emit their Release events here.
-        for v in job.roots() {
-            ws.obs
-                .release(0, ws.mach.epoch, v.index() as u32, job.rtype(v));
-        }
-    }
-    let mut last_epoch_t: Option<Instant> = None;
-    let mut now: Time = 0;
-    // With a counting allocator registered, meter the whole loop below —
-    // in steady state (warm workspace + warm policy) the delta is ~0.
-    let alloc_at_entry = crate::instrument::alloc_probe();
-
-    {
-        let done = ws.rt.state.all_done(job);
-        let mut jobs = [SessionJob {
-            job,
-            rt: &mut ws.rt,
-            policy,
-            slot: 0,
-            done,
-        }];
-        let mut cx = DriveCtx {
-            mach: &mut ws.mach,
-            obs: &mut ws.obs,
-            config,
-            preemptive,
-            quantum: opts.quantum,
-            record_trace: opts.record_trace,
-            inter: InterJobPolicy::Fifo,
-            now: &mut now,
-            stats: &mut stats,
-            last_epoch_t: &mut last_epoch_t,
-        };
-        session::drive(&mut cx, &mut jobs, None);
-    }
-
-    if let Some(at_entry) = alloc_at_entry {
-        stats.epoch_bytes = crate::instrument::alloc_probe()
-            .unwrap_or(at_entry)
-            .saturating_sub(at_entry);
-    }
-
-    // --- shared outcome assembly (past the probe: extraction may clone). ---
-    ws.obs.run_end(now, ws.mach.epoch);
-    let obs = ws.obs.take_run(now);
-    if preemptive && opts.record_trace {
+    let session = SessionOptions {
+        quantum: opts.quantum,
+        observe: opts.observe,
+        ..SessionOptions::new(mode)
+    };
+    let mut run = ws.arm(config, session, opts.record_trace);
+    run.attach(
+        &ws.mach,
+        &mut ws.obs,
+        &mut ws.rt,
+        job,
+        config,
+        policy,
+        opts.seed,
+        artifacts,
+    );
+    run.drive(
+        &mut ws.mach,
+        &mut ws.obs,
+        config,
+        &mut [SessionJob::new(job, &mut ws.rt, policy, 0)],
+        None,
+    );
+    run.retire(&ws.rt, policy);
+    let obs = run.close(&ws.mach, &mut ws.obs);
+    if mode == Mode::Preemptive && opts.record_trace {
         crate::trace::coalesce(&mut ws.mach.segments);
     }
-    stats.transitions = ws.rt.state.transition_counts();
-    if let Some(sel) = policy.take_selection_stats() {
-        stats.selection = sel;
-    }
-    SimOutcome {
-        makespan: now,
-        epochs: stats.epochs,
+    let mut out = SimOutcome {
+        makespan: run.now,
+        epochs: run.stats.epochs,
         busy_time: ws.mach.busy_time.clone(),
         trace: opts
             .record_trace
-            .then(|| Trace::new(std::mem::take(&mut ws.mach.segments), now)),
-        stats,
+            .then(|| Trace::new(std::mem::take(&mut ws.mach.segments), run.now)),
+        stats: run.stats,
         obs,
-    }
+    };
+    out.stats.engine_nanos = wall.elapsed().as_nanos() as u64;
+    out
 }
 
 #[cfg(test)]
@@ -512,9 +438,6 @@ mod tests {
     /// A hostile policy that assigns a wrong-type task.
     struct WrongType;
     impl crate::policy::Policy for WrongType {
-        fn name(&self) -> &str {
-            "WrongType"
-        }
         fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
             // put a type-0 candidate on type-1 processors
@@ -541,9 +464,6 @@ mod tests {
     /// A policy that refuses to schedule anything.
     struct Lazy;
     impl crate::policy::Policy for Lazy {
-        fn name(&self) -> &str {
-            "Lazy"
-        }
         fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, _: &EpochView<'_>, _: &mut Assignments) {}
     }
@@ -579,9 +499,6 @@ mod tests {
     /// Duplicate selection of the same task in one epoch.
     struct Duper;
     impl crate::policy::Policy for Duper {
-        fn name(&self) -> &str {
-            "Duper"
-        }
         fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
         fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {
             if let Some(rt) = view.queues[0].first() {

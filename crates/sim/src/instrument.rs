@@ -5,7 +5,9 @@
 //! state transitions of each kind the run performed, and the peak ready-queue
 //! depth. The counters are cheap (a handful of integer increments per epoch
 //! plus two monotonic-clock reads) and are always collected; the experiment
-//! runner surfaces them behind a `--instrument` flag.
+//! runner surfaces them behind a `--instrument` flag. Each counter is
+//! said once, in [`RunStats::COUNTERS`] or [`SelectionStats::COUNTERS`]:
+//! merging, the `--instrument` line and every export read those tables.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -53,7 +55,7 @@ pub struct TransitionCounts {
 /// index of the ranked policies, which report only the last two; see
 /// [`crate::policy::Policy::take_selection_stats`]).
 ///
-/// All four counters sum under [`merge`](SelectionStats::merge): the
+/// All four counters sum under [`RunStats::merge`]: the
 /// pruning effectiveness of a run is read as `candidates_pruned /
 /// (candidates_evaluated + candidates_pruned)`, and the incremental-state
 /// health as `diff_events` (cheap) vs `cold_snapshots` (full rebuilds).
@@ -73,13 +75,15 @@ pub struct SelectionStats {
 }
 
 impl SelectionStats {
-    /// Sums another policy's selection counters into this one.
-    pub fn merge(&mut self, other: &SelectionStats) {
-        self.candidates_evaluated += other.candidates_evaluated;
-        self.candidates_pruned += other.candidates_pruned;
-        self.diff_events += other.diff_events;
-        self.cold_snapshots += other.cold_snapshots;
-    }
+    /// Every selection counter, in export order (the nested
+    /// `"selection"` object); all sum and all are logical.
+    #[rustfmt::skip]
+    pub const COUNTERS: [Counter<SelectionStats>; 4] = [
+        SelCounter::new("candidates_evaluated", |s| s.candidates_evaluated, |s, v| s.candidates_evaluated = v).series(SELECTION),
+        SelCounter::new("candidates_pruned", |s| s.candidates_pruned, |s, v| s.candidates_pruned = v).series(SELECTION),
+        SelCounter::new("diff_events", |s| s.diff_events, |s, v| s.diff_events = v).series(SELECTION),
+        SelCounter::new("cold_snapshots", |s| s.cold_snapshots, |s, v| s.cold_snapshots = v).series(SELECTION),
+    ];
 }
 
 /// Counters for one engine run, surfaced on
@@ -95,8 +99,12 @@ pub struct RunStats {
     pub transitions: TransitionCounts,
     /// Wall time spent inside `Policy::assign`, in nanoseconds.
     pub assign_nanos: u64,
-    /// Wall time of the whole engine run (including `Policy::init` and the
-    /// assign time above), in nanoseconds.
+    /// Engine wall time in nanoseconds, assign time above included. A
+    /// single run ([`crate::engine::run`] and the evaluators) times the
+    /// whole run, from arming the workspace through `Policy::init`, the
+    /// epoch loop and `Policy::detach_job` to the outcome; a
+    /// [`crate::session::Session`] times only its epoch-loop calls
+    /// (`run_until`, `drain`), not admission, retirement or `finish`.
     pub engine_nanos: u64,
     /// Engine runs that reused an already-warm
     /// [`crate::workspace::Workspace`] (1 for a single reused run; sums
@@ -130,61 +138,165 @@ pub struct RunStats {
     pub full_rescans: u64,
 }
 
-impl RunStats {
-    /// Merges another run's counters into this one (wall times add).
-    /// `peak_queue_depth` takes the maximum; everything else sums.
-    pub fn merge(&mut self, other: &RunStats) {
-        self.epochs += other.epochs;
-        self.tasks_assigned += other.tasks_assigned;
-        self.transitions.releases += other.transitions.releases;
-        self.transitions.starts += other.transitions.starts;
-        self.transitions.completions += other.transitions.completions;
-        self.transitions.progress_updates += other.transitions.progress_updates;
-        self.transitions.peak_queue_depth = self
-            .transitions
-            .peak_queue_depth
-            .max(other.transitions.peak_queue_depth);
-        self.assign_nanos += other.assign_nanos;
-        self.engine_nanos += other.engine_nanos;
-        self.workspace_reuses += other.workspace_reuses;
-        self.workspace_cold_inits += other.workspace_cold_inits;
-        self.epoch_bytes += other.epoch_bytes;
-        self.selection.merge(&other.selection);
-        self.epochs_skipped += other.epochs_skipped;
-        self.dirty_visits += other.dirty_visits;
-        self.full_rescans += other.full_rescans;
+/// What a counter measures, which decides where it is exported.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// A function of (workload, seed, instance set): exported and kept by
+    /// `--stable` output.
+    Logical,
+    /// Wall clock or pool artifact: exported, zeroed by `--stable` output.
+    Volatile,
+    /// The allocation probe: not exported, zeroed by `--stable` output.
+    Internal,
+}
+
+/// A counter's Prometheus series: its family, and in a family several
+/// counters share, the label whose value (the counter's key) tells them
+/// apart.
+#[derive(Clone, Copy, Debug)]
+pub struct PromSeries {
+    /// Metric family name.
+    pub family: &'static str,
+    /// The family's help text.
+    pub help: &'static str,
+    /// The telling-apart label's name, in a shared family.
+    pub label: Option<&'static str>,
+}
+
+/// One counter of a stats record, said once: its key (in the
+/// metrics-JSONL `"stats"` object and the `--instrument` line), how to
+/// read and write it, how it merges, its [`Kind`] and its Prometheus
+/// series. `merge`, `Display` and the exporters iterate
+/// [`RunStats::COUNTERS`] and [`SelectionStats::COUNTERS`] instead of
+/// naming fields.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter<T> {
+    /// Export key.
+    pub key: &'static str,
+    /// Reads the counter.
+    pub get: fn(&T) -> u64,
+    /// Writes the counter.
+    pub set: fn(&mut T, u64),
+    /// A peak: merges by maximum (the others sum) and is a Prometheus
+    /// gauge (the others are counters).
+    pub peak: bool,
+    /// Export kind.
+    pub kind: Kind,
+    /// Prometheus series, for the counters the sweep exposition carries.
+    pub prom: Option<PromSeries>,
+}
+
+impl<T> Counter<T> {
+    /// A logical, summing counter with no Prometheus series.
+    const fn new(key: &'static str, get: fn(&T) -> u64, set: fn(&mut T, u64)) -> Self {
+        Counter {
+            key,
+            get,
+            set,
+            peak: false,
+            kind: Kind::Logical,
+            prom: None,
+        }
+    }
+
+    const fn kind(self, kind: Kind) -> Self {
+        Counter { kind, ..self }
+    }
+
+    const fn series(self, series: PromSeries) -> Self {
+        Counter {
+            prom: Some(series),
+            ..self
+        }
+    }
+
+    const fn peak(self) -> Self {
+        Counter { peak: true, ..self }
     }
 }
 
+/// A Prometheus family of one counter.
+const fn own(family: &'static str, help: &'static str) -> PromSeries {
+    PromSeries {
+        family,
+        help,
+        label: None,
+    }
+}
+
+const TRANSITIONS: PromSeries = PromSeries {
+    label: Some("event"),
+    ..own("fhs_transitions_total", "State transitions by kind")
+};
+
+const SELECTION: PromSeries = PromSeries {
+    label: Some("counter"),
+    ..own(
+        "fhs_selection_total",
+        "Candidate-selection counters (incremental-index policies)",
+    )
+};
+
+type RunCounter = Counter<RunStats>;
+type SelCounter = Counter<SelectionStats>;
+
+/// Merges `other` into `into` by each counter's rule.
+fn merge_into<T>(counters: &[Counter<T>], into: &mut T, other: &T) {
+    for c in counters {
+        let (a, b) = ((c.get)(into), (c.get)(other));
+        (c.set)(into, if c.peak { a.max(b) } else { a + b });
+    }
+}
+
+impl RunStats {
+    /// Every counter of a run but the nested [`SelectionStats`], in
+    /// export order.
+    #[rustfmt::skip]
+    pub const COUNTERS: [Counter<RunStats>; 15] = [
+        RunCounter::new("epochs", |s| s.epochs, |s, v| s.epochs = v)
+            .series(own("fhs_epochs_total", "Decision epochs (policy consultations, including fast-forwarded ones)")),
+        RunCounter::new("epochs_skipped", |s| s.epochs_skipped, |s, v| s.epochs_skipped = v)
+            .series(own("fhs_epochs_skipped_total", "Decision epochs fast-forwarded over instead of executed")),
+        RunCounter::new("dirty_visits", |s| s.dirty_visits, |s, v| s.dirty_visits = v)
+            .series(own("fhs_dirty_visits_total", "Per-(job, epoch) policy consultations performed by the dirty-set scan")),
+        RunCounter::new("full_rescans", |s| s.full_rescans, |s, v| s.full_rescans = v)
+            .series(own("fhs_full_rescans_total", "Epochs in which the dirty-set skip pruned nothing")),
+        RunCounter::new("tasks_assigned", |s| s.tasks_assigned, |s, v| s.tasks_assigned = v)
+            .series(own("fhs_tasks_assigned_total", "Task selections across all epochs")),
+        RunCounter::new("releases", |s| s.transitions.releases, |s, v| s.transitions.releases = v).series(TRANSITIONS),
+        RunCounter::new("starts", |s| s.transitions.starts, |s, v| s.transitions.starts = v).series(TRANSITIONS),
+        RunCounter::new("completions", |s| s.transitions.completions, |s, v| s.transitions.completions = v).series(TRANSITIONS),
+        RunCounter::new("progress_updates", |s| s.transitions.progress_updates, |s, v| s.transitions.progress_updates = v).series(TRANSITIONS),
+        RunCounter::new("peak_queue_depth", |s| s.transitions.peak_queue_depth as u64, |s, v| s.transitions.peak_queue_depth = v as usize)
+            .series(own("fhs_peak_queue_depth", "Largest number of live candidates any single type queue held")).peak(),
+        RunCounter::new("assign_nanos", |s| s.assign_nanos, |s, v| s.assign_nanos = v).kind(Kind::Volatile),
+        RunCounter::new("engine_nanos", |s| s.engine_nanos, |s, v| s.engine_nanos = v).kind(Kind::Volatile),
+        RunCounter::new("workspace_reuses", |s| s.workspace_reuses, |s, v| s.workspace_reuses = v).kind(Kind::Volatile),
+        RunCounter::new("workspace_cold_inits", |s| s.workspace_cold_inits, |s, v| s.workspace_cold_inits = v).kind(Kind::Volatile),
+        RunCounter::new("epoch_bytes", |s| s.epoch_bytes, |s, v| s.epoch_bytes = v).kind(Kind::Internal),
+    ];
+
+    /// Merges another run's counters into this one: `peak_queue_depth`
+    /// takes the maximum, everything else (wall times included) sums.
+    pub fn merge(&mut self, other: &RunStats) {
+        merge_into(&Self::COUNTERS, self, other);
+        merge_into(
+            &SelectionStats::COUNTERS,
+            &mut self.selection,
+            &other.selection,
+        );
+    }
+}
+
+/// `key value` for every counter, ` | `-separated, in table order.
 impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "epochs {} | assigned {} | released {} | started {} | completed {} \
-             | progressed {} | peak queue {} | assign {:.3} ms | engine {:.3} ms \
-             | ws {} warm / {} cold | epoch alloc {} B \
-             | sel eval {} / pruned {} | diffs {} / rebuilds {} \
-             | ff skipped {} | dirty visits {} / rescans {}",
-            self.epochs,
-            self.tasks_assigned,
-            self.transitions.releases,
-            self.transitions.starts,
-            self.transitions.completions,
-            self.transitions.progress_updates,
-            self.transitions.peak_queue_depth,
-            self.assign_nanos as f64 / 1e6,
-            self.engine_nanos as f64 / 1e6,
-            self.workspace_reuses,
-            self.workspace_cold_inits,
-            self.epoch_bytes,
-            self.selection.candidates_evaluated,
-            self.selection.candidates_pruned,
-            self.selection.diff_events,
-            self.selection.cold_snapshots,
-            self.epochs_skipped,
-            self.dirty_visits,
-            self.full_rescans,
-        )
+        let run = Self::COUNTERS.iter().map(|c| (c.key, (c.get)(self)));
+        let sel = SelectionStats::COUNTERS
+            .iter()
+            .map(|c| (c.key, (c.get)(&self.selection)));
+        let pairs: Vec<String> = run.chain(sel).map(|(k, v)| format!("{k} {v}")).collect();
+        f.write_str(&pairs.join(" | "))
     }
 }
 

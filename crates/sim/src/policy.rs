@@ -25,9 +25,10 @@ use crate::Time;
 pub struct ReadyTask {
     /// The task.
     pub id: TaskId,
-    /// Global arrival sequence number: strictly increasing in the order
-    /// tasks became ready. FIFO policies dispatch by this.
-    pub seq: u64,
+    /// Arrival sequence number within the job's run: strictly increasing
+    /// in the order tasks became ready. FIFO policies dispatch by this. A
+    /// run releases fewer than 2³² tasks (`JobState` checks it once).
+    pub seq: u32,
     /// Remaining work. Equals the full work for never-started tasks; under
     /// preemptive execution, partially-run candidates have smaller values.
     pub remaining: Work,
@@ -111,9 +112,6 @@ impl Assignments {
 /// policy values warm and call `init` again for each new job, so `init`
 /// must fully re-derive every per-job table.
 pub trait Policy: Send {
-    /// Human-readable algorithm name (used in tables and benches).
-    fn name(&self) -> &str;
-
     /// Called once per job before it runs. `seed` feeds any stochastic
     /// component (e.g. MQB's noisy-information models); deterministic
     /// policies may ignore it. `artifacts` is `job`'s analysis bundle
@@ -177,9 +175,6 @@ pub trait Policy: Send {
 }
 
 impl<P: Policy + ?Sized> Policy for Box<P> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
     fn init(&mut self, job: &KDag, config: &MachineConfig, seed: u64, artifacts: &Artifacts) {
         (**self).init(job, config, seed, artifacts)
     }
@@ -206,10 +201,6 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 pub struct FifoPolicy;
 
 impl Policy for FifoPolicy {
-    fn name(&self) -> &str {
-        "KGreedy"
-    }
-
     fn init(&mut self, _job: &KDag, _config: &MachineConfig, _seed: u64, _: &Artifacts) {}
 
     fn assign(&mut self, view: &EpochView<'_>, out: &mut Assignments) {

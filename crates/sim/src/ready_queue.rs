@@ -363,12 +363,19 @@ mod tests {
     use super::*;
     use kdag::Work;
 
-    fn rt(i: usize, seq: u64, rem: Work) -> ReadyTask {
+    fn rt(i: usize, seq: u32, rem: Work) -> ReadyTask {
         ReadyTask {
             id: TaskId::from_index(i),
             seq,
             remaining: rem,
         }
+    }
+
+    #[test]
+    fn slots_and_journal_events_stay_small() {
+        // A 32-bit arrival seq beside the 32-bit id: one 16-byte slot.
+        assert_eq!(std::mem::size_of::<ReadyTask>(), 16);
+        assert_eq!(std::mem::size_of::<QueueEvent>(), 24);
     }
 
     #[test]
@@ -387,7 +394,7 @@ mod tests {
         // 130 entries spans three bitmap words; tombstone a prefix band and
         // both word boundaries to exercise the word-skipping iterator.
         let n = 130;
-        let mut q = ReadyQueue::from_tasks((0..n).map(|i| rt(i, i as u64, 1)).collect());
+        let mut q = ReadyQueue::from_tasks((0..n).map(|i| rt(i, i as u32, 1)).collect());
         for i in (0..64).chain([64, 127, 128]) {
             q.remove_slot(i);
         }
@@ -401,7 +408,7 @@ mod tests {
     #[test]
     fn select_ranks_visits_exactly_the_requested_live_ranks() {
         let n = 200;
-        let mut q = ReadyQueue::from_tasks((0..n).map(|i| rt(i, i as u64, 1)).collect());
+        let mut q = ReadyQueue::from_tasks((0..n).map(|i| rt(i, i as u32, 1)).collect());
         // Tombstone every third slot so live ranks diverge from slots.
         for i in (0..n).step_by(3) {
             q.remove_slot(i);
@@ -416,7 +423,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_order_and_reports_new_slots() {
-        let mut q = ReadyQueue::from_tasks((0..6).map(|i| rt(i, i as u64, 1)).collect());
+        let mut q = ReadyQueue::from_tasks((0..6).map(|i| rt(i, i as u32, 1)).collect());
         q.remove_slot(0);
         q.remove_slot(2);
         q.remove_slot(4);
@@ -430,7 +437,7 @@ mod tests {
 
     #[test]
     fn compaction_threshold_requires_minimum_slack() {
-        let mut q = ReadyQueue::from_tasks((0..4).map(|i| rt(i, i as u64, 1)).collect());
+        let mut q = ReadyQueue::from_tasks((0..4).map(|i| rt(i, i as u32, 1)).collect());
         q.remove_slot(0);
         q.remove_slot(1);
         q.remove_slot(2);

@@ -39,7 +39,7 @@ struct RefState {
     indeg: Vec<u32>,
     queues: Vec<ReadyQueue>,
     queue_work: Vec<Work>,
-    next_seq: u64,
+    next_seq: u32,
     done: usize,
 }
 

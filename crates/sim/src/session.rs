@@ -24,11 +24,13 @@
 //!   [`StreamStats`](fhs_obs::StreamStats).
 //!
 //! The single-job engine is a one-job session: [`crate::engine::run`]
-//! calls the same `drive` loop with one `SessionJob` and no horizon,
-//! which is why the session refactor is pinned **bit-identical** to the
-//! historical engine by the golden and property tests (and by the
-//! `session_equivalence` proptest in `fhs-core`, which replays one-job
-//! sessions against `engine::run` for all six algorithms in both modes).
+//! takes the same lifecycle steps of `Run` — arm, attach (the admission
+//! above), drive the same `drive` loop with one `SessionJob` and no
+//! horizon, retire, close — which is why it is pinned **bit-identical**
+//! to the historical engine by the golden and property tests (and by
+//! the `session_equivalence` proptest in `fhs-core`, which replays
+//! one-job sessions against `engine::run` for all six algorithms in both
+//! modes, counters and event stream included).
 //!
 //! Multi-job invariants (vs the single-job engine):
 //!
@@ -56,6 +58,7 @@ use crate::policy::{EpochView, Policy};
 use crate::trace::Segment;
 use crate::workspace::{JobRt, MachState, Workspace, NO_PROC};
 use crate::Time;
+use fhs_obs::RunObs;
 
 /// How a [`Session`] orders active jobs when handing out the epoch's
 /// processor slots. All three are deterministic and work-conserving: a
@@ -180,31 +183,141 @@ pub(crate) struct SessionJob<'a> {
     pub(crate) done: bool,
 }
 
-/// Why `drive` returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DriveEnd {
-    /// Every job in the slice has drained.
-    AllDone,
-    /// The clock reached `stop_at` (the next arrival horizon).
-    Reached,
+impl<'a> SessionJob<'a> {
+    /// The loop's view of an attached job; it is done once its runtime
+    /// has a finish time.
+    pub(crate) fn new(
+        job: &'a KDag,
+        rt: &'a mut JobRt,
+        policy: &'a mut dyn Policy,
+        slot: u32,
+    ) -> Self {
+        let done = rt.finish.is_some();
+        SessionJob {
+            job,
+            rt,
+            policy,
+            slot,
+            done,
+        }
+    }
 }
 
 /// Borrowed context threaded through one `drive` call: machine state,
-/// recorder, config, cadence, and the accumulators that persist across
-/// calls within a session.
-pub(crate) struct DriveCtx<'a> {
-    pub(crate) mach: &'a mut MachState,
-    pub(crate) obs: &'a mut fhs_obs::Recorder,
-    pub(crate) config: &'a MachineConfig,
-    pub(crate) preemptive: bool,
-    pub(crate) quantum: Option<Work>,
+/// recorder, config, and the [`Run`], whose clock and accumulators persist
+/// across calls within a session.
+struct DriveCtx<'a> {
+    mach: &'a mut MachState,
+    obs: &'a mut fhs_obs::Recorder,
+    config: &'a MachineConfig,
+    run: &'a mut Run,
+}
+
+/// One armed run on a [`Workspace`] — a single job or a whole session —
+/// and what it carries between the lifecycle steps both take: arm
+/// ([`Workspace::arm`]), attach a job, drive the epoch loop, retire a job
+/// and close the recorder. [`crate::engine`] takes each step once; a
+/// [`Session`] attaches and retires per job and drives per horizon.
+pub(crate) struct Run {
+    pub(crate) opts: SessionOptions,
     pub(crate) record_trace: bool,
-    pub(crate) inter: InterJobPolicy,
-    pub(crate) now: &'a mut Time,
-    pub(crate) stats: &'a mut RunStats,
+    /// The simulation clock.
+    pub(crate) now: Time,
+    /// The counters accumulated so far.
+    pub(crate) stats: RunStats,
     /// Timestamp of the previous epoch's assign (epoch-duration histogram
     /// sampling); persists across drive calls within a session.
-    pub(crate) last_epoch_t: &'a mut Option<Instant>,
+    pub(crate) last_epoch_t: Option<Instant>,
+}
+
+impl Run {
+    /// Attach: checks `job` against the machine, initializes `policy` for
+    /// it, resets `rt` for it at the current time (a task-free job is
+    /// finished on arrival) and records the policy-init instant and the
+    /// roots' releases.
+    ///
+    /// # Panics
+    /// If `job.num_types() != config.num_types()`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn attach(
+        &self,
+        mach: &MachState,
+        obs: &mut fhs_obs::Recorder,
+        rt: &mut JobRt,
+        job: &KDag,
+        config: &MachineConfig,
+        policy: &mut dyn Policy,
+        seed: u64,
+        artifacts: &Artifacts,
+    ) {
+        assert_eq!(
+            job.num_types(),
+            config.num_types(),
+            "job declared K={} but machine has K={}",
+            job.num_types(),
+            config.num_types()
+        );
+        policy.init(job, config, seed, artifacts);
+        rt.reset_for(job, self.opts.mode == Mode::Preemptive, self.now);
+        if rt.state.all_done(job) {
+            rt.finish = Some(self.now);
+        }
+        if obs.events_on() {
+            obs.policy_init();
+            for v in job.roots() {
+                obs.release(self.now, mach.epoch, v.index() as u32, job.rtype(v));
+            }
+        }
+    }
+
+    /// Drive: runs the shared epoch loop over `jobs` until they drain or
+    /// the clock reaches `stop_at`. With a counting allocator registered,
+    /// the loop's allocations are metered into [`RunStats::epoch_bytes`];
+    /// in steady state (warm workspace, warm policies) the delta is ~0,
+    /// asserted by the allocation-regression suite.
+    pub(crate) fn drive(
+        &mut self,
+        mach: &mut MachState,
+        obs: &mut fhs_obs::Recorder,
+        config: &MachineConfig,
+        jobs: &mut [SessionJob<'_>],
+        stop_at: Option<Time>,
+    ) {
+        let at_entry = crate::instrument::alloc_probe();
+        let mut cx = DriveCtx {
+            mach,
+            obs,
+            config,
+            run: self,
+        };
+        drive(&mut cx, jobs, stop_at);
+        if let Some(at_entry) = at_entry {
+            let now = crate::instrument::alloc_probe().unwrap_or(at_entry);
+            self.stats.epoch_bytes += now.saturating_sub(at_entry);
+        }
+    }
+
+    /// Retire: folds a drained job's counters into the run's and detaches
+    /// its policy, which lets go of the job's analysis tables.
+    pub(crate) fn retire(&mut self, rt: &JobRt, policy: &mut dyn Policy) {
+        self.stats.merge(&RunStats {
+            transitions: rt.state.transition_counts(),
+            selection: policy.take_selection_stats().unwrap_or_default(),
+            ..RunStats::default()
+        });
+        policy.detach_job();
+    }
+
+    /// Close: ends the recorder's run at the current time and takes its
+    /// payload (past the allocation probe: extraction may clone).
+    pub(crate) fn close(
+        &self,
+        mach: &MachState,
+        obs: &mut fhs_obs::Recorder,
+    ) -> Option<Box<RunObs>> {
+        obs.run_end(self.now, mach.epoch);
+        obs.take_run(self.now)
+    }
 }
 
 /// The shared admit/step/drain epoch loop — the engine core for both the
@@ -212,25 +325,22 @@ pub(crate) struct DriveCtx<'a> {
 /// horizon) and streaming [`Session`]s (which call it between arrivals
 /// with `stop_at` at the next admission time).
 ///
-/// Runs until every job in `jobs` has drained ([`DriveEnd::AllDone`]) or
-/// the clock cannot advance further without passing `stop_at`
-/// ([`DriveEnd::Reached`]). With `stop_at == None` the loop preserves the
-/// historical engine semantics exactly, including its deadlock panics.
-pub(crate) fn drive(
-    cx: &mut DriveCtx<'_>,
-    jobs: &mut [SessionJob<'_>],
-    stop_at: Option<Time>,
-) -> DriveEnd {
+/// Runs until every job in `jobs` has drained or the clock cannot advance
+/// further without passing `stop_at`. With `stop_at == None` the loop
+/// preserves the historical engine semantics exactly, including its
+/// deadlock panics.
+fn drive(cx: &mut DriveCtx<'_>, jobs: &mut [SessionJob<'_>], stop_at: Option<Time>) {
     let k = cx.config.num_types();
     let latency_on = cx.obs.latency_on();
+    let preemptive = cx.run.opts.mode == Mode::Preemptive;
 
     loop {
         if jobs.iter().all(|j| j.done) {
-            return DriveEnd::AllDone;
+            return;
         }
         if let Some(s) = stop_at {
-            if *cx.now >= s {
-                return DriveEnd::Reached;
+            if cx.run.now >= s {
+                return;
             }
         }
 
@@ -238,7 +348,7 @@ pub(crate) fn drive(
         // non-preemptive epoch only happens when some type has both a free
         // processor and a candidate; preemptive epochs always re-decide
         // (some job is incomplete, so some queue is non-empty).
-        let consult = if cx.preemptive {
+        let consult = if preemptive {
             for (alpha, slot) in cx.mach.slots.iter_mut().enumerate() {
                 *slot = cx.config.procs(alpha);
             }
@@ -264,8 +374,8 @@ pub(crate) fn drive(
             // panicking run cannot leave stamps above it), which is what
             // lets workspace and job-runtime reuse skip clearing stamps.
             cx.mach.epoch += 1;
-            cx.stats.epochs += 1;
-            if cx.preemptive {
+            cx.run.stats.epochs += 1;
+            if preemptive {
                 cx.mach.running_now[..k].fill(0);
             }
 
@@ -278,9 +388,9 @@ pub(crate) fn drive(
             // queues. Skipping is gated off when the latency channel is on
             // (it samples queue depths per consultation) and for machines
             // wider than the 128-bit masks.
-            let dirty_set = !cx.preemptive && !latency_on && k <= 128;
+            let dirty_set = !preemptive && !latency_on && k <= 128;
             let mut free_mask: u128 = 0;
-            if !cx.preemptive {
+            if !preemptive {
                 for alpha in 0..k.min(128) {
                     if cx.mach.slots[alpha] > 0 {
                         free_mask |= 1 << alpha;
@@ -308,7 +418,7 @@ pub(crate) fn drive(
                 if j.done {
                     continue;
                 }
-                if !cx.preemptive {
+                if !preemptive {
                     if dirty_set && j.rt.state.ready_mask() & free_mask == 0 {
                         // Stale `out`/journals are safe: the non-preemptive
                         // advance never reads `out`, and journal consumers
@@ -316,7 +426,7 @@ pub(crate) fn drive(
                         skipped_any = true;
                         continue;
                     }
-                    cx.stats.dirty_visits += 1;
+                    cx.run.stats.dirty_visits += 1;
                 }
                 j.rt.out.reset(k);
                 let stamp = j.rt.stamp_id(cx.mach.epoch);
@@ -326,18 +436,18 @@ pub(crate) fn drive(
                     }
                 }
                 let view = EpochView {
-                    time: *cx.now,
+                    time: cx.run.now,
                     job: j.job,
                     config: cx.config,
                     queues: j.rt.state.queues(),
                     queue_work: j.rt.state.queue_work(),
                     slots: &cx.mach.slots,
-                    preemptive: cx.preemptive,
+                    preemptive,
                 };
                 let assign_t = Instant::now();
                 j.policy.assign(&view, &mut j.rt.out);
                 let assign_ns = assign_t.elapsed().as_nanos() as u64;
-                cx.stats.assign_nanos += assign_ns;
+                cx.run.stats.assign_nanos += assign_ns;
                 if latency_on {
                     cx.obs.record_assign_ns(assign_ns);
                     // Epoch duration = wall time between consecutive
@@ -345,7 +455,7 @@ pub(crate) fn drive(
                     // at the first assign boundary of the epoch — the
                     // latency channel adds no clock read of its own here.
                     if first_in_epoch {
-                        if let Some(prev) = cx.last_epoch_t.replace(assign_t) {
+                        if let Some(prev) = cx.run.last_epoch_t.replace(assign_t) {
                             cx.obs
                                 .record_epoch_ns(assign_t.duration_since(prev).as_nanos() as u64);
                         }
@@ -388,10 +498,10 @@ pub(crate) fn drive(
                         assert_ne!(j.rt.stamp[v.index()], stamp, "task {v} chosen twice");
                         j.rt.stamp[v.index()] = stamp;
                     }
-                    cx.stats.tasks_assigned += cx.mach.chosen_buf.len() as u64;
+                    cx.run.stats.tasks_assigned += cx.mach.chosen_buf.len() as u64;
 
                     // --- mode dispatch. ---
-                    if cx.preemptive {
+                    if preemptive {
                         for &v in &cx.mach.chosen_buf {
                             let rem =
                                 j.rt.state
@@ -401,7 +511,7 @@ pub(crate) fn drive(
                             min_rem = Some(min_rem.map_or(rem, |m| m.min(rem)));
                         }
                         if !cx.mach.chosen_buf.is_empty() && j.rt.first_start.is_none() {
-                            j.rt.first_start = Some(*cx.now);
+                            j.rt.first_start = Some(cx.run.now);
                         }
                         cx.mach.running_now[alpha] += cx.mach.chosen_buf.len() as u32;
                     } else {
@@ -413,44 +523,44 @@ pub(crate) fn drive(
                             j.rt.proc_of[v.index()] = p;
                             j.rt.attained += rem;
                             if j.rt.first_start.is_none() {
-                                j.rt.first_start = Some(*cx.now);
+                                j.rt.first_start = Some(cx.run.now);
                             }
-                            cx.mach.cal.push(*cx.now + rem, j.slot, v, *cx.now);
+                            cx.mach.cal.push(cx.run.now + rem, j.slot, v, cx.run.now);
                             cx.obs.start(
-                                *cx.now,
+                                cx.run.now,
                                 cx.mach.epoch,
                                 v.index() as u32,
                                 alpha,
                                 Some(p as usize),
                                 rem,
                             );
-                            if cx.record_trace {
+                            if cx.run.record_trace {
                                 cx.mach.segments.push(Segment {
                                     task: v,
                                     rtype: alpha,
                                     proc: p,
-                                    start: *cx.now,
-                                    end: *cx.now + rem,
+                                    start: cx.run.now,
+                                    end: cx.run.now + rem,
                                 });
                             }
                         }
                         cx.obs
-                            .timeline_set(alpha, *cx.now, cx.mach.busy[alpha] as u32);
+                            .timeline_set(alpha, cx.run.now, cx.mach.busy[alpha] as u32);
                     }
                 }
             }
-            if cx.preemptive {
+            if preemptive {
                 for alpha in 0..k {
                     cx.obs
-                        .timeline_set(alpha, *cx.now, cx.mach.running_now[alpha]);
+                        .timeline_set(alpha, cx.run.now, cx.mach.running_now[alpha]);
                 }
             } else if !skipped_any {
-                cx.stats.full_rescans += 1;
+                cx.run.stats.full_rescans += 1;
             }
-            cx.obs.epoch_event(*cx.now, cx.mach.epoch, epoch_total);
+            cx.obs.epoch_event(cx.run.now, cx.mach.epoch, epoch_total);
 
             // --- preemptive advance: progress everything chosen by dt. ---
-            if cx.preemptive {
+            if preemptive {
                 assert!(
                     epoch_total > 0,
                     "deadlock: policy assigned nothing with {} tasks incomplete",
@@ -462,9 +572,9 @@ pub(crate) fn drive(
                 // its arrival instant).
                 let mut span = min_rem.expect("chosen non-empty");
                 if let Some(s) = stop_at {
-                    span = span.min(s - *cx.now);
+                    span = span.min(s - cx.run.now);
                 }
-                let mut dt = match cx.quantum {
+                let mut dt = match cx.run.opts.quantum {
                     Some(q) => q.min(span),
                     None => span,
                 };
@@ -486,19 +596,19 @@ pub(crate) fn drive(
                 // points) and trace segments disable the jump because they
                 // record each epoch individually.
                 if dt < span
-                    && !cx.record_trace
+                    && !cx.run.record_trace
                     && !cx.obs.events_on()
                     && !latency_on
                     && !cx.obs.utilization_on()
-                    && (jobs.len() <= 1 || cx.inter != InterJobPolicy::FairShare)
+                    && (jobs.len() <= 1 || cx.run.opts.inter != InterJobPolicy::FairShare)
                     && jobs.iter().all(|j| j.done || j.policy.assign_stable())
                 {
-                    let q = cx.quantum.expect("dt < span only under a quantum");
+                    let q = cx.run.opts.quantum.expect("dt < span only under a quantum");
                     let skipped = span.div_ceil(q) - 1;
                     cx.mach.epoch += skipped;
-                    cx.stats.epochs += skipped;
-                    cx.stats.epochs_skipped += skipped;
-                    cx.stats.tasks_assigned += skipped * epoch_total;
+                    cx.run.stats.epochs += skipped;
+                    cx.run.stats.epochs_skipped += skipped;
+                    cx.run.stats.tasks_assigned += skipped * epoch_total;
                     for j in jobs.iter_mut() {
                         if !j.done {
                             j.rt.state
@@ -511,7 +621,7 @@ pub(crate) fn drive(
                 // Trace segments with stable-ish processor ids: keep each
                 // task's previous processor where possible. (Single-job
                 // sessions only; task ids collide across jobs.)
-                if cx.record_trace {
+                if cx.run.record_trace {
                     for j in jobs.iter_mut() {
                         if j.done {
                             continue;
@@ -541,16 +651,16 @@ pub(crate) fn drive(
                                     task: v,
                                     rtype: alpha,
                                     proc: j.rt.proc_of[v.index()],
-                                    start: *cx.now,
-                                    end: *cx.now + dt,
+                                    start: cx.run.now,
+                                    end: cx.run.now + dt,
                                 });
                             }
                         }
                     }
                 }
 
-                *cx.now += dt;
-                let now = *cx.now;
+                cx.run.now += dt;
+                let now = cx.run.now;
                 for j in jobs.iter_mut() {
                     if j.done {
                         continue;
@@ -581,25 +691,27 @@ pub(crate) fn drive(
 
         // --- non-preemptive advance: jump to the next completion event and
         // drain every completion at that time before the next epoch. ---
-        if !cx.preemptive {
-            match cx.mach.cal.next_time(*cx.now) {
+        if !preemptive {
+            match cx.mach.cal.next_time(cx.run.now) {
                 Some(t) if stop_at.is_none_or(|s| t <= s) => {
                     cx.mach.events_buf.clear();
-                    cx.mach.cal.claim_into(t, *cx.now, &mut cx.mach.events_buf);
+                    cx.mach
+                        .cal
+                        .claim_into(t, cx.run.now, &mut cx.mach.events_buf);
                     // Sorting by (slot, task) reproduces the historical
                     // heap's (time, slot, task) pop order within one time.
                     cx.mach.events_buf.sort_unstable();
-                    *cx.now = t;
+                    cx.run.now = t;
                     for i in 0..cx.mach.events_buf.len() {
                         let (slot, v) = cx.mach.events_buf[i];
                         finish_task(cx, jobs, slot, v);
                     }
                 }
-                Some(_) => return DriveEnd::Reached,
+                Some(_) => return,
                 None => {
                     if stop_at.is_some() {
                         // Idle (or refusing) until the next arrival.
-                        return DriveEnd::Reached;
+                        return;
                     }
                     panic!(
                         "deadlock: no running tasks but {} tasks incomplete",
@@ -624,7 +736,7 @@ fn incomplete_tasks(jobs: &[SessionJob<'_>]) -> usize {
 /// where the slice is already in admission order (retirement removal is
 /// order-preserving) — skips the keyed sort and is visited in slice order.
 fn priority_order(cx: &mut DriveCtx<'_>, jobs: &[SessionJob<'_>]) -> bool {
-    if jobs.len() <= 1 || cx.inter == InterJobPolicy::Fifo {
+    if jobs.len() <= 1 || cx.run.opts.inter == InterJobPolicy::Fifo {
         return false;
     }
     cx.mach.order.clear();
@@ -632,7 +744,7 @@ fn priority_order(cx: &mut DriveCtx<'_>, jobs: &[SessionJob<'_>]) -> bool {
         if j.done {
             continue;
         }
-        let key = match cx.inter {
+        let key = match cx.run.opts.inter {
             InterJobPolicy::Fifo => unreachable!("handled above"),
             InterJobPolicy::FairShare => j.rt.attained,
             InterJobPolicy::UtilizationAware => {
@@ -666,19 +778,19 @@ fn finish_task(cx: &mut DriveCtx<'_>, jobs: &mut [SessionJob<'_>], slot: u32, v:
     let p = j.rt.proc_of[v.index()];
     cx.mach.free_procs[alpha].push(p);
     cx.obs.complete(
-        *cx.now,
+        cx.run.now,
         cx.mach.epoch,
         v.index() as u32,
         alpha,
         Some(p as usize),
     );
     j.rt.state
-        .complete_obs(j.job, v, *cx.now, cx.mach.epoch, Some(cx.obs));
+        .complete_obs(j.job, v, cx.run.now, cx.mach.epoch, Some(cx.obs));
     cx.obs
-        .timeline_set(alpha, *cx.now, cx.mach.busy[alpha] as u32);
+        .timeline_set(alpha, cx.run.now, cx.mach.busy[alpha] as u32);
     if j.rt.state.all_done(j.job) {
         j.done = true;
-        j.rt.finish = Some(*cx.now);
+        j.rt.finish = Some(cx.run.now);
     }
 }
 
@@ -702,17 +814,14 @@ struct Active {
 /// assigning nothing while jobs are incomplete and nothing is running).
 pub struct Session {
     config: MachineConfig,
-    opts: SessionOptions,
     ws: Workspace,
+    run: Run,
     active: Vec<Active>,
     spare_rts: Vec<JobRt>,
     spare_policies: Vec<Box<dyn Policy>>,
     free_slots: Vec<u32>,
     next_slot: u32,
     next_id: u64,
-    now: Time,
-    stats: RunStats,
-    last_epoch_t: Option<Instant>,
     jobs: Vec<fhs_obs::JobRecord>,
     stream: fhs_obs::StreamStats,
 }
@@ -730,30 +839,17 @@ impl Session {
     /// # Panics
     /// If `opts.quantum` is `Some(0)` (also reached through [`Session::new`]).
     pub fn with_workspace(config: MachineConfig, opts: SessionOptions, mut ws: Workspace) -> Self {
-        assert!(opts.quantum != Some(0), "quantum must be positive");
-        let preemptive = opts.mode == Mode::Preemptive;
-        let reused = ws.begin_session(&config, preemptive);
-        let mut stats = RunStats::default();
-        if reused {
-            stats.workspace_reuses = 1;
-        } else {
-            stats.workspace_cold_inits = 1;
-        }
-        ws.obs
-            .begin_run(opts.observe, config.procs_per_type(), ws.mach.epoch);
+        let run = ws.arm(&config, opts, false);
         Session {
             config,
-            opts,
             ws,
+            run,
             active: Vec::new(),
             spare_rts: Vec::new(),
             spare_policies: Vec::new(),
             free_slots: Vec::new(),
             next_slot: 0,
             next_id: 0,
-            now: 0,
-            stats,
-            last_epoch_t: None,
             jobs: Vec::new(),
             stream: fhs_obs::StreamStats::default(),
         }
@@ -761,7 +857,7 @@ impl Session {
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.now
+        self.run.now
     }
 
     /// The machine this session schedules onto.
@@ -806,30 +902,22 @@ impl Session {
         seed: u64,
         artifacts: &Artifacts,
     ) -> JobId {
-        assert_eq!(
-            job.num_types(),
-            self.config.num_types(),
-            "job declared K={} but machine has K={}",
-            job.num_types(),
-            self.config.num_types()
-        );
-        let preemptive = self.opts.mode == Mode::Preemptive;
-        policy.init(&job, &self.config, seed, artifacts);
         let mut rt = self.spare_rts.pop().unwrap_or_default();
-        rt.reset_for(&job, preemptive, self.now);
+        self.run.attach(
+            &self.ws.mach,
+            &mut self.ws.obs,
+            &mut rt,
+            &job,
+            &self.config,
+            &mut *policy,
+            seed,
+            artifacts,
+        );
         let lower_bound = kdag::metrics::lower_bound_with_span(
             &job,
             self.config.procs_per_type(),
             artifacts.span(&job),
         );
-        if self.ws.obs.events_on() {
-            self.ws.obs.policy_init();
-            for v in job.roots() {
-                self.ws
-                    .obs
-                    .release(self.now, self.ws.mach.epoch, v.index() as u32, job.rtype(v));
-            }
-        }
         let id = JobId(self.next_id);
         self.next_id += 1;
         let slot = self.free_slots.pop().unwrap_or_else(|| {
@@ -837,10 +925,6 @@ impl Session {
             self.next_slot += 1;
             s
         });
-        // A task-free job retires at its arrival instant.
-        if rt.state.all_done(&job) {
-            rt.finish = Some(self.now);
-        }
         self.active.push(Active {
             id,
             slot,
@@ -861,12 +945,12 @@ impl Session {
     /// If `t` is in the past.
     pub fn run_until(&mut self, t: Time) {
         assert!(
-            t >= self.now,
+            t >= self.run.now,
             "run_until({t}) but session is at {}",
-            self.now
+            self.run.now
         );
         self.drive_session(Some(t));
-        self.now = self.now.max(t);
+        self.run.now = self.run.now.max(t);
         self.retire_done();
     }
 
@@ -876,46 +960,23 @@ impl Session {
         self.retire_done();
     }
 
+    /// Drives the active jobs; a session's `engine_nanos` is the wall
+    /// time of these calls only.
     fn drive_session(&mut self, stop_at: Option<Time>) {
-        let preemptive = self.opts.mode == Mode::Preemptive;
         let wall = Instant::now();
         let mut jobs: Vec<SessionJob<'_>> = self
             .active
             .iter_mut()
-            .map(|a| SessionJob {
-                job: &a.job,
-                rt: &mut a.rt,
-                policy: &mut *a.policy,
-                slot: a.slot,
-                done: false,
-            })
+            .map(|a| SessionJob::new(&a.job, &mut a.rt, &mut *a.policy, a.slot))
             .collect();
-        for j in jobs.iter_mut() {
-            j.done = j.rt.finish.is_some();
-        }
-        let mut cx = DriveCtx {
-            mach: &mut self.ws.mach,
-            obs: &mut self.ws.obs,
-            config: &self.config,
-            preemptive,
-            quantum: self.opts.quantum,
-            record_trace: false,
-            inter: self.opts.inter,
-            now: &mut self.now,
-            stats: &mut self.stats,
-            last_epoch_t: &mut self.last_epoch_t,
-        };
-        // With a counting allocator registered, meter the epoch loop —
-        // in steady state (warm workspace, warm policies) the delta is ~0, asserted by the allocation-
-        // regression suite.
-        let alloc_at_entry = crate::instrument::alloc_probe();
-        drive(&mut cx, &mut jobs, stop_at);
-        if let Some(at_entry) = alloc_at_entry {
-            self.stats.epoch_bytes += crate::instrument::alloc_probe()
-                .unwrap_or(at_entry)
-                .saturating_sub(at_entry);
-        }
-        self.stats.engine_nanos += wall.elapsed().as_nanos() as u64;
+        self.run.drive(
+            &mut self.ws.mach,
+            &mut self.ws.obs,
+            &self.config,
+            &mut jobs,
+            stop_at,
+        );
+        self.run.stats.engine_nanos += wall.elapsed().as_nanos() as u64;
     }
 
     /// Retires every drained job: detach its policy, recycle its runtime,
@@ -942,12 +1003,7 @@ impl Session {
             };
             self.stream.record(&record);
             self.jobs.push(record);
-            self.stats.merge(&RunStats {
-                transitions: a.rt.state.transition_counts(),
-                selection: a.policy.take_selection_stats().unwrap_or_default(),
-                ..RunStats::default()
-            });
-            a.policy.detach_job();
+            self.run.retire(&a.rt, &mut *a.policy);
             self.spare_policies.push(a.policy);
             self.spare_rts.push(a.rt);
             self.free_slots.push(a.slot);
@@ -959,12 +1015,11 @@ impl Session {
     /// follow-up session.
     pub fn finish(mut self) -> (SessionOutcome, Workspace) {
         self.drain();
-        self.ws.obs.run_end(self.now, self.ws.mach.epoch);
-        let obs = self.ws.obs.take_run(self.now);
+        let obs = self.run.close(&self.ws.mach, &mut self.ws.obs);
         let outcome = SessionOutcome {
-            makespan: self.now,
+            makespan: self.run.now,
             busy_time: self.ws.mach.busy_time.clone(),
-            stats: self.stats,
+            stats: self.run.stats,
             jobs: self.jobs,
             stream: self.stream,
             obs,
@@ -1286,9 +1341,6 @@ mod tests {
     fn drain_detects_deadlock() {
         struct Lazy;
         impl Policy for Lazy {
-            fn name(&self) -> &str {
-                "Lazy"
-            }
             fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &Artifacts) {}
             fn assign(&mut self, _: &EpochView<'_>, _: &mut crate::policy::Assignments) {}
         }

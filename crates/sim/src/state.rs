@@ -56,7 +56,7 @@ pub struct JobState {
     /// Bit `α` set iff `queues[α]` is non-empty (maintained for `α` < 128;
     /// machines with more types fall back to scanning the queues).
     ready_mask: u128,
-    next_seq: u64,
+    next_seq: u32,
     done: usize,
     counts: TransitionCounts,
 }
@@ -218,7 +218,10 @@ impl JobState {
         if alpha < 128 {
             self.ready_mask |= 1u128 << alpha;
         }
-        self.next_seq += 1;
+        self.next_seq = self
+            .next_seq
+            .checked_add(1)
+            .expect("a run releases fewer than 2^32 tasks");
         self.counts.releases += 1;
         let depth = self.queues[alpha].len();
         if depth > self.counts.peak_queue_depth {
@@ -423,7 +426,7 @@ mod tests {
         b.add_edge(c, j).unwrap();
         let job = b.build().unwrap();
         let mut s = JobState::new(&job);
-        let root_seqs: Vec<u64> = s.queues()[0].iter().map(|rt| rt.seq).collect();
+        let root_seqs: Vec<u32> = s.queues()[0].iter().map(|rt| rt.seq).collect();
         assert_eq!(root_seqs, vec![0, 1]);
         s.start(&job, a);
         s.complete_obs(&job, a, 0, 0, None);

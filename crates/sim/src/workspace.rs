@@ -35,8 +35,8 @@
 //! invariants make that safe:
 //!
 //! * Every buffer is fully re-initialized for the incoming `(job, config)`
-//!   shape by `Workspace::begin_run`; capacity is retained, contents are
-//!   not.
+//!   shape — the machine side by `Workspace::arm`, a job runtime when its
+//!   job attaches; capacity is retained, contents are not.
 //! * The duplicate-selection stamps are *not* cleared — instead the epoch
 //!   counter is monotonic across all runs on one workspace, so a stale
 //!   stamp (≤ the counter at hand-back) can never equal a fresh epoch id
@@ -57,7 +57,10 @@ use kdag::{KDag, TaskId};
 
 use crate::calendar::{CalEvent, Calendar};
 use crate::config::MachineConfig;
+use crate::engine::Mode;
+use crate::instrument::RunStats;
 use crate::policy::Assignments;
+use crate::session::{Run, SessionOptions};
 use crate::state::JobState;
 use crate::trace::Segment;
 use crate::Time;
@@ -230,30 +233,41 @@ impl Workspace {
         self.runs
     }
 
-    /// Re-initializes every engine buffer for a single-job run of
-    /// `(job, config)` in place, retaining capacity. Returns `true` when
-    /// this is a reuse (the workspace has hosted a run before).
-    pub(crate) fn begin_run(
+    /// Arms the workspace for one run over `config` — a single job or a
+    /// whole session: re-initializes the machine-side state in place
+    /// (capacity retained; a job runtime is reset when its job attaches),
+    /// arms the recorder for `opts.observe`, and starts the [`Run`] at
+    /// time 0 with counters that record whether the workspace was warm.
+    ///
+    /// # Panics
+    /// If `opts.quantum` is `Some(0)`.
+    pub(crate) fn arm(
         &mut self,
-        job: &KDag,
         config: &MachineConfig,
-        preemptive: bool,
-    ) -> bool {
-        let reused = self.runs > 0;
+        opts: SessionOptions,
+        record_trace: bool,
+    ) -> Run {
+        assert!(opts.quantum != Some(0), "quantum must be positive");
+        let mut stats = RunStats::default();
+        if self.runs > 0 {
+            stats.workspace_reuses = 1;
+        } else {
+            stats.workspace_cold_inits = 1;
+        }
         self.runs += 1;
-        self.rt.reset_for(job, preemptive, 0);
-        self.mach.reset(config, preemptive);
-        reused
-    }
-
-    /// Re-initializes the machine-side state for a session over `config`.
-    /// The embedded single-job `rt` is left untouched (sessions own their
-    /// job runtimes). Returns `true` on reuse.
-    pub(crate) fn begin_session(&mut self, config: &MachineConfig, preemptive: bool) -> bool {
-        let reused = self.runs > 0;
-        self.runs += 1;
-        self.mach.reset(config, preemptive);
-        reused
+        self.mach.reset(config, opts.mode == Mode::Preemptive);
+        // Sized here and retained, so the metered loop records without
+        // allocating. Events are stamped relative to the epoch counter at
+        // entry: a warm workspace shows in the counters, never in them.
+        self.obs
+            .begin_run(opts.observe, config.procs_per_type(), self.mach.epoch);
+        Run {
+            opts,
+            record_trace,
+            now: 0,
+            stats,
+            last_epoch_t: None,
+        }
     }
 }
 
@@ -262,15 +276,11 @@ pub(crate) mod tests {
     use super::*;
 
     #[test]
-    fn begin_run_reports_reuse_and_resets_shape() {
-        use kdag::KDagBuilder;
-        let mut b = KDagBuilder::new(2);
-        b.add_task(0, 4);
-        b.add_task(1, 2);
-        let job = b.build().unwrap();
+    fn arm_reports_reuse_and_resets_shape() {
         let cfg = MachineConfig::uniform(2, 3);
         let mut ws = Workspace::new();
-        assert!(!ws.begin_run(&job, &cfg, false));
+        let stats = ws.arm(&cfg, SessionOptions::default(), false).stats;
+        assert_eq!((stats.workspace_cold_inits, stats.workspace_reuses), (1, 0));
         assert_eq!(ws.mach.busy_time, vec![0, 0]);
         assert_eq!(ws.mach.free_procs.len(), 2);
         assert_eq!(ws.mach.free_procs[0], vec![2, 1, 0]);
@@ -279,7 +289,8 @@ pub(crate) mod tests {
         ws.mach.busy_time[1] = 99;
         ws.mach.free_procs[0].clear();
         let cfg2 = MachineConfig::uniform(2, 1);
-        assert!(ws.begin_run(&job, &cfg2, false));
+        let stats = ws.arm(&cfg2, SessionOptions::default(), false).stats;
+        assert_eq!((stats.workspace_cold_inits, stats.workspace_reuses), (0, 1));
         assert_eq!(ws.mach.busy_time, vec![0, 0]);
         assert_eq!(ws.mach.free_procs[0], vec![0]);
         assert_eq!(ws.runs(), 2);
@@ -300,17 +311,15 @@ pub(crate) mod tests {
             b.add_task(0, 1);
             b.build().unwrap()
         };
-        let cfg = MachineConfig::uniform(1, 2);
-        let mut ws = Workspace::new();
-        ws.begin_run(&big, &cfg, true);
-        ws.mach.epoch = 5;
-        ws.rt.stamp.fill(5);
-        ws.begin_run(&small, &cfg, true);
-        ws.begin_run(&big, &cfg, true);
+        let mut rt = JobRt::default();
+        rt.reset_for(&big, true, 0);
+        rt.stamp.fill(5);
+        rt.reset_for(&small, true, 0);
+        rt.reset_for(&big, true, 0);
         // Entries reborn by the shrink-then-grow hold 0; survivors hold 5.
         // Both are below any future epoch id (monotonic counter at 5).
-        let now = ws.rt.stamp_id(ws.mach.epoch);
-        assert!(ws.rt.stamp.iter().all(|&s| s <= now));
+        let now = rt.stamp_id(5);
+        assert!(rt.stamp.iter().all(|&s| s <= now));
     }
 
     /// Six independent tasks of work 3 on two type-0 processors: FIFO
@@ -359,9 +368,6 @@ pub(crate) mod tests {
     /// Chooses the first queued task twice.
     pub(crate) struct Duper;
     impl crate::policy::Policy for Duper {
-        fn name(&self) -> &str {
-            "Duper"
-        }
         fn init(&mut self, _: &KDag, _: &MachineConfig, _: u64, _: &kdag::precompute::Artifacts) {}
         fn assign(&mut self, view: &crate::policy::EpochView<'_>, out: &mut Assignments) {
             if let Some(rt) = view.queues[0].first() {

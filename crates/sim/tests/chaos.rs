@@ -22,10 +22,6 @@ struct ChaosPolicy {
 }
 
 impl Policy for ChaosPolicy {
-    fn name(&self) -> &str {
-        "Chaos"
-    }
-
     fn init(&mut self, _job: &KDag, _config: &MachineConfig, seed: u64, _: &Artifacts) {
         self.rng = StdRng::seed_from_u64(seed);
     }

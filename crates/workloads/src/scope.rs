@@ -187,9 +187,6 @@ mod tests {
         }
 
         impl Policy for DescFirst {
-            fn name(&self) -> &str {
-                "DescFirst"
-            }
             fn init(&mut self, job: &KDag, _c: &MachineConfig, _s: u64, a: &Artifacts) {
                 self.d = a.type_blind(job).to_vec();
             }
